@@ -89,6 +89,10 @@ struct CampaignMetrics {
   telemetry::Counter& sweepRuns;
   telemetry::Counter& sweepCaptures;
   telemetry::Counter& sweepFallbacks;
+  /// Restart grouping: trials decided by another trial's restart (hits) and
+  /// restarts executed from sweep captures (misses).
+  telemetry::Counter& restartMemoHits;
+  telemetry::Counter& restartMemoMisses;
   /// Fork evaluator: worker forks (initial + respawns), deaths the campaign
   /// consumed (split kill vs crash/oom/protocol), and respawns alone.
   telemetry::Counter& workerSpawns;
@@ -143,6 +147,8 @@ struct CampaignMetrics {
         reg.counter("campaign.sweep_runs"),
         reg.counter("campaign.sweep_captures"),
         reg.counter("campaign.sweep_fallbacks"),
+        reg.counter("campaign.restart_memo_hits"),
+        reg.counter("campaign.restart_memo_misses"),
         reg.counter("campaign.worker_spawns"),
         reg.counter("campaign.worker_crashes"),
         reg.counter("campaign.worker_kills"),
@@ -182,68 +188,111 @@ struct CampaignMetrics {
   }
 };
 
-/// One queued restart: a trial index plus its (possibly shared, when several
-/// trials drew the same crash point) read-only capture.
-struct PendingRestart {
-  std::size_t trial = 0;
-  std::shared_ptr<const SweepCapture> capture;
+/// Adjacent sweep captures whose restart inputs — restartIteration plus every
+/// candidate snapshot, id and bytes — are byte-identical. A restart is a pure
+/// function of that input, so the leader's restart decides every member
+/// (docs/INTERNALS.md "Restart grouping"). Only the leader's capture keeps
+/// its snapshot bytes; every member's capture keeps its own crash context.
+/// Trials that drew the same crash index share one capture.
+struct RestartGroup {
+  struct Member {
+    std::size_t trial = 0;
+    std::shared_ptr<const SweepCapture> capture;
+  };
+  std::vector<Member> members;  ///< crash-index order; front() is the leader
+
+  [[nodiscard]] const SweepCapture& input() const { return *members.front().capture; }
 };
+
+bool sameRestartInput(const SweepCapture& a, const SweepCapture& b) {
+  return a.restartIteration == b.restartIteration && a.snapshots == b.snapshots;
+}
 
 /// Thrown by the sweep's capture hook to end the crashing run early: a stop
 /// was requested, or the restart pipeline went away (abort/budget).
 struct SweepAbort {};
 
 /// Bounded hand-off between the sweep producer (the single crashing run) and
-/// the restart workers. push() blocks while full — that backpressure bounds
-/// how many object snapshots are alive at once — and returns false once the
-/// queue is aborted. pop() blocks for an entry and drains what was already
-/// queued after close(); abort() drops everything and wakes both sides.
+/// the restart workers, grouping as it goes. push() adds one capture's
+/// trials to the open tail group when the capture's restart input equals the
+/// group leader's (dropping the capture's snapshot bytes); otherwise it
+/// hands the open group to the workers and opens a new one. The hand-off
+/// blocks while the queue is full — that backpressure bounds how many
+/// snapshots are alive at once — and a trial is marked claimed only there,
+/// when its group is queued. close() flushes the open group, so every
+/// claimed trial's restart runs unless the queue is aborted. push() and
+/// close() belong to the one producer thread, which alone touches the open
+/// group. pop() blocks for a group and drains what was already queued after
+/// close(); abort() drops everything and wakes both sides; push() returns
+/// false once the queue is aborted.
 class RestartQueue {
  public:
-  explicit RestartQueue(std::size_t capacity) : capacity_(capacity) {}
+  RestartQueue(std::size_t capacity, std::vector<char>& claimed)
+      : capacity_(capacity), claimed_(claimed) {}
 
-  [[nodiscard]] bool push(PendingRestart entry) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    spaceCv_.wait(lock, [&] { return entries_.size() < capacity_ || aborted_; });
-    if (aborted_) return false;
-    entries_.push_back(std::move(entry));
-    CampaignMetrics::get().sweepQueueDepth.set(static_cast<double>(entries_.size()));
-    entryCv_.notify_one();
+  [[nodiscard]] bool push(std::shared_ptr<SweepCapture> capture,
+                          const std::vector<std::size_t>& trials) {
+    const bool joins =
+        !open_.members.empty() && sameRestartInput(open_.input(), *capture);
+    if (!handOver(joins ? RestartGroup{} : std::exchange(open_, RestartGroup{}))) {
+      return false;
+    }
+    if (joins) capture->snapshots.clear();  // the leader's bytes restart it
+    for (const std::size_t t : trials) open_.members.push_back({t, capture});
     return true;
   }
 
-  [[nodiscard]] std::optional<PendingRestart> pop() {
+  [[nodiscard]] std::optional<RestartGroup> pop() {
     std::unique_lock<std::mutex> lock(mutex_);
-    entryCv_.wait(lock, [&] { return !entries_.empty() || closed_ || aborted_; });
-    if (aborted_ || entries_.empty()) return std::nullopt;
-    PendingRestart entry = std::move(entries_.front());
-    entries_.pop_front();
-    CampaignMetrics::get().sweepQueueDepth.set(static_cast<double>(entries_.size()));
+    groupCv_.wait(lock, [&] { return !groups_.empty() || closed_ || aborted_; });
+    if (aborted_ || groups_.empty()) return std::nullopt;
+    RestartGroup group = std::move(groups_.front());
+    groups_.pop_front();
+    CampaignMetrics::get().sweepQueueDepth.set(static_cast<double>(groups_.size()));
     spaceCv_.notify_one();
-    return entry;
+    return group;
   }
 
   void close() {
+    (void)handOver(std::exchange(open_, RestartGroup{}));
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
-    entryCv_.notify_all();
+    groupCv_.notify_all();
   }
 
   void abort() {
     std::lock_guard<std::mutex> lock(mutex_);
     aborted_ = true;
-    entries_.clear();
+    groups_.clear();
     CampaignMetrics::get().sweepQueueDepth.set(0.0);
-    entryCv_.notify_all();
+    groupCv_.notify_all();
     spaceCv_.notify_all();
   }
 
  private:
+  /// Queue one finished group (nothing when it is empty) and claim its
+  /// trials; blocks while full. False once aborted.
+  bool handOver(RestartGroup group) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    spaceCv_.wait(lock, [&] {
+      return group.members.empty() || groups_.size() < capacity_ || aborted_;
+    });
+    if (aborted_) return false;
+    if (group.members.empty()) return true;
+    for (const RestartGroup::Member& member : group.members) claimed_[member.trial] = 1;
+    groups_.push_back(std::move(group));
+    CampaignMetrics::get().sweepQueueDepth.set(static_cast<double>(groups_.size()));
+    groupCv_.notify_one();
+    return true;
+  }
+
+  RestartGroup open_;  ///< producer-only: the tail group still taking members
   std::mutex mutex_;
-  std::condition_variable entryCv_;
+  std::condition_variable groupCv_;
   std::condition_variable spaceCv_;
-  std::deque<PendingRestart> entries_;
+  std::deque<RestartGroup> groups_;
   const std::size_t capacity_;
+  std::vector<char>& claimed_;  ///< written under mutex_
   bool closed_ = false;
   bool aborted_ = false;
 };
@@ -251,7 +300,7 @@ class RestartQueue {
 // ---- Fork evaluator wire protocol ------------------------------------------
 //
 // Requests (parent -> worker):  'T' whole trial {trial, crashIndex}
-//                               'R' restart only {trial, capture}
+//                               'R' restart only {trial, restart input}
 //                               'S' sweep {n, n x (index, trialCount)}
 //                               'A' ack of one streamed sweep capture
 // Responses (worker -> parent): 'r' trial/restart result
@@ -471,21 +520,11 @@ constexpr std::uint64_t kBlackBoxMagic = 0x4e56435442420001ull;
 constexpr std::size_t kBlackBoxBytes = 256;
 static_assert(sizeof(BlackBox) <= kBlackBoxBytes, "black box must fit its slot");
 
-void encodeCapture(WireWriter& w, const SweepCapture& c, std::uint8_t* arena,
-                   std::size_t arenaBytes) {
-  w.u64(c.crashAccessIndex);
-  w.u32(static_cast<std::uint32_t>(c.region));
-  w.u64(c.regionPath.size());
-  for (const runtime::PointId p : c.regionPath) {
-    w.u32(static_cast<std::uint32_t>(p));
-  }
-  w.i64(c.crashIteration);
+/// A capture's restart input: restartIteration plus the candidate snapshots
+/// (the 'R' request body and the tail of a 'c' frame).
+void encodeRestartInput(WireWriter& w, const SweepCapture& c, std::uint8_t* arena,
+                        std::size_t arenaBytes) {
   w.i64(c.restartIteration);
-  w.u64(c.inconsistentRate.size());
-  for (const auto& [id, rate] : c.inconsistentRate) {
-    w.u32(id);
-    w.f64(rate);
-  }
   std::size_t total = 0;
   for (const auto& [id, bytes] : c.snapshots) total += bytes.size();
   const bool inArena =
@@ -507,23 +546,9 @@ void encodeCapture(WireWriter& w, const SweepCapture& c, std::uint8_t* arena,
   }
 }
 
-SweepCapture decodeCapture(WireReader& r, const std::uint8_t* arena,
-                           std::size_t arenaBytes) {
-  SweepCapture c;
-  c.crashAccessIndex = r.u64();
-  c.region = static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
-  const std::uint64_t pathLen = r.u64();
-  c.regionPath.resize(static_cast<std::size_t>(pathLen));
-  for (runtime::PointId& p : c.regionPath) {
-    p = static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
-  }
-  c.crashIteration = static_cast<int>(r.i64());
+void decodeRestartInput(WireReader& r, SweepCapture& c, const std::uint8_t* arena,
+                        std::size_t arenaBytes) {
   c.restartIteration = static_cast<int>(r.i64());
-  const std::uint64_t nRates = r.u64();
-  for (std::uint64_t i = 0; i < nRates; ++i) {
-    const runtime::ObjectId id = r.u32();
-    c.inconsistentRate[id] = r.f64();
-  }
   const bool inArena = r.u8() != 0;
   const std::uint64_t nSnaps = r.u64();
   std::size_t offset = kBlackBoxBytes;
@@ -542,39 +567,55 @@ SweepCapture decodeCapture(WireReader& r, const std::uint8_t* arena,
       if (!bytes.empty()) r.raw(bytes.data(), bytes.size());
     }
   }
+}
+
+/// A whole capture (the 'c' frame body): crash context, then restart input.
+void encodeCapture(WireWriter& w, const SweepCapture& c, std::uint8_t* arena,
+                   std::size_t arenaBytes) {
+  w.u64(c.crashAccessIndex);
+  w.u32(static_cast<std::uint32_t>(c.region));
+  w.u64(c.regionPath.size());
+  for (const runtime::PointId p : c.regionPath) {
+    w.u32(static_cast<std::uint32_t>(p));
+  }
+  w.i64(c.crashIteration);
+  w.u64(c.inconsistentRate.size());
+  for (const auto& [id, rate] : c.inconsistentRate) {
+    w.u32(id);
+    w.f64(rate);
+  }
+  encodeRestartInput(w, c, arena, arenaBytes);
+}
+
+SweepCapture decodeCapture(WireReader& r, const std::uint8_t* arena,
+                           std::size_t arenaBytes) {
+  SweepCapture c;
+  c.crashAccessIndex = r.u64();
+  c.region = static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
+  const std::uint64_t pathLen = r.u64();
+  c.regionPath.resize(static_cast<std::size_t>(pathLen));
+  for (runtime::PointId& p : c.regionPath) {
+    p = static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
+  }
+  c.crashIteration = static_cast<int>(r.i64());
+  const std::uint64_t nRates = r.u64();
+  for (std::uint64_t i = 0; i < nRates; ++i) {
+    const runtime::ObjectId id = r.u32();
+    c.inconsistentRate[id] = r.f64();
+  }
+  decodeRestartInput(r, c, arena, arenaBytes);
   return c;
 }
 
+/// Copy a restart's outcome — the part of a record the restart decides —
+/// onto a record already stamped with its own capture.
+void copyOutcome(const CrashTestRecord& from, CrashTestRecord& to) {
+  to.response = from.response;
+  to.extraIterations = from.extraIterations;
+  to.note = from.note;
+}
+
 // ---- Fork-worker child state -----------------------------------------------
-
-/// Per-request run collector inside a worker child: noteRun() lands events
-/// and profile increments here instead of the (discarded) child metrics
-/// registry, and the response frame ships them to the parent.
-struct ChildRunCollector {
-  memsim::MemEvents events;
-  CampaignProfile profile;
-  /// runtime.crash_injections value at request start: the child registry is
-  /// discarded, so each reply ships the per-request delta for the parent to
-  /// re-add — keeping the counter identical to an in-process run.
-  std::uint64_t crashInjectionsBase = 0;
-
-  [[nodiscard]] std::uint64_t crashInjectionsDelta() const {
-    return telemetry::MetricsRegistry::instance()
-               .counter("runtime.crash_injections")
-               .value() -
-           crashInjectionsBase;
-  }
-};
-ChildRunCollector* g_childRunCollector = nullptr;
-
-/// Installed in a worker child while a crashing run may host an injected
-/// fault: where to write the black box and which fd a wild write tears.
-struct ChildFaultContext {
-  FaultPlan plan;
-  std::uint8_t* blackBox = nullptr;
-  int responseFd = -1;
-};
-ChildFaultContext* g_childFault = nullptr;
 
 /// The forked child's trace buffer: TraceSink is redirected here right after
 /// the fork, and each response frame ships-and-clears the accumulated lines
@@ -587,6 +628,65 @@ std::string takeChildTrace() {
   g_childTraceBuf->str("");
   return out;
 }
+
+/// The phase histograms a worker child's spans observe into, in wire order.
+std::array<telemetry::Histogram*, 3> childPhaseHistograms() {
+  CampaignMetrics& m = CampaignMetrics::get();
+  return {&m.crashRunUs, &m.postmortemUs, &m.restartUs};
+}
+
+/// Per-request run collector inside a worker child: noteRun() lands events
+/// and profile increments here instead of the (discarded) child metrics
+/// registry, and the response frame ships them to the parent.
+struct ChildRunCollector {
+  memsim::MemEvents events;
+  CampaignProfile profile;
+  /// runtime.crash_injections value at request start: the child registry is
+  /// discarded, so each reply ships the per-request delta for the parent to
+  /// re-add — keeping the counter identical to an in-process run.
+  std::uint64_t crashInjectionsBase = telemetry::MetricsRegistry::instance()
+                                          .counter("runtime.crash_injections")
+                                          .value();
+
+  /// The phase histograms start each request empty — the child inherits the
+  /// parent's counts at fork — so a reply ships exactly its own spans.
+  ChildRunCollector() {
+    for (telemetry::Histogram* h : childPhaseHistograms()) h->reset();
+  }
+
+  /// Ship what the request's runs left in this child: buffered trace lines,
+  /// MemEvents, the crash-injection delta, the profile increment and the
+  /// phase histograms. The parent folds them in with absorbChildRuns.
+  void encode(WireWriter& w) const {
+    w.str(takeChildTrace());
+    encodeEvents(w, events);
+    w.u64(telemetry::MetricsRegistry::instance()
+              .counter("runtime.crash_injections")
+              .value() -
+          crashInjectionsBase);
+    if (profile.runs > 0) {
+      w.u8(1);
+      encodeProfile(w, profile);
+    } else {
+      w.u8(0);
+    }
+    for (const telemetry::Histogram* h : childPhaseHistograms()) {
+      w.f64(h->sum());
+      w.u64(h->bounds().size() + 1);
+      for (std::size_t i = 0; i <= h->bounds().size(); ++i) w.u64(h->bucketCount(i));
+    }
+  }
+};
+ChildRunCollector* g_childRunCollector = nullptr;
+
+/// Installed in a worker child while a crashing run may host an injected
+/// fault: where to write the black box and which fd a wild write tears.
+struct ChildFaultContext {
+  FaultPlan plan;
+  std::uint8_t* blackBox = nullptr;
+  int responseFd = -1;
+};
+ChildFaultContext* g_childFault = nullptr;
 
 /// Execute one injected fault for real. Segv and hang never return; a wild
 /// write tears the response stream then exits; OOM throws the bad_alloc the
@@ -1076,9 +1176,6 @@ struct ForkChildServer {
     WireReader req(request);
     const std::uint8_t op = req.u8();
     ChildRunCollector collector;
-    collector.crashInjectionsBase = telemetry::MetricsRegistry::instance()
-                                        .counter("runtime.crash_injections")
-                                        .value();
     g_childRunCollector = &collector;
     static ChildFaultContext faultCtx;
     faultCtx.plan = runner.config_.inject;
@@ -1097,11 +1194,12 @@ struct ForkChildServer {
           break;
         }
         case 'R': {
+          // The restart input alone: the parent stamps the crash context.
           const std::uint64_t trial = req.u64();
-          const SweepCapture capture =
-              decodeCapture(req, ch.arena(), ch.arenaBytes());
+          SweepCapture input;
+          decodeRestartInput(req, input, ch.arena(), ch.arenaBytes());
           runDecided(ch, collector, trial, [&](CrashTestRecord& record) {
-            runner.runRestart(golden, capture, static_cast<std::size_t>(trial),
+            runner.runRestart(golden, input, static_cast<std::size_t>(trial),
                               nullptr, record);
           });
           break;
@@ -1121,10 +1219,11 @@ struct ForkChildServer {
 
  private:
   /// Run one attempt (whole trial or restart), then ship an 'r' frame:
-  /// status 0 carries the serialized record, status 1 the exception text and
-  /// formatted crash-site path. Both carry trace/events/profile — a failed
-  /// attempt still simulated runs the parent must account, exactly as the
-  /// in-process evaluator records them before its exception propagates.
+  /// status 0 carries the serialized record (a restart's carries only its
+  /// outcome), status 1 the exception text and formatted crash-site path.
+  /// Both carry the collector's accounting — a failed attempt still
+  /// simulated runs the parent must account, exactly as the in-process
+  /// evaluator records them before its exception propagates.
   template <typename Attempt>
   void runDecided(const WorkerPool::ChildChannel& ch,
                   ChildRunCollector& collector, std::uint64_t trial,
@@ -1145,15 +1244,7 @@ struct ForkChildServer {
     WireWriter resp;
     resp.u8('r');
     resp.u8(status);
-    resp.str(takeChildTrace());
-    encodeEvents(resp, collector.events);
-    resp.u64(collector.crashInjectionsDelta());
-    if (collector.profile.runs > 0) {
-      resp.u8(1);
-      encodeProfile(resp, collector.profile);
-    } else {
-      resp.u8(0);
-    }
+    collector.encode(resp);
     if (status == 0) {
       resp.str(serializeTrialRecord(static_cast<std::size_t>(trial), record));
     } else {
@@ -1252,15 +1343,7 @@ struct ForkChildServer {
     resp.u8('e');
     resp.u8(completedAll ? 1 : 0);
     resp.u64(captured);
-    resp.str(takeChildTrace());
-    encodeEvents(resp, collector.events);
-    resp.u64(collector.crashInjectionsDelta());
-    if (collector.profile.runs > 0) {
-      resp.u8(1);
-      encodeProfile(resp, collector.profile);
-    } else {
-      resp.u8(0);
-    }
+    collector.encode(resp);
     ch.send(resp.take());
   }
 };
@@ -1555,10 +1638,15 @@ CampaignResult CampaignRunner::run() const {
     }
     workersAbort.store(true);
   };
+  // Every evaluator loop stops taking new work once this holds.
+  const auto halted = [&] {
+    return stopRequested() || budgetExceeded.load() || workersAbort.load();
+  };
 
-  // Sweep-claimed trials: flagged by the producer just before the capture is
-  // queued (the queue mutex publishes the write), so the per-trial fallback
-  // loop never re-runs a trial the restart pipeline already owns.
+  // Sweep-claimed trials: flagged by the restart queue as their group is
+  // queued (under the queue mutex, which publishes the write), so the
+  // per-trial fallback loop never re-runs a trial the restart pipeline
+  // already owns.
   std::vector<char> claimed(sweepActive ? n : 0, 0);
 
   // Candidate bytes of one capture (probed on an un-simulated setup): sizes
@@ -1729,12 +1817,11 @@ CampaignResult CampaignRunner::run() const {
     noteWorkerDeath(slot, pid, reply);
   };
 
-  // One request/response round-trip on the slot's worker. Throws
-  // ChildFailure (mapped onto the retry/failure machinery by decideTrial)
-  // on any classified death; a dead slot is respawned at the START of the
-  // attempt, so the attempt that follows a death always gets a live worker.
-  const auto forkRoundTrip = [&](int w, const std::string& request,
-                                 double budget) -> std::string {
+  // Ready slot w for a request: respawn a dead worker — accounting the
+  // respawn (counters and the worker_respawn trace event) wherever it
+  // happens — and clear its black box so a stale fault report can never be
+  // attributed to this request's death. Returns the live worker's pid.
+  const auto ensureWorker = [&](int w) -> pid_t {
     bool respawned = false;
     if (!pool->ensureWorker(w, &respawned)) {
       throw ChildFailure{"protocol", false, "worker fork failed", ""};
@@ -1749,10 +1836,17 @@ CampaignResult CampaignRunner::run() const {
             .emit();
       }
     }
-    // Clear the black box so a stale fault report can never be attributed
-    // to this attempt's death.
     reinterpret_cast<BlackBox*>(pool->arena(w))->magic = 0;
-    const pid_t pid = pool->pid(w);
+    return pool->pid(w);
+  };
+
+  // One request/response round-trip on the slot's worker. Throws
+  // ChildFailure (mapped onto the retry/failure machinery by decideTrial)
+  // on any classified death; a dead slot is respawned at the START of the
+  // attempt, so the attempt that follows a death always gets a live worker.
+  const auto forkRoundTrip = [&](int w, const std::string& request,
+                                 double budget) -> std::string {
+    const pid_t pid = ensureWorker(w);
     (void)pool->send(w, request);  // a dead worker surfaces in recv()
     WorkerPool::Reply reply = pool->recv(w, forkDeadline(budget));
     if (!reply.ok) {
@@ -1762,31 +1856,47 @@ CampaignResult CampaignRunner::run() const {
     return std::move(reply.frame);
   };
 
-  // Decode one 'r' result frame: splice the child's trace, account its
-  // simulated runs, then either yield the record or rethrow the child's
-  // exception as an attempt failure. A frame that does not decode is a
-  // protocol death — the stream may be desynchronized, so the worker is
-  // killed and the next attempt starts fresh.
+  // Fold the accounting a worker shipped (ChildRunCollector::encode) into
+  // the parent: splice its trace, record its simulated runs, re-add its
+  // crash injections, merge its profile and phase histograms.
+  const auto absorbChildRuns = [&](WireReader& r) {
+    const std::string trace = r.str();
+    if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
+    CampaignMetrics::get().recordRun(decodeEvents(r));
+    const std::uint64_t crashed = r.u64();
+    if (crashed > 0) {
+      telemetry::MetricsRegistry::instance()
+          .counter("runtime.crash_injections")
+          .add(crashed);
+    }
+    if (r.u8() != 0) {
+      const CampaignProfile shipped = decodeProfile(r);
+      std::lock_guard<std::mutex> lock(profileMutex_);
+      profile_.merge(shipped);
+    }
+    for (telemetry::Histogram* h : childPhaseHistograms()) {
+      const double sum = r.f64();
+      if (r.u64() != h->bounds().size() + 1) {
+        throw std::runtime_error("wire: histogram shape mismatch");
+      }
+      std::vector<std::uint64_t> buckets(h->bounds().size() + 1);
+      for (std::uint64_t& b : buckets) b = r.u64();
+      h->merge(buckets, sum);
+    }
+  };
+
+  // Decode one 'r' result frame: absorb the child's accounting, then either
+  // yield the record or rethrow the child's exception as an attempt
+  // failure. A frame that does not decode is a protocol death — the stream
+  // may be desynchronized, so the worker is killed and the next attempt
+  // starts fresh.
   const auto parseTrialReply = [&](int w, const std::string& frame,
                                    std::size_t t, CrashTestRecord& record) {
     try {
       WireReader r(frame);
       if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
       const std::uint8_t status = r.u8();
-      const std::string trace = r.str();
-      if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-      CampaignMetrics::get().recordRun(decodeEvents(r));
-      const std::uint64_t crashed = r.u64();
-      if (crashed > 0) {
-        telemetry::MetricsRegistry::instance()
-            .counter("runtime.crash_injections")
-            .add(crashed);
-      }
-      if (r.u8() != 0) {
-        const CampaignProfile shipped = decodeProfile(r);
-        std::lock_guard<std::mutex> lock(profileMutex_);
-        profile_.merge(shipped);
-      }
+      absorbChildRuns(r);
       if (status == 0) {
         std::string line = r.str();
         if (!line.empty() && line.back() == '\n') line.pop_back();
@@ -1818,15 +1928,36 @@ CampaignResult CampaignRunner::run() const {
     parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, record);
   };
 
-  const auto forkRestartAttempt = [&](std::size_t t, int w,
-                                      const SweepCapture& capture, double budget,
-                                      CrashTestRecord& record) {
-    telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
+  // The restart half of trial t in a worker: ship only the restart input
+  // and copy the reply's outcome onto `record`, which the caller stamped
+  // with the trial's own capture. A restart that throws names the stamped
+  // crash site, as it does in-process.
+  const auto forkRestartAttempt = [&](std::size_t t, int w, const SweepCapture& input,
+                                      double budget, CrashTestRecord& record) {
     WireWriter req;
     req.u8('R');
     req.u64(t);
-    encodeCapture(req, capture, pool->arena(w), pool->arenaBytes());
-    parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, record);
+    encodeRestartInput(req, input, pool->arena(w), pool->arenaBytes());
+    CrashTestRecord outcome;
+    try {
+      parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, outcome);
+    } catch (ChildFailure& cf) {
+      if (cf.kind == "exception") cf.regionPath = formatRegionPath(record.regionPath);
+      throw;
+    }
+    copyOutcome(outcome, record);
+  };
+
+  // Completion bookkeeping of a trial whose record is in place: counters and
+  // trial_end trace, journal, progress, and the --stop-after hook.
+  const auto commitDecided = [&](std::size_t t) {
+    commitTrial(t, *records[t]);
+    if (journal) journal->recordTrial(t, *records[t]);
+    recordDecided(&*records[t]);
+    const int completedNow = newlyCompleted.fetch_add(1) + 1;
+    if (res.stopAfterTrials > 0 && completedNow >= res.stopAfterTrials) {
+      requestStop();
+    }
   };
 
   // Decides trial t on worker slot w by running `attempt` — the whole trial
@@ -1914,13 +2045,7 @@ CampaignResult CampaignRunner::run() const {
         return;
       }
     }
-    commitTrial(t, *records[t]);
-    if (journal) journal->recordTrial(t, *records[t]);
-    recordDecided(&*records[t]);
-    const int completedNow = newlyCompleted.fetch_add(1) + 1;
-    if (res.stopAfterTrials > 0 && completedNow >= res.stopAfterTrials) {
-      requestStop();
-    }
+    commitDecided(t);
   };
 
   const auto runTrial = [&](std::size_t t, int w) {
@@ -1942,12 +2067,14 @@ CampaignResult CampaignRunner::run() const {
   // for whatever the sweep could not capture with it.
   const auto worker = [&](int w) {
     for (;;) {
-      if (stopRequested() || budgetExceeded.load() || workersAbort.load()) return;
+      if (halted()) return;
       const std::size_t t = next.fetch_add(1);
       if (t >= n) return;
       if (!owned(t)) continue;  // another shard's trial (--shard i/k)
-      if (records[t] || failures[t]) continue;  // replayed from the journal
+      // Claimed first: restart threads may still be writing a claimed
+      // trial's record, so only an unclaimed trial's slots may be read.
       if (!claimed.empty() && claimed[t] != 0) continue;  // owned by the sweep
+      if (records[t] || failures[t]) continue;  // replayed from the journal
       runTrial(t, w);
     }
   };
@@ -2023,16 +2150,12 @@ CampaignResult CampaignRunner::run() const {
               .field("trials", static_cast<std::uint64_t>(trials.size()))
               .emit();
         }
-        for (const std::size_t t : trials) {
-          claimed[t] = 1;
-          // Waiting on a full queue is restart backpressure, not a hung
-          // simulation: suspend the sweep's deadline while parked.
-          if (watchdog) watchdog->disarm(slot);
-          const bool queued = queue.push({t, capture});
-          if (watchdog) watchdog->arm(slot);
-          if (!queued) throw SweepAbort{};
-        }
-        if (stopRequested()) throw SweepAbort{};
+        // Waiting on a full queue is restart backpressure, not a hung
+        // simulation: suspend the sweep's deadline while parked.
+        if (watchdog) watchdog->disarm(slot);
+        const bool queued = queue.push(std::move(capture), trials);
+        if (watchdog) watchdog->arm(slot);
+        if (!queued || stopRequested()) throw SweepAbort{};
       });
       const auto run = Driver::run(*app, rt, 1, result.golden.finalIteration);
       (void)run;
@@ -2086,16 +2209,7 @@ CampaignResult CampaignRunner::run() const {
     bool completedAll = false;
     CampaignMetrics::get().sweepRuns.add();
     try {
-      bool respawned = false;
-      if (!pool->ensureWorker(slot, &respawned)) {
-        throw ChildFailure{"protocol", false, "worker fork failed", ""};
-      }
-      if (respawned) {
-        CampaignMetrics::get().workerSpawns.add();
-        CampaignMetrics::get().workerRespawns.add();
-      }
-      reinterpret_cast<BlackBox*>(pool->arena(slot))->magic = 0;
-      const pid_t pid = pool->pid(slot);
+      const pid_t pid = ensureWorker(slot);
       WireWriter req;
       req.u8('S');
       req.u64(static_cast<std::uint64_t>(sweepPlan.size()));
@@ -2129,37 +2243,14 @@ CampaignResult CampaignRunner::run() const {
           ++pendingEntry;
           ++capturedPoints;
           CampaignMetrics::get().sweepCaptures.add();
-          bool keepGoing =
-              !stopRequested() && !budgetExceeded.load() && !workersAbort.load();
-          if (keepGoing) {
-            for (const std::size_t t : trials) {
-              claimed[t] = 1;
-              if (!queue.push({t, capture})) {
-                keepGoing = false;
-                break;
-              }
-            }
-          }
+          const bool keepGoing = !halted() && queue.push(std::move(capture), trials);
           // A non-'A' ack tells the child to wind down; it still ships its
           // 'e' summary so the crashing run's events are accounted.
           (void)pool->send(slot, std::string(keepGoing ? "A" : "X"));
         } else if (tag == 'e') {
           completedAll = r.u8() != 0;
           (void)r.u64();  // child's capture count; we counted the 'c' frames
-          const std::string trace = r.str();
-          if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-          CampaignMetrics::get().recordRun(decodeEvents(r));
-          const std::uint64_t crashed = r.u64();
-          if (crashed > 0) {
-            telemetry::MetricsRegistry::instance()
-                .counter("runtime.crash_injections")
-                .add(crashed);
-          }
-          if (r.u8() != 0) {
-            const CampaignProfile shipped = decodeProfile(r);
-            std::lock_guard<std::mutex> lock(profileMutex_);
-            profile_.merge(shipped);
-          }
+          absorbChildRuns(r);
           break;
         } else {
           throw std::runtime_error("fork sweep: unexpected frame tag");
@@ -2188,35 +2279,65 @@ CampaignResult CampaignRunner::run() const {
     }
   };
 
-  // Restart worker: drain the capture queue, then fall back to the per-trial
-  // loop for anything the sweep missed. A stop request abandons the queued
-  // captures (the queue is deep — draining it would decide most of the
-  // campaign after the operator asked it to stop); in-flight restarts finish
-  // and are journaled, exactly like the per-trial path.
+  // The restart of trial t from a sweep capture: stamp the trial's own crash
+  // context, then restart from `input` — its group leader's capture, whose
+  // restart input is byte-identical to the trial's own.
+  const auto decideRestart = [&](std::size_t t, const SweepCapture& capture,
+                                 const SweepCapture& input, int w) {
+    CampaignMetrics::get().restartMemoMisses.add();
+    const double budget = restartBudget(input);
+    decideTrial(t, w, budget,
+                [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
+                  telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
+                  stampCapture(capture, record);
+                  if (forkIsolation) {
+                    forkRestartAttempt(t, w, input, budget, record);
+                  } else {
+                    runRestart(result.golden, input, t, cancel, record);
+                  }
+                });
+  };
+
+  // One restart decides the group (docs/INTERNALS.md "Restart grouping"):
+  // when the leader's restart succeeds, every follower's record is its own
+  // capture stamped with the leader's outcome. A failure or timeout is never
+  // shared — each follower then runs its own restart through decideTrial, so
+  // its kind, attempts, retries and backoff match the per-trial path. A stop
+  // is honoured between members; the claimed members it leaves undecided
+  // resume like any other undecided trial.
+  const auto decideGroup = [&](const RestartGroup& group, int w) {
+    const SweepCapture& input = group.input();
+    const std::size_t leader = group.members.front().trial;
+    for (const RestartGroup::Member& member : group.members) {
+      if (halted()) return;
+      if (member.trial == leader || !records[leader]) {
+        decideRestart(member.trial, *member.capture, input, w);
+        continue;
+      }
+      CrashTestRecord record;
+      stampCapture(*member.capture, record);
+      copyOutcome(*records[leader], record);
+      records[member.trial] = std::move(record);
+      CampaignMetrics::get().restartMemoHits.add();
+      commitDecided(member.trial);
+    }
+  };
+
+  // Restart worker: drain the restart groups, then fall back to the
+  // per-trial loop for anything the sweep missed. A stop request abandons
+  // the queued groups (draining them would decide most of the campaign after
+  // the operator asked it to stop); in-flight restarts finish and are
+  // journaled, exactly like the per-trial path.
   const auto sweepWorker = [&](RestartQueue& queue, int w) {
     try {
       for (;;) {
-        if (stopRequested() || budgetExceeded.load() || workersAbort.load()) {
+        if (halted()) {
           queue.abort();
           return;
         }
-        auto entry = queue.pop();
-        if (!entry) break;
-        const double budget = restartBudget(*entry->capture);
-        if (forkIsolation) {
-          decideTrial(entry->trial, w, budget,
-                      [&](const std::atomic<bool>*, CrashTestRecord& record) {
-                        forkRestartAttempt(entry->trial, w, *entry->capture,
-                                           budget, record);
-                      });
-          continue;
-        }
-        decideTrial(entry->trial, w, budget,
-                    [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
-                      telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-                      runRestart(result.golden, *entry->capture, entry->trial, cancel,
-                                 record);
-                    });
+        const std::optional<RestartGroup> group = queue.pop();
+        if (!group) break;
+        decideGroup(*group, w);
       }
       worker(w);
     } catch (...) {
@@ -2226,16 +2347,17 @@ CampaignResult CampaignRunner::run() const {
   };
 
   if (sweepActive) {
-    // Queue depth is the pipeline's overlap window: deep enough that the
-    // sweep outruns the restart drain and the producer joins the pool for
-    // most of the campaign, while backpressure bounds live snapshot memory
-    // (~64 MB of candidate bytes) for large apps. Never below the
+    // Queue depth, in restart groups, is the pipeline's overlap window: deep
+    // enough that the sweep outruns the restart drain and the producer joins
+    // the pool for most of the campaign, while backpressure bounds live
+    // snapshot memory (~64 MB of candidate bytes — each queued group keeps
+    // one snapshot, its leader's) for large apps. Never below the
     // double-buffer floor that keeps every worker fed.
     constexpr std::size_t kSnapshotBudgetBytes = std::size_t{64} << 20;
     const std::size_t capacity =
         std::max(static_cast<std::size_t>(std::max(2, 2 * threads)),
                  kSnapshotBudgetBytes / std::max<std::size_t>(1, captureBytes));
-    RestartQueue queue(capacity);
+    RestartQueue queue(capacity, claimed);
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
     for (int w = 0; w < threads; ++w) {
@@ -2403,12 +2525,11 @@ void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIn
   }
   noteRun(rt);
 
+  stampCapture(capture, record);
   runRestart(golden, capture, trial, cancel, record);
 }
 
-void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& capture,
-                                std::size_t trial, const std::atomic<bool>* cancel,
-                                CrashTestRecord& record) const {
+void CampaignRunner::stampCapture(const SweepCapture& capture, CrashTestRecord& record) {
   record = CrashTestRecord{};
   record.crashAccessIndex = capture.crashAccessIndex;
   record.region = capture.region;
@@ -2416,7 +2537,11 @@ void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& c
   record.crashIteration = capture.crashIteration;
   record.restartIteration = capture.restartIteration;
   record.inconsistentRate = capture.inconsistentRate;
+}
 
+void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& input,
+                                std::size_t trial, const std::atomic<bool>* cancel,
+                                CrashTestRecord& record) const {
   telemetry::PhaseSpan restartSpan("restart", CampaignMetrics::get().restartUs,
                                    static_cast<std::int64_t>(trial));
   Runtime restartRt(config_.cache);
@@ -2433,13 +2558,13 @@ void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& c
   auto restartApp = factory_();
   restartApp->setup(restartRt);
   restartApp->initialize(restartRt);
-  for (const auto& [id, bytes] : capture.snapshots) {
+  for (const auto& [id, bytes] : input.snapshots) {
     restartRt.restoreObject(id, bytes);
   }
 
   const int cap = golden.finalIteration * config_.maxIterationFactor;
   const auto rerun =
-      Driver::run(*restartApp, restartRt, record.restartIteration, cap);
+      Driver::run(*restartApp, restartRt, input.restartIteration, cap);
   noteRun(restartRt);
 
   if (rerun.interrupted) {

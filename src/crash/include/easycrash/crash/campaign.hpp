@@ -301,10 +301,13 @@ struct GoldenStats {
 };
 
 /// Everything a trial needs from its crashing run, detached from the runtime
-/// that produced it: the crash-instant context plus the restart inputs. The
-/// per-trial path fills one per test; the sweep evaluator fills one per
-/// distinct crash index during its single crashing run and shares it
-/// (read-only) between every trial that drew that index.
+/// that produced it: the crash-instant context plus the restart input
+/// (restartIteration and the candidate snapshots). The per-trial path fills
+/// one per test; the sweep evaluator fills one per distinct crash index
+/// during its single crashing run and shares it (read-only) between every
+/// trial that drew that index. Adjacent sweep captures with byte-identical
+/// restart inputs form one restart group (docs/INTERNALS.md "Restart
+/// grouping"); only the group leader's capture keeps its snapshot bytes.
 struct SweepCapture {
   std::uint64_t crashAccessIndex = 0;
   runtime::PointId region = runtime::kMainLoopEnd;
@@ -401,10 +404,20 @@ class CampaignRunner {
                   std::size_t trial, const std::atomic<bool>* cancel,
                   CrashTestRecord& record) const;
 
-  /// Restart + S1–S4 classification from a capture. Shared verbatim by both
-  /// evaluator paths — this is what makes sweep and per-trial campaigns
-  /// byte-identical.
-  void runRestart(const GoldenStats& golden, const SweepCapture& capture,
+  /// The per-trial half of a record: reset `record` and copy the capture's
+  /// crash context into it (crash index, region, region path, crash and
+  /// restart iteration, inconsistency rates). Every evaluator path stamps
+  /// through here before the restart runs, so a restart that fails still
+  /// names its crash site — whole trials, sweep restarts, restart-group
+  /// members and fork replies alike.
+  static void stampCapture(const SweepCapture& capture, CrashTestRecord& record);
+
+  /// The restart half: re-initialise, restore `input`'s snapshots, resume
+  /// from its restartIteration and classify S1–S4 into record.response,
+  /// extraIterations and note. A pure function of that restart input, which
+  /// is what lets one restart decide a whole restart group; shared verbatim
+  /// by every evaluator path, which is what makes them byte-identical.
+  void runRestart(const GoldenStats& golden, const SweepCapture& input,
                   std::size_t trial, const std::atomic<bool>* cancel,
                   CrashTestRecord& record) const;
 

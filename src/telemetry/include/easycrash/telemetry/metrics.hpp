@@ -58,6 +58,11 @@ class Histogram {
                                                              int count);
 
   void observe(double v) noexcept;
+  /// Fold in another histogram's observations over the same bounds:
+  /// `buckets` holds one count per bucket (bounds().size() + 1 of them) and
+  /// `sum` the sum of the observed values. Fork workers ship their phase
+  /// histograms back this way.
+  void merge(const std::vector<std::uint64_t>& buckets, double sum);
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);

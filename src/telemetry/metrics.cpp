@@ -37,6 +37,18 @@ void Histogram::observe(double v) noexcept {
   sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
+void Histogram::merge(const std::vector<std::uint64_t>& buckets, double sum) {
+  EC_CHECK_MSG(buckets.size() == bounds_.size() + 1,
+               "histogram merge: bucket count does not match the bounds");
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+    count += buckets[i];
+  }
+  count_.fetch_add(count, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+}
+
 void Histogram::reset() noexcept {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);

@@ -38,6 +38,9 @@ class SweepApp final : public rt::IApp {
     /// Restarts are exempt (they run in direct mode), and sweepFactory
     /// exempts the first construction so the golden run completes.
     int throwAtIteration = 0;
+    /// 0 = never; otherwise restarts (direct mode) throw on reaching this
+    /// iteration, so every restart that resumes at or before it fails.
+    int restartThrowsAt = 0;
   };
 
   explicit SweepApp(Knobs knobs) : knobs_(knobs) {}
@@ -62,6 +65,10 @@ class SweepApp final : public rt::IApp {
       if (knobs_.throwAtIteration > 0 && !runtime.direct() &&
           iteration >= knobs_.throwAtIteration) {
         throw std::runtime_error("sweep-app: induced failure");
+      }
+      if (knobs_.restartThrowsAt > 0 && runtime.direct() &&
+          iteration == knobs_.restartThrowsAt) {
+        throw std::runtime_error("sweep-app: induced restart failure");
       }
       for (int i = 0; i < knobs_.cells; ++i) data_.set(i, data_.get(i) + 1);
       region.iterationEnd();
@@ -143,6 +150,72 @@ std::string campaignCsv(const cr::CampaignResult& campaign) {
 
 std::uint64_t counterValue(const char* name) {
   return tl::MetricsRegistry::instance().counter(name).value();
+}
+
+void expectSameFailures(const cr::CampaignResult& a, const cr::CampaignResult& b) {
+  ASSERT_EQ(a.failures.size(), b.failures.size());
+  for (std::size_t i = 0; i < a.failures.size(); ++i) {
+    const auto& x = a.failures[i];
+    const auto& y = b.failures[i];
+    EXPECT_EQ(x.trial, y.trial) << "failure " << i;
+    EXPECT_EQ(x.crashAccessIndex, y.crashAccessIndex) << "failure " << i;
+    EXPECT_EQ(x.kind, y.kind) << "failure " << i;
+    EXPECT_EQ(x.timeout, y.timeout) << "failure " << i;
+    EXPECT_EQ(x.attempts, y.attempts) << "failure " << i;
+    EXPECT_EQ(x.reason, y.reason) << "failure " << i;
+    EXPECT_EQ(x.regionPath, y.regionPath) << "failure " << i;
+  }
+}
+
+/// Independent count of the restarts restart grouping should execute: one
+/// capture sweep over the campaign's distinct crash indices through the
+/// runtime's own capture API, counting captures whose restart input
+/// (bookmarked NVM iteration plus every candidate's NVM bytes) differs from
+/// the previous capture's.
+std::size_t adjacentDistinctInputs(const rt::AppFactory& factory,
+                                   const cr::CampaignConfig& config,
+                                   const cr::CampaignResult& campaign) {
+  std::set<std::uint64_t> distinct;
+  for (const auto& record : campaign.tests) distinct.insert(record.crashAccessIndex);
+  for (const auto& failure : campaign.failures) distinct.insert(failure.crashAccessIndex);
+
+  rt::Runtime runtime(config.cache);
+  auto app = factory();
+  app->setup(runtime);
+  app->initialize(runtime);
+  std::size_t count = 0;
+  int lastIteration = -1;
+  std::vector<std::vector<std::uint8_t>> last;
+  runtime.armCaptures({distinct.begin(), distinct.end()}, [&](const rt::CrashEvent&) {
+    std::vector<std::vector<std::uint8_t>> image;
+    for (const auto& object : runtime.objects()) {
+      if (object.candidate) image.push_back(runtime.dumpObjectNvm(object.id));
+    }
+    const int iteration = runtime.bookmarkedIterationNvm();
+    if (count == 0 || iteration != lastIteration || image != last) ++count;
+    lastIteration = iteration;
+    last = std::move(image);
+  });
+  (void)rt::Driver::run(*app, runtime, 1, campaign.golden.finalIteration);
+  return count;
+}
+
+/// Observation counts of the campaign's three phase histograms.
+std::vector<std::uint64_t> phaseCounts() {
+  std::vector<std::uint64_t> counts;
+  for (const char* name :
+       {"campaign.crash_run_us", "campaign.postmortem_us", "campaign.restart_us"}) {
+    // The bounds are ignored: every campaign registers these histograms
+    // before the first trial (the caller runs one first).
+    counts.push_back(tl::MetricsRegistry::instance().histogram(name, {1.0}).count());
+  }
+  return counts;
+}
+
+std::vector<std::uint64_t> minus(std::vector<std::uint64_t> a,
+                                 const std::vector<std::uint64_t>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+  return a;
 }
 
 }  // namespace
@@ -374,5 +447,96 @@ TEST(SweepTest, ThrowBeforeArmedCrashStillNamesTheCrashSite) {
   for (const auto& failure : result.failures) {
     // The induced throw happens inside region 0 ("R1").
     EXPECT_EQ(failure.regionPath, "R1") << "trial " << failure.trial;
+  }
+}
+
+// ---- Restart grouping -------------------------------------------------------
+
+TEST(RestartGroupTest, GroupedRecordsMatchThePerTrialPathOnEveryAxis) {
+  auto config = tinyConfig(60);
+  config.resilience.isolate = true;
+  config.sweep = false;
+  const auto off = cr::CampaignRunner(sweepFactory({}), config).run();
+  ASSERT_TRUE(off.failures.empty());
+  const std::size_t groups = adjacentDistinctInputs(sweepFactory({}), config, off);
+  ASSERT_LT(groups, off.tests.size()) << "no two adjacent captures share an input";
+
+  config.sweep = true;
+  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+    for (const int threads : {1, 4}) {
+      config.resilience.isolation = isolation;
+      config.threads = threads;
+      const auto hits = counterValue("campaign.restart_memo_hits");
+      const auto misses = counterValue("campaign.restart_memo_misses");
+      const auto on = cr::CampaignRunner(sweepFactory({}), config).run();
+      SCOPED_TRACE(std::string(isolation == cr::IsolationMode::Fork ? "fork" : "none") +
+                   " threads=" + std::to_string(threads));
+      expectSameRecords(off, on);
+      EXPECT_EQ(campaignCsv(off), campaignCsv(on));
+      EXPECT_EQ(counterValue("campaign.restart_memo_misses") - misses, groups);
+      EXPECT_EQ(counterValue("campaign.restart_memo_hits") - hits,
+                off.tests.size() - groups);
+    }
+  }
+}
+
+TEST(RestartGroupTest, ALeadersFailureIsNeverShared) {
+  // Restarts resuming at iteration 1..3 throw; later ones succeed. When a
+  // group's leader fails, each follower must run — and fail — on its own,
+  // with the per-trial path's kind, reason, crash site and attempts.
+  SweepApp::Knobs knobs;
+  knobs.restartThrowsAt = 3;
+  auto config = tinyConfig(60);
+  config.resilience.isolate = true;
+  config.resilience.maxRetries = 1;
+  config.resilience.retryBackoffMs = 0;
+  config.sweep = false;
+  const auto off = cr::CampaignRunner(sweepFactory(knobs), config).run();
+  ASSERT_GT(off.failures.size(), 0u) << "expected early restarts to fail";
+  ASSERT_GT(off.tests.size(), 0u) << "expected late restarts to succeed";
+  const std::size_t groups = adjacentDistinctInputs(sweepFactory(knobs), config, off);
+
+  config.sweep = true;
+  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+    config.resilience.isolation = isolation;
+    const auto misses = counterValue("campaign.restart_memo_misses");
+    const auto retries = counterValue("campaign.trial_retries");
+    const auto on = cr::CampaignRunner(sweepFactory(knobs), config).run();
+    SCOPED_TRACE(isolation == cr::IsolationMode::Fork ? "fork" : "none");
+    expectSameRecords(off, on);
+    expectSameFailures(off, on);
+    EXPECT_EQ(counterValue("campaign.trial_retries") - retries, off.failures.size());
+    // Every failed trial ran its own restart; only successes were shared.
+    const auto executed = counterValue("campaign.restart_memo_misses") - misses;
+    EXPECT_GT(executed, groups) << "no failing group had a follower";
+    EXPECT_GE(executed, off.failures.size());
+  }
+}
+
+TEST(RestartGroupTest, PhaseHistogramsAgreeAcrossIsolation) {
+  // Fork workers ship their phase histograms back, so a default (fork)
+  // campaign reports the same observation counts as an in-process one —
+  // and restart_us counts exactly the restarts executed.
+  (void)cr::CampaignRunner(sweepFactory({}), tinyConfig(0)).run();  // registers them
+  for (const bool sweep : {true, false}) {
+    auto config = tinyConfig(24);
+    config.sweep = sweep;
+    config.threads = 2;
+    config.resilience.isolate = true;
+    std::vector<std::vector<std::uint64_t>> counts;
+    for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+      config.resilience.isolation = isolation;
+      const auto before = phaseCounts();
+      const auto misses = counterValue("campaign.restart_memo_misses");
+      (void)cr::CampaignRunner(sweepFactory({}), config).run();
+      counts.push_back(minus(phaseCounts(), before));
+      if (sweep) {
+        EXPECT_EQ(counts.back()[2], counterValue("campaign.restart_memo_misses") - misses);
+      }
+    }
+    SCOPED_TRACE(sweep ? "sweep on" : "sweep off");
+    EXPECT_EQ(counts[0], counts[1]);
+    EXPECT_EQ(counts[0][0], sweep ? 1u : 24u);  // crash_run spans
+    EXPECT_GT(counts[0][1], 0u);
   }
 }

@@ -102,6 +102,20 @@ TEST(Metrics, HistogramBucketSemantics) {
   EXPECT_EQ(hist.bucketCount(3), 1u);
 }
 
+TEST(Metrics, HistogramMergeAddsBucketsCountAndSum) {
+  tel::Histogram hist({1.0, 10.0});
+  hist.observe(5.0);
+  hist.merge({2, 0, 1}, 42.0);
+  EXPECT_EQ(hist.count(), 4u);
+  EXPECT_DOUBLE_EQ(hist.sum(), 47.0);
+  EXPECT_EQ(hist.bucketCount(0), 2u);
+  EXPECT_EQ(hist.bucketCount(1), 1u);
+  EXPECT_EQ(hist.bucketCount(2), 1u);
+  // A shipped histogram of another shape is rejected, not folded in.
+  EXPECT_THROW(hist.merge({1, 1}, 1.0), std::logic_error);
+  EXPECT_EQ(hist.count(), 4u);
+}
+
 TEST(Metrics, HistogramConcurrentObservationsAreExact) {
   tel::Histogram hist(tel::Histogram::exponentialBounds(1.0, 2.0, 8));
   constexpr int kThreads = 4;
