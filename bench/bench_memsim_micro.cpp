@@ -229,36 +229,27 @@ void BM_CampaignTrialThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignTrialThroughput)->Unit(benchmark::kMillisecond);
 
-// Trial-count scaling of the two campaign evaluators. The per-trial path
-// replays the crashing run once per test, so its crashing phase costs
-// O(N·W/2) tracked accesses; the sweep captures every pending crash point
-// in ONE crashing run (O(W)) and pipelines the restarts behind it. Run at
-// N=25 and N=100 for both modes: the off/on ratio at fixed N is the sweep
-// speedup, and the on-mode growth from 25 to 100 shows the crashing phase
-// no longer dominating. Arg0 = trial count, Arg1 = sweep on/off.
+// Trial-count scaling of the sweep evaluator: it captures every pending
+// crash point in ONE crashing run (O(W) tracked accesses, where replaying
+// the crashing run per trial cost O(N·W/2)) and pipelines the restarts
+// behind it. Run at N=25 and N=100: the growth from 25 to 100 shows the
+// crashing phase no longer dominating. Arg0 = trial count.
 void BM_CampaignNScaling(benchmark::State& state) {
   const auto& entry = easycrash::apps::findBenchmark("sp");
   easycrash::crash::CampaignConfig config;
   config.seed = 7;
   config.numTests = static_cast<int>(state.range(0));
   config.threads = 1;
-  config.sweep = state.range(1) != 0;
   config.appLabel = entry.name;
   easycrash::crash::CampaignResult last;
   for (auto _ : state) {
     last = easycrash::crash::CampaignRunner(entry.factory, config).run();
     benchmark::DoNotOptimize(last.tests.size());
   }
-  state.SetLabel(config.sweep ? "sweep" : "per-trial");
   state.SetItemsProcessed(state.iterations() * config.numTests);
   setCampaignCounters(state, last);
 }
-BENCHMARK(BM_CampaignNScaling)
-    ->Args({25, 0})
-    ->Args({25, 1})
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignNScaling)->Arg(25)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // Sharded campaign execution (docs/INTERNALS.md "Sharded campaigns"). One
 // shard's end-to-end critical path at k=1/2/4: shard 0's campaign — the

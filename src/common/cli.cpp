@@ -13,7 +13,7 @@ CliParser::CliParser(std::string description) : description_(std::move(descripti
 void CliParser::addString(const std::string& name, std::string defaultValue,
                           std::string help) {
   EC_CHECK(!options_.contains(name));
-  options_[name] = Option{Kind::String, defaultValue, defaultValue, std::move(help)};
+  options_[name] = Option{Kind::String, defaultValue, defaultValue, std::move(help), {}};
   order_.push_back(name);
 }
 
@@ -21,7 +21,7 @@ void CliParser::addInt(const std::string& name, std::int64_t defaultValue,
                        std::string help) {
   EC_CHECK(!options_.contains(name));
   const std::string text = std::to_string(defaultValue);
-  options_[name] = Option{Kind::Int, text, text, std::move(help)};
+  options_[name] = Option{Kind::Int, text, text, std::move(help), {}};
   order_.push_back(name);
 }
 
@@ -30,13 +30,13 @@ void CliParser::addDouble(const std::string& name, double defaultValue,
   EC_CHECK(!options_.contains(name));
   std::ostringstream os;
   os << defaultValue;
-  options_[name] = Option{Kind::Double, os.str(), os.str(), std::move(help)};
+  options_[name] = Option{Kind::Double, os.str(), os.str(), std::move(help), {}};
   order_.push_back(name);
 }
 
 void CliParser::addFlag(const std::string& name, std::string help) {
   EC_CHECK(!options_.contains(name));
-  options_[name] = Option{Kind::Flag, "0", "0", std::move(help)};
+  options_[name] = Option{Kind::Flag, "0", "0", std::move(help), {}};
   order_.push_back(name);
 }
 

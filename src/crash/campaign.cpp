@@ -218,17 +218,15 @@ struct SweepAbort {};
 /// group leader's (dropping the capture's snapshot bytes); otherwise it
 /// hands the open group to the workers and opens a new one. The hand-off
 /// blocks while the queue is full — that backpressure bounds how many
-/// snapshots are alive at once — and a trial is marked claimed only there,
-/// when its group is queued. close() flushes the open group, so every
-/// claimed trial's restart runs unless the queue is aborted. push() and
+/// snapshots are alive at once. close() flushes the open group, so every
+/// pushed trial's restart runs unless the queue is aborted. push() and
 /// close() belong to the one producer thread, which alone touches the open
 /// group. pop() blocks for a group and drains what was already queued after
 /// close(); abort() drops everything and wakes both sides; push() returns
 /// false once the queue is aborted.
 class RestartQueue {
  public:
-  RestartQueue(std::size_t capacity, std::vector<char>& claimed)
-      : capacity_(capacity), claimed_(claimed) {}
+  explicit RestartQueue(std::size_t capacity) : capacity_(capacity) {}
 
   [[nodiscard]] bool push(std::shared_ptr<SweepCapture> capture,
                           const std::vector<std::size_t>& trials) {
@@ -270,8 +268,8 @@ class RestartQueue {
   }
 
  private:
-  /// Queue one finished group (nothing when it is empty) and claim its
-  /// trials; blocks while full. False once aborted.
+  /// Queue one finished group (nothing when it is empty); blocks while
+  /// full. False once aborted.
   bool handOver(RestartGroup group) {
     std::unique_lock<std::mutex> lock(mutex_);
     spaceCv_.wait(lock, [&] {
@@ -279,7 +277,6 @@ class RestartQueue {
     });
     if (aborted_) return false;
     if (group.members.empty()) return true;
-    for (const RestartGroup::Member& member : group.members) claimed_[member.trial] = 1;
     groups_.push_back(std::move(group));
     CampaignMetrics::get().sweepQueueDepth.set(static_cast<double>(groups_.size()));
     groupCv_.notify_one();
@@ -292,20 +289,18 @@ class RestartQueue {
   std::condition_variable spaceCv_;
   std::deque<RestartGroup> groups_;
   const std::size_t capacity_;
-  std::vector<char>& claimed_;  ///< written under mutex_
   bool closed_ = false;
   bool aborted_ = false;
 };
 
 // ---- Fork evaluator wire protocol ------------------------------------------
 //
-// Requests (parent -> worker):  'T' whole trial {trial, crashIndex}
-//                               'R' restart only {trial, restart input}
+// Requests (parent -> worker):  'R' restart {trial, restart input}
 //                               'S' sweep {n, n x (index, trialCount)}
 //                               'A' ack of one streamed sweep capture
-// Responses (worker -> parent): 'r' trial/restart result
+// Responses (worker -> parent): 'r' restart outcome or error
 //                               'c' one streamed sweep capture (await 'A')
-//                               'e' sweep end
+//                               'e' sweep end {completed, captured, failure}
 // Integers are little-endian; snapshot payloads ride the slot's shared
 // arena when they fit (the common case — the arena is sized off the app's
 // candidate bytes) and fall back to inline frame bytes when they don't.
@@ -724,23 +719,55 @@ void executeFault(FaultPlan::Kind kind, int responseFd) {
   }
 }
 
-// ---- Parent-side death accounting ------------------------------------------
+}  // namespace
 
-/// A worker death (or child-reported error) unwinding one trial attempt in
-/// the parent. Deliberately NOT std::exception-derived: decideTrial's
-/// catch(std::exception) must not swallow it into kind "exception".
-struct ChildFailure {
+// ---- Failure accounting ----------------------------------------------------
+
+/// Why one evaluation attempt — a sweep crashing run or a restart — died:
+/// the fields a TrialFailure records for every trial the death is charged
+/// to. Thrown by the fork transport for a worker death; deliberately NOT
+/// std::exception-derived, so currentFailure() never maps it to kind
+/// "exception".
+struct AttemptFailure {
   std::string kind = "protocol";
   bool timeout = false;
   std::string reason;
   std::string regionPath;
 };
 
-/// Map one classified worker death onto the TrialFailure the retry loop
-/// records, folding in the black box when the worker published one.
-ChildFailure classifyDeath(const WorkerPool::Reply& reply,
-                           std::uint64_t timeoutMs, const std::uint8_t* arena) {
-  ChildFailure f;
+struct SweepOutcome {
+  std::size_t captured = 0;  ///< points captured, a prefix of the planned ones
+  bool completed = false;    ///< every point captured and the armed crash fired
+  std::optional<AttemptFailure> failure;  ///< set when the run died early
+};
+
+namespace {
+
+/// The failure fields of the exception in flight; call only from a catch
+/// block. A worker death passes through; a watchdog cancel and any
+/// std::exception name `regionPath`, where the attempt stood when it died.
+/// Anything else propagates.
+AttemptFailure currentFailure(const std::vector<runtime::PointId>& regionPath,
+                              std::uint64_t timeoutMs) {
+  try {
+    throw;
+  } catch (const AttemptFailure& f) {
+    return f;
+  } catch (const runtime::TrialCancelled&) {
+    return {"timeout", true,
+            "watchdog: trial exceeded its " + std::to_string(timeoutMs) +
+                " ms deadline",
+            formatRegionPath(regionPath)};
+  } catch (const std::exception& e) {
+    return {"exception", false, e.what(), formatRegionPath(regionPath)};
+  }
+}
+
+/// Map one classified worker death onto the failure the retry loop records,
+/// folding in the black box when the worker published one.
+AttemptFailure classifyDeath(const WorkerPool::Reply& reply,
+                             std::uint64_t timeoutMs, const std::uint8_t* arena) {
+  AttemptFailure f;
   f.kind = toString(reply.death);
   f.timeout = reply.timedOut;
   if (reply.timedOut) {
@@ -1161,7 +1188,7 @@ void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
 }  // namespace
 
 /// The worker child's request loop body (one call per request frame). Runs
-/// the same runOneTest/runRestart the in-process evaluator runs — byte-for-
+/// the same runSweep/runRestart the in-process evaluator runs — byte-for-
 /// byte the same simulation — and ships the result (or the failure), the
 /// run's MemEvents, the profile increment and the buffered trace lines back
 /// through the pipe protocol. Lives outside the anonymous namespace so
@@ -1184,28 +1211,11 @@ struct ForkChildServer {
     g_childFault = runner.config_.inject.active() ? &faultCtx : nullptr;
     try {
       switch (op) {
-        case 'T': {
-          const std::uint64_t trial = req.u64();
-          const std::uint64_t crashIndex = req.u64();
-          runDecided(ch, collector, trial, [&](CrashTestRecord& record) {
-            runner.runOneTest(golden, crashIndex,
-                              static_cast<std::size_t>(trial), nullptr, record);
-          });
+        case 'R':
+          serveRestart(req, ch, collector);
           break;
-        }
-        case 'R': {
-          // The restart input alone: the parent stamps the crash context.
-          const std::uint64_t trial = req.u64();
-          SweepCapture input;
-          decodeRestartInput(req, input, ch.arena(), ch.arenaBytes());
-          runDecided(ch, collector, trial, [&](CrashTestRecord& record) {
-            runner.runRestart(golden, input, static_cast<std::size_t>(trial),
-                              nullptr, record);
-          });
-          break;
-        }
         case 'S':
-          runSweepChild(req, ch, collector);
+          serveSweep(req, ch, collector);
           break;
         default:
           throw std::runtime_error("fork worker: unknown request op");
@@ -1218,48 +1228,48 @@ struct ForkChildServer {
   }
 
  private:
-  /// Run one attempt (whole trial or restart), then ship an 'r' frame:
-  /// status 0 carries the serialized record (a restart's carries only its
-  /// outcome), status 1 the exception text and formatted crash-site path.
-  /// Both carry the collector's accounting — a failed attempt still
-  /// simulated runs the parent must account, exactly as the in-process
-  /// evaluator records them before its exception propagates.
-  template <typename Attempt>
-  void runDecided(const WorkerPool::ChildChannel& ch,
-                  ChildRunCollector& collector, std::uint64_t trial,
-                  Attempt&& attempt) const {
+  /// Run one restart attempt from the shipped restart input, then ship an
+  /// 'r' frame: status 0 carries the outcome (response, extra iterations,
+  /// note), status 1 the exception text — the parent names the crash site
+  /// from its own stamped record. Both carry the collector's accounting: a
+  /// failed attempt still simulated runs the parent must account, exactly as
+  /// the in-process evaluator records them before its exception propagates.
+  void serveRestart(WireReader& req, const WorkerPool::ChildChannel& ch,
+                    ChildRunCollector& collector) const {
+    const std::uint64_t trial = req.u64();
+    SweepCapture input;
+    decodeRestartInput(req, input, ch.arena(), ch.arenaBytes());
     CrashTestRecord record;
-    std::uint8_t status = 0;
-    std::string errReason;
-    std::string errPath;
+    std::string error;
+    bool failed = false;
     try {
-      attempt(record);
+      runner.runRestart(golden, input, static_cast<std::size_t>(trial), nullptr,
+                        record);
     } catch (const std::bad_alloc&) {
       throw;  // childMain -> _exit(kWorkerOomExit)
     } catch (const std::exception& e) {
-      status = 1;
-      errReason = e.what();
-      errPath = formatRegionPath(record.regionPath);
+      failed = true;
+      error = e.what();
     }
     WireWriter resp;
     resp.u8('r');
-    resp.u8(status);
+    resp.u8(failed ? 1 : 0);
     collector.encode(resp);
-    if (status == 0) {
-      resp.str(serializeTrialRecord(static_cast<std::size_t>(trial), record));
+    if (failed) {
+      resp.str(error);
     } else {
-      resp.str(errReason);
-      resp.str(errPath);
+      resp.u8(static_cast<std::uint8_t>(record.response));
+      resp.i64(record.extraIterations);
+      resp.str(record.note);
     }
     ch.send(resp.take());
   }
 
-  /// The sweep crashing run, child side: capture every requested index in
-  /// ascending order, stream each as a 'c' frame and wait for the parent's
-  /// 'A' ack (that handshake IS the restart-queue backpressure), then ship
-  /// the 'e' summary.
-  void runSweepChild(WireReader& req, const WorkerPool::ChildChannel& ch,
-                     ChildRunCollector& collector) const {
+  /// The sweep crashing run, child side: stream each capture as a 'c' frame
+  /// and wait for the parent's 'A' ack (that handshake IS the restart-queue
+  /// backpressure), then ship the 'e' summary with the run's failure fields.
+  void serveSweep(WireReader& req, const WorkerPool::ChildChannel& ch,
+                  ChildRunCollector& collector) const {
     const std::uint64_t count = req.u64();
     std::vector<std::uint64_t> indices(static_cast<std::size_t>(count));
     std::vector<std::uint64_t> trialCounts(indices.size());
@@ -1267,82 +1277,27 @@ struct ForkChildServer {
       indices[i] = req.u64();
       trialCounts[i] = req.u64();
     }
-    std::size_t captured = 0;
-    bool completedAll = false;
-    const CampaignConfig& config = runner.config_;
-    Runtime rt(config.cache);
-    rt.setBulk(config.bulk);
-    rt.setScan(config.scan);
-    rt.setPlan(config.plan);
-    runner.applyMonitorRouting(rt);
-    rt.setTraceRun("sweep");
-    runner.armProfile(rt);
-    try {
-      telemetry::PhaseSpan crashSpan("crash_run",
-                                     CampaignMetrics::get().crashRunUs);
-      auto app = runner.factory_();
-      app->setup(rt);
-      app->initialize(rt);
-      rt.armCrash(indices.back());
-      runner.installFault(rt);
-      std::vector<std::uint64_t> armIndices = indices;
-      rt.armCaptures(std::move(armIndices), [&](const CrashEvent& at) {
-        const std::uint64_t index = indices[captured];
-        SweepCapture capture;
-        capture.crashAccessIndex = index;
-        capture.region = at.activeRegion;
-        capture.regionPath = at.regionPath;
-        capture.crashIteration = at.iteration;
-        {
-          telemetry::PhaseSpan postmortemSpan(
-              "postmortem", CampaignMetrics::get().postmortemUs);
-          for (const auto& object : rt.objects()) {
-            if (!object.candidate) continue;
-            capture.inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-            capture.snapshots[object.id] = config.mode == SnapshotMode::NvmImage
-                                               ? rt.dumpObjectNvm(object.id)
-                                               : rt.dumpObjectCurrent(object.id);
-          }
-          capture.restartIteration = config.mode == SnapshotMode::NvmImage
-                                         ? rt.bookmarkedIterationNvm()
-                                         : at.iteration;
-        }
-        if (telemetry::tracing()) {
-          telemetry::TraceEvent("sweep_capture")
-              .field("run", rt.traceRun())
-              .field("crash_access", index)
-              .field("region", at.activeRegion)
-              .field("iteration", at.iteration)
-              .field("trials", trialCounts[captured])
-              .emit();
-        }
-        ++captured;
-        WireWriter frame;
-        frame.u8('c');
-        frame.u64(index);
-        encodeCapture(frame, capture, ch.arena(), ch.arenaBytes());
-        ch.send(frame.take());
-        std::string ack;
-        if (!ch.recv(ack) || ack.empty() || ack[0] != 'A') throw SweepAbort{};
-      });
-      const auto run = Driver::run(*app, rt, 1, golden.finalIteration);
-      (void)run;
-      EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
-    } catch (const CrashEvent&) {
-      completedAll = captured == indices.size();
-    } catch (const SweepAbort&) {
-      // Parent withdrew the ack (stop/abort); ship what we have.
-    } catch (const std::bad_alloc&) {
-      throw;
-    } catch (const std::exception&) {
-      // The parent's fallback path covers the uncaptured tail.
-    }
-    rt.powerLoss();
-    runner.noteRun(rt);
+    const SweepOutcome outcome = runner.runSweep(
+        golden, indices, trialCounts, nullptr, 0,
+        [&ch](std::shared_ptr<SweepCapture> capture) {
+          WireWriter frame;
+          frame.u8('c');
+          encodeCapture(frame, *capture, ch.arena(), ch.arenaBytes());
+          ch.send(frame.take());
+          std::string ack;
+          return ch.recv(ack) && !ack.empty() && ack[0] == 'A';
+        });
     WireWriter resp;
     resp.u8('e');
-    resp.u8(completedAll ? 1 : 0);
-    resp.u64(captured);
+    resp.u8(outcome.completed ? 1 : 0);
+    resp.u64(outcome.captured);
+    resp.u8(outcome.failure ? 1 : 0);
+    if (outcome.failure) {
+      resp.str(outcome.failure->kind);
+      resp.u8(outcome.failure->timeout ? 1 : 0);
+      resp.str(outcome.failure->reason);
+      resp.str(outcome.failure->regionPath);
+    }
     collector.encode(resp);
     ch.send(resp.take());
   }
@@ -1558,33 +1513,36 @@ CampaignResult CampaignRunner::run() const {
                     : config_.threads;
   threads = std::max(1, std::min<int>(threads, std::max(1, config_.numTests)));
 
-  // Distinct crash index -> undecided trials that drew it, ascending: the
-  // sweep's capture plan. Duplicate indices (several trials drawing the same
-  // crash point) share one capture. Decided (resumed) trials never re-enter.
-  std::map<std::uint64_t, std::vector<std::size_t>> sweepPlan;
-  if (config_.sweep) {
-    // Sharded: the sweep captures only the crash points this shard's owned
-    // trials drew. Duplicate indices whose trials straddle shards are
-    // captured independently on each shard — the capture is deterministic,
-    // so the decided records still merge byte-identically.
+  // The sweep's capture plan: each distinct crash index, ascending, with the
+  // undecided trials that drew it. Duplicate indices (several trials drawing
+  // the same crash point) share one capture. Decided (resumed) trials never
+  // re-enter. Sharded, the sweep captures only the crash points this shard's
+  // owned trials drew; duplicate indices whose trials straddle shards are
+  // captured independently on each shard — the capture is deterministic, so
+  // the decided records still merge byte-identically.
+  struct PlannedPoint {
+    std::uint64_t index = 0;
+    std::vector<std::size_t> trials;
+  };
+  std::vector<PlannedPoint> plan;
+  {
+    std::map<std::uint64_t, std::vector<std::size_t>> byIndex;
     for (std::size_t t = 0; t < n; ++t) {
-      if (!owned(t)) continue;
-      if (!records[t] && !failures[t]) sweepPlan[crashIndices[t]].push_back(t);
+      if (owned(t) && !records[t] && !failures[t]) byIndex[crashIndices[t]].push_back(t);
     }
+    for (auto& [index, trials] : byIndex) plan.push_back({index, std::move(trials)});
   }
-  const bool sweepActive = !sweepPlan.empty();
 
   // Process isolation: the fork evaluator runs every crashing run / restart
   // in a pre-forked worker child; any child death is classified into a
   // TrialFailure kind instead of taking the campaign down.
-  const bool forkIsolation =
-      res.isolation == IsolationMode::Fork && res.isolate && n > 0;
+  const bool forkIsolation = res.isolation == IsolationMode::Fork && res.isolate;
 
   // Watchdog deadline base: explicit --trial-timeout-ms wins; otherwise a
   // golden run multiple. The base is the budget for ONE golden run's worth
-  // of work; each arming scales it by the trial's expected work (see
-  // wholeTrialBudget/restartBudget below), so the deadline tracks what the
-  // trial actually owes instead of assuming the worst case for every draw.
+  // of work: the sweep re-arms it at every capture, and each restart scales
+  // it by its expected work (restartBudget below), so the deadline tracks
+  // what the attempt actually owes instead of assuming the worst case.
   // Under fork isolation the deadline is enforced by the parent with a hard
   // SIGKILL of the child (WorkerPool::recv), so no cooperative watchdog —
   // or compiled-in cancellation poll — is needed: even a hung busy loop
@@ -1609,12 +1567,11 @@ CampaignResult CampaignRunner::run() const {
                       : std::max<std::uint64_t>(
                             1000, static_cast<std::uint64_t>(
                                       timeoutBaseMs * res.goldenTimeoutMultiple));
-      // One slot per restart worker plus, under the sweep, a slot for the
-      // producer's crashing run (re-armed at every capture, suspended while
-      // parked on restart backpressure).
+      // One slot per restart worker plus one for the producer's crashing
+      // run (re-armed at every capture, suspended while parked on restart
+      // backpressure).
       if (!forkIsolation) {
-        watchdog.emplace(std::chrono::milliseconds(timeoutMs),
-                         threads + (sweepActive ? 1 : 0));
+        watchdog.emplace(std::chrono::milliseconds(timeoutMs), threads + 1);
       }
     }
   }
@@ -1624,7 +1581,6 @@ CampaignResult CampaignRunner::run() const {
   std::atomic<std::uint64_t> timeoutCount{0};
   std::atomic<bool> budgetExceeded{false};
   std::atomic<int> newlyCompleted{0};
-  std::atomic<std::size_t> next{0};
   // Without isolation an exception must abort the campaign, but letting it
   // escape a pool thread would terminate the process: the first one is
   // parked here and rethrown on the calling thread after the join.
@@ -1643,17 +1599,11 @@ CampaignResult CampaignRunner::run() const {
     return stopRequested() || budgetExceeded.load() || workersAbort.load();
   };
 
-  // Sweep-claimed trials: flagged by the restart queue as their group is
-  // queued (under the queue mutex, which publishes the write), so the
-  // per-trial fallback loop never re-runs a trial the restart pipeline
-  // already owns.
-  std::vector<char> claimed(sweepActive ? n : 0, 0);
-
   // Candidate bytes of one capture (probed on an un-simulated setup): sizes
   // the sweep queue's backpressure window and the fork workers' snapshot
   // arenas.
   std::size_t captureBytes = 0;
-  if (forkIsolation || sweepActive) {
+  if (!plan.empty()) {
     Runtime probe;
     auto app = factory_();
     app->setup(probe);
@@ -1663,16 +1613,16 @@ CampaignResult CampaignRunner::run() const {
   }
 
   // --- Fork evaluator: pre-forked worker pool ---------------------------
-  // One slot per restart worker plus, under the sweep, one for the producer's
-  // crashing run. Forked AFTER the golden run and the sweep plan so children
-  // inherit every immutable input by memory (config, plan, golden stats) —
-  // respawned workers fork from the same immutable state, so a replacement
-  // child is indistinguishable from the original. Declared before the status
-  // writer: the sampler dereferences the pool, so the pool must outlive it.
+  // One slot per restart worker plus one for the producer's crashing run.
+  // Forked AFTER the golden run and the sweep plan so children inherit every
+  // immutable input by memory (config, plan, golden stats) — respawned
+  // workers fork from the same immutable state, so a replacement child is
+  // indistinguishable from the original. Declared before the status writer:
+  // the sampler dereferences the pool, so the pool must outlive it.
   std::atomic<std::uint64_t> workerDeaths{0};
   ForkChildServer childServer{*this, result.golden};
   std::unique_ptr<WorkerPool> pool;
-  if (forkIsolation) {
+  if (forkIsolation && !plan.empty()) {
     const std::size_t arenaBytes =
         kBlackBoxBytes + captureBytes + captureBytes / 8 + 4096;
     WorkerPool::ForkHooks hooks;
@@ -1695,7 +1645,7 @@ CampaignResult CampaignRunner::run() const {
       telemetry::TraceSink::instance().redirectInForkedChild(g_childTraceBuf);
     };
     pool = std::make_unique<WorkerPool>(
-        threads + (sweepActive ? 1 : 0), arenaBytes,
+        threads + 1, arenaBytes,
         [&childServer](int slot, const std::string& request,
                        const WorkerPool::ChildChannel& ch) {
           childServer.serve(slot, request, ch);
@@ -1755,18 +1705,10 @@ CampaignResult CampaignRunner::run() const {
         });
   }
 
-  // Per-trial watchdog budget in base-timeout units (--trial-timeout-ms or
-  // the golden multiple stays the base). A whole trial simulates the crashing
-  // run up to its crash index (crashIndex/windowAccesses of a golden run)
-  // plus a restart that may legitimately run to the iteration cap; a
-  // sweep-fed restart only owes the post-bookmark iterations. Without this
-  // scaling a slow late-crash trial times out under a deadline that is ample
-  // for the average draw.
-  const auto wholeTrialBudget = [&](std::uint64_t crashIndex) {
-    return static_cast<double>(crashIndex) /
-               static_cast<double>(result.golden.windowAccesses) +
-           static_cast<double>(config_.maxIterationFactor);
-  };
+  // A restart's watchdog budget in base-timeout units (--trial-timeout-ms or
+  // the golden multiple stays the base): it owes the iterations from its
+  // bookmark up to the iteration cap. Without this scaling a restart from an
+  // early bookmark times out under a deadline that is ample for the average.
   const auto restartBudget = [&](const SweepCapture& capture) {
     const int cap = result.golden.finalIteration * config_.maxIterationFactor;
     return static_cast<double>(cap - capture.restartIteration) /
@@ -1775,7 +1717,7 @@ CampaignResult CampaignRunner::run() const {
 
   // --- Fork evaluator, parent side --------------------------------------
 
-  // Scale the base deadline by the trial's work budget, exactly as the
+  // Scale the base deadline by the attempt's work budget, exactly as the
   // in-process watchdog arms it. Zero = no deadline.
   const auto forkDeadline = [&](double budget) {
     if (timeoutMs == 0) return std::chrono::milliseconds(0);
@@ -1824,7 +1766,7 @@ CampaignResult CampaignRunner::run() const {
   const auto ensureWorker = [&](int w) -> pid_t {
     bool respawned = false;
     if (!pool->ensureWorker(w, &respawned)) {
-      throw ChildFailure{"protocol", false, "worker fork failed", ""};
+      throw AttemptFailure{"protocol", false, "worker fork failed", ""};
     }
     if (respawned) {
       CampaignMetrics::get().workerSpawns.add();
@@ -1840,15 +1782,10 @@ CampaignResult CampaignRunner::run() const {
     return pool->pid(w);
   };
 
-  // One request/response round-trip on the slot's worker. Throws
-  // ChildFailure (mapped onto the retry/failure machinery by decideTrial)
-  // on any classified death; a dead slot is respawned at the START of the
-  // attempt, so the attempt that follows a death always gets a live worker.
-  const auto forkRoundTrip = [&](int w, const std::string& request,
-                                 double budget) -> std::string {
-    const pid_t pid = ensureWorker(w);
-    (void)pool->send(w, request);  // a dead worker surfaces in recv()
-    WorkerPool::Reply reply = pool->recv(w, forkDeadline(budget));
+  // Receive one frame from slot w's worker within `deadline`. Throws
+  // AttemptFailure on any classified death.
+  const auto forkRecv = [&](int w, pid_t pid, std::chrono::milliseconds deadline) {
+    WorkerPool::Reply reply = pool->recv(w, deadline);
     if (!reply.ok) {
       noteWorkerDeath(w, pid, reply);
       throw classifyDeath(reply, timeoutMs, pool->arena(w));
@@ -1885,67 +1822,42 @@ CampaignResult CampaignRunner::run() const {
     }
   };
 
-  // Decode one 'r' result frame: absorb the child's accounting, then either
-  // yield the record or rethrow the child's exception as an attempt
-  // failure. A frame that does not decode is a protocol death — the stream
-  // may be desynchronized, so the worker is killed and the next attempt
-  // starts fresh.
-  const auto parseTrialReply = [&](int w, const std::string& frame,
-                                   std::size_t t, CrashTestRecord& record) {
+  // The restart of trial t in a worker: ship only the restart input and
+  // copy the reply's outcome onto `record`, which the caller stamped with
+  // the trial's own capture — so a restart that throws names the stamped
+  // crash site, as it does in-process. A reply that does not decode is a
+  // protocol death: the stream may be desynchronized, so the worker is
+  // killed and the next attempt starts fresh.
+  const auto forkRestartAttempt = [&](std::size_t t, int w, const SweepCapture& input,
+                                      double budget, CrashTestRecord& record) {
+    const pid_t pid = ensureWorker(w);
+    WireWriter req;
+    req.u8('R');
+    req.u64(t);
+    encodeRestartInput(req, input, pool->arena(w), pool->arenaBytes());
+    (void)pool->send(w, req.take());  // a dead worker surfaces in recv()
+    const std::string frame = forkRecv(w, pid, forkDeadline(budget));
     try {
       WireReader r(frame);
       if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
       const std::uint8_t status = r.u8();
       absorbChildRuns(r);
-      if (status == 0) {
-        std::string line = r.str();
-        if (!line.empty() && line.back() == '\n') line.pop_back();
-        std::size_t trialFromWire = 0;
-        record = parseTrialRecord(line, &trialFromWire);
-        EC_CHECK_MSG(trialFromWire == t, "fork: reply names the wrong trial");
-        return;
+      if (status != 0) {
+        throw AttemptFailure{"exception", false, r.str(),
+                             formatRegionPath(record.regionPath)};
       }
-      std::string reason = r.str();
-      std::string regionPath = r.str();
-      throw ChildFailure{"exception", false, std::move(reason),
-                         std::move(regionPath)};
-    } catch (const ChildFailure&) {
-      throw;
+      const std::uint8_t response = r.u8();
+      if (response > static_cast<std::uint8_t>(Response::S4)) {
+        throw std::runtime_error("response class out of range");
+      }
+      record.response = static_cast<Response>(response);
+      record.extraIterations = static_cast<int>(r.i64());
+      record.note = r.str();
     } catch (const std::exception& e) {
       killWorker(w);
-      throw ChildFailure{"protocol", false,
-                         std::string("worker reply malformed: ") + e.what(), ""};
+      throw AttemptFailure{"protocol", false,
+                           std::string("worker reply malformed: ") + e.what(), ""};
     }
-  };
-
-  const auto forkTrialAttempt = [&](std::size_t t, int w, double budget,
-                                    CrashTestRecord& record) {
-    telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-    WireWriter req;
-    req.u8('T');
-    req.u64(t);
-    req.u64(crashIndices[t]);
-    parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, record);
-  };
-
-  // The restart half of trial t in a worker: ship only the restart input
-  // and copy the reply's outcome onto `record`, which the caller stamped
-  // with the trial's own capture. A restart that throws names the stamped
-  // crash site, as it does in-process.
-  const auto forkRestartAttempt = [&](std::size_t t, int w, const SweepCapture& input,
-                                      double budget, CrashTestRecord& record) {
-    WireWriter req;
-    req.u8('R');
-    req.u64(t);
-    encodeRestartInput(req, input, pool->arena(w), pool->arenaBytes());
-    CrashTestRecord outcome;
-    try {
-      parseTrialReply(w, forkRoundTrip(w, req.take(), budget), t, outcome);
-    } catch (ChildFailure& cf) {
-      if (cf.kind == "exception") cf.regionPath = formatRegionPath(record.regionPath);
-      throw;
-    }
-    copyOutcome(outcome, record);
   };
 
   // Completion bookkeeping of a trial whose record is in place: counters and
@@ -1960,351 +1872,246 @@ CampaignResult CampaignRunner::run() const {
     }
   };
 
-  // Decides trial t on worker slot w by running `attempt` — the whole trial
-  // on the per-trial path, just the restart when a sweep capture supplies
-  // the crashing half — honouring isolation, the watchdog (armed with the
-  // trial's deadline budget) and the retry budget. Exceptions propagate only
-  // when isolation is off (the legacy all-or-nothing behaviour).
-  const auto decideTrial = [&](std::size_t t, int w, double budget, auto&& attempt) {
-    if (!res.isolate) {
-      CrashTestRecord record;
-      attempt(nullptr, record);
-      records[t] = std::move(record);
-    } else {
-      const int maxAttempts = 1 + std::max(0, res.maxRetries);
-      TrialFailure failure;
-      failure.trial = t;
-      failure.crashAccessIndex = crashIndices[t];
-      bool completed = false;
-      for (int att = 1; att <= maxAttempts && !completed; ++att) {
-        failure.attempts = att;
-        std::atomic<bool>* cancel = watchdog ? &watchdog->arm(w, budget) : nullptr;
-        CrashTestRecord record;
-        try {
-          attempt(cancel, record);
-          completed = true;
-          records[t] = std::move(record);
-        } catch (const runtime::TrialCancelled&) {
-          failure.kind = "timeout";
-          failure.timeout = true;
-          failure.reason = "watchdog: trial exceeded its " +
-                           std::to_string(timeoutMs) + " ms deadline";
-          failure.regionPath = formatRegionPath(record.regionPath);
-          CampaignMetrics::get().trialTimeouts.add();
-          timeoutCount.fetch_add(1);
-        } catch (const ChildFailure& cf) {
-          failure.kind = cf.kind;
-          failure.timeout = cf.timeout;
-          failure.reason = cf.reason;
-          failure.regionPath = cf.regionPath;
-          if (cf.timeout) {
-            CampaignMetrics::get().trialTimeouts.add();
-            timeoutCount.fetch_add(1);
-          }
-        } catch (const std::exception& e) {
-          failure.kind = "exception";
-          failure.timeout = false;
-          failure.reason = e.what();
-          failure.regionPath = formatRegionPath(record.regionPath);
-        }
-        if (watchdog) watchdog->disarm(w);
-        if (!completed && att < maxAttempts) {
-          CampaignMetrics::get().trialRetries.add();
-          retryCount.fetch_add(1);
-          EC_LOG_DEBUG("trial " << t << " attempt " << att
-                                << " failed (" << failure.reason << "), retrying");
-          const std::uint64_t backoff = retryBackoffMs(res, config_.seed, t, att);
-          if (backoff > 0) {
-            CampaignMetrics::get().retryBackoff.observe(
-                static_cast<double>(backoff));
-            std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-          }
-        }
-      }
-      if (!completed) {
-        CampaignMetrics::get().trialFailures.add();
-        EC_LOG_WARN("trial " << t << " abandoned after " << failure.attempts
-                             << " attempt(s): " << failure.reason);
-        if (telemetry::tracing()) {
-          telemetry::TraceEvent("trial_failed")
-              .field("trial", static_cast<std::uint64_t>(t))
-              .field("crash_access", failure.crashAccessIndex)
-              .field("kind", failure.kind)
-              .field("timeout", failure.timeout)
-              .field("attempts", failure.attempts)
-              .field("reason", failure.reason)
-              .emit();
-        }
-        failures[t] = failure;
-        if (journal) journal->recordFailure(failure);
-        const int count = failureCount.fetch_add(1) + 1;
-        if (res.maxFailures >= 0 && count > res.maxFailures) {
-          budgetExceeded.store(true);
-        }
-        recordDecided(nullptr);
-        return;
-      }
+  // Charge one failed attempt (1-based) to trial t, whether a restart of t
+  // or the sweep crashing run that died on t's crash point: count it, then
+  // either back off before the retry or, once the attempts are spent,
+  // record the trial's TrialFailure against the --max-trial-failures budget.
+  const int maxAttempts = 1 + std::max(0, res.maxRetries);
+  const auto chargeAttempt = [&](std::size_t t, int attempt, const AttemptFailure& f) {
+    if (f.timeout) {
+      CampaignMetrics::get().trialTimeouts.add();
+      timeoutCount.fetch_add(1);
     }
-    commitDecided(t);
-  };
-
-  const auto runTrial = [&](std::size_t t, int w) {
-    const double budget = wholeTrialBudget(crashIndices[t]);
-    if (forkIsolation) {
-      decideTrial(t, w, budget,
-                  [&](const std::atomic<bool>*, CrashTestRecord& record) {
-                    forkTrialAttempt(t, w, budget, record);
-                  });
+    if (attempt < maxAttempts) {
+      CampaignMetrics::get().trialRetries.add();
+      retryCount.fetch_add(1);
+      EC_LOG_DEBUG("trial " << t << " attempt " << attempt << " failed ("
+                            << f.reason << "), retrying");
+      const std::uint64_t backoff = retryBackoffMs(res, config_.seed, t, attempt);
+      if (backoff > 0) {
+        CampaignMetrics::get().retryBackoff.observe(static_cast<double>(backoff));
+        std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+      }
       return;
     }
-    decideTrial(t, w, budget,
-                [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
-                  runOneTest(result.golden, crashIndices[t], t, cancel, record);
-                });
-  };
-
-  // Per-trial claim loop: the whole campaign without the sweep, the fallback
-  // for whatever the sweep could not capture with it.
-  const auto worker = [&](int w) {
-    for (;;) {
-      if (halted()) return;
-      const std::size_t t = next.fetch_add(1);
-      if (t >= n) return;
-      if (!owned(t)) continue;  // another shard's trial (--shard i/k)
-      // Claimed first: restart threads may still be writing a claimed
-      // trial's record, so only an unclaimed trial's slots may be read.
-      if (!claimed.empty() && claimed[t] != 0) continue;  // owned by the sweep
-      if (records[t] || failures[t]) continue;  // replayed from the journal
-      runTrial(t, w);
+    TrialFailure failure;
+    failure.trial = t;
+    failure.crashAccessIndex = crashIndices[t];
+    failure.timeout = f.timeout;
+    failure.attempts = attempt;
+    failure.reason = f.reason;
+    failure.regionPath = f.regionPath;
+    failure.kind = f.kind;
+    CampaignMetrics::get().trialFailures.add();
+    EC_LOG_WARN("trial " << t << " abandoned after " << attempt
+                         << " attempt(s): " << f.reason);
+    if (telemetry::tracing()) {
+      telemetry::TraceEvent("trial_failed")
+          .field("trial", static_cast<std::uint64_t>(t))
+          .field("crash_access", failure.crashAccessIndex)
+          .field("kind", failure.kind)
+          .field("timeout", failure.timeout)
+          .field("attempts", failure.attempts)
+          .field("reason", failure.reason)
+          .emit();
     }
+    failures[t] = failure;
+    if (journal) journal->recordFailure(failure);
+    const int count = failureCount.fetch_add(1) + 1;
+    if (res.maxFailures >= 0 && count > res.maxFailures) budgetExceeded.store(true);
+    recordDecided(nullptr);
   };
 
   // --- Single-sweep evaluator -------------------------------------------
-  // ONE crashing run visits every pending crash point in ascending order and
-  // captures it read-only; a real CrashEvent armed at the last index ends
-  // the run without simulating the tail. Restarts are consumed concurrently
+  // A sweep crashing run visits every pending crash point in ascending order
+  // and captures it read-only (runSweep); restarts are consumed concurrently
   // by the worker pool, overlapping with the sweep itself.
-  const auto runSweep = [&](RestartQueue& queue, int slot) {
-    const std::size_t plannedPoints = sweepPlan.size();
-    std::size_t capturedPoints = 0;
-    bool completedAll = false;
-    CampaignMetrics::get().sweepRuns.add();
-    Runtime rt(config_.cache);
-    rt.setBulk(config_.bulk);
-    rt.setScan(config_.scan);
-    rt.setPlan(config_.plan);
-    applyMonitorRouting(rt);
-    rt.setTraceRun("sweep");
-    armProfile(rt);
-    if (watchdog) rt.setCancelFlag(&watchdog->arm(slot));
-    try {
-      // One span covers the whole sweep crashing run (no single trial to
-      // stamp); per-capture post-mortems get their own spans inside the hook.
-      telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs);
-      auto app = factory_();
-      app->setup(rt);
-      app->initialize(rt);
-      std::vector<std::uint64_t> indices;
-      indices.reserve(plannedPoints);
-      for (const auto& [index, trials] : sweepPlan) indices.push_back(index);
-      auto pending = sweepPlan.cbegin();
-      rt.armCrash(indices.back());
-      rt.armCaptures(std::move(indices), [&](const CrashEvent& at) {
-        EC_CHECK(pending != sweepPlan.cend());
-        const std::uint64_t index = pending->first;
-        const std::vector<std::size_t>& trials = pending->second;
-        ++pending;
-        auto capture = std::make_shared<SweepCapture>();
-        // The trial records the pre-drawn index it was armed for, exactly as
-        // the per-trial path does, while the context fields come from the
-        // access that crossed it — identical to what CrashEvent would carry.
-        capture->crashAccessIndex = index;
-        capture->region = at.activeRegion;
-        capture->regionPath = at.regionPath;
-        capture->crashIteration = at.iteration;
-        {
-          // The post-mortem of the first trial sharing this capture; queue
-          // backpressure below is deliberately outside the span.
-          telemetry::PhaseSpan postmortemSpan(
-              "postmortem", CampaignMetrics::get().postmortemUs,
-              static_cast<std::int64_t>(trials.front()));
-          for (const auto& object : rt.objects()) {
-            if (!object.candidate) continue;
-            capture->inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-            capture->snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
-                                                ? rt.dumpObjectNvm(object.id)
-                                                : rt.dumpObjectCurrent(object.id);
-          }
-          capture->restartIteration = config_.mode == SnapshotMode::NvmImage
-                                          ? rt.bookmarkedIterationNvm()
-                                          : at.iteration;
-        }
-        ++capturedPoints;
-        CampaignMetrics::get().sweepCaptures.add();
-        if (telemetry::tracing()) {
-          telemetry::TraceEvent("sweep_capture")
-              .field("run", rt.traceRun())
-              .field("crash_access", index)
-              .field("region", at.activeRegion)
-              .field("iteration", at.iteration)
-              .field("trials", static_cast<std::uint64_t>(trials.size()))
-              .emit();
-        }
-        // Waiting on a full queue is restart backpressure, not a hung
-        // simulation: suspend the sweep's deadline while parked.
-        if (watchdog) watchdog->disarm(slot);
-        const bool queued = queue.push(std::move(capture), trials);
-        if (watchdog) watchdog->arm(slot);
-        if (!queued || stopRequested()) throw SweepAbort{};
-      });
-      const auto run = Driver::run(*app, rt, 1, result.golden.finalIteration);
-      (void)run;
-      EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
-    } catch (const CrashEvent&) {
-      // The arranged end of the sweep: the last pending index was captured
-      // on this very access, then the crash fired.
-      completedAll = capturedPoints == plannedPoints;
-    } catch (const SweepAbort&) {
-      // Stop requested or the restart pipeline went away; not an error.
-    } catch (const runtime::TrialCancelled&) {
-      EC_LOG_WARN("sweep run cancelled by the watchdog after " << capturedPoints
-                  << "/" << plannedPoints << " capture(s); uncaptured trials "
-                  "fall back to the per-trial path");
-    } catch (const std::exception& e) {
-      EC_LOG_WARN("sweep run failed (" << e.what() << ") after " << capturedPoints
-                  << "/" << plannedPoints << " capture(s); uncaptured trials "
-                  "fall back to the per-trial path");
-    } catch (...) {
-      EC_LOG_WARN("sweep run failed after " << capturedPoints << "/"
-                  << plannedPoints << " capture(s); uncaptured trials fall "
-                  "back to the per-trial path");
-    }
-    if (watchdog) watchdog->disarm(slot);
-    rt.powerLoss();
-    CampaignMetrics::get().recordRun(rt.events());
-    accumulateProfile(rt);
-    if (!completedAll) {
-      CampaignMetrics::get().sweepFallbacks.add(plannedPoints - capturedPoints);
-    }
-    if (telemetry::tracing()) {
-      telemetry::TraceEvent("sweep_end")
-          .field("run", rt.traceRun())
-          .field("captures", static_cast<std::uint64_t>(capturedPoints))
-          .field("planned", static_cast<std::uint64_t>(plannedPoints))
-          .field("completed", completedAll)
-          .emit();
-    }
+
+  // Parent side of every capture, whichever process took it: count it and
+  // queue the restarts of the trials that drew it. False ends the sweep.
+  const auto queueCapture = [&](RestartQueue& queue, std::shared_ptr<SweepCapture> capture,
+                                std::size_t point) {
+    CampaignMetrics::get().sweepCaptures.add();
+    return !halted() && queue.push(std::move(capture), plan[point].trials);
   };
 
-  // The sweep crashing run, fork side: the run itself executes inside a
-  // worker child (ForkChildServer::runSweepChild) and streams each capture
-  // back as a 'c' frame; the parent decodes it out of the shared arena,
-  // queues the restarts, and acks — the ack handshake IS the restart-queue
-  // backpressure the in-process sweep gets from queue.push(). Any worker
-  // death mid-sweep falls back to the per-trial path for the uncaptured
-  // tail, exactly like an in-process sweep failure.
-  const auto forkSweep = [&](RestartQueue& queue, int slot) {
-    const std::size_t plannedPoints = sweepPlan.size();
-    std::size_t capturedPoints = 0;
-    bool completedAll = false;
-    CampaignMetrics::get().sweepRuns.add();
+  // The crash indices and trial counts of the plan from point `head` on.
+  const auto sweepRequest = [&](std::size_t head) {
+    std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>> points;
+    for (std::size_t p = head; p < plan.size(); ++p) {
+      points.first.push_back(plan[p].index);
+      points.second.push_back(plan[p].trials.size());
+    }
+    return points;
+  };
+
+  // One sweep from `head` in this process, on the producer's watchdog slot.
+  const auto inProcessSweep = [&](RestartQueue& queue, int slot, std::size_t head) {
+    const auto [indices, trialCounts] = sweepRequest(head);
+    std::size_t point = head;
+    const std::atomic<bool>* cancel = watchdog ? &watchdog->arm(slot) : nullptr;
+    const SweepOutcome outcome = runSweep(
+        result.golden, indices, trialCounts, cancel, timeoutMs,
+        [&](std::shared_ptr<SweepCapture> capture) {
+          // Waiting on a full queue is restart backpressure, not a hung
+          // simulation: suspend the sweep's deadline while parked.
+          if (watchdog) watchdog->disarm(slot);
+          const bool queued = queueCapture(queue, std::move(capture), point++);
+          if (watchdog) watchdog->arm(slot);
+          return queued;
+        });
+    if (watchdog) watchdog->disarm(slot);
+    return outcome;
+  };
+
+  // One sweep from `head` in the slot's worker child (ForkChildServer),
+  // which streams each capture back as a 'c' frame; the parent decodes it
+  // out of the shared arena, queues the restarts, and acks — the ack
+  // handshake IS the restart-queue backpressure the in-process sweep gets
+  // from queue.push(). A worker death ends the sweep with its failure.
+  const auto forkSweep = [&](RestartQueue& queue, int slot, std::size_t head) {
+    SweepOutcome outcome;
     try {
       const pid_t pid = ensureWorker(slot);
+      const auto [indices, trialCounts] = sweepRequest(head);
       WireWriter req;
       req.u8('S');
-      req.u64(static_cast<std::uint64_t>(sweepPlan.size()));
-      for (const auto& [index, trials] : sweepPlan) {
-        req.u64(index);
-        req.u64(static_cast<std::uint64_t>(trials.size()));
+      req.u64(indices.size());
+      for (std::size_t i = 0; i < indices.size(); ++i) {
+        req.u64(indices[i]);
+        req.u64(trialCounts[i]);
       }
       (void)pool->send(slot, req.take());
-      auto pendingEntry = sweepPlan.cbegin();
       for (;;) {
-        WorkerPool::Reply reply = pool->recv(slot, forkDeadline(1.0));
-        if (!reply.ok) {
-          noteWorkerDeath(slot, pid, reply);
-          const ChildFailure cf = classifyDeath(reply, timeoutMs, pool->arena(slot));
-          EC_LOG_WARN("sweep worker died (" << cf.reason << ") after "
-                      << capturedPoints << "/" << plannedPoints
-                      << " capture(s); uncaptured trials fall back to the "
-                      "per-trial path");
-          break;
-        }
-        WireReader r(reply.frame);
+        const std::string frame = forkRecv(slot, pid, forkDeadline(1.0));
+        WireReader r(frame);
         const std::uint8_t tag = r.u8();
         if (tag == 'c') {
-          const std::uint64_t index = r.u64();
           auto capture = std::make_shared<SweepCapture>(
               decodeCapture(r, pool->arena(slot), pool->arenaBytes()));
-          EC_CHECK_MSG(pendingEntry != sweepPlan.cend() &&
-                           pendingEntry->first == index,
+          const std::size_t point = head + outcome.captured;
+          EC_CHECK_MSG(point < plan.size() && plan[point].index == capture->crashAccessIndex,
                        "fork sweep: capture out of order");
-          const std::vector<std::size_t>& trials = pendingEntry->second;
-          ++pendingEntry;
-          ++capturedPoints;
-          CampaignMetrics::get().sweepCaptures.add();
-          const bool keepGoing = !halted() && queue.push(std::move(capture), trials);
+          ++outcome.captured;
           // A non-'A' ack tells the child to wind down; it still ships its
           // 'e' summary so the crashing run's events are accounted.
+          const bool keepGoing = queueCapture(queue, std::move(capture), point);
           (void)pool->send(slot, std::string(keepGoing ? "A" : "X"));
         } else if (tag == 'e') {
-          completedAll = r.u8() != 0;
-          (void)r.u64();  // child's capture count; we counted the 'c' frames
+          outcome.completed = r.u8() != 0;
+          if (r.u64() != outcome.captured) {
+            throw std::runtime_error("fork sweep: capture count mismatch");
+          }
+          if (r.u8() != 0) {
+            AttemptFailure& f = outcome.failure.emplace();
+            f.kind = r.str();
+            f.timeout = r.u8() != 0;
+            f.reason = r.str();
+            f.regionPath = r.str();
+          }
           absorbChildRuns(r);
-          break;
+          return outcome;
         } else {
           throw std::runtime_error("fork sweep: unexpected frame tag");
         }
       }
-    } catch (const ChildFailure& cf) {
-      EC_LOG_WARN("sweep worker unavailable (" << cf.reason << "); trials fall "
-                  "back to the per-trial path");
+    } catch (AttemptFailure& f) {
+      outcome.failure = std::move(f);
     } catch (const std::exception& e) {
       killWorker(slot);
-      EC_LOG_WARN("fork sweep failed (" << e.what() << ") after "
-                  << capturedPoints << "/" << plannedPoints
-                  << " capture(s); uncaptured trials fall back to the "
-                  "per-trial path");
+      outcome.failure = AttemptFailure{
+          "protocol", false, std::string("worker reply malformed: ") + e.what(), ""};
     }
-    if (!completedAll) {
-      CampaignMetrics::get().sweepFallbacks.add(plannedPoints - capturedPoints);
-    }
-    if (telemetry::tracing()) {
-      telemetry::TraceEvent("sweep_end")
-          .field("run", "sweep")
-          .field("captures", static_cast<std::uint64_t>(capturedPoints))
-          .field("planned", static_cast<std::uint64_t>(plannedPoints))
-          .field("completed", completedAll)
-          .emit();
+    return outcome;
+  };
+
+  // The producer: sweep from the head — the first point no sweep has
+  // captured yet — until a sweep reaches the last point. A sweep visits its
+  // points in ascending order, so any death before the head's capture
+  // happened on exactly the access sequence the head's own crashing run
+  // replays: a sweep that dies charges one attempt to the head's trials, and
+  // a fresh sweep restarts at the head. Once the head's attempts are spent
+  // its trials fail for good and the next sweep starts at the point after
+  // (docs/INTERNALS.md "The single-sweep trial evaluator").
+  const auto produce = [&](RestartQueue& queue, int slot) {
+    std::size_t head = 0;
+    int attempts = 0;  // deaths charged to the head so far
+    while (head < plan.size() && !halted()) {
+      CampaignMetrics::get().sweepRuns.add();
+      const std::size_t planned = plan.size() - head;
+      const SweepOutcome outcome =
+          forkIsolation ? forkSweep(queue, slot, head) : inProcessSweep(queue, slot, head);
+      if (telemetry::tracing()) {
+        telemetry::TraceEvent("sweep_end")
+            .field("run", "sweep")
+            .field("captures", static_cast<std::uint64_t>(outcome.captured))
+            .field("planned", static_cast<std::uint64_t>(planned))
+            .field("completed", outcome.completed)
+            .emit();
+      }
+      if (outcome.captured > 0) {
+        head += outcome.captured;
+        attempts = 0;
+      }
+      if (!outcome.failure || head >= plan.size()) return;
+      const AttemptFailure& f = *outcome.failure;
+      ++attempts;
+      EC_LOG_WARN("sweep run died (" << f.reason << ") after " << outcome.captured
+                  << "/" << planned << " capture(s); charging attempt " << attempts
+                  << " to crash point " << plan[head].index);
+      for (const std::size_t t : plan[head].trials) chargeAttempt(t, attempts, f);
+      if (attempts >= maxAttempts) {
+        ++head;
+        attempts = 0;
+      }
+      CampaignMetrics::get().sweepFallbacks.add(plan.size() - head);
     }
   };
 
   // The restart of trial t from a sweep capture: stamp the trial's own crash
   // context, then restart from `input` — its group leader's capture, whose
-  // restart input is byte-identical to the trial's own.
+  // restart input is byte-identical to the trial's own — honouring
+  // isolation, the watchdog (armed with the restart's budget) and the retry
+  // budget. Exceptions propagate only when isolation is off (the legacy
+  // all-or-nothing behaviour).
   const auto decideRestart = [&](std::size_t t, const SweepCapture& capture,
                                  const SweepCapture& input, int w) {
     CampaignMetrics::get().restartMemoMisses.add();
     const double budget = restartBudget(input);
-    decideTrial(t, w, budget,
-                [&](const std::atomic<bool>* cancel, CrashTestRecord& record) {
-                  telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-                  stampCapture(capture, record);
-                  if (forkIsolation) {
-                    forkRestartAttempt(t, w, input, budget, record);
-                  } else {
-                    runRestart(result.golden, input, t, cancel, record);
-                  }
-                });
+    for (int attempt = 1;; ++attempt) {
+      std::atomic<bool>* cancel = watchdog ? &watchdog->arm(w, budget) : nullptr;
+      CrashTestRecord record;
+      std::optional<AttemptFailure> failure;
+      try {
+        telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
+        stampCapture(capture, record);
+        if (forkIsolation) {
+          forkRestartAttempt(t, w, input, budget, record);
+        } else {
+          runRestart(result.golden, input, t, cancel, record);
+        }
+      } catch (...) {
+        if (!res.isolate) throw;
+        failure = currentFailure(record.regionPath, timeoutMs);
+      }
+      if (watchdog) watchdog->disarm(w);
+      if (!failure) {
+        records[t] = std::move(record);
+        commitDecided(t);
+        return;
+      }
+      chargeAttempt(t, attempt, *failure);
+      if (attempt >= maxAttempts) return;
+    }
   };
 
   // One restart decides the group (docs/INTERNALS.md "Restart grouping"):
   // when the leader's restart succeeds, every follower's record is its own
   // capture stamped with the leader's outcome. A failure or timeout is never
-  // shared — each follower then runs its own restart through decideTrial, so
-  // its kind, attempts, retries and backoff match the per-trial path. A stop
-  // is honoured between members; the claimed members it leaves undecided
-  // resume like any other undecided trial.
+  // shared — each follower then runs its own restart through decideRestart,
+  // so its kind, attempts, retries and backoff match a lone trial's. A stop
+  // is honoured between members; the members it leaves undecided resume
+  // like any other undecided trial.
   const auto decideGroup = [&](const RestartGroup& group, int w) {
     const SweepCapture& input = group.input();
     const std::size_t leader = group.members.front().trial;
@@ -2323,12 +2130,11 @@ CampaignResult CampaignRunner::run() const {
     }
   };
 
-  // Restart worker: drain the restart groups, then fall back to the
-  // per-trial loop for anything the sweep missed. A stop request abandons
-  // the queued groups (draining them would decide most of the campaign after
+  // Restart worker: drain the restart groups. A stop request abandons the
+  // queued groups (draining them would decide most of the campaign after
   // the operator asked it to stop); in-flight restarts finish and are
-  // journaled, exactly like the per-trial path.
-  const auto sweepWorker = [&](RestartQueue& queue, int w) {
+  // journaled.
+  const auto restartWorker = [&](RestartQueue& queue, int w) {
     try {
       for (;;) {
         if (halted()) {
@@ -2336,17 +2142,16 @@ CampaignResult CampaignRunner::run() const {
           return;
         }
         const std::optional<RestartGroup> group = queue.pop();
-        if (!group) break;
+        if (!group) return;
         decideGroup(*group, w);
       }
-      worker(w);
     } catch (...) {
       parkError();
       queue.abort();
     }
   };
 
-  if (sweepActive) {
+  if (!plan.empty()) {
     // Queue depth, in restart groups, is the pipeline's overlap window: deep
     // enough that the sweep outruns the restart drain and the producer joins
     // the pool for most of the campaign, while backpressure bounds live
@@ -2357,39 +2162,24 @@ CampaignResult CampaignRunner::run() const {
     const std::size_t capacity =
         std::max(static_cast<std::size_t>(std::max(2, 2 * threads)),
                  kSnapshotBudgetBytes / std::max<std::size_t>(1, captureBytes));
-    RestartQueue queue(capacity, claimed);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
+    RestartQueue queue(capacity);
+    std::vector<std::thread> restarters;
+    restarters.reserve(static_cast<std::size_t>(threads));
     for (int w = 0; w < threads; ++w) {
-      pool.emplace_back(sweepWorker, std::ref(queue), w);
+      restarters.emplace_back(restartWorker, std::ref(queue), w);
     }
     // The calling thread is the producer.
-    if (forkIsolation) {
-      forkSweep(queue, threads);
-    } else {
-      runSweep(queue, threads);
+    try {
+      produce(queue, threads);
+    } catch (...) {
+      parkError();
+      queue.abort();
     }
     queue.close();
     // The producer has nothing left to feed: join the restart pool on the
-    // sweep's watchdog slot instead of idling in join() as the legacy
-    // path's calling thread does.
-    sweepWorker(queue, threads);
-    for (auto& thread : pool) thread.join();
-  } else if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          worker(w);
-        } catch (...) {
-          parkError();
-        }
-      });
-    }
-    for (auto& thread : pool) thread.join();
+    // sweep's watchdog slot.
+    restartWorker(queue, threads);
+    for (auto& thread : restarters) thread.join();
   }
 
   if (journal) journal->close();
@@ -2460,73 +2250,93 @@ CampaignResult CampaignRunner::run() const {
   return result;
 }
 
-void CampaignRunner::runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
-                                std::size_t trial, const std::atomic<bool>* cancel,
-                                CrashTestRecord& record) const {
-  telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-  record = CrashTestRecord{};
-  record.crashAccessIndex = crashIndex;
-
-  // --- Crashing run -----------------------------------------------------
+SweepOutcome CampaignRunner::runSweep(const GoldenStats& golden,
+                                      const std::vector<std::uint64_t>& indices,
+                                      const std::vector<std::uint64_t>& trialCounts,
+                                      const std::atomic<bool>* cancel,
+                                      std::uint64_t timeoutMs,
+                                      const CaptureSink& sink) const {
+  SweepOutcome outcome;
   Runtime rt(config_.cache);
   rt.setBulk(config_.bulk);
   rt.setScan(config_.scan);
   rt.setPlan(config_.plan);
   applyMonitorRouting(rt);
   rt.setCancelFlag(cancel);
-  rt.setTraceRun("crash:" + std::to_string(trial));
+  rt.setTraceRun("sweep");
   armProfile(rt);
-  auto app = factory_();
-  app->setup(rt);
-  app->initialize(rt);
-  rt.armCrash(crashIndex);
-  installFault(rt);
-
-  SweepCapture capture;
-  capture.crashAccessIndex = crashIndex;
+  // A failed run must not throw past the accounting below; without
+  // isolation the campaign aborts on the first exception, as it always has.
+  const auto died = [&] {
+    if (!config_.resilience.isolate) throw;
+    outcome.failure = currentFailure(rt.throwRegionPath(), timeoutMs);
+  };
   try {
-    // The span ends when the armed CrashEvent unwinds out of the try block,
-    // so phase_end marks the crash instant.
-    telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs,
-                                   static_cast<std::int64_t>(trial));
-    const auto run = Driver::run(*app, rt, 1, golden.finalIteration);
+    // One span covers the whole crashing run; per-capture post-mortems get
+    // their own spans inside the hook.
+    telemetry::PhaseSpan crashSpan("crash_run", CampaignMetrics::get().crashRunUs);
+    auto app = factory_();
+    app->setup(rt);
+    app->initialize(rt);
+    rt.armCrash(indices.back());
+    installFault(rt);
+    rt.armCaptures(indices, [&](const CrashEvent& at) {
+      auto capture = std::make_shared<SweepCapture>();
+      // The trial records the pre-drawn index it was armed for, while the
+      // context fields come from the access that crossed it — identical to
+      // what a CrashEvent armed at that index would carry.
+      capture->crashAccessIndex = indices[outcome.captured];
+      capture->region = at.activeRegion;
+      capture->regionPath = at.regionPath;
+      capture->crashIteration = at.iteration;
+      {
+        // NVCT post-mortem: inconsistency rates and the surviving bytes,
+        // read before the caches are dropped. The sink's backpressure is
+        // deliberately outside the span.
+        telemetry::PhaseSpan postmortemSpan("postmortem",
+                                            CampaignMetrics::get().postmortemUs);
+        for (const auto& object : rt.objects()) {
+          if (!object.candidate) continue;
+          capture->inconsistentRate[object.id] = rt.inconsistentRate(object.id);
+          capture->snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
+                                              ? rt.dumpObjectNvm(object.id)
+                                              : rt.dumpObjectCurrent(object.id);
+        }
+        capture->restartIteration = config_.mode == SnapshotMode::NvmImage
+                                        ? rt.bookmarkedIterationNvm()
+                                        : at.iteration;
+      }
+      if (telemetry::tracing()) {
+        telemetry::TraceEvent("sweep_capture")
+            .field("run", rt.traceRun())
+            .field("crash_access", capture->crashAccessIndex)
+            .field("region", at.activeRegion)
+            .field("iteration", at.iteration)
+            .field("trials", trialCounts[outcome.captured])
+            .emit();
+      }
+      ++outcome.captured;
+      if (!sink(std::move(capture))) throw SweepAbort{};
+    });
+    (void)Driver::run(*app, rt, 1, golden.finalIteration);
     // Determinism guarantees the armed crash fires; reaching here is a bug
     // in the app (non-deterministic access sequence).
-    (void)run;
     EC_CHECK_MSG(false, "armed crash did not fire — app is non-deterministic");
-  } catch (const CrashEvent& crash) {
-    telemetry::PhaseSpan postmortemSpan("postmortem",
-                                        CampaignMetrics::get().postmortemUs,
-                                        static_cast<std::int64_t>(trial));
-    capture.region = crash.activeRegion;
-    capture.regionPath = crash.regionPath;
-    capture.crashIteration = crash.iteration;
-    // NVCT post-mortem: inconsistency rates before the caches are dropped.
-    for (const auto& object : rt.objects()) {
-      if (!object.candidate) continue;
-      capture.inconsistentRate[object.id] = rt.inconsistentRate(object.id);
-      capture.snapshots[object.id] = config_.mode == SnapshotMode::NvmImage
-                                         ? rt.dumpObjectNvm(object.id)
-                                         : rt.dumpObjectCurrent(object.id);
-    }
-    capture.restartIteration = config_.mode == SnapshotMode::NvmImage
-                                   ? rt.bookmarkedIterationNvm()
-                                   : crash.iteration;
-    rt.powerLoss();
+  } catch (const CrashEvent&) {
+    // The arranged end of the sweep: the last index was captured on this
+    // very access, then the crash fired.
+    outcome.completed = outcome.captured == indices.size();
+  } catch (const SweepAbort&) {
+    // The sink ended the run (stop, abort, or a withdrawn ack): not an error.
+  } catch (const std::bad_alloc&) {
+    if (g_childRunCollector != nullptr) throw;  // a worker child's OOM exit
+    died();
   } catch (...) {
-    // The armed crash never fired — the app (or the watchdog) threw mid-run,
-    // so there is no CrashEvent to read the crash site from. Take it from
-    // the runtime's throw-site snapshot (the live stack is already unwound)
-    // so the failure report still names where the run died.
-    const auto& path = rt.throwRegionPath();
-    record.region = path.empty() ? rt.activeRegion() : path.back();
-    record.regionPath = path;
-    throw;
+    died();
   }
+  rt.powerLoss();
   noteRun(rt);
-
-  stampCapture(capture, record);
-  runRestart(golden, capture, trial, cancel, record);
+  return outcome;
 }
 
 void CampaignRunner::stampCapture(const SweepCapture& capture, CrashTestRecord& record) {

@@ -14,7 +14,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -139,9 +141,6 @@ struct TrialFailure {
   std::string kind = "exception";
 };
 
-/// Fault-tolerance knobs for one campaign (docs/ROBUSTNESS.md). Defaults
-/// keep the legacy all-or-nothing behaviour: no isolation, no watchdog, no
-/// journal; the first trial exception propagates out of run().
 /// How trials are evaluated with respect to the host process.
 enum class IsolationMode {
   None,  ///< in-process (library default; unit tests, embedding)
@@ -150,13 +149,16 @@ enum class IsolationMode {
          ///< is classified, recorded as a TrialFailure and respawned
 };
 
+/// Fault-tolerance knobs for one campaign (docs/ROBUSTNESS.md). Defaults
+/// keep the legacy all-or-nothing behaviour: no isolation, no watchdog, no
+/// journal; the first trial exception propagates out of run().
 struct ResilienceConfig {
   /// Trap per-trial exceptions/EC_CHECK failures into TrialFailure records
   /// instead of aborting the campaign. Also a prerequisite for the watchdog.
   bool isolate = false;
   /// Process isolation for trial execution (requires `isolate`). Fork mode
   /// produces byte-identical CSV/journal/report output for every trial that
-  /// does not die — the same differential bar as sweep/bulk/threads.
+  /// does not die — the same differential bar as bulk/scan/threads.
   IsolationMode isolation = IsolationMode::None;
   /// Abort the campaign once more than this many trials fail for good
   /// (after retries). Negative = unlimited.
@@ -234,14 +236,6 @@ struct CampaignConfig {
   /// identical to a single-threaded run (crash points are pre-drawn and
   /// records land by index). 0 = use the hardware concurrency.
   int threads = 1;
-  /// Single-sweep trial evaluator: ONE crashing run per campaign captures
-  /// every pending crash point read-only (region path, iteration,
-  /// inconsistency rates, snapshots) and restarts consume the captures from
-  /// a queue, overlapping with the sweep. Off = the per-trial path (one
-  /// crashing run per test). Both modes produce byte-identical results for a
-  /// fixed seed; the sweep drops the crashing phase from O(N·W/2) to O(W)
-  /// tracked accesses.
-  bool sweep = true;
   /// Block-granular bulk path for the apps' range accesses. Off lowers every
   /// loadRange/storeRange to the per-element scalar path inside the runtime.
   /// Both settings produce byte-identical campaign results for a fixed seed
@@ -302,12 +296,12 @@ struct GoldenStats {
 
 /// Everything a trial needs from its crashing run, detached from the runtime
 /// that produced it: the crash-instant context plus the restart input
-/// (restartIteration and the candidate snapshots). The per-trial path fills
-/// one per test; the sweep evaluator fills one per distinct crash index
-/// during its single crashing run and shares it (read-only) between every
-/// trial that drew that index. Adjacent sweep captures with byte-identical
-/// restart inputs form one restart group (docs/INTERNALS.md "Restart
-/// grouping"); only the group leader's capture keeps its snapshot bytes.
+/// (restartIteration and the candidate snapshots). The sweep evaluator fills
+/// one per distinct crash index during its crashing run and shares it
+/// (read-only) between every trial that drew that index. Adjacent sweep
+/// captures with byte-identical restart inputs form one restart group
+/// (docs/INTERNALS.md "Restart grouping"); only the group leader's capture
+/// keeps its snapshot bytes.
 struct SweepCapture {
   std::uint64_t crashAccessIndex = 0;
   runtime::PointId region = runtime::kMainLoopEnd;
@@ -317,6 +311,14 @@ struct SweepCapture {
   std::map<runtime::ObjectId, double> inconsistentRate;
   std::map<runtime::ObjectId, std::vector<std::uint8_t>> snapshots;
 };
+
+/// How one sweep crashing run ended (CampaignRunner::runSweep). A run
+/// visits its crash indices in ascending order, so the captured points are
+/// always a prefix of the planned ones. Defined in campaign.cpp.
+struct SweepOutcome;
+
+/// Receives each sweep capture in crash-index order; false ends the run.
+using CaptureSink = std::function<bool(std::shared_ptr<SweepCapture>)>;
 
 struct CrashTestRecord {
   std::uint64_t crashAccessIndex = 0;
@@ -395,28 +397,37 @@ class CampaignRunner {
   [[nodiscard]] CampaignResult run() const;
 
  private:
-  /// Per-trial path: one crashing run to `crashIndex`, then runRestart.
-  /// Fills `record` in place so that a mid-trial exception leaves the
-  /// partial progress (crash site, region path) readable for the failure
-  /// report. `cancel` is the watchdog flag installed on both simulated
-  /// machines (nullptr = no watchdog).
-  void runOneTest(const GoldenStats& golden, std::uint64_t crashIndex,
-                  std::size_t trial, const std::atomic<bool>* cancel,
-                  CrashTestRecord& record) const;
+  /// The sweep crashing run, shared by both isolation modes: ONE run of the
+  /// app visits `indices` (distinct crash indices, strictly increasing) and
+  /// takes the NVCT post-mortem at each into a SweepCapture handed to
+  /// `sink`, which returns false to end the run early; a real CrashEvent
+  /// armed at the last index ends the run without simulating the tail.
+  /// `trialCounts[i]` is how many trials drew `indices[i]` (trace only).
+  /// In-process the sink queues restarts; in a fork worker it streams the
+  /// capture to the parent. A run that dies early reports the failure
+  /// instead of throwing — unless isolation is off, where the exception
+  /// propagates. `cancel` is the watchdog flag (nullptr = no watchdog) and
+  /// `timeoutMs` the deadline its failure reason names.
+  [[nodiscard]] SweepOutcome runSweep(const GoldenStats& golden,
+                                      const std::vector<std::uint64_t>& indices,
+                                      const std::vector<std::uint64_t>& trialCounts,
+                                      const std::atomic<bool>* cancel,
+                                      std::uint64_t timeoutMs,
+                                      const CaptureSink& sink) const;
 
   /// The per-trial half of a record: reset `record` and copy the capture's
   /// crash context into it (crash index, region, region path, crash and
-  /// restart iteration, inconsistency rates). Every evaluator path stamps
-  /// through here before the restart runs, so a restart that fails still
-  /// names its crash site — whole trials, sweep restarts, restart-group
-  /// members and fork replies alike.
+  /// restart iteration, inconsistency rates). Every restart stamps through
+  /// here before it runs, so a restart that fails still names its crash
+  /// site — in-process restarts, restart-group members and fork replies
+  /// alike.
   static void stampCapture(const SweepCapture& capture, CrashTestRecord& record);
 
   /// The restart half: re-initialise, restore `input`'s snapshots, resume
   /// from its restartIteration and classify S1–S4 into record.response,
   /// extraIterations and note. A pure function of that restart input, which
   /// is what lets one restart decide a whole restart group; shared verbatim
-  /// by every evaluator path, which is what makes them byte-identical.
+  /// by both isolation modes, which is what makes them byte-identical.
   void runRestart(const GoldenStats& golden, const SweepCapture& input,
                   std::size_t trial, const std::atomic<bool>* cancel,
                   CrashTestRecord& record) const;

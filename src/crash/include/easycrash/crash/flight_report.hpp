@@ -10,7 +10,7 @@
 // inputs — no timestamps, sorted iteration orders, fixed float formatting.
 // Finished journals are canonical (compact-on-close), so two campaigns that
 // decided the same trials render byte-identical reports regardless of
-// --threads or --sweep.
+// --threads or --isolation.
 #pragma once
 
 #include <string>

@@ -208,21 +208,16 @@ struct JournalReplay {
 
 // ---- Record transport --------------------------------------------------------
 
-/// The journal's per-trial text format, exposed as the fork evaluator's
-/// result transport: doubles are serialized with %.17g (exact round-trip),
-/// so a record that crossed a worker boundary serializes back to the very
-/// bytes an in-process record would — the foundation of the fork/none
-/// byte-identity guarantee.
+/// The journal's exact trial/header/failure line formats, exposed so the
+/// shard merge core can emit a canonical merged journal byte-identical to
+/// what an unsharded TrialJournal leaves behind on close. Doubles are
+/// serialized with %.17g, so a record round-trips exactly.
 [[nodiscard]] std::string serializeTrialRecord(std::size_t trial,
                                                const CrashTestRecord& record);
-/// The journal's exact header/failure line formats, exposed so the shard
-/// merge core can emit a canonical merged journal byte-identical to what an
-/// unsharded TrialJournal leaves behind on close.
 [[nodiscard]] std::string serializeJournalHeader(const JournalHeader& header);
 [[nodiscard]] std::string serializeFailureRecord(const TrialFailure& failure);
 /// Inverse of serializeTrialRecord. Throws std::runtime_error on malformed
-/// input (a worker that died mid-write never produces a frame, but a wild
-/// write may corrupt one — the campaign maps the throw to a protocol death).
+/// input (a journal line torn or tampered with).
 [[nodiscard]] CrashTestRecord parseTrialRecord(const std::string& line,
                                                std::size_t* trial);
 

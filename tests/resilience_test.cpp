@@ -21,6 +21,7 @@
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
 #include "easycrash/telemetry/metrics.hpp"
+#include "reference_campaign.hpp"
 
 namespace rt = easycrash::runtime;
 namespace cr = easycrash::crash;
@@ -212,16 +213,15 @@ TEST(ResilienceTest, JournalResumeReproducesCampaignExactly) {
 }
 
 TEST(ResilienceTest, InterruptedSweepJournalResumesOnEitherPath) {
-  // Kill a sweep-mode campaign mid-flight (the sweep decides trials in
-  // crash-index order, so the journal holds a scattered set of indices),
-  // then resume it once per evaluator mode: both must reconstruct the
-  // uninterrupted campaign exactly.
+  // Stop a campaign mid-flight (the sweep decides trials in crash-index
+  // order, so the journal holds a scattered set of indices), then resume it
+  // once per isolation mode: both must reconstruct the per-trial reference
+  // campaign exactly.
   StopFlagGuard guard;
   const std::string journal = tempPath("sweep_resume.jsonl");
   std::remove(journal.c_str());
 
   auto config = tinyConfig(30);
-  config.sweep = true;
   config.resilience.isolate = true;
   config.resilience.journalPath = journal;
   config.resilience.journalFlushEvery = 2;
@@ -232,13 +232,14 @@ TEST(ResilienceTest, InterruptedSweepJournalResumesOnEitherPath) {
   EXPECT_LT(partial.tests.size(), 30u);
 
   cr::clearStopFlag();
-  const auto fresh = cr::CampaignRunner(faultyFactory({}), tinyConfig(30)).run();
+  const auto fresh =
+      easycrash::reference::referenceCampaign(faultyFactory({}), tinyConfig(30));
 
-  for (const bool sweepOnResume : {true, false}) {
+  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
     cr::clearStopFlag();
     auto resumeConfig = tinyConfig(30);
-    resumeConfig.sweep = sweepOnResume;
     resumeConfig.resilience.isolate = true;
+    resumeConfig.resilience.isolation = isolation;
     resumeConfig.resilience.resumePath = journal;
     const auto resumed = cr::CampaignRunner(faultyFactory({}), resumeConfig).run();
     EXPECT_FALSE(resumed.interrupted);
@@ -248,7 +249,8 @@ TEST(ResilienceTest, InterruptedSweepJournalResumesOnEitherPath) {
     std::ostringstream b;
     cr::writeCampaignCsv(fresh, a);
     cr::writeCampaignCsv(resumed, b);
-    EXPECT_EQ(a.str(), b.str()) << "sweep-on-resume=" << sweepOnResume;
+    EXPECT_EQ(a.str(), b.str())
+        << (isolation == cr::IsolationMode::Fork ? "fork" : "none");
   }
   std::remove(journal.c_str());
 }
@@ -427,14 +429,15 @@ class SleepyApp final : public rt::IApp {
 
 TEST(ResilienceTest, LateCrashTrialsFitTheScaledBudget) {
   // Regression for the flat-deadline bug: the golden run takes ~40 ms
-  // (8 iterations x 5 ms), and with the 55 ms base deadline below, a
-  // late-crash trial — a near-complete crashing run plus a restart that
-  // re-runs from scratch — costs ~80 ms of sleeps and would be cancelled
-  // spuriously. The per-trial budget (crash fraction + maxIterationFactor)
-  // scales the deadline to ~165 ms, so no trial may time out.
+  // (8 iterations x 5 ms) against the 55 ms base deadline below. The sweep
+  // re-arms the base at every capture, so its crashing run — a whole golden
+  // run's worth of sleeps before the last capture — never owes more than
+  // one base in one stretch; a restart from an early bookmark owes up to the
+  // iteration cap (~80 ms of sleeps) and its budget (remaining iterations
+  // over the golden count) scales the deadline to ~110 ms. No attempt may
+  // time out.
   const std::uint64_t before = counterValue("campaign.trial_timeouts");
   auto config = tinyConfig(6);
-  config.sweep = false;  // the per-trial path arms one whole-trial budget
   config.resilience.isolate = true;
   config.resilience.maxRetries = 0;
   config.resilience.trialTimeoutMs = 55;

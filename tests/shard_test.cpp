@@ -2,7 +2,7 @@
 // "Sharded campaigns"): the trial partition is exact, every shard draws the
 // same campaign, and merging the shard journals reproduces the unsharded
 // run's journal/CSV byte-for-byte — in any merge order, idempotently, and
-// across sweep/thread settings. Mismatched campaigns are rejected loudly.
+// across isolation/thread settings. Mismatched campaigns are rejected loudly.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -20,6 +20,7 @@
 #include "easycrash/crash/status.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
+#include "reference_campaign.hpp"
 
 namespace rt = easycrash::runtime;
 namespace cr = easycrash::crash;
@@ -109,11 +110,12 @@ std::string readFile(const std::string& path) {
 
 /// Run one shard (or the unsharded campaign when count == 1) of the probe
 /// campaign, journaling to `path`. Returns the in-process result.
-cr::CampaignResult runShard(const std::string& path, int tests, int index,
-                            int count, bool sweep = true, int threads = 1) {
+cr::CampaignResult runShard(const std::string& path, int tests, int index, int count,
+                            cr::IsolationMode isolation = cr::IsolationMode::None,
+                            int threads = 1) {
   std::remove(path.c_str());
   auto config = tinyConfig(tests);
-  config.sweep = sweep;
+  config.resilience.isolation = isolation;
   config.threads = threads;
   config.shard.index = index;
   config.shard.count = count;
@@ -170,22 +172,26 @@ TEST(ShardTest, CampaignHashIgnoresShardCoordinates) {
 // ---- Byte-identity ----------------------------------------------------------
 
 TEST(ShardTest, MergedShardJournalsMatchUnshardedRunByteForByte) {
+  // The unsharded reference: the per-trial model's campaign, journaled.
   const std::string ref = tempPath("shard_ref.jsonl");
-  const auto fresh = runShard(ref, 30, 0, 1);
+  auto refConfig = tinyConfig(30);
+  refConfig.resilience.isolate = true;
+  const auto fresh = easycrash::reference::referenceCampaign(probeFactory(), refConfig);
+  easycrash::reference::writeReferenceJournal(fresh, refConfig, ref);
   const std::string refBytes = readFile(ref);
 
-  // The partition must hold whichever evaluator/thread mix each shard used.
+  // The partition must hold whichever isolation/thread mix each shard used.
   struct Mix {
-    bool sweep;
+    cr::IsolationMode isolation;
     int threads;
   };
-  const Mix mixes[] = {{true, 1}, {false, 2}};
+  const Mix mixes[] = {{cr::IsolationMode::None, 1}, {cr::IsolationMode::Fork, 2}};
   for (const auto& mix : mixes) {
     std::vector<std::string> paths;
     for (int index = 0; index < 2; ++index) {
       const std::string path =
           tempPath(("shard_half" + std::to_string(index) + ".jsonl").c_str());
-      const auto part = runShard(path, 30, index, 2, mix.sweep, mix.threads);
+      const auto part = runShard(path, 30, index, 2, mix.isolation, mix.threads);
       EXPECT_EQ(part.tests.size(), 15u);
       paths.push_back(path);
     }
@@ -193,7 +199,8 @@ TEST(ShardTest, MergedShardJournalsMatchUnshardedRunByteForByte) {
     EXPECT_TRUE(merge.complete());
     EXPECT_EQ(merge.shardsSeen.size(), 2u);
     EXPECT_EQ(cr::renderMergedJournal(merge), refBytes)
-        << "sweep=" << mix.sweep << " threads=" << mix.threads;
+        << "fork=" << (mix.isolation == cr::IsolationMode::Fork)
+        << " threads=" << mix.threads;
 
     std::ostringstream csv;
     cr::writeCampaignCsv(fresh, csv);

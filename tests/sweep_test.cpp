@@ -1,23 +1,29 @@
 // Tests for the single-sweep campaign evaluator (docs/INTERNALS.md): the
 // runtime's multi-arm capture API, capture non-perturbation, and the
-// campaign-level guarantee that --sweep on/off produce byte-identical
-// results across thread counts, duplicate crash indices, and the fallback
-// path taken when the sweep run itself dies.
+// campaign-level guarantee that the sweep reproduces the per-trial reference
+// model (reference_campaign.hpp) byte for byte — across thread counts and
+// isolation modes, duplicate crash indices, real apps, and sweeps that die
+// and restart at their first uncaptured point.
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "easycrash/apps/registry.hpp"
 #include "easycrash/crash/campaign.hpp"
 #include "easycrash/crash/report.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
 #include "easycrash/telemetry/metrics.hpp"
+#include "reference_campaign.hpp"
 
 namespace rt = easycrash::runtime;
 namespace cr = easycrash::crash;
@@ -150,6 +156,18 @@ std::string campaignCsv(const cr::CampaignResult& campaign) {
 
 std::uint64_t counterValue(const char* name) {
   return tl::MetricsRegistry::instance().counter(name).value();
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  EXPECT_TRUE(is) << "cannot open " << path;
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+const char* isolationName(cr::IsolationMode isolation) {
+  return isolation == cr::IsolationMode::Fork ? "fork" : "none";
 }
 
 void expectSameFailures(const cr::CampaignResult& a, const cr::CampaignResult& b) {
@@ -353,23 +371,19 @@ TEST(CaptureApiTest, ArmedCapturesDoNotPerturbTheRun) {
 
 // ---- Campaign-level equivalence ---------------------------------------------
 
-TEST(SweepTest, SweepOnMatchesSweepOffAcrossThreadCounts) {
+TEST(SweepTest, SweepMatchesThePerTrialReferenceAcrossThreadCounts) {
   auto config = tinyConfig(40);
   config.resilience.isolate = true;
+  const auto reference = easycrash::reference::referenceCampaign(sweepFactory({}), config);
+  EXPECT_TRUE(reference.failures.empty());
 
-  config.sweep = false;
-  const auto off = cr::CampaignRunner(sweepFactory({}), config).run();
-  EXPECT_TRUE(off.failures.empty());
-
-  config.sweep = true;
-  const auto on1 = cr::CampaignRunner(sweepFactory({}), config).run();
-  config.threads = 4;
-  const auto on4 = cr::CampaignRunner(sweepFactory({}), config).run();
-
-  expectSameRecords(off, on1);
-  expectSameRecords(off, on4);
-  EXPECT_EQ(campaignCsv(off), campaignCsv(on1));
-  EXPECT_EQ(campaignCsv(off), campaignCsv(on4));
+  for (const int threads : {1, 4}) {
+    config.threads = threads;
+    const auto sweep = cr::CampaignRunner(sweepFactory({}), config).run();
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expectSameRecords(reference, sweep);
+    EXPECT_EQ(campaignCsv(reference), campaignCsv(sweep));
+  }
 }
 
 TEST(SweepTest, DuplicateCrashIndicesShareOneCaptureAndStayIdentical) {
@@ -380,20 +394,17 @@ TEST(SweepTest, DuplicateCrashIndicesShareOneCaptureAndStayIdentical) {
   knobs.iterations = 3;
   auto config = tinyConfig(200);
   config.resilience.isolate = true;
-
-  config.sweep = false;
-  const auto off = cr::CampaignRunner(sweepFactory(knobs), config).run();
+  const auto reference = easycrash::reference::referenceCampaign(sweepFactory(knobs), config);
 
   const auto runsBefore = counterValue("campaign.sweep_runs");
   const auto capturesBefore = counterValue("campaign.sweep_captures");
-  config.sweep = true;
-  const auto on = cr::CampaignRunner(sweepFactory(knobs), config).run();
-  expectSameRecords(off, on);
-  EXPECT_EQ(campaignCsv(off), campaignCsv(on));
+  const auto sweep = cr::CampaignRunner(sweepFactory(knobs), config).run();
+  expectSameRecords(reference, sweep);
+  EXPECT_EQ(campaignCsv(reference), campaignCsv(sweep));
 
   std::set<std::uint64_t> distinct;
-  for (const auto& record : on.tests) distinct.insert(record.crashAccessIndex);
-  ASSERT_EQ(on.tests.size(), 200u);
+  for (const auto& record : sweep.tests) distinct.insert(record.crashAccessIndex);
+  ASSERT_EQ(sweep.tests.size(), 200u);
   EXPECT_LT(distinct.size(), 200u) << "window too large to force duplicates";
   // One crashing run, one capture per DISTINCT index — duplicates share.
   EXPECT_EQ(counterValue("campaign.sweep_runs") - runsBefore, 1u);
@@ -401,81 +412,143 @@ TEST(SweepTest, DuplicateCrashIndicesShareOneCaptureAndStayIdentical) {
             distinct.size());
 }
 
-TEST(SweepTest, SweepRunFailureFallsBackToThePerTrialPath) {
-  // The app dies at iteration 3, so the sweep run can only capture crash
-  // points inside the first two iterations; everything later must fall back
-  // to the per-trial path and be recorded as the same trial failures the
-  // legacy mode produces.
+TEST(SweepTest, DeadSweepRestartsAtTheFirstUncapturedPoint) {
+  // Crashing runs die at iteration 3, so a sweep captures only the crash
+  // points inside the first two iterations. Each death charges one attempt
+  // to the head — the first uncaptured point — and a fresh sweep restarts
+  // there; once the head's attempts are spent, its trials fail and the next
+  // sweep starts one point later. Every record, every failure (kind,
+  // attempts, reason, crash site) and the retry/failure counters must equal
+  // the per-trial reference's, under either isolation mode.
   SweepApp::Knobs knobs;
   knobs.throwAtIteration = 3;
-  auto config = tinyConfig(30);
-  config.resilience.isolate = true;
-  config.resilience.maxRetries = 0;
+  for (const int retries : {0, 1}) {
+    auto config = tinyConfig(30);
+    config.resilience.isolate = true;
+    config.resilience.maxRetries = retries;
+    config.resilience.retryBackoffMs = 0;
+    const auto reference =
+        easycrash::reference::referenceCampaign(sweepFactory(knobs), config);
+    ASSERT_GT(reference.failures.size(), 0u) << "expected late crash points to fail";
+    ASSERT_GT(reference.tests.size(), 0u) << "expected early crash points to complete";
+    std::set<std::uint64_t> failedPoints;
+    for (const auto& failure : reference.failures) {
+      failedPoints.insert(failure.crashAccessIndex);
+    }
+    // The last crash point lies past the throw, so no sweep ever completes:
+    // every sweep run ends in exactly one charged death.
+    const std::uint64_t chargedDeaths =
+        failedPoints.size() * static_cast<std::uint64_t>(1 + retries);
 
-  config.sweep = false;
-  const auto off = cr::CampaignRunner(sweepFactory(knobs), config).run();
-
-  const auto fallbacksBefore = counterValue("campaign.sweep_fallbacks");
-  config.sweep = true;
-  const auto on = cr::CampaignRunner(sweepFactory(knobs), config).run();
-
-  ASSERT_GT(off.failures.size(), 0u) << "expected late crash points to fail";
-  ASSERT_GT(off.tests.size(), 0u) << "expected early crash points to complete";
-  expectSameRecords(off, on);
-  ASSERT_EQ(on.failures.size(), off.failures.size());
-  for (std::size_t i = 0; i < off.failures.size(); ++i) {
-    EXPECT_EQ(on.failures[i].trial, off.failures[i].trial);
-    EXPECT_EQ(on.failures[i].reason, off.failures[i].reason);
-    EXPECT_EQ(on.failures[i].regionPath, off.failures[i].regionPath);
+    for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+      config.resilience.isolation = isolation;
+      const auto retriesBefore = counterValue("campaign.trial_retries");
+      const auto failuresBefore = counterValue("campaign.trial_failures");
+      const auto runsBefore = counterValue("campaign.sweep_runs");
+      const auto fallbacksBefore = counterValue("campaign.sweep_fallbacks");
+      const auto sweep = cr::CampaignRunner(sweepFactory(knobs), config).run();
+      SCOPED_TRACE(std::string(isolationName(isolation)) +
+                   " retries=" + std::to_string(retries));
+      expectSameRecords(reference, sweep);
+      expectSameFailures(reference, sweep);
+      EXPECT_EQ(counterValue("campaign.trial_retries") - retriesBefore,
+                reference.failures.size() * static_cast<std::uint64_t>(retries));
+      EXPECT_EQ(counterValue("campaign.trial_failures") - failuresBefore,
+                reference.failures.size());
+      EXPECT_EQ(counterValue("campaign.sweep_runs") - runsBefore, chargedDeaths);
+      EXPECT_GT(counterValue("campaign.sweep_fallbacks") - fallbacksBefore, 0u);
+    }
   }
-  EXPECT_GT(counterValue("campaign.sweep_fallbacks") - fallbacksBefore, 0u);
 }
 
 TEST(SweepTest, ThrowBeforeArmedCrashStillNamesTheCrashSite) {
-  // Regression: the crashing run re-zeroed the record, so a trial that threw
-  // before its armed crash fired reported regionPath "main" instead of the
-  // region stack the run actually stood in when it died.
+  // Regression: a trial whose crashing run threw before its crash point
+  // reported regionPath "main" instead of the region stack the run actually
+  // stood in when it died.
   SweepApp::Knobs knobs;
   knobs.throwAtIteration = 2;
   auto config = tinyConfig(20);
-  config.sweep = false;
   config.resilience.isolate = true;
   config.resilience.maxRetries = 0;
-
-  const auto result = cr::CampaignRunner(sweepFactory(knobs), config).run();
-  ASSERT_GT(result.failures.size(), 0u);
-  for (const auto& failure : result.failures) {
-    // The induced throw happens inside region 0 ("R1").
-    EXPECT_EQ(failure.regionPath, "R1") << "trial " << failure.trial;
+  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+    config.resilience.isolation = isolation;
+    const auto result = cr::CampaignRunner(sweepFactory(knobs), config).run();
+    SCOPED_TRACE(isolationName(isolation));
+    ASSERT_GT(result.failures.size(), 0u);
+    for (const auto& failure : result.failures) {
+      // The induced throw happens inside region 0 ("R1").
+      EXPECT_EQ(failure.regionPath, "R1") << "trial " << failure.trial;
+    }
   }
 }
+
+namespace {
+
+/// The sweep against the reference on a real app, on every thread/isolation
+/// axis: records, CSV bytes, and completed-journal bytes (the reference
+/// journal written through TrialJournal). sp shares few restart inputs; ft
+/// shares most, so its grouping carries the comparison.
+void expectAppMatchesTheReference(const std::string& app, int tests) {
+  const auto& entry = easycrash::apps::findBenchmark(app);
+  cr::CampaignConfig config;
+  config.numTests = tests;
+  config.appLabel = entry.name;
+  config.resilience.isolate = true;
+  const auto reference = easycrash::reference::referenceCampaign(entry.factory, config);
+  ASSERT_TRUE(reference.failures.empty());
+  const std::string referencePath = testing::TempDir() + app + "_reference.jsonl";
+  easycrash::reference::writeReferenceJournal(reference, config, referencePath);
+  const std::string referenceJournal = readFile(referencePath);
+  std::remove(referencePath.c_str());
+
+  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+    for (const int threads : {1, 4}) {
+      const std::string path = testing::TempDir() + app + "_sweep.jsonl";
+      std::remove(path.c_str());
+      config.resilience.isolation = isolation;
+      config.resilience.journalPath = path;
+      config.threads = threads;
+      const auto sweep = cr::CampaignRunner(entry.factory, config).run();
+      SCOPED_TRACE(app + " " + isolationName(isolation) +
+                   " threads=" + std::to_string(threads));
+      expectSameRecords(reference, sweep);
+      EXPECT_EQ(campaignCsv(reference), campaignCsv(sweep));
+      EXPECT_EQ(readFile(path), referenceJournal);
+      std::remove(path.c_str());
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SweepReferenceTest, SpMatchesOnEveryAxis) { expectAppMatchesTheReference("sp", 12); }
+
+TEST(SweepReferenceTest, FtMatchesOnEveryAxis) { expectAppMatchesTheReference("ft", 60); }
 
 // ---- Restart grouping -------------------------------------------------------
 
 TEST(RestartGroupTest, GroupedRecordsMatchThePerTrialPathOnEveryAxis) {
   auto config = tinyConfig(60);
   config.resilience.isolate = true;
-  config.sweep = false;
-  const auto off = cr::CampaignRunner(sweepFactory({}), config).run();
-  ASSERT_TRUE(off.failures.empty());
-  const std::size_t groups = adjacentDistinctInputs(sweepFactory({}), config, off);
-  ASSERT_LT(groups, off.tests.size()) << "no two adjacent captures share an input";
+  const auto reference = easycrash::reference::referenceCampaign(sweepFactory({}), config);
+  ASSERT_TRUE(reference.failures.empty());
+  const std::size_t groups = adjacentDistinctInputs(sweepFactory({}), config, reference);
+  ASSERT_LT(groups, reference.tests.size()) << "no two adjacent captures share an input";
 
-  config.sweep = true;
   for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
     for (const int threads : {1, 4}) {
       config.resilience.isolation = isolation;
       config.threads = threads;
       const auto hits = counterValue("campaign.restart_memo_hits");
       const auto misses = counterValue("campaign.restart_memo_misses");
-      const auto on = cr::CampaignRunner(sweepFactory({}), config).run();
-      SCOPED_TRACE(std::string(isolation == cr::IsolationMode::Fork ? "fork" : "none") +
+      const auto grouped = cr::CampaignRunner(sweepFactory({}), config).run();
+      SCOPED_TRACE(std::string(isolationName(isolation)) +
                    " threads=" + std::to_string(threads));
-      expectSameRecords(off, on);
-      EXPECT_EQ(campaignCsv(off), campaignCsv(on));
+      expectSameRecords(reference, grouped);
+      EXPECT_EQ(campaignCsv(reference), campaignCsv(grouped));
       EXPECT_EQ(counterValue("campaign.restart_memo_misses") - misses, groups);
       EXPECT_EQ(counterValue("campaign.restart_memo_hits") - hits,
-                off.tests.size() - groups);
+                reference.tests.size() - groups);
     }
   }
 }
@@ -483,33 +556,31 @@ TEST(RestartGroupTest, GroupedRecordsMatchThePerTrialPathOnEveryAxis) {
 TEST(RestartGroupTest, ALeadersFailureIsNeverShared) {
   // Restarts resuming at iteration 1..3 throw; later ones succeed. When a
   // group's leader fails, each follower must run — and fail — on its own,
-  // with the per-trial path's kind, reason, crash site and attempts.
+  // with the reference's kind, reason, crash site and attempts.
   SweepApp::Knobs knobs;
   knobs.restartThrowsAt = 3;
   auto config = tinyConfig(60);
   config.resilience.isolate = true;
   config.resilience.maxRetries = 1;
   config.resilience.retryBackoffMs = 0;
-  config.sweep = false;
-  const auto off = cr::CampaignRunner(sweepFactory(knobs), config).run();
-  ASSERT_GT(off.failures.size(), 0u) << "expected early restarts to fail";
-  ASSERT_GT(off.tests.size(), 0u) << "expected late restarts to succeed";
-  const std::size_t groups = adjacentDistinctInputs(sweepFactory(knobs), config, off);
+  const auto reference = easycrash::reference::referenceCampaign(sweepFactory(knobs), config);
+  ASSERT_GT(reference.failures.size(), 0u) << "expected early restarts to fail";
+  ASSERT_GT(reference.tests.size(), 0u) << "expected late restarts to succeed";
+  const std::size_t groups = adjacentDistinctInputs(sweepFactory(knobs), config, reference);
 
-  config.sweep = true;
   for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
     config.resilience.isolation = isolation;
     const auto misses = counterValue("campaign.restart_memo_misses");
     const auto retries = counterValue("campaign.trial_retries");
-    const auto on = cr::CampaignRunner(sweepFactory(knobs), config).run();
-    SCOPED_TRACE(isolation == cr::IsolationMode::Fork ? "fork" : "none");
-    expectSameRecords(off, on);
-    expectSameFailures(off, on);
-    EXPECT_EQ(counterValue("campaign.trial_retries") - retries, off.failures.size());
+    const auto grouped = cr::CampaignRunner(sweepFactory(knobs), config).run();
+    SCOPED_TRACE(isolationName(isolation));
+    expectSameRecords(reference, grouped);
+    expectSameFailures(reference, grouped);
+    EXPECT_EQ(counterValue("campaign.trial_retries") - retries, reference.failures.size());
     // Every failed trial ran its own restart; only successes were shared.
     const auto executed = counterValue("campaign.restart_memo_misses") - misses;
     EXPECT_GT(executed, groups) << "no failing group had a follower";
-    EXPECT_GE(executed, off.failures.size());
+    EXPECT_GE(executed, reference.failures.size());
   }
 }
 
@@ -518,25 +589,19 @@ TEST(RestartGroupTest, PhaseHistogramsAgreeAcrossIsolation) {
   // campaign reports the same observation counts as an in-process one —
   // and restart_us counts exactly the restarts executed.
   (void)cr::CampaignRunner(sweepFactory({}), tinyConfig(0)).run();  // registers them
-  for (const bool sweep : {true, false}) {
-    auto config = tinyConfig(24);
-    config.sweep = sweep;
-    config.threads = 2;
-    config.resilience.isolate = true;
-    std::vector<std::vector<std::uint64_t>> counts;
-    for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
-      config.resilience.isolation = isolation;
-      const auto before = phaseCounts();
-      const auto misses = counterValue("campaign.restart_memo_misses");
-      (void)cr::CampaignRunner(sweepFactory({}), config).run();
-      counts.push_back(minus(phaseCounts(), before));
-      if (sweep) {
-        EXPECT_EQ(counts.back()[2], counterValue("campaign.restart_memo_misses") - misses);
-      }
-    }
-    SCOPED_TRACE(sweep ? "sweep on" : "sweep off");
-    EXPECT_EQ(counts[0], counts[1]);
-    EXPECT_EQ(counts[0][0], sweep ? 1u : 24u);  // crash_run spans
-    EXPECT_GT(counts[0][1], 0u);
+  auto config = tinyConfig(24);
+  config.threads = 2;
+  config.resilience.isolate = true;
+  std::vector<std::vector<std::uint64_t>> counts;
+  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+    config.resilience.isolation = isolation;
+    const auto before = phaseCounts();
+    const auto misses = counterValue("campaign.restart_memo_misses");
+    (void)cr::CampaignRunner(sweepFactory({}), config).run();
+    counts.push_back(minus(phaseCounts(), before));
+    EXPECT_EQ(counts.back()[2], counterValue("campaign.restart_memo_misses") - misses);
   }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(counts[0][0], 1u);  // one crash_run span: the sweep
+  EXPECT_GT(counts[0][1], 0u);
 }

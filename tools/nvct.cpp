@@ -21,14 +21,13 @@
 //   nvct report --journal mg.jsonl --trace mg_trace.jsonl
 //        --metrics mg_metrics.json --out mg_report.md
 //
-// Performance (docs/INTERNALS.md): by default one sweep run captures every
-// pending crash point and the restarts pipeline behind it (--sweep off
-// restores the one-crashing-run-per-trial path; results are byte-identical),
-// the apps' range accesses take the block-granular bulk path (--bulk off
-// restores the per-element scalar path; results are byte-identical), and the
-// post-mortem inconsistency scan walks a dirty-block index with a vectorized
-// compare kernel (--scan off restores the probe-every-level scalar walk;
-// results are byte-identical).
+// Performance (docs/INTERNALS.md): one sweep run captures every pending
+// crash point and the restarts pipeline behind it, the apps' range accesses
+// take the block-granular bulk path (--bulk off restores the per-element
+// scalar path; results are byte-identical), and the post-mortem
+// inconsistency scan walks a dirty-block index with a vectorized compare
+// kernel (--scan off restores the probe-every-level scalar walk; results
+// are byte-identical).
 //
 // Fault tolerance (docs/ROBUSTNESS.md): trials are isolated (a throwing
 // trial becomes a reported TrialFailure, bounded by --max-trial-failures),
@@ -207,10 +206,6 @@ int main(int argc, char** argv) {
                 "points but executes only the trials with index % k == i; "
                 "fold the k shard journals with `nvct merge` — the merged "
                 "journal/CSV/report are byte-identical to the unsharded run");
-  cli.addString("sweep", "on",
-                "single-sweep evaluator: capture every crash point in one "
-                "crashing run and pipeline the restarts (on|off; off = the "
-                "per-trial path, byte-identical results)");
   cli.addString("bulk", "on",
                 "block-granular bulk path for the apps' range accesses "
                 "(on|off; off = per-element scalar path, byte-identical "
@@ -346,12 +341,6 @@ int main(int argc, char** argv) {
       config.mode = ec::crash::SnapshotMode::Coherent;
     } else if (mode != "nvm") {
       throw std::runtime_error("--mode must be 'nvm' or 'coherent'");
-    }
-    const std::string sweep = cli.getString("sweep");
-    if (sweep == "off") {
-      config.sweep = false;
-    } else if (sweep != "on") {
-      throw std::runtime_error("--sweep must be 'on' or 'off'");
     }
     const std::string bulk = cli.getString("bulk");
     if (bulk == "off") {
