@@ -175,13 +175,13 @@ struct CampaignMetrics {
     flushNonResident.add(ev.flushNonResident);
     flushInducedNvmWrites.add(ev.flushInducedNvmWrites);
     // Diagnostics of the bulk fast path (call counts, not logical accesses):
-    // zero when --bulk off, so they never feed equivalence comparisons.
+    // zero on the scalar path, so they never feed equivalence comparisons.
     rangeLoads.add(ev.rangeLoads);
     rangeStores.add(ev.rangeStores);
     rangeSplitBlocks.add(ev.rangeSplitBlocks);
     rangeAccesses.add(ev.rangeLoads + ev.rangeStores);
-    // Diagnostics of the post-mortem scan fast path: zero when --scan off,
-    // so they never feed equivalence comparisons either.
+    // Diagnostics of the post-mortem scan fast path: zero on the scalar
+    // walk, so they never feed equivalence comparisons either.
     postmortemBlocksSkipped.add(ev.postmortemBlocksSkipped);
     postmortemBlocksCompared.add(ev.postmortemBlocksCompared);
     postmortemBytesCompared.add(ev.postmortemBytesCompared);
@@ -744,20 +744,14 @@ struct SweepOutcome {
 namespace {
 
 /// The failure fields of the exception in flight; call only from a catch
-/// block. A worker death passes through; a watchdog cancel and any
-/// std::exception name `regionPath`, where the attempt stood when it died.
-/// Anything else propagates.
-AttemptFailure currentFailure(const std::vector<runtime::PointId>& regionPath,
-                              std::uint64_t timeoutMs) {
+/// block. A worker death passes through; any std::exception names
+/// `regionPath`, where the attempt stood when it died. Anything else
+/// propagates.
+AttemptFailure currentFailure(const std::vector<runtime::PointId>& regionPath) {
   try {
     throw;
   } catch (const AttemptFailure& f) {
     return f;
-  } catch (const runtime::TrialCancelled&) {
-    return {"timeout", true,
-            "watchdog: trial exceeded its " + std::to_string(timeoutMs) +
-                " ms deadline",
-            formatRegionPath(regionPath)};
   } catch (const std::exception& e) {
     return {"exception", false, e.what(), formatRegionPath(regionPath)};
   }
@@ -802,20 +796,397 @@ AttemptFailure classifyDeath(const WorkerPool::Reply& reply,
   return f;
 }
 
-std::string responseTally(const std::array<int, 4>& counts) {
-  std::string out;
-  for (int s = 0; s < 4; ++s) {
-    if (s) out += ' ';
-    out += 'S';
-    out += static_cast<char>('1' + s);
-    out += ':';
-    out += std::to_string(counts[s]);
-  }
-  return out;
+/// Whole milliseconds of a computed deadline, saturated: NaN and negatives
+/// read 0, and anything past ~31 years clamps, so neither the conversion
+/// nor adding the deadline to the steady clock can overflow.
+std::uint64_t saturatingMs(double ms) {
+  constexpr double kMaxMs = 1e12;
+  if (!(ms > 0.0)) return 0;
+  return static_cast<std::uint64_t>(std::min(ms, kMaxMs));
 }
 
 }  // namespace
 
+/// The worker child's request loop body (one call per request frame). Runs
+/// the same runSweep/runRestart the in-process evaluator runs — byte-for-
+/// byte the same simulation — and ships the result (or the failure), the
+/// run's MemEvents, the profile increment and the buffered trace lines back
+/// through the pipe protocol. Lives outside the anonymous namespace so
+/// CampaignRunner can befriend it into its private evaluator internals.
+struct ForkChildServer {
+  const CampaignRunner& runner;
+  const GoldenStats& golden;
+
+  void serve(int slot, const std::string& request,
+             const WorkerPool::ChildChannel& ch) const {
+    (void)slot;
+    WireReader req(request);
+    const std::uint8_t op = req.u8();
+    ChildRunCollector collector;
+    g_childRunCollector = &collector;
+    static ChildFaultContext faultCtx;
+    faultCtx.plan = runner.config_.inject;
+    faultCtx.blackBox = ch.arena();
+    faultCtx.responseFd = ch.responseFd();
+    g_childFault = runner.config_.inject.active() ? &faultCtx : nullptr;
+    try {
+      switch (op) {
+        case 'R':
+          serveRestart(req, ch, collector);
+          break;
+        case 'S':
+          serveSweep(req, ch, collector);
+          break;
+        default:
+          throw std::runtime_error("fork worker: unknown request op");
+      }
+    } catch (...) {
+      g_childRunCollector = nullptr;
+      throw;  // escapes to childMain: bad_alloc -> OOM exit, rest -> protocol
+    }
+    g_childRunCollector = nullptr;
+  }
+
+ private:
+  /// Run one restart attempt from the shipped restart input, then ship an
+  /// 'r' frame: status 0 carries the outcome (response, extra iterations,
+  /// note), status 1 the exception text — the parent names the crash site
+  /// from its own stamped record. Both carry the collector's accounting: a
+  /// failed attempt still simulated runs the parent must account, exactly as
+  /// the in-process evaluator records them before its exception propagates.
+  void serveRestart(WireReader& req, const WorkerPool::ChildChannel& ch,
+                    ChildRunCollector& collector) const {
+    const std::uint64_t trial = req.u64();
+    SweepCapture input;
+    decodeRestartInput(req, input, ch.arena(), ch.arenaBytes());
+    CrashTestRecord record;
+    std::string error;
+    bool failed = false;
+    try {
+      runner.runRestart(golden, input, static_cast<std::size_t>(trial), record);
+    } catch (const std::bad_alloc&) {
+      throw;  // childMain -> _exit(kWorkerOomExit)
+    } catch (const std::exception& e) {
+      failed = true;
+      error = e.what();
+    }
+    WireWriter resp;
+    resp.u8('r');
+    resp.u8(failed ? 1 : 0);
+    collector.encode(resp);
+    if (failed) {
+      resp.str(error);
+    } else {
+      resp.u8(static_cast<std::uint8_t>(record.response));
+      resp.i64(record.extraIterations);
+      resp.str(record.note);
+    }
+    ch.send(resp.take());
+  }
+
+  /// The sweep crashing run, child side: stream each capture as a 'c' frame
+  /// and wait for the parent's 'A' ack (that handshake IS the restart-queue
+  /// backpressure), then ship the 'e' summary with the run's failure fields.
+  void serveSweep(WireReader& req, const WorkerPool::ChildChannel& ch,
+                  ChildRunCollector& collector) const {
+    const std::uint64_t count = req.u64();
+    std::vector<std::uint64_t> indices(static_cast<std::size_t>(count));
+    std::vector<std::uint64_t> trialCounts(indices.size());
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      indices[i] = req.u64();
+      trialCounts[i] = req.u64();
+    }
+    const SweepOutcome outcome = runner.runSweep(
+        golden, indices, trialCounts, [&ch](std::shared_ptr<SweepCapture> capture) {
+          WireWriter frame;
+          frame.u8('c');
+          encodeCapture(frame, *capture, ch.arena(), ch.arenaBytes());
+          ch.send(frame.take());
+          std::string ack;
+          return ch.recv(ack) && !ack.empty() && ack[0] == 'A';
+        });
+    WireWriter resp;
+    resp.u8('e');
+    resp.u8(outcome.completed ? 1 : 0);
+    resp.u64(outcome.captured);
+    resp.u8(outcome.failure ? 1 : 0);
+    if (outcome.failure) {
+      resp.str(outcome.failure->kind);
+      resp.u8(outcome.failure->timeout ? 1 : 0);
+      resp.str(outcome.failure->reason);
+      resp.str(outcome.failure->regionPath);
+    }
+    collector.encode(resp);
+    ch.send(resp.take());
+  }
+};
+
+/// The parent half of the fork protocol: a pre-forked WorkerPool, one slot
+/// per restart worker plus one for the producer's crashing run, and the two
+/// requests a campaign sends it — a restart ('R') and a sweep ('S', which
+/// streams its captures back). Every worker death surfaces as an
+/// AttemptFailure, counted and traced here. This is also where the trial
+/// deadline lives: receive() SIGKILLs a worker whose reply misses it, which
+/// reclaims even a hang that never reaches a tracked access.
+class ForkParent {
+ public:
+  /// Forks the workers. Constructed after the golden run and the sweep plan,
+  /// so children inherit every immutable input by memory (config, plan,
+  /// golden stats) — and a respawned worker forks from the same state, so a
+  /// replacement child is indistinguishable from the original. The arenas
+  /// are sized off `captureBytes`, one capture's candidate bytes.
+  /// `timeoutMs` is the base deadline (0 = none).
+  ForkParent(const CampaignRunner& runner, const GoldenStats& golden, int slots,
+             std::size_t captureBytes, std::uint64_t timeoutMs)
+      : runner_(runner),
+        childServer_{runner, golden},
+        timeoutMs_(timeoutMs),
+        pool_(slots, kBlackBoxBytes + captureBytes + captureBytes / 8 + 4096,
+              [this](int slot, const std::string& request,
+                     const WorkerPool::ChildChannel& ch) {
+                childServer_.serve(slot, request, ch);
+              },
+              forkHooks()) {
+    CampaignMetrics::get().workerSpawns.add(pool_.spawnCount());
+  }
+
+  /// The restart of trial t in worker w: ship only the restart input and
+  /// copy the reply's outcome onto `record`, which the caller stamped with
+  /// the trial's own capture — so a restart that throws names the stamped
+  /// crash site, as it does in-process. `budget` scales the deadline. A
+  /// reply that does not decode is a protocol death: the stream may be
+  /// desynchronized, so the worker is killed and the next attempt starts
+  /// fresh. Throws AttemptFailure.
+  void restart(std::size_t t, int w, const SweepCapture& input, double budget,
+               CrashTestRecord& record) {
+    const pid_t pid = ensureWorker(w);
+    WireWriter req;
+    req.u8('R');
+    req.u64(t);
+    encodeRestartInput(req, input, pool_.arena(w), pool_.arenaBytes());
+    (void)pool_.send(w, req.take());  // a dead worker surfaces in receive()
+    const std::string frame = receive(w, pid, deadline(budget));
+    try {
+      WireReader r(frame);
+      if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
+      const std::uint8_t status = r.u8();
+      absorbChildRuns(r);
+      if (status != 0) {
+        throw AttemptFailure{"exception", false, r.str(),
+                             formatRegionPath(record.regionPath)};
+      }
+      const std::uint8_t response = r.u8();
+      if (response > static_cast<std::uint8_t>(Response::S4)) {
+        throw std::runtime_error("response class out of range");
+      }
+      record.response = static_cast<Response>(response);
+      record.extraIterations = static_cast<int>(r.i64());
+      record.note = r.str();
+    } catch (const std::exception& e) {
+      killWorker(w);
+      throw AttemptFailure{"protocol", false,
+                           std::string("worker reply malformed: ") + e.what(), ""};
+    }
+  }
+
+  /// One sweep over `indices` in the slot's worker (runSweep's contract).
+  /// The child streams each capture back as a 'c' frame; the parent decodes
+  /// it out of the shared arena, hands it to `sink` and acks — the ack
+  /// handshake IS the backpressure an in-process sink applies by blocking.
+  /// A worker death ends the sweep with its failure.
+  SweepOutcome sweep(int slot, const std::vector<std::uint64_t>& indices,
+                     const std::vector<std::uint64_t>& trialCounts,
+                     const CaptureSink& sink) {
+    SweepOutcome outcome;
+    try {
+      const pid_t pid = ensureWorker(slot);
+      WireWriter req;
+      req.u8('S');
+      req.u64(indices.size());
+      for (std::size_t i = 0; i < indices.size(); ++i) {
+        req.u64(indices[i]);
+        req.u64(trialCounts[i]);
+      }
+      (void)pool_.send(slot, req.take());
+      for (;;) {
+        const std::string frame = receive(slot, pid, deadline(1.0));
+        WireReader r(frame);
+        const std::uint8_t tag = r.u8();
+        if (tag == 'c') {
+          auto capture = std::make_shared<SweepCapture>(
+              decodeCapture(r, pool_.arena(slot), pool_.arenaBytes()));
+          EC_CHECK_MSG(outcome.captured < indices.size() &&
+                           indices[outcome.captured] == capture->crashAccessIndex,
+                       "fork sweep: capture out of order");
+          ++outcome.captured;
+          // A non-'A' ack tells the child to wind down; it still ships its
+          // 'e' summary so the crashing run's events are accounted.
+          (void)pool_.send(slot, std::string(sink(std::move(capture)) ? "A" : "X"));
+        } else if (tag == 'e') {
+          outcome.completed = r.u8() != 0;
+          if (r.u64() != outcome.captured) {
+            throw std::runtime_error("fork sweep: capture count mismatch");
+          }
+          if (r.u8() != 0) {
+            AttemptFailure& f = outcome.failure.emplace();
+            f.kind = r.str();
+            f.timeout = r.u8() != 0;
+            f.reason = r.str();
+            f.regionPath = r.str();
+          }
+          absorbChildRuns(r);
+          return outcome;
+        } else {
+          throw std::runtime_error("fork sweep: unexpected frame tag");
+        }
+      }
+    } catch (AttemptFailure& f) {
+      outcome.failure = std::move(f);
+    } catch (const std::exception& e) {
+      killWorker(slot);
+      outcome.failure = AttemptFailure{
+          "protocol", false, std::string("worker reply malformed: ") + e.what(), ""};
+    }
+    return outcome;
+  }
+
+  [[nodiscard]] int aliveWorkers() const { return pool_.aliveCount(); }
+  [[nodiscard]] std::uint64_t deaths() const { return deaths_.load(); }
+
+ private:
+  /// Never fork while another campaign thread holds the trace or metrics
+  /// lock: the child would inherit a locked mutex it can never unlock.
+  static WorkerPool::ForkHooks forkHooks() {
+    WorkerPool::ForkHooks hooks;
+    hooks.prepare = [] {
+      telemetry::TraceSink::instance().lockForFork();
+      telemetry::MetricsRegistry::instance().lockForFork();
+    };
+    hooks.parent = [] {
+      telemetry::MetricsRegistry::instance().unlockAfterFork();
+      telemetry::TraceSink::instance().unlockAfterFork();
+    };
+    hooks.child = [](int) {
+      telemetry::MetricsRegistry::instance().unlockAfterFork();
+      telemetry::TraceSink::instance().unlockAfterFork();
+      // Reroute trace lines into a buffer the response frames ship to the
+      // parent; the parent's stream (and its buffered bytes) stay its own.
+      g_childTraceBuf = new std::ostringstream();
+      telemetry::TraceSink::instance().redirectInForkedChild(g_childTraceBuf);
+    };
+    return hooks;
+  }
+
+  /// The base deadline scaled by the attempt's work budget (in golden-run
+  /// units, never below one). Zero = no deadline.
+  [[nodiscard]] std::chrono::milliseconds deadline(double budget) const {
+    if (timeoutMs_ == 0) return std::chrono::milliseconds(0);
+    const double ms = static_cast<double>(timeoutMs_) * std::max(1.0, budget);
+    return std::chrono::milliseconds(saturatingMs(ms) + 1);
+  }
+
+  /// Ready slot w for a request: respawn a dead worker — accounting the
+  /// respawn (counters and the worker_respawn trace event) wherever it
+  /// happens — and clear its black box so a stale fault report can never be
+  /// attributed to this request's death. Returns the live worker's pid.
+  pid_t ensureWorker(int w) {
+    bool respawned = false;
+    if (!pool_.ensureWorker(w, &respawned)) {
+      throw AttemptFailure{"protocol", false, "worker fork failed", ""};
+    }
+    if (respawned) {
+      CampaignMetrics::get().workerSpawns.add();
+      CampaignMetrics::get().workerRespawns.add();
+      if (telemetry::tracing()) {
+        telemetry::TraceEvent("worker_respawn")
+            .field("slot", w)
+            .field("pid", static_cast<std::int64_t>(pool_.pid(w)))
+            .emit();
+      }
+    }
+    reinterpret_cast<BlackBox*>(pool_.arena(w))->magic = 0;
+    return pool_.pid(w);
+  }
+
+  /// Receive one frame from slot w's worker within `within`. Throws
+  /// AttemptFailure on any classified death.
+  std::string receive(int w, pid_t pid, std::chrono::milliseconds within) {
+    WorkerPool::Reply reply = pool_.recv(w, within);
+    if (!reply.ok) {
+      noteWorkerDeath(w, pid, reply);
+      throw classifyDeath(reply, timeoutMs_, pool_.arena(w));
+    }
+    return std::move(reply.frame);
+  }
+
+  /// Deliberate parent-side kill (a desynchronized stream): consume the
+  /// death like any other so the books stay balanced.
+  void killWorker(int slot) {
+    if (!pool_.alive(slot)) return;
+    const pid_t pid = pool_.pid(slot);
+    pool_.kill(slot);
+    WorkerPool::Reply reply;
+    reply.death = WorkerDeath::Killed;
+    reply.signal = SIGKILL;
+    noteWorkerDeath(slot, pid, reply);
+  }
+
+  /// Account one consumed worker death: counters, live status, worker_exit
+  /// trace (slot, pid, classification) for the flight recorder.
+  void noteWorkerDeath(int slot, pid_t pid, const WorkerPool::Reply& reply) {
+    deaths_.fetch_add(1);
+    if (reply.timedOut || reply.death == WorkerDeath::Killed) {
+      CampaignMetrics::get().workerKills.add();
+    } else {
+      CampaignMetrics::get().workerCrashes.add();
+    }
+    if (telemetry::tracing()) {
+      telemetry::TraceEvent("worker_exit")
+          .field("slot", slot)
+          .field("pid", static_cast<std::int64_t>(pid))
+          .field("death", toString(reply.death))
+          .field("signal", reply.signal)
+          .field("exit_code", reply.exitStatus)
+          .field("timeout", reply.timedOut)
+          .emit();
+    }
+  }
+
+  /// Fold the accounting a worker shipped (ChildRunCollector::encode) into
+  /// the parent: splice its trace, record its simulated runs, re-add its
+  /// crash injections, merge its profile and phase histograms.
+  void absorbChildRuns(WireReader& r) {
+    const std::string trace = r.str();
+    if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
+    CampaignMetrics::get().recordRun(decodeEvents(r));
+    const std::uint64_t crashed = r.u64();
+    if (crashed > 0) {
+      telemetry::MetricsRegistry::instance()
+          .counter("runtime.crash_injections")
+          .add(crashed);
+    }
+    if (r.u8() != 0) {
+      const CampaignProfile shipped = decodeProfile(r);
+      std::lock_guard<std::mutex> lock(runner_.profileMutex_);
+      runner_.profile_.merge(shipped);
+    }
+    for (telemetry::Histogram* h : childPhaseHistograms()) {
+      const double sum = r.f64();
+      if (r.u64() != h->bounds().size() + 1) {
+        throw std::runtime_error("wire: histogram shape mismatch");
+      }
+      std::vector<std::uint64_t> buckets(h->bounds().size() + 1);
+      for (std::uint64_t& b : buckets) b = r.u64();
+      h->merge(buckets, sum);
+    }
+  }
+
+  const CampaignRunner& runner_;
+  const ForkChildServer childServer_;
+  const std::uint64_t timeoutMs_;
+  std::atomic<std::uint64_t> deaths_{0};
+  WorkerPool pool_;  ///< last: its children serve childServer_
+};
 const char* toString(Response response) {
   switch (response) {
     case Response::S1: return "S1";
@@ -1030,8 +1401,6 @@ GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
   // routing-independent. Skipping the cache simulation here is the bulk of
   // the sampled mode's large-footprint win.
   if (monitor != nullptr && !config_.monitor.trackedGolden) rt.setDirect(true);
-  rt.setBulk(config_.bulk);
-  rt.setScan(config_.scan);
   rt.setPlan(config_.plan);
   rt.setTraceRun("golden");
   // Installed before setup so the apps' setup-phase writes are sampled too —
@@ -1185,709 +1554,450 @@ void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
   }
 }
 
+std::string responseTally(const std::array<int, 4>& counts) {
+  std::string out;
+  for (int s = 0; s < 4; ++s) {
+    if (s) out += ' ';
+    out += 'S';
+    out += static_cast<char>('1' + s);
+    out += ':';
+    out += std::to_string(counts[s]);
+  }
+  return out;
+}
+
+/// One point of the sweep's capture plan: a distinct crash index and the
+/// undecided trials that drew it.
+struct PlannedPoint {
+  std::uint64_t index = 0;
+  std::vector<std::size_t> trials;
+};
+
 }  // namespace
 
-/// The worker child's request loop body (one call per request frame). Runs
-/// the same runSweep/runRestart the in-process evaluator runs — byte-for-
-/// byte the same simulation — and ships the result (or the failure), the
-/// run's MemEvents, the profile increment and the buffered trace lines back
-/// through the pipe protocol. Lives outside the anonymous namespace so
-/// CampaignRunner can befriend it into its private evaluator internals.
-struct ForkChildServer {
-  const CampaignRunner& runner;
-  const GoldenStats& golden;
+/// The state of one CampaignRunner::run() and its stages, called in order:
+/// golden, draw, resume, plan, evaluate, finalize. A trial is decided once
+/// its slot holds a record or a failure; interruption simply leaves the
+/// rest unset.
+class CampaignExecution {
+ public:
+  explicit CampaignExecution(const CampaignRunner& runner)
+      : runner_(runner), config_(runner.config_), res_(config_.resilience) {
+    result_.plannedTests = config_.numTests;
+    const int threads = config_.threads == 0
+                            ? static_cast<int>(std::thread::hardware_concurrency())
+                            : config_.threads;
+    threads_ = std::max(1, std::min<int>(threads, std::max(1, config_.numTests)));
+  }
 
-  void serve(int slot, const std::string& request,
-             const WorkerPool::ChildChannel& ch) const {
-    (void)slot;
-    WireReader req(request);
-    const std::uint8_t op = req.u8();
-    ChildRunCollector collector;
-    g_childRunCollector = &collector;
-    static ChildFaultContext faultCtx;
-    faultCtx.plan = runner.config_.inject;
-    faultCtx.blackBox = ch.arena();
-    faultCtx.responseFd = ch.responseFd();
-    g_childFault = runner.config_.inject.active() ? &faultCtx : nullptr;
-    try {
-      switch (op) {
-        case 'R':
-          serveRestart(req, ch, collector);
-          break;
-        case 'S':
-          serveSweep(req, ch, collector);
-          break;
-        default:
-          throw std::runtime_error("fork worker: unknown request op");
-      }
-    } catch (...) {
-      g_childRunCollector = nullptr;
-      throw;  // escapes to childMain: bad_alloc -> OOM exit, rest -> protocol
+  /// The golden run. Sampled monitoring rides it in the parent, before any
+  /// crash index is drawn or worker forked, so the summary and demotion set
+  /// are identical at any --threads and --isolation. The monitor samples the
+  /// access stream, so windowAccesses — and with it the whole pre-drawn
+  /// crash sequence — equals a full-monitoring campaign's even when the
+  /// golden run goes direct (monitor.trackedGolden unset): the stream does
+  /// not depend on the cache simulation.
+  void golden() {
+    std::optional<memsim::RegionMonitor> monitor;
+    if (config_.monitor.mode == MonitorMode::Sampled) {
+      memsim::RegionMonitorConfig monitorConfig;
+      monitorConfig.seed = config_.seed;
+      monitorConfig.sampleInterval = config_.monitor.sampleInterval;
+      monitorConfig.maxRegionsPerObject = config_.monitor.maxRegionsPerObject;
+      monitorConfig.aggregateEvery = config_.monitor.aggregateEvery;
+      monitor.emplace(monitorConfig);
     }
-    g_childRunCollector = nullptr;
+    const auto start = std::chrono::steady_clock::now();
+    result_.golden = runner_.goldenRun(monitor ? &*monitor : nullptr);
+    const auto goldenMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    EC_CHECK_MSG(result_.golden.windowAccesses > 0, "empty crash window");
+    if (monitor) runner_.buildMonitorSummary(*monitor, result_.golden);
+    result_.monitor = runner_.monitorState_;
+    // The trial deadline's base (fork isolation only): --trial-timeout-ms,
+    // or else a golden-run multiple. A direct-mode golden is several times
+    // cheaper than the tracked crashing runs the deadline must cover, so its
+    // time is scaled to keep --timeout-golden-multiple's tracked meaning.
+    if (res_.isolation != IsolationMode::Fork) return;
+    if (res_.trialTimeoutMs > 0) {
+      timeoutMs_ = res_.trialTimeoutMs;
+    } else if (res_.goldenTimeoutMultiple > 0) {
+      const double baseMs = static_cast<double>(goldenMs) *
+                            (monitor && !config_.monitor.trackedGolden ? 10.0 : 1.0);
+      timeoutMs_ = std::max<std::uint64_t>(
+          1000, saturatingMs(baseMs * res_.goldenTimeoutMultiple));
+    }
+  }
+
+  /// Pre-draw every crash point, so the campaign is identical at any number
+  /// of worker threads and a resumed campaign re-draws the exact sequence.
+  /// Every shard draws the whole sequence; only evaluation is partitioned
+  /// (trial t belongs to shard t % k), so the slices are disjoint and their
+  /// union is the unsharded set.
+  void draw() {
+    Rng rng(config_.seed);
+    crashIndices_.resize(static_cast<std::size_t>(config_.numTests));
+    for (auto& index : crashIndices_) {
+      index = rng.between(1, result_.golden.windowAccesses);
+    }
+    const std::size_t n = crashIndices_.size();
+    records_.resize(n);
+    failures_.resize(n);
+    ownedCount_ = n;
+    const ShardConfig& shard = config_.shard;
+    if (shard.active()) {
+      ownedCount_ = 0;
+      for (std::size_t t = 0; t < n; ++t) {
+        if (shard.owns(t)) ++ownedCount_;
+      }
+      CampaignMetrics::get().shardOwnedTrials.add(ownedCount_);
+      EC_LOG_INFO("shard " << shard.index << "/" << shard.count << " owns "
+                           << ownedCount_ << " of " << n << " trials");
+    }
+  }
+
+  /// Seed the decided slots from a resumed journal, open this run's journal
+  /// (replayed entries first) and start the progress line.
+  void resume(std::optional<JournalReplay> replay) {
+    const JournalHeader header = journalHeader();
+    if (replay) replayJournal(*replay, header);
+    if (!res_.journalPath.empty()) {
+      journal_.emplace(res_.journalPath, header, res_.journalFlushEvery);
+      for (std::size_t t = 0; t < records_.size(); ++t) {
+        if (records_[t]) journal_->recordTrial(t, *records_[t]);
+        else if (failures_[t]) journal_->recordFailure(*failures_[t]);
+      }
+      journal_->flush();  // always leave a resumable file behind, even header-only
+    }
+    // Progress, percentage and ETA all count the shard-local slice: a shard
+    // that owns N/k trials is "done" at N/k decided, and its ETA reflects
+    // its own remaining work, not the fleet's.
+    meter_.emplace((config_.appLabel.empty() ? "campaign" : config_.appLabel) + " trials",
+                   ownedCount_, config_.progress ? &std::cerr : nullptr);
+    for (const auto& record : records_) {
+      if (record) tally_[static_cast<int>(record->response)] += 1;
+    }
+    done_ = resumedTrials_ + resumedFailures_;
+    // The ETA rate must count only trials this process actually ran:
+    // resumed trials landed instantly and would otherwise skew the estimate.
+    meter_->setBaseline(done_);
+    if (config_.progress && done_ > 0) meter_->update(done_, responseTally(tally_));
+    lastPercent_ = ownedCount_ == 0 ? 0 : done_ * 100 / ownedCount_;
+    lastEmit_ = std::chrono::steady_clock::now();
+  }
+
+  /// The sweep's capture plan: each distinct crash index, ascending, with
+  /// the undecided trials that drew it. Trials drawing the same index share
+  /// one capture; decided (resumed) trials never re-enter. Sharded, only
+  /// this shard's owned trials are planned; a duplicate index whose trials
+  /// straddle shards is captured on each — the capture is deterministic, so
+  /// the records still merge byte-identically.
+  void plan() {
+    std::map<std::uint64_t, std::vector<std::size_t>> byIndex;
+    for (std::size_t t = 0; t < crashIndices_.size(); ++t) {
+      if (config_.shard.owns(t) && !records_[t] && !failures_[t]) {
+        byIndex[crashIndices_[t]].push_back(t);
+      }
+    }
+    for (auto& [index, trials] : byIndex) plan_.push_back({index, std::move(trials)});
+  }
+
+  /// Run the plan: the producer (this thread) sweeps the crash points while
+  /// `threads` restart threads drain the restart groups behind it, then the
+  /// producer joins them. Under fork isolation both sides run in pre-forked
+  /// worker children, and a child death becomes a TrialFailure instead of
+  /// taking the campaign down.
+  void evaluate() {
+    // Candidate bytes of one capture (probed on an un-simulated setup): they
+    // size the restart queue's backpressure window and the worker arenas.
+    std::size_t captureBytes = 0;
+    if (!plan_.empty()) {
+      Runtime probe;
+      auto app = runner_.factory_();
+      app->setup(probe);
+      for (const auto& object : probe.objects()) {
+        if (object.candidate) captureBytes += object.bytes;
+      }
+    }
+    if (res_.isolation == IsolationMode::Fork && !plan_.empty()) {
+      fork_.emplace(runner_, result_.golden, threads_ + 1, captureBytes, timeoutMs_);
+    }
+    startStatus();
+    if (plan_.empty()) return;
+
+    // Queue depth, in restart groups, is the pipeline's overlap window: deep
+    // enough that the sweep outruns the restart drain and the producer joins
+    // the pool for most of the campaign, while backpressure bounds live
+    // snapshot memory (~64 MB of candidate bytes — each queued group keeps
+    // one snapshot, its leader's) for large apps. Never below the
+    // double-buffer floor that keeps every worker fed.
+    constexpr std::size_t kSnapshotBudgetBytes = std::size_t{64} << 20;
+    RestartQueue queue(
+        std::max(static_cast<std::size_t>(std::max(2, 2 * threads_)),
+                 kSnapshotBudgetBytes / std::max<std::size_t>(1, captureBytes)));
+    std::vector<std::thread> restarters;
+    restarters.reserve(static_cast<std::size_t>(threads_));
+    for (int w = 0; w < threads_; ++w) {
+      restarters.emplace_back([this, &queue, w] { restartWorker(queue, w); });
+    }
+    try {
+      produce(queue);
+    } catch (...) {
+      parkError();
+      queue.abort();
+    }
+    queue.close();
+    // Nothing left to sweep: the producer joins the restart pool on its slot.
+    restartWorker(queue, threads_);
+    for (auto& thread : restarters) thread.join();
+  }
+
+  /// Close the journal, raise what evaluation parked, and assemble the
+  /// result in test-index order.
+  CampaignResult finalize() {
+    if (journal_) journal_->close();
+    if (firstError_) std::rethrow_exception(firstError_);
+    if (budgetExceeded_.load()) {
+      throw std::runtime_error(
+          "campaign aborted: " + std::to_string(failureCount_.load()) +
+          " trial failures exceeded the budget of " + std::to_string(res_.maxFailures) +
+          (res_.journalPath.empty() ? "" : " — journal kept at " + res_.journalPath));
+    }
+    // Only the owned slice owes a decision: an unowned trial left undecided
+    // is another shard's work, not an interruption of this one.
+    std::size_t undecided = 0;
+    for (std::size_t t = 0; t < records_.size(); ++t) {
+      if (config_.shard.owns(t) && !records_[t] && !failures_[t]) ++undecided;
+    }
+    result_.interrupted = undecided > 0;
+    if (result_.interrupted) {
+      EC_LOG_WARN("campaign interrupted: " << (ownedCount_ - undecided) << "/"
+                                           << ownedCount_ << " trials decided"
+                                           << (stopSignal() != 0
+                                                   ? " (signal " +
+                                                         std::to_string(stopSignal()) + ")"
+                                                   : ""));
+      if (telemetry::tracing()) {
+        telemetry::TraceEvent("campaign_interrupted")
+            .field("decided", static_cast<std::uint64_t>(ownedCount_ - undecided))
+            .field("remaining", static_cast<std::uint64_t>(undecided))
+            .field("signal", stopSignal())
+            .emit();
+      }
+    }
+
+    result_.resumedTrials = resumedTrials_;
+    for (std::size_t t = 0; t < records_.size(); ++t) {
+      if (records_[t]) {
+        result_.tests.push_back(std::move(*records_[t]));
+      } else if (failures_[t]) {
+        result_.failures.push_back(std::move(*failures_[t]));
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(runner_.profileMutex_);
+      result_.profile = std::move(runner_.profile_);
+      runner_.profile_ = CampaignProfile{};
+    }
+    if (status_) status_->writeFinal(result_.interrupted);
+    if (config_.progress && !result_.interrupted) meter_->finish(responseTally(tally_));
+    if (telemetry::tracing()) {
+      const auto counts = result_.responseCounts();
+      telemetry::TraceEvent("campaign_end")
+          .field("tests", static_cast<std::uint64_t>(result_.tests.size()))
+          .field("s1", counts[0])
+          .field("s2", counts[1])
+          .field("s3", counts[2])
+          .field("s4", counts[3])
+          .field("recomputability", result_.recomputability())
+          .field("failures", static_cast<std::uint64_t>(result_.failures.size()))
+          .field("interrupted", result_.interrupted)
+          .emit();
+    }
+    return std::move(result_);
   }
 
  private:
-  /// Run one restart attempt from the shipped restart input, then ship an
-  /// 'r' frame: status 0 carries the outcome (response, extra iterations,
-  /// note), status 1 the exception text — the parent names the crash site
-  /// from its own stamped record. Both carry the collector's accounting: a
-  /// failed attempt still simulated runs the parent must account, exactly as
-  /// the in-process evaluator records them before its exception propagates.
-  void serveRestart(WireReader& req, const WorkerPool::ChildChannel& ch,
-                    ChildRunCollector& collector) const {
-    const std::uint64_t trial = req.u64();
-    SweepCapture input;
-    decodeRestartInput(req, input, ch.arena(), ch.arenaBytes());
-    CrashTestRecord record;
-    std::string error;
-    bool failed = false;
-    try {
-      runner.runRestart(golden, input, static_cast<std::size_t>(trial), nullptr,
-                        record);
-    } catch (const std::bad_alloc&) {
-      throw;  // childMain -> _exit(kWorkerOomExit)
-    } catch (const std::exception& e) {
-      failed = true;
-      error = e.what();
-    }
-    WireWriter resp;
-    resp.u8('r');
-    resp.u8(failed ? 1 : 0);
-    collector.encode(resp);
-    if (failed) {
-      resp.str(error);
-    } else {
-      resp.u8(static_cast<std::uint8_t>(record.response));
-      resp.i64(record.extraIterations);
-      resp.str(record.note);
-    }
-    ch.send(resp.take());
-  }
-
-  /// The sweep crashing run, child side: stream each capture as a 'c' frame
-  /// and wait for the parent's 'A' ack (that handshake IS the restart-queue
-  /// backpressure), then ship the 'e' summary with the run's failure fields.
-  void serveSweep(WireReader& req, const WorkerPool::ChildChannel& ch,
-                  ChildRunCollector& collector) const {
-    const std::uint64_t count = req.u64();
-    std::vector<std::uint64_t> indices(static_cast<std::size_t>(count));
-    std::vector<std::uint64_t> trialCounts(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      indices[i] = req.u64();
-      trialCounts[i] = req.u64();
-    }
-    const SweepOutcome outcome = runner.runSweep(
-        golden, indices, trialCounts, nullptr, 0,
-        [&ch](std::shared_ptr<SweepCapture> capture) {
-          WireWriter frame;
-          frame.u8('c');
-          encodeCapture(frame, *capture, ch.arena(), ch.arenaBytes());
-          ch.send(frame.take());
-          std::string ack;
-          return ch.recv(ack) && !ack.empty() && ack[0] == 'A';
-        });
-    WireWriter resp;
-    resp.u8('e');
-    resp.u8(outcome.completed ? 1 : 0);
-    resp.u64(outcome.captured);
-    resp.u8(outcome.failure ? 1 : 0);
-    if (outcome.failure) {
-      resp.str(outcome.failure->kind);
-      resp.u8(outcome.failure->timeout ? 1 : 0);
-      resp.str(outcome.failure->reason);
-      resp.str(outcome.failure->regionPath);
-    }
-    collector.encode(resp);
-    ch.send(resp.take());
-  }
-};
-
-CampaignResult CampaignRunner::run() const {
-  const ResilienceConfig& res = config_.resilience;
-  EC_CHECK_MSG(config_.shard.count >= 1 && config_.shard.index >= 0 &&
-                   config_.shard.index < config_.shard.count,
-               "shard index outside [0, count)");
-  if (telemetry::tracing()) {
-    telemetry::TraceEvent event("campaign_begin");
-    event.field("tests", config_.numTests)
-        .field("seed", config_.seed)
-        .field("mode", config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent")
-        .field("plan_points", static_cast<std::uint64_t>(config_.plan.points.size()));
+  JournalHeader journalHeader() const {
+    JournalHeader header;
+    header.app = config_.appLabel;
+    header.seed = config_.seed;
+    header.tests = config_.numTests;
+    header.mode = config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent";
+    header.planFingerprint = planFingerprint(config_.plan);
+    header.windowAccesses = result_.golden.windowAccesses;
+    header.monitor = result_.monitor.active ? "sampled" : "";
     if (config_.shard.active()) {
-      event.field("shard", config_.shard.index).field("shards", config_.shard.count);
-    }
-    event.emit();
-  }
-
-  // Parse any resume journal before spending time on the golden run, so a
-  // bad path/file fails fast.
-  std::optional<JournalReplay> replay;
-  if (!res.resumePath.empty()) replay = readJournal(res.resumePath);
-
-  {
-    // A runner can be reused; each run() aggregates its own profile.
-    std::lock_guard<std::mutex> lock(profileMutex_);
-    profile_ = CampaignProfile{};
-  }
-
-  CampaignResult result;
-  result.plannedTests = config_.numTests;
-  monitorState_ = MonitorSummary{};
-
-  // Sampled monitoring: the adaptive region monitor rides the golden run in
-  // the parent, before any crash index is drawn or worker forked — summary
-  // and demotion set are identical at any --threads and --isolation. The
-  // monitor samples the access stream, so windowAccesses — and with it the
-  // whole pre-drawn crash sequence — is identical to a full-monitoring
-  // campaign even when the golden run goes direct (monitor.trackedGolden
-  // unset): the stream does not depend on the cache simulation.
-  std::optional<memsim::RegionMonitor> monitor;
-  if (config_.monitor.mode == MonitorMode::Sampled) {
-    memsim::RegionMonitorConfig monitorConfig;
-    monitorConfig.seed = config_.seed;
-    monitorConfig.sampleInterval = config_.monitor.sampleInterval;
-    monitorConfig.maxRegionsPerObject = config_.monitor.maxRegionsPerObject;
-    monitorConfig.aggregateEvery = config_.monitor.aggregateEvery;
-    monitor.emplace(monitorConfig);
-  }
-
-  const auto goldenStart = std::chrono::steady_clock::now();
-  result.golden = goldenRun(monitor ? &*monitor : nullptr);
-  const auto goldenMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() - goldenStart)
-                            .count();
-  EC_CHECK_MSG(result.golden.windowAccesses > 0, "empty crash window");
-
-  if (monitor) buildMonitorSummary(*monitor, result.golden);
-  result.monitor = monitorState_;
-
-  // Pre-draw every crash point so the campaign is identical regardless of
-  // the number of worker threads — and so a resumed campaign re-draws the
-  // exact sequence and only executes the trials the journal is missing.
-  Rng rng(config_.seed);
-  std::vector<std::uint64_t> crashIndices(static_cast<std::size_t>(config_.numTests));
-  for (auto& index : crashIndices) {
-    index = rng.between(1, result.golden.windowAccesses);
-  }
-  const std::size_t n = crashIndices.size();
-
-  // Sharding (--shard i/k): everything above — golden run, monitor pre-pass,
-  // the full pre-drawn crash sequence — is identical on every shard; only
-  // the trial execution below is partitioned. Trial t belongs to shard
-  // t % k, so the slices are disjoint and their union is the unsharded set.
-  const ShardConfig& shard = config_.shard;
-  const auto owned = [&shard](std::size_t t) { return shard.owns(t); };
-  std::size_t ownedCount = n;
-  if (shard.active()) {
-    ownedCount = 0;
-    for (std::size_t t = 0; t < n; ++t) {
-      if (owned(t)) ++ownedCount;
-    }
-    CampaignMetrics::get().shardOwnedTrials.add(ownedCount);
-    EC_LOG_INFO("shard " << shard.index << "/" << shard.count << " owns "
-                         << ownedCount << " of " << n << " trials");
-  }
-
-  JournalHeader header;
-  header.app = config_.appLabel;
-  header.seed = config_.seed;
-  header.tests = config_.numTests;
-  header.mode = config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent";
-  header.planFingerprint = planFingerprint(config_.plan);
-  header.windowAccesses = result.golden.windowAccesses;
-  header.monitor = monitorState_.active ? "sampled" : "";
-  if (shard.active()) {
-    // Self-describing shard journal: coordinates, the campaign fingerprint
-    // over the identity fields, and the candidate list `nvct merge` needs to
-    // rebuild the CSV without re-running the app. Unsharded headers carry
-    // none of this (byte-identical to pre-sharding journals).
-    header.shardIndex = shard.index;
-    header.shardCount = shard.count;
-    header.campaignHash = campaignHash(header);
-    for (const auto& object : result.golden.objects) {
-      if (object.candidate) {
-        header.candidates.push_back(JournalCandidate{object.id, object.name});
+      // Self-describing shard journal: coordinates, the campaign fingerprint
+      // over the identity fields, and the candidate list `nvct merge` needs
+      // to rebuild the CSV without re-running the app. Unsharded headers
+      // carry none of this (byte-identical to pre-sharding journals).
+      header.shardIndex = config_.shard.index;
+      header.shardCount = config_.shard.count;
+      header.campaignHash = campaignHash(header);
+      for (const auto& object : result_.golden.objects) {
+        if (object.candidate) {
+          header.candidates.push_back(JournalCandidate{object.id, object.name});
+        }
       }
     }
+    return header;
   }
 
-  // Per-index decision slots. A trial is decided once it has a record or a
-  // failure; interruption simply leaves the rest unset.
-  std::vector<std::optional<CrashTestRecord>> records(n);
-  std::vector<std::optional<TrialFailure>> failures(n);
-
-  std::size_t resumedTrials = 0;
-  std::size_t resumedFailures = 0;
-  if (replay) {
-    checkHeaderMatches(replay->header, header, res.resumePath);
-    for (auto& [trial, record] : replay->trials) {
-      if (trial >= n) {
-        throw std::runtime_error("--resume " + res.resumePath +
+  void replayJournal(JournalReplay& replay, const JournalHeader& header) {
+    checkHeaderMatches(replay.header, header, res_.resumePath);
+    for (auto& [trial, record] : replay.trials) {
+      if (trial >= records_.size()) {
+        throw std::runtime_error("--resume " + res_.resumePath +
                                  ": trial index out of range");
       }
-      EC_CHECK_MSG(record.crashAccessIndex == crashIndices[trial],
+      EC_CHECK_MSG(record.crashAccessIndex == crashIndices_[trial],
                    "resumed journal crash point diverges from the re-drawn "
                    "sequence — journal does not belong to this campaign");
-      records[trial] = std::move(record);
-      ++resumedTrials;
+      records_[trial] = std::move(record);
+      ++resumedTrials_;
     }
-    for (auto& [trial, failure] : replay->failures) {
-      if (trial >= n) {
-        throw std::runtime_error("--resume " + res.resumePath +
+    for (auto& [trial, failure] : replay.failures) {
+      if (trial >= failures_.size()) {
+        throw std::runtime_error("--resume " + res_.resumePath +
                                  ": failure index out of range");
       }
-      failures[trial] = std::move(failure);
-      ++resumedFailures;
+      failures_[trial] = std::move(failure);
+      ++resumedFailures_;
     }
-    CampaignMetrics::get().resumedTrials.add(resumedTrials);
-    EC_LOG_INFO("resumed " << resumedTrials << " trials and " << resumedFailures
-                           << " failures from " << res.resumePath);
+    failureCount_.store(static_cast<int>(resumedFailures_));
+    CampaignMetrics::get().resumedTrials.add(resumedTrials_);
+    EC_LOG_INFO("resumed " << resumedTrials_ << " trials and " << resumedFailures_
+                           << " failures from " << res_.resumePath);
     if (telemetry::tracing()) {
       telemetry::TraceEvent("campaign_resumed")
-          .field("journal", res.resumePath)
-          .field("trials", static_cast<std::uint64_t>(resumedTrials))
-          .field("failures", static_cast<std::uint64_t>(resumedFailures))
+          .field("journal", res_.resumePath)
+          .field("trials", static_cast<std::uint64_t>(resumedTrials_))
+          .field("failures", static_cast<std::uint64_t>(resumedFailures_))
           .emit();
     }
   }
 
-  std::optional<TrialJournal> journal;
-  if (!res.journalPath.empty()) {
-    journal.emplace(res.journalPath, header, res.journalFlushEvery);
-    for (std::size_t t = 0; t < n; ++t) {
-      if (records[t]) journal->recordTrial(t, *records[t]);
-      else if (failures[t]) journal->recordFailure(*failures[t]);
-    }
-    journal->flush();  // always leave a resumable file behind, even header-only
+  /// Live status snapshots (docs/OBSERVABILITY.md): a background thread
+  /// samples the shared tallies on an interval and atomically rewrites the
+  /// snapshot file; finalize() writes one last done/interrupted snapshot
+  /// after the drain, so a SIGINT'd campaign leaves the truth behind.
+  void startStatus() {
+    if (config_.statusPath.empty()) return;
+    const auto start = std::chrono::steady_clock::now();
+    status_.emplace(config_.statusPath,
+                    std::chrono::milliseconds(std::max(1, config_.statusIntervalMs)),
+                    [this, start] { return statusSnapshot(start); });
   }
 
-  // Progress, percentage and ETA all count the shard-local slice: a shard
-  // that owns N/k trials is "done" at N/k decided, and its ETA reflects its
-  // own remaining work, not the fleet's.
-  telemetry::ProgressMeter meter(
-      (config_.appLabel.empty() ? "campaign" : config_.appLabel) + " trials",
-      ownedCount, config_.progress ? &std::cerr : nullptr);
-  std::mutex tallyMutex;
-  std::array<int, 4> tally{};
-  std::size_t done = 0;
-  for (const auto& record : records) {
-    if (record) tally[static_cast<int>(record->response)] += 1;
+  CampaignStatus statusSnapshot(std::chrono::steady_clock::time_point start) {
+    CampaignStatus s;
+    s.app = config_.appLabel;
+    // Shard-local totals: `tests` is this shard's owned slice, so
+    // decided/tests and the ETA describe THIS process's work — a fleet
+    // watcher sums the slices (they partition [0, N)).
+    s.plannedTests = static_cast<int>(ownedCount_);
+    s.shardIndex = config_.shard.index;
+    s.shardCount = config_.shard.count;
+    {
+      std::lock_guard<std::mutex> lock(tallyMutex_);
+      s.decided = done_;
+      s.responses = tally_;
+    }
+    s.resumed = resumedTrials_ + resumedFailures_;
+    s.failures = static_cast<std::uint64_t>(std::max(0, failureCount_.load()));
+    s.retries = retryCount_.load();
+    s.timeouts = timeoutCount_.load();
+    s.queueDepth = static_cast<std::uint64_t>(
+        std::max(0.0, CampaignMetrics::get().sweepQueueDepth.value()));
+    if (fork_) {
+      s.workers = static_cast<std::uint64_t>(std::max(0, fork_->aliveWorkers()));
+      s.workerDeaths = fork_->deaths();
+    }
+    s.elapsedS =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    const std::uint64_t fresh = s.decided > s.resumed ? s.decided - s.resumed : 0;
+    if (s.elapsedS > 0.0 && fresh > 0) {
+      s.trialsPerS = static_cast<double>(fresh) / s.elapsedS;
+      if (ownedCount_ >= s.decided) {
+        s.etaS = static_cast<double>(ownedCount_ - s.decided) / s.trialsPerS;
+      }
+    }
+    s.interrupted = stopRequested();
+    return s;
   }
-  done = resumedTrials + resumedFailures;
-  // The ETA rate must count only trials this process actually ran: resumed
-  // trials landed instantly and would otherwise skew the estimate.
-  meter.setBaseline(done);
-  if (config_.progress && done > 0) meter.update(done, responseTally(tally));
-  // Called for every newly decided trial (completion or permanent failure).
-  // Progress is throttled to percentage-point or >=100 ms boundaries: with
-  // small trials at high --threads, having every decided trial format a
-  // tally string and serialise on the meter is measurable overhead.
-  std::size_t lastPercent = ownedCount == 0 ? 0 : done * 100 / ownedCount;
-  auto lastEmit = std::chrono::steady_clock::now();
-  const auto recordDecided = [&](const CrashTestRecord* record) {
+
+  /// Without isolation an exception must abort the campaign, but letting it
+  /// escape a pool thread would terminate the process: the first one is
+  /// parked here and rethrown by finalize() after the join.
+  void parkError() {
+    {
+      std::lock_guard<std::mutex> lock(errorMutex_);
+      if (!firstError_) firstError_ = std::current_exception();
+    }
+    workersAbort_.store(true);
+  }
+
+  /// Every evaluator loop stops taking new work once this holds.
+  bool halted() const {
+    return stopRequested() || budgetExceeded_.load() || workersAbort_.load();
+  }
+
+  /// Progress for every newly decided trial (completion or permanent
+  /// failure), throttled to percentage-point or >=100 ms boundaries: with
+  /// small trials at high --threads, having every decided trial format a
+  /// tally string and serialise on the meter is measurable overhead.
+  void recordDecided(const CrashTestRecord* record) {
     std::array<int, 4> counts{};
     std::size_t doneNow = 0;
     bool emit = false;
     {
-      std::lock_guard<std::mutex> lock(tallyMutex);
-      if (record != nullptr) tally[static_cast<int>(record->response)] += 1;
-      doneNow = ++done;
+      std::lock_guard<std::mutex> lock(tallyMutex_);
+      if (record != nullptr) tally_[static_cast<int>(record->response)] += 1;
+      doneNow = ++done_;
       if (config_.progress) {
-        const std::size_t percent = ownedCount == 0 ? 100 : doneNow * 100 / ownedCount;
+        const std::size_t percent = ownedCount_ == 0 ? 100 : doneNow * 100 / ownedCount_;
         const auto now = std::chrono::steady_clock::now();
-        if (doneNow == ownedCount || percent != lastPercent ||
-            now - lastEmit >= std::chrono::milliseconds(100)) {
-          lastPercent = percent;
-          lastEmit = now;
-          counts = tally;
+        if (doneNow == ownedCount_ || percent != lastPercent_ ||
+            now - lastEmit_ >= std::chrono::milliseconds(100)) {
+          lastPercent_ = percent;
+          lastEmit_ = now;
+          counts = tally_;
           emit = true;
         }
       }
     }
-    if (emit) meter.update(doneNow, responseTally(counts));
-  };
-
-  int threads = config_.threads == 0
-                    ? static_cast<int>(std::thread::hardware_concurrency())
-                    : config_.threads;
-  threads = std::max(1, std::min<int>(threads, std::max(1, config_.numTests)));
-
-  // The sweep's capture plan: each distinct crash index, ascending, with the
-  // undecided trials that drew it. Duplicate indices (several trials drawing
-  // the same crash point) share one capture. Decided (resumed) trials never
-  // re-enter. Sharded, the sweep captures only the crash points this shard's
-  // owned trials drew; duplicate indices whose trials straddle shards are
-  // captured independently on each shard — the capture is deterministic, so
-  // the decided records still merge byte-identically.
-  struct PlannedPoint {
-    std::uint64_t index = 0;
-    std::vector<std::size_t> trials;
-  };
-  std::vector<PlannedPoint> plan;
-  {
-    std::map<std::uint64_t, std::vector<std::size_t>> byIndex;
-    for (std::size_t t = 0; t < n; ++t) {
-      if (owned(t) && !records[t] && !failures[t]) byIndex[crashIndices[t]].push_back(t);
-    }
-    for (auto& [index, trials] : byIndex) plan.push_back({index, std::move(trials)});
+    if (emit) meter_->update(doneNow, responseTally(counts));
   }
 
-  // Process isolation: the fork evaluator runs every crashing run / restart
-  // in a pre-forked worker child; any child death is classified into a
-  // TrialFailure kind instead of taking the campaign down.
-  const bool forkIsolation = res.isolation == IsolationMode::Fork && res.isolate;
-
-  // Watchdog deadline base: explicit --trial-timeout-ms wins; otherwise a
-  // golden run multiple. The base is the budget for ONE golden run's worth
-  // of work: the sweep re-arms it at every capture, and each restart scales
-  // it by its expected work (restartBudget below), so the deadline tracks
-  // what the attempt actually owes instead of assuming the worst case.
-  // Under fork isolation the deadline is enforced by the parent with a hard
-  // SIGKILL of the child (WorkerPool::recv), so no cooperative watchdog —
-  // or compiled-in cancellation poll — is needed: even a hung busy loop
-  // that never reaches a poll is reclaimed.
-  std::optional<Watchdog> watchdog;
-  std::uint64_t timeoutMs = 0;
-  if (res.isolate && (res.trialTimeoutMs > 0 || res.goldenTimeoutMultiple > 0)) {
-    if (!forkIsolation && !runtime::kWatchdogCompiledIn) {
-      EC_LOG_WARN(
-          "trial watchdog requested but the cancellation poll is compiled out "
-          "(EASYCRASH_WATCHDOG=OFF); deadlines are disabled");
-    } else {
-      // Under sampled monitoring the golden run is direct-mode and several
-      // times cheaper than the tracked crashing runs the deadline must
-      // cover; scale the base so --timeout-golden-multiple keeps its
-      // tracked-golden meaning.
-      const double timeoutBaseMs =
-          static_cast<double>(goldenMs) *
-          (monitor && !config_.monitor.trackedGolden ? 10.0 : 1.0);
-      timeoutMs = res.trialTimeoutMs > 0
-                      ? res.trialTimeoutMs
-                      : std::max<std::uint64_t>(
-                            1000, static_cast<std::uint64_t>(
-                                      timeoutBaseMs * res.goldenTimeoutMultiple));
-      // One slot per restart worker plus one for the producer's crashing
-      // run (re-armed at every capture, suspended while parked on restart
-      // backpressure).
-      if (!forkIsolation) {
-        watchdog.emplace(std::chrono::milliseconds(timeoutMs), threads + 1);
-      }
-    }
-  }
-
-  std::atomic<int> failureCount{static_cast<int>(resumedFailures)};
-  std::atomic<std::uint64_t> retryCount{0};
-  std::atomic<std::uint64_t> timeoutCount{0};
-  std::atomic<bool> budgetExceeded{false};
-  std::atomic<int> newlyCompleted{0};
-  // Without isolation an exception must abort the campaign, but letting it
-  // escape a pool thread would terminate the process: the first one is
-  // parked here and rethrown on the calling thread after the join.
-  std::atomic<bool> workersAbort{false};
-  std::exception_ptr firstError;
-  std::mutex errorMutex;
-  const auto parkError = [&] {
-    {
-      std::lock_guard<std::mutex> lock(errorMutex);
-      if (!firstError) firstError = std::current_exception();
-    }
-    workersAbort.store(true);
-  };
-  // Every evaluator loop stops taking new work once this holds.
-  const auto halted = [&] {
-    return stopRequested() || budgetExceeded.load() || workersAbort.load();
-  };
-
-  // Candidate bytes of one capture (probed on an un-simulated setup): sizes
-  // the sweep queue's backpressure window and the fork workers' snapshot
-  // arenas.
-  std::size_t captureBytes = 0;
-  if (!plan.empty()) {
-    Runtime probe;
-    auto app = factory_();
-    app->setup(probe);
-    for (const auto& object : probe.objects()) {
-      if (object.candidate) captureBytes += object.bytes;
-    }
-  }
-
-  // --- Fork evaluator: pre-forked worker pool ---------------------------
-  // One slot per restart worker plus one for the producer's crashing run.
-  // Forked AFTER the golden run and the sweep plan so children inherit every
-  // immutable input by memory (config, plan, golden stats) — respawned
-  // workers fork from the same immutable state, so a replacement child is
-  // indistinguishable from the original. Declared before the status writer:
-  // the sampler dereferences the pool, so the pool must outlive it.
-  std::atomic<std::uint64_t> workerDeaths{0};
-  ForkChildServer childServer{*this, result.golden};
-  std::unique_ptr<WorkerPool> pool;
-  if (forkIsolation && !plan.empty()) {
-    const std::size_t arenaBytes =
-        kBlackBoxBytes + captureBytes + captureBytes / 8 + 4096;
-    WorkerPool::ForkHooks hooks;
-    // Never fork while another campaign thread holds the trace or metrics
-    // lock: the child would inherit a locked mutex it can never unlock.
-    hooks.prepare = [] {
-      telemetry::TraceSink::instance().lockForFork();
-      telemetry::MetricsRegistry::instance().lockForFork();
-    };
-    hooks.parent = [] {
-      telemetry::MetricsRegistry::instance().unlockAfterFork();
-      telemetry::TraceSink::instance().unlockAfterFork();
-    };
-    hooks.child = [](int) {
-      telemetry::MetricsRegistry::instance().unlockAfterFork();
-      telemetry::TraceSink::instance().unlockAfterFork();
-      // Reroute trace lines into a buffer the response frames ship to the
-      // parent; the parent's stream (and its buffered bytes) stay its own.
-      g_childTraceBuf = new std::ostringstream();
-      telemetry::TraceSink::instance().redirectInForkedChild(g_childTraceBuf);
-    };
-    pool = std::make_unique<WorkerPool>(
-        threads + 1, arenaBytes,
-        [&childServer](int slot, const std::string& request,
-                       const WorkerPool::ChildChannel& ch) {
-          childServer.serve(slot, request, ch);
-        },
-        hooks);
-    CampaignMetrics::get().workerSpawns.add(pool->spawnCount());
-  }
-
-  // Live status snapshots (docs/OBSERVABILITY.md): a background thread
-  // samples the campaign's shared tallies on an interval and atomically
-  // rewrites the snapshot file; run() writes one final done/interrupted
-  // snapshot after the drain, so a SIGINT'd campaign leaves the truth behind.
-  const auto campaignStart = std::chrono::steady_clock::now();
-  const std::size_t resumedDone = resumedTrials + resumedFailures;
-  std::optional<StatusWriter> status;
-  if (!config_.statusPath.empty()) {
-    status.emplace(
-        config_.statusPath,
-        std::chrono::milliseconds(std::max(1, config_.statusIntervalMs)),
-        [&, resumedDone] {
-          CampaignStatus s;
-          s.app = config_.appLabel;
-          // Shard-local totals: `tests` is this shard's owned slice, so
-          // decided/tests and the ETA describe THIS process's work — a
-          // fleet watcher sums the slices (they partition [0, N)).
-          s.plannedTests = static_cast<int>(ownedCount);
-          s.shardIndex = shard.index;
-          s.shardCount = shard.count;
-          {
-            std::lock_guard<std::mutex> lock(tallyMutex);
-            s.decided = done;
-            s.responses = tally;
-          }
-          s.resumed = resumedDone;
-          s.failures = static_cast<std::uint64_t>(std::max(0, failureCount.load()));
-          s.retries = retryCount.load();
-          s.timeouts = timeoutCount.load();
-          s.queueDepth = static_cast<std::uint64_t>(
-              std::max(0.0, CampaignMetrics::get().sweepQueueDepth.value()));
-          if (pool) {
-            s.workers = static_cast<std::uint64_t>(std::max(0, pool->aliveCount()));
-          }
-          s.workerDeaths = workerDeaths.load();
-          s.elapsedS = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - campaignStart)
-                           .count();
-          const std::uint64_t fresh =
-              s.decided > s.resumed ? s.decided - s.resumed : 0;
-          if (s.elapsedS > 0.0 && fresh > 0) {
-            s.trialsPerS = static_cast<double>(fresh) / s.elapsedS;
-            if (ownedCount >= s.decided) {
-              s.etaS = static_cast<double>(ownedCount - s.decided) / s.trialsPerS;
-            }
-          }
-          s.interrupted = stopRequested();
-          return s;
-        });
-  }
-
-  // A restart's watchdog budget in base-timeout units (--trial-timeout-ms or
-  // the golden multiple stays the base): it owes the iterations from its
-  // bookmark up to the iteration cap. Without this scaling a restart from an
-  // early bookmark times out under a deadline that is ample for the average.
-  const auto restartBudget = [&](const SweepCapture& capture) {
-    const int cap = result.golden.finalIteration * config_.maxIterationFactor;
-    return static_cast<double>(cap - capture.restartIteration) /
-           static_cast<double>(std::max(1, result.golden.finalIteration));
-  };
-
-  // --- Fork evaluator, parent side --------------------------------------
-
-  // Scale the base deadline by the attempt's work budget, exactly as the
-  // in-process watchdog arms it. Zero = no deadline.
-  const auto forkDeadline = [&](double budget) {
-    if (timeoutMs == 0) return std::chrono::milliseconds(0);
-    const double ms = static_cast<double>(timeoutMs) * std::max(1.0, budget);
-    return std::chrono::milliseconds(static_cast<std::int64_t>(ms) + 1);
-  };
-
-  // Account one consumed worker death: counters, live status, worker_exit
-  // trace (slot, pid, classification) for the flight recorder.
-  const auto noteWorkerDeath = [&](int slot, pid_t pid,
-                                   const WorkerPool::Reply& reply) {
-    workerDeaths.fetch_add(1);
-    if (reply.timedOut || reply.death == WorkerDeath::Killed) {
-      CampaignMetrics::get().workerKills.add();
-    } else {
-      CampaignMetrics::get().workerCrashes.add();
-    }
-    if (telemetry::tracing()) {
-      telemetry::TraceEvent("worker_exit")
-          .field("slot", slot)
-          .field("pid", static_cast<std::int64_t>(pid))
-          .field("death", toString(reply.death))
-          .field("signal", reply.signal)
-          .field("exit_code", reply.exitStatus)
-          .field("timeout", reply.timedOut)
-          .emit();
-    }
-  };
-
-  // Deliberate parent-side kill (stop/abort drain, desynchronized stream):
-  // consume the death like any other so the books stay balanced.
-  const auto killWorker = [&](int slot) {
-    if (!pool->alive(slot)) return;
-    const pid_t pid = pool->pid(slot);
-    pool->kill(slot);
-    WorkerPool::Reply reply;
-    reply.death = WorkerDeath::Killed;
-    reply.signal = SIGKILL;
-    noteWorkerDeath(slot, pid, reply);
-  };
-
-  // Ready slot w for a request: respawn a dead worker — accounting the
-  // respawn (counters and the worker_respawn trace event) wherever it
-  // happens — and clear its black box so a stale fault report can never be
-  // attributed to this request's death. Returns the live worker's pid.
-  const auto ensureWorker = [&](int w) -> pid_t {
-    bool respawned = false;
-    if (!pool->ensureWorker(w, &respawned)) {
-      throw AttemptFailure{"protocol", false, "worker fork failed", ""};
-    }
-    if (respawned) {
-      CampaignMetrics::get().workerSpawns.add();
-      CampaignMetrics::get().workerRespawns.add();
-      if (telemetry::tracing()) {
-        telemetry::TraceEvent("worker_respawn")
-            .field("slot", w)
-            .field("pid", static_cast<std::int64_t>(pool->pid(w)))
-            .emit();
-      }
-    }
-    reinterpret_cast<BlackBox*>(pool->arena(w))->magic = 0;
-    return pool->pid(w);
-  };
-
-  // Receive one frame from slot w's worker within `deadline`. Throws
-  // AttemptFailure on any classified death.
-  const auto forkRecv = [&](int w, pid_t pid, std::chrono::milliseconds deadline) {
-    WorkerPool::Reply reply = pool->recv(w, deadline);
-    if (!reply.ok) {
-      noteWorkerDeath(w, pid, reply);
-      throw classifyDeath(reply, timeoutMs, pool->arena(w));
-    }
-    return std::move(reply.frame);
-  };
-
-  // Fold the accounting a worker shipped (ChildRunCollector::encode) into
-  // the parent: splice its trace, record its simulated runs, re-add its
-  // crash injections, merge its profile and phase histograms.
-  const auto absorbChildRuns = [&](WireReader& r) {
-    const std::string trace = r.str();
-    if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-    CampaignMetrics::get().recordRun(decodeEvents(r));
-    const std::uint64_t crashed = r.u64();
-    if (crashed > 0) {
-      telemetry::MetricsRegistry::instance()
-          .counter("runtime.crash_injections")
-          .add(crashed);
-    }
-    if (r.u8() != 0) {
-      const CampaignProfile shipped = decodeProfile(r);
-      std::lock_guard<std::mutex> lock(profileMutex_);
-      profile_.merge(shipped);
-    }
-    for (telemetry::Histogram* h : childPhaseHistograms()) {
-      const double sum = r.f64();
-      if (r.u64() != h->bounds().size() + 1) {
-        throw std::runtime_error("wire: histogram shape mismatch");
-      }
-      std::vector<std::uint64_t> buckets(h->bounds().size() + 1);
-      for (std::uint64_t& b : buckets) b = r.u64();
-      h->merge(buckets, sum);
-    }
-  };
-
-  // The restart of trial t in a worker: ship only the restart input and
-  // copy the reply's outcome onto `record`, which the caller stamped with
-  // the trial's own capture — so a restart that throws names the stamped
-  // crash site, as it does in-process. A reply that does not decode is a
-  // protocol death: the stream may be desynchronized, so the worker is
-  // killed and the next attempt starts fresh.
-  const auto forkRestartAttempt = [&](std::size_t t, int w, const SweepCapture& input,
-                                      double budget, CrashTestRecord& record) {
-    const pid_t pid = ensureWorker(w);
-    WireWriter req;
-    req.u8('R');
-    req.u64(t);
-    encodeRestartInput(req, input, pool->arena(w), pool->arenaBytes());
-    (void)pool->send(w, req.take());  // a dead worker surfaces in recv()
-    const std::string frame = forkRecv(w, pid, forkDeadline(budget));
-    try {
-      WireReader r(frame);
-      if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
-      const std::uint8_t status = r.u8();
-      absorbChildRuns(r);
-      if (status != 0) {
-        throw AttemptFailure{"exception", false, r.str(),
-                             formatRegionPath(record.regionPath)};
-      }
-      const std::uint8_t response = r.u8();
-      if (response > static_cast<std::uint8_t>(Response::S4)) {
-        throw std::runtime_error("response class out of range");
-      }
-      record.response = static_cast<Response>(response);
-      record.extraIterations = static_cast<int>(r.i64());
-      record.note = r.str();
-    } catch (const std::exception& e) {
-      killWorker(w);
-      throw AttemptFailure{"protocol", false,
-                           std::string("worker reply malformed: ") + e.what(), ""};
-    }
-  };
-
-  // Completion bookkeeping of a trial whose record is in place: counters and
-  // trial_end trace, journal, progress, and the --stop-after hook.
-  const auto commitDecided = [&](std::size_t t) {
-    commitTrial(t, *records[t]);
-    if (journal) journal->recordTrial(t, *records[t]);
-    recordDecided(&*records[t]);
-    const int completedNow = newlyCompleted.fetch_add(1) + 1;
-    if (res.stopAfterTrials > 0 && completedNow >= res.stopAfterTrials) {
+  /// Commit a trial whose record is in place: counters and trial_end trace,
+  /// journal, progress, and the --stop-after hook.
+  void commitDecided(std::size_t t) {
+    runner_.commitTrial(t, *records_[t]);
+    if (journal_) journal_->recordTrial(t, *records_[t]);
+    recordDecided(&*records_[t]);
+    const int completedNow = newlyCompleted_.fetch_add(1) + 1;
+    if (res_.stopAfterTrials > 0 && completedNow >= res_.stopAfterTrials) {
       requestStop();
     }
-  };
+  }
 
-  // Charge one failed attempt (1-based) to trial t, whether a restart of t
-  // or the sweep crashing run that died on t's crash point: count it, then
-  // either back off before the retry or, once the attempts are spent,
-  // record the trial's TrialFailure against the --max-trial-failures budget.
-  const int maxAttempts = 1 + std::max(0, res.maxRetries);
-  const auto chargeAttempt = [&](std::size_t t, int attempt, const AttemptFailure& f) {
+  /// Charge one failed attempt (1-based) to trial t, whether a restart of t
+  /// or the sweep crashing run that died on t's crash point: count it, then
+  /// either back off before the retry or, once the attempts are spent,
+  /// record the trial's TrialFailure against the --max-trial-failures budget.
+  void chargeAttempt(std::size_t t, int attempt, const AttemptFailure& f) {
     if (f.timeout) {
       CampaignMetrics::get().trialTimeouts.add();
-      timeoutCount.fetch_add(1);
+      timeoutCount_.fetch_add(1);
     }
-    if (attempt < maxAttempts) {
+    if (attempt < maxAttempts()) {
       CampaignMetrics::get().trialRetries.add();
-      retryCount.fetch_add(1);
+      retryCount_.fetch_add(1);
       EC_LOG_DEBUG("trial " << t << " attempt " << attempt << " failed ("
                             << f.reason << "), retrying");
-      const std::uint64_t backoff = retryBackoffMs(res, config_.seed, t, attempt);
+      const std::uint64_t backoff = retryBackoffMs(res_, config_.seed, t, attempt);
       if (backoff > 0) {
         CampaignMetrics::get().retryBackoff.observe(static_cast<double>(backoff));
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
@@ -1896,7 +2006,7 @@ CampaignResult CampaignRunner::run() const {
     }
     TrialFailure failure;
     failure.trial = t;
-    failure.crashAccessIndex = crashIndices[t];
+    failure.crashAccessIndex = crashIndices_[t];
     failure.timeout = f.timeout;
     failure.attempts = attempt;
     failure.reason = f.reason;
@@ -1915,132 +2025,51 @@ CampaignResult CampaignRunner::run() const {
           .field("reason", failure.reason)
           .emit();
     }
-    failures[t] = failure;
-    if (journal) journal->recordFailure(failure);
-    const int count = failureCount.fetch_add(1) + 1;
-    if (res.maxFailures >= 0 && count > res.maxFailures) budgetExceeded.store(true);
+    failures_[t] = failure;
+    if (journal_) journal_->recordFailure(failure);
+    const int count = failureCount_.fetch_add(1) + 1;
+    if (res_.maxFailures >= 0 && count > res_.maxFailures) budgetExceeded_.store(true);
     recordDecided(nullptr);
-  };
+  }
 
-  // --- Single-sweep evaluator -------------------------------------------
-  // A sweep crashing run visits every pending crash point in ascending order
-  // and captures it read-only (runSweep); restarts are consumed concurrently
-  // by the worker pool, overlapping with the sweep itself.
+  int maxAttempts() const { return 1 + std::max(0, res_.maxRetries); }
 
-  // Parent side of every capture, whichever process took it: count it and
-  // queue the restarts of the trials that drew it. False ends the sweep.
-  const auto queueCapture = [&](RestartQueue& queue, std::shared_ptr<SweepCapture> capture,
-                                std::size_t point) {
-    CampaignMetrics::get().sweepCaptures.add();
-    return !halted() && queue.push(std::move(capture), plan[point].trials);
-  };
-
-  // The crash indices and trial counts of the plan from point `head` on.
-  const auto sweepRequest = [&](std::size_t head) {
-    std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>> points;
-    for (std::size_t p = head; p < plan.size(); ++p) {
-      points.first.push_back(plan[p].index);
-      points.second.push_back(plan[p].trials.size());
+  /// One sweep crashing run from point `head` to the end of the plan, in
+  /// this process or the producer's worker. Every capture is counted and
+  /// queues the restarts of the trials that drew it; the sink's false ends
+  /// the sweep.
+  SweepOutcome sweepFrom(RestartQueue& queue, std::size_t head) {
+    std::vector<std::uint64_t> indices;
+    std::vector<std::uint64_t> trialCounts;
+    for (std::size_t p = head; p < plan_.size(); ++p) {
+      indices.push_back(plan_[p].index);
+      trialCounts.push_back(plan_[p].trials.size());
     }
-    return points;
-  };
-
-  // One sweep from `head` in this process, on the producer's watchdog slot.
-  const auto inProcessSweep = [&](RestartQueue& queue, int slot, std::size_t head) {
-    const auto [indices, trialCounts] = sweepRequest(head);
     std::size_t point = head;
-    const std::atomic<bool>* cancel = watchdog ? &watchdog->arm(slot) : nullptr;
-    const SweepOutcome outcome = runSweep(
-        result.golden, indices, trialCounts, cancel, timeoutMs,
-        [&](std::shared_ptr<SweepCapture> capture) {
-          // Waiting on a full queue is restart backpressure, not a hung
-          // simulation: suspend the sweep's deadline while parked.
-          if (watchdog) watchdog->disarm(slot);
-          const bool queued = queueCapture(queue, std::move(capture), point++);
-          if (watchdog) watchdog->arm(slot);
-          return queued;
-        });
-    if (watchdog) watchdog->disarm(slot);
-    return outcome;
-  };
+    const CaptureSink sink = [&](std::shared_ptr<SweepCapture> capture) {
+      CampaignMetrics::get().sweepCaptures.add();
+      const std::size_t p = point++;
+      return !halted() && queue.push(std::move(capture), plan_[p].trials);
+    };
+    return fork_ ? fork_->sweep(threads_, indices, trialCounts, sink)
+                 : runner_.runSweep(result_.golden, indices, trialCounts, sink);
+  }
 
-  // One sweep from `head` in the slot's worker child (ForkChildServer),
-  // which streams each capture back as a 'c' frame; the parent decodes it
-  // out of the shared arena, queues the restarts, and acks — the ack
-  // handshake IS the restart-queue backpressure the in-process sweep gets
-  // from queue.push(). A worker death ends the sweep with its failure.
-  const auto forkSweep = [&](RestartQueue& queue, int slot, std::size_t head) {
-    SweepOutcome outcome;
-    try {
-      const pid_t pid = ensureWorker(slot);
-      const auto [indices, trialCounts] = sweepRequest(head);
-      WireWriter req;
-      req.u8('S');
-      req.u64(indices.size());
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        req.u64(indices[i]);
-        req.u64(trialCounts[i]);
-      }
-      (void)pool->send(slot, req.take());
-      for (;;) {
-        const std::string frame = forkRecv(slot, pid, forkDeadline(1.0));
-        WireReader r(frame);
-        const std::uint8_t tag = r.u8();
-        if (tag == 'c') {
-          auto capture = std::make_shared<SweepCapture>(
-              decodeCapture(r, pool->arena(slot), pool->arenaBytes()));
-          const std::size_t point = head + outcome.captured;
-          EC_CHECK_MSG(point < plan.size() && plan[point].index == capture->crashAccessIndex,
-                       "fork sweep: capture out of order");
-          ++outcome.captured;
-          // A non-'A' ack tells the child to wind down; it still ships its
-          // 'e' summary so the crashing run's events are accounted.
-          const bool keepGoing = queueCapture(queue, std::move(capture), point);
-          (void)pool->send(slot, std::string(keepGoing ? "A" : "X"));
-        } else if (tag == 'e') {
-          outcome.completed = r.u8() != 0;
-          if (r.u64() != outcome.captured) {
-            throw std::runtime_error("fork sweep: capture count mismatch");
-          }
-          if (r.u8() != 0) {
-            AttemptFailure& f = outcome.failure.emplace();
-            f.kind = r.str();
-            f.timeout = r.u8() != 0;
-            f.reason = r.str();
-            f.regionPath = r.str();
-          }
-          absorbChildRuns(r);
-          return outcome;
-        } else {
-          throw std::runtime_error("fork sweep: unexpected frame tag");
-        }
-      }
-    } catch (AttemptFailure& f) {
-      outcome.failure = std::move(f);
-    } catch (const std::exception& e) {
-      killWorker(slot);
-      outcome.failure = AttemptFailure{
-          "protocol", false, std::string("worker reply malformed: ") + e.what(), ""};
-    }
-    return outcome;
-  };
-
-  // The producer: sweep from the head — the first point no sweep has
-  // captured yet — until a sweep reaches the last point. A sweep visits its
-  // points in ascending order, so any death before the head's capture
-  // happened on exactly the access sequence the head's own crashing run
-  // replays: a sweep that dies charges one attempt to the head's trials, and
-  // a fresh sweep restarts at the head. Once the head's attempts are spent
-  // its trials fail for good and the next sweep starts at the point after
-  // (docs/INTERNALS.md "The single-sweep trial evaluator").
-  const auto produce = [&](RestartQueue& queue, int slot) {
+  /// The producer: sweep from the head — the first point no sweep has
+  /// captured yet — until a sweep reaches the last point. A sweep visits its
+  /// points in ascending order, so any death before the head's capture
+  /// happened on exactly the access sequence the head's own crashing run
+  /// replays: a sweep that dies charges one attempt to the head's trials,
+  /// and a fresh sweep restarts at the head. Once the head's attempts are
+  /// spent its trials fail for good and the next sweep starts at the point
+  /// after (docs/INTERNALS.md "The single-sweep trial evaluator").
+  void produce(RestartQueue& queue) {
     std::size_t head = 0;
     int attempts = 0;  // deaths charged to the head so far
-    while (head < plan.size() && !halted()) {
+    while (head < plan_.size() && !halted()) {
       CampaignMetrics::get().sweepRuns.add();
-      const std::size_t planned = plan.size() - head;
-      const SweepOutcome outcome =
-          forkIsolation ? forkSweep(queue, slot, head) : inProcessSweep(queue, slot, head);
+      const std::size_t planned = plan_.size() - head;
+      const SweepOutcome outcome = sweepFrom(queue, head);
       if (telemetry::tracing()) {
         telemetry::TraceEvent("sweep_end")
             .field("run", "sweep")
@@ -2053,88 +2082,91 @@ CampaignResult CampaignRunner::run() const {
         head += outcome.captured;
         attempts = 0;
       }
-      if (!outcome.failure || head >= plan.size()) return;
+      if (!outcome.failure || head >= plan_.size()) return;
       const AttemptFailure& f = *outcome.failure;
       ++attempts;
       EC_LOG_WARN("sweep run died (" << f.reason << ") after " << outcome.captured
                   << "/" << planned << " capture(s); charging attempt " << attempts
-                  << " to crash point " << plan[head].index);
-      for (const std::size_t t : plan[head].trials) chargeAttempt(t, attempts, f);
-      if (attempts >= maxAttempts) {
+                  << " to crash point " << plan_[head].index);
+      for (const std::size_t t : plan_[head].trials) chargeAttempt(t, attempts, f);
+      if (attempts >= maxAttempts()) {
         ++head;
         attempts = 0;
       }
-      CampaignMetrics::get().sweepFallbacks.add(plan.size() - head);
+      CampaignMetrics::get().sweepFallbacks.add(plan_.size() - head);
     }
-  };
+  }
 
-  // The restart of trial t from a sweep capture: stamp the trial's own crash
-  // context, then restart from `input` — its group leader's capture, whose
-  // restart input is byte-identical to the trial's own — honouring
-  // isolation, the watchdog (armed with the restart's budget) and the retry
-  // budget. Exceptions propagate only when isolation is off (the legacy
-  // all-or-nothing behaviour).
-  const auto decideRestart = [&](std::size_t t, const SweepCapture& capture,
-                                 const SweepCapture& input, int w) {
+  /// The restart of trial t from a sweep capture: stamp the trial's own
+  /// crash context, then restart from `input` — its group leader's capture,
+  /// whose restart input is byte-identical to the trial's own — honouring
+  /// isolation and the retry budget. In a worker, the deadline scales with
+  /// the restart's work: the iterations from its bookmark up to the
+  /// iteration cap, in golden-run units. Exceptions propagate only when
+  /// isolation is off (the legacy all-or-nothing behaviour).
+  void decideRestart(std::size_t t, const SweepCapture& capture,
+                     const SweepCapture& input, int w) {
     CampaignMetrics::get().restartMemoMisses.add();
-    const double budget = restartBudget(input);
+    const int finalIteration = result_.golden.finalIteration;
+    const double budget =
+        static_cast<double>(finalIteration * config_.maxIterationFactor -
+                            input.restartIteration) /
+        static_cast<double>(std::max(1, finalIteration));
     for (int attempt = 1;; ++attempt) {
-      std::atomic<bool>* cancel = watchdog ? &watchdog->arm(w, budget) : nullptr;
       CrashTestRecord record;
       std::optional<AttemptFailure> failure;
       try {
         telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
-        stampCapture(capture, record);
-        if (forkIsolation) {
-          forkRestartAttempt(t, w, input, budget, record);
+        CampaignRunner::stampCapture(capture, record);
+        if (fork_) {
+          fork_->restart(t, w, input, budget, record);
         } else {
-          runRestart(result.golden, input, t, cancel, record);
+          runner_.runRestart(result_.golden, input, t, record);
         }
       } catch (...) {
-        if (!res.isolate) throw;
-        failure = currentFailure(record.regionPath, timeoutMs);
+        if (!res_.isolate) throw;
+        failure = currentFailure(record.regionPath);
       }
-      if (watchdog) watchdog->disarm(w);
       if (!failure) {
-        records[t] = std::move(record);
+        records_[t] = std::move(record);
         commitDecided(t);
         return;
       }
       chargeAttempt(t, attempt, *failure);
-      if (attempt >= maxAttempts) return;
+      if (attempt >= maxAttempts()) return;
     }
-  };
+  }
 
-  // One restart decides the group (docs/INTERNALS.md "Restart grouping"):
-  // when the leader's restart succeeds, every follower's record is its own
-  // capture stamped with the leader's outcome. A failure or timeout is never
-  // shared — each follower then runs its own restart through decideRestart,
-  // so its kind, attempts, retries and backoff match a lone trial's. A stop
-  // is honoured between members; the members it leaves undecided resume
-  // like any other undecided trial.
-  const auto decideGroup = [&](const RestartGroup& group, int w) {
+  /// One restart decides the group (docs/INTERNALS.md "Restart grouping"):
+  /// when the leader's restart succeeds, every follower's record is its own
+  /// capture stamped with the leader's outcome. A failure or timeout is never
+  /// shared — each follower then runs its own restart through decideRestart,
+  /// so its kind, attempts, retries and backoff match a lone trial's. A stop
+  /// is honoured between members; the members it leaves undecided resume
+  /// like any other undecided trial.
+  void decideGroup(const RestartGroup& group, int w) {
     const SweepCapture& input = group.input();
     const std::size_t leader = group.members.front().trial;
     for (const RestartGroup::Member& member : group.members) {
       if (halted()) return;
-      if (member.trial == leader || !records[leader]) {
+      if (member.trial == leader || !records_[leader]) {
         decideRestart(member.trial, *member.capture, input, w);
         continue;
       }
       CrashTestRecord record;
-      stampCapture(*member.capture, record);
-      copyOutcome(*records[leader], record);
-      records[member.trial] = std::move(record);
+      CampaignRunner::stampCapture(*member.capture, record);
+      copyOutcome(*records_[leader], record);
+      records_[member.trial] = std::move(record);
       CampaignMetrics::get().restartMemoHits.add();
       commitDecided(member.trial);
     }
-  };
+  }
 
-  // Restart worker: drain the restart groups. A stop request abandons the
-  // queued groups (draining them would decide most of the campaign after
-  // the operator asked it to stop); in-flight restarts finish and are
-  // journaled.
-  const auto restartWorker = [&](RestartQueue& queue, int w) {
+  /// Restart worker w: drain the restart groups. A stop request abandons
+  /// the queued groups (draining them would decide most of the campaign
+  /// after the operator asked it to stop); in-flight restarts finish and are
+  /// journaled.
+  void restartWorker(RestartQueue& queue, int w) {
     try {
       for (;;) {
         if (halted()) {
@@ -2149,127 +2181,101 @@ CampaignResult CampaignRunner::run() const {
       parkError();
       queue.abort();
     }
-  };
+  }
 
-  if (!plan.empty()) {
-    // Queue depth, in restart groups, is the pipeline's overlap window: deep
-    // enough that the sweep outruns the restart drain and the producer joins
-    // the pool for most of the campaign, while backpressure bounds live
-    // snapshot memory (~64 MB of candidate bytes — each queued group keeps
-    // one snapshot, its leader's) for large apps. Never below the
-    // double-buffer floor that keeps every worker fed.
-    constexpr std::size_t kSnapshotBudgetBytes = std::size_t{64} << 20;
-    const std::size_t capacity =
-        std::max(static_cast<std::size_t>(std::max(2, 2 * threads)),
-                 kSnapshotBudgetBytes / std::max<std::size_t>(1, captureBytes));
-    RestartQueue queue(capacity);
-    std::vector<std::thread> restarters;
-    restarters.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      restarters.emplace_back(restartWorker, std::ref(queue), w);
+  const CampaignRunner& runner_;
+  const CampaignConfig& config_;
+  const ResilienceConfig& res_;
+  int threads_ = 1;
+  std::uint64_t timeoutMs_ = 0;  ///< fork-only trial deadline base; 0 = none
+  CampaignResult result_;
+  std::vector<std::uint64_t> crashIndices_;
+  std::size_t ownedCount_ = 0;
+  std::vector<std::optional<CrashTestRecord>> records_;
+  std::vector<std::optional<TrialFailure>> failures_;
+  std::size_t resumedTrials_ = 0;
+  std::size_t resumedFailures_ = 0;
+  std::vector<PlannedPoint> plan_;
+  std::optional<TrialJournal> journal_;
+
+  std::optional<telemetry::ProgressMeter> meter_;
+  std::mutex tallyMutex_;
+  std::array<int, 4> tally_{};
+  std::size_t done_ = 0;
+  std::size_t lastPercent_ = 0;
+  std::chrono::steady_clock::time_point lastEmit_;
+
+  std::atomic<int> failureCount_{0};
+  std::atomic<std::uint64_t> retryCount_{0};
+  std::atomic<std::uint64_t> timeoutCount_{0};
+  std::atomic<bool> budgetExceeded_{false};
+  std::atomic<int> newlyCompleted_{0};
+  std::atomic<bool> workersAbort_{false};
+  std::mutex errorMutex_;
+  std::exception_ptr firstError_;
+
+  std::optional<ForkParent> fork_;
+  std::optional<StatusWriter> status_;  ///< last: its sampler reads the above
+};
+
+CampaignResult CampaignRunner::run() const {
+  const ResilienceConfig& res = config_.resilience;
+  EC_CHECK_MSG(config_.shard.count >= 1 && config_.shard.index >= 0 &&
+                   config_.shard.index < config_.shard.count,
+               "shard index outside [0, count)");
+  // Only a fork worker can be reclaimed from a hang: an in-process run has
+  // no way to stop a trial that never returns.
+  if (res.trialTimeoutMs > 0 && res.isolation != IsolationMode::Fork) {
+    throw std::invalid_argument(
+        "a trial deadline (trialTimeoutMs) requires fork isolation");
+  }
+  if (telemetry::tracing()) {
+    telemetry::TraceEvent event("campaign_begin");
+    event.field("tests", config_.numTests)
+        .field("seed", config_.seed)
+        .field("mode", config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent")
+        .field("plan_points", static_cast<std::uint64_t>(config_.plan.points.size()));
+    if (config_.shard.active()) {
+      event.field("shard", config_.shard.index).field("shards", config_.shard.count);
     }
-    // The calling thread is the producer.
-    try {
-      produce(queue, threads);
-    } catch (...) {
-      parkError();
-      queue.abort();
-    }
-    queue.close();
-    // The producer has nothing left to feed: join the restart pool on the
-    // sweep's watchdog slot.
-    restartWorker(queue, threads);
-    for (auto& thread : restarters) thread.join();
+    event.emit();
   }
 
-  if (journal) journal->close();
-
-  if (firstError) std::rethrow_exception(firstError);
-
-  if (budgetExceeded.load()) {
-    throw std::runtime_error(
-        "campaign aborted: " + std::to_string(failureCount.load()) +
-        " trial failures exceeded the budget of " + std::to_string(res.maxFailures) +
-        (res.journalPath.empty() ? "" : " — journal kept at " + res.journalPath));
-  }
-
-  // Only the owned slice owes a decision: an unowned trial left undecided is
-  // another shard's work, not an interruption of this one.
-  std::size_t undecided = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    if (owned(t) && !records[t] && !failures[t]) ++undecided;
-  }
-  result.interrupted = undecided > 0;
-  if (result.interrupted) {
-    EC_LOG_WARN("campaign interrupted: " << (ownedCount - undecided) << "/"
-                                         << ownedCount << " trials decided"
-                                         << (stopSignal() != 0
-                                                 ? " (signal " +
-                                                       std::to_string(stopSignal()) + ")"
-                                                 : ""));
-    if (telemetry::tracing()) {
-      telemetry::TraceEvent("campaign_interrupted")
-          .field("decided", static_cast<std::uint64_t>(ownedCount - undecided))
-          .field("remaining", static_cast<std::uint64_t>(undecided))
-          .field("signal", stopSignal())
-          .emit();
-    }
-  }
-
-  result.resumedTrials = resumedTrials;
-  for (std::size_t t = 0; t < n; ++t) {
-    if (records[t]) {
-      result.tests.push_back(std::move(*records[t]));
-    } else if (failures[t]) {
-      result.failures.push_back(std::move(*failures[t]));
-    }
-  }
-
+  // Parse any resume journal before spending time on the golden run, so a
+  // bad path/file fails fast.
+  std::optional<JournalReplay> replay;
+  if (!res.resumePath.empty()) replay = readJournal(res.resumePath);
   {
+    // A runner can be reused; each run() aggregates its own profile.
     std::lock_guard<std::mutex> lock(profileMutex_);
-    result.profile = std::move(profile_);
     profile_ = CampaignProfile{};
   }
+  monitorState_ = MonitorSummary{};
 
-  if (status) status->writeFinal(result.interrupted);
-
-  if (config_.progress && !result.interrupted) meter.finish(responseTally(tally));
-  if (telemetry::tracing()) {
-    const auto counts = result.responseCounts();
-    telemetry::TraceEvent("campaign_end")
-        .field("tests", static_cast<std::uint64_t>(result.tests.size()))
-        .field("s1", counts[0])
-        .field("s2", counts[1])
-        .field("s3", counts[2])
-        .field("s4", counts[3])
-        .field("recomputability", result.recomputability())
-        .field("failures", static_cast<std::uint64_t>(result.failures.size()))
-        .field("interrupted", result.interrupted)
-        .emit();
-  }
-  return result;
+  CampaignExecution execution(*this);
+  execution.golden();
+  execution.draw();
+  execution.resume(std::move(replay));
+  execution.plan();
+  execution.evaluate();
+  return execution.finalize();
 }
 
 SweepOutcome CampaignRunner::runSweep(const GoldenStats& golden,
                                       const std::vector<std::uint64_t>& indices,
                                       const std::vector<std::uint64_t>& trialCounts,
-                                      const std::atomic<bool>* cancel,
-                                      std::uint64_t timeoutMs,
                                       const CaptureSink& sink) const {
   SweepOutcome outcome;
   Runtime rt(config_.cache);
-  rt.setBulk(config_.bulk);
-  rt.setScan(config_.scan);
   rt.setPlan(config_.plan);
   applyMonitorRouting(rt);
-  rt.setCancelFlag(cancel);
   rt.setTraceRun("sweep");
   armProfile(rt);
   // A failed run must not throw past the accounting below; without
   // isolation the campaign aborts on the first exception, as it always has.
   const auto died = [&] {
     if (!config_.resilience.isolate) throw;
-    outcome.failure = currentFailure(rt.throwRegionPath(), timeoutMs);
+    outcome.failure = currentFailure(rt.throwRegionPath());
   };
   try {
     // One span covers the whole crashing run; per-capture post-mortems get
@@ -2350,8 +2356,7 @@ void CampaignRunner::stampCapture(const SweepCapture& capture, CrashTestRecord& 
 }
 
 void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& input,
-                                std::size_t trial, const std::atomic<bool>* cancel,
-                                CrashTestRecord& record) const {
+                                std::size_t trial, CrashTestRecord& record) const {
   telemetry::PhaseSpan restartSpan("restart", CampaignMetrics::get().restartUs,
                                    static_cast<std::int64_t>(trial));
   Runtime restartRt(config_.cache);
@@ -2360,10 +2365,7 @@ void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& i
   // bit-for-bit, and the paper's restarts execute natively anyway — only the
   // crashing run's cache-vs-NVM divergence needs the hierarchy simulated.
   restartRt.setDirect(true);
-  restartRt.setBulk(config_.bulk);
-  restartRt.setScan(config_.scan);
   restartRt.setPlan(config_.plan);
-  restartRt.setCancelFlag(cancel);
   restartRt.setTraceRun("restart:" + std::to_string(trial));
   auto restartApp = factory_();
   restartApp->setup(restartRt);

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -122,22 +121,25 @@ struct MonitorSummary {
   [[nodiscard]] std::vector<std::string> demotedNames() const;
 };
 
-/// A trial the resilience layer gave up on: every retry either threw or was
-/// cancelled by the watchdog. Failed trials are excluded from the S1–S4
-/// rates (CampaignResult::tests) but reported here and in the journal, so a
-/// campaign sweep never silently loses statistics to a harness bug.
+/// A trial the resilience layer gave up on: every attempt threw, or its
+/// worker died or missed the fork deadline. Failed trials are excluded from
+/// the S1–S4 rates (CampaignResult::tests) but reported here and in the
+/// journal, so a campaign sweep never silently loses statistics to a
+/// harness bug.
 struct TrialFailure {
   std::size_t trial = 0;              ///< campaign test index
   std::uint64_t crashAccessIndex = 0; ///< the trial's pre-drawn crash point
-  bool timeout = false;               ///< watchdog deadline, not an exception
+  bool timeout = false;               ///< fork deadline, not an exception
   int attempts = 1;                   ///< tries spent (1 + retries)
-  std::string reason;                 ///< exception text or "watchdog ..."
+  std::string reason;                 ///< exception text or "watchdog: ..."
   std::string regionPath;             ///< crash-site path if the crash fired
-  /// How the trial died. In-process evaluation produces "exception" or
-  /// "timeout"; the fork evaluator adds the worker-death kinds "crashed"
-  /// (killed by a signal: SIGSEGV, SIGABRT, ...), "killed" (hard SIGKILL:
-  /// watchdog deadline or the kernel OOM killer), "oom" (the worker caught
+  /// How the trial died. In-process evaluation produces "exception"; the
+  /// fork evaluator adds the worker-death kinds "crashed" (killed by a
+  /// signal: SIGSEGV, SIGABRT, ...), "killed" (hard SIGKILL: the trial
+  /// deadline or the kernel OOM killer), "oom" (the worker caught
   /// std::bad_alloc) and "protocol" (torn frame / unexpected exit).
+  /// Journals written before deadlines became fork-only may also hold
+  /// "timeout".
   std::string kind = "exception";
 };
 
@@ -150,26 +152,29 @@ enum class IsolationMode {
 };
 
 /// Fault-tolerance knobs for one campaign (docs/ROBUSTNESS.md). Defaults
-/// keep the legacy all-or-nothing behaviour: no isolation, no watchdog, no
+/// keep the legacy all-or-nothing behaviour: no isolation, no deadline, no
 /// journal; the first trial exception propagates out of run().
 struct ResilienceConfig {
   /// Trap per-trial exceptions/EC_CHECK failures into TrialFailure records
-  /// instead of aborting the campaign. Also a prerequisite for the watchdog.
+  /// instead of aborting the campaign.
   bool isolate = false;
   /// Process isolation for trial execution (requires `isolate`). Fork mode
   /// produces byte-identical CSV/journal/report output for every trial that
-  /// does not die — the same differential bar as bulk/scan/threads.
+  /// does not die — the same differential bar as threads and sharding.
   IsolationMode isolation = IsolationMode::None;
   /// Abort the campaign once more than this many trials fail for good
   /// (after retries). Negative = unlimited.
   int maxFailures = -1;
   /// Re-run a failing trial this many times before recording the failure.
   int maxRetries = 1;
-  /// Per-trial wall-clock deadline. 0 = derive from the golden run:
-  /// max(1s, goldenRunTime * goldenTimeoutMultiple).
+  /// Per-attempt wall-clock deadline, fork isolation only: the parent
+  /// SIGKILLs a worker whose reply misses it (a restart's deadline scales
+  /// with its remaining iterations). 0 = derive from the golden run:
+  /// max(1s, goldenRunTime * goldenTimeoutMultiple). run() rejects a
+  /// non-zero value without fork isolation.
   std::uint64_t trialTimeoutMs = 0;
   /// Golden-run multiple used when trialTimeoutMs == 0. 0 disables the
-  /// watchdog unless trialTimeoutMs is set explicitly.
+  /// deadline unless trialTimeoutMs is set explicitly; ignored in-process.
   double goldenTimeoutMultiple = 0.0;
   /// Append completed trials to this crash-safe JSONL journal (empty = off).
   std::string journalPath;
@@ -236,18 +241,6 @@ struct CampaignConfig {
   /// identical to a single-threaded run (crash points are pre-drawn and
   /// records land by index). 0 = use the hardware concurrency.
   int threads = 1;
-  /// Block-granular bulk path for the apps' range accesses. Off lowers every
-  /// loadRange/storeRange to the per-element scalar path inside the runtime.
-  /// Both settings produce byte-identical campaign results for a fixed seed
-  /// (docs/INTERNALS.md "Range access fast path"); off exists as the
-  /// differential oracle and for perf comparisons.
-  bool bulk = true;
-  /// Post-mortem scan fast path: dirty-block index + vectorized compare
-  /// kernel inside the runtime's inconsistency/snapshot reads. Off restores
-  /// the probe-every-level scalar walk. Both settings produce byte-identical
-  /// campaign results (docs/INTERNALS.md "Post-mortem scan"); off exists as
-  /// the differential oracle and for perf comparisons.
-  bool scan = true;
   /// App name stamped onto telemetry (trace common field + trial events).
   std::string appLabel;
   /// Render a live progress line on stderr: trials done, S1-S4 tally, ETA.
@@ -270,7 +263,7 @@ struct CampaignConfig {
   /// Scale-out sharding: execute only the trials this shard owns (see
   /// ShardConfig). Defaults to unsharded.
   ShardConfig shard;
-  /// Fault tolerance: trial isolation, watchdog, journal/resume (see above).
+  /// Fault tolerance: trial isolation, deadline, journal/resume (see above).
   ResilienceConfig resilience;
   /// Deterministic fault injection into every crashing run (see FaultPlan).
   /// Only legal with resilience.isolation == IsolationMode::Fork.
@@ -406,13 +399,10 @@ class CampaignRunner {
   /// In-process the sink queues restarts; in a fork worker it streams the
   /// capture to the parent. A run that dies early reports the failure
   /// instead of throwing — unless isolation is off, where the exception
-  /// propagates. `cancel` is the watchdog flag (nullptr = no watchdog) and
-  /// `timeoutMs` the deadline its failure reason names.
+  /// propagates.
   [[nodiscard]] SweepOutcome runSweep(const GoldenStats& golden,
                                       const std::vector<std::uint64_t>& indices,
                                       const std::vector<std::uint64_t>& trialCounts,
-                                      const std::atomic<bool>* cancel,
-                                      std::uint64_t timeoutMs,
                                       const CaptureSink& sink) const;
 
   /// The per-trial half of a record: reset `record` and copy the capture's
@@ -429,8 +419,7 @@ class CampaignRunner {
   /// is what lets one restart decide a whole restart group; shared verbatim
   /// by both isolation modes, which is what makes them byte-identical.
   void runRestart(const GoldenStats& golden, const SweepCapture& input,
-                  std::size_t trial, const std::atomic<bool>* cancel,
-                  CrashTestRecord& record) const;
+                  std::size_t trial, CrashTestRecord& record) const;
 
   /// Enable profiling on a simulated run's runtime (per config_.profile) and
   /// fold its finished profile into profile_. Worker threads call the fold
@@ -476,6 +465,8 @@ class CampaignRunner {
   void applyMonitorRouting(runtime::Runtime& rt) const;
 
   friend struct ForkChildServer;
+  friend class ForkParent;
+  friend class CampaignExecution;
 
   runtime::AppFactory factory_;
   CampaignConfig config_;

@@ -2,8 +2,8 @@
 //
 // A tool whose subject is surviving failures should itself survive them:
 // this layer keeps a campaign alive through throwing trials (isolation into
-// TrialFailure records), runaway trials (watchdog deadlines + cooperative
-// cancellation in the tracked-access path), process death (a crash-safe
+// TrialFailure records), dying or runaway trials (fork workers, which the
+// parent SIGKILLs past their deadline), process death (a crash-safe
 // JSONL journal of decided trials, replayed by --resume), and operator
 // interruption (a SIGINT/SIGTERM stop flag workers drain against).
 //
@@ -23,15 +23,10 @@
 // trace_lint --journal checks whichever discipline the header declares.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "easycrash/crash/campaign.hpp"
@@ -51,51 +46,6 @@ void requestStop() noexcept;
 [[nodiscard]] int stopSignal() noexcept;
 /// Reset the flag (tests; a campaign never clears it on its own).
 void clearStopFlag() noexcept;
-
-// ---- Watchdog ---------------------------------------------------------------
-
-/// Monitor thread enforcing one wall-clock deadline per worker slot. A
-/// worker arms its slot before each trial attempt and installs the returned
-/// flag on the trial's runtimes (Runtime::setCancelFlag); the monitor sets
-/// the flag once the deadline passes and the next tracked access throws
-/// TrialCancelled. Requires EASYCRASH_WATCHDOG=ON (the default) to have any
-/// effect — with the poll compiled out, arm/disarm still work but nothing
-/// observes the flag.
-class Watchdog {
- public:
-  Watchdog(std::chrono::milliseconds timeout, int slots);
-  ~Watchdog();
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Reset the slot's flag and start its deadline clock. The reference stays
-  /// valid for the watchdog's lifetime. `budgetFactor` scales this arming's
-  /// deadline (clamped to >= 1) without changing the base timeout: the
-  /// campaign passes each trial's expected work in golden-run units, so a
-  /// slow late-crash trial (long crashing run + a restart that may run to
-  /// the iteration cap) is not cancelled by a deadline sized for the
-  /// average trial. --trial-timeout-ms stays the base unit.
-  std::atomic<bool>& arm(int slot, double budgetFactor = 1.0);
-  /// Stop the slot's clock. Returns true iff the deadline fired.
-  bool disarm(int slot);
-
-  [[nodiscard]] std::chrono::milliseconds timeout() const { return timeout_; }
-
- private:
-  struct Slot {
-    std::atomic<bool> cancel{false};
-    std::atomic<std::int64_t> deadlineNs{0};  ///< 0 = disarmed
-  };
-
-  void monitorLoop();
-
-  std::chrono::milliseconds timeout_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool shutdown_ = false;
-  std::thread monitor_;
-};
 
 // ---- Journal ----------------------------------------------------------------
 

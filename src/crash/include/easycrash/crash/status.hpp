@@ -35,7 +35,7 @@ struct CampaignStatus {
   std::array<int, 4> responses{};       ///< S1..S4 tally of completed trials
   std::uint64_t failures = 0;           ///< trials abandoned after retries
   std::uint64_t retries = 0;            ///< retry attempts spent so far
-  std::uint64_t timeouts = 0;           ///< watchdog cancellations so far
+  std::uint64_t timeouts = 0;           ///< fork deadline kills so far
   std::uint64_t queueDepth = 0;         ///< sweep restart queue depth
   std::uint64_t workers = 0;            ///< live fork-evaluator workers
   std::uint64_t workerDeaths = 0;       ///< worker children lost so far

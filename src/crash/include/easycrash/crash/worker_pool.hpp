@@ -10,13 +10,13 @@
 // status into a WorkerDeath the campaign maps onto TrialFailure kinds:
 //
 //   signal (not SIGKILL)  -> Crashed   (SIGSEGV, SIGABRT, SIGBUS, ...)
-//   SIGKILL               -> Killed    (watchdog deadline, kernel OOM killer)
+//   SIGKILL               -> Killed    (trial deadline, kernel OOM killer)
 //   _exit(kWorkerOomExit) -> Oom       (worker caught std::bad_alloc)
 //   any other exit        -> Protocol  (torn frame, garbage length, early EOF)
 //
 // Deadlines are enforced by the PARENT: recv() polls in short slices and
 // SIGKILLs the child when the deadline passes, so even a hung busy-loop that
-// never reaches a cooperative cancellation poll is reclaimed. Workers set
+// never returns to the simulator is reclaimed. Workers set
 // PR_SET_PDEATHSIG so a SIGKILLed parent leaves no orphans, and ignore
 // SIGINT/SIGTERM so an interactive ^C drains through the parent's graceful
 // stop path instead of racing it.

@@ -4,8 +4,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -55,70 +55,6 @@ int stopSignal() noexcept { return g_stopSignal.load(std::memory_order_relaxed);
 void clearStopFlag() noexcept {
   g_stopRequested.store(false, std::memory_order_relaxed);
   g_stopSignal.store(0, std::memory_order_relaxed);
-}
-
-// ---- Watchdog ---------------------------------------------------------------
-
-namespace {
-
-std::int64_t steadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-Watchdog::Watchdog(std::chrono::milliseconds timeout, int slots)
-    : timeout_(timeout) {
-  EC_CHECK(timeout.count() > 0);
-  EC_CHECK(slots > 0);
-  slots_.reserve(static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) slots_.push_back(std::make_unique<Slot>());
-  monitor_ = std::thread([this] { monitorLoop(); });
-}
-
-Watchdog::~Watchdog() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  monitor_.join();
-}
-
-std::atomic<bool>& Watchdog::arm(int slot, double budgetFactor) {
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  const double factor = std::max(1.0, budgetFactor);
-  const auto budgetNs = static_cast<std::int64_t>(
-      static_cast<double>(timeout_.count()) * 1'000'000.0 * factor);
-  s.cancel.store(false, std::memory_order_relaxed);
-  s.deadlineNs.store(steadyNowNs() + budgetNs, std::memory_order_release);
-  return s.cancel;
-}
-
-bool Watchdog::disarm(int slot) {
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  s.deadlineNs.store(0, std::memory_order_relaxed);
-  return s.cancel.load(std::memory_order_relaxed);
-}
-
-void Watchdog::monitorLoop() {
-  const auto period = std::clamp<std::chrono::milliseconds>(
-      timeout_ / 4, std::chrono::milliseconds(2), std::chrono::milliseconds(50));
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!shutdown_) {
-    cv_.wait_for(lock, period);
-    if (shutdown_) return;
-    const std::int64_t now = steadyNowNs();
-    for (auto& slot : slots_) {
-      const std::int64_t deadline = slot->deadlineNs.load(std::memory_order_acquire);
-      if (deadline != 0 && now > deadline) {
-        slot->cancel.store(true, std::memory_order_relaxed);
-        slot->deadlineNs.store(0, std::memory_order_relaxed);  // fire once
-      }
-    }
-  }
 }
 
 // ---- Atomic file replacement -------------------------------------------------

@@ -95,7 +95,7 @@ class CacheHierarchy {
   /// Demoted lines are never dirty, so no write-back can clobber the
   /// direct-written NVM image. Note the per-block granularity: repeated
   /// touches of one block and per-element touches are metadata-equivalent,
-  /// which is what keeps --bulk on/off agreement in sampled mode.
+  /// which is what keeps bulk/scalar agreement in sampled mode.
   void touchRange(std::uint64_t addr, std::uint64_t size);
 
   /// Apply a flush instruction to the block containing `addr`.

@@ -14,7 +14,7 @@
 // order (the same order the crash clock counts), with its phase derived from
 // the seed. The element order is invariant across bulk/scalar access paths
 // and chunk sizes, so a monitored run produces bit-identical region stats
-// regardless of --bulk, --threads or --isolation.
+// regardless of the access path, --threads or --isolation.
 #pragma once
 
 #include <cstdint>

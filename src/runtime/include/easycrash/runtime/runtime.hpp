@@ -8,7 +8,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -43,20 +42,6 @@ struct CrashEvent {
 /// response class S3 "Interruption").
 struct AppInterrupt {
   std::string reason;
-};
-
-#ifdef EASYCRASH_WATCHDOG_DISABLED
-inline constexpr bool kWatchdogCompiledIn = false;
-#else
-inline constexpr bool kWatchdogCompiledIn = true;
-#endif
-
-/// Thrown from a tracked access when the installed cancellation flag is set
-/// (the campaign watchdog flagging a runaway trial). Distinct from both
-/// CrashEvent (simulated power loss) and AppInterrupt (simulated segfault):
-/// cancellation is a harness decision, never an application response class.
-struct TrialCancelled {
-  std::uint64_t accessIndex = 0;  ///< window access count when cancelled
 };
 
 class Runtime {
@@ -285,22 +270,25 @@ class Runtime {
   /// cost of a run collapses to raw memory traffic. Restarts run in this
   /// mode: the paper's restarts execute natively on the machine under study;
   /// only the crashing run (whose cache-vs-NVM divergence is the object of
-  /// measurement) needs the hierarchy simulated. Crash-clock ticks, the
-  /// watchdog poll and armed crashes/captures behave identically in both
-  /// modes; MemEvents and NVM wear counters record (by design) nothing.
+  /// measurement) needs the hierarchy simulated. Crash-clock ticks and armed
+  /// crashes/captures behave identically in both modes; MemEvents and NVM
+  /// wear counters record (by design) nothing.
   void setDirect(bool on) noexcept { direct_ = on; }
   [[nodiscard]] bool direct() const noexcept { return direct_; }
 
   /// Bulk fast-path control: when off, loadRange/storeRange lower to the
-  /// element-wise accesses they are equivalent to. The differential tests and
-  /// `nvct --bulk off` use this to prove the equivalence on real workloads.
+  /// element-wise accesses they are equivalent to. A reference hook: the
+  /// per-trial campaign reference model (tests/reference_campaign.hpp) runs
+  /// with it off to prove the equivalence on real workloads, and the
+  /// microbenchmarks A/B it.
   void setBulk(bool on) noexcept { bulk_ = on; }
   [[nodiscard]] bool bulk() const noexcept { return bulk_; }
 
   /// Post-mortem scan fast-path control: when off, inconsistentRate and the
   /// snapshot dumps fall back to the probe-every-level scalar walk. Both
-  /// settings are bit-identical (`nvct --scan off` and the differential
-  /// tests prove it); the state lives on the hierarchy, not the runtime.
+  /// settings are bit-identical (the campaign reference model runs with it
+  /// off, and the scan equivalence tests prove it); the state lives on the
+  /// hierarchy, not the runtime.
   void setScan(bool on) noexcept { hierarchy_.setScanFastPath(on); }
   [[nodiscard]] bool scan() const noexcept { return hierarchy_.scanFastPath(); }
 
@@ -329,17 +317,6 @@ class Runtime {
   /// policy), so no post-mortem scan ever reads a demoted byte.
   void setDemotedNames(std::vector<std::string> names);
   [[nodiscard]] bool objectDemoted(ObjectId id) const { return object(id).demoted; }
-
-  // ---- Cooperative cancellation (campaign watchdog) --------------------------
-
-  /// Install a cancellation flag polled by tracked accesses inside the crash
-  /// window; when it reads true the access throws TrialCancelled. nullptr
-  /// (the default) removes the check down to a single predictable branch;
-  /// -DEASYCRASH_WATCHDOG=OFF compiles the poll out of the access path
-  /// entirely. The pointee must outlive the runtime or a later reset call.
-  void setCancelFlag(const std::atomic<bool>* flag) noexcept {
-    if constexpr (kWatchdogCompiledIn) cancel_ = flag;
-  }
 
   // ---- Telemetry ---------------------------------------------------------------
 
@@ -372,8 +349,8 @@ class Runtime {
 
  private:
   /// Crash-clock tick. Outside the crash window this is a single predictable
-  /// branch; inside it the out-of-line slow path handles counting, the
-  /// watchdog poll and crash injection.
+  /// branch; inside it the out-of-line slow path handles counting, captures,
+  /// fault and crash injection.
   void onAccess(std::uint64_t count) {
     if (!crashWindowActive_) return;
     onAccessSlow(count);
@@ -487,8 +464,6 @@ class Runtime {
   std::size_t captureCursor_ = 0;
   std::uint64_t captureNext_ = kNoCapture;
   CaptureHook captureHook_;
-
-  const std::atomic<bool>* cancel_ = nullptr;  ///< watchdog cancellation flag
 };
 
 }  // namespace easycrash::runtime

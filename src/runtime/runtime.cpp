@@ -150,11 +150,6 @@ std::vector<ObjectId> Runtime::candidateObjects() const {
 }
 
 void Runtime::onAccessSlow(std::uint64_t count) {
-  if constexpr (kWatchdogCompiledIn) {
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-      throw TrialCancelled{windowAccesses_};
-    }
-  }
   const PointId region = activeRegion();
   regionAccesses_[pointSlot(region)] += count;
   windowAccesses_ += count;

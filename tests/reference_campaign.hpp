@@ -8,7 +8,11 @@
 // trial after 1 + maxRetries attempts, named by the runtime's throw site.
 //
 // Deliberately naive: no capture sharing, no restart grouping, no threads,
-// no isolation. Only the full-monitoring, unsharded campaign is modelled.
+// no isolation, and every run on the runtime's scalar reference paths —
+// element-wise range accesses (setBulk(false)) and the probe-every-level
+// post-mortem scan (setScan(false)) — so every comparison against the
+// campaign also checks both fast paths end to end. Only the full-monitoring,
+// unsharded campaign is modelled.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +33,13 @@ namespace easycrash::reference {
 
 namespace detail {
 
+/// Route a runtime through the scalar reference paths the fast paths must
+/// match byte for byte.
+inline void scalarPaths(runtime::Runtime& rt) {
+  rt.setBulk(false);
+  rt.setScan(false);
+}
+
 /// One attempt of one trial: the decided record, or the exception that
 /// killed the crashing run or the restart.
 struct Attempt {
@@ -46,6 +57,7 @@ inline Attempt runTrial(const runtime::AppFactory& factory,
   std::map<runtime::ObjectId, std::vector<std::uint8_t>> snapshots;
   {
     runtime::Runtime rt(config.cache);
+    scalarPaths(rt);
     rt.setPlan(config.plan);
     auto app = factory();
     app->setup(rt);
@@ -77,6 +89,7 @@ inline Attempt runTrial(const runtime::AppFactory& factory,
 
   runtime::Runtime rt(config.cache);
   rt.setDirect(true);
+  scalarPaths(rt);
   rt.setPlan(config.plan);
   auto app = factory();
   app->setup(rt);
@@ -108,14 +121,15 @@ inline Attempt runTrial(const runtime::AppFactory& factory,
 
 /// The campaign `config` describes, one crashing run per test. Fills the
 /// golden fields the CSV and journal need (window, iterations, objects),
-/// the decided records and the failures, both in test-index order. Bulk,
-/// scan and monitoring stay at their defaults.
+/// the decided records and the failures, both in test-index order.
+/// Monitoring stays at its default (full).
 inline crash::CampaignResult referenceCampaign(const runtime::AppFactory& factory,
                                                const crash::CampaignConfig& config) {
   crash::CampaignResult result;
   result.plannedTests = config.numTests;
   {
     runtime::Runtime rt(config.cache);
+    detail::scalarPaths(rt);
     rt.setPlan(config.plan);
     auto app = factory();
     const auto run = runtime::Driver::freshRun(*app, rt);

@@ -1,9 +1,8 @@
 // Tests for the campaign fault-tolerance layer (docs/ROBUSTNESS.md): trial
-// isolation, watchdog deadlines, the crash-safe resume journal, and the
+// isolation, fork deadlines, the crash-safe resume journal, and the
 // graceful stop flag. The miniature apps mirror campaign_test's ProbeApp but
 // add controllable failure modes: throwing on inconsistent restart state and
-// spinning forever on it (the watchdog's prey).
-#include <atomic>
+// spinning forever on it (the deadline's prey).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -33,7 +32,7 @@ namespace {
 /// Accumulator app with controllable failure behaviour on inconsistent
 /// state: FailMode::None behaves like campaign_test's ProbeApp, Throw raises
 /// a plain std::runtime_error (a harness bug, not an AppInterrupt), Hang
-/// spins on tracked loads forever (only the watchdog can stop it).
+/// spins on tracked loads forever (only the fork deadline can stop it).
 class FaultyApp final : public rt::IApp {
  public:
   enum class FailMode { None, Throw, Hang };
@@ -75,7 +74,7 @@ class FaultyApp final : public rt::IApp {
         if (knobs_.failMode == FailMode::Throw) {
           throw std::runtime_error("faulty: non-uniform state");
         }
-        // Hang: spin on tracked loads so the cancellation poll runs.
+        // Hang: spin on tracked loads forever.
         for (;;) {
           total += data_.get(0);
         }
@@ -315,17 +314,17 @@ TEST(ResilienceTest, RetriesAreCountedOnPermanentFailures) {
             2 * result.failures.size());
 }
 
-// ---- Watchdog ---------------------------------------------------------------
+// ---- Deadlines ----------------------------------------------------------------
 
 TEST(ResilienceTest, WatchdogCancelsHungTrials) {
-  if (!rt::kWatchdogCompiledIn) {
-    GTEST_SKIP() << "EASYCRASH_WATCHDOG is OFF";
-  }
+  // A hung restart never returns to the campaign: only the fork parent's
+  // deadline, a SIGKILL of the worker, reclaims it.
   FaultyApp::Knobs knobs;
   knobs.failMode = FaultyApp::FailMode::Hang;
   auto config = tinyConfig(6);
   config.threads = 2;
   config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::Fork;
   config.resilience.maxRetries = 0;
   config.resilience.trialTimeoutMs = 150;
   const auto before = counterValue("campaign.trial_timeouts");
@@ -335,42 +334,25 @@ TEST(ResilienceTest, WatchdogCancelsHungTrials) {
       << "non-hanging trials must still complete";
   std::uint64_t timeouts = 0;
   for (const auto& failure : result.failures) {
-    if (failure.timeout) {
-      ++timeouts;
-      EXPECT_NE(failure.reason.find("watchdog"), std::string::npos);
-    }
+    EXPECT_TRUE(failure.timeout) << failure.reason;
+    EXPECT_EQ(failure.kind, "killed");
+    EXPECT_EQ(failure.reason, "watchdog: trial exceeded its 150 ms deadline");
+    if (failure.timeout) ++timeouts;
   }
   EXPECT_GT(timeouts, 0u);
   EXPECT_EQ(counterValue("campaign.trial_timeouts") - before, timeouts);
 }
 
-TEST(ResilienceTest, WatchdogArmDisarmLifecycle) {
-  cr::Watchdog watchdog(std::chrono::milliseconds(40), 2);
-  std::atomic<bool>& flag = watchdog.arm(0);
-  EXPECT_FALSE(flag.load());
-  EXPECT_FALSE(watchdog.disarm(0));  // deadline has not passed
-  watchdog.arm(0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_TRUE(flag.load()) << "monitor should have fired the deadline";
-  EXPECT_TRUE(watchdog.disarm(0));
-  // Re-arming clears the flag for the next attempt.
-  EXPECT_FALSE(watchdog.arm(0).load());
-  EXPECT_FALSE(watchdog.disarm(0));
-}
-
-TEST(ResilienceTest, WatchdogBudgetFactorScalesTheDeadline) {
-  cr::Watchdog watchdog(std::chrono::milliseconds(40), 1);
-  // factor 5: this arming's deadline is 200 ms, so well past the 40 ms base
-  // the flag must not have fired.
-  std::atomic<bool>& flag = watchdog.arm(0, 5.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_FALSE(flag.load()) << "budgeted deadline must outlive the base timeout";
-  EXPECT_FALSE(watchdog.disarm(0));
-  // Sub-unit factors clamp to 1: the base deadline still applies.
-  std::atomic<bool>& clamped = watchdog.arm(0, 0.01);
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_TRUE(clamped.load()) << "clamped factor keeps the base deadline";
-  EXPECT_TRUE(watchdog.disarm(0));
+TEST(ResilienceTest, InProcessCampaignsRejectADeadline) {
+  // In-process, nothing could enforce the deadline: run() refuses it rather
+  // than silently running without one.
+  auto config = tinyConfig(2);
+  config.resilience.trialTimeoutMs = 100;
+  EXPECT_THROW((void)cr::CampaignRunner(faultyFactory({}), config).run(),
+               std::invalid_argument);
+  config.resilience.isolate = true;
+  EXPECT_THROW((void)cr::CampaignRunner(faultyFactory({}), config).run(),
+               std::invalid_argument);
 }
 
 namespace {
@@ -429,22 +411,23 @@ class SleepyApp final : public rt::IApp {
 
 TEST(ResilienceTest, LateCrashTrialsFitTheScaledBudget) {
   // Regression for the flat-deadline bug: the golden run takes ~40 ms
-  // (8 iterations x 5 ms) against the 55 ms base deadline below. The sweep
-  // re-arms the base at every capture, so its crashing run — a whole golden
-  // run's worth of sleeps before the last capture — never owes more than
-  // one base in one stretch; a restart from an early bookmark owes up to the
-  // iteration cap (~80 ms of sleeps) and its budget (remaining iterations
-  // over the golden count) scales the deadline to ~110 ms. No attempt may
-  // time out.
+  // (8 iterations x 5 ms) against the 55 ms base deadline below. The fork
+  // parent restarts the base at every streamed capture, so the sweep's
+  // crashing run — a whole golden run's worth of sleeps before the last
+  // capture — never owes more than one base in one stretch; a restart from
+  // an early bookmark owes up to the iteration cap (~80 ms of sleeps) and
+  // its budget (remaining iterations over the golden count) scales the
+  // deadline to ~110 ms. No attempt may time out.
   const std::uint64_t before = counterValue("campaign.trial_timeouts");
   auto config = tinyConfig(6);
   config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::Fork;
   config.resilience.maxRetries = 0;
   config.resilience.trialTimeoutMs = 55;
   const auto factory = [] { return std::make_unique<SleepyApp>(); };
   const auto result = cr::CampaignRunner(factory, config).run();
   EXPECT_TRUE(result.failures.empty())
-      << "slow late-crash trials must fit the scaled watchdog budget";
+      << "slow late-crash trials must fit the scaled deadline budget";
   EXPECT_EQ(result.tests.size(), 6u);
   EXPECT_EQ(counterValue("campaign.trial_timeouts") - before, 0u);
 }

@@ -487,7 +487,10 @@ namespace {
 /// The sweep against the reference on a real app, on every thread/isolation
 /// axis: records, CSV bytes, and completed-journal bytes (the reference
 /// journal written through TrialJournal). sp shares few restart inputs; ft
-/// shares most, so its grouping carries the comparison.
+/// shares most, so its grouping carries the comparison. lulesh leans hardest
+/// on the bulk range path (overlapping stencil reads, a mid-range
+/// AppInterrupt), and kmeans mixes int32 membership writes with double point
+/// reads between bulk chunks — against the reference's scalar paths.
 void expectAppMatchesTheReference(const std::string& app, int tests) {
   const auto& entry = easycrash::apps::findBenchmark(app);
   cr::CampaignConfig config;
@@ -524,6 +527,10 @@ void expectAppMatchesTheReference(const std::string& app, int tests) {
 TEST(SweepReferenceTest, SpMatchesOnEveryAxis) { expectAppMatchesTheReference("sp", 12); }
 
 TEST(SweepReferenceTest, FtMatchesOnEveryAxis) { expectAppMatchesTheReference("ft", 60); }
+
+TEST(SweepReferenceTest, LuleshMatchesOnEveryAxis) { expectAppMatchesTheReference("lulesh", 12); }
+
+TEST(SweepReferenceTest, KmeansMatchesOnEveryAxis) { expectAppMatchesTheReference("kmeans", 10); }
 
 // ---- Restart grouping -------------------------------------------------------
 

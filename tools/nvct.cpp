@@ -23,20 +23,19 @@
 //
 // Performance (docs/INTERNALS.md): one sweep run captures every pending
 // crash point and the restarts pipeline behind it, the apps' range accesses
-// take the block-granular bulk path (--bulk off restores the per-element
-// scalar path; results are byte-identical), and the post-mortem
-// inconsistency scan walks a dirty-block index with a vectorized compare
-// kernel (--scan off restores the probe-every-level scalar walk; results
-// are byte-identical).
+// take the block-granular bulk path, and the post-mortem inconsistency scan
+// walks a dirty-block index with a vectorized compare kernel.
 //
-// Fault tolerance (docs/ROBUSTNESS.md): trials are isolated (a throwing
-// trial becomes a reported TrialFailure, bounded by --max-trial-failures),
-// a watchdog cancels hung trials (--trial-timeout-ms), --journal records
+// Fault tolerance (docs/ROBUSTNESS.md): trials run in pre-forked worker
+// processes (a throwing or dying trial becomes a reported TrialFailure,
+// bounded by --max-trial-failures), the parent SIGKILLs a worker that
+// misses its deadline (--trial-timeout-ms), --journal records
 // decided trials crash-safely and --resume replays such a journal, and
 // SIGINT/SIGTERM drain the in-flight trials then exit with code 130 and a
 // partial summary.
 //
 // Exit codes: 0 success, 1 error, 130 interrupted (SIGINT/SIGTERM).
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -61,6 +60,14 @@ namespace ec = easycrash;
 namespace {
 
 constexpr int kExitInterrupted = 130;
+
+// A millisecond option that must not be negative: a negative value would
+// wrap to a ~2^64 ms sleep or deadline.
+std::uint64_t nonNegative(const ec::CliParser& cli, const std::string& name) {
+  const std::int64_t value = cli.getInt(name);
+  if (value < 0) throw std::runtime_error("--" + name + " must not be negative");
+  return static_cast<std::uint64_t>(value);
+}
 
 // `nvct report`: deterministic post-run analysis over a finished campaign's
 // outputs. Dispatched on argv[1] before the campaign CLI (CliParser has no
@@ -206,14 +213,6 @@ int main(int argc, char** argv) {
                 "points but executes only the trials with index % k == i; "
                 "fold the k shard journals with `nvct merge` — the merged "
                 "journal/CSV/report are byte-identical to the unsharded run");
-  cli.addString("bulk", "on",
-                "block-granular bulk path for the apps' range accesses "
-                "(on|off; off = per-element scalar path, byte-identical "
-                "results)");
-  cli.addString("scan", "on",
-                "post-mortem scan fast path: dirty-block index + vectorized "
-                "compare (on|off; off = probe-every-level scalar walk, "
-                "byte-identical results)");
   cli.addString("monitor", "full",
                 "access monitoring: 'full' tracks every byte's value (the "
                 "default; byte-identical to campaigns before the monitor "
@@ -243,10 +242,12 @@ int main(int argc, char** argv) {
              "abort once more than this many trials fail (-1 = unlimited)");
   cli.addInt("trial-retries", 1, "retries per failing trial before recording it");
   cli.addInt("trial-timeout-ms", 0,
-             "per-trial watchdog deadline (0 = golden-run multiple)");
+             "per-attempt deadline; the parent SIGKILLs a worker that misses "
+             "it (0 = golden-run multiple; requires --isolation fork)");
   cli.addDouble("timeout-golden-multiple", 20.0,
-                "watchdog deadline as a multiple of the golden run "
-                "(used when --trial-timeout-ms is 0; 0 disables the watchdog)");
+                "deadline as a multiple of the golden run (used when "
+                "--trial-timeout-ms is 0; 0 disables the deadline; ignored "
+                "without --isolation fork)");
   cli.addInt("retry-backoff-ms", 25,
              "base backoff before a trial retry, doubled per attempt with "
              "deterministic jitter (0 = retry immediately)");
@@ -342,18 +343,6 @@ int main(int argc, char** argv) {
     } else if (mode != "nvm") {
       throw std::runtime_error("--mode must be 'nvm' or 'coherent'");
     }
-    const std::string bulk = cli.getString("bulk");
-    if (bulk == "off") {
-      config.bulk = false;
-    } else if (bulk != "on") {
-      throw std::runtime_error("--bulk must be 'on' or 'off'");
-    }
-    const std::string scan = cli.getString("scan");
-    if (scan == "off") {
-      config.scan = false;
-    } else if (scan != "on") {
-      throw std::runtime_error("--scan must be 'on' or 'off'");
-    }
     const std::string monitor = cli.getString("monitor");
     if (monitor == "sampled") {
       config.monitor.mode = ec::crash::MonitorMode::Sampled;
@@ -376,15 +365,18 @@ int main(int argc, char** argv) {
     res.isolate = !cli.getFlag("no-isolate");
     res.maxFailures = static_cast<int>(cli.getInt("max-trial-failures"));
     res.maxRetries = static_cast<int>(cli.getInt("trial-retries"));
-    res.trialTimeoutMs = static_cast<std::uint64_t>(cli.getInt("trial-timeout-ms"));
+    res.trialTimeoutMs = nonNegative(cli, "trial-timeout-ms");
     res.goldenTimeoutMultiple = cli.getDouble("timeout-golden-multiple");
+    if (!std::isfinite(res.goldenTimeoutMultiple) || res.goldenTimeoutMultiple < 0) {
+      throw std::runtime_error(
+          "--timeout-golden-multiple must be a finite non-negative number");
+    }
     res.journalPath = cli.getString("journal");
     res.resumePath = cli.getString("resume");
     res.journalFlushEvery = static_cast<int>(cli.getInt("journal-flush-every"));
     res.stopAfterTrials = static_cast<int>(cli.getInt("stop-after"));
-    res.retryBackoffMs = static_cast<std::uint64_t>(cli.getInt("retry-backoff-ms"));
-    res.retryBackoffMaxMs =
-        static_cast<std::uint64_t>(cli.getInt("retry-backoff-max-ms"));
+    res.retryBackoffMs = nonNegative(cli, "retry-backoff-ms");
+    res.retryBackoffMaxMs = nonNegative(cli, "retry-backoff-max-ms");
     const std::string isolation = cli.getString("isolation");
     if (isolation == "fork") {
       // --no-isolate keeps its legacy all-or-nothing meaning: trials run
@@ -395,6 +387,11 @@ int main(int argc, char** argv) {
       res.isolation = ec::crash::IsolationMode::None;
     } else {
       throw std::runtime_error("--isolation must be 'fork' or 'none'");
+    }
+    if (res.trialTimeoutMs > 0 && res.isolation != ec::crash::IsolationMode::Fork) {
+      throw std::runtime_error(
+          "--trial-timeout-ms requires --isolation fork (only a worker "
+          "process can be killed when it misses its deadline)");
     }
     const std::string inject = cli.getString("inject");
     if (!inject.empty()) {
