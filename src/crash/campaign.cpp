@@ -298,9 +298,17 @@ class RestartQueue {
 // Requests (parent -> worker):  'R' restart {trial, restart input}
 //                               'S' sweep {n, n x (index, trialCount)}
 //                               'A' ack of one streamed sweep capture
-// Responses (worker -> parent): 'r' restart outcome or error
+// Responses (worker -> parent): 'r' restart {status, delta, outcome or error}
 //                               'c' one streamed sweep capture (await 'A')
-//                               'e' sweep end {completed, captured, failure}
+//                               'e' sweep end {completed, captured, failure,
+//                                              delta}
+// A worker starts every request from a zeroed metrics registry and an empty
+// campaign profile and records exactly as an in-process run does; the
+// delta closing each 'r'/'e' reply is what the request left behind: the
+// buffered trace lines, every non-zero counter and histogram by name
+// (histograms with their bounds), and the profile. The parent decodes the
+// whole delta before folding any of it in; a truncated delta or a histogram
+// whose shape disagrees with the parent's is a protocol death.
 // Integers are little-endian; snapshot payloads ride the slot's shared
 // arena when they fit (the common case — the arena is sized off the app's
 // candidate bytes) and fall back to inline frame bytes when they don't.
@@ -390,65 +398,39 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-void addEvents(memsim::MemEvents& total, const memsim::MemEvents& run) {
-  total.loads += run.loads;
-  total.stores += run.stores;
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) {
-    total.hits[i] += run.hits[i];
-    total.misses[i] += run.misses[i];
+void encodeMetrics(WireWriter& w, const telemetry::MetricsSnapshot& m) {
+  w.u64(m.counters.size());
+  for (const auto& [name, value] : m.counters) {
+    w.str(name);
+    w.u64(value);
   }
-  total.nvmBlockReads += run.nvmBlockReads;
-  total.nvmBlockWrites += run.nvmBlockWrites;
-  total.flushDirty += run.flushDirty;
-  total.flushClean += run.flushClean;
-  total.flushNonResident += run.flushNonResident;
-  total.flushInducedNvmWrites += run.flushInducedNvmWrites;
-  total.rangeLoads += run.rangeLoads;
-  total.rangeStores += run.rangeStores;
-  total.rangeSplitBlocks += run.rangeSplitBlocks;
-  total.postmortemBlocksSkipped += run.postmortemBlocksSkipped;
-  total.postmortemBlocksCompared += run.postmortemBlocksCompared;
-  total.postmortemBytesCompared += run.postmortemBytesCompared;
+  w.u64(m.histograms.size());
+  for (const auto& [name, h] : m.histograms) {
+    w.str(name);
+    w.f64(h.sum);
+    w.u64(h.bounds.size());
+    for (const double bound : h.bounds) w.f64(bound);
+    for (const std::uint64_t count : h.buckets) w.u64(count);
+  }
 }
 
-void encodeEvents(WireWriter& w, const memsim::MemEvents& ev) {
-  w.u64(ev.loads);
-  w.u64(ev.stores);
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) w.u64(ev.hits[i]);
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) w.u64(ev.misses[i]);
-  w.u64(ev.nvmBlockReads);
-  w.u64(ev.nvmBlockWrites);
-  w.u64(ev.flushDirty);
-  w.u64(ev.flushClean);
-  w.u64(ev.flushNonResident);
-  w.u64(ev.flushInducedNvmWrites);
-  w.u64(ev.rangeLoads);
-  w.u64(ev.rangeStores);
-  w.u64(ev.rangeSplitBlocks);
-  w.u64(ev.postmortemBlocksSkipped);
-  w.u64(ev.postmortemBlocksCompared);
-  w.u64(ev.postmortemBytesCompared);
-}
-
-memsim::MemEvents decodeEvents(WireReader& r) {
-  memsim::MemEvents ev;
-  ev.loads = r.u64();
-  ev.stores = r.u64();
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) ev.hits[i] = r.u64();
-  for (std::size_t i = 0; i < memsim::kMaxLevels; ++i) ev.misses[i] = r.u64();
-  ev.nvmBlockReads = r.u64();
-  ev.nvmBlockWrites = r.u64();
-  ev.flushDirty = r.u64();
-  ev.flushClean = r.u64();
-  ev.flushNonResident = r.u64();
-  ev.flushInducedNvmWrites = r.u64();
-  ev.rangeLoads = r.u64();
-  ev.rangeStores = r.u64();
-  ev.rangeSplitBlocks = r.u64();
-  ev.postmortemBlocksSkipped = r.u64();
-  ev.postmortemBlocksCompared = r.u64();
-  ev.postmortemBytesCompared = r.u64();
-  return ev;
+/// Element by element, so a corrupt length runs into the end of the frame
+/// instead of a huge allocation.
+telemetry::MetricsSnapshot decodeMetrics(WireReader& r) {
+  telemetry::MetricsSnapshot m;
+  for (std::uint64_t n = r.u64(); n > 0; --n) {
+    std::string name = r.str();
+    m.counters[std::move(name)] = r.u64();
+  }
+  for (std::uint64_t n = r.u64(); n > 0; --n) {
+    std::string name = r.str();
+    telemetry::MetricsSnapshot::HistogramData h;
+    h.sum = r.f64();
+    for (std::uint64_t b = r.u64(); b > 0; --b) h.bounds.push_back(r.f64());
+    for (std::size_t b = 0; b <= h.bounds.size(); ++b) h.buckets.push_back(r.u64());
+    m.histograms[std::move(name)] = std::move(h);
+  }
+  return m;
 }
 
 void encodeProfile(WireWriter& w, const CampaignProfile& p) {
@@ -614,7 +596,8 @@ void copyOutcome(const CrashTestRecord& from, CrashTestRecord& to) {
 
 /// The forked child's trace buffer: TraceSink is redirected here right after
 /// the fork, and each response frame ships-and-clears the accumulated lines
-/// for the parent to splice into the real trace via writeRaw().
+/// for the parent to splice into the real trace via writeRaw(). Set only in
+/// a worker child, so it doubles as the in-worker flag.
 std::ostringstream* g_childTraceBuf = nullptr;
 
 std::string takeChildTrace() {
@@ -623,56 +606,6 @@ std::string takeChildTrace() {
   g_childTraceBuf->str("");
   return out;
 }
-
-/// The phase histograms a worker child's spans observe into, in wire order.
-std::array<telemetry::Histogram*, 3> childPhaseHistograms() {
-  CampaignMetrics& m = CampaignMetrics::get();
-  return {&m.crashRunUs, &m.postmortemUs, &m.restartUs};
-}
-
-/// Per-request run collector inside a worker child: noteRun() lands events
-/// and profile increments here instead of the (discarded) child metrics
-/// registry, and the response frame ships them to the parent.
-struct ChildRunCollector {
-  memsim::MemEvents events;
-  CampaignProfile profile;
-  /// runtime.crash_injections value at request start: the child registry is
-  /// discarded, so each reply ships the per-request delta for the parent to
-  /// re-add — keeping the counter identical to an in-process run.
-  std::uint64_t crashInjectionsBase = telemetry::MetricsRegistry::instance()
-                                          .counter("runtime.crash_injections")
-                                          .value();
-
-  /// The phase histograms start each request empty — the child inherits the
-  /// parent's counts at fork — so a reply ships exactly its own spans.
-  ChildRunCollector() {
-    for (telemetry::Histogram* h : childPhaseHistograms()) h->reset();
-  }
-
-  /// Ship what the request's runs left in this child: buffered trace lines,
-  /// MemEvents, the crash-injection delta, the profile increment and the
-  /// phase histograms. The parent folds them in with absorbChildRuns.
-  void encode(WireWriter& w) const {
-    w.str(takeChildTrace());
-    encodeEvents(w, events);
-    w.u64(telemetry::MetricsRegistry::instance()
-              .counter("runtime.crash_injections")
-              .value() -
-          crashInjectionsBase);
-    if (profile.runs > 0) {
-      w.u8(1);
-      encodeProfile(w, profile);
-    } else {
-      w.u8(0);
-    }
-    for (const telemetry::Histogram* h : childPhaseHistograms()) {
-      w.f64(h->sum());
-      w.u64(h->bounds().size() + 1);
-      for (std::size_t i = 0; i <= h->bounds().size(); ++i) w.u64(h->bucketCount(i));
-    }
-  }
-};
-ChildRunCollector* g_childRunCollector = nullptr;
 
 /// Installed in a worker child while a crashing run may host an injected
 /// fault: where to write the black box and which fd a wild write tears.
@@ -809,53 +742,56 @@ std::uint64_t saturatingMs(double ms) {
 
 /// The worker child's request loop body (one call per request frame). Runs
 /// the same runSweep/runRestart the in-process evaluator runs — byte-for-
-/// byte the same simulation — and ships the result (or the failure), the
-/// run's MemEvents, the profile increment and the buffered trace lines back
-/// through the pipe protocol. Lives outside the anonymous namespace so
-/// CampaignRunner can befriend it into its private evaluator internals.
+/// byte the same simulation, recorded the same way — and ships the result
+/// (or the failure) plus the request's telemetry delta back through the pipe
+/// protocol. Lives outside the anonymous namespace so CampaignRunner can
+/// befriend it into its private evaluator internals.
 struct ForkChildServer {
   const CampaignRunner& runner;
   const GoldenStats& golden;
 
+  /// Exceptions escape to childMain: bad_alloc -> OOM exit, rest -> protocol.
   void serve(int slot, const std::string& request,
              const WorkerPool::ChildChannel& ch) const {
     (void)slot;
     WireReader req(request);
     const std::uint8_t op = req.u8();
-    ChildRunCollector collector;
-    g_childRunCollector = &collector;
+    // The child inherited the parent's counts at fork and keeps its own from
+    // earlier requests: start from zero so the reply ships this request's.
+    telemetry::MetricsRegistry::instance().reset();
+    runner.profile_ = CampaignProfile{};
     static ChildFaultContext faultCtx;
     faultCtx.plan = runner.config_.inject;
     faultCtx.blackBox = ch.arena();
     faultCtx.responseFd = ch.responseFd();
     g_childFault = runner.config_.inject.active() ? &faultCtx : nullptr;
-    try {
-      switch (op) {
-        case 'R':
-          serveRestart(req, ch, collector);
-          break;
-        case 'S':
-          serveSweep(req, ch, collector);
-          break;
-        default:
-          throw std::runtime_error("fork worker: unknown request op");
-      }
-    } catch (...) {
-      g_childRunCollector = nullptr;
-      throw;  // escapes to childMain: bad_alloc -> OOM exit, rest -> protocol
+    switch (op) {
+      case 'R':
+        serveRestart(req, ch);
+        break;
+      case 'S':
+        serveSweep(req, ch);
+        break;
+      default:
+        throw std::runtime_error("fork worker: unknown request op");
     }
-    g_childRunCollector = nullptr;
   }
 
  private:
+  /// The request's telemetry delta (ForkParent::absorbDelta reads it).
+  void encodeDelta(WireWriter& w) const {
+    w.str(takeChildTrace());
+    encodeMetrics(w, telemetry::MetricsRegistry::instance().snapshot());
+    encodeProfile(w, runner.profile_);
+  }
+
   /// Run one restart attempt from the shipped restart input, then ship an
   /// 'r' frame: status 0 carries the outcome (response, extra iterations,
   /// note), status 1 the exception text — the parent names the crash site
-  /// from its own stamped record. Both carry the collector's accounting: a
-  /// failed attempt still simulated runs the parent must account, exactly as
-  /// the in-process evaluator records them before its exception propagates.
-  void serveRestart(WireReader& req, const WorkerPool::ChildChannel& ch,
-                    ChildRunCollector& collector) const {
+  /// from its own stamped record. Both carry the delta: a failed attempt
+  /// still simulated runs the parent must account, exactly as the
+  /// in-process evaluator records them before its exception propagates.
+  void serveRestart(WireReader& req, const WorkerPool::ChildChannel& ch) const {
     const std::uint64_t trial = req.u64();
     SweepCapture input;
     decodeRestartInput(req, input, ch.arena(), ch.arenaBytes());
@@ -873,7 +809,7 @@ struct ForkChildServer {
     WireWriter resp;
     resp.u8('r');
     resp.u8(failed ? 1 : 0);
-    collector.encode(resp);
+    encodeDelta(resp);
     if (failed) {
       resp.str(error);
     } else {
@@ -887,8 +823,7 @@ struct ForkChildServer {
   /// The sweep crashing run, child side: stream each capture as a 'c' frame
   /// and wait for the parent's 'A' ack (that handshake IS the restart-queue
   /// backpressure), then ship the 'e' summary with the run's failure fields.
-  void serveSweep(WireReader& req, const WorkerPool::ChildChannel& ch,
-                  ChildRunCollector& collector) const {
+  void serveSweep(WireReader& req, const WorkerPool::ChildChannel& ch) const {
     const std::uint64_t count = req.u64();
     std::vector<std::uint64_t> indices(static_cast<std::size_t>(count));
     std::vector<std::uint64_t> trialCounts(indices.size());
@@ -916,7 +851,7 @@ struct ForkChildServer {
       resp.str(outcome.failure->reason);
       resp.str(outcome.failure->regionPath);
     }
-    collector.encode(resp);
+    encodeDelta(resp);
     ch.send(resp.take());
   }
 };
@@ -946,7 +881,7 @@ class ForkParent {
                      const WorkerPool::ChildChannel& ch) {
                 childServer_.serve(slot, request, ch);
               },
-              forkHooks()) {
+              forkHooks(runner.profileMutex_)) {
     CampaignMetrics::get().workerSpawns.add(pool_.spawnCount());
   }
 
@@ -970,7 +905,7 @@ class ForkParent {
       WireReader r(frame);
       if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
       const std::uint8_t status = r.u8();
-      absorbChildRuns(r);
+      absorbDelta(r);
       if (status != 0) {
         throw AttemptFailure{"exception", false, r.str(),
                              formatRegionPath(record.regionPath)};
@@ -1034,7 +969,7 @@ class ForkParent {
             f.reason = r.str();
             f.regionPath = r.str();
           }
-          absorbChildRuns(r);
+          absorbDelta(r);
           return outcome;
         } else {
           throw std::runtime_error("fork sweep: unexpected frame tag");
@@ -1054,19 +989,23 @@ class ForkParent {
   [[nodiscard]] std::uint64_t deaths() const { return deaths_.load(); }
 
  private:
-  /// Never fork while another campaign thread holds the trace or metrics
-  /// lock: the child would inherit a locked mutex it can never unlock.
-  static WorkerPool::ForkHooks forkHooks() {
+  /// Never fork while another campaign thread holds the trace, metrics or
+  /// profile lock: the child would inherit a locked mutex it can never
+  /// unlock.
+  static WorkerPool::ForkHooks forkHooks(std::mutex& profileMutex) {
     WorkerPool::ForkHooks hooks;
-    hooks.prepare = [] {
+    hooks.prepare = [&profileMutex] {
       telemetry::TraceSink::instance().lockForFork();
       telemetry::MetricsRegistry::instance().lockForFork();
+      profileMutex.lock();
     };
-    hooks.parent = [] {
+    hooks.parent = [&profileMutex] {
+      profileMutex.unlock();
       telemetry::MetricsRegistry::instance().unlockAfterFork();
       telemetry::TraceSink::instance().unlockAfterFork();
     };
-    hooks.child = [](int) {
+    hooks.child = [&profileMutex](int) {
+      profileMutex.unlock();
       telemetry::MetricsRegistry::instance().unlockAfterFork();
       telemetry::TraceSink::instance().unlockAfterFork();
       // Reroute trace lines into a buffer the response frames ship to the
@@ -1152,33 +1091,17 @@ class ForkParent {
     }
   }
 
-  /// Fold the accounting a worker shipped (ChildRunCollector::encode) into
-  /// the parent: splice its trace, record its simulated runs, re-add its
-  /// crash injections, merge its profile and phase histograms.
-  void absorbChildRuns(WireReader& r) {
+  /// Fold a reply's delta (ForkChildServer::encodeDelta) into the parent:
+  /// its metrics, its trace lines, its profile. Decoded in full first, so a
+  /// truncated delta throws before anything lands.
+  void absorbDelta(WireReader& r) {
     const std::string trace = r.str();
+    const telemetry::MetricsSnapshot metrics = decodeMetrics(r);
+    const CampaignProfile profile = decodeProfile(r);
+    telemetry::MetricsRegistry::instance().merge(metrics);
     if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-    CampaignMetrics::get().recordRun(decodeEvents(r));
-    const std::uint64_t crashed = r.u64();
-    if (crashed > 0) {
-      telemetry::MetricsRegistry::instance()
-          .counter("runtime.crash_injections")
-          .add(crashed);
-    }
-    if (r.u8() != 0) {
-      const CampaignProfile shipped = decodeProfile(r);
-      std::lock_guard<std::mutex> lock(runner_.profileMutex_);
-      runner_.profile_.merge(shipped);
-    }
-    for (telemetry::Histogram* h : childPhaseHistograms()) {
-      const double sum = r.f64();
-      if (r.u64() != h->bounds().size() + 1) {
-        throw std::runtime_error("wire: histogram shape mismatch");
-      }
-      std::vector<std::uint64_t> buckets(h->bounds().size() + 1);
-      for (std::uint64_t& b : buckets) b = r.u64();
-      h->merge(buckets, sum);
-    }
+    std::lock_guard<std::mutex> lock(runner_.profileMutex_);
+    runner_.profile_.merge(profile);
   }
 
   const CampaignRunner& runner_;
@@ -1322,9 +1245,6 @@ CampaignRunner::CampaignRunner(runtime::AppFactory factory, CampaignConfig confi
     : factory_(std::move(factory)), config_(std::move(config)) {
   EC_CHECK(config_.numTests >= 0);
   EC_CHECK(config_.maxIterationFactor >= 1);
-  EC_CHECK_MSG(config_.resilience.isolation != IsolationMode::Fork ||
-                   config_.resilience.isolate,
-               "fork isolation requires trial isolation (resilience.isolate)");
   EC_CHECK_MSG(!config_.inject.active() ||
                    config_.resilience.isolation == IsolationMode::Fork,
                "fault injection requires the fork evaluator "
@@ -1344,11 +1264,6 @@ void CampaignRunner::accumulateProfile(const Runtime& rt) const {
 }
 
 void CampaignRunner::noteRun(const Runtime& rt) const {
-  if (g_childRunCollector != nullptr) {
-    addEvents(g_childRunCollector->events, rt.events());
-    if (config_.profile) g_childRunCollector->profile.accumulate(rt);
-    return;
-  }
   CampaignMetrics::get().recordRun(rt.events());
   accumulateProfile(rt);
 }
@@ -1410,8 +1325,7 @@ GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
   auto app = factory_();
   const auto result = Driver::freshRun(*app, rt);
   rt.setMonitor(nullptr);
-  CampaignMetrics::get().recordRun(rt.events());
-  accumulateProfile(rt);
+  noteRun(rt);
   EC_CHECK_MSG(!result.interrupted, "golden run interrupted: " + result.interruptReason);
   EC_CHECK_MSG(result.verification.pass,
                "golden run failed its own acceptance verification (" +
@@ -1484,7 +1398,7 @@ void CampaignRunner::buildMonitorSummary(const memsim::RegionMonitor& monitor,
     const bool inPlan = std::find(planObjects.begin(), planObjects.end(),
                                   info.id) != planObjects.end();
     stats.demoted =
-        info.bytes > config_.monitor.smallObjectBytes && !inPlan && !info.candidate;
+        info.bytes > kMonitorSmallObjectBytes && !inPlan && !info.candidate;
     if (stats.demoted) {
       ++summary.demotedObjects;
       summary.demotedBytes += info.bytes;
@@ -1602,9 +1516,6 @@ class CampaignExecution {
     if (config_.monitor.mode == MonitorMode::Sampled) {
       memsim::RegionMonitorConfig monitorConfig;
       monitorConfig.seed = config_.seed;
-      monitorConfig.sampleInterval = config_.monitor.sampleInterval;
-      monitorConfig.maxRegionsPerObject = config_.monitor.maxRegionsPerObject;
-      monitorConfig.aggregateEvery = config_.monitor.aggregateEvery;
       monitor.emplace(monitorConfig);
     }
     const auto start = std::chrono::steady_clock::now();
@@ -1928,7 +1839,7 @@ class CampaignExecution {
     return s;
   }
 
-  /// Without isolation an exception must abort the campaign, but letting it
+  /// Under Propagate an exception must abort the campaign, but letting it
   /// escape a pool thread would terminate the process: the first one is
   /// parked here and rethrown by finalize() after the join.
   void parkError() {
@@ -2102,8 +2013,8 @@ class CampaignExecution {
   /// whose restart input is byte-identical to the trial's own — honouring
   /// isolation and the retry budget. In a worker, the deadline scales with
   /// the restart's work: the iterations from its bookmark up to the
-  /// iteration cap, in golden-run units. Exceptions propagate only when
-  /// isolation is off (the legacy all-or-nothing behaviour).
+  /// iteration cap, in golden-run units. Exceptions propagate only under
+  /// IsolationMode::Propagate (the legacy all-or-nothing behaviour).
   void decideRestart(std::size_t t, const SweepCapture& capture,
                      const SweepCapture& input, int w) {
     CampaignMetrics::get().restartMemoMisses.add();
@@ -2124,7 +2035,7 @@ class CampaignExecution {
           runner_.runRestart(result_.golden, input, t, record);
         }
       } catch (...) {
-        if (!res_.isolate) throw;
+        if (res_.isolation == IsolationMode::Propagate) throw;
         failure = currentFailure(record.regionPath);
       }
       if (!failure) {
@@ -2271,10 +2182,10 @@ SweepOutcome CampaignRunner::runSweep(const GoldenStats& golden,
   applyMonitorRouting(rt);
   rt.setTraceRun("sweep");
   armProfile(rt);
-  // A failed run must not throw past the accounting below; without
-  // isolation the campaign aborts on the first exception, as it always has.
+  // A failed run must not throw past the accounting below, unless the
+  // campaign propagates its first exception.
   const auto died = [&] {
-    if (!config_.resilience.isolate) throw;
+    if (config_.resilience.isolation == IsolationMode::Propagate) throw;
     outcome.failure = currentFailure(rt.throwRegionPath());
   };
   try {
@@ -2335,7 +2246,7 @@ SweepOutcome CampaignRunner::runSweep(const GoldenStats& golden,
   } catch (const SweepAbort&) {
     // The sink ended the run (stop, abort, or a withdrawn ack): not an error.
   } catch (const std::bad_alloc&) {
-    if (g_childRunCollector != nullptr) throw;  // a worker child's OOM exit
+    if (g_childTraceBuf != nullptr) throw;  // a worker child's OOM exit
     died();
   } catch (...) {
     died();

@@ -61,18 +61,16 @@ enum class MonitorMode {
             ///< to full tracking (the unlock for large footprints)
 };
 
+/// Sampled mode: objects at or below this size always keep full value
+/// tracking. They are cheap to track, and small-object rates are exactly
+/// where sampling could mis-rank (a handful of writes is a large fraction of
+/// a small object).
+constexpr std::uint64_t kMonitorSmallObjectBytes = 4096;
+
+/// The region monitor itself runs at memsim::RegionMonitorConfig's defaults,
+/// seeded from the campaign seed.
 struct MonitorConfig {
   MonitorMode mode = MonitorMode::Full;
-  /// Sample one of every `sampleInterval` logical tracked elements of the
-  /// monitored golden run.
-  std::uint32_t sampleInterval = 64;
-  /// DAMON-style adaptive region bounds/cadence (memsim::RegionMonitor).
-  std::uint32_t maxRegionsPerObject = 64;
-  std::uint64_t aggregateEvery = 2048;
-  /// Objects at or below this size always keep full value tracking: they are
-  /// cheap to track and small-object rates are exactly where sampling could
-  /// mis-rank (a handful of writes is a large fraction of a small object).
-  std::uint64_t smallObjectBytes = 4096;
   /// Keep the golden run fully cache-simulated even in sampled mode. The
   /// monitor observes the access stream, which is routing-independent, so
   /// the sampled summary and the demotion set are identical either way —
@@ -143,25 +141,27 @@ struct TrialFailure {
   std::string kind = "exception";
 };
 
-/// How trials are evaluated with respect to the host process.
+/// How trials are isolated from the campaign and from the host process.
+/// InProcess and Fork produce byte-identical CSV/journal/report output and
+/// the same metrics (bar `campaign.worker_*`) for every trial that does not
+/// die — the same differential bar as threads and sharding.
 enum class IsolationMode {
-  None,  ///< in-process (library default; unit tests, embedding)
-  Fork,  ///< pre-forked worker children (nvct default): a trial that
-         ///< segfaults, wild-writes, OOMs or hangs kills one worker, which
-         ///< is classified, recorded as a TrialFailure and respawned
+  Propagate,  ///< in-process, no isolation (library default; unit tests,
+              ///< embedding): the first trial exception escapes run()
+  InProcess,  ///< in-process (`nvct --isolation none`): a throwing trial or
+              ///< failed EC_CHECK becomes a retried TrialFailure
+  Fork,       ///< pre-forked worker children (nvct default): a throwing
+              ///< trial is trapped as under InProcess; one that segfaults,
+              ///< wild-writes, OOMs or hangs kills only its worker, which is
+              ///< classified, recorded as a TrialFailure and respawned
 };
 
 /// Fault-tolerance knobs for one campaign (docs/ROBUSTNESS.md). Defaults
 /// keep the legacy all-or-nothing behaviour: no isolation, no deadline, no
 /// journal; the first trial exception propagates out of run().
 struct ResilienceConfig {
-  /// Trap per-trial exceptions/EC_CHECK failures into TrialFailure records
-  /// instead of aborting the campaign.
-  bool isolate = false;
-  /// Process isolation for trial execution (requires `isolate`). Fork mode
-  /// produces byte-identical CSV/journal/report output for every trial that
-  /// does not die — the same differential bar as threads and sharding.
-  IsolationMode isolation = IsolationMode::None;
+  /// Where trials run and whether a failing one is trapped (IsolationMode).
+  IsolationMode isolation = IsolationMode::Propagate;
   /// Abort the campaign once more than this many trials fail for good
   /// (after retries). Negative = unlimited.
   int maxFailures = -1;
@@ -390,7 +390,7 @@ class CampaignRunner {
   [[nodiscard]] CampaignResult run() const;
 
  private:
-  /// The sweep crashing run, shared by both isolation modes: ONE run of the
+  /// The sweep crashing run, shared by every isolation mode: ONE run of the
   /// app visits `indices` (distinct crash indices, strictly increasing) and
   /// takes the NVCT post-mortem at each into a SweepCapture handed to
   /// `sink`, which returns false to end the run early; a real CrashEvent
@@ -398,8 +398,8 @@ class CampaignRunner {
   /// `trialCounts[i]` is how many trials drew `indices[i]` (trace only).
   /// In-process the sink queues restarts; in a fork worker it streams the
   /// capture to the parent. A run that dies early reports the failure
-  /// instead of throwing — unless isolation is off, where the exception
-  /// propagates.
+  /// instead of throwing — unless the campaign propagates exceptions
+  /// (IsolationMode::Propagate).
   [[nodiscard]] SweepOutcome runSweep(const GoldenStats& golden,
                                       const std::vector<std::uint64_t>& indices,
                                       const std::vector<std::uint64_t>& trialCounts,
@@ -417,7 +417,7 @@ class CampaignRunner {
   /// from its restartIteration and classify S1–S4 into record.response,
   /// extraIterations and note. A pure function of that restart input, which
   /// is what lets one restart decide a whole restart group; shared verbatim
-  /// by both isolation modes, which is what makes them byte-identical.
+  /// by every isolation mode, which is what makes them byte-identical.
   void runRestart(const GoldenStats& golden, const SweepCapture& input,
                   std::size_t trial, CrashTestRecord& record) const;
 
@@ -427,9 +427,9 @@ class CampaignRunner {
   void armProfile(runtime::Runtime& rt) const;
   void accumulateProfile(const runtime::Runtime& rt) const;
 
-  /// Report one finished simulated run's events + profile. In the parent
-  /// these land in the process metrics registry and profile_; inside a fork
-  /// worker they are collected per request and shipped back instead.
+  /// Record one finished simulated run: its MemEvents into the metrics
+  /// registry, its profile into profile_. The same in every process; a fork
+  /// worker ships what its requests recorded back to the parent.
   void noteRun(const runtime::Runtime& rt) const;
 
   /// Parent-side completion bookkeeping of one decided trial: campaign

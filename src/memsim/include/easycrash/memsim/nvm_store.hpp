@@ -23,9 +23,11 @@ class NvmStore {
   /// served as zeros without allocating backing storage. Inline fast path:
   /// direct-mode runs (golden under sampled monitoring, restarts, demoted
   /// accesses) issue one of these per tracked element, so the fully-backed
-  /// common case must stay a bounds check + memcpy.
+  /// common case must stay a bounds check + memcpy. A zero-length request
+  /// fails the comparison (its size - 1 wraps) and takes the slow side,
+  /// which returns before memcpy could see a null pointer.
   void read(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-    if (addr <= image_.size() && dst.size() <= image_.size() - addr) [[likely]] {
+    if (addr < image_.size() && dst.size() - 1 < image_.size() - addr) [[likely]] {
       std::memcpy(dst.data(), image_.data() + addr, dst.size());
       return;
     }
@@ -48,9 +50,10 @@ class NvmStore {
   /// Direct (uncounted) write used for initial images and test setup. This is
   /// NOT a modelled NVM write; campaigns use it to materialise initial state.
   /// Same inline fast path rationale as read(): direct-mode and demoted
-  /// stores land here once per tracked element.
+  /// stores land here once per tracked element; zero-length pokes take the
+  /// slow side as in read().
   void poke(std::uint64_t addr, std::span<const std::uint8_t> src) {
-    if (addr <= image_.size() && src.size() <= image_.size() - addr) [[likely]] {
+    if (addr < image_.size() && src.size() - 1 < image_.size() - addr) [[likely]] {
       std::memcpy(image_.data() + addr, src.data(), src.size());
       return;
     }

@@ -60,8 +60,7 @@ class Histogram {
   void observe(double v) noexcept;
   /// Fold in another histogram's observations over the same bounds:
   /// `buckets` holds one count per bucket (bounds().size() + 1 of them) and
-  /// `sum` the sum of the observed values. Fork workers ship their phase
-  /// histograms back this way.
+  /// `sum` the sum of the observed values.
   void merge(const std::vector<std::uint64_t>& buckets, double sum);
 
   [[nodiscard]] std::uint64_t count() const noexcept {
@@ -85,6 +84,21 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
+/// The additive state of a registry: every non-zero counter and histogram,
+/// by name. A fork worker ships one with each reply and the parent folds it
+/// in (MetricsRegistry::merge), so the parent records exactly what an
+/// in-process run records. Gauges are point-in-time values, not deltas, and
+/// are not part of a snapshot.
+struct MetricsSnapshot {
+  struct HistogramData {
+    std::vector<double> bounds;
+    std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 counts
+    double sum = 0.0;
+  };
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, HistogramData> histograms;
+};
+
 class MetricsRegistry {
  public:
   /// The process-wide registry.
@@ -103,9 +117,18 @@ class MetricsRegistry {
   /// registration order.
   void writeJson(std::ostream& os, std::string_view extraSection = {}) const;
 
-  /// Zero every instrument (names stay registered). For tests and for
-  /// tools that want per-run snapshots.
+  /// Zero every instrument (names stay registered). For tests, and for fork
+  /// workers, which start every request from zero.
   void reset();
+
+  /// Every non-zero counter and histogram (see MetricsSnapshot).
+  [[nodiscard]] MetricsSnapshot snapshot() const;
+
+  /// Add a snapshot's counts into this registry, registering unknown names
+  /// with the shipped bounds. All or nothing: a histogram whose bucket count
+  /// does not fit its bounds, or whose bounds differ from the registered
+  /// instrument's, throws std::invalid_argument and changes nothing.
+  void merge(const MetricsSnapshot& delta);
 
   /// fork() support: hold the registry mutex across the fork so a child
   /// never inherits it locked mid-registration. Parent and child each

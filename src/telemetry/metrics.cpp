@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <stdexcept>
 
 #include "easycrash/common/check.hpp"
 #include "easycrash/telemetry/trace.hpp"
@@ -140,6 +141,49 @@ void MetricsRegistry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
+}
+
+MetricsSnapshot MetricsRegistry::snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  MetricsSnapshot out;
+  for (const auto& [name, c] : counters_) {
+    if (c->value() != 0) out.counters[name] = c->value();
+  }
+  for (const auto& [name, h] : histograms_) {
+    if (h->count() == 0) continue;
+    MetricsSnapshot::HistogramData& data = out.histograms[name];
+    data.bounds = h->bounds();
+    for (std::size_t i = 0; i <= h->bounds().size(); ++i) {
+      data.buckets.push_back(h->bucketCount(i));
+    }
+    data.sum = h->sum();
+  }
+  return out;
+}
+
+void MetricsRegistry::merge(const MetricsSnapshot& delta) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [name, data] : delta.histograms) {
+    const auto it = histograms_.find(name);
+    const bool shaped =
+        data.buckets.size() == data.bounds.size() + 1 &&
+        std::is_sorted(data.bounds.begin(), data.bounds.end()) &&
+        (it == histograms_.end() || it->second->bounds() == data.bounds);
+    if (!shaped) {
+      throw std::invalid_argument("metrics merge: histogram '" + name +
+                                  "' does not match the registered shape");
+    }
+  }
+  for (const auto& [name, value] : delta.counters) {
+    auto& slot = counters_[name];
+    if (!slot) slot = std::make_unique<Counter>();
+    slot->add(value);
+  }
+  for (const auto& [name, data] : delta.histograms) {
+    auto& slot = histograms_[name];
+    if (!slot) slot = std::make_unique<Histogram>(data.bounds);
+    slot->merge(data.buckets, data.sum);
+  }
 }
 
 }  // namespace easycrash::telemetry

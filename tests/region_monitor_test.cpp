@@ -323,7 +323,6 @@ TEST(MonitorCampaignTest, SampledSummaryDeterministicAcrossIsolation) {
   const auto factory = ec::apps::findBenchmark("cg").factory;
   cr::CampaignConfig inProcess = sampledConfig(8);
   cr::CampaignConfig forked = sampledConfig(8);
-  forked.resilience.isolate = true;
   forked.resilience.isolation = cr::IsolationMode::Fork;
   const auto a = cr::CampaignRunner(factory, inProcess).run();
   const auto b = cr::CampaignRunner(factory, forked).run();
@@ -339,7 +338,7 @@ TEST(MonitorCampaignTest, SampledDemotesOnlyLargeUnplannedObjects) {
   EXPECT_GT(result.monitor.demotedObjects, 0u);
   for (const auto& object : result.monitor.objects) {
     if (!object.demoted) continue;
-    EXPECT_GT(object.bytes, cr::MonitorConfig{}.smallObjectBytes);
+    EXPECT_GT(object.bytes, cr::kMonitorSmallObjectBytes);
     // Demotion never claims a candidate: candidates' inconsistency rates
     // are the Spearman selection's input and must stay value-tracked.
     EXPECT_FALSE(object.candidate);

@@ -166,7 +166,7 @@ struct StopFlagGuard {
 
 TEST(ResilienceTest, ThreadedCampaignMatchesSingleThreaded) {
   auto config = tinyConfig(40);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   const auto single = cr::CampaignRunner(faultyFactory({}), config).run();
   config.threads = 4;
   const auto threaded = cr::CampaignRunner(faultyFactory({}), config).run();
@@ -181,7 +181,7 @@ TEST(ResilienceTest, JournalResumeReproducesCampaignExactly) {
   std::remove(journal.c_str());
 
   auto config = tinyConfig(30);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.journalPath = journal;
   config.resilience.journalFlushEvery = 4;
   config.resilience.stopAfterTrials = 11;
@@ -221,7 +221,7 @@ TEST(ResilienceTest, InterruptedSweepJournalResumesOnEitherPath) {
   std::remove(journal.c_str());
 
   auto config = tinyConfig(30);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.journalPath = journal;
   config.resilience.journalFlushEvery = 2;
   config.resilience.stopAfterTrials = 7;
@@ -234,10 +234,9 @@ TEST(ResilienceTest, InterruptedSweepJournalResumesOnEitherPath) {
   const auto fresh =
       easycrash::reference::referenceCampaign(faultyFactory({}), tinyConfig(30));
 
-  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+  for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
     cr::clearStopFlag();
     auto resumeConfig = tinyConfig(30);
-    resumeConfig.resilience.isolate = true;
     resumeConfig.resilience.isolation = isolation;
     resumeConfig.resilience.resumePath = journal;
     const auto resumed = cr::CampaignRunner(faultyFactory({}), resumeConfig).run();
@@ -260,7 +259,7 @@ TEST(ResilienceTest, ThrowingTrialsBecomeFailuresNotAborts) {
   FaultyApp::Knobs knobs;
   knobs.failMode = FaultyApp::FailMode::Throw;
   auto config = tinyConfig(40);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.maxRetries = 0;
   const auto before = counterValue("campaign.trial_failures");
   const auto result = cr::CampaignRunner(faultyFactory(knobs), config).run();
@@ -284,7 +283,7 @@ TEST(ResilienceTest, WithoutIsolationFirstThrowAborts) {
   FaultyApp::Knobs knobs;
   knobs.failMode = FaultyApp::FailMode::Throw;
   auto config = tinyConfig(40);
-  config.resilience.isolate = false;
+  config.resilience.isolation = cr::IsolationMode::Propagate;
   EXPECT_THROW(cr::CampaignRunner(faultyFactory(knobs), config).run(),
                std::runtime_error);
 }
@@ -293,7 +292,7 @@ TEST(ResilienceTest, FailureBudgetAbortsTheCampaign) {
   FaultyApp::Knobs knobs;
   knobs.failMode = FaultyApp::FailMode::Throw;
   auto config = tinyConfig(40);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.maxRetries = 0;
   config.resilience.maxFailures = 0;
   EXPECT_THROW(cr::CampaignRunner(faultyFactory(knobs), config).run(),
@@ -304,7 +303,7 @@ TEST(ResilienceTest, RetriesAreCountedOnPermanentFailures) {
   FaultyApp::Knobs knobs;
   knobs.failMode = FaultyApp::FailMode::Throw;
   auto config = tinyConfig(20);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.maxRetries = 2;
   const auto before = counterValue("campaign.trial_retries");
   const auto result = cr::CampaignRunner(faultyFactory(knobs), config).run();
@@ -323,7 +322,6 @@ TEST(ResilienceTest, WatchdogCancelsHungTrials) {
   knobs.failMode = FaultyApp::FailMode::Hang;
   auto config = tinyConfig(6);
   config.threads = 2;
-  config.resilience.isolate = true;
   config.resilience.isolation = cr::IsolationMode::Fork;
   config.resilience.maxRetries = 0;
   config.resilience.trialTimeoutMs = 150;
@@ -350,7 +348,7 @@ TEST(ResilienceTest, InProcessCampaignsRejectADeadline) {
   config.resilience.trialTimeoutMs = 100;
   EXPECT_THROW((void)cr::CampaignRunner(faultyFactory({}), config).run(),
                std::invalid_argument);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   EXPECT_THROW((void)cr::CampaignRunner(faultyFactory({}), config).run(),
                std::invalid_argument);
 }
@@ -420,7 +418,6 @@ TEST(ResilienceTest, LateCrashTrialsFitTheScaledBudget) {
   // deadline to ~110 ms. No attempt may time out.
   const std::uint64_t before = counterValue("campaign.trial_timeouts");
   auto config = tinyConfig(6);
-  config.resilience.isolate = true;
   config.resilience.isolation = cr::IsolationMode::Fork;
   config.resilience.maxRetries = 0;
   config.resilience.trialTimeoutMs = 55;
@@ -617,7 +614,7 @@ TEST(ResilienceTest, ResumeRejectsMismatchedJournal) {
   const std::string journal = tempPath("resume_mismatch.jsonl");
   std::remove(journal.c_str());
   auto config = tinyConfig(10);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.journalPath = journal;
   (void)cr::CampaignRunner(faultyFactory({}), config).run();
 
@@ -794,7 +791,7 @@ TEST(ResilienceTest, ReadJournalToleratesTornFinalLine) {
 TEST(ResilienceTest, StopFlagInterruptsTheCampaignCleanly) {
   StopFlagGuard guard;
   auto config = tinyConfig(30);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.stopAfterTrials = 5;
   const auto result = cr::CampaignRunner(faultyFactory({}), config).run();
   EXPECT_TRUE(result.interrupted);

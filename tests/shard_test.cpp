@@ -111,7 +111,7 @@ std::string readFile(const std::string& path) {
 /// Run one shard (or the unsharded campaign when count == 1) of the probe
 /// campaign, journaling to `path`. Returns the in-process result.
 cr::CampaignResult runShard(const std::string& path, int tests, int index, int count,
-                            cr::IsolationMode isolation = cr::IsolationMode::None,
+                            cr::IsolationMode isolation = cr::IsolationMode::InProcess,
                             int threads = 1) {
   std::remove(path.c_str());
   auto config = tinyConfig(tests);
@@ -119,7 +119,6 @@ cr::CampaignResult runShard(const std::string& path, int tests, int index, int c
   config.threads = threads;
   config.shard.index = index;
   config.shard.count = count;
-  config.resilience.isolate = true;
   config.resilience.journalPath = path;
   return cr::CampaignRunner(probeFactory(), config).run();
 }
@@ -175,7 +174,7 @@ TEST(ShardTest, MergedShardJournalsMatchUnshardedRunByteForByte) {
   // The unsharded reference: the per-trial model's campaign, journaled.
   const std::string ref = tempPath("shard_ref.jsonl");
   auto refConfig = tinyConfig(30);
-  refConfig.resilience.isolate = true;
+  refConfig.resilience.isolation = cr::IsolationMode::InProcess;
   const auto fresh = easycrash::reference::referenceCampaign(probeFactory(), refConfig);
   easycrash::reference::writeReferenceJournal(fresh, refConfig, ref);
   const std::string refBytes = readFile(ref);
@@ -185,7 +184,7 @@ TEST(ShardTest, MergedShardJournalsMatchUnshardedRunByteForByte) {
     cr::IsolationMode isolation;
     int threads;
   };
-  const Mix mixes[] = {{cr::IsolationMode::None, 1}, {cr::IsolationMode::Fork, 2}};
+  const Mix mixes[] = {{cr::IsolationMode::InProcess, 1}, {cr::IsolationMode::Fork, 2}};
   for (const auto& mix : mixes) {
     std::vector<std::string> paths;
     for (int index = 0; index < 2; ++index) {
@@ -257,7 +256,7 @@ TEST(ShardTest, MergeRejectsJournalsFromDifferentCampaigns) {
     config.seed = 99;  // different campaign
     config.shard.index = 1;
     config.shard.count = 2;
-    config.resilience.isolate = true;
+    config.resilience.isolation = cr::IsolationMode::InProcess;
     config.resilience.journalPath = b;
     (void)cr::CampaignRunner(probeFactory(), config).run();
   }
@@ -352,7 +351,7 @@ TEST(ShardTest, InterruptedShardResumesAndMergesByteIdentical) {
   auto config = tinyConfig(30);
   config.shard.index = 0;
   config.shard.count = 2;
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.journalPath = s0;
   config.resilience.journalFlushEvery = 2;
   config.resilience.stopAfterTrials = 5;

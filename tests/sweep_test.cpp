@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -219,21 +220,30 @@ std::size_t adjacentDistinctInputs(const rt::AppFactory& factory,
 }
 
 /// Observation counts of the campaign's three phase histograms.
-std::vector<std::uint64_t> phaseCounts() {
-  std::vector<std::uint64_t> counts;
-  for (const char* name :
-       {"campaign.crash_run_us", "campaign.postmortem_us", "campaign.restart_us"}) {
-    // The bounds are ignored: every campaign registers these histograms
-    // before the first trial (the caller runs one first).
-    counts.push_back(tl::MetricsRegistry::instance().histogram(name, {1.0}).count());
+/// What a campaign added to the registry: the increase of every counter and
+/// of every histogram's observation count (keyed "<name>.count"), zero
+/// increases dropped.
+std::map<std::string, std::uint64_t> registryDelta(const tl::MetricsSnapshot& before,
+                                                   const tl::MetricsSnapshot& after) {
+  std::map<std::string, std::uint64_t> delta;
+  const auto add = [&delta](const std::string& name, std::uint64_t from,
+                            std::uint64_t to) {
+    if (to != from) delta[name] = to - from;
+  };
+  const auto count = [](const tl::MetricsSnapshot::HistogramData& h) {
+    std::uint64_t n = 0;
+    for (const std::uint64_t b : h.buckets) n += b;
+    return n;
+  };
+  for (const auto& [name, value] : after.counters) {
+    const auto it = before.counters.find(name);
+    add(name, it == before.counters.end() ? 0 : it->second, value);
   }
-  return counts;
-}
-
-std::vector<std::uint64_t> minus(std::vector<std::uint64_t> a,
-                                 const std::vector<std::uint64_t>& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
-  return a;
+  for (const auto& [name, h] : after.histograms) {
+    const auto it = before.histograms.find(name);
+    add(name + ".count", it == before.histograms.end() ? 0 : count(it->second), count(h));
+  }
+  return delta;
 }
 
 }  // namespace
@@ -373,7 +383,7 @@ TEST(CaptureApiTest, ArmedCapturesDoNotPerturbTheRun) {
 
 TEST(SweepTest, SweepMatchesThePerTrialReferenceAcrossThreadCounts) {
   auto config = tinyConfig(40);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   const auto reference = easycrash::reference::referenceCampaign(sweepFactory({}), config);
   EXPECT_TRUE(reference.failures.empty());
 
@@ -393,7 +403,7 @@ TEST(SweepTest, DuplicateCrashIndicesShareOneCaptureAndStayIdentical) {
   knobs.cells = 4;
   knobs.iterations = 3;
   auto config = tinyConfig(200);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   const auto reference = easycrash::reference::referenceCampaign(sweepFactory(knobs), config);
 
   const auto runsBefore = counterValue("campaign.sweep_runs");
@@ -424,7 +434,7 @@ TEST(SweepTest, DeadSweepRestartsAtTheFirstUncapturedPoint) {
   knobs.throwAtIteration = 3;
   for (const int retries : {0, 1}) {
     auto config = tinyConfig(30);
-    config.resilience.isolate = true;
+    config.resilience.isolation = cr::IsolationMode::InProcess;
     config.resilience.maxRetries = retries;
     config.resilience.retryBackoffMs = 0;
     const auto reference =
@@ -440,7 +450,7 @@ TEST(SweepTest, DeadSweepRestartsAtTheFirstUncapturedPoint) {
     const std::uint64_t chargedDeaths =
         failedPoints.size() * static_cast<std::uint64_t>(1 + retries);
 
-    for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+    for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
       config.resilience.isolation = isolation;
       const auto retriesBefore = counterValue("campaign.trial_retries");
       const auto failuresBefore = counterValue("campaign.trial_failures");
@@ -468,9 +478,9 @@ TEST(SweepTest, ThrowBeforeArmedCrashStillNamesTheCrashSite) {
   SweepApp::Knobs knobs;
   knobs.throwAtIteration = 2;
   auto config = tinyConfig(20);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.maxRetries = 0;
-  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+  for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
     config.resilience.isolation = isolation;
     const auto result = cr::CampaignRunner(sweepFactory(knobs), config).run();
     SCOPED_TRACE(isolationName(isolation));
@@ -496,7 +506,7 @@ void expectAppMatchesTheReference(const std::string& app, int tests) {
   cr::CampaignConfig config;
   config.numTests = tests;
   config.appLabel = entry.name;
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   const auto reference = easycrash::reference::referenceCampaign(entry.factory, config);
   ASSERT_TRUE(reference.failures.empty());
   const std::string referencePath = testing::TempDir() + app + "_reference.jsonl";
@@ -504,7 +514,7 @@ void expectAppMatchesTheReference(const std::string& app, int tests) {
   const std::string referenceJournal = readFile(referencePath);
   std::remove(referencePath.c_str());
 
-  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+  for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
     for (const int threads : {1, 4}) {
       const std::string path = testing::TempDir() + app + "_sweep.jsonl";
       std::remove(path.c_str());
@@ -536,13 +546,13 @@ TEST(SweepReferenceTest, KmeansMatchesOnEveryAxis) { expectAppMatchesTheReferenc
 
 TEST(RestartGroupTest, GroupedRecordsMatchThePerTrialPathOnEveryAxis) {
   auto config = tinyConfig(60);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   const auto reference = easycrash::reference::referenceCampaign(sweepFactory({}), config);
   ASSERT_TRUE(reference.failures.empty());
   const std::size_t groups = adjacentDistinctInputs(sweepFactory({}), config, reference);
   ASSERT_LT(groups, reference.tests.size()) << "no two adjacent captures share an input";
 
-  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+  for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
     for (const int threads : {1, 4}) {
       config.resilience.isolation = isolation;
       config.threads = threads;
@@ -567,7 +577,7 @@ TEST(RestartGroupTest, ALeadersFailureIsNeverShared) {
   SweepApp::Knobs knobs;
   knobs.restartThrowsAt = 3;
   auto config = tinyConfig(60);
-  config.resilience.isolate = true;
+  config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.maxRetries = 1;
   config.resilience.retryBackoffMs = 0;
   const auto reference = easycrash::reference::referenceCampaign(sweepFactory(knobs), config);
@@ -575,7 +585,7 @@ TEST(RestartGroupTest, ALeadersFailureIsNeverShared) {
   ASSERT_GT(reference.tests.size(), 0u) << "expected late restarts to succeed";
   const std::size_t groups = adjacentDistinctInputs(sweepFactory(knobs), config, reference);
 
-  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+  for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
     config.resilience.isolation = isolation;
     const auto misses = counterValue("campaign.restart_memo_misses");
     const auto retries = counterValue("campaign.trial_retries");
@@ -592,23 +602,41 @@ TEST(RestartGroupTest, ALeadersFailureIsNeverShared) {
 }
 
 TEST(RestartGroupTest, PhaseHistogramsAgreeAcrossIsolation) {
-  // Fork workers ship their phase histograms back, so a default (fork)
-  // campaign reports the same observation counts as an in-process one —
-  // and restart_us counts exactly the restarts executed.
-  (void)cr::CampaignRunner(sweepFactory({}), tinyConfig(0)).run();  // registers them
+  // Fork workers record exactly as the parent does and ship their whole
+  // registry delta back, so a default (fork) campaign reports every counter
+  // and histogram count an in-process one does — bar the fork-only
+  // campaign.worker_* — and restart_us counts exactly the restarts executed.
+  // The persistence plan keeps the runtime.* instruments live.
   auto config = tinyConfig(24);
   config.threads = 2;
-  config.resilience.isolate = true;
-  std::vector<std::vector<std::uint64_t>> counts;
-  for (const auto isolation : {cr::IsolationMode::None, cr::IsolationMode::Fork}) {
+  config.plan = rt::PersistencePlan::atMainLoopEnd({1, 2});
+  std::vector<std::map<std::string, std::uint64_t>> deltas;
+  for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
     config.resilience.isolation = isolation;
-    const auto before = phaseCounts();
-    const auto misses = counterValue("campaign.restart_memo_misses");
+    const auto before = tl::MetricsRegistry::instance().snapshot();
     (void)cr::CampaignRunner(sweepFactory({}), config).run();
-    counts.push_back(minus(phaseCounts(), before));
-    EXPECT_EQ(counts.back()[2], counterValue("campaign.restart_memo_misses") - misses);
+    auto delta = registryDelta(before, tl::MetricsRegistry::instance().snapshot());
+    std::erase_if(delta, [](const auto& entry) {
+      return entry.first.rfind("campaign.worker_", 0) == 0;
+    });
+    deltas.push_back(std::move(delta));
   }
-  EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_EQ(counts[0][0], 1u);  // one crash_run span: the sweep
-  EXPECT_GT(counts[0][1], 0u);
+  std::set<std::string> names;
+  for (const auto& delta : deltas) {
+    for (const auto& [name, value] : delta) names.insert(name);
+  }
+  for (const std::string& name : names) {
+    const auto value = [&name](const std::map<std::string, std::uint64_t>& delta) {
+      const auto it = delta.find(name);
+      return it == delta.end() ? std::uint64_t{0} : it->second;
+    };
+    EXPECT_EQ(value(deltas[0]), value(deltas[1])) << name << " (in-process vs fork)";
+  }
+  const auto& inProcess = deltas[0];
+  EXPECT_GT(inProcess.count("runtime.persistence_ops"), 0u);
+  EXPECT_GT(inProcess.count("runtime.persist_us.count"), 0u);
+  EXPECT_EQ(inProcess.at("campaign.crash_run_us.count"), 1u);  // one span: the sweep
+  EXPECT_GT(inProcess.count("campaign.postmortem_us.count"), 0u);
+  EXPECT_EQ(inProcess.at("campaign.restart_us.count"),
+            inProcess.at("campaign.restart_memo_misses"));
 }

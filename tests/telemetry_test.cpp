@@ -3,8 +3,10 @@
 // the MemEvents::delta monotonicity debug assertion.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -202,6 +204,44 @@ TEST(Metrics, WriteJsonSplicesExtraSection) {
   ASSERT_TRUE(profile->isObject());
   EXPECT_DOUBLE_EQ(profile->find("runs")->number, 2.0);
   EXPECT_DOUBLE_EQ(doc->find("counters")->find("c")->number, 7.0);
+}
+
+TEST(Metrics, SnapshotMergeRoundTripsAndRejectsAMismatchedHistogram) {
+  // The fork protocol's accounting: a worker's snapshot folded into a parent
+  // that has never seen its instruments reproduces them exactly; zeros and
+  // gauges are not part of a snapshot.
+  tel::MetricsRegistry worker;
+  worker.counter("c.live").add(3);
+  worker.counter("c.zero");
+  worker.gauge("g").set(2.0);
+  worker.histogram("h", {1.0, 10.0}).observe(5.0);
+  worker.histogram("h.empty", {1.0});
+  const tel::MetricsSnapshot delta = worker.snapshot();
+  EXPECT_EQ(delta.counters.size(), 1u);
+  EXPECT_EQ(delta.histograms.size(), 1u);
+
+  tel::MetricsRegistry parent;
+  parent.merge(delta);
+  parent.merge(delta);
+  const tel::MetricsSnapshot folded = parent.snapshot();
+  EXPECT_EQ(folded.counters.at("c.live"), 6u);
+  const auto& h = folded.histograms.at("h");
+  EXPECT_EQ(h.bounds, (std::vector<double>{1.0, 10.0}));
+  EXPECT_EQ(h.buckets, (std::vector<std::uint64_t>{0, 2, 0}));
+  EXPECT_DOUBLE_EQ(h.sum, 10.0);
+
+  // Bounds that disagree with the registered histogram's, or a bucket count
+  // that does not fit the bounds, reject the whole delta: the counter that
+  // rides along is not applied either.
+  tel::MetricsSnapshot reshaped = delta;
+  reshaped.histograms.at("h").bounds = {2.0, 10.0};
+  EXPECT_THROW(parent.merge(reshaped), std::invalid_argument);
+  tel::MetricsSnapshot torn = delta;
+  torn.histograms.at("h").buckets.pop_back();
+  EXPECT_THROW(parent.merge(torn), std::invalid_argument);
+  const tel::MetricsSnapshot after = parent.snapshot();
+  EXPECT_EQ(after.counters, folded.counters);
+  EXPECT_EQ(after.histograms.at("h").buckets, h.buckets);
 }
 
 TEST(Metrics, RegistryReturnsStableInstrumentsAndExportsJson) {

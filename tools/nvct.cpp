@@ -28,8 +28,9 @@
 //
 // Fault tolerance (docs/ROBUSTNESS.md): trials run in pre-forked worker
 // processes (a throwing or dying trial becomes a reported TrialFailure,
-// bounded by --max-trial-failures), the parent SIGKILLs a worker that
-// misses its deadline (--trial-timeout-ms), --journal records
+// bounded by --max-trial-failures; --isolation none runs them in-process,
+// where only a throwing trial can be caught), the parent SIGKILLs a worker
+// that misses its deadline (--trial-timeout-ms), --journal records
 // decided trials crash-safely and --resume replays such a journal, and
 // SIGINT/SIGTERM drain the in-flight trials then exit with code 130 and a
 // partial summary.
@@ -252,14 +253,12 @@ int main(int argc, char** argv) {
              "base backoff before a trial retry, doubled per attempt with "
              "deterministic jitter (0 = retry immediately)");
   cli.addInt("retry-backoff-max-ms", 2000, "retry backoff cap");
-  cli.addFlag("no-isolate",
-              "legacy all-or-nothing trials: first trial exception aborts "
-              "(implies --isolation none)");
   cli.addString("isolation", "fork",
                 "trial evaluator isolation: 'fork' runs every crashing run "
                 "and restart in a pre-forked worker process (a trial that "
-                "segfaults, OOMs or hangs becomes a TrialFailure); 'none' "
-                "runs trials in-process");
+                "throws, segfaults, OOMs or hangs becomes a TrialFailure); "
+                "'none' runs trials in-process (a trial that throws becomes "
+                "a TrialFailure)");
   cli.addString("inject", "",
                 "deterministic fault injection: segv|wild-write|oom|hang"
                 ":<access-index> kills the worker at exactly that tracked "
@@ -362,7 +361,6 @@ int main(int argc, char** argv) {
     }
 
     auto& res = config.resilience;
-    res.isolate = !cli.getFlag("no-isolate");
     res.maxFailures = static_cast<int>(cli.getInt("max-trial-failures"));
     res.maxRetries = static_cast<int>(cli.getInt("trial-retries"));
     res.trialTimeoutMs = nonNegative(cli, "trial-timeout-ms");
@@ -379,12 +377,9 @@ int main(int argc, char** argv) {
     res.retryBackoffMaxMs = nonNegative(cli, "retry-backoff-max-ms");
     const std::string isolation = cli.getString("isolation");
     if (isolation == "fork") {
-      // --no-isolate keeps its legacy all-or-nothing meaning: trials run
-      // in-process and the first exception aborts the campaign.
-      res.isolation = res.isolate ? ec::crash::IsolationMode::Fork
-                                  : ec::crash::IsolationMode::None;
+      res.isolation = ec::crash::IsolationMode::Fork;
     } else if (isolation == "none") {
-      res.isolation = ec::crash::IsolationMode::None;
+      res.isolation = ec::crash::IsolationMode::InProcess;
     } else {
       throw std::runtime_error("--isolation must be 'fork' or 'none'");
     }
