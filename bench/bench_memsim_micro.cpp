@@ -355,7 +355,7 @@ BENCHMARK(BM_RegionMonitor)->Arg(0)->Arg(1)->Arg(2);
 // execute it — direct-mode with the adaptive region monitor riding the
 // stream. Same windowAccesses, finalIteration and verify metric either
 // way; only the cache simulation is skipped. The recorded arg0/arg1 gap is
-// the evidence behind the nvct_monitor_large_footprint fixture's timeout.
+// the evidence behind the nvct_monitor_scale_cg fixture's timeout.
 void BM_LargeFootprintGolden(benchmark::State& state) {
   const bool sampled = state.range(0) != 0;
   easycrash::crash::CampaignConfig config;
@@ -383,7 +383,7 @@ BENCHMARK(BM_LargeFootprintGolden)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond
 
 // A complete sampled-mode campaign at the same 16x footprint: golden +
 // monitor summary + 2 crash tests. This is the configuration the
-// nvct_monitor_large_footprint fixture runs under a ctest timeout; the
+// nvct_monitor_scale_cg fixture runs under a ctest timeout; the
 // recorded wall-clock documents that it completes in a fraction of what
 // the full-mode fixed cost alone (BM_LargeFootprintGolden/0 plus a tracked
 // crashing run) would need.

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Real-signal variant of the nvct_resilience_* ctest fixtures: start a
-# campaign with a journal, kill it mid-flight, resume from the journal, and
-# require the resumed CSV to be byte-identical to an uninterrupted run's
-# (docs/ROBUSTNESS.md).
+# Real-signal variant of the `resume` ctest fixtures (`ctest -L resume`):
+# start a campaign with a journal, kill it mid-flight, resume from the
+# journal, and require the resumed CSV to be byte-identical to an
+# uninterrupted run's (docs/ROBUSTNESS.md).
 #
 #   scripts/kill_and_resume.sh <build-dir> [TERM|KILL|WORKER]
 #

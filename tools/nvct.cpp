@@ -84,9 +84,9 @@ int reportMain(int argc, char** argv) {
   cli.addString("trace", "", "JSONL trace for phase-latency percentiles");
   cli.addString("metrics", "", "metrics snapshot for the access/wear heatmap");
   cli.addString("out", "", "write the report here (default: stdout)");
-  if (!cli.parse(argc, argv)) return 0;
 
   try {
+    if (!cli.parse(argc, argv)) return 0;
     const auto& journals = cli.getStringList("journal");
     if (journals.empty()) {
       throw std::runtime_error("nvct report requires --journal");
@@ -140,9 +140,9 @@ int mergeMain(int argc, char** argv) {
   cli.addString("report-out", "", "render the merged flight report here");
   cli.addString("trace", "", "JSONL trace for the report's phase latencies");
   cli.addString("metrics", "", "metrics snapshot for the report's heatmap");
-  if (!cli.parse(argc, argv)) return 0;
 
   try {
+    if (!cli.parse(argc, argv)) return 0;
     const auto& journals = cli.getStringList("journal");
     if (journals.empty()) {
       throw std::runtime_error("nvct merge requires at least one --journal");
@@ -267,9 +267,9 @@ int main(int argc, char** argv) {
              "test hook: request a graceful stop after N new trials (0 = off)");
   cli.addFlag("list-apps", "list the bundled benchmarks and exit");
   cli.addFlag("list-objects", "list the app's data objects and exit");
-  if (!cli.parse(argc, argv)) return 0;
 
   try {
+    if (!cli.parse(argc, argv)) return 0;
     const std::string logLevel = cli.getString("log-level");
     if (!logLevel.empty()) {
       const auto parsed = ec::telemetry::parseLogLevel(logLevel);
