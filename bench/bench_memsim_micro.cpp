@@ -198,7 +198,9 @@ BENCHMARK(BM_AppIteration)->DenseRange(0, 10)->Unit(benchmark::kMillisecond);
 // against the baseline's: the simulator's work must not silently change
 // shape under a perf PR, and the profile sampler must keep seeing every
 // block touch. Zero when telemetry is compiled out (the bench gate runs on
-// the telemetry-ON leg).
+// the telemetry-ON leg). The campaign's golden run is direct-to-NVM, so the
+// golden_* counters hold only its iteration bookmark's events; a jump means
+// the golden run went back through the cache simulator.
 void setCampaignCounters(benchmark::State& state,
                          const easycrash::crash::CampaignResult& result) {
   state.counters["golden_accesses"] = static_cast<double>(
@@ -348,14 +350,14 @@ void BM_RegionMonitor(benchmark::State& state) {
 }
 BENCHMARK(BM_RegionMonitor)->Arg(0)->Arg(1)->Arg(2);
 
-// The large-footprint unlock, end to end. Arg 0: a fully-tracked golden run
-// of CG at 16x its bundled problem size — the fixed cost EVERY full-mode
-// campaign pays before its first trial, and the reason large footprints
-// were out of reach. Arg 1: the same golden run as sampled campaigns
-// execute it — direct-mode with the adaptive region monitor riding the
-// stream. Same windowAccesses, finalIteration and verify metric either
-// way; only the cache simulation is skipped. The recorded arg0/arg1 gap is
-// the evidence behind the nvct_monitor_scale_cg fixture's timeout.
+// The golden layer's cost at a large footprint (CG at 16x its bundled
+// problem size). Arg 0: a fully-tracked golden run — what a campaign pays
+// only when it asks for golden MemEvents (CampaignConfig::goldenEvents, set
+// by the workflow's Equation-5 campaigns). Arg 1: the golden run as every
+// other campaign executes it — direct-mode, with the sampled monitor riding
+// the stream in sampled mode. Same windowAccesses, finalIteration and
+// verify metric either way; only the cache simulation is skipped, so the
+// recorded arg0/arg1 gap is what the direct golden saves every campaign.
 void BM_LargeFootprintGolden(benchmark::State& state) {
   const bool sampled = state.range(0) != 0;
   easycrash::crash::CampaignConfig config;
@@ -364,9 +366,9 @@ void BM_LargeFootprintGolden(benchmark::State& state) {
   config.monitor.mode = sampled ? easycrash::crash::MonitorMode::Sampled
                                 : easycrash::crash::MonitorMode::Full;
   const auto factory = easycrash::apps::scaledBenchmarkFactory("cg", 16);
-  // Exactly the golden run a campaign performs in each mode (the monitor
-  // itself adds ~0.3 ns/access on top of the direct leg per
-  // BM_RegionMonitor, so the tracked-vs-direct contrast is the story).
+  // The two ways a campaign can execute its golden run (the monitor itself
+  // adds ~0.3 ns/access on top of the direct leg per BM_RegionMonitor, so
+  // the tracked-vs-direct contrast is the story).
   std::uint64_t window = 0;
   for (auto _ : state) {
     easycrash::runtime::Runtime rt(config.cache);

@@ -26,7 +26,9 @@ int main(int argc, char** argv) {
                    "Total iter."});
 
   for (const auto& entry : selectedApps(cli)) {
-    const ec::crash::CampaignRunner runner(entry.factory, campaignConfig(cli));
+    auto config = campaignConfig(cli);
+    config.goldenEvents = true;  // the R/W column reads the golden MemEvents
+    const ec::crash::CampaignRunner runner(entry.factory, config);
     const auto campaign = runner.run();
     const auto selection = ec::core::selectCriticalObjects(campaign);
     const auto counts = campaign.responseCounts();

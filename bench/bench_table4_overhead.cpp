@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
       ec::crash::CampaignConfig c;
       c.numTests = 0;
       c.plan = plan;
+      c.goldenEvents = true;  // the time model reads the golden MemEvents
       return ec::crash::CampaignRunner(entry.factory, c).goldenRun();
     };
 

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
     ec::crash::CampaignConfig config;
     config.numTests = static_cast<int>(cli.getInt("tests"));
     config.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
+    config.goldenEvents = true;  // the R/W column reads the golden MemEvents
     ec::crash::CampaignRunner runner(entry.factory, config);
 
     const auto start = std::chrono::steady_clock::now();

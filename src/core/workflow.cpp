@@ -85,15 +85,14 @@ WorkflowResult runEasyCrashWorkflow(const runtime::AppFactory& factory,
   base.seed = config.seed;
   base.cache = config.cache;
   base.monitor = config.monitor;
-  // The Equation-5 time model below consumes golden MemEvents from the
-  // baseline and persist-everywhere campaigns, so even under sampled
-  // monitoring the workflow keeps its golden runs fully cache-simulated.
-  // Crashing runs still benefit from the demotion routing.
-  base.monitor.trackedGolden = true;
   base.resilience = config.resilience;
   {
     PhaseSpan phase("baseline_campaign");
     CampaignConfig baseline = base;
+    // The Equation-5 time model below consumes golden MemEvents from the
+    // baseline and persist-everywhere campaigns, so those two simulate their
+    // golden runs' caches; the validation campaign's golden stays direct.
+    baseline.goldenEvents = true;
     baseline.resilience = phaseResilience(config.resilience, "baseline");
     result.baseline = CampaignRunner(factory, baseline).run();
   }
@@ -119,6 +118,7 @@ WorkflowResult runEasyCrashWorkflow(const runtime::AppFactory& factory,
   CampaignConfig everywhere = base;
   everywhere.seed = config.seed + 1;
   everywhere.plan = result.everywherePlan;
+  everywhere.goldenEvents = true;
   everywhere.resilience = phaseResilience(config.resilience, "everywhere");
   {
     PhaseSpan phase("everywhere_campaign");

@@ -101,8 +101,10 @@ struct CampaignMetrics {
   telemetry::Counter& workerRespawns;
   /// Backoff slept between trial retries (resilience.retryBackoffMs).
   telemetry::Histogram& retryBackoff;
-  /// Flight-recorder phase latencies (telemetry::PhaseSpan): the crashing
-  /// run up to the armed crash, the S1–S4 post-mortem capture, the restart.
+  /// Flight-recorder phase latencies (telemetry::PhaseSpan): the golden
+  /// run, the crashing run up to the armed crash, the S1–S4 post-mortem
+  /// capture, the restart.
+  telemetry::Histogram& goldenUs;
   telemetry::Histogram& crashRunUs;
   telemetry::Histogram& postmortemUs;
   telemetry::Histogram& restartUs;
@@ -155,6 +157,8 @@ struct CampaignMetrics {
         reg.counter("campaign.worker_respawns"),
         reg.histogram("campaign.retry_backoff_ms",
                       telemetry::Histogram::exponentialBounds(1.0, 2.0, 12)),
+        reg.histogram("campaign.golden_us",
+                      telemetry::Histogram::exponentialBounds(100.0, 4.0, 12)),
         reg.histogram("campaign.crash_run_us",
                       telemetry::Histogram::exponentialBounds(50.0, 4.0, 12)),
         reg.histogram("campaign.postmortem_us",
@@ -1307,15 +1311,13 @@ void CampaignRunner::installFault(Runtime& rt) const {
 
 GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
   Runtime rt(config_.cache);
-  // Sampled monitoring folds the golden run and the monitoring pre-pass into
-  // ONE direct-mode run: the monitor samples the access stream, which is
-  // identical whether or not the cache hierarchy simulates it, and every
-  // golden output the campaign depends on (windowAccesses and with it the
-  // pre-drawn crash sequence, finalIteration, verify metric, region shares)
-  // is a function of the access stream and the architectural values — both
-  // routing-independent. Skipping the cache simulation here is the bulk of
-  // the sampled mode's large-footprint win.
-  if (monitor != nullptr && !config_.monitor.trackedGolden) rt.setDirect(true);
+  // Every golden output a campaign depends on (windowAccesses and with it
+  // the pre-drawn crash sequence, finalIteration, verify metric, region
+  // shares, persistenceOps) is a function of the access stream and the
+  // architectural values, both routing-independent; so is what a sampled
+  // monitor observes. Only MemEvents describe the simulated cache machine,
+  // so the run goes direct-to-NVM unless a caller asked for them.
+  rt.setDirect(!config_.goldenEvents);
   rt.setPlan(config_.plan);
   rt.setTraceRun("golden");
   // Installed before setup so the apps' setup-phase writes are sampled too —
@@ -1508,9 +1510,8 @@ class CampaignExecution {
   /// crash index is drawn or worker forked, so the summary and demotion set
   /// are identical at any --threads and --isolation. The monitor samples the
   /// access stream, so windowAccesses — and with it the whole pre-drawn
-  /// crash sequence — equals a full-monitoring campaign's even when the
-  /// golden run goes direct (monitor.trackedGolden unset): the stream does
-  /// not depend on the cache simulation.
+  /// crash sequence — does not depend on whether the golden run simulates
+  /// the caches (CampaignConfig::goldenEvents).
   void golden() {
     std::optional<memsim::RegionMonitor> monitor;
     if (config_.monitor.mode == MonitorMode::Sampled) {
@@ -1519,7 +1520,10 @@ class CampaignExecution {
       monitor.emplace(monitorConfig);
     }
     const auto start = std::chrono::steady_clock::now();
-    result_.golden = runner_.goldenRun(monitor ? &*monitor : nullptr);
+    {
+      telemetry::PhaseSpan span("golden", CampaignMetrics::get().goldenUs);
+      result_.golden = runner_.goldenRun(monitor ? &*monitor : nullptr);
+    }
     const auto goldenMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                               std::chrono::steady_clock::now() - start)
                               .count();
@@ -1527,15 +1531,16 @@ class CampaignExecution {
     if (monitor) runner_.buildMonitorSummary(*monitor, result_.golden);
     result_.monitor = runner_.monitorState_;
     // The trial deadline's base (fork isolation only): --trial-timeout-ms,
-    // or else a golden-run multiple. A direct-mode golden is several times
-    // cheaper than the tracked crashing runs the deadline must cover, so its
-    // time is scaled to keep --timeout-golden-multiple's tracked meaning.
+    // or else a golden-run multiple. A direct-mode golden (goldenEvents
+    // unset) is several times cheaper than the tracked crashing runs the
+    // deadline must cover, so its time is scaled to keep
+    // --timeout-golden-multiple's tracked meaning.
     if (res_.isolation != IsolationMode::Fork) return;
     if (res_.trialTimeoutMs > 0) {
       timeoutMs_ = res_.trialTimeoutMs;
     } else if (res_.goldenTimeoutMultiple > 0) {
       const double baseMs = static_cast<double>(goldenMs) *
-                            (monitor && !config_.monitor.trackedGolden ? 10.0 : 1.0);
+                            (config_.goldenEvents ? 1.0 : 10.0);
       timeoutMs_ = std::max<std::uint64_t>(
           1000, saturatingMs(baseMs * res_.goldenTimeoutMultiple));
     }

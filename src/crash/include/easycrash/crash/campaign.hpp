@@ -52,13 +52,13 @@ enum class SnapshotMode {
 enum class MonitorMode {
   Full,     ///< every tracked byte pays full value tracking (the default;
             ///< byte-identical to campaigns before the monitor existed)
-  Sampled,  ///< the golden run goes direct-mode with a region-sampled
-            ///< monitor riding the access stream (no cache simulation), and
-            ///< large non-candidates are demoted in the crashing runs —
-            ///< values live in NVM, the cache keeps metadata-only residency
-            ///< — so only the candidate set pays per-byte value tracking
-            ///< while crash indices, rates and outcomes stay bit-identical
-            ///< to full tracking (the unlock for large footprints)
+  Sampled,  ///< a region-sampled monitor rides the golden run's access
+            ///< stream, and large non-candidates are demoted in the
+            ///< crashing runs — values live in NVM, the cache keeps
+            ///< metadata-only residency — so only the candidate set pays
+            ///< per-byte value tracking while crash indices, rates and
+            ///< outcomes stay bit-identical to full tracking (the unlock
+            ///< for large footprints)
 };
 
 /// Sampled mode: objects at or below this size always keep full value
@@ -71,14 +71,6 @@ constexpr std::uint64_t kMonitorSmallObjectBytes = 4096;
 /// seeded from the campaign seed.
 struct MonitorConfig {
   MonitorMode mode = MonitorMode::Full;
-  /// Keep the golden run fully cache-simulated even in sampled mode. The
-  /// monitor observes the access stream, which is routing-independent, so
-  /// the sampled summary and the demotion set are identical either way —
-  /// but a direct-mode golden reports (near-empty) direct-run MemEvents.
-  /// The workflow's Equation-5 time model consumes golden.events, so the
-  /// four-step workflow opts in; single campaigns default to the fast
-  /// direct-mode golden (that is where the large-footprint win comes from).
-  bool trackedGolden = false;
 };
 
 /// Per-region sampled stats of one monitored object (pre-pass output).
@@ -246,10 +238,11 @@ struct CampaignConfig {
   /// Render a live progress line on stderr: trials done, S1-S4 tally, ETA.
   bool progress = false;
   /// Flight recorder (docs/OBSERVABILITY.md): collect the sampled per-object
-  /// access/wear profile on the simulated runs (golden + crashing/sweep;
-  /// direct-mode restarts record nothing by design). On by default — the
-  /// perf gate measures the recorder's overhead — and compiled out (always
-  /// empty) under -DEASYCRASH_TELEMETRY=OFF.
+  /// access/wear profile on the simulated runs (the sweep crashing runs,
+  /// plus the golden run under goldenEvents; direct-mode runs record
+  /// nothing by design). On by default — the perf gate measures the
+  /// recorder's overhead — and compiled out (always empty) under
+  /// -DEASYCRASH_TELEMETRY=OFF.
   bool profile = true;
   /// Atomically rewrite a self-contained live status snapshot (JSON) at this
   /// path while the campaign runs, and once more after the drain on
@@ -260,6 +253,13 @@ struct CampaignConfig {
   /// Access monitoring mode: full value tracking (default) or the
   /// region-sampled pre-pass + demotion routing (see MonitorMode).
   MonitorConfig monitor;
+  /// Run the golden run through the cache simulator so GoldenStats::events
+  /// (and the persistence flush mix in them) describe the simulated
+  /// machine. Off, the golden run goes direct-to-NVM and its events are the
+  /// (near-empty) direct-run values; every other golden output is the same
+  /// either way. Only consumers of golden MemEvents — the workflow's
+  /// Equation-5 time model, the overhead benches — set it.
+  bool goldenEvents = false;
   /// Scale-out sharding: execute only the trials this shard owns (see
   /// ShardConfig). Defaults to unsharded.
   ShardConfig shard;
@@ -274,6 +274,7 @@ struct CampaignConfig {
 struct GoldenStats {
   std::uint64_t windowAccesses = 0;  ///< tracked accesses in the crash window
   int finalIteration = 0;
+  /// Simulated-machine events; near-empty unless CampaignConfig::goldenEvents.
   memsim::MemEvents events;
   std::uint64_t footprintBytes = 0;
   std::uint64_t candidateBytes = 0;
@@ -327,9 +328,10 @@ struct CrashTestRecord {
   std::string note;
 };
 
-/// Aggregated access/wear profile of a campaign's simulated runs (golden +
-/// crashing/sweep runs; CampaignConfig::profile). All runs of a campaign see
-/// the same object layout, so per-object totals and bins merge element-wise.
+/// Aggregated access/wear profile of a campaign's simulated runs (the sweep
+/// crashing runs, plus the golden run under CampaignConfig::goldenEvents;
+/// CampaignConfig::profile). All runs of a campaign see the same object
+/// layout, so per-object totals and bins merge element-wise.
 struct CampaignProfile {
   std::uint32_t strideBytes = 0;  ///< address range per access-profile counter
   std::uint64_t runs = 0;         ///< simulated runs folded in
@@ -443,14 +445,14 @@ class CampaignRunner {
   void installFault(runtime::Runtime& rt) const;
 
   /// Golden run with an optional adaptive region monitor riding the access
-  /// stream. With a monitor installed and monitor.trackedGolden unset, the
-  /// run goes direct-mode: the monitor observes the same access sequence
-  /// either way (sampling is stream-based, not cache-based), so the golden
-  /// outputs the campaign depends on — windowAccesses, finalIteration, the
-  /// verify metric, region shares — are identical, while the run itself
-  /// costs O(accesses) instead of O(accesses x cache simulation). Only
-  /// MemEvents and the per-block access/wear profile, which describe the
-  /// cache machine, are (near-empty) direct-run values then.
+  /// stream. Unless config_.goldenEvents is set, the run goes direct-mode:
+  /// windowAccesses, finalIteration, the verify metric, region shares and
+  /// iteration ends, the object table and persistenceOps are functions of
+  /// the access stream and the architectural values, which the cache
+  /// simulation does not change, so they are identical while the run costs
+  /// O(accesses) instead of O(accesses x cache simulation). Only MemEvents
+  /// and the per-block access/wear profile, which describe the cache
+  /// machine, are then (near-empty) direct-run values.
   [[nodiscard]] GoldenStats goldenRun(memsim::RegionMonitor* monitor) const;
 
   /// Sampled mode only: digest the monitor that rode the golden run into

@@ -5,7 +5,13 @@
 //   reproduce the golden outcome — the foundation the whole EasyCrash
 //   recomputation argument rests on;
 // * campaign-over-plan smoke: a campaign under a critical-object plan never
-//   breaks the golden run and classifies every test.
+//   breaks the golden run and classifies every test;
+// * direct golden oracle: a campaign's default direct-to-NVM golden run
+//   reports every output the campaign reads exactly as the cache-simulated
+//   golden run (CampaignConfig::goldenEvents) does, with and without a
+//   persistence plan.
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -13,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "easycrash/apps/registry.hpp"
+#include "easycrash/core/workflow.hpp"
 #include "easycrash/crash/campaign.hpp"
 #include "easycrash/runtime/runtime.hpp"
 
@@ -93,4 +100,70 @@ TEST_P(IntegrationSuite, CampaignUnderCandidatePlanClassifiesEverything) {
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, IntegrationSuite,
                          ::testing::ValuesIn(appNames()),
+                         [](const auto& info) { return info.param; });
+
+namespace {
+
+class GoldenRunSuite : public ::testing::TestWithParam<std::string> {};
+
+/// Every golden output a campaign reads, compared exactly (the verify metric
+/// bitwise). MemEvents are the one output that is allowed to differ.
+void expectSameGoldenOutputs(const ec::crash::GoldenStats& direct,
+                             const ec::crash::GoldenStats& tracked) {
+  EXPECT_EQ(direct.windowAccesses, tracked.windowAccesses);
+  EXPECT_EQ(direct.finalIteration, tracked.finalIteration);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.verifyMetric),
+            std::bit_cast<std::uint64_t>(tracked.verifyMetric));
+  EXPECT_EQ(direct.regionTimeShare, tracked.regionTimeShare);
+  EXPECT_EQ(direct.regionIterationEnds, tracked.regionIterationEnds);
+  EXPECT_EQ(direct.persistenceOps, tracked.persistenceOps);
+  EXPECT_EQ(direct.footprintBytes, tracked.footprintBytes);
+  EXPECT_EQ(direct.candidateBytes, tracked.candidateBytes);
+  EXPECT_EQ(direct.regionCount, tracked.regionCount);
+  ASSERT_EQ(direct.objects.size(), tracked.objects.size());
+  for (std::size_t i = 0; i < direct.objects.size(); ++i) {
+    const auto& a = direct.objects[i];
+    const auto& b = tracked.objects[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.addr, b.addr);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.candidate, b.candidate);
+    EXPECT_EQ(a.readOnly, b.readOnly);
+    EXPECT_EQ(a.demoted, b.demoted);
+  }
+}
+
+}  // namespace
+
+TEST_P(GoldenRunSuite, DirectGoldenMatchesTracked) {
+  const auto& entry = ec::apps::findBenchmark(GetParam());
+  ec::crash::CampaignConfig direct;
+  direct.numTests = 0;
+  ec::crash::CampaignConfig tracked = direct;
+  tracked.goldenEvents = true;
+
+  const auto directGolden = ec::crash::CampaignRunner(entry.factory, direct).goldenRun();
+  const auto trackedGolden = ec::crash::CampaignRunner(entry.factory, tracked).goldenRun();
+  // A default golden never enters the cache simulator; a regression back to
+  // a tracked golden shows here first.
+  EXPECT_EQ(directGolden.events.loads, 0u);
+  EXPECT_GT(trackedGolden.events.loads, 0u);
+  expectSameGoldenOutputs(directGolden, trackedGolden);
+
+  // Under the workflow's persist-everywhere plan, whose persistenceOps feed
+  // the Equation-5 flush-cost estimate.
+  std::vector<rt::ObjectId> candidates;
+  for (const auto& object : trackedGolden.objects) {
+    if (object.candidate) candidates.push_back(object.id);
+  }
+  direct.plan = tracked.plan = ec::core::buildEverywherePlan(
+      trackedGolden, candidates, ec::core::WorkflowConfig{}.maxFlushesPerActivation);
+  const auto directPlanned = ec::crash::CampaignRunner(entry.factory, direct).goldenRun();
+  const auto trackedPlanned = ec::crash::CampaignRunner(entry.factory, tracked).goldenRun();
+  EXPECT_GT(trackedPlanned.persistenceOps, 0u);
+  expectSameGoldenOutputs(directPlanned, trackedPlanned);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, GoldenRunSuite, ::testing::ValuesIn(appNames()),
                          [](const auto& info) { return info.param; });

@@ -343,8 +343,8 @@ TEST(MonitorCampaignTest, SampledDemotesOnlyLargeUnplannedObjects) {
     // are the Spearman selection's input and must stay value-tracked.
     EXPECT_FALSE(object.candidate);
   }
-  // Golden stats must be identical to full mode: the golden run stays fully
-  // tracked, so crash indices are drawn from the same window.
+  // Golden stats must be identical to full mode, so crash indices are drawn
+  // from the same window.
   cr::CampaignConfig full;
   full.numTests = 4;
   full.seed = 11;

@@ -47,6 +47,7 @@ class SweepApp final : public rt::IApp {
     int throwAtIteration = 0;
     /// 0 = never; otherwise restarts (direct mode) throw on reaching this
     /// iteration, so every restart that resumes at or before it fails.
+    /// The golden run is direct too; sweepFactory exempts it.
     int restartThrowsAt = 0;
   };
 
@@ -121,7 +122,10 @@ rt::AppFactory sweepFactory(SweepApp::Knobs knobs) {
   auto constructions = std::make_shared<std::atomic<int>>(0);
   return [knobs, constructions] {
     auto effective = knobs;
-    if (constructions->fetch_add(1) == 0) effective.throwAtIteration = 0;
+    if (constructions->fetch_add(1) == 0) {
+      effective.throwAtIteration = 0;
+      effective.restartThrowsAt = 0;
+    }
     return std::make_unique<SweepApp>(effective);
   };
 }
@@ -635,6 +639,9 @@ TEST(RestartGroupTest, PhaseHistogramsAgreeAcrossIsolation) {
   const auto& inProcess = deltas[0];
   EXPECT_GT(inProcess.count("runtime.persistence_ops"), 0u);
   EXPECT_GT(inProcess.count("runtime.persist_us.count"), 0u);
+  for (const auto& delta : deltas) {
+    EXPECT_EQ(delta.at("campaign.golden_us.count"), 1u);  // in the parent
+  }
   EXPECT_EQ(inProcess.at("campaign.crash_run_us.count"), 1u);  // one span: the sweep
   EXPECT_GT(inProcess.count("campaign.postmortem_us.count"), 0u);
   EXPECT_EQ(inProcess.at("campaign.restart_us.count"),
