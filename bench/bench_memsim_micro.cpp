@@ -94,13 +94,13 @@ void BM_InconsistencyScan64KB(benchmark::State& state) {
 }
 BENCHMARK(BM_InconsistencyScan64KB);
 
-// The post-mortem scan fast path (dirty-block index + vectorized compare)
+// The post-mortem scan fast path (LLC dirty list + vectorized compare)
 // against the probe-every-level scalar walk it replaces. Arg0 is the percent
 // of the 64 KiB footprint re-dirtied after a full drain (0 = clean: the scan
 // is pure skip work; 5 = sparse: a handful of compares; 60 = dense: the
 // compare kernel dominates); Arg1 flips setScanFastPath. Both settings
 // return the same count — the ratio between the two legs at fixed density
-// is the mechanical overhead the index + kernel remove.
+// is the mechanical overhead the dirty list + kernel remove.
 void BM_Postmortem(benchmark::State& state) {
   Sim s;
   easycrash::Rng rng(3);
@@ -126,7 +126,7 @@ void BM_Postmortem(benchmark::State& state) {
   }
   state.SetLabel(std::string(state.range(1) ? "indexed" : "scalar") + "/" +
                  (densityPct == 0 ? "clean" : densityPct <= 5 ? "sparse" : "dense"));
-  state.counters["dirty_blocks"] = static_cast<double>(s.cache.dirtyIndex().size());
+  state.counters["dirty_blocks"] = static_cast<double>(s.cache.dirtyBlockCount());
 }
 BENCHMARK(BM_Postmortem)
     ->Args({0, 0})

@@ -39,7 +39,7 @@ DEFAULT_BASELINE = REPO_ROOT / "bench" / "baselines" / "BENCH_memsim.json"
 
 # Deterministic simulation counters the benchmarks export; only these are
 # diffed, so incidental google-benchmark fields never match. dirty_blocks is
-# BM_Postmortem's dirty-index population — the scan's candidate set must not
+# BM_Postmortem's dirty-block population — the scan's candidate set must not
 # silently change shape under a perf PR any more than the campaign's work.
 COUNTER_NAMES = ("golden_accesses", "golden_nvm_writes", "profile_samples",
                  "dirty_blocks")

@@ -37,6 +37,7 @@
 #include "easycrash/telemetry/progress.hpp"
 #include "easycrash/telemetry/timer.hpp"
 #include "easycrash/telemetry/trace.hpp"
+#include "wire.hpp"
 
 namespace easycrash::crash {
 
@@ -317,91 +318,6 @@ class RestartQueue {
 // arena when they fit (the common case — the arena is sized off the app's
 // candidate bytes) and fall back to inline frame bytes when they don't.
 
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    buf_.append(s);
-  }
-  void raw(const void* data, std::size_t len) {
-    buf_.append(static_cast<const char*>(data), len);
-  }
-  [[nodiscard]] std::string take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
-
-/// Bounds-checked reader over one received frame. Every overrun throws — the
-/// campaign maps a malformed frame to a protocol worker death.
-class WireReader {
- public:
-  explicit WireReader(const std::string& buf) : buf_(buf) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(buf_[pos_++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf_[pos_++])) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(buf_[pos_++])) << (8 * i);
-    }
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t len = u64();
-    need(len);
-    std::string out(buf_.data() + pos_, static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return out;
-  }
-  void raw(void* out, std::size_t len) {
-    need(len);
-    std::memcpy(out, buf_.data() + pos_, len);
-    pos_ += len;
-  }
-
- private:
-  void need(std::uint64_t n) const {
-    if (n > buf_.size() - pos_) {
-      throw std::runtime_error("wire: truncated frame");
-    }
-  }
-
-  const std::string& buf_;
-  std::size_t pos_ = 0;
-};
-
 void encodeMetrics(WireWriter& w, const telemetry::MetricsSnapshot& m) {
   w.u64(m.counters.size());
   for (const auto& [name, value] : m.counters) {
@@ -463,17 +379,17 @@ CampaignProfile decodeProfile(WireReader& r) {
   CampaignProfile p;
   p.strideBytes = r.u32();
   p.runs = r.u64();
-  const std::uint64_t nObjects = r.u64();
-  p.objects.resize(static_cast<std::size_t>(nObjects));
+  // An object is at least an id, an empty name and five u64 fields.
+  p.objects.resize(static_cast<std::size_t>(r.count(4 + 8 + 5 * 8)));
   for (runtime::ObjectProfile& o : p.objects) {
     o.id = r.u32();
     o.name = r.str();
     o.bytes = r.u64();
     o.accesses = r.u64();
     o.nvmWrites = r.u64();
-    o.accessBins.resize(static_cast<std::size_t>(r.u64()));
+    o.accessBins.resize(static_cast<std::size_t>(r.count(8)));
     for (std::uint64_t& b : o.accessBins) b = r.u64();
-    o.wearBins.resize(static_cast<std::size_t>(r.u64()));
+    o.wearBins.resize(static_cast<std::size_t>(r.count(8)));
     for (std::uint64_t& b : o.wearBins) b = r.u64();
   }
   const std::uint64_t nRegions = r.u64();
@@ -535,7 +451,7 @@ void decodeRestartInput(WireReader& r, SweepCapture& c, const std::uint8_t* aren
   std::size_t offset = kBlackBoxBytes;
   for (std::uint64_t i = 0; i < nSnaps; ++i) {
     const runtime::ObjectId id = r.u32();
-    const std::uint64_t size = r.u64();
+    const std::uint64_t size = inArena ? r.u64() : r.count(1);
     std::vector<std::uint8_t>& bytes = c.snapshots[id];
     if (inArena) {
       if (arena == nullptr || size > arenaBytes || offset > arenaBytes - size) {
@@ -573,8 +489,7 @@ SweepCapture decodeCapture(WireReader& r, const std::uint8_t* arena,
   SweepCapture c;
   c.crashAccessIndex = r.u64();
   c.region = static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
-  const std::uint64_t pathLen = r.u64();
-  c.regionPath.resize(static_cast<std::size_t>(pathLen));
+  c.regionPath.resize(static_cast<std::size_t>(r.count(4)));
   for (runtime::PointId& p : c.regionPath) {
     p = static_cast<runtime::PointId>(static_cast<std::int32_t>(r.u32()));
   }

@@ -1,6 +1,6 @@
 #include "easycrash/memsim/cache_level.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <limits>
 
 #include "easycrash/common/check.hpp"
@@ -22,152 +22,31 @@ namespace {
 }  // namespace
 
 CacheLevel::CacheLevel(const CacheGeometry& geometry, std::uint32_t blockSize)
-    : blockSize_(blockSize), assoc_(geometry.associativity) {
+    : assoc_(geometry.associativity) {
   EC_CHECK(geometry.sizeBytes > 0);
   EC_CHECK(assoc_ > 0);
-  EC_CHECK_MSG(isPowerOfTwo(blockSize_), "block size must be a power of two");
-  blockShift_ = log2Exact(blockSize_);
-  const std::uint64_t numLines = geometry.sizeBytes / blockSize_;
-  EC_CHECK_MSG(numLines * blockSize_ == geometry.sizeBytes,
+  EC_CHECK_MSG(isPowerOfTwo(blockSize), "block size must be a power of two");
+  blockShift_ = log2Exact(blockSize);
+  const std::uint64_t numLines = geometry.sizeBytes / blockSize;
+  EC_CHECK_MSG(numLines * blockSize == geometry.sizeBytes,
                "cache size must be a multiple of the block size");
   EC_CHECK_MSG(numLines % assoc_ == 0, "lines must divide evenly into sets");
-  EC_CHECK_MSG(numLines <= std::numeric_limits<std::uint32_t>::max(),
+  EC_CHECK_MSG(numLines < std::numeric_limits<std::uint32_t>::max(),
                "line count must fit a 32-bit index");
   sets_ = numLines / assoc_;
   setsPow2_ = isPowerOfTwo(sets_);
   setMask_ = setsPow2_ ? sets_ - 1 : 0;
-  lines_.resize(numLines);
-  storage_.resize(numLines * blockSize_, 0);
-}
-
-std::optional<std::uint32_t> CacheLevel::find(std::uint64_t blockAddr) const {
-  if (mruValid_ && mruBlock_ == blockAddr) return mruLine_;
-  const std::uint64_t set = setOf(blockAddr);
-  const std::uint32_t base = lineIndex(set, 0);
-  for (std::uint32_t way = 0; way < assoc_; ++way) {
-    const Line& line = lines_[base + way];
-    if (line.valid && line.blockAddr == blockAddr) {
-      mruBlock_ = blockAddr;
-      mruLine_ = base + way;
-      mruValid_ = true;
-      return base + way;
-    }
-  }
-  return std::nullopt;
-}
-
-void CacheLevel::noteRemoved(const Line& line) {
-  --validCount_;
-  if (line.dirty) {
-    --dirtyCount_;
-    if (dirtyIndex_ != nullptr) dirtyIndex_->remove(line.blockAddr, levelId_);
-  }
-  if (mruValid_ && mruBlock_ == line.blockAddr) mruValid_ = false;
-}
-
-CacheLevel::InsertResult CacheLevel::insert(std::uint64_t blockAddr,
-                                            Evicted& victim) {
-  EC_DCHECK_MSG(!find(blockAddr).has_value(), "block already resident");
-  const std::uint64_t set = setOf(blockAddr);
-  const std::uint32_t base = lineIndex(set, 0);
-
-  // Prefer an invalid way; otherwise evict LRU.
-  std::uint32_t victimWay = 0;
-  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-  bool foundInvalid = false;
-  for (std::uint32_t way = 0; way < assoc_; ++way) {
-    const Line& line = lines_[base + way];
-    if (!line.valid) {
-      victimWay = way;
-      foundInvalid = true;
-      break;
-    }
-    if (line.lastUse < oldest) {
-      oldest = line.lastUse;
-      victimWay = way;
-    }
-  }
-
-  const std::uint32_t idx = base + victimWay;
-  Line& line = lines_[idx];
-  InsertResult result{idx, !foundInvalid};
-  if (result.evicted) {
-    victim.blockAddr = line.blockAddr;
-    victim.dirty = line.dirty;
-    const auto src = data(idx);
-    victim.data.assign(src.begin(), src.end());
-    noteRemoved(line);
-  }
-
-  line.blockAddr = blockAddr;
-  line.valid = true;
-  line.dirty = false;
-  line.lastUse = ++tick_;
-  ++validCount_;
-  mruBlock_ = blockAddr;
-  mruLine_ = idx;
-  mruValid_ = true;
-  return result;
-}
-
-std::optional<CacheLevel::Evicted> CacheLevel::insert(std::uint64_t blockAddr) {
-  EC_CHECK_MSG(!find(blockAddr).has_value(), "block already resident");
-  Evicted victim;
-  const InsertResult result = insert(blockAddr, victim);
-  // The hot-path insert leaves stale bytes for the caller to overwrite; this
-  // wrapper preserves the historical zero-initialised contract.
-  std::memset(storage_.data() + static_cast<std::size_t>(result.line) * blockSize_,
-              0, blockSize_);
-  if (!result.evicted) return std::nullopt;
-  return victim;
-}
-
-void CacheLevel::extractInto(std::uint64_t blockAddr, Evicted& out) {
-  const auto idx = find(blockAddr);
-  EC_CHECK_MSG(idx.has_value(), "extract of non-resident block");
-  Line& line = lines_[*idx];
-  out.blockAddr = line.blockAddr;
-  out.dirty = line.dirty;
-  const auto src = data(*idx);
-  out.data.assign(src.begin(), src.end());
-  noteRemoved(line);
-  line.valid = false;
-  line.dirty = false;
-}
-
-CacheLevel::Evicted CacheLevel::extract(std::uint64_t blockAddr) {
-  Evicted out;
-  extractInto(blockAddr, out);
-  return out;
-}
-
-void CacheLevel::invalidate(std::uint64_t blockAddr) {
-  if (const auto idx = find(blockAddr)) {
-    invalidateLine(*idx);
-  }
-}
-
-void CacheLevel::invalidateLine(std::uint32_t line) {
-  Line& l = lines_[line];
-  EC_DCHECK_MSG(l.valid, "invalidateLine of an invalid line");
-  noteRemoved(l);
-  l.valid = false;
-  l.dirty = false;
+  tags_.assign(numLines, kInvalidTag);
+  stamps_.assign(numLines, 0);
+  dirty_.assign(numLines, 0);
 }
 
 void CacheLevel::invalidateAll() {
-  if (dirtyIndex_ != nullptr && dirtyCount_ > 0) {
-    for (const Line& line : lines_) {
-      if (line.valid && line.dirty) dirtyIndex_->remove(line.blockAddr, levelId_);
-    }
-  }
-  for (Line& line : lines_) {
-    line.valid = false;
-    line.dirty = false;
-  }
+  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+  std::fill(stamps_.begin(), stamps_.end(), 0);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
   validCount_ = 0;
   dirtyCount_ = 0;
-  mruValid_ = false;
 }
 
 }  // namespace easycrash::memsim

@@ -1,7 +1,7 @@
 #include "easycrash/memsim/hierarchy.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cstring>
 
 #include "easycrash/common/check.hpp"
@@ -10,90 +10,61 @@
 
 namespace easycrash::memsim {
 
+namespace {
+
+std::vector<CacheLevel> buildLevels(const CacheConfig& config) {
+  config.validate();
+  EC_CHECK_MSG(config.levels.size() <= kMaxLevels, "too many cache levels");
+  std::vector<CacheLevel> levels;
+  levels.reserve(config.levels.size());
+  for (const CacheGeometry& g : config.levels) levels.emplace_back(g, config.blockSize);
+  return levels;
+}
+
+std::vector<CacheLevel*> upperLevels(std::vector<CacheLevel>& levels) {
+  std::vector<CacheLevel*> uppers;
+  for (std::size_t i = 0; i + 1 < levels.size(); ++i) uppers.push_back(&levels[i]);
+  return uppers;
+}
+
+}  // namespace
+
 CacheHierarchy::CacheHierarchy(CacheConfig config, NvmStore& nvm)
-    : config_(std::move(config)), nvm_(nvm) {
-  config_.validate();
+    : config_(std::move(config)),
+      blockMask_(config_.blockSize - 1),
+      nvm_(nvm),
+      levels_(buildLevels(config_)),
+      dir_(levels_.back(), upperLevels(levels_), nvm_, config_.blockSize) {
   EC_CHECK(nvm_.blockSize() == config_.blockSize);
-  EC_CHECK_MSG(config_.levels.size() <= kMaxLevels, "too many cache levels");
-  blockMask_ = config_.blockSize - 1;
-  levels_.reserve(config_.levels.size());
-  for (const CacheGeometry& g : config_.levels) levels_.emplace_back(g, config_.blockSize);
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    levels_[i].attachDirtyIndex(&dirtyIndex_, static_cast<std::uint32_t>(i));
+  if (levels_.size() == 1) {
+    identity_.resize(levels_[0].lineCount());
+    for (std::uint32_t i = 0; i < identity_.size(); ++i) identity_[i] = i;
+    l1Llc_ = identity_.data();
+  } else {
+    l1Llc_ = dir_.llcLineTable(0);
   }
-  fillScratch_.resize(config_.blockSize);
-  scanScratch_.resize(config_.blockSize);
 }
 
-std::size_t CacheHierarchy::lowestResidentLevel(std::uint64_t blockAddr) const {
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (levels_[i].find(blockAddr)) return i;
-  }
-  return kNone;
-}
-
-CacheHierarchy::Resident CacheHierarchy::lowestResident(
-    std::uint64_t blockAddr) const {
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (const auto line = levels_[i].find(blockAddr)) return {i, *line};
-  }
-  return {};
-}
-
-std::span<const std::uint8_t> CacheHierarchy::dirtyBlockData(
-    std::uint64_t blockAddr) const {
-  const DirtyBlockIndex::Owner own = dirtyIndex_.owner(blockAddr);
-  const CacheLevel& level = levels_[own.level];
-  std::uint32_t line = own.line;
-  if (!own.lineKnown) {
-    const auto probed = level.find(blockAddr);
-    EC_DCHECK_MSG(probed.has_value(), "dirty-indexed block not resident");
-    line = *probed;
-  }
-  EC_DCHECK_MSG(level.valid(line) && level.dirty(line) &&
-                    level.blockAddr(line) == blockAddr,
-                "dirty-index owner record out of sync");
-  return level.data(line);
-}
-
-void CacheHierarchy::handleEviction(std::size_t level, CacheLevel::Evicted& victim) {
-  // Inclusive hierarchy: a victim evicted from `level` may have fresher
-  // copies above; merge them and back-invalidate (upper copies cannot outlive
-  // the lower one). Iterate upper levels farthest-from-CPU first so that the
-  // freshest copy — the one closest to the CPU — is applied last and wins
-  // when several levels hold dirty data.
-  for (std::size_t upper = level; upper-- > 0;) {
-    if (levels_[upper].find(victim.blockAddr)) {
-      levels_[upper].extractInto(victim.blockAddr, mergeScratch_);
-      if (mergeScratch_.dirty) {
-        std::swap(victim.data, mergeScratch_.data);
-        victim.dirty = true;
+std::uint32_t CacheHierarchy::fillUpper(std::size_t level, std::uint64_t blockAddr,
+                                        std::uint32_t llcLine) {
+  const auto u = static_cast<std::uint32_t>(level);
+  const std::uint32_t line = levels_[level].victim(blockAddr);
+  if (levels_[level].valid(line)) {
+    // Inclusion: the victim's copies above this level go with it, and its
+    // dirtiness (theirs or its own) moves to the level below, which holds
+    // the block by inclusion. Its bytes already live in the LLC payload.
+    const std::uint32_t victimLlc = dir_.llcLineOf(u, line);
+    const std::uint64_t above = (1ULL << u) - 1;
+    if (dir_.dropUpper(u, line, above)) {
+      if (level + 1 == llcLevel()) {
+        dir_.setLlcDirty(victimLlc, true);
+      } else {
+        dir_.setUpperDirty(u + 1, dir_.upperLine(victimLlc, u + 1), true);
       }
     }
   }
-
-  if (level + 1 < levels_.size()) {
-    // Write back into the next level, where the block must still be resident.
-    const auto below = levels_[level + 1].find(victim.blockAddr);
-    EC_CHECK_MSG(below.has_value(), "inclusivity violated: victim absent below");
-    if (victim.dirty) {
-      auto dst = levels_[level + 1].data(*below);
-      std::copy(victim.data.begin(), victim.data.end(), dst.begin());
-      levels_[level + 1].setDirty(*below, true);
-    }
-  } else if (victim.dirty) {
-    nvm_.writeBlock(victim.blockAddr, victim.data);
-    ++events_.nvmBlockWrites;
-  }
-}
-
-std::uint32_t CacheHierarchy::insertAt(std::size_t level, std::uint64_t blockAddr,
-                                       std::span<const std::uint8_t> data) {
-  const auto result = levels_[level].insert(blockAddr, evictScratch_);
-  if (result.evicted) handleEviction(level, evictScratch_);
-  auto dst = levels_[level].data(result.line);
-  std::copy(data.begin(), data.end(), dst.begin());
-  return result.line;
+  dir_.installUpper(u, line, blockAddr, llcLine);
+  return line;
 }
 
 std::uint32_t CacheHierarchy::ensureInL1(std::uint64_t blockAddr) {
@@ -123,32 +94,38 @@ void CacheHierarchy::enableAccessProfile(std::uint32_t strideBytes) {
 
 std::uint32_t CacheHierarchy::fillToL1(std::uint64_t blockAddr) {
   ++events_.misses[0];
+  const std::size_t llc = llcLevel();
 
-  // Find the block below L1, filling missing levels top-down from the level
-  // (or NVM) that has it.
-  std::size_t source = levels_.size();  // levels_.size() == NVM
-  for (std::size_t i = 1; i < levels_.size(); ++i) {
-    if (const auto line = levels_[i].find(blockAddr)) {
-      ++events_.hits[i];
-      levels_[i].touch(*line);
-      const auto src = levels_[i].data(*line);
-      std::copy(src.begin(), src.end(), fillScratch_.begin());
-      source = i;
-      break;
-    }
-    ++events_.misses[i];
+  // Find the closest level below L1 holding the block: one LLC probe, then
+  // its holder mask (inclusion: a block absent from the LLC is cached
+  // nowhere, and one present sits in exactly the levels its mask names).
+  std::size_t source = llc + 1;  // llc + 1 == NVM
+  std::uint32_t llcLine = 0;
+  if (const auto line = levels_[llc].find(blockAddr)) {
+    llcLine = *line;
+    const std::uint64_t held = dir_.holders(llcLine);
+    EC_DCHECK_MSG((held & 1) == 0, "L1 miss on a block L1 holds");
+    source = held != 0 ? static_cast<std::size_t>(std::countr_zero(held)) : llc;
   }
-  if (source == levels_.size()) {
-    nvm_.read(blockAddr, fillScratch_);
+  for (std::size_t i = 1; i < source && i <= llc; ++i) ++events_.misses[i];
+  if (source <= llc) {
+    ++events_.hits[source];
+    levels_[source].touch(source == llc ? llcLine
+                                        : dir_.upperLine(llcLine,
+                                                         static_cast<std::uint32_t>(source)));
+  } else {
     ++events_.nvmBlockReads;
+    const LlcDirectory::LlcFill fill = dir_.fillLlc(blockAddr);
+    if (fill.wroteBack) ++events_.nvmBlockWrites;
+    llcLine = fill.line;
+    source = llc;
   }
 
   // Fill every level above the source (inclusive hierarchy), bottom-up so a
-  // lower-level eviction can still back-invalidate consistently.
-  std::uint32_t l1Line = 0;
-  for (std::size_t i = source; i-- > 0;) {
-    l1Line = insertAt(i, blockAddr, fillScratch_);
-  }
+  // lower-level eviction can still back-invalidate consistently. When L1 is
+  // the LLC there is nothing above it.
+  std::uint32_t l1Line = llcLine;
+  for (std::size_t i = source; i-- > 0;) l1Line = fillUpper(i, blockAddr, llcLine);
   return l1Line;
 }
 
@@ -158,7 +135,7 @@ void CacheHierarchy::loadSlow(std::uint64_t addr, std::span<std::uint8_t> dst) {
   const std::uint64_t inBlock = addr & blockMask_;
   if (!dst.empty() && inBlock + dst.size() <= config_.blockSize) {
     const std::uint32_t line = ensureInL1(addr - inBlock);
-    std::memcpy(dst.data(), levels_[0].data(line).data() + inBlock, dst.size());
+    std::memcpy(dst.data(), l1Payload(line) + inBlock, dst.size());
     ++events_.loads;
     return;
   }
@@ -170,8 +147,7 @@ void CacheHierarchy::loadSlow(std::uint64_t addr, std::span<std::uint8_t> dst) {
     const std::uint64_t chunk =
         std::min<std::uint64_t>(config_.blockSize - off, dst.size() - offset);
     const std::uint32_t line = ensureInL1(base);
-    const auto src = levels_[0].data(line);
-    std::memcpy(dst.data() + offset, src.data() + off, chunk);
+    std::memcpy(dst.data() + offset, l1Payload(line) + off, chunk);
     ++events_.loads;
     offset += chunk;
   }
@@ -182,8 +158,8 @@ void CacheHierarchy::storeSlow(std::uint64_t addr, std::span<const std::uint8_t>
   const std::uint64_t inBlock = addr & blockMask_;
   if (!src.empty() && inBlock + src.size() <= config_.blockSize) {
     const std::uint32_t line = ensureInL1(addr - inBlock);
-    std::memcpy(levels_[0].data(line).data() + inBlock, src.data(), src.size());
-    levels_[0].setDirty(line, true);
+    std::memcpy(l1Payload(line) + inBlock, src.data(), src.size());
+    if (!levels_[0].dirty(line)) markL1Dirty(line);
     ++events_.stores;
     return;
   }
@@ -195,9 +171,8 @@ void CacheHierarchy::storeSlow(std::uint64_t addr, std::span<const std::uint8_t>
     const std::uint64_t chunk =
         std::min<std::uint64_t>(config_.blockSize - off, src.size() - offset);
     const std::uint32_t line = ensureInL1(base);
-    auto dst = levels_[0].data(line);
-    std::memcpy(dst.data() + off, src.data() + offset, chunk);
-    levels_[0].setDirty(line, true);
+    std::memcpy(l1Payload(line) + off, src.data() + offset, chunk);
+    if (!levels_[0].dirty(line)) markL1Dirty(line);
     ++events_.stores;
     offset += chunk;
   }
@@ -223,7 +198,7 @@ void CacheHierarchy::loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
     events_.hits[0] += touches - 1;
     events_.loads += touches;
     ++events_.rangeSplitBlocks;
-    std::memcpy(dst.data() + offset, levels_[0].data(line).data() + off, chunk);
+    std::memcpy(dst.data() + offset, l1Payload(line) + off, chunk);
     offset += chunk;
   }
 }
@@ -247,8 +222,8 @@ void CacheHierarchy::storeRange(std::uint64_t addr,
     events_.hits[0] += touches - 1;
     events_.stores += touches;
     ++events_.rangeSplitBlocks;
-    std::memcpy(levels_[0].data(line).data() + off, src.data() + offset, chunk);
-    levels_[0].setDirty(line, true);
+    std::memcpy(l1Payload(line) + off, src.data() + offset, chunk);
+    if (!levels_[0].dirty(line)) markL1Dirty(line);
     offset += chunk;
   }
 }
@@ -263,50 +238,18 @@ void CacheHierarchy::touchRange(std::uint64_t addr, std::uint64_t size) {
 }
 
 void CacheHierarchy::flushBlock(std::uint64_t addr, FlushKind kind) {
-  const std::uint64_t base = blockBase(addr);
-
-  // One probe per level; every later step reuses the cached line indices.
-  std::array<std::int64_t, kMaxLevels> lineAt;
-  std::size_t lowest = kNone;
-  bool dirtyAnywhere = false;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    const auto line = levels_[i].find(base);
-    lineAt[i] = line ? static_cast<std::int64_t>(*line) : -1;
-    if (line) {
-      if (lowest == kNone) lowest = i;
-      dirtyAnywhere = dirtyAnywhere || levels_[i].dirty(*line);
-    }
-  }
-  if (lowest == kNone) {
-    ++events_.flushNonResident;
-    return;
-  }
-
-  if (dirtyAnywhere) {
-    const auto freshest =
-        levels_[lowest].data(static_cast<std::uint32_t>(lineAt[lowest]));
-    nvm_.writeBlock(base, freshest);
-    ++events_.nvmBlockWrites;
-    ++events_.flushInducedNvmWrites;
-    ++events_.flushDirty;
-    // All copies become clean and identical to NVM.
-    for (std::size_t i = lowest; i < levels_.size(); ++i) {
-      if (lineAt[i] < 0) continue;
-      const auto l = static_cast<std::uint32_t>(lineAt[i]);
-      auto dst = levels_[i].data(l);
-      std::copy(freshest.begin(), freshest.end(), dst.begin());
-      levels_[i].setDirty(l, false);
-    }
-  } else {
-    ++events_.flushClean;
-  }
-
-  if (kind != FlushKind::Clwb) {
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      if (lineAt[i] >= 0) {
-        levels_[i].invalidateLine(static_cast<std::uint32_t>(lineAt[i]));
-      }
-    }
+  switch (dir_.flush(blockBase(addr), kind != FlushKind::Clwb)) {
+    case LlcDirectory::FlushResult::NonResident:
+      ++events_.flushNonResident;
+      break;
+    case LlcDirectory::FlushResult::Clean:
+      ++events_.flushClean;
+      break;
+    case LlcDirectory::FlushResult::WroteBack:
+      ++events_.nvmBlockWrites;
+      ++events_.flushInducedNvmWrites;
+      ++events_.flushDirty;
+      break;
   }
 }
 
@@ -335,197 +278,52 @@ void CacheHierarchy::flushRange(std::uint64_t addr, std::uint64_t size,
 }
 
 void CacheHierarchy::peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-  if (!scanFast_) {
-    peekScalar(addr, dst);
-    return;
-  }
-  if (dst.empty()) return;
-  // Only dirty-indexed blocks can hold a value diverging from NVM (a clean
-  // copy equals the level below it, down to NVM — the coherence invariant
-  // checkInvariants() asserts), so runs of non-indexed blocks are served
-  // with one bulk NVM read each and only indexed blocks pay cache probes.
-  const std::uint64_t end = addr + dst.size();
-  std::uint64_t runStart = addr;  // start of the pending NVM run
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(end - 1);
-  for (std::uint64_t base = first; base <= last; base += config_.blockSize) {
-    if (!dirtyIndex_.contains(base)) continue;
-    const std::uint64_t lo = std::max(base, addr);
-    const std::uint64_t hi = std::min(base + config_.blockSize, end);
-    if (lo > runStart) {
-      nvm_.read(runStart, {dst.data() + (runStart - addr), lo - runStart});
-    }
-    const auto src = dirtyBlockData(base);
-    std::memcpy(dst.data() + (lo - addr), src.data() + (lo - base), hi - lo);
-    runStart = hi;
-  }
-  if (runStart < end) {
-    nvm_.read(runStart, {dst.data() + (runStart - addr), end - runStart});
-  }
-}
-
-void CacheHierarchy::peekScalar(std::uint64_t addr,
-                                std::span<std::uint8_t> dst) const {
-  std::uint64_t offset = 0;
-  while (offset < dst.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t inBlock = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - inBlock, dst.size() - offset);
-    const Resident res = lowestResident(base);
-    if (res.level == kNone) {
-      nvm_.read(a, {dst.data() + offset, chunk});
-    } else {
-      const auto src = levels_[res.level].data(res.line);
-      std::memcpy(dst.data() + offset, src.data() + inBlock, chunk);
-    }
-    offset += chunk;
+  if (scanFast_) {
+    dir_.peek(addr, dst);
+  } else {
+    dir_.peekScalar(addr, dst);
   }
 }
 
 std::uint64_t CacheHierarchy::inconsistentBytes(std::uint64_t addr,
                                                 std::uint64_t size) const {
   if (size == 0) return 0;
-  if (!scanFast_) return inconsistentBytesScalar(addr, size);
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(addr + size - 1);
-  const std::uint64_t blocks = (last - first) / config_.blockSize + 1;
-  std::uint64_t count = 0;
-  std::uint64_t compared = 0;
-  std::uint64_t bytesCompared = 0;
-  dirtyIndex_.forEachIn(first, last, [&](std::uint64_t base) {
-    const auto cached = dirtyBlockData(base);
-    // Compare against the NVM image in place; the scratch copy only serves
-    // blocks the image does not fully back (those bytes read as zeros).
-    const std::uint8_t* image = nvm_.blockView(base).data();
-    if (image == nullptr) {
-      nvm_.read(base, scanScratch_);
-      image = scanScratch_.data();
-    }
-    // Only count bytes inside [addr, addr+size).
-    const std::uint64_t lo = std::max(base, addr);
-    const std::uint64_t hi = std::min(base + config_.blockSize, addr + size);
-    count += scan::countDiffBytes(cached.data() + (lo - base),
-                                  image + (lo - base), hi - lo);
-    ++compared;
-    bytesCompared += hi - lo;
-  });
-  events_.postmortemBlocksCompared += compared;
-  events_.postmortemBlocksSkipped += blocks - compared;
-  events_.postmortemBytesCompared += bytesCompared;
+  if (!scanFast_) return dir_.diffScalar(addr, size);
+  const std::uint64_t blocks = (blockBase(addr + size - 1) - blockBase(addr)) /
+                                   config_.blockSize +
+                               1;
+  const LlcDirectory::Diff d = dir_.diff(addr, size);
+  events_.postmortemBlocksCompared += d.blocksCompared;
+  events_.postmortemBlocksSkipped += blocks - d.blocksCompared;
+  events_.postmortemBytesCompared += d.bytesCompared;
   if (telemetry::tracing()) {
     telemetry::TraceEvent("postmortem_scan")
         .field("addr", addr)
         .field("bytes", size)
         .field("blocks", blocks)
-        .field("blocks_compared", compared)
-        .field("blocks_skipped", blocks - compared)
-        .field("bytes_compared", bytesCompared)
-        .field("diff", count)
+        .field("blocks_compared", d.blocksCompared)
+        .field("blocks_skipped", blocks - d.blocksCompared)
+        .field("bytes_compared", d.bytesCompared)
+        .field("diff", d.bytes)
         .field("kernel", scan::kernelName(scan::activeKernel()))
         .emit();
   }
-  return count;
+  return d.bytes;
 }
 
-std::uint64_t CacheHierarchy::inconsistentBytesScalar(std::uint64_t addr,
-                                                      std::uint64_t size) const {
-  if (size == 0) return 0;
-  std::uint64_t count = 0;
-  std::vector<std::uint8_t> nvmBlock(config_.blockSize);
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(addr + size - 1);
-  for (std::uint64_t base = first; base <= last; base += config_.blockSize) {
-    bool dirtyAnywhere = false;
-    std::size_t lowest = kNone;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      if (const auto line = levels_[i].find(base)) {
-        if (lowest == kNone) lowest = i;
-        dirtyAnywhere = dirtyAnywhere || levels_[i].dirty(*line);
-      }
-    }
-    if (!dirtyAnywhere) continue;  // clean or absent copies match NVM
+void CacheHierarchy::drainAll() { events_.nvmBlockWrites += dir_.drainAll(); }
 
-    const auto line = levels_[lowest].find(base);
-    const auto cached = levels_[lowest].data(*line);
-    nvm_.read(base, nvmBlock);
-
-    // Only count bytes inside [addr, addr+size).
-    const std::uint64_t lo = std::max(base, addr);
-    const std::uint64_t hi = std::min(base + config_.blockSize, addr + size);
-    for (std::uint64_t b = lo; b < hi; ++b) {
-      const std::uint64_t i = b - base;
-      if (cached[i] != nvmBlock[i]) ++count;
-    }
-  }
-  return count;
-}
-
-void CacheHierarchy::drainAll() {
-  // Propagate dirty data downward level by level, then write LLC dirt to
-  // NVM. The incremental dirty counter lets a clean level be skipped without
-  // scanning it, and the per-line walk needs no temporary block list: the
-  // walk only flips dirty bits, never moves lines.
-  for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
-    CacheLevel& upper = levels_[i];
-    CacheLevel& lower = levels_[i + 1];
-    if (upper.dirtyLines() == 0) continue;
-    for (std::uint32_t line = 0; line < upper.lineCount(); ++line) {
-      if (!upper.valid(line) || !upper.dirty(line)) continue;
-      const std::uint64_t blockAddr = upper.blockAddr(line);
-      const auto loLine = lower.find(blockAddr);
-      EC_CHECK_MSG(loLine.has_value(), "inclusivity violated during drain");
-      const auto src = upper.data(line);
-      auto dst = lower.data(*loLine);
-      std::copy(src.begin(), src.end(), dst.begin());
-      lower.setDirty(*loLine, true);
-      upper.setDirty(line, false);
-    }
-  }
-  CacheLevel& llc = levels_.back();
-  if (llc.dirtyLines() == 0) return;
-  for (std::uint32_t line = 0; line < llc.lineCount(); ++line) {
-    if (!llc.valid(line) || !llc.dirty(line)) continue;
-    nvm_.writeBlock(llc.blockAddr(line), llc.data(line));
-    ++events_.nvmBlockWrites;
-    llc.setDirty(line, false);
-  }
-}
-
-void CacheHierarchy::invalidateAll() {
-  for (auto& level : levels_) level.invalidateAll();
-}
+void CacheHierarchy::invalidateAll() { dir_.invalidateAll(); }
 
 void CacheHierarchy::checkInvariants() const {
+  dir_.checkInvariants();
+  // Inclusion level by level: a block at level i is also at level i + 1.
   for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
-    levels_[i].forEachValid([&](std::uint64_t blockAddr, bool dirty,
-                                std::span<const std::uint8_t> data) {
-      const auto below = levels_[i + 1].find(blockAddr);
-      EC_CHECK_MSG(below.has_value(), "inclusivity: block missing from lower level");
-      if (!dirty) {
-        const auto lowerData = levels_[i + 1].data(*below);
-        EC_CHECK_MSG(std::equal(data.begin(), data.end(), lowerData.begin()),
-                     "clean upper copy differs from lower level");
-      }
+    levels_[i].forEachValid([&](std::uint32_t line) {
+      EC_CHECK_MSG(levels_[i + 1].find(levels_[i].blockAddr(line)).has_value(),
+                   "inclusivity: block missing from lower level");
     });
   }
-  // Clean LLC lines must match the NVM image.
-  std::vector<std::uint8_t> nvmBlock(config_.blockSize);
-  levels_.back().forEachValid([&](std::uint64_t blockAddr, bool dirty,
-                                  std::span<const std::uint8_t> data) {
-    bool dirtyAbove = false;
-    for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
-      if (const auto line = levels_[i].find(blockAddr)) {
-        dirtyAbove = dirtyAbove || levels_[i].dirty(*line);
-      }
-    }
-    if (!dirty && !dirtyAbove) {
-      nvm_.read(blockAddr, nvmBlock);
-      EC_CHECK_MSG(std::equal(data.begin(), data.end(), nvmBlock.begin()),
-                   "clean LLC copy differs from NVM image");
-    }
-  });
 }
 
 }  // namespace easycrash::memsim

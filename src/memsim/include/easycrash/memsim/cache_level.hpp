@@ -1,171 +1,148 @@
-// One set-associative, write-back cache level with value-tracking lines.
+// One set-associative, write-back cache level: tags, LRU stamps and dirty
+// bits, no data.
 //
-// Unlike a purely statistical cache model, every line carries the actual data
-// bytes of its block. That is what lets the simulator answer the question at
-// the core of the paper: after an arbitrary crash, which bytes of which data
-// objects differ between the (lost) caches and the (surviving) NVM image?
+// A level only answers "is this block here, in which line, is it dirty, and
+// which line would an insertion displace". Block values live once per
+// resident block in the owning system's last-level-cache directory
+// (llc_directory.hpp), which is what lets the simulator answer the question
+// at the core of the paper — after an arbitrary crash, which bytes differ
+// between the (lost) caches and the (surviving) NVM image — without copying
+// a block between levels on every fill and eviction.
 //
 // Hot-path design (docs/INTERNALS.md "Simulator performance"):
+//  - per-way state is three flat arrays (tag, LRU stamp, dirty bit); an
+//    invalid way holds the tag kInvalidTag, which no block-aligned address
+//    can equal, and the LRU stamp 0, below every valid stamp;
+//  - find() and victim() compare all ways of a set with conditional moves
+//    and no data-dependent branch: find() keeps the matching way, victim()
+//    keeps the smallest stamp (an invalid way first, else the LRU way);
 //  - set selection uses a shift + mask when the set count is a power of two
-//    (a predictable-branch modulo fallback covers geometries like the Xeon
-//    Gold 6126 L3, whose 11-way layout yields a non-power-of-two set count);
-//  - find() keeps a one-entry MRU cache of (blockAddr, line) so the common
-//    case — consecutive accesses inside the same 64B block — skips the
-//    associative probe entirely;
-//  - insert()/extractInto() copy victim state into caller-owned scratch
-//    buffers and return line indices, so the miss/evict flow performs no heap
-//    allocation and no probe-after-mutation double lookups;
-//  - valid/dirty line counts are maintained incrementally, so validLines() /
-//    dirtyLines() and the drain path never scan the full line array.
+//    (a modulo fallback covers geometries like the Xeon Gold 6126 L3, whose
+//    11-way layout yields a non-power-of-two set count);
+//  - mruLineOf() answers "is this the most recently touched line?" from one
+//    remembered line index, so an L1 hit on the current block skips the set
+//    probe (an invalidated or refilled line's tag no longer matches, so the
+//    hint needs no invalidation bookkeeping);
+//  - valid/dirty line counts are maintained incrementally.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "easycrash/common/check.hpp"
 #include "easycrash/memsim/config.hpp"
-#include "easycrash/memsim/dirty_index.hpp"
 
 namespace easycrash::memsim {
 
 class CacheLevel {
  public:
+  /// Tag of an invalid way. Block addresses are block-aligned, so their low
+  /// bits are zero and none can equal this.
+  static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
+
   CacheLevel(const CacheGeometry& geometry, std::uint32_t blockSize);
 
-  /// A block displaced by an insertion (or removed by extraction). When used
-  /// with the scratch-buffer APIs the `data` vector's capacity is reused
-  /// across calls, so steady-state eviction traffic allocates nothing.
-  struct Evicted {
-    std::uint64_t blockAddr = 0;
-    bool dirty = false;
-    std::vector<std::uint8_t> data;
-  };
-
-  /// Result of a hot-path insertion: the line now holding the new block and
-  /// whether a valid victim was displaced into the caller's scratch buffer.
-  struct InsertResult {
-    std::uint32_t line = 0;
-    bool evicted = false;
-  };
-
   /// Line index of `blockAddr` if resident.
-  [[nodiscard]] std::optional<std::uint32_t> find(std::uint64_t blockAddr) const;
-
-  /// MRU-only probe: the line index when `blockAddr` is the level's most
-  /// recently used block, -1 otherwise (which says nothing about residency).
-  /// This is the inlined first half of find(); the hierarchy's header-level
-  /// load/store fast paths use it to keep an L1 MRU hit free of any
-  /// out-of-line call.
-  [[nodiscard]] std::int64_t mruLineOf(std::uint64_t blockAddr) const {
-    return (mruValid_ && mruBlock_ == blockAddr) ? static_cast<std::int64_t>(mruLine_)
-                                                 : -1;
+  [[nodiscard]] std::optional<std::uint32_t> find(std::uint64_t blockAddr) const {
+    const std::uint32_t base = setBase(blockAddr);
+    std::uint32_t hit = assoc_;
+    for (std::uint32_t way = 0; way < assoc_; ++way) {
+      hit = tags_[base + way] == blockAddr ? way : hit;
+    }
+    if (hit == assoc_) return std::nullopt;
+    return base + hit;
   }
 
-  /// Insert `blockAddr` (must not be resident); the victim's state, if any,
-  /// is copied into `victim` (reusing its buffer). Returns the filled line,
-  /// marked most-recently-used and clean. The line's data bytes are NOT
-  /// zeroed — every caller overwrites the full block immediately after.
-  InsertResult insert(std::uint64_t blockAddr, Evicted& victim);
+  /// The line index when `blockAddr` sits in the most recently touched line,
+  /// -1 otherwise (which says nothing about residency). The hierarchy's
+  /// header-level load/store fast paths use it to keep a hit on the current
+  /// L1 block free of any probe or out-of-line call.
+  [[nodiscard]] std::int64_t mruLineOf(std::uint64_t blockAddr) const {
+    return tags_[mruLine_] == blockAddr ? static_cast<std::int64_t>(mruLine_) : -1;
+  }
 
-  /// Allocating convenience wrapper around the scratch-buffer insert(): the
-  /// new line's data is zero-initialised, and the victim (if any) is
-  /// returned by value.
-  std::optional<Evicted> insert(std::uint64_t blockAddr);
+  /// The line an insertion of `blockAddr` would use: the set's first invalid
+  /// way, else its least recently touched way. When that line is valid, the
+  /// caller evicts it (invalidateLine) before fill().
+  [[nodiscard]] std::uint32_t victim(std::uint64_t blockAddr) const {
+    const std::uint32_t base = setBase(blockAddr);
+    std::uint32_t way = 0;
+    std::uint64_t oldest = stamps_[base];
+    for (std::uint32_t w = 1; w < assoc_; ++w) {
+      const bool older = stamps_[base + w] < oldest;
+      oldest = older ? stamps_[base + w] : oldest;
+      way = older ? w : way;
+    }
+    return base + way;
+  }
 
-  /// Remove a resident block without write-back, copying its state into
-  /// `out` (reusing its buffer).
-  void extractInto(std::uint64_t blockAddr, Evicted& out);
+  /// Install `blockAddr` (not resident) in the invalid `line` of its set,
+  /// clean and most recently used. Filling a valid line throws: it would
+  /// corrupt the line counts.
+  void fill(std::uint32_t line, std::uint64_t blockAddr) {
+    EC_CHECK_MSG(!valid(line), "fill of a valid line");
+    EC_DCHECK_MSG(setBase(blockAddr) == line - line % assoc_, "fill outside the set");
+    EC_DCHECK_MSG(!find(blockAddr).has_value(), "block already resident");
+    tags_[line] = blockAddr;
+    ++validCount_;
+    touch(line);
+  }
 
-  /// Allocating convenience wrapper around extractInto().
-  Evicted extract(std::uint64_t blockAddr);
-
-  /// Drop a block if resident (no write-back, state discarded).
-  void invalidate(std::uint64_t blockAddr);
-  /// Drop a line by index (no write-back); the line must be valid.
-  void invalidateLine(std::uint32_t line);
+  /// Drop a line (no write-back); throws when the line is already empty.
+  void invalidateLine(std::uint32_t line) {
+    EC_CHECK_MSG(valid(line), "invalidateLine of an invalid line");
+    --validCount_;
+    dirtyCount_ -= dirty_[line];
+    tags_[line] = kInvalidTag;
+    stamps_[line] = 0;
+    dirty_[line] = 0;
+  }
   /// Drop everything (simulates power loss).
   void invalidateAll();
 
-  [[nodiscard]] std::span<std::uint8_t> data(std::uint32_t line) {
-    return {storage_.data() + static_cast<std::size_t>(line) * blockSize_, blockSize_};
+  [[nodiscard]] bool valid(std::uint32_t line) const {
+    return tags_[line] != kInvalidTag;
   }
-  [[nodiscard]] std::span<const std::uint8_t> data(std::uint32_t line) const {
-    return {storage_.data() + static_cast<std::size_t>(line) * blockSize_, blockSize_};
-  }
-  [[nodiscard]] bool valid(std::uint32_t line) const { return lines_[line].valid; }
-  [[nodiscard]] bool dirty(std::uint32_t line) const { return lines_[line].dirty; }
+  [[nodiscard]] bool dirty(std::uint32_t line) const { return dirty_[line] != 0; }
   void setDirty(std::uint32_t line, bool value) {
-    Line& l = lines_[line];
-    EC_DCHECK_MSG(l.valid, "setDirty on an invalid line");
-    if (l.dirty != value) {
-      if (value) {
-        ++dirtyCount_;
-        if (dirtyIndex_ != nullptr) dirtyIndex_->add(l.blockAddr, levelId_, line);
-      } else {
-        --dirtyCount_;
-        if (dirtyIndex_ != nullptr) dirtyIndex_->remove(l.blockAddr, levelId_);
-      }
-      l.dirty = value;
-    }
+    EC_DCHECK_MSG(valid(line), "setDirty on an invalid line");
+    dirtyCount_ += static_cast<std::uint64_t>(value) - dirty_[line];
+    dirty_[line] = value ? 1 : 0;
   }
-  [[nodiscard]] std::uint64_t blockAddr(std::uint32_t line) const {
-    return lines_[line].blockAddr;
-  }
+  [[nodiscard]] std::uint64_t blockAddr(std::uint32_t line) const { return tags_[line]; }
 
   /// Mark `line` most-recently-used within its set.
-  void touch(std::uint32_t line) { lines_[line].lastUse = ++tick_; }
+  void touch(std::uint32_t line) {
+    stamps_[line] = ++tick_;
+    mruLine_ = line;
+  }
 
-  /// Visit every valid line: fn(blockAddr, dirty, data).
+  /// Visit every valid line: fn(line).
   template <typename Fn>
   void forEachValid(Fn&& fn) const {
-    for (std::uint32_t i = 0; i < lines_.size(); ++i) {
-      if (lines_[i].valid) fn(lines_[i].blockAddr, lines_[i].dirty, data(i));
+    if (validCount_ == 0) return;
+    for (std::uint32_t i = 0; i < lineCount(); ++i) {
+      if (valid(i)) fn(i);
     }
   }
 
   [[nodiscard]] std::uint64_t sets() const { return sets_; }
   [[nodiscard]] std::uint32_t associativity() const { return assoc_; }
   [[nodiscard]] std::uint32_t lineCount() const {
-    return static_cast<std::uint32_t>(lines_.size());
+    return static_cast<std::uint32_t>(tags_.size());
   }
   [[nodiscard]] std::uint64_t validLines() const { return validCount_; }
   [[nodiscard]] std::uint64_t dirtyLines() const { return dirtyCount_; }
 
-  /// Attach the owning hierarchy's dirty-block index: every dirty-membership
-  /// transition of a line in this level (setDirty flip, removal of a dirty
-  /// line, invalidateAll) is mirrored into it, so the post-mortem scan can
-  /// enumerate dirty-anywhere blocks without probing the levels. All levels
-  /// of one hierarchy share one index; `levelId` is this level's bit in the
-  /// per-block dirty mask and must be unique within the hierarchy, ordered
-  /// freshest-first (L1 = 0, or per-core caches before a shared LLC). The
-  /// index must outlive this level (or a later attach of nullptr).
-  void attachDirtyIndex(DirtyBlockIndex* index, std::uint32_t levelId) {
-    dirtyIndex_ = index;
-    levelId_ = levelId;
-  }
-
  private:
-  struct Line {
-    std::uint64_t blockAddr = 0;
-    std::uint64_t lastUse = 0;
-    bool valid = false;
-    bool dirty = false;
-  };
-
-  [[nodiscard]] std::uint64_t setOf(std::uint64_t blockAddr) const {
+  [[nodiscard]] std::uint32_t setBase(std::uint64_t blockAddr) const {
     const std::uint64_t block = blockAddr >> blockShift_;
-    return setsPow2_ ? (block & setMask_) : (block % sets_);
+    const std::uint64_t set = setsPow2_ ? (block & setMask_) : (block % sets_);
+    return static_cast<std::uint32_t>(set * assoc_);
   }
-  [[nodiscard]] std::uint32_t lineIndex(std::uint64_t set, std::uint32_t way) const {
-    return static_cast<std::uint32_t>(set * assoc_ + way);
-  }
-  void noteRemoved(const Line& line);
 
-  std::uint32_t blockSize_;
-  std::uint32_t blockShift_ = 0;  ///< log2(blockSize_)
+  std::uint32_t blockShift_ = 0;  ///< log2(block size)
   std::uint64_t sets_;
   std::uint64_t setMask_ = 0;  ///< sets_ - 1 when sets_ is a power of two
   bool setsPow2_ = false;
@@ -173,18 +150,10 @@ class CacheLevel {
   std::uint64_t tick_ = 0;
   std::uint64_t validCount_ = 0;
   std::uint64_t dirtyCount_ = 0;
-  std::vector<Line> lines_;
-  std::vector<std::uint8_t> storage_;
-  DirtyBlockIndex* dirtyIndex_ = nullptr;  ///< shared per-hierarchy, may be null
-  std::uint32_t levelId_ = 0;              ///< this level's bit in the dirty mask
-
-  // One-entry MRU cache consulted by find() before the associative probe.
-  // Invalidation rules: cleared whenever the cached block leaves this level
-  // (extract/invalidate/invalidateAll) and redirected on insert (the new
-  // line is by definition the most recently used).
-  mutable std::uint64_t mruBlock_ = 0;
-  mutable std::uint32_t mruLine_ = 0;
-  mutable bool mruValid_ = false;
+  std::uint32_t mruLine_ = 0;
+  std::vector<std::uint64_t> tags_;    ///< kInvalidTag when the way is empty
+  std::vector<std::uint64_t> stamps_;  ///< 0 when empty, else the touch tick
+  std::vector<std::uint8_t> dirty_;
 };
 
 }  // namespace easycrash::memsim

@@ -43,7 +43,7 @@ struct MemEvents {
   std::uint64_t rangeSplitBlocks = 0;
 
   /// Diagnostics for the post-mortem scan fast path (inconsistentBytes with
-  /// the dirty-block index on): blocks skipped because no level held them
+  /// the LLC dirty list on): blocks skipped because no level held them
   /// dirty, blocks handed to the compare kernel, and the bytes it compared.
   /// Like the range counters these describe *how* the answer was computed,
   /// not the answer itself — they are zero with setScanFastPath(false) and

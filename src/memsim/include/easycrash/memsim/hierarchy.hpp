@@ -5,23 +5,23 @@
 // crash is modelled by invalidateAll() — everything not written back to the
 // NvmStore is lost, exactly as on app-direct-mode persistent memory.
 //
-// The access path is the inner loop of every crash campaign, so it is built
-// to be allocation-free in steady state: block fills and victim hand-offs go
-// through scratch buffers owned by the hierarchy, single-block accesses skip
-// the chunking loop, and block/set arithmetic is shift/mask (see
-// docs/INTERNALS.md "Simulator performance").
+// The levels hold metadata only (tags, LRU stamps, dirty bits); each
+// resident block's one value copy lives in its LLC line (LlcDirectory), and
+// every L1..L(n-1) line links to that LLC line. An access therefore moves
+// block bytes exactly once — between the caller and the payload — and fills,
+// evictions and back-invalidations move only metadata (see docs/INTERNALS.md
+// "Simulator performance").
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "easycrash/memsim/cache_level.hpp"
 #include "easycrash/memsim/config.hpp"
-#include "easycrash/memsim/dirty_index.hpp"
 #include "easycrash/memsim/events.hpp"
+#include "easycrash/memsim/llc_directory.hpp"
 #include "easycrash/memsim/nvm_store.hpp"
 
 namespace easycrash::memsim {
@@ -45,7 +45,7 @@ class CacheHierarchy {
         const auto l1 = static_cast<std::uint32_t>(line);
         ++events_.hits[0];
         levels_[0].touch(l1);
-        std::memcpy(dst.data(), levels_[0].data(l1).data() + inBlock, dst.size());
+        std::memcpy(dst.data(), l1Payload(l1) + inBlock, dst.size());
         ++events_.loads;
         return;
       }
@@ -61,8 +61,8 @@ class CacheHierarchy {
         const auto l1 = static_cast<std::uint32_t>(line);
         ++events_.hits[0];
         levels_[0].touch(l1);
-        std::memcpy(levels_[0].data(l1).data() + inBlock, src.data(), src.size());
-        levels_[0].setDirty(l1, true);
+        std::memcpy(l1Payload(l1) + inBlock, src.data(), src.size());
+        if (!levels_[0].dirty(l1)) markL1Dirty(l1);
         ++events_.stores;
         return;
       }
@@ -105,31 +105,32 @@ class CacheHierarchy {
   /// flushed even when not resident, because hardware cannot tell).
   void flushRange(std::uint64_t addr, std::uint64_t size, FlushKind kind);
 
-  /// Read the architecturally-current value (freshest cached copy, falling
-  /// back to NVM) without perturbing cache state or counters. With the scan
-  /// fast path on, clean runs of blocks are served straight from NVM in bulk
-  /// reads (a clean block's copies match NVM by invariant) and only
-  /// dirty-indexed blocks pay a cache probe.
+  /// Read the architecturally-current value (the payload of a block dirty
+  /// anywhere, NVM otherwise) without perturbing cache state or counters.
+  /// With the scan fast path on, clean runs of blocks are served straight
+  /// from NVM in bulk reads and only the LLC's dirty blocks are visited.
   void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const;
 
   /// Bytes in [addr, addr+size) whose cached value differs from the NVM
   /// image — the paper's per-object inconsistency measure (§3). The fast
-  /// path iterates the dirty-block index (only dirty-anywhere blocks can
-  /// diverge) and counts differing bytes with the vectorized scan kernel;
-  /// setScanFastPath(false) restores the probe-every-level byte loop, the
-  /// differential oracle.
+  /// path compares only the dirty-anywhere blocks the LLC enumerates, with
+  /// the vectorized scan kernel; setScanFastPath(false) restores the
+  /// probe-every-level byte loop, the differential oracle.
   [[nodiscard]] std::uint64_t inconsistentBytes(std::uint64_t addr,
                                                 std::uint64_t size) const;
 
-  /// Post-mortem scan fast-path control (dirty-block index + vectorized
+  /// Post-mortem scan fast-path control (LLC dirty list + vectorized
   /// compare in inconsistentBytes/peek). Both settings return bit-identical
   /// results; off exists as the differential oracle and for perf comparison.
   void setScanFastPath(bool on) noexcept { scanFast_ = on; }
   [[nodiscard]] bool scanFastPath() const noexcept { return scanFast_; }
 
-  /// The incrementally-maintained dirty-anywhere block set (tests assert it
-  /// against a forEachValid walk of the levels).
-  [[nodiscard]] const DirtyBlockIndex& dirtyIndex() const { return dirtyIndex_; }
+  /// Number of blocks dirty in at least one level, and whether one block is
+  /// (tests assert both against the levels' own dirty bits).
+  [[nodiscard]] std::size_t dirtyBlockCount() const { return dir_.dirtyBlockCount(); }
+  [[nodiscard]] bool dirtyAnywhere(std::uint64_t blockAddr) const {
+    return dir_.dirtyAnywhereBlock(blockBase(blockAddr));
+  }
 
   /// Write every dirty block back to NVM (counted as modelled writes); lines
   /// stay resident and clean. Used by the coherent-snapshot ("verified")
@@ -147,8 +148,9 @@ class CacheHierarchy {
   [[nodiscard]] std::size_t levelCount() const { return levels_.size(); }
   [[nodiscard]] const CacheLevel& level(std::size_t i) const { return levels_[i]; }
 
-  /// Internal consistency check (inclusivity + data coherence of clean
-  /// copies). Intended for tests; throws std::logic_error on violation.
+  /// Internal consistency check (inclusion at every level, the LLC
+  /// directory's links and masks, NVM agreement of blocks dirty nowhere).
+  /// Intended for tests; throws std::logic_error on violation.
   void checkInvariants() const;
 
   /// Enable the sampled access profile: per-stride touch counters fed only by
@@ -175,6 +177,21 @@ class CacheHierarchy {
   [[nodiscard]] std::uint64_t blockBase(std::uint64_t addr) const {
     return addr & ~blockMask_;
   }
+  [[nodiscard]] std::size_t llcLevel() const { return levels_.size() - 1; }
+
+  /// The payload behind L1 line `l1`.
+  [[nodiscard]] std::uint8_t* l1Payload(std::uint32_t l1) {
+    return dir_.payload(l1Llc_[l1]);
+  }
+  /// First store to a clean L1 line: set its dirty bit (and the LLC's
+  /// dirty-holder bit, unless L1 is the LLC).
+  void markL1Dirty(std::uint32_t l1) {
+    if (levels_.size() == 1) {
+      dir_.setLlcDirty(l1, true);
+    } else {
+      dir_.setUpperDirty(0, l1, true);
+    }
+  }
 
   /// Out-of-line halves of load()/store(): multi-block accesses and
   /// single-block accesses that miss the L1 MRU entry.
@@ -186,72 +203,29 @@ class CacheHierarchy {
   /// Miss path of ensureInL1 (kept out of line so the L1-hit fast path stays
   /// small enough to inline into load()/store()).
   std::uint32_t fillToL1(std::uint64_t blockAddr);
-
-  /// Insert a block at `level` with the given data, handling the eviction;
-  /// returns the filled line index.
-  std::uint32_t insertAt(std::size_t level, std::uint64_t blockAddr,
-                         std::span<const std::uint8_t> data);
-
-  /// Process a victim displaced from `level` (held in a scratch buffer):
-  /// merge fresher upper-level copies, then write back downwards (or to NVM
-  /// from the LLC).
-  void handleEviction(std::size_t level, CacheLevel::Evicted& victim);
-
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  /// Lowest level (closest to the CPU) holding the block, or npos.
-  [[nodiscard]] std::size_t lowestResidentLevel(std::uint64_t blockAddr) const;
-
-  /// Level and line of the freshest resident copy, found with one probe per
-  /// level (level == kNone when the block is not cached anywhere).
-  struct Resident {
-    std::size_t level = kNone;
-    std::uint32_t line = 0;
-  };
-  [[nodiscard]] Resident lowestResident(std::uint64_t blockAddr) const;
-
-  /// Freshest copy of a dirty-indexed block, served from the index's owner
-  /// record: zero probes when the line hint is live, one single-level probe
-  /// otherwise. Only valid while dirtyIndex_.contains(blockAddr).
-  [[nodiscard]] std::span<const std::uint8_t> dirtyBlockData(
-      std::uint64_t blockAddr) const;
-
-  /// Pre-index scalar references behind setScanFastPath(false): probe every
-  /// level for every block.
-  void peekScalar(std::uint64_t addr, std::span<std::uint8_t> dst) const;
-  [[nodiscard]] std::uint64_t inconsistentBytesScalar(std::uint64_t addr,
-                                                      std::uint64_t size) const;
+  /// Install `blockAddr` (LLC line `llcLine`) at upper level `level`,
+  /// evicting that set's victim first; returns the filled line.
+  std::uint32_t fillUpper(std::size_t level, std::uint64_t blockAddr,
+                          std::uint32_t llcLine);
 
   CacheConfig config_;
   std::uint64_t blockMask_ = 0;  ///< blockSize - 1 (blockSize is power of two)
   NvmStore& nvm_;
-  std::vector<CacheLevel> levels_;
+  std::vector<CacheLevel> levels_;  ///< never resized after construction
+  LlcDirectory dir_;
+  /// L1 line → LLC line: the directory's table, or an identity table when
+  /// L1 is the LLC.
+  std::vector<std::uint32_t> identity_;
+  const std::uint32_t* l1Llc_ = nullptr;
   // Mutable so the const observation paths (peek/inconsistentBytes) can
-  // record their postmortem_* diagnostics — the same precedent as the
-  // CacheLevel MRU cache in find().
+  // record their postmortem_* diagnostics.
   mutable MemEvents events_;
-
-  // Dirty-anywhere block set, maintained by the levels (attachDirtyIndex)
-  // and consumed by the post-mortem scan. scanFast_ gates the index +
-  // vectorized-kernel paths of peek/inconsistentBytes.
-  DirtyBlockIndex dirtyIndex_;
   bool scanFast_ = true;
-  // Scratch NVM block for the scan (replaces a per-call allocation); mutable
-  // for the const observation paths, which are single-threaded per runtime.
-  mutable std::vector<std::uint8_t> scanScratch_;
 
   // Sampled access profile (enableAccessProfile). profileShift_ == 0 means
   // off; the slow path then skips one well-predicted branch and nothing else.
   std::uint32_t profileShift_ = 0;
   std::vector<std::uint64_t> accessProfile_;
-
-  // Reusable scratch state for the miss/evict flow: one in-flight victim,
-  // one buffer for upper-level merges, one block-sized fill buffer. At most
-  // one of each is live at a time (insertions never recurse), so a single
-  // set suffices and steady-state misses allocate nothing.
-  CacheLevel::Evicted evictScratch_;
-  CacheLevel::Evicted mergeScratch_;
-  std::vector<std::uint8_t> fillScratch_;
 };
 
 }  // namespace easycrash::memsim

@@ -5,10 +5,16 @@
 // NVCT simulates a *coherent* cache hierarchy because the paper also runs
 // the benchmarks multi-threaded (§4.1; the conclusions match the
 // single-thread results it reports). This module provides that substrate:
-// value-tracking lines with MESI states, snooping invalidations and
+// value tracking with MESI states, snooping invalidations and
 // ownership transfers, per-core event counters, and the same crash/flush
 // semantics as the single-core hierarchy — a flush or a crash interacts
 // with every cached copy, wherever it lives.
+//
+// As in CacheHierarchy, the caches hold metadata only and each resident
+// block's one value copy lives in its shared-LLC line (LlcDirectory), whose
+// holder masks name the cores caching it. MESI allows one writer at a time
+// and invalidates every other copy before a write, so that single payload
+// is the coherent value every core observes.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +23,8 @@
 
 #include "easycrash/memsim/cache_level.hpp"
 #include "easycrash/memsim/config.hpp"
-#include "easycrash/memsim/dirty_index.hpp"
 #include "easycrash/memsim/events.hpp"
+#include "easycrash/memsim/llc_directory.hpp"
 #include "easycrash/memsim/nvm_store.hpp"
 
 namespace easycrash::memsim {
@@ -84,8 +90,8 @@ class MulticoreSystem {
 
   /// Bytes in [addr, addr+size) whose freshest cached value differs from
   /// the NVM image (same definition as the single-core hierarchy). The fast
-  /// path iterates the shared dirty-block index and compares with the
-  /// vectorized scan kernel; setScanFastPath(false) restores the
+  /// path compares only the dirty-anywhere blocks the LLC enumerates, with
+  /// the vectorized scan kernel; setScanFastPath(false) restores the
   /// probe-every-cache byte loop.
   [[nodiscard]] std::uint64_t inconsistentBytes(std::uint64_t addr,
                                                 std::uint64_t size) const;
@@ -96,8 +102,12 @@ class MulticoreSystem {
   void setScanFastPath(bool on) noexcept { scanFast_ = on; }
   [[nodiscard]] bool scanFastPath() const noexcept { return scanFast_; }
 
-  /// Dirty-anywhere block set shared by every private cache and the LLC.
-  [[nodiscard]] const DirtyBlockIndex& dirtyIndex() const { return dirtyIndex_; }
+  /// Number of blocks dirty in some private cache or the LLC, and whether
+  /// one block is.
+  [[nodiscard]] std::size_t dirtyBlockCount() const { return dir_.dirtyBlockCount(); }
+  [[nodiscard]] bool dirtyAnywhere(std::uint64_t blockAddr) const {
+    return dir_.dirtyAnywhereBlock(blockBase(blockAddr));
+  }
 
   /// Power loss: every cache on every core is gone.
   void invalidateAll();
@@ -108,16 +118,12 @@ class MulticoreSystem {
   [[nodiscard]] CoherenceEvents totalEvents() const;
   [[nodiscard]] int cores() const { return static_cast<int>(private_.size()); }
 
-  /// Coherence invariant check: at most one Modified copy per block; Shared
-  /// copies identical; every private line present in the inclusive LLC.
+  /// Coherence invariant check: every private line present in the inclusive
+  /// LLC and linked from it; a Modified copy is the block's only private
+  /// copy; a block dirty nowhere holds its NVM value.
   void checkInvariants() const;
 
  private:
-  struct Lookup {
-    int core = -1;              // core holding the line, -1 if none
-    std::uint32_t line = 0;
-  };
-
   [[nodiscard]] std::uint64_t blockBase(std::uint64_t addr) const {
     return addr & ~static_cast<std::uint64_t>(config_.blockSize - 1);
   }
@@ -126,48 +132,18 @@ class MulticoreSystem {
   /// the private-cache line index.
   std::uint32_t acquire(int core, std::uint64_t blockAddr, bool forWrite);
 
-  /// Handle a victim evicted from a private cache: merge into the LLC.
-  void privateVictimToLlc(int core, const CacheLevel::Evicted& victim);
-  /// Handle a victim evicted from the LLC: back-invalidate all cores, merge
-  /// the freshest dirty data, write to NVM if dirty.
-  void llcVictim(CacheLevel::Evicted& victim);
-
-  /// Freshest data for a block: Modified owner's copy > LLC > NVM.
-  void freshestBlock(std::uint64_t blockAddr, std::span<std::uint8_t> out) const;
-
-  /// Freshest copy of a dirty-indexed block, served from the index's owner
-  /// record: zero probes when the line hint is live, one single-cache probe
-  /// otherwise. Only valid while dirtyIndex_.contains(blockAddr).
-  [[nodiscard]] std::span<const std::uint8_t> dirtyBlockData(
-      std::uint64_t blockAddr) const;
-
-  /// Pre-index scalar references behind setScanFastPath(false).
-  void peekScalar(std::uint64_t addr, std::span<std::uint8_t> dst) const;
-  [[nodiscard]] std::uint64_t inconsistentBytesScalar(std::uint64_t addr,
-                                                      std::uint64_t size) const;
+  /// The payload behind `core`'s private line `line`.
+  [[nodiscard]] std::uint8_t* payload(int core, std::uint32_t line) {
+    return dir_.payload(dir_.llcLineOf(static_cast<std::uint32_t>(core), line));
+  }
 
   MulticoreConfig config_;
   NvmStore& nvm_;
-  std::vector<CacheLevel> private_;  // one per core
+  std::vector<CacheLevel> private_;  // one per core, never resized
   CacheLevel llc_;
+  LlcDirectory dir_;
   std::vector<CoherenceEvents> events_;
-
-  // Dirty-anywhere block set shared by every private cache and the LLC
-  // (attachDirtyIndex in the constructor); its per-block mask absorbs a
-  // block dirty in a private cache and the LLC at once. scanFast_ gates the
-  // index + vectorized-kernel paths of peek/inconsistentBytes; the scan
-  // scratch block is mutable for the const observation paths (same
-  // precedent as the CacheLevel MRU cache) and only serves blocks the NVM
-  // image does not fully back.
-  DirtyBlockIndex dirtyIndex_;
   bool scanFast_ = true;
-  mutable std::vector<std::uint8_t> scanImage_;
-
-  // Reusable scratch buffers for the miss/evict/snoop flow (same rationale
-  // as CacheHierarchy: steady-state coherence traffic allocates nothing).
-  CacheLevel::Evicted evictScratch_;
-  CacheLevel::Evicted mergeScratch_;
-  std::vector<std::uint8_t> fillScratch_;
 };
 
 }  // namespace easycrash::memsim

@@ -1,0 +1,300 @@
+#include "easycrash/memsim/llc_directory.hpp"
+
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
+#include "easycrash/common/check.hpp"
+#include "easycrash/memsim/scan.hpp"
+
+namespace easycrash::memsim {
+
+namespace {
+
+/// Visit the set bits of `mask` in ascending order: fn(bit).
+template <typename Fn>
+void forEachBit(std::uint64_t mask, Fn&& fn) {
+  while (mask != 0) {
+    fn(static_cast<std::uint32_t>(std::countr_zero(mask)));
+    mask &= mask - 1;
+  }
+}
+
+}  // namespace
+
+LlcDirectory::LlcDirectory(CacheLevel& llc, std::vector<CacheLevel*> uppers,
+                           NvmStore& nvm, std::uint32_t blockSize)
+    : llc_(llc), uppers_(std::move(uppers)), nvm_(nvm), blockSize_(blockSize) {
+  EC_CHECK_MSG(uppers_.size() <= 64, "the holder masks cover at most 64 upper caches");
+  const std::uint32_t lines = llc_.lineCount();
+  payload_.assign(static_cast<std::size_t>(lines) * blockSize_, 0);
+  holders_.assign(lines, 0);
+  dirtyHolders_.assign(lines, 0);
+  upperLine_.assign(static_cast<std::size_t>(lines) * uppers_.size(), 0);
+  llcLineOf_.reserve(uppers_.size());
+  for (const CacheLevel* upper : uppers_) llcLineOf_.emplace_back(upper->lineCount(), 0);
+  scanImage_.resize(blockSize_);
+}
+
+LlcDirectory::LlcFill LlcDirectory::fillLlc(std::uint64_t blockAddr) {
+  LlcFill fill;
+  fill.line = llc_.victim(blockAddr);
+  if (llc_.valid(fill.line)) fill.wroteBack = evictLlc(fill.line);
+  EC_DCHECK_MSG(holders_[fill.line] == 0 && dirtyHolders_[fill.line] == 0,
+                "empty LLC line carries holder masks");
+  llc_.fill(fill.line, blockAddr);
+  nvm_.read(blockAddr, {payload(fill.line), blockSize_});
+  return fill;
+}
+
+bool LlcDirectory::evictLlc(std::uint32_t llcLine) {
+  const bool dirty = dirtyAnywhere(llcLine);
+  forEachBit(holders_[llcLine], [&](std::uint32_t u) {
+    const std::uint32_t line = upperLine(llcLine, u);
+    EC_DCHECK_MSG(uppers_[u]->blockAddr(line) == llc_.blockAddr(llcLine),
+                  "holder link names another block");
+    uppers_[u]->invalidateLine(line);
+  });
+  holders_[llcLine] = 0;
+  dirtyHolders_[llcLine] = 0;
+  if (dirty) {
+    nvm_.writeBlock(llc_.blockAddr(llcLine), {payload(llcLine), blockSize_});
+    dirtyListStale_ = true;
+  }
+  llc_.invalidateLine(llcLine);
+  return dirty;
+}
+
+void LlcDirectory::installUpper(std::uint32_t u, std::uint32_t line,
+                                std::uint64_t blockAddr, std::uint32_t llcLine) {
+  EC_DCHECK_MSG(llc_.blockAddr(llcLine) == blockAddr, "inclusion: block not in the LLC line");
+  EC_DCHECK_MSG((holders_[llcLine] >> u & 1) == 0, "upper cache already holds the block");
+  uppers_[u]->fill(line, blockAddr);
+  llcLineOf_[u][line] = llcLine;
+  upperLineSlot(llcLine, u) = line;
+  holders_[llcLine] |= 1ULL << u;
+}
+
+bool LlcDirectory::dropUpper(std::uint32_t u, std::uint32_t line, std::uint64_t alsoDrop) {
+  const std::uint32_t llcLine = llcLineOf_[u][line];
+  EC_DCHECK_MSG((holders_[llcLine] >> u & 1) != 0 && upperLine(llcLine, u) == line,
+                "upper line not linked from its LLC line");
+  const std::uint64_t drop = holders_[llcLine] & (alsoDrop | 1ULL << u);
+  const bool dirty = (dirtyHolders_[llcLine] & drop) != 0;
+  forEachBit(drop, [&](std::uint32_t k) {
+    const std::uint32_t kLine = upperLine(llcLine, k);
+    EC_DCHECK_MSG(uppers_[k]->dirty(kLine) == ((dirtyHolders_[llcLine] >> k & 1) != 0),
+                  "dirty-holder mask out of sync");
+    uppers_[k]->invalidateLine(kLine);
+  });
+  holders_[llcLine] &= ~drop;
+  dirtyHolders_[llcLine] &= ~drop;
+  return dirty;
+}
+
+void LlcDirectory::setUpperDirty(std::uint32_t u, std::uint32_t line, bool dirty) {
+  const std::uint32_t llcLine = llcLineOf_[u][line];
+  EC_DCHECK_MSG((holders_[llcLine] >> u & 1) != 0, "dirty bit on a block the cache does not hold");
+  uppers_[u]->setDirty(line, dirty);
+  if (dirty) {
+    dirtyHolders_[llcLine] |= 1ULL << u;
+  } else {
+    dirtyHolders_[llcLine] &= ~(1ULL << u);
+  }
+  dirtyListStale_ = true;
+}
+
+void LlcDirectory::setLlcDirty(std::uint32_t llcLine, bool dirty) {
+  llc_.setDirty(llcLine, dirty);
+  dirtyListStale_ = true;
+}
+
+void LlcDirectory::clean(std::uint32_t llcLine) {
+  forEachBit(dirtyHolders_[llcLine], [&](std::uint32_t u) {
+    uppers_[u]->setDirty(upperLine(llcLine, u), false);
+  });
+  dirtyHolders_[llcLine] = 0;
+  llc_.setDirty(llcLine, false);
+  dirtyListStale_ = true;
+}
+
+LlcDirectory::FlushResult LlcDirectory::flush(std::uint64_t blockAddr, bool drop) {
+  const auto line = llc_.find(blockAddr);
+  if (!line) return FlushResult::NonResident;  // inclusion: cached nowhere
+  const bool dirty = dirtyAnywhere(*line);
+  if (dirty) {
+    nvm_.writeBlock(blockAddr, {payload(*line), blockSize_});
+    clean(*line);
+  }
+  if (drop) (void)evictLlc(*line);  // every copy is clean now: no write
+  return dirty ? FlushResult::WroteBack : FlushResult::Clean;
+}
+
+std::uint64_t LlcDirectory::drainAll() {
+  std::uint64_t written = 0;
+  llc_.forEachValid([&](std::uint32_t line) {
+    if (!dirtyAnywhere(line)) return;
+    nvm_.writeBlock(llc_.blockAddr(line), {payload(line), blockSize_});
+    clean(line);
+    ++written;
+  });
+  return written;
+}
+
+void LlcDirectory::invalidateAll() {
+  for (CacheLevel* upper : uppers_) upper->invalidateAll();
+  llc_.invalidateAll();
+  std::fill(holders_.begin(), holders_.end(), 0);
+  std::fill(dirtyHolders_.begin(), dirtyHolders_.end(), 0);
+  dirtyList_.clear();
+  dirtyListStale_ = false;
+}
+
+void LlcDirectory::refreshDirtyList() const {
+  if (!dirtyListStale_) return;
+  dirtyList_.clear();
+  llc_.forEachValid([&](std::uint32_t line) {
+    if (dirtyAnywhere(line)) dirtyList_.emplace_back(llc_.blockAddr(line), line);
+  });
+  std::sort(dirtyList_.begin(), dirtyList_.end());
+  dirtyListStale_ = false;
+}
+
+std::size_t LlcDirectory::dirtyBlockCount() const {
+  refreshDirtyList();
+  return dirtyList_.size();
+}
+
+template <typename Fn>
+void LlcDirectory::forEachDirtyIn(std::uint64_t first, std::uint64_t last,
+                                  Fn&& fn) const {
+  refreshDirtyList();
+  auto it = std::lower_bound(dirtyList_.begin(), dirtyList_.end(),
+                             std::pair<std::uint64_t, std::uint32_t>{first, 0});
+  for (; it != dirtyList_.end() && it->first <= last; ++it) {
+    EC_DCHECK_MSG(llc_.blockAddr(it->second) == it->first && dirtyAnywhere(it->second),
+                  "dirty list out of sync with the LLC");
+    fn(it->first, it->second);
+  }
+}
+
+void LlcDirectory::peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
+  if (dst.empty()) return;
+  const std::uint64_t end = addr + dst.size();
+  std::uint64_t runStart = addr;  // start of the pending NVM run
+  forEachDirtyIn(blockBase(addr), blockBase(end - 1),
+                 [&](std::uint64_t base, std::uint32_t line) {
+                   const std::uint64_t lo = std::max(base, addr);
+                   const std::uint64_t hi = std::min(base + blockSize_, end);
+                   if (lo > runStart) {
+                     nvm_.read(runStart, {dst.data() + (runStart - addr), lo - runStart});
+                   }
+                   std::memcpy(dst.data() + (lo - addr), payload(line) + (lo - base),
+                               hi - lo);
+                   runStart = hi;
+                 });
+  if (runStart < end) {
+    nvm_.read(runStart, {dst.data() + (runStart - addr), end - runStart});
+  }
+}
+
+LlcDirectory::Diff LlcDirectory::diff(std::uint64_t addr, std::uint64_t size) const {
+  Diff d;
+  if (size == 0) return d;
+  forEachDirtyIn(blockBase(addr), blockBase(addr + size - 1),
+                 [&](std::uint64_t base, std::uint32_t line) {
+                   // Compare against the NVM image in place; the scratch copy
+                   // only serves blocks the image does not fully back.
+                   const std::uint8_t* image = nvm_.blockView(base).data();
+                   if (image == nullptr) {
+                     nvm_.read(base, scanImage_);
+                     image = scanImage_.data();
+                   }
+                   const std::uint64_t lo = std::max(base, addr);
+                   const std::uint64_t hi = std::min(base + blockSize_, addr + size);
+                   d.bytes += scan::countDiffBytes(payload(line) + (lo - base),
+                                                   image + (lo - base), hi - lo);
+                   ++d.blocksCompared;
+                   d.bytesCompared += hi - lo;
+                 });
+  return d;
+}
+
+void LlcDirectory::peekScalar(std::uint64_t addr, std::span<std::uint8_t> dst) const {
+  std::uint64_t offset = 0;
+  while (offset < dst.size()) {
+    const std::uint64_t a = addr + offset;
+    const std::uint64_t base = blockBase(a);
+    const std::uint64_t inBlock = a - base;
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(blockSize_ - inBlock, dst.size() - offset);
+    if (const auto line = llc_.find(base)) {
+      std::memcpy(dst.data() + offset, payload(*line) + inBlock, chunk);
+    } else {
+      nvm_.read(a, {dst.data() + offset, chunk});
+    }
+    offset += chunk;
+  }
+}
+
+std::uint64_t LlcDirectory::diffScalar(std::uint64_t addr, std::uint64_t size) const {
+  if (size == 0) return 0;
+  std::uint64_t count = 0;
+  std::vector<std::uint8_t> image(blockSize_);
+  for (std::uint64_t base = blockBase(addr); base <= blockBase(addr + size - 1);
+       base += blockSize_) {
+    const auto line = llc_.find(base);
+    if (!line) continue;  // inclusion: cached nowhere, so NVM is current
+    bool dirty = llc_.dirty(*line);
+    for (const CacheLevel* upper : uppers_) {
+      if (const auto l = upper->find(base)) dirty = dirty || upper->dirty(*l);
+    }
+    if (!dirty) continue;  // every copy is clean: it matches NVM
+    nvm_.read(base, image);
+    const std::uint8_t* cached = payload(*line);
+    const std::uint64_t lo = std::max(base, addr);
+    const std::uint64_t hi = std::min(base + blockSize_, addr + size);
+    for (std::uint64_t b = lo; b < hi; ++b) {
+      if (cached[b - base] != image[b - base]) ++count;
+    }
+  }
+  return count;
+}
+
+void LlcDirectory::checkInvariants() const {
+  for (std::uint32_t u = 0; u < uppers_.size(); ++u) {
+    const CacheLevel& upper = *uppers_[u];
+    upper.forEachValid([&](std::uint32_t line) {
+      const std::uint64_t block = upper.blockAddr(line);
+      const auto llcLine = llc_.find(block);
+      EC_CHECK_MSG(llcLine.has_value(), "inclusion: upper block missing from the LLC");
+      EC_CHECK_MSG(llcLineOf_[u][line] == *llcLine, "upper line links the wrong LLC line");
+      EC_CHECK_MSG((holders_[*llcLine] >> u & 1) != 0, "holder bit missing");
+      EC_CHECK_MSG(upperLine(*llcLine, u) == line, "LLC line links the wrong upper line");
+      EC_CHECK_MSG(((dirtyHolders_[*llcLine] >> u & 1) != 0) == upper.dirty(line),
+                   "dirty-holder bit differs from the upper dirty bit");
+    });
+  }
+  std::vector<std::uint8_t> image(blockSize_);
+  for (std::uint32_t line = 0; line < llc_.lineCount(); ++line) {
+    if (!llc_.valid(line)) {
+      EC_CHECK_MSG(holders_[line] == 0 && dirtyHolders_[line] == 0,
+                   "empty LLC line carries holder masks");
+      continue;
+    }
+    EC_CHECK_MSG((dirtyHolders_[line] & ~holders_[line]) == 0,
+                 "dirty holder that does not hold the block");
+    forEachBit(holders_[line], [&](std::uint32_t u) {
+      EC_CHECK_MSG(u < uppers_.size() && uppers_[u]->valid(upperLine(line, u)) &&
+                       uppers_[u]->blockAddr(upperLine(line, u)) == llc_.blockAddr(line),
+                   "holder bit without a live upper line");
+    });
+    if (!dirtyAnywhere(line)) {
+      nvm_.read(llc_.blockAddr(line), image);
+      EC_CHECK_MSG(std::memcmp(payload(line), image.data(), blockSize_) == 0,
+                   "block dirty nowhere differs from the NVM image");
+    }
+  }
+}
+
+}  // namespace easycrash::memsim

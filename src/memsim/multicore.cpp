@@ -1,6 +1,7 @@
 #include "easycrash/memsim/multicore.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "easycrash/common/check.hpp"
@@ -11,128 +12,116 @@ namespace easycrash::memsim {
 
 void MulticoreConfig::validate() const {
   EC_CHECK_MSG(cores >= 1, "at least one core");
+  EC_CHECK_MSG(cores <= 64, "the LLC holder masks cover at most 64 cores");
   EC_CHECK_MSG(blockSize > 0 && (blockSize & (blockSize - 1)) == 0,
                "block size must be a power of two");
   EC_CHECK_MSG(sharedLlc.sizeBytes >= privateCache.sizeBytes,
                "inclusive LLC must be at least as large as a private cache");
 }
 
+namespace {
+
+std::vector<CacheLevel> buildPrivateCaches(const MulticoreConfig& config) {
+  config.validate();
+  std::vector<CacheLevel> caches;
+  caches.reserve(static_cast<std::size_t>(config.cores));
+  for (int c = 0; c < config.cores; ++c) {
+    caches.emplace_back(config.privateCache, config.blockSize);
+  }
+  return caches;
+}
+
+std::vector<CacheLevel*> pointersTo(std::vector<CacheLevel>& caches) {
+  std::vector<CacheLevel*> out;
+  for (CacheLevel& cache : caches) out.push_back(&cache);
+  return out;
+}
+
+/// Visit the set bits of `mask` in ascending order: fn(bit).
+template <typename Fn>
+void forEachBit(std::uint64_t mask, Fn&& fn) {
+  while (mask != 0) {
+    fn(static_cast<std::uint32_t>(std::countr_zero(mask)));
+    mask &= mask - 1;
+  }
+}
+
+}  // namespace
+
 MulticoreSystem::MulticoreSystem(MulticoreConfig config, NvmStore& nvm)
-    : config_(config), nvm_(nvm), llc_(config.sharedLlc, config.blockSize) {
-  config_.validate();
+    : config_(config),
+      nvm_(nvm),
+      private_(buildPrivateCaches(config_)),
+      llc_(config_.sharedLlc, config_.blockSize),
+      dir_(llc_, pointersTo(private_), nvm_, config_.blockSize) {
   EC_CHECK(nvm_.blockSize() == config_.blockSize);
-  private_.reserve(static_cast<std::size_t>(config_.cores));
-  for (int c = 0; c < config_.cores; ++c) {
-    private_.emplace_back(config_.privateCache, config_.blockSize);
-  }
   events_.resize(static_cast<std::size_t>(config_.cores));
-  // Mask ids are freshest-first: a dirty private copy (the Modified owner)
-  // is newer than a dirty LLC copy, so privates take the low bits.
-  for (std::size_t i = 0; i < private_.size(); ++i) {
-    private_[i].attachDirtyIndex(&dirtyIndex_, static_cast<std::uint32_t>(i));
-  }
-  llc_.attachDirtyIndex(&dirtyIndex_, static_cast<std::uint32_t>(private_.size()));
-  fillScratch_.resize(config_.blockSize);
-  scanImage_.resize(config_.blockSize);
-}
-
-void MulticoreSystem::privateVictimToLlc(int core, const CacheLevel::Evicted& victim) {
-  (void)core;
-  const auto llcLine = llc_.find(victim.blockAddr);
-  EC_CHECK_MSG(llcLine.has_value(), "inclusivity violated: private victim not in LLC");
-  if (victim.dirty) {
-    auto dst = llc_.data(*llcLine);
-    std::copy(victim.data.begin(), victim.data.end(), dst.begin());
-    llc_.setDirty(*llcLine, true);
-  }
-}
-
-void MulticoreSystem::llcVictim(CacheLevel::Evicted& victim) {
-  // Back-invalidate every core; at most one holds a Modified (fresher) copy.
-  for (auto& cache : private_) {
-    if (cache.find(victim.blockAddr)) {
-      cache.extractInto(victim.blockAddr, mergeScratch_);
-      if (mergeScratch_.dirty) {
-        std::swap(victim.data, mergeScratch_.data);
-        victim.dirty = true;
-      }
-    }
-  }
-  if (victim.dirty) {
-    nvm_.writeBlock(victim.blockAddr, victim.data);
-    events_[0].nvmBlockWrites += 1;  // LLC write-backs accounted globally
-  }
 }
 
 std::uint32_t MulticoreSystem::acquire(int core, std::uint64_t blockAddr,
                                        bool forWrite) {
   EC_CHECK(core >= 0 && core < cores());
-  CacheLevel& mine = private_[static_cast<std::size_t>(core)];
-  CoherenceEvents& ev = events_[static_cast<std::size_t>(core)];
+  const auto me = static_cast<std::uint32_t>(core);
+  CacheLevel& mine = private_[me];
+  CoherenceEvents& ev = events_[me];
 
   if (const auto line = mine.find(blockAddr)) {
     ev.privateHits += 1;
     mine.touch(*line);
     if (forWrite && !mine.dirty(*line)) {
-      // S -> M upgrade: invalidate every other copy.
-      for (int peer = 0; peer < cores(); ++peer) {
-        if (peer == core) continue;
-        if (private_[static_cast<std::size_t>(peer)].find(blockAddr)) {
-          private_[static_cast<std::size_t>(peer)].invalidate(blockAddr);
-          ev.invalidationsSent += 1;
-        }
-      }
-      mine.setDirty(*line, true);
+      // S -> M upgrade: invalidate every other copy (all clean: a Modified
+      // peer would have invalidated this one).
+      const std::uint32_t llcLine = dir_.llcLineOf(me, *line);
+      forEachBit(dir_.holders(llcLine) & ~(1ULL << me), [&](std::uint32_t peer) {
+        const bool peerDirty = dir_.dropUpper(peer, dir_.upperLine(llcLine, peer), 0);
+        EC_DCHECK_MSG(!peerDirty, "two Modified copies of the same block");
+        (void)peerDirty;
+        ev.invalidationsSent += 1;
+      });
+      dir_.setUpperDirty(me, *line, true);
     }
     return *line;
   }
   ev.privateMisses += 1;
 
-  // Snoop: a peer holding a Modified copy must surrender the fresh data.
-  for (int peer = 0; peer < cores(); ++peer) {
-    if (peer == core) continue;
-    CacheLevel& theirs = private_[static_cast<std::size_t>(peer)];
-    const auto line = theirs.find(blockAddr);
-    if (!line) continue;
-    if (theirs.dirty(*line)) {
-      const auto llcLine = llc_.find(blockAddr);
-      EC_CHECK_MSG(llcLine.has_value(), "inclusivity violated during snoop");
-      auto dst = llc_.data(*llcLine);
-      const auto src = theirs.data(*line);
-      std::copy(src.begin(), src.end(), dst.begin());
-      llc_.setDirty(*llcLine, true);
-      theirs.setDirty(*line, false);  // M -> S downgrade
-      ev.ownershipTransfers += 1;
-    }
-    if (forWrite) {
-      theirs.invalidate(blockAddr);
-      ev.invalidationsSent += 1;
-    }
-  }
-
-  // Fetch the block into the LLC if absent.
-  if (const auto llcLine = llc_.find(blockAddr)) {
+  std::uint32_t llcLine = 0;
+  if (const auto line = llc_.find(blockAddr)) {
+    llcLine = *line;
+    // Snoop: a peer holding a Modified copy hands ownership to the LLC
+    // (M -> S); a write then invalidates every peer copy.
+    forEachBit(dir_.holders(llcLine), [&](std::uint32_t peer) {
+      const std::uint32_t theirs = dir_.upperLine(llcLine, peer);
+      if (private_[peer].dirty(theirs)) {
+        dir_.setLlcDirty(llcLine, true);
+        dir_.setUpperDirty(peer, theirs, false);
+        ev.ownershipTransfers += 1;
+      }
+      if (forWrite) {
+        (void)dir_.dropUpper(peer, theirs, 0);
+        ev.invalidationsSent += 1;
+      }
+    });
     ev.llcHits += 1;
-    llc_.touch(*llcLine);
-    const auto src = llc_.data(*llcLine);
-    std::copy(src.begin(), src.end(), fillScratch_.begin());
+    llc_.touch(llcLine);
   } else {
+    // Inclusion: absent from the LLC means cached by no core.
     ev.llcMisses += 1;
     ev.nvmBlockReads += 1;
-    nvm_.read(blockAddr, fillScratch_);
-    const auto inserted = llc_.insert(blockAddr, evictScratch_);
-    if (inserted.evicted) llcVictim(evictScratch_);
-    auto dst = llc_.data(inserted.line);
-    std::copy(fillScratch_.begin(), fillScratch_.end(), dst.begin());
+    const LlcDirectory::LlcFill fill = dir_.fillLlc(blockAddr);
+    if (fill.wroteBack) events_[0].nvmBlockWrites += 1;  // LLC write-backs accounted globally
+    llcLine = fill.line;
   }
 
-  // Install in the requesting core's private cache.
-  const auto installed = mine.insert(blockAddr, evictScratch_);
-  if (installed.evicted) privateVictimToLlc(core, evictScratch_);
-  auto dst = mine.data(installed.line);
-  std::copy(fillScratch_.begin(), fillScratch_.end(), dst.begin());
-  if (forWrite) mine.setDirty(installed.line, true);
-  return installed.line;
+  // Install in the requesting core's private cache; a dirty victim's
+  // ownership merges into the LLC.
+  const std::uint32_t line = mine.victim(blockAddr);
+  if (mine.valid(line)) {
+    const std::uint32_t victimLlc = dir_.llcLineOf(me, line);
+    if (dir_.dropUpper(me, line, 0)) dir_.setLlcDirty(victimLlc, true);
+  }
+  dir_.installUpper(me, line, blockAddr, llcLine);
+  if (forWrite) dir_.setUpperDirty(me, line, true);
+  return line;
 }
 
 void MulticoreSystem::load(int core, std::uint64_t addr,
@@ -145,8 +134,7 @@ void MulticoreSystem::load(int core, std::uint64_t addr,
     const std::uint64_t chunk =
         std::min<std::uint64_t>(config_.blockSize - inBlock, dst.size() - offset);
     const auto line = acquire(core, base, /*forWrite=*/false);
-    const auto src = private_[static_cast<std::size_t>(core)].data(line);
-    std::memcpy(dst.data() + offset, src.data() + inBlock, chunk);
+    std::memcpy(dst.data() + offset, payload(core, line) + inBlock, chunk);
     events_[static_cast<std::size_t>(core)].loads += 1;
     offset += chunk;
   }
@@ -162,8 +150,7 @@ void MulticoreSystem::store(int core, std::uint64_t addr,
     const std::uint64_t chunk =
         std::min<std::uint64_t>(config_.blockSize - inBlock, src.size() - offset);
     const auto line = acquire(core, base, /*forWrite=*/true);
-    auto dst = private_[static_cast<std::size_t>(core)].data(line);
-    std::memcpy(dst.data() + inBlock, src.data() + offset, chunk);
+    std::memcpy(payload(core, line) + inBlock, src.data() + offset, chunk);
     events_[static_cast<std::size_t>(core)].stores += 1;
     offset += chunk;
   }
@@ -186,8 +173,7 @@ void MulticoreSystem::loadRange(int core, std::uint64_t addr,
     const auto line = acquire(core, base, /*forWrite=*/false);
     ev.privateHits += touches - 1;
     ev.loads += touches;
-    const auto src = private_[static_cast<std::size_t>(core)].data(line);
-    std::memcpy(dst.data() + offset, src.data() + inBlock, chunk);
+    std::memcpy(dst.data() + offset, payload(core, line) + inBlock, chunk);
     offset += chunk;
   }
 }
@@ -209,92 +195,24 @@ void MulticoreSystem::storeRange(int core, std::uint64_t addr,
     const auto line = acquire(core, base, /*forWrite=*/true);
     ev.privateHits += touches - 1;
     ev.stores += touches;
-    auto dst = private_[static_cast<std::size_t>(core)].data(line);
-    std::memcpy(dst.data() + inBlock, src.data() + offset, chunk);
+    std::memcpy(payload(core, line) + inBlock, src.data() + offset, chunk);
     offset += chunk;
   }
 }
 
-std::span<const std::uint8_t> MulticoreSystem::dirtyBlockData(
-    std::uint64_t blockAddr) const {
-  const DirtyBlockIndex::Owner own = dirtyIndex_.owner(blockAddr);
-  const CacheLevel& cache =
-      own.level < private_.size() ? private_[own.level] : llc_;
-  std::uint32_t line = own.line;
-  if (!own.lineKnown) {
-    const auto probed = cache.find(blockAddr);
-    EC_DCHECK_MSG(probed.has_value(), "dirty-indexed block not resident");
-    line = *probed;
-  }
-  EC_DCHECK_MSG(cache.valid(line) && cache.dirty(line) &&
-                    cache.blockAddr(line) == blockAddr,
-                "dirty-index owner record out of sync");
-  return cache.data(line);
-}
-
-void MulticoreSystem::freshestBlock(std::uint64_t blockAddr,
-                                    std::span<std::uint8_t> out) const {
-  for (const auto& cache : private_) {
-    if (const auto line = cache.find(blockAddr)) {
-      if (cache.dirty(*line)) {
-        const auto src = cache.data(*line);
-        std::copy(src.begin(), src.end(), out.begin());
-        return;
-      }
-    }
-  }
-  if (const auto line = llc_.find(blockAddr)) {
-    const auto src = llc_.data(*line);
-    std::copy(src.begin(), src.end(), out.begin());
-    return;
-  }
-  nvm_.read(blockAddr, out);
-}
-
 void MulticoreSystem::flushBlock(std::uint64_t addr, FlushKind kind) {
-  const std::uint64_t base = blockBase(addr);
   CoherenceEvents& ev = events_[0];
-
-  bool resident = llc_.find(base).has_value();
-  bool dirtyAnywhere = false;
-  if (const auto line = llc_.find(base)) dirtyAnywhere = llc_.dirty(*line);
-  for (const auto& cache : private_) {
-    if (const auto line = cache.find(base)) {
-      resident = true;
-      dirtyAnywhere = dirtyAnywhere || cache.dirty(*line);
-    }
-  }
-
-  if (!resident) {
-    ev.flushNonResident += 1;
-    return;
-  }
-  if (dirtyAnywhere) {
-    std::span<std::uint8_t> fresh(fillScratch_);
-    freshestBlock(base, fresh);
-    nvm_.writeBlock(base, fresh);
-    ev.nvmBlockWrites += 1;
-    ev.flushDirty += 1;
-    // All copies become clean and identical to NVM.
-    for (auto& cache : private_) {
-      if (const auto line = cache.find(base)) {
-        auto dst = cache.data(*line);
-        std::copy(fresh.begin(), fresh.end(), dst.begin());
-        cache.setDirty(*line, false);
-      }
-    }
-    if (const auto line = llc_.find(base)) {
-      auto dst = llc_.data(*line);
-      std::copy(fresh.begin(), fresh.end(), dst.begin());
-      llc_.setDirty(*line, false);
-    }
-  } else {
-    ev.flushClean += 1;
-  }
-
-  if (kind != FlushKind::Clwb) {
-    for (auto& cache : private_) cache.invalidate(base);
-    llc_.invalidate(base);
+  switch (dir_.flush(blockBase(addr), kind != FlushKind::Clwb)) {
+    case LlcDirectory::FlushResult::NonResident:
+      ev.flushNonResident += 1;
+      break;
+    case LlcDirectory::FlushResult::Clean:
+      ev.flushClean += 1;
+      break;
+    case LlcDirectory::FlushResult::WroteBack:
+      ev.nvmBlockWrites += 1;
+      ev.flushDirty += 1;
+      break;
   }
 }
 
@@ -309,150 +227,38 @@ void MulticoreSystem::flushRange(std::uint64_t addr, std::uint64_t size,
 }
 
 void MulticoreSystem::peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-  if (!scanFast_) {
-    peekScalar(addr, dst);
-    return;
-  }
-  if (dst.empty()) return;
-  // Blocks dirty nowhere match NVM (MESI: a clean copy was filled from NVM
-  // or written back to it), so runs of non-indexed blocks are served with
-  // one bulk NVM read each; only indexed blocks resolve the freshest copy.
-  const std::uint64_t end = addr + dst.size();
-  std::uint64_t runStart = addr;
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(end - 1);
-  for (std::uint64_t base = first; base <= last; base += config_.blockSize) {
-    if (!dirtyIndex_.contains(base)) continue;
-    const std::uint64_t lo = std::max(base, addr);
-    const std::uint64_t hi = std::min(base + config_.blockSize, end);
-    if (lo > runStart) {
-      nvm_.read(runStart, {dst.data() + (runStart - addr), lo - runStart});
-    }
-    const auto src = dirtyBlockData(base);
-    std::memcpy(dst.data() + (lo - addr), src.data() + (lo - base), hi - lo);
-    runStart = hi;
-  }
-  if (runStart < end) {
-    nvm_.read(runStart, {dst.data() + (runStart - addr), end - runStart});
-  }
-}
-
-void MulticoreSystem::peekScalar(std::uint64_t addr,
-                                 std::span<std::uint8_t> dst) const {
-  std::uint64_t offset = 0;
-  std::vector<std::uint8_t> block(config_.blockSize);
-  while (offset < dst.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t inBlock = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - inBlock, dst.size() - offset);
-    freshestBlock(base, block);
-    std::memcpy(dst.data() + offset, block.data() + inBlock, chunk);
-    offset += chunk;
+  if (scanFast_) {
+    dir_.peek(addr, dst);
+  } else {
+    dir_.peekScalar(addr, dst);
   }
 }
 
 std::uint64_t MulticoreSystem::inconsistentBytes(std::uint64_t addr,
                                                  std::uint64_t size) const {
   if (size == 0) return 0;
-  if (!scanFast_) return inconsistentBytesScalar(addr, size);
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(addr + size - 1);
-  const std::uint64_t blocks = (last - first) / config_.blockSize + 1;
-  std::uint64_t count = 0;
-  std::uint64_t compared = 0;
-  std::uint64_t bytesCompared = 0;
-  dirtyIndex_.forEachIn(first, last, [&](std::uint64_t base) {
-    // The index owner record IS the freshest copy (the Modified owner, or
-    // the LLC when no private copy is dirty — a clean private copy equals
-    // the LLC's by MESI), so no freshestBlock() scratch copy and no
-    // probe-every-cache walk.
-    const auto fresh = dirtyBlockData(base);
-    const std::uint8_t* image = nvm_.blockView(base).data();
-    if (image == nullptr) {
-      nvm_.read(base, scanImage_);
-      image = scanImage_.data();
-    }
-    const std::uint64_t lo = std::max(base, addr);
-    const std::uint64_t hi = std::min(base + config_.blockSize, addr + size);
-    count += scan::countDiffBytes(fresh.data() + (lo - base),
-                                  image + (lo - base), hi - lo);
-    ++compared;
-    bytesCompared += hi - lo;
-  });
+  if (!scanFast_) return dir_.diffScalar(addr, size);
+  const LlcDirectory::Diff d = dir_.diff(addr, size);
   if (telemetry::tracing()) {
+    const std::uint64_t blocks =
+        (blockBase(addr + size - 1) - blockBase(addr)) / config_.blockSize + 1;
     telemetry::TraceEvent("postmortem_scan")
         .field("addr", addr)
         .field("bytes", size)
         .field("blocks", blocks)
-        .field("blocks_compared", compared)
-        .field("blocks_skipped", blocks - compared)
-        .field("bytes_compared", bytesCompared)
-        .field("diff", count)
+        .field("blocks_compared", d.blocksCompared)
+        .field("blocks_skipped", blocks - d.blocksCompared)
+        .field("bytes_compared", d.bytesCompared)
+        .field("diff", d.bytes)
         .field("kernel", scan::kernelName(scan::activeKernel()))
         .emit();
   }
-  return count;
+  return d.bytes;
 }
 
-std::uint64_t MulticoreSystem::inconsistentBytesScalar(std::uint64_t addr,
-                                                       std::uint64_t size) const {
-  if (size == 0) return 0;
-  std::uint64_t count = 0;
-  std::vector<std::uint8_t> fresh(config_.blockSize), image(config_.blockSize);
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(addr + size - 1);
-  for (std::uint64_t base = first; base <= last; base += config_.blockSize) {
-    bool dirtyAnywhere = false;
-    if (const auto line = llc_.find(base)) dirtyAnywhere = llc_.dirty(*line);
-    for (const auto& cache : private_) {
-      if (const auto line = cache.find(base)) {
-        dirtyAnywhere = dirtyAnywhere || cache.dirty(*line);
-      }
-    }
-    if (!dirtyAnywhere) continue;
-    freshestBlock(base, fresh);
-    nvm_.read(base, image);
-    const std::uint64_t lo = std::max(base, addr);
-    const std::uint64_t hi = std::min(base + config_.blockSize, addr + size);
-    for (std::uint64_t b = lo; b < hi; ++b) {
-      if (fresh[b - base] != image[b - base]) ++count;
-    }
-  }
-  return count;
-}
+void MulticoreSystem::invalidateAll() { dir_.invalidateAll(); }
 
-void MulticoreSystem::invalidateAll() {
-  for (auto& cache : private_) cache.invalidateAll();
-  llc_.invalidateAll();
-}
-
-void MulticoreSystem::drainAll() {
-  // Private dirt into the LLC first, then the LLC into NVM. The walk only
-  // flips dirty bits, so it can iterate lines in place (no block list), and
-  // the incremental dirty counters skip clean caches entirely.
-  for (auto& cache : private_) {
-    if (cache.dirtyLines() == 0) continue;
-    for (std::uint32_t line = 0; line < cache.lineCount(); ++line) {
-      if (!cache.valid(line) || !cache.dirty(line)) continue;
-      const auto llcLine = llc_.find(cache.blockAddr(line));
-      EC_CHECK_MSG(llcLine.has_value(), "inclusivity violated during drain");
-      const auto src = cache.data(line);
-      auto dst = llc_.data(*llcLine);
-      std::copy(src.begin(), src.end(), dst.begin());
-      llc_.setDirty(*llcLine, true);
-      cache.setDirty(line, false);
-    }
-  }
-  if (llc_.dirtyLines() == 0) return;
-  for (std::uint32_t line = 0; line < llc_.lineCount(); ++line) {
-    if (!llc_.valid(line) || !llc_.dirty(line)) continue;
-    nvm_.writeBlock(llc_.blockAddr(line), llc_.data(line));
-    events_[0].nvmBlockWrites += 1;
-    llc_.setDirty(line, false);
-  }
-}
+void MulticoreSystem::drainAll() { events_[0].nvmBlockWrites += dir_.drainAll(); }
 
 const CoherenceEvents& MulticoreSystem::coreEvents(int core) const {
   EC_CHECK(core >= 0 && core < cores());
@@ -480,30 +286,13 @@ CoherenceEvents MulticoreSystem::totalEvents() const {
 }
 
 void MulticoreSystem::checkInvariants() const {
-  std::vector<std::uint8_t> image(config_.blockSize);
-  for (int core = 0; core < cores(); ++core) {
-    private_[static_cast<std::size_t>(core)].forEachValid(
-        [&](std::uint64_t blockAddr, bool dirty, std::span<const std::uint8_t> data) {
-          // Inclusive LLC.
-          const auto llcLine = llc_.find(blockAddr);
-          EC_CHECK_MSG(llcLine.has_value(), "private block missing from LLC");
-          // Single-writer: no other core may hold this block dirty.
-          if (dirty) {
-            for (int peer = 0; peer < cores(); ++peer) {
-              if (peer == core) continue;
-              const auto& theirs = private_[static_cast<std::size_t>(peer)];
-              if (const auto line = theirs.find(blockAddr)) {
-                EC_CHECK_MSG(!theirs.dirty(*line),
-                             "two Modified copies of the same block");
-              }
-            }
-          } else {
-            // Shared copies mirror the LLC.
-            const auto llcData = llc_.data(*llcLine);
-            EC_CHECK_MSG(std::equal(data.begin(), data.end(), llcData.begin()),
-                         "clean private copy differs from the LLC");
-          }
-        });
+  dir_.checkInvariants();
+  // Single writer: a Modified private copy is the block's only private copy.
+  for (std::uint32_t line = 0; line < llc_.lineCount(); ++line) {
+    if (!llc_.valid(line) || dir_.dirtyHolders(line) == 0) continue;
+    EC_CHECK_MSG(dir_.holders(line) == dir_.dirtyHolders(line) &&
+                     std::has_single_bit(dir_.holders(line)),
+                 "a Modified copy shares its block with another core");
   }
 }
 

@@ -348,15 +348,29 @@ class Runtime {
   [[nodiscard]] const memsim::MemEvents& events() const { return hierarchy_.events(); }
 
  private:
-  /// Crash-clock tick. Outside the crash window this is a single predictable
-  /// branch; inside it the out-of-line slow path handles counting, captures,
-  /// fault and crash injection.
+  /// Crash-clock tick, inline on every tracked access. Outside the crash
+  /// window this is one predictable branch. Inside it, the access is charged
+  /// to the active region through a cached counter pointer, and a single
+  /// compare against nextTrigger_ — the nearest armed fault, capture or
+  /// crash — decides whether anything fires.
   void onAccess(std::uint64_t count) {
     if (!crashWindowActive_) return;
-    onAccessSlow(count);
+    *regionCounter_ += count;
+    windowAccesses_ += count;
+    if (windowAccesses_ >= nextTrigger_) onTrigger();
   }
-  void onAccessSlow(std::uint64_t count);
+  /// The clock reached nextTrigger_: fire the fault, then the captures, then
+  /// the crash due at this index.
+  void onTrigger();
   void fireCaptures();
+  /// nextTrigger_ = the nearest armed trigger (kNever when none); called on
+  /// every arm, disarm and fire.
+  void updateTrigger();
+  /// Point regionCounter_ at the active region's slot; called whenever the
+  /// region stack changes or the slot vector grows.
+  void updateRegionCounter() {
+    regionCounter_ = &regionAccesses_[pointSlot(activeRegion())];
+  }
 
   /// True when a per-object demotion routes this address straight to NVM.
   /// Objects are block-aligned, so the block-granular bitmap is exact; with
@@ -381,16 +395,10 @@ class Runtime {
     std::uint64_t done = 0;
     while (done < count) {
       std::uint64_t n = count - done;
-      if (crashWindowActive_) {
-        std::uint64_t next =
-            crashAt_ != 0 ? std::min(crashAt_, captureNext_) : captureNext_;
-        if (faultAt_ != 0) next = std::min(next, faultAt_);
-        if (next != kNoCapture) {
-          // Both triggers are strictly ahead of the clock (armCrash checks,
-          // fireCaptures advances past fired indices), so toTrigger >= 1.
-          const std::uint64_t toTrigger = next - windowAccesses_;
-          if (toTrigger < n) n = toTrigger;
-        }
+      // An armed trigger is strictly ahead of the clock (arming checks it,
+      // firing advances past it), so the clamped chunk is never empty.
+      if (crashWindowActive_ && nextTrigger_ != kNever) {
+        n = std::min(n, nextTrigger_ - windowAccesses_);
       }
       access(done, n);
       onAccess(n);
@@ -428,6 +436,9 @@ class Runtime {
   int unwindSeen_ = 0;
   std::uint32_t regionCount_ = 0;
   std::vector<std::uint64_t> regionAccesses_;
+  /// &regionAccesses_[slot of the active region]; re-pointed on region
+  /// enter/exit and whenever regionAccesses_ reallocates.
+  std::uint64_t* regionCounter_ = nullptr;
 
   /// Telemetry bookkeeping parallel to regionStack_: entry wall-clock and
   /// (when tracing) the MemEvents snapshot used for the per-region delta.
@@ -452,17 +463,19 @@ class Runtime {
   std::vector<std::uint64_t> demotedBits_;  ///< one bit per block
   std::uint32_t demotedShift_ = 0;          ///< log2(blockSize)
   std::uint64_t windowAccesses_ = 0;
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  /// min(captureNext_, crashAt_, faultAt_) over the armed ones, kNever when
+  /// none is armed: the one value the per-access clock compares against.
+  std::uint64_t nextTrigger_ = kNever;
   std::uint64_t crashAt_ = 0;  ///< 0 = disarmed
   std::uint64_t faultAt_ = 0;  ///< 0 = disarmed (deterministic fault injection)
   FaultHook faultHook_;
 
   /// Multi-arm capture state. captureNext_ mirrors captureAt_[captureCursor_]
-  /// (kNoCapture when disarmed/exhausted) so the per-access check in
-  /// onAccessSlow stays a single compare against a resident value.
-  static constexpr std::uint64_t kNoCapture = ~std::uint64_t{0};
+  /// (kNever when disarmed/exhausted).
   std::vector<std::uint64_t> captureAt_;
   std::size_t captureCursor_ = 0;
-  std::uint64_t captureNext_ = kNoCapture;
+  std::uint64_t captureNext_ = kNever;
   CaptureHook captureHook_;
 };
 

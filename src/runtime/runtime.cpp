@@ -54,6 +54,7 @@ void Runtime::growPointSlots(std::size_t minSize) {
     regionAccesses_.resize(minSize, 0);
     regionIterationEnds_.resize(minSize, 0);
     pointCounters_.resize(minSize, 0);
+    updateRegionCounter();
   }
 }
 
@@ -149,10 +150,8 @@ std::vector<ObjectId> Runtime::candidateObjects() const {
   return ids;
 }
 
-void Runtime::onAccessSlow(std::uint64_t count) {
+void Runtime::onTrigger() {
   const PointId region = activeRegion();
-  regionAccesses_[pointSlot(region)] += count;
-  windowAccesses_ += count;
   // An armed fault is process-fatal and must pre-empt captures and the armed
   // crash at the same index on the per-trial AND sweep paths alike, so it is
   // checked before either. The hook normally never returns.
@@ -160,6 +159,7 @@ void Runtime::onAccessSlow(std::uint64_t count) {
     FaultHook hook = std::move(faultHook_);
     faultAt_ = 0;
     faultHook_ = nullptr;
+    updateTrigger();
     if (hook) hook();
   }
   // Captures observe the crash point without ending the run, and must fire
@@ -173,6 +173,7 @@ void Runtime::onAccessSlow(std::uint64_t count) {
     crash.iteration = bookmarkedIteration();
     crash.regionPath = regionStack_;
     crashAt_ = 0;
+    updateTrigger();
     RuntimeMetrics::get().crashInjections.add();
     if (telemetry::tracing()) {
       telemetry::TraceEvent("crash_injected")
@@ -187,6 +188,13 @@ void Runtime::onAccessSlow(std::uint64_t count) {
     // against the NVM image, as NVCT does), then calls powerLoss().
     throw crash;
   }
+}
+
+void Runtime::updateTrigger() {
+  std::uint64_t next = captureNext_;
+  if (crashAt_ != 0) next = std::min(next, crashAt_);
+  if (faultAt_ != 0) next = std::min(next, faultAt_);
+  nextTrigger_ = next;
 }
 
 void Runtime::peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
@@ -305,6 +313,7 @@ void Runtime::beginRegion(PointId region) {
   EC_CHECK(region >= 0);
   growPointSlots(pointSlot(region) + 1);
   regionStack_.push_back(region);
+  updateRegionCounter();
   RegionSpan span;
   span.startNs = telemetry::nowNs();
   span.traced = telemetry::tracing();
@@ -333,6 +342,7 @@ void Runtime::endRegion(PointId region) {
     unwindPath_ = regionStack_;
   }
   regionStack_.pop_back();
+  updateRegionCounter();
   const RegionSpan span = regionSpans_.back();
   regionSpans_.pop_back();
   RuntimeMetrics::get().regionUs.observe(
@@ -438,9 +448,13 @@ void Runtime::armCrash(std::uint64_t accessIndex) {
   EC_CHECK_MSG(accessIndex > 0, "crash index is 1-based");
   EC_CHECK_MSG(accessIndex > windowAccesses_, "crash point already passed");
   crashAt_ = accessIndex;
+  updateTrigger();
 }
 
-void Runtime::disarmCrash() { crashAt_ = 0; }
+void Runtime::disarmCrash() {
+  crashAt_ = 0;
+  updateTrigger();
+}
 
 void Runtime::armCaptures(std::vector<std::uint64_t> indices, CaptureHook hook) {
   EC_CHECK_MSG(!indices.empty(), "armCaptures needs at least one index");
@@ -453,6 +467,7 @@ void Runtime::armCaptures(std::vector<std::uint64_t> indices, CaptureHook hook) 
   captureCursor_ = 0;
   captureNext_ = captureAt_.front();
   captureHook_ = std::move(hook);
+  updateTrigger();
 }
 
 void Runtime::armFault(std::uint64_t accessIndex, FaultHook hook) {
@@ -461,18 +476,21 @@ void Runtime::armFault(std::uint64_t accessIndex, FaultHook hook) {
   EC_CHECK_MSG(static_cast<bool>(hook), "armFault needs a hook");
   faultAt_ = accessIndex;
   faultHook_ = std::move(hook);
+  updateTrigger();
 }
 
 void Runtime::disarmFault() {
   faultAt_ = 0;
   faultHook_ = nullptr;
+  updateTrigger();
 }
 
 void Runtime::disarmCaptures() {
   captureAt_.clear();
   captureCursor_ = 0;
-  captureNext_ = kNoCapture;
+  captureNext_ = kNever;
   captureHook_ = nullptr;
+  updateTrigger();
 }
 
 void Runtime::fireCaptures() {
@@ -487,7 +505,8 @@ void Runtime::fireCaptures() {
     // re-entered fireCaptures must not replay this index.
     ++captureCursor_;
     captureNext_ =
-        captureCursor_ < captureAt_.size() ? captureAt_[captureCursor_] : kNoCapture;
+        captureCursor_ < captureAt_.size() ? captureAt_[captureCursor_] : kNever;
+    updateTrigger();
     captureHook_(at);
   }
 }

@@ -676,7 +676,32 @@ TEST(MemsimEquivalence, RangeAccessesMatchElementwiseNonPowerOfTwoSets) {
 // MESI coherence traffic (invalidations, ownership transfers) in the
 // comparison — a range store must upgrade/invalidate exactly as the
 // element-wise loop does.
+//
+// Both engines are also held to an independent value oracle: a flat byte
+// array every store writes (and a power loss resets to the NVM image). After
+// every step each engine's loads and peeks must return the array's bytes,
+// and every block dirty nowhere must hold the array's bytes in NVM — the
+// single-payload design's claim that the LLC copy is the coherent value and
+// that clean blocks never diverge from the image.
 // ---------------------------------------------------------------------------
+
+void expectMatchesFlatOracle(const ms::MulticoreSystem& sys, const ms::NvmStore& nvm,
+                             const std::vector<std::uint8_t>& flat,
+                             std::uint32_t blockSize, std::uint64_t step,
+                             const char* what) {
+  std::vector<std::uint8_t> current(flat.size()), image(flat.size());
+  sys.peek(0, current);
+  ASSERT_EQ(current, flat) << what << ": peek differs from the oracle at step " << step;
+  nvm.read(0, image);
+  for (std::uint64_t base = 0; base < flat.size(); base += blockSize) {
+    if (sys.dirtyAnywhere(base)) continue;
+    ASSERT_TRUE(std::equal(flat.begin() + static_cast<std::ptrdiff_t>(base),
+                           flat.begin() + static_cast<std::ptrdiff_t>(base + blockSize),
+                           image.begin() + static_cast<std::ptrdiff_t>(base)))
+        << what << ": block " << base << " is dirty nowhere but differs from NVM at step "
+        << step;
+  }
+}
 
 void expectSameCoherence(const ms::CoherenceEvents& a, const ms::CoherenceEvents& b,
                          std::uint64_t step, const char* what) {
@@ -712,6 +737,15 @@ TEST(MulticoreEquivalence, RangeAccessesMatchElementwise) {
   constexpr std::uint64_t kFootprint = 4 * 1024;
   constexpr std::uint32_t kElemSizes[] = {1, 4, 8};
   std::vector<std::uint8_t> buf, refBuf;
+  std::vector<std::uint8_t> flat(kFootprint, 0);  // the value oracle
+  const auto oracleStore = [&](std::uint64_t addr) {
+    std::copy(buf.begin(), buf.end(), flat.begin() + static_cast<std::ptrdiff_t>(addr));
+  };
+  const auto expectOracleLoad = [&](std::uint64_t addr, std::uint64_t step) {
+    ASSERT_TRUE(std::equal(buf.begin(), buf.end(),
+                           flat.begin() + static_cast<std::ptrdiff_t>(addr)))
+        << "load differs from the oracle at step " << step;
+  };
 
   for (std::uint64_t step = 0; step < 20000; ++step) {
     const int core = static_cast<int>(rng.below(3));
@@ -728,6 +762,7 @@ TEST(MulticoreEquivalence, RangeAccessesMatchElementwise) {
         scalar.store(core, addr + off,
                      std::span<const std::uint8_t>(buf).subspan(off, elemSize));
       }
+      oracleStore(addr);
     } else if (op < 80) {
       const std::uint32_t elemSize = kElemSizes[rng.below(3)];
       const std::uint64_t count = rng.between(1, 40);
@@ -741,6 +776,7 @@ TEST(MulticoreEquivalence, RangeAccessesMatchElementwise) {
                     std::span<std::uint8_t>(refBuf).subspan(off, elemSize));
       }
       ASSERT_EQ(buf, refBuf) << "range-loaded values differ at step " << step;
+      expectOracleLoad(addr, step);
     } else if (op < 88) {
       const std::uint64_t size = rng.between(1, 256);
       const std::uint64_t addr = rng.below(kFootprint - size);
@@ -764,11 +800,15 @@ TEST(MulticoreEquivalence, RangeAccessesMatchElementwise) {
     } else if (op < 99) {
       bulk.invalidateAll();
       scalar.invalidateAll();
+      nvmBulk.read(0, flat);  // everything unwritten-back is lost
     } else {
       bulk.checkInvariants();
       scalar.checkInvariants();
     }
 
+    expectMatchesFlatOracle(bulk, nvmBulk, flat, config.blockSize, step, "bulk");
+    expectMatchesFlatOracle(scalar, nvmScalar, flat, config.blockSize, step, "scalar");
+    if (::testing::Test::HasFatalFailure()) return;
     for (int c = 0; c < config.cores; ++c) {
       expectSameCoherence(bulk.coreEvents(c), scalar.coreEvents(c), step, "core");
     }

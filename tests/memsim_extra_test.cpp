@@ -1,6 +1,8 @@
-// Additional memory-system tests: CacheLevel internals (LRU, extraction,
-// eviction), MemEvents accounting, flush-instruction kinds, and hierarchy
+// Additional memory-system tests: CacheLevel internals (probe, LRU victim
+// choice, fill and invalidation bookkeeping), MemEvents accounting, flush-instruction kinds, and hierarchy
 // event counters.
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,76 +19,129 @@ ms::CacheGeometry smallGeometry() { return ms::CacheGeometry{256, 2}; }  // 4 li
 
 }  // namespace
 
+namespace {
+
+/// Insert `blockAddr` the way the hierarchy does: pick the victim line,
+/// drop it when valid, fill. Returns the line.
+std::uint32_t insert(ms::CacheLevel& level, std::uint64_t blockAddr) {
+  const std::uint32_t line = level.victim(blockAddr);
+  if (level.valid(line)) level.invalidateLine(line);
+  level.fill(line, blockAddr);
+  return line;
+}
+
+}  // namespace
+
 TEST(CacheLevelTest, InsertAndFind) {
   ms::CacheLevel level(smallGeometry(), 64);
   EXPECT_FALSE(level.find(0).has_value());
-  EXPECT_FALSE(level.insert(0).has_value());  // no victim in an empty set
-  EXPECT_TRUE(level.find(0).has_value());
+  EXPECT_FALSE(level.valid(level.victim(0)));  // an empty set offers an empty way
+  const std::uint32_t line = insert(level, 0);
+  ASSERT_TRUE(level.find(0).has_value());
+  EXPECT_EQ(*level.find(0), line);
+  EXPECT_EQ(level.blockAddr(line), 0u);
+  EXPECT_FALSE(level.dirty(line));
+  EXPECT_EQ(level.mruLineOf(0), static_cast<std::int64_t>(line));
   EXPECT_EQ(level.validLines(), 1u);
 }
 
 TEST(CacheLevelTest, DoubleInsertRejected) {
   ms::CacheLevel level(smallGeometry(), 64);
-  (void)level.insert(0);
-  EXPECT_THROW((void)level.insert(0), std::logic_error);
+  const std::uint32_t line = insert(level, 0);
+  EXPECT_THROW(level.fill(line, 0), std::logic_error);
+  EXPECT_EQ(level.validLines(), 1u);
 }
 
 TEST(CacheLevelTest, LruVictimIsLeastRecentlyTouched) {
   // 2 sets x 2 ways; blocks 0, 128 map to set 0 (64B blocks, 2 sets).
   ms::CacheLevel level(smallGeometry(), 64);
-  (void)level.insert(0);
-  (void)level.insert(128);
+  (void)insert(level, 0);
+  const std::uint32_t line128 = insert(level, 128);
   // Touch block 0 so 128 becomes LRU.
   level.touch(*level.find(0));
-  const auto victim = level.insert(256);  // set 0 again
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->blockAddr, 128u);
+  EXPECT_EQ(level.victim(256), line128);  // set 0 again
+  EXPECT_EQ(level.blockAddr(level.victim(256)), 128u);
 }
 
-TEST(CacheLevelTest, EvictedStateCarriesDataAndDirtiness) {
-  ms::CacheLevel level(smallGeometry(), 64);
-  (void)level.insert(0);
-  const auto line = level.find(0);
-  level.data(*line)[0] = 0xAB;
-  level.setDirty(*line, true);
-  (void)level.insert(128);
-  const auto victim = level.insert(256);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_TRUE(victim->dirty);
-  EXPECT_EQ(victim->data[0], 0xAB);
+TEST(CacheLevelTest, VictimPrefersTheFirstEmptyWay) {
+  ms::CacheLevel level(ms::CacheGeometry{256, 4}, 64);  // 1 set x 4 ways
+  const std::uint32_t a = insert(level, 0);
+  const std::uint32_t b = insert(level, 64);
+  (void)insert(level, 128);
+  level.invalidateLine(b);
+  level.invalidateLine(a);
+  // Both emptied ways beat every valid one, and the lower way wins the tie.
+  EXPECT_EQ(level.victim(512), std::min(a, b));
 }
 
-TEST(CacheLevelTest, ExtractRemovesWithoutWriteback) {
+TEST(CacheLevelTest, VictimKeepsTagAndDirtinessUntilInvalidated) {
   ms::CacheLevel level(smallGeometry(), 64);
-  (void)level.insert(64);
-  const auto line = level.find(64);
-  level.setDirty(*line, true);
-  const auto extracted = level.extract(64);
-  EXPECT_TRUE(extracted.dirty);
+  const std::uint32_t line = insert(level, 0);
+  level.setDirty(line, true);
+  (void)insert(level, 128);
+  const std::uint32_t victim = level.victim(256);
+  ASSERT_EQ(victim, line);
+  EXPECT_TRUE(level.valid(victim));
+  EXPECT_EQ(level.blockAddr(victim), 0u);
+  EXPECT_TRUE(level.dirty(victim));
+  level.invalidateLine(victim);
+  level.fill(victim, 256);
+  EXPECT_FALSE(level.dirty(victim)) << "a filled line starts clean";
+  EXPECT_FALSE(level.find(0).has_value());
+  EXPECT_EQ(level.dirtyLines(), 0u);
+}
+
+TEST(CacheLevelTest, InvalidateLineDropsWithoutWriteback) {
+  ms::CacheLevel level(smallGeometry(), 64);
+  const std::uint32_t line = insert(level, 64);
+  level.setDirty(line, true);
+  EXPECT_EQ(level.mruLineOf(64), static_cast<std::int64_t>(line));
+  level.invalidateLine(line);
   EXPECT_FALSE(level.find(64).has_value());
+  EXPECT_EQ(level.mruLineOf(64), -1) << "an emptied line no longer matches";
+  EXPECT_EQ(level.dirtyLines(), 0u);
+  EXPECT_EQ(level.validLines(), 0u);
 }
 
-TEST(CacheLevelTest, ExtractMissingThrows) {
+TEST(CacheLevelTest, InvalidateLineOfEmptyWayThrows) {
   ms::CacheLevel level(smallGeometry(), 64);
-  EXPECT_THROW((void)level.extract(64), std::logic_error);
+  EXPECT_THROW(level.invalidateLine(0), std::logic_error);
 }
 
 TEST(CacheLevelTest, InvalidateAllClearsEverything) {
   ms::CacheLevel level(smallGeometry(), 64);
-  for (int i = 0; i < 4; ++i) (void)level.insert(i * 64);
+  for (int i = 0; i < 4; ++i) (void)insert(level, static_cast<std::uint64_t>(i) * 64);
+  level.setDirty(*level.find(0), true);
   EXPECT_GT(level.validLines(), 0u);
   level.invalidateAll();
   EXPECT_EQ(level.validLines(), 0u);
   EXPECT_EQ(level.dirtyLines(), 0u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(level.find(static_cast<std::uint64_t>(i) * 64).has_value());
+  }
 }
 
 TEST(CacheLevelTest, DirtyLineCount) {
   ms::CacheLevel level(smallGeometry(), 64);
-  (void)level.insert(0);
-  (void)level.insert(64);
+  (void)insert(level, 0);
+  (void)insert(level, 64);
   level.setDirty(*level.find(0), true);
+  level.setDirty(*level.find(0), true);  // idempotent
   EXPECT_EQ(level.dirtyLines(), 1u);
   EXPECT_EQ(level.validLines(), 2u);
+  level.setDirty(*level.find(0), false);
+  EXPECT_EQ(level.dirtyLines(), 0u);
+}
+
+TEST(CacheLevelTest, NonPowerOfTwoSetsProbeTheirOwnSet) {
+  ms::CacheLevel level(ms::CacheGeometry{6ULL * 64, 2}, 64);  // 3 sets x 2 ways
+  for (std::uint64_t b = 0; b < 6; ++b) (void)insert(level, b * 64);
+  for (std::uint64_t b = 0; b < 6; ++b) {
+    const auto line = level.find(b * 64);
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(*line / 2, b % 3) << "block " << b << " sits in set b mod 3";
+  }
+  EXPECT_FALSE(level.find(6 * 64).has_value());
 }
 
 TEST(MemEventsTest, DeltaSubtractsAllCounters) {
@@ -188,6 +243,38 @@ TEST(HierarchyInvariants, HoldAfterDrainAndRefill) {
   s.cache.checkInvariants();
   for (int i = 0; i < 64; ++i) s.store64(i * 64ULL, i + 100);
   s.cache.checkInvariants();
+}
+
+// A one-level configuration makes L1 the LLC: its lines carry the payloads
+// and its own dirty bits decide write-backs.
+TEST(HierarchyInvariants, SingleLevelHierarchyTracksValues) {
+  ms::CacheConfig config;
+  config.blockSize = 64;
+  config.levels = {{256, 2}};  // 2 sets x 2 ways
+  ms::NvmStore nvm(64);
+  ms::CacheHierarchy cache(config, nvm);
+  const auto store64 = [&](std::uint64_t addr, std::uint64_t v) {
+    cache.store(addr, {reinterpret_cast<const std::uint8_t*>(&v), 8});
+  };
+  const auto load64 = [&](std::uint64_t addr) {
+    std::uint64_t v = 0;
+    cache.load(addr, {reinterpret_cast<std::uint8_t*>(&v), 8});
+    return v;
+  };
+  for (std::uint64_t b = 0; b < 16; ++b) store64(b * 64, b + 1);  // 4x the cache
+  cache.checkInvariants();
+  for (std::uint64_t b = 0; b < 16; ++b) EXPECT_EQ(load64(b * 64), b + 1);
+  EXPECT_GT(cache.events().nvmBlockWrites, 0u) << "dirty evictions wrote back";
+  store64(0, 99);
+  EXPECT_EQ(cache.dirtyBlockCount(), 1u);
+  EXPECT_EQ(cache.inconsistentBytes(0, 64), 1u);
+  cache.flushBlock(0, ms::FlushKind::Clwb);
+  EXPECT_EQ(cache.inconsistentBytes(0, 64), 0u);
+  store64(64, 7);
+  cache.invalidateAll();
+  EXPECT_EQ(load64(0), 99u) << "flushed before the crash";
+  EXPECT_EQ(load64(64), 2u) << "the store after the flush was lost";
+  cache.checkInvariants();
 }
 
 TEST(CacheConfigTest, SetsComputation) {

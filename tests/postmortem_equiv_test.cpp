@@ -1,5 +1,5 @@
-// Differential test of the post-mortem scan fast path (dirty-block index +
-// vectorized compare kernel) against its scalar references.
+// Differential test of the post-mortem scan fast path (the LLC's dirty-block
+// list + vectorized compare kernel) against its scalar references.
 //
 // The contract is bit-identity: inconsistentBytes and peek must return the
 // same answers with the fast path on, with it off (the probe-every-level
@@ -8,8 +8,9 @@
 // image, which is the paper's definition of inconsistency. The compare
 // kernels themselves (portable word-at-a-time and AVX2) are additionally
 // differentially tested against a naive byte loop on awkward sizes, and the
-// incrementally-maintained dirty-block index is checked against a full
-// forEachValid walk of the levels after every mutation burst.
+// dirty-anywhere set the LLC directory's masks describe is checked against a
+// full forEachValid walk of the levels' own dirty bits after every mutation
+// burst.
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -104,21 +105,20 @@ TEST(ScanKernel, ForcedKernelsAgreeThroughDispatch) {
 std::unordered_set<std::uint64_t> dirtyBlocksBruteForce(const ms::CacheHierarchy& h) {
   std::unordered_set<std::uint64_t> dirty;
   for (std::size_t i = 0; i < h.levelCount(); ++i) {
-    h.level(i).forEachValid(
-        [&](std::uint64_t blockAddr, bool isDirty, std::span<const std::uint8_t>) {
-          if (isDirty) dirty.insert(blockAddr);
-        });
+    const ms::CacheLevel& level = h.level(i);
+    level.forEachValid([&](std::uint32_t line) {
+      if (level.dirty(line)) dirty.insert(level.blockAddr(line));
+    });
   }
   return dirty;
 }
 
-void expectIndexCoherent(const ms::CacheHierarchy& h, std::uint64_t footprint) {
+void expectDirtySetCoherent(const ms::CacheHierarchy& h, std::uint64_t footprint) {
   const auto expected = dirtyBlocksBruteForce(h);
-  ASSERT_EQ(h.dirtyIndex().size(), expected.size());
+  ASSERT_EQ(h.dirtyBlockCount(), expected.size());
   const std::uint32_t blockSize = h.config().blockSize;
   for (std::uint64_t base = 0; base < footprint; base += blockSize) {
-    EXPECT_EQ(h.dirtyIndex().contains(base), expected.count(base) != 0)
-        << "block " << base;
+    EXPECT_EQ(h.dirtyAnywhere(base), expected.count(base) != 0) << "block " << base;
   }
 }
 
@@ -183,9 +183,9 @@ void runHierarchyDifferential(const ms::CacheConfig& config, std::uint64_t seed)
       hier.setScanFastPath(true);
       ASSERT_EQ(fast, scalar) << "op " << op;
     }
-    if (op % 5000 == 0) expectIndexCoherent(hier, kFootprint);
+    if (op % 5000 == 0) expectDirtySetCoherent(hier, kFootprint);
   }
-  expectIndexCoherent(hier, kFootprint);
+  expectDirtySetCoherent(hier, kFootprint);
   // Whole-footprint agreement at the end, under both forced kernels.
   for (const scan::Kernel kernel : {scan::Kernel::Portable, scan::Kernel::Avx2}) {
     scan::forceKernel(kernel);
@@ -211,7 +211,7 @@ TEST(PostmortemEquiv, NonPowerOfTwoGeometry) {
   runHierarchyDifferential(config, 0xEC5EED02);
 }
 
-// After a crash (invalidateAll) the index must be empty and the whole
+// After a crash (invalidateAll) the dirty set must be empty and the whole
 // footprint consistent — the degenerate case the skip logic leans on.
 TEST(PostmortemEquiv, EmptyIndexAfterPowerLoss) {
   ms::NvmStore nvm(64);
@@ -222,9 +222,9 @@ TEST(PostmortemEquiv, EmptyIndexAfterPowerLoss) {
     for (auto& byte : buf) byte = static_cast<std::uint8_t>(rng.below(256));
     hier.store(rng.below(4096 - buf.size()), buf);
   }
-  EXPECT_GT(hier.dirtyIndex().size(), 0u);
+  EXPECT_GT(hier.dirtyBlockCount(), 0u);
   hier.invalidateAll();
-  EXPECT_EQ(hier.dirtyIndex().size(), 0u);
+  EXPECT_EQ(hier.dirtyBlockCount(), 0u);
   EXPECT_EQ(hier.inconsistentBytes(0, 4096), 0u);
   const auto& ev = hier.events();
   EXPECT_EQ(ev.postmortemBlocksCompared, 0u);
@@ -300,7 +300,7 @@ TEST(PostmortemEquiv, Multicore) {
       sys.drainAll();
     } else if (kind < 89) {
       sys.invalidateAll();
-      EXPECT_EQ(sys.dirtyIndex().size(), 0u);
+      EXPECT_EQ(sys.dirtyBlockCount(), 0u);
     } else if (kind < 95) {
       const std::uint64_t size = rng.between(1, 1024);
       const std::uint64_t addr = rng.below(kFootprint - size);

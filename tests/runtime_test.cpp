@@ -2,7 +2,9 @@
 // persistence API, region markers, plan execution and crash injection.
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -353,6 +355,93 @@ TEST(RegionAccounting, AccessesAttributedToRegions) {
   EXPECT_EQ(runtime.regionAccesses().at(0), 10u);
   EXPECT_EQ(runtime.regionAccesses().at(1), 30u);
   EXPECT_EQ(runtime.windowAccesses(), 40u);
+}
+
+// ---- Inline crash clock ------------------------------------------------------
+
+// The clock charges each access through a pointer cached into the per-region
+// counter vector. A region with a new, higher PointId begun inside the crash
+// window grows (reallocates) that vector mid-window; every later access must
+// still land in the live slot, element-wise and bulk alike.
+TEST(CrashClock, RegionSlotGrowthInsideTheWindowKeepsCounting) {
+  auto runtime = makeRuntime();
+  rt::TrackedArray<double> a(runtime, "a", 64, true);
+  std::vector<double> src(40, 1.0);
+  runtime.setCrashWindow(true);
+  for (int i = 0; i < 2; ++i) a.set(i, 1.0);  // main loop: 2
+  runtime.beginRegion(0);
+  for (int i = 0; i < 5; ++i) a.set(i, 1.0);  // region 0: 5
+  runtime.beginRegion(500);                   // grows the slot vector
+  for (int i = 0; i < 7; ++i) a.set(i, 1.0);  // region 500: 7 + 40
+  a.writeRange(0, 40, src.data());
+  runtime.endRegion(500);
+  for (int i = 0; i < 3; ++i) (void)a.get(i);  // region 0: 3 more
+  runtime.endRegion(0);
+  runtime.beginRegion(4000);                   // grows it again
+  a.readRange(0, 9, src.data());               // region 4000: 9
+  runtime.endRegion(4000);
+  for (int i = 0; i < 4; ++i) a.set(i, 1.0);  // main loop: 4 more
+  runtime.setCrashWindow(false);
+  for (int i = 0; i < 6; ++i) a.set(i, 1.0);  // outside the window: uncounted
+  const std::map<rt::PointId, std::uint64_t> expected{
+      {rt::kMainLoopEnd, 6}, {0, 8}, {500, 47}, {4000, 9}};
+  EXPECT_EQ(runtime.regionAccesses(), expected);
+  EXPECT_EQ(runtime.windowAccesses(), 6u + 8u + 47u + 9u);
+}
+
+// A fault, a capture and a crash armed at one index fire in that order — the
+// fault first (it is process-fatal), the capture before the crash — and the
+// single next-trigger compare is recomputed on every disarm and re-arm.
+TEST(CrashClock, FaultCaptureCrashAtOneIndexFireInOrder) {
+  auto runtime = makeRuntime();
+  rt::TrackedArray<double> a(runtime, "a", 64, true);
+  std::vector<std::string> fired;
+  const auto note = [&](const char* what) {
+    fired.push_back(std::string(what) + "@" + std::to_string(runtime.windowAccesses()));
+  };
+  const auto capture = [&](const rt::CrashEvent&) { note("capture"); };
+  const auto runUntilCrash = [&](int maxAccesses) {
+    try {
+      for (int i = 0; i < maxAccesses; ++i) a.set(i % 64, 1.0);
+    } catch (const rt::CrashEvent& crash) {
+      fired.push_back("crash@" + std::to_string(crash.accessIndex));
+    }
+  };
+  runtime.setCrashWindow(true);
+
+  runtime.armCrash(10);
+  runtime.armCaptures({10}, capture);
+  runtime.armFault(10, [&] { note("fault"); });
+  runUntilCrash(100);
+  EXPECT_EQ(fired, (std::vector<std::string>{"fault@10", "capture@10", "crash@10"}));
+
+  // Disarmed triggers must not fire; re-armed ones fire in the same order.
+  fired.clear();
+  runtime.armCrash(14);
+  runtime.armCaptures({14}, capture);
+  runtime.disarmCrash();
+  runtime.disarmCaptures();
+  for (int i = 0; i < 6; ++i) a.set(i, 1.0);  // clock 10 -> 16
+  EXPECT_TRUE(fired.empty());
+  runtime.armFault(20, [&] { note("fault"); });
+  runtime.armCaptures({18, 20}, capture);
+  runtime.armCrash(20);
+  runUntilCrash(100);
+  EXPECT_EQ(fired, (std::vector<std::string>{"capture@18", "fault@20", "capture@20",
+                                             "crash@20"}));
+
+  // The same order when the index falls inside a bulk range.
+  fired.clear();
+  runtime.armCrash(30);
+  runtime.armCaptures({30}, capture);
+  runtime.armFault(30, [&] { note("fault"); });
+  std::vector<double> src(40, 3.0);
+  try {
+    a.writeRange(0, 40, src.data());
+  } catch (const rt::CrashEvent& crash) {
+    fired.push_back("crash@" + std::to_string(crash.accessIndex));
+  }
+  EXPECT_EQ(fired, (std::vector<std::string>{"fault@30", "capture@30", "crash@30"}));
 }
 
 // ---- Bulk range operations (docs/INTERNALS.md "Range access fast path") -----

@@ -24,7 +24,7 @@
 // Performance (docs/INTERNALS.md): one sweep run captures every pending
 // crash point and the restarts pipeline behind it, the apps' range accesses
 // take the block-granular bulk path, and the post-mortem inconsistency scan
-// walks a dirty-block index with a vectorized compare kernel.
+// compares only the LLC's dirty blocks with a vectorized compare kernel.
 //
 // Fault tolerance (docs/ROBUSTNESS.md): trials run in pre-forked worker
 // processes (a throwing or dying trial becomes a reported TrialFailure,
