@@ -16,7 +16,6 @@
 #include "easycrash/crash/campaign.hpp"
 #include "easycrash/crash/shard.hpp"
 #include "easycrash/memsim/hierarchy.hpp"
-#include "easycrash/memsim/region_monitor.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
 
@@ -313,89 +312,43 @@ BENCHMARK(BM_ShardedCampaign)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// Monitoring overhead on a large footprint: what one golden-run access costs
-// under full value tracking (arg 0: every load simulated through the cache
-// hierarchy, with the footprint far beyond the LLC so the stream pays real
-// capacity misses) versus under the adaptive region monitor riding a
-// direct-mode runtime (arg 1: the sampled campaigns' golden path — one NVM
-// memcpy plus one countdown decrement per access). Arg 2 is the direct-mode
-// run with no monitor at all: the raw access floor both modes share. The
-// monitoring OVERHEAD ratio is (arg0 - arg2) / (arg1 - arg2); the
-// checked-in baseline records all three legs and docs/INTERNALS.md quotes
-// the ratio.
-void BM_RegionMonitor(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  easycrash::runtime::Runtime rt;
-  ms::RegionMonitorConfig monitorConfig;
-  monitorConfig.seed = 7;
-  ms::RegionMonitor monitor(monitorConfig);
-  if (mode != 0) rt.setDirect(true);
-  if (mode == 1) rt.setMonitor(&monitor);
-  constexpr std::uint64_t kBytes = 64ull << 20;  // far beyond the scaled LLC
-  constexpr std::uint64_t kElems = kBytes / sizeof(double);
-  const auto id = rt.allocate("big", kBytes, /*candidate=*/false);
-  const std::uint64_t base = rt.object(id).addr;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        rt.loadValue<double>(base + (i & (kElems - 1)) * sizeof(double)));
-    ++i;
-  }
-  state.SetLabel(mode == 0   ? "full-tracking"
-                 : mode == 1 ? "sampled-monitor"
-                             : "direct-baseline");
-  state.SetItemsProcessed(state.iterations());
-  state.counters["monitor_samples"] =
-      static_cast<double>(monitor.totalSamples());
-}
-BENCHMARK(BM_RegionMonitor)->Arg(0)->Arg(1)->Arg(2);
-
 // The golden layer's cost at a large footprint (CG at 16x its bundled
 // problem size). Arg 0: a fully-tracked golden run — what a campaign pays
 // only when it asks for golden MemEvents (CampaignConfig::goldenEvents, set
 // by the workflow's Equation-5 campaigns). Arg 1: the golden run as every
-// other campaign executes it — direct-mode, with the sampled monitor riding
-// the stream in sampled mode. Same windowAccesses, finalIteration and
-// verify metric either way; only the cache simulation is skipped, so the
-// recorded arg0/arg1 gap is what the direct golden saves every campaign.
+// other campaign executes it — direct-mode. Same windowAccesses,
+// finalIteration and verify metric either way; only the cache simulation is
+// skipped, so the recorded arg0/arg1 gap is what the direct golden saves
+// every campaign.
 void BM_LargeFootprintGolden(benchmark::State& state) {
-  const bool sampled = state.range(0) != 0;
+  const bool direct = state.range(0) != 0;
   easycrash::crash::CampaignConfig config;
   config.seed = 7;
   config.appLabel = "cg@s16";
-  config.monitor.mode = sampled ? easycrash::crash::MonitorMode::Sampled
-                                : easycrash::crash::MonitorMode::Full;
   const auto factory = easycrash::apps::scaledBenchmarkFactory("cg", 16);
-  // The two ways a campaign can execute its golden run (the monitor itself
-  // adds ~0.3 ns/access on top of the direct leg per BM_RegionMonitor, so
-  // the tracked-vs-direct contrast is the story).
   std::uint64_t window = 0;
   for (auto _ : state) {
     easycrash::runtime::Runtime rt(config.cache);
-    if (sampled) rt.setDirect(true);
+    rt.setDirect(direct);
     auto app = factory();
     const auto result = easycrash::runtime::Driver::freshRun(*app, rt);
     benchmark::DoNotOptimize(result.finalIteration);
     window = rt.windowAccesses();
   }
-  state.SetLabel(sampled ? "direct-golden" : "tracked-golden");
+  state.SetLabel(direct ? "direct-golden" : "tracked-golden");
   state.counters["window_accesses"] = static_cast<double>(window);
 }
 BENCHMARK(BM_LargeFootprintGolden)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// A complete sampled-mode campaign at the same 16x footprint: golden +
-// monitor summary + 2 crash tests. This is the configuration the
-// nvct_monitor_scale_cg fixture runs under a ctest timeout; the
-// recorded wall-clock documents that it completes in a fraction of what
-// the full-mode fixed cost alone (BM_LargeFootprintGolden/0 plus a tracked
-// crashing run) would need.
+// A complete campaign at the same 16x footprint: the direct golden run, the
+// tracked sweep and 2 crash tests. This is the configuration the
+// nvct_scale_cg fixture runs under a ctest timeout.
 void BM_LargeFootprintCampaign(benchmark::State& state) {
   easycrash::crash::CampaignConfig config;
   config.seed = 7;
   config.numTests = 2;
   config.threads = 1;
   config.appLabel = "cg@s16";
-  config.monitor.mode = easycrash::crash::MonitorMode::Sampled;
   const auto factory = easycrash::apps::scaledBenchmarkFactory("cg", 16);
   easycrash::crash::CampaignResult last;
   for (auto _ : state) {
@@ -405,8 +358,6 @@ void BM_LargeFootprintCampaign(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * config.numTests);
   state.counters["golden_accesses"] = static_cast<double>(
       last.golden.events.loads + last.golden.events.stores);
-  state.counters["demoted_bytes"] =
-      static_cast<double>(last.monitor.demotedBytes);
 }
 BENCHMARK(BM_LargeFootprintCampaign)->Unit(benchmark::kMillisecond);
 

@@ -30,9 +30,6 @@ struct WorkflowConfig {
   int maxFlushesPerActivation = 2;
   /// Run a final validation campaign under the chosen plan (step 4).
   bool validateFinal = true;
-  /// Monitoring mode applied to every campaign the workflow runs (sampled:
-  /// region-sampled pre-pass + demotion routing for large footprints).
-  crash::MonitorConfig monitor;
   /// Fault tolerance applied to every campaign the workflow runs. The
   /// journal/resume paths are used as a base: each campaign phase appends
   /// its own suffix (`<path>.baseline`, `.everywhere`, `.validation`), and

@@ -84,7 +84,6 @@ WorkflowResult runEasyCrashWorkflow(const runtime::AppFactory& factory,
   base.numTests = config.testsPerCampaign;
   base.seed = config.seed;
   base.cache = config.cache;
-  base.monitor = config.monitor;
   base.resilience = config.resilience;
   {
     PhaseSpan phase("baseline_campaign");

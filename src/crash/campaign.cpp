@@ -25,7 +25,6 @@
 
 #include "easycrash/common/check.hpp"
 #include "easycrash/common/rng.hpp"
-#include "easycrash/memsim/region_monitor.hpp"
 #include "easycrash/crash/report.hpp"
 #include "easycrash/crash/resilience.hpp"
 #include "easycrash/crash/status.hpp"
@@ -67,15 +66,6 @@ struct CampaignMetrics {
   telemetry::Counter& postmortemBlocksSkipped;
   telemetry::Counter& postmortemBlocksCompared;
   telemetry::Counter& postmortemBytesCompared;
-  /// Adaptive region monitor (sampled mode only; all zero under --monitor
-  /// full, so they never feed equivalence comparisons).
-  telemetry::Counter& regionSamples;
-  telemetry::Counter& regionSplits;
-  telemetry::Counter& regionMerges;
-  telemetry::Counter& monitorRuns;
-  telemetry::Counter& monitorDemotedObjects;
-  telemetry::Counter& monitorDemotedBytes;
-  telemetry::Counter& monitorTrackedObjects;
   telemetry::Counter& trials;
   std::array<telemetry::Counter*, 4> responses;
   telemetry::Histogram& trialUs;
@@ -130,13 +120,6 @@ struct CampaignMetrics {
         reg.counter("memsim.postmortem_blocks_skipped"),
         reg.counter("memsim.postmortem_blocks_compared"),
         reg.counter("memsim.postmortem_bytes_compared"),
-        reg.counter("memsim.region_samples"),
-        reg.counter("memsim.region_splits"),
-        reg.counter("memsim.region_merges"),
-        reg.counter("campaign.monitor_runs"),
-        reg.counter("campaign.monitor_demoted_objects"),
-        reg.counter("campaign.monitor_demoted_bytes"),
-        reg.counter("campaign.monitor_tracked_objects"),
         reg.counter("campaign.trials"),
         {&reg.counter("campaign.responses.s1"), &reg.counter("campaign.responses.s2"),
          &reg.counter("campaign.responses.s3"), &reg.counter("campaign.responses.s4")},
@@ -1050,14 +1033,6 @@ const char* toString(FaultPlan::Kind kind) {
   return "?";
 }
 
-std::vector<std::string> MonitorSummary::demotedNames() const {
-  std::vector<std::string> names;
-  for (const auto& object : objects) {
-    if (object.demoted) names.push_back(object.name);
-  }
-  return names;
-}
-
 double CampaignResult::recomputability() const {
   if (tests.empty()) return 0.0;
   const auto counts = responseCounts();
@@ -1224,24 +1199,20 @@ void CampaignRunner::installFault(Runtime& rt) const {
   });
 }
 
-GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
+GoldenStats CampaignRunner::goldenRun() const {
   Runtime rt(config_.cache);
   // Every golden output a campaign depends on (windowAccesses and with it
   // the pre-drawn crash sequence, finalIteration, verify metric, region
   // shares, persistenceOps) is a function of the access stream and the
-  // architectural values, both routing-independent; so is what a sampled
-  // monitor observes. Only MemEvents describe the simulated cache machine,
-  // so the run goes direct-to-NVM unless a caller asked for them.
+  // architectural values, both routing-independent. Only MemEvents describe
+  // the simulated cache machine, so the run goes direct-to-NVM unless a
+  // caller asked for them.
   rt.setDirect(!config_.goldenEvents);
   rt.setPlan(config_.plan);
   rt.setTraceRun("golden");
-  // Installed before setup so the apps' setup-phase writes are sampled too —
-  // a candidate written only during setup must not look dead.
-  if (monitor != nullptr) rt.setMonitor(monitor);
   armProfile(rt);
   auto app = factory_();
   const auto result = Driver::freshRun(*app, rt);
-  rt.setMonitor(nullptr);
   noteRun(rt);
   EC_CHECK_MSG(!result.interrupted, "golden run interrupted: " + result.interruptReason);
   EC_CHECK_MSG(result.verification.pass,
@@ -1268,99 +1239,6 @@ GoldenStats CampaignRunner::goldenRun(memsim::RegionMonitor* monitor) const {
   return golden;
 }
 
-void CampaignRunner::buildMonitorSummary(const memsim::RegionMonitor& monitor,
-                                         const GoldenStats& golden) const {
-  // Objects flushed by the persistence plan keep full tracking regardless of
-  // their sampled activity: demoting them would change what the plan's
-  // flush ops write to NVM.
-  std::vector<runtime::ObjectId> planObjects;
-  for (const auto& [point, directive] : config_.plan.points) {
-    planObjects.insert(planObjects.end(), directive.objects.begin(),
-                       directive.objects.end());
-  }
-
-  MonitorSummary summary;
-  summary.active = true;
-  summary.samples = monitor.totalSamples();
-  summary.splits = monitor.totalSplits();
-  summary.merges = monitor.totalMerges();
-  const auto& monitored = monitor.objects();
-  const auto& objects = golden.objects;
-  EC_CHECK_MSG(monitored.size() == objects.size(),
-               "region monitor lost track of the object set");
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    const runtime::DataObjectInfo& info = objects[i];
-    const memsim::MonitoredObject& mon = monitored[i];
-    EC_CHECK(mon.id == info.id);
-    MonitorObjectStats stats;
-    stats.id = info.id;
-    stats.name = info.name;
-    stats.bytes = info.bytes;
-    stats.candidate = info.candidate;
-    stats.samples = mon.samples;
-    stats.writes = mon.writes;
-    stats.windowWrites = mon.windowWrites;
-    for (const auto& region : mon.regions) {
-      stats.regions.push_back(
-          {region.base, region.bytes, region.samples, region.writes});
-    }
-    // Demotion policy: large non-candidates leave full value tracking.
-    // Candidates never demote — their crash-time inconsistency rates are
-    // the Spearman selection's input, and with demoted blocks keeping
-    // metadata-only residency (Runtime::setDemotedNames) the tracked
-    // candidates then behave bit-identically to full mode. Small objects
-    // stay too (cheap, and region stats on them carry little signal), as
-    // do plan-flushed objects (their flush ops must keep writing real
-    // payload back to NVM).
-    const bool inPlan = std::find(planObjects.begin(), planObjects.end(),
-                                  info.id) != planObjects.end();
-    stats.demoted =
-        info.bytes > kMonitorSmallObjectBytes && !inPlan && !info.candidate;
-    if (stats.demoted) {
-      ++summary.demotedObjects;
-      summary.demotedBytes += info.bytes;
-    } else {
-      ++summary.trackedObjects;
-      summary.trackedBytes += info.bytes;
-    }
-    summary.objects.push_back(std::move(stats));
-  }
-  monitorState_ = std::move(summary);
-
-  auto& metrics = CampaignMetrics::get();
-  metrics.monitorRuns.add();
-  metrics.regionSamples.add(monitorState_.samples);
-  metrics.regionSplits.add(monitorState_.splits);
-  metrics.regionMerges.add(monitorState_.merges);
-  metrics.monitorDemotedObjects.add(monitorState_.demotedObjects);
-  metrics.monitorDemotedBytes.add(monitorState_.demotedBytes);
-  metrics.monitorTrackedObjects.add(monitorState_.trackedObjects);
-
-  if (telemetry::tracing()) {
-    for (const auto& stats : monitorState_.objects) {
-      telemetry::TraceEvent("region_snapshot")
-          .field("run", "golden")
-          .field("object", stats.name)
-          .field("bytes", stats.bytes)
-          .field("regions", static_cast<std::uint64_t>(stats.regions.size()))
-          .field("samples", stats.samples)
-          .field("writes", stats.writes)
-          .field("window_writes", stats.windowWrites)
-          .field("demoted", stats.demoted)
-          .emit();
-    }
-  }
-  EC_LOG_INFO("region monitor: " << monitorState_.samples << " samples, "
-                                 << monitorState_.demotedObjects
-                                 << " objects demoted ("
-                                 << monitorState_.demotedBytes << " bytes)");
-}
-
-void CampaignRunner::applyMonitorRouting(Runtime& rt) const {
-  if (!monitorState_.active) return;
-  rt.setDemotedNames(monitorState_.demotedNames());
-}
-
 namespace {
 
 /// Throws unless the resumed journal was drawn for exactly this campaign.
@@ -1376,7 +1254,6 @@ void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
   if (journal.mode != ours.mode) mismatch("snapshot mode");
   if (journal.planFingerprint != ours.planFingerprint) mismatch("persistence plan");
   if (journal.windowAccesses != ours.windowAccesses) mismatch("golden crash window");
-  if (journal.monitor != ours.monitor) mismatch("monitor mode");
   // A shard journal resumes only under the same --shard i/k; a merged (or
   // legacy) journal is unsharded on both sides and passes trivially.
   if (journal.shardCount != ours.shardCount || journal.shardIndex != ours.shardIndex) {
@@ -1421,30 +1298,20 @@ class CampaignExecution {
     threads_ = std::max(1, std::min<int>(threads, std::max(1, config_.numTests)));
   }
 
-  /// The golden run. Sampled monitoring rides it in the parent, before any
-  /// crash index is drawn or worker forked, so the summary and demotion set
-  /// are identical at any --threads and --isolation. The monitor samples the
-  /// access stream, so windowAccesses — and with it the whole pre-drawn
-  /// crash sequence — does not depend on whether the golden run simulates
-  /// the caches (CampaignConfig::goldenEvents).
+  /// The golden run, in the parent before any crash index is drawn or worker
+  /// forked. windowAccesses — and with it the whole pre-drawn crash
+  /// sequence — does not depend on whether the golden run simulates the
+  /// caches (CampaignConfig::goldenEvents).
   void golden() {
-    std::optional<memsim::RegionMonitor> monitor;
-    if (config_.monitor.mode == MonitorMode::Sampled) {
-      memsim::RegionMonitorConfig monitorConfig;
-      monitorConfig.seed = config_.seed;
-      monitor.emplace(monitorConfig);
-    }
     const auto start = std::chrono::steady_clock::now();
     {
       telemetry::PhaseSpan span("golden", CampaignMetrics::get().goldenUs);
-      result_.golden = runner_.goldenRun(monitor ? &*monitor : nullptr);
+      result_.golden = runner_.goldenRun();
     }
     const auto goldenMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                               std::chrono::steady_clock::now() - start)
                               .count();
     EC_CHECK_MSG(result_.golden.windowAccesses > 0, "empty crash window");
-    if (monitor) runner_.buildMonitorSummary(*monitor, result_.golden);
-    result_.monitor = runner_.monitorState_;
     // The trial deadline's base (fork isolation only): --trial-timeout-ms,
     // or else a golden-run multiple. A direct-mode golden (goldenEvents
     // unset) is several times cheaper than the tracked crashing runs the
@@ -1658,7 +1525,6 @@ class CampaignExecution {
     header.mode = config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent";
     header.planFingerprint = planFingerprint(config_.plan);
     header.windowAccesses = result_.golden.windowAccesses;
-    header.monitor = result_.monitor.active ? "sampled" : "";
     if (config_.shard.active()) {
       // Self-describing shard journal: coordinates, the campaign fingerprint
       // over the identity fields, and the candidate list `nvct merge` needs
@@ -2081,7 +1947,6 @@ CampaignResult CampaignRunner::run() const {
     std::lock_guard<std::mutex> lock(profileMutex_);
     profile_ = CampaignProfile{};
   }
-  monitorState_ = MonitorSummary{};
 
   CampaignExecution execution(*this);
   execution.golden();
@@ -2099,7 +1964,6 @@ SweepOutcome CampaignRunner::runSweep(const GoldenStats& golden,
   SweepOutcome outcome;
   Runtime rt(config_.cache);
   rt.setPlan(config_.plan);
-  applyMonitorRouting(rt);
   rt.setTraceRun("sweep");
   armProfile(rt);
   // A failed run must not throw past the accounting below, unless the

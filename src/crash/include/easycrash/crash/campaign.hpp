@@ -25,10 +25,6 @@
 #include "easycrash/runtime/app.hpp"
 #include "easycrash/runtime/persistence_plan.hpp"
 
-namespace easycrash::memsim {
-class RegionMonitor;
-}
-
 namespace easycrash::crash {
 
 /// The paper's four application responses after crash + restart (Figure 3).
@@ -46,69 +42,6 @@ enum class SnapshotMode {
   NvmImage,  ///< what actually survives the crash (NVCT methodology)
   Coherent,  ///< force-consistent copy (the paper's physical-machine
              ///< "verified" methodology in Figure 6)
-};
-
-/// Campaign monitoring mode (docs/INTERNALS.md "Adaptive region monitor").
-enum class MonitorMode {
-  Full,     ///< every tracked byte pays full value tracking (the default;
-            ///< byte-identical to campaigns before the monitor existed)
-  Sampled,  ///< a region-sampled monitor rides the golden run's access
-            ///< stream, and large non-candidates are demoted in the
-            ///< crashing runs — values live in NVM, the cache keeps
-            ///< metadata-only residency — so only the candidate set pays
-            ///< per-byte value tracking while crash indices, rates and
-            ///< outcomes stay bit-identical to full tracking (the unlock
-            ///< for large footprints)
-};
-
-/// Sampled mode: objects at or below this size always keep full value
-/// tracking. They are cheap to track, and small-object rates are exactly
-/// where sampling could mis-rank (a handful of writes is a large fraction of
-/// a small object).
-constexpr std::uint64_t kMonitorSmallObjectBytes = 4096;
-
-/// The region monitor itself runs at memsim::RegionMonitorConfig's defaults,
-/// seeded from the campaign seed.
-struct MonitorConfig {
-  MonitorMode mode = MonitorMode::Full;
-};
-
-/// Per-region sampled stats of one monitored object (pre-pass output).
-struct MonitorRegionStats {
-  std::uint64_t base = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t samples = 0;
-  std::uint64_t writes = 0;
-};
-
-struct MonitorObjectStats {
-  runtime::ObjectId id = 0;
-  std::string name;
-  std::uint64_t bytes = 0;
-  bool candidate = false;
-  bool demoted = false;
-  std::uint64_t samples = 0;       ///< sampled accesses, setup + window
-  std::uint64_t writes = 0;        ///< sampled writes, setup + window
-  std::uint64_t windowWrites = 0;  ///< sampled writes inside the crash window
-  std::vector<MonitorRegionStats> regions;
-};
-
-/// What the sampled monitoring pre-pass concluded: the adaptive region stats
-/// per object and the demotion decision they fed. Empty (active == false)
-/// under --monitor full. Deterministic for a fixed seed at any --threads and
-/// --isolation: the pre-pass is one seeded single-threaded run in the parent.
-struct MonitorSummary {
-  bool active = false;
-  std::uint64_t samples = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t merges = 0;
-  std::uint64_t demotedObjects = 0;
-  std::uint64_t demotedBytes = 0;
-  std::uint64_t trackedObjects = 0;
-  std::uint64_t trackedBytes = 0;
-  std::vector<MonitorObjectStats> objects;
-
-  [[nodiscard]] std::vector<std::string> demotedNames() const;
 };
 
 /// A trial the resilience layer gave up on: every attempt threw, or its
@@ -250,9 +183,6 @@ struct CampaignConfig {
   std::string statusPath;
   /// Status snapshot rewrite interval.
   int statusIntervalMs = 1000;
-  /// Access monitoring mode: full value tracking (default) or the
-  /// region-sampled pre-pass + demotion routing (see MonitorMode).
-  MonitorConfig monitor;
   /// Run the golden run through the cache simulator so GoldenStats::events
   /// (and the persistence flush mix in them) describe the simulated
   /// machine. Off, the golden run goes direct-to-NVM and its events are the
@@ -362,8 +292,6 @@ struct CampaignResult {
   /// Flight-recorder access/wear profile (empty unless CampaignConfig::profile
   /// and telemetry are compiled in).
   CampaignProfile profile;
-  /// Sampled-monitoring pre-pass output (active only under sampled mode).
-  MonitorSummary monitor;
 
   /// The paper's application recomputability: S1 fraction.
   [[nodiscard]] double recomputability() const;
@@ -385,8 +313,16 @@ class CampaignRunner {
  public:
   CampaignRunner(runtime::AppFactory factory, CampaignConfig config);
 
-  /// Golden run only (fast; used for Table 1 characteristics).
-  [[nodiscard]] GoldenStats goldenRun() const { return goldenRun(nullptr); }
+  /// Golden run only (fast; used for Table 1 characteristics). Unless
+  /// config_.goldenEvents is set, the run goes direct-mode: windowAccesses,
+  /// finalIteration, the verify metric, region shares and iteration ends,
+  /// the object table and persistenceOps are functions of the access stream
+  /// and the architectural values, which the cache simulation does not
+  /// change, so they are identical while the run costs O(accesses) instead
+  /// of O(accesses x cache simulation). Only MemEvents and the per-block
+  /// access/wear profile, which describe the cache machine, are then
+  /// (near-empty) direct-run values.
+  [[nodiscard]] GoldenStats goldenRun() const;
 
   /// Full campaign: golden run + numTests crash tests.
   [[nodiscard]] CampaignResult run() const;
@@ -444,28 +380,6 @@ class CampaignRunner {
   /// no fault plan is set or no child fault context is installed).
   void installFault(runtime::Runtime& rt) const;
 
-  /// Golden run with an optional adaptive region monitor riding the access
-  /// stream. Unless config_.goldenEvents is set, the run goes direct-mode:
-  /// windowAccesses, finalIteration, the verify metric, region shares and
-  /// iteration ends, the object table and persistenceOps are functions of
-  /// the access stream and the architectural values, which the cache
-  /// simulation does not change, so they are identical while the run costs
-  /// O(accesses) instead of O(accesses x cache simulation). Only MemEvents
-  /// and the per-block access/wear profile, which describe the cache
-  /// machine, are then (near-empty) direct-run values.
-  [[nodiscard]] GoldenStats goldenRun(memsim::RegionMonitor* monitor) const;
-
-  /// Sampled mode only: digest the monitor that rode the golden run into
-  /// monitorState_ — per-object region stats, the sampled activity ranking,
-  /// and the demotion decisions every crashing run then applies.
-  void buildMonitorSummary(const memsim::RegionMonitor& monitor,
-                           const GoldenStats& golden) const;
-
-  /// Route the pre-pass demotions onto a crashing run's runtime (no-op under
-  /// full monitoring). Must run before the app allocates, so the demoted
-  /// objects never enter the cache hierarchy.
-  void applyMonitorRouting(runtime::Runtime& rt) const;
-
   friend struct ForkChildServer;
   friend class ForkParent;
   friend class CampaignExecution;
@@ -474,7 +388,6 @@ class CampaignRunner {
   CampaignConfig config_;
   mutable std::mutex profileMutex_;
   mutable CampaignProfile profile_;
-  mutable MonitorSummary monitorState_;
 };
 
 }  // namespace easycrash::crash

@@ -71,10 +71,6 @@ struct JournalHeader {
   std::string mode;  ///< "nvm" | "coherent"
   std::uint64_t planFingerprint = 0;
   std::uint64_t windowAccesses = 0;
-  /// "sampled" when the campaign ran with the region-sampled monitor, empty
-  /// for full monitoring. Serialized only when non-empty, so full-mode
-  /// journals are byte-identical to journals from before the field existed.
-  std::string monitor;
   /// Shard header segment (docs/INTERNALS.md "Sharded campaigns"): the
   /// shard's coordinates, the campaign fingerprint over the identity fields
   /// above (campaignHash; the shard coordinates are deliberately excluded,
@@ -90,7 +86,7 @@ struct JournalHeader {
 };
 
 /// FNV-1a campaign fingerprint over the header's identity fields (app, seed,
-/// tests, mode, plan fingerprint, window accesses, monitor) — NOT the shard
+/// tests, mode, plan fingerprint, window accesses) — NOT the shard
 /// coordinates, so the k shard journals of one campaign and the unsharded
 /// journal all agree. `nvct merge` recomputes it and rejects a shard journal
 /// whose stamped hash disagrees (a tampered or mis-labelled journal).

@@ -173,12 +173,6 @@ std::string serializeHeader(const JournalHeader& h) {
   // through the JSON reader's double representation (2^53 mantissa).
   line += ",\"plan_fingerprint\":\"" + std::to_string(h.planFingerprint) + '"';
   line += ",\"window_accesses\":" + std::to_string(h.windowAccesses);
-  // Only sampled campaigns stamp the monitor mode: full-mode journals stay
-  // byte-identical to journals written before the field existed.
-  if (!h.monitor.empty()) {
-    line += ",\"monitor\":";
-    appendQuoted(line, h.monitor);
-  }
   // Shard header segment, only when sharded: unsharded journals keep the
   // exact legacy bytes, so a merged journal (whose header is unsharded) is
   // byte-comparable against a single-machine run's journal.
@@ -369,7 +363,10 @@ std::uint64_t campaignHash(const JournalHeader& header) {
   mixString(header.mode);
   mix(header.planFingerprint);
   mix(header.windowAccesses);
-  mixString(header.monitor);
+  // The retired monitor-mode field was mixed here as a string, and every
+  // campaign that still runs had it empty: mixString("") is mix(0). Keeping
+  // those 8 zero bytes keeps every stamped campaign_hash unchanged.
+  mix(0);
   return h;
 }
 
@@ -558,13 +555,16 @@ JournalReplay readJournal(const std::string& path) {
           std::stoull(str(*value, "plan_fingerprint"));
       replay.header.windowAccesses =
           static_cast<std::uint64_t>(num(*value, "window_accesses"));
-      // Absent in full-mode and legacy journals (see serializeHeader).
+      // Only campaigns of the retired sampled monitoring mode stamped
+      // "monitor". Their trials ran another access path, so neither
+      // --resume nor merge may take them as this program's work.
       const json::Value* monitor = value->find("monitor");
       if (monitor != nullptr) {
-        if (!monitor->isString()) {
-          throw std::runtime_error("journal: \"monitor\" is not a string");
-        }
-        replay.header.monitor = monitor->string;
+        throw std::runtime_error(
+            "journal " + path + ": header carries \"monitor\"" +
+            (monitor->isString() ? ":\"" + monitor->string + '"' : "") +
+            ", a journal of the retired sampled monitoring mode; re-run the "
+            "campaign");
       }
       // Shard header segment — absent in unsharded journals.
       const json::Value* shards = value->find("shards");

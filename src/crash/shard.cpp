@@ -39,7 +39,6 @@ void checkIdentityMatches(const JournalHeader& h, const JournalHeader& ref,
   if (h.mode != ref.mode) mismatch("snapshot mode");
   if (h.planFingerprint != ref.planFingerprint) mismatch("persistence plan");
   if (h.windowAccesses != ref.windowAccesses) mismatch("golden crash window");
-  if (h.monitor != ref.monitor) mismatch("monitor mode");
 }
 
 }  // namespace

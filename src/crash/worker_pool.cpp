@@ -331,11 +331,15 @@ WorkerPool::Reply WorkerPool::recv(int slot, std::chrono::milliseconds deadline)
     const std::uint32_t len = loadLe32(lenBuf);
     if (len > frameLimit_) {
       // Garbage length prefix (e.g. a wild write tore the stream): the
-      // worker is alive but the stream is unrecoverable.
+      // stream is unrecoverable, and the frame alone decides this death.
+      // Whether the worker's own exit or this SIGKILL reached waitpid first
+      // is a race, so the reaped status stays out of the Reply.
       std::lock_guard<std::mutex> lock(mutex_);
       killLocked(slot);
       reapLocked(slot, reply);
       reply.death = WorkerDeath::Protocol;
+      reply.signal = 0;
+      reply.exitStatus = 0;
       return reply;
     }
     reply.frame.resize(len);

@@ -228,15 +228,6 @@ void CacheHierarchy::storeRange(std::uint64_t addr,
   }
 }
 
-void CacheHierarchy::touchRange(std::uint64_t addr, std::uint64_t size) {
-  if (size == 0) return;
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(addr + size - 1);
-  for (std::uint64_t b = first; b <= last; b += config_.blockSize) {
-    (void)ensureInL1(b);
-  }
-}
-
 void CacheHierarchy::flushBlock(std::uint64_t addr, FlushKind kind) {
   switch (dir_.flush(blockBase(addr), kind != FlushKind::Clwb)) {
     case LlcDirectory::FlushResult::NonResident:

@@ -85,19 +85,6 @@ class CacheHierarchy {
   void storeRange(std::uint64_t addr, std::span<const std::uint8_t> src,
                   std::uint32_t elemSize);
 
-  /// Metadata-only access for [addr, addr+size): every overlapping block is
-  /// made resident and LRU-touched exactly as load()/store() would, but no
-  /// payload bytes move and nothing is marked dirty. This is the demoted-
-  /// object path of the sampled monitoring mode: demoted blocks keep their
-  /// real cache occupancy — so the tracked objects sharing their sets see
-  /// bit-identical hits, misses and evictions — while their values live in
-  /// NVM only (the runtime routes demoted loads/stores straight there).
-  /// Demoted lines are never dirty, so no write-back can clobber the
-  /// direct-written NVM image. Note the per-block granularity: repeated
-  /// touches of one block and per-element touches are metadata-equivalent,
-  /// which is what keeps bulk/scalar agreement in sampled mode.
-  void touchRange(std::uint64_t addr, std::uint64_t size);
-
   /// Apply a flush instruction to the block containing `addr`.
   void flushBlock(std::uint64_t addr, FlushKind kind);
   /// Flush every block overlapping [addr, addr+size) — the paper's

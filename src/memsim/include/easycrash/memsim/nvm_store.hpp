@@ -21,8 +21,8 @@ class NvmStore {
   /// Read `dst.size()` bytes starting at `addr` (zero-filled if never
   /// written). Reads never grow the materialised image: unbacked bytes are
   /// served as zeros without allocating backing storage. Inline fast path:
-  /// direct-mode runs (golden under sampled monitoring, restarts, demoted
-  /// accesses) issue one of these per tracked element, so the fully-backed
+  /// direct-mode runs (the golden run and every restart) issue one of these
+  /// per tracked element, so the fully-backed
   /// common case must stay a bounds check + memcpy. A zero-length request
   /// fails the comparison (its size - 1 wraps) and takes the slow side,
   /// which returns before memcpy could see a null pointer.
@@ -49,8 +49,8 @@ class NvmStore {
 
   /// Direct (uncounted) write used for initial images and test setup. This is
   /// NOT a modelled NVM write; campaigns use it to materialise initial state.
-  /// Same inline fast path rationale as read(): direct-mode and demoted
-  /// stores land here once per tracked element; zero-length pokes take the
+  /// Same inline fast path rationale as read(): direct-mode stores land
+  /// here once per tracked element; zero-length pokes take the
   /// slow side as in read().
   void poke(std::uint64_t addr, std::span<const std::uint8_t> src) {
     if (addr < image_.size() && src.size() - 1 < image_.size() - addr) [[likely]] {

@@ -25,11 +25,6 @@ struct DataObjectInfo {
   /// True for objects never written inside the main loop (restored by
   /// re-initialisation, never persisted).
   bool readOnly = false;
-  /// True when the sampled monitoring mode demoted this object out of full
-  /// value tracking: its accesses bypass the cache hierarchy and touch the
-  /// NVM image directly, so its NVM bytes always equal the architectural
-  /// state (docs/INTERNALS.md "Adaptive region monitor").
-  bool demoted = false;
 };
 
 /// Per-data-object access/wear profile derived at export time from the memory

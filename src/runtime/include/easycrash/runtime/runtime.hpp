@@ -19,7 +19,6 @@
 
 #include "easycrash/memsim/hierarchy.hpp"
 #include "easycrash/memsim/nvm_store.hpp"
-#include "easycrash/memsim/region_monitor.hpp"
 #include "easycrash/runtime/data_object.hpp"
 #include "easycrash/runtime/persistence_plan.hpp"
 
@@ -71,30 +70,16 @@ class Runtime {
   void load(std::uint64_t addr, std::span<std::uint8_t> dst) {
     if (direct_) {
       nvm_.read(addr, dst);
-    } else if (routesDirect(addr)) {
-      nvm_.read(addr, dst);
-      hierarchy_.touchRange(addr, dst.size());
     } else {
       hierarchy_.load(addr, dst);
-    }
-    if (monitor_ != nullptr) {
-      monitor_->onRange(addr, static_cast<std::uint32_t>(dst.size()), 1,
-                        /*write=*/false);
     }
     onAccess(1);
   }
   void store(std::uint64_t addr, std::span<const std::uint8_t> src) {
     if (direct_) {
       nvm_.poke(addr, src);
-    } else if (routesDirect(addr)) {
-      nvm_.poke(addr, src);
-      hierarchy_.touchRange(addr, src.size());
     } else {
       hierarchy_.store(addr, src);
-    }
-    if (monitor_ != nullptr) {
-      monitor_->onRange(addr, static_cast<std::uint32_t>(src.size()), 1,
-                        /*write=*/true);
     }
     onAccess(1);
   }
@@ -253,10 +238,7 @@ class Runtime {
   }
   /// Crash window control: only accesses inside the window tick the clock
   /// (the paper triggers crashes during the main computation loop).
-  void setCrashWindow(bool active) {
-    crashWindowActive_ = active;
-    if (monitor_ != nullptr) monitor_->setWindow(active);
-  }
+  void setCrashWindow(bool active) { crashWindowActive_ = active; }
   [[nodiscard]] std::uint64_t windowAccesses() const { return windowAccesses_; }
 
   /// Simulate the power loss itself: drop all cache contents.
@@ -291,32 +273,6 @@ class Runtime {
   /// hierarchy, not the runtime.
   void setScan(bool on) noexcept { hierarchy_.setScanFastPath(on); }
   [[nodiscard]] bool scan() const noexcept { return hierarchy_.scanFastPath(); }
-
-  // ---- Adaptive region monitor & demotion routing ----------------------------
-
-  /// Attach a region monitor: every tracked access (setup included) feeds its
-  /// countdown sampler; the crash-window flag is mirrored so window totals
-  /// line up with the crash clock. Already-allocated objects are attached
-  /// immediately, later allocations as they happen. nullptr detaches (the
-  /// default — full mode pays one predictable branch per access). The monitor
-  /// must outlive the runtime or a later setMonitor(nullptr).
-  void setMonitor(memsim::RegionMonitor* monitor);
-
-  /// Demote data objects (by name, effective for objects allocated after the
-  /// call — campaigns install the set before app setup): their values route
-  /// straight to the NVM image (reads and writes, so the image IS their
-  /// architectural state), while the cache hierarchy still simulates their
-  /// block residency metadata-only (CacheHierarchy::touchRange) — occupancy,
-  /// LRU order and evictions are bit-identical to full tracking, demoted
-  /// lines just carry no payload and are never dirty. Tracked candidates
-  /// therefore see exactly the cache pressure they would under full
-  /// tracking: crash-time inconsistency rates, NVM snapshots and restart
-  /// outcomes of sampled-mode campaigns match full mode bit-for-bit, which
-  /// is what makes the Spearman selection provably mode-independent. Only
-  /// payload work is skipped; demotion never touches candidates (campaign
-  /// policy), so no post-mortem scan ever reads a demoted byte.
-  void setDemotedNames(std::vector<std::string> names);
-  [[nodiscard]] bool objectDemoted(ObjectId id) const { return object(id).demoted; }
 
   // ---- Telemetry ---------------------------------------------------------------
 
@@ -371,17 +327,6 @@ class Runtime {
   void updateRegionCounter() {
     regionCounter_ = &regionAccesses_[pointSlot(activeRegion())];
   }
-
-  /// True when a per-object demotion routes this address straight to NVM.
-  /// Objects are block-aligned, so the block-granular bitmap is exact; with
-  /// no demotions installed (full mode) this is one predictable branch.
-  [[nodiscard]] bool routesDirect(std::uint64_t addr) const {
-    if (demotedBits_.empty()) return false;
-    const std::uint64_t block = addr >> demotedShift_;
-    if ((block >> 6) >= demotedBits_.size()) return false;
-    return (demotedBits_[block >> 6] >> (block & 63)) & 1ull;
-  }
-  void markDemoted(const DataObjectInfo& info);
 
   /// Drive `count` logical accesses through `access(firstElem, nElems)`
   /// chunks. Each chunk is clamped so the next armed capture/crash index is
@@ -456,12 +401,6 @@ class Runtime {
   bool direct_ = false;  ///< bypass the hierarchy, touch NVM bytes directly
   bool bulk_ = true;     ///< route loadRange/storeRange through the fast path
 
-  /// Adaptive region monitor (sampled monitoring pre-pass) and the demoted
-  /// routing bitmap (sampled crashing runs). Empty/null in full mode.
-  memsim::RegionMonitor* monitor_ = nullptr;
-  std::vector<std::string> demotedNames_;
-  std::vector<std::uint64_t> demotedBits_;  ///< one bit per block
-  std::uint32_t demotedShift_ = 0;          ///< log2(blockSize)
   std::uint64_t windowAccesses_ = 0;
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
   /// min(captureNext_, crashAt_, faultAt_) over the armed ones, kNever when

@@ -37,10 +37,6 @@ struct RuntimeMetrics {
 
 Runtime::Runtime(memsim::CacheConfig config)
     : nvm_(config.blockSize), hierarchy_(std::move(config), nvm_) {
-  // Block size is power-of-two-validated by the cache config, so the demoted
-  // routing bitmap indexes by shift.
-  const std::uint32_t blockSize = hierarchy_.config().blockSize;
-  while ((1u << demotedShift_) < blockSize) ++demotedShift_;
   // Slot 0 (kMainLoopEnd) must exist before any access; region slots are
   // grown by beginRegion() so the per-access increment never bounds-checks.
   growPointSlots(1);
@@ -81,53 +77,11 @@ ObjectId Runtime::allocate(std::string name, std::uint64_t bytes, bool candidate
   info.bytes = bytes;
   info.candidate = candidate;
   info.readOnly = readOnly;
-  if (std::find(demotedNames_.begin(), demotedNames_.end(), info.name) !=
-      demotedNames_.end()) {
-    info.demoted = true;
-    markDemoted(info);
-  }
   objects_.push_back(info);
-  if (monitor_ != nullptr) {
-    monitor_->attach(info.id, info.name, info.addr, info.bytes);
-  }
   // Block-align the next allocation so objects never share a cache block
   // (flushing one object must not persist another's bytes).
   nextAddr_ += (bytes + blockSize - 1) / blockSize * blockSize;
   return info.id;
-}
-
-void Runtime::setMonitor(memsim::RegionMonitor* monitor) {
-  monitor_ = monitor;
-  if (monitor_ == nullptr) return;
-  monitor_->setWindow(crashWindowActive_);
-  for (const auto& object : objects_) {
-    monitor_->attach(object.id, object.name, object.addr, object.bytes);
-  }
-}
-
-void Runtime::setDemotedNames(std::vector<std::string> names) {
-  demotedNames_ = std::move(names);
-  for (auto& object : objects_) {
-    if (object.demoted) continue;
-    if (std::find(demotedNames_.begin(), demotedNames_.end(), object.name) ==
-        demotedNames_.end()) {
-      continue;
-    }
-    // Only legal before the object has been touched through the hierarchy:
-    // campaigns install the set before app setup. A cached block switching
-    // to direct routing would leave a stale dirty copy behind.
-    object.demoted = true;
-    markDemoted(object);
-  }
-}
-
-void Runtime::markDemoted(const DataObjectInfo& info) {
-  const std::uint64_t first = info.addr >> demotedShift_;
-  const std::uint64_t last = (info.addr + info.bytes - 1) >> demotedShift_;
-  if (demotedBits_.size() <= (last >> 6)) demotedBits_.resize((last >> 6) + 1, 0);
-  for (std::uint64_t block = first; block <= last; ++block) {
-    demotedBits_[block >> 6] |= 1ull << (block & 63);
-  }
 }
 
 const DataObjectInfo& Runtime::object(ObjectId id) const {
@@ -217,25 +171,12 @@ void Runtime::loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
     }
     return;
   }
-  // One monitor feed for the whole span: the countdown sampler visits the
-  // same logical elements the element-wise path would, so bulk on/off (and
-  // any chunking below) produce bit-identical region stats.
-  if (monitor_ != nullptr) {
-    monitor_->onRange(addr, elemSize, dst.size() / elemSize, /*write=*/false);
-  }
-  // Objects never share a cache block, so one routing decision covers the
-  // whole range (TrackedArray ranges stay inside one object).
-  const bool demoted = !direct_ && routesDirect(addr);
-  const bool direct = direct_ || demoted;
   forEachRangeChunk(dst.size() / elemSize,
                     [&](std::uint64_t first, std::uint64_t n) {
                       const std::uint64_t byteOff = first * elemSize;
                       const auto part = dst.subspan(byteOff, n * elemSize);
-                      if (direct) {
+                      if (direct_) {
                         nvm_.read(addr + byteOff, part);
-                        if (demoted) {
-                          hierarchy_.touchRange(addr + byteOff, part.size());
-                        }
                       } else {
                         hierarchy_.loadRange(addr + byteOff, part, elemSize);
                       }
@@ -254,20 +195,12 @@ void Runtime::storeRange(std::uint64_t addr, std::span<const std::uint8_t> src,
     }
     return;
   }
-  if (monitor_ != nullptr) {
-    monitor_->onRange(addr, elemSize, src.size() / elemSize, /*write=*/true);
-  }
-  const bool demoted = !direct_ && routesDirect(addr);
-  const bool direct = direct_ || demoted;
   forEachRangeChunk(src.size() / elemSize,
                     [&](std::uint64_t first, std::uint64_t n) {
                       const std::uint64_t byteOff = first * elemSize;
                       const auto part = src.subspan(byteOff, n * elemSize);
-                      if (direct) {
+                      if (direct_) {
                         nvm_.poke(addr + byteOff, part);
-                        if (demoted) {
-                          hierarchy_.touchRange(addr + byteOff, part.size());
-                        }
                       } else {
                         hierarchy_.storeRange(addr + byteOff, part, elemSize);
                       }
@@ -282,7 +215,7 @@ void Runtime::persistObject(ObjectId id, memsim::FlushKind kind) {
 void Runtime::restoreObject(ObjectId id, std::span<const std::uint8_t> bytes) {
   const DataObjectInfo& info = object(id);
   EC_CHECK_MSG(bytes.size() == info.bytes, "restore size mismatch for " + info.name);
-  if (direct_ || info.demoted) {
+  if (direct_) {
     nvm_.poke(info.addr, bytes);
   } else {
     hierarchy_.store(info.addr, bytes);

@@ -130,7 +130,6 @@ void expectSameGoldenOutputs(const ec::crash::GoldenStats& direct,
     EXPECT_EQ(a.bytes, b.bytes);
     EXPECT_EQ(a.candidate, b.candidate);
     EXPECT_EQ(a.readOnly, b.readOnly);
-    EXPECT_EQ(a.demoted, b.demoted);
   }
 }
 

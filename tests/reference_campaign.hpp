@@ -11,8 +11,8 @@
 // no isolation, and every run on the runtime's scalar reference paths —
 // element-wise range accesses (setBulk(false)) and the probe-every-level
 // post-mortem scan (setScan(false)) — so every comparison against the
-// campaign also checks both fast paths end to end. Only the full-monitoring,
-// unsharded campaign is modelled.
+// campaign also checks both fast paths end to end. Only the unsharded
+// campaign is modelled.
 #pragma once
 
 #include <algorithm>
@@ -122,7 +122,6 @@ inline Attempt runTrial(const runtime::AppFactory& factory,
 /// The campaign `config` describes, one crashing run per test. Fills the
 /// golden fields the CSV and journal need (window, iterations, objects),
 /// the decided records and the failures, both in test-index order.
-/// Monitoring stays at its default (full).
 inline crash::CampaignResult referenceCampaign(const runtime::AppFactory& factory,
                                                const crash::CampaignConfig& config) {
   crash::CampaignResult result;
@@ -164,7 +163,7 @@ inline crash::CampaignResult referenceCampaign(const runtime::AppFactory& factor
 }
 
 /// Journal `campaign` to `path` through TrialJournal under the header the
-/// campaign writes for `config` (unsharded, full monitoring).
+/// campaign writes for `config` (unsharded).
 inline void writeReferenceJournal(const crash::CampaignResult& campaign,
                                   const crash::CampaignConfig& config,
                                   const std::string& path) {

@@ -745,6 +745,32 @@ TEST(ResilienceTest, LegacyFailureRecordsDefaultTheirKind) {
   std::remove(path.c_str());
 }
 
+TEST(ResilienceTest, ReadJournalRejectsSampledMonitorHeader) {
+  // Only the retired sampled monitoring mode stamped "monitor"; its trials
+  // ran another access path, so the reader must refuse the journal rather
+  // than ignore the key as it does other unknown header fields.
+  const std::string path = tempPath("journal_sampled.jsonl");
+  {
+    std::ofstream os(path);
+    os << R"({"type":"campaign_header","app":"probe","seed":1,"tests":5,)"
+       << R"("mode":"nvm","plan_fingerprint":"1","window_accesses":10,)"
+       << R"("monitor":"sampled"})" << '\n';
+    os << R"({"type":"trial","trial":0,"crash_access":3,"region":-1,)"
+       << R"("region_path":[],"crash_iteration":1,"restart_iteration":1,)"
+       << R"("response":"S1","extra_iterations":0,"rates":{},"note":""})" << '\n';
+  }
+  try {
+    (void)cr::readJournal(path);
+    ADD_FAILURE() << "a sampled-mode journal was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"monitor\":\"sampled\""), std::string::npos) << what;
+    EXPECT_NE(what.find("retired sampled monitoring mode"), std::string::npos)
+        << what;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ResilienceTest, RetryBackoffIsDeterministicDoublingAndCapped) {
   cr::ResilienceConfig res;
   res.retryBackoffMs = 25;

@@ -168,6 +168,23 @@ TEST(ShardTest, CampaignHashIgnoresShardCoordinates) {
   EXPECT_NE(cr::campaignHash(a), cr::campaignHash(b));
 }
 
+// Every shard journal stamps this hash and `nvct merge` recomputes it, so a
+// change to what it mixes orphans every journal already written. The literal
+// is the value computed before the monitor-mode field left the header.
+TEST(ShardTest, CampaignHashOfAFixedHeaderIsPinned) {
+  cr::JournalHeader h;
+  h.app = "sp";
+  h.seed = 7;
+  h.tests = 12;
+  h.mode = "nvm";
+  h.planFingerprint = 0x9e3779b97f4a7c15ull;
+  h.windowAccesses = 123456789;
+  h.shardIndex = 1;
+  h.shardCount = 2;
+  h.candidates = {{1, "u"}, {2, "rhs"}};
+  EXPECT_EQ(cr::campaignHash(h), 16046924947781939712ull);
+}
+
 // ---- Byte-identity ----------------------------------------------------------
 
 TEST(ShardTest, MergedShardJournalsMatchUnshardedRunByteForByte) {

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <string>
 #include <thread>
@@ -32,7 +34,8 @@ using namespace std::chrono_literals;
 /// Command interpreter the child runs per request. Deaths are deliberate:
 /// "abort" dies by signal (SIGABRT, not a raw segfault, so sanitizer builds
 /// classify identically), "oom" escapes a std::bad_alloc to the worker main
-/// loop, "torn" hand-writes a garbage length prefix, "hang" never replies.
+/// loop, "torn" hand-writes a garbage length prefix and exits, "torn-hang"
+/// writes the same prefix and never exits, "hang" never replies.
 void scenarioHandler(int slot, const std::string& request,
                      const cr::WorkerPool::ChildChannel& ch) {
   (void)slot;
@@ -47,10 +50,11 @@ void scenarioHandler(int slot, const std::string& request,
     std::abort();
   } else if (request == "oom") {
     throw std::bad_alloc();
-  } else if (request == "torn") {
+  } else if (request == "torn" || request == "torn-hang") {
     const unsigned char junk[] = {0xff, 0xff, 0xff, 0x7f, 0x00};
     (void)!::write(ch.responseFd(), junk, sizeof junk);
-    ::_exit(2);
+    if (request == "torn") ::_exit(2);
+    for (;;) std::this_thread::sleep_for(1s);
   } else if (request == "hang") {
     for (;;) std::this_thread::sleep_for(1s);
   } else {
@@ -64,6 +68,24 @@ cr::WorkerPool::Reply roundTrip(cr::WorkerPool& pool, int slot,
   EXPECT_TRUE(pool.ensureWorker(slot));
   pool.send(slot, request);
   return pool.recv(slot, deadline);
+}
+
+/// Block until `pid` has exited and waits, unreaped, as a zombie (state Z in
+/// /proc/<pid>/stat), so the parent's next recv races nothing.
+void waitUntilExited(pid_t pid) {
+  const auto giveUp = std::chrono::steady_clock::now() + 10s;
+  while (std::chrono::steady_clock::now() < giveUp) {
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    const std::string line((std::istreambuf_iterator<char>(stat)),
+                           std::istreambuf_iterator<char>());
+    const auto comm = line.rfind(')');
+    if (comm != std::string::npos && comm + 2 < line.size() &&
+        line[comm + 2] == 'Z') {
+      return;
+    }
+    std::this_thread::sleep_for(5ms);
+  }
+  ADD_FAILURE() << "worker " << pid << " never exited";
 }
 
 }  // namespace
@@ -136,6 +158,29 @@ TEST(WorkerPoolTest, TornStreamClassifiesAsProtocol) {
   EXPECT_FALSE(death.timedOut);
   EXPECT_EQ(death.death, cr::WorkerDeath::Protocol);
   // The stream is unrecoverable: the slot is dead until ensureWorker().
+  EXPECT_FALSE(pool.alive(0));
+}
+
+// A garbage length prefix decides the death from the frame alone, so the
+// Reply must not depend on whether the worker's own exit or the parent's
+// SIGKILL reaches waitpid first.
+TEST(WorkerPoolTest, TornFrameReplyIgnoresTheReapRace) {
+  cr::WorkerPool pool(1, 4096, scenarioHandler);
+  // The worker has certainly exited before recv reads its frame...
+  ASSERT_TRUE(pool.ensureWorker(0));
+  const pid_t pid = pool.pid(0);
+  ASSERT_TRUE(pool.send(0, "torn"));
+  waitUntilExited(pid);
+  const auto exited = pool.recv(0, 10s);
+  // ...or is still alive when the parent kills it.
+  const auto alive = roundTrip(pool, 0, "torn-hang");
+  for (const auto* reply : {&exited, &alive}) {
+    EXPECT_FALSE(reply->ok);
+    EXPECT_FALSE(reply->timedOut);
+    EXPECT_EQ(reply->death, cr::WorkerDeath::Protocol);
+  }
+  EXPECT_EQ(alive.exitStatus, exited.exitStatus);
+  EXPECT_EQ(alive.signal, exited.signal);
   EXPECT_FALSE(pool.alive(0));
 }
 

@@ -214,13 +214,6 @@ int main(int argc, char** argv) {
                 "points but executes only the trials with index % k == i; "
                 "fold the k shard journals with `nvct merge` — the merged "
                 "journal/CSV/report are byte-identical to the unsharded run");
-  cli.addString("monitor", "full",
-                "access monitoring: 'full' tracks every byte's value (the "
-                "default; byte-identical to campaigns before the monitor "
-                "existed) or 'sampled' — a region monitor rides the golden "
-                "run and demotes cold large objects out of value tracking, "
-                "the unlock for large-footprint campaigns "
-                "(docs/INTERNALS.md); results stay byte-identical");
   cli.addInt("scale", 1,
              "problem-size multiplier for cg, mg and kmeans (grid edge / "
              "point count); other apps only accept 1");
@@ -341,12 +334,6 @@ int main(int argc, char** argv) {
       config.mode = ec::crash::SnapshotMode::Coherent;
     } else if (mode != "nvm") {
       throw std::runtime_error("--mode must be 'nvm' or 'coherent'");
-    }
-    const std::string monitor = cli.getString("monitor");
-    if (monitor == "sampled") {
-      config.monitor.mode = ec::crash::MonitorMode::Sampled;
-    } else if (monitor != "full") {
-      throw std::runtime_error("--monitor must be 'full' or 'sampled'");
     }
     const std::string profile = cli.getString("profile");
     if (profile == "off") {

@@ -168,39 +168,6 @@ std::string lintPostmortemEvent(const json::Value& value, const std::string& typ
   return {};
 }
 
-/// Per-type schema of the region monitor's trace event: campaigns under
-/// --monitor sampled emit one region_snapshot per tracked object after the
-/// golden run, carrying the sampled region count and write tallies that
-/// drove the demotion decision (docs/INTERNALS.md "Adaptive region
-/// monitor"). Returns an empty string when the event is well-formed (or not
-/// a region event).
-std::string lintRegionSnapshotEvent(const json::Value& value, const std::string& type) {
-  if (type != "region_snapshot") return {};
-  const json::Value* run = value.find("run");
-  if (run == nullptr || !run->isString() || run->string.empty()) {
-    return "region_snapshot missing \"run\"";
-  }
-  const json::Value* object = value.find("object");
-  if (object == nullptr || !object->isString() || object->string.empty()) {
-    return "region_snapshot missing \"object\"";
-  }
-  double regions = 0;
-  if (!numberField(value, "regions", &regions) || regions < 1) {
-    return "region_snapshot must carry at least one region";
-  }
-  for (const char* name : {"bytes", "samples", "writes", "window_writes"}) {
-    double field = 0;
-    if (!numberField(value, name, &field) || field < 0) {
-      return std::string("region_snapshot missing non-negative \"") + name + '"';
-    }
-  }
-  const json::Value* demoted = value.find("demoted");
-  if (demoted == nullptr || demoted->kind != json::Value::Kind::Bool) {
-    return "region_snapshot missing boolean \"demoted\"";
-  }
-  return {};
-}
-
 int lintTrace(const std::string& path, const std::vector<std::string>& requiredFields,
               bool stats) {
   std::ifstream is(path);
@@ -245,8 +212,7 @@ int lintTrace(const std::string& path, const std::vector<std::string>& requiredF
     for (const std::string& error2 : {lintSweepEvent(*value, type->string),
                                       lintPhaseEvent(*value, type->string),
                                       lintWorkerEvent(*value, type->string),
-                                      lintPostmortemEvent(*value, type->string),
-                                      lintRegionSnapshotEvent(*value, type->string)}) {
+                                      lintPostmortemEvent(*value, type->string)}) {
       if (!error2.empty()) {
         std::cerr << "trace_lint: " << path << ':' << lineNo << ": " << error2 << '\n';
         return 1;
