@@ -159,6 +159,9 @@ class KmeansApp final : public AppBase {
     return out;
   }
 
+  /// iterate() leaves the sweep's SSE on the host for verify() to read.
+  void hostState(runtime::HostState& state) const override { state.add(lastSse_); }
+
  private:
   static double gaussianish(AppLcg& lcg) {
     // Sum of uniforms (Irwin-Hall) as a light-weight normal approximation.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
@@ -36,6 +37,7 @@
 #include "easycrash/telemetry/progress.hpp"
 #include "easycrash/telemetry/timer.hpp"
 #include "easycrash/telemetry/trace.hpp"
+#include "convergence_memo.hpp"
 #include "wire.hpp"
 
 namespace easycrash::crash {
@@ -80,10 +82,18 @@ struct CampaignMetrics {
   telemetry::Counter& sweepRuns;
   telemetry::Counter& sweepCaptures;
   telemetry::Counter& sweepFallbacks;
-  /// Restart grouping: trials decided by another trial's restart (hits) and
-  /// restarts executed from sweep captures (misses).
-  telemetry::Counter& restartMemoHits;
-  telemetry::Counter& restartMemoMisses;
+  /// Restart grouping: trials decided by their group leader's restart
+  /// (followers), and restarts executed from sweep captures.
+  telemetry::Counter& restartGroupFollowers;
+  telemetry::Counter& restartsExecuted;
+  /// Convergence memo: iteration ends keyed and looked up (checks), the
+  /// restarts a golden or a trial key decided, the iterations those hits
+  /// did not run, and the iterations restarts did run.
+  telemetry::Counter& memoChecks;
+  telemetry::Counter& memoGoldenHits;
+  telemetry::Counter& memoTrialHits;
+  telemetry::Counter& memoIterationsSkipped;
+  telemetry::Counter& restartIterations;
   /// Fork evaluator: worker forks (initial + respawns), deaths the campaign
   /// consumed (split kill vs crash/oom/protocol), and respawns alone.
   telemetry::Counter& workerSpawns;
@@ -133,8 +143,13 @@ struct CampaignMetrics {
         reg.counter("campaign.sweep_runs"),
         reg.counter("campaign.sweep_captures"),
         reg.counter("campaign.sweep_fallbacks"),
-        reg.counter("campaign.restart_memo_hits"),
-        reg.counter("campaign.restart_memo_misses"),
+        reg.counter("campaign.restart_group_followers"),
+        reg.counter("campaign.restarts_executed"),
+        reg.counter("campaign.memo_checks"),
+        reg.counter("campaign.memo_golden_hits"),
+        reg.counter("campaign.memo_trial_hits"),
+        reg.counter("campaign.memo_iterations_skipped"),
+        reg.counter("campaign.restart_iterations"),
         reg.counter("campaign.worker_spawns"),
         reg.counter("campaign.worker_crashes"),
         reg.counter("campaign.worker_kills"),
@@ -283,13 +298,18 @@ class RestartQueue {
 
 // ---- Fork evaluator wire protocol ------------------------------------------
 //
-// Requests (parent -> worker):  'R' restart {trial, restart input}
+// Requests (parent -> worker):  'R' restart {trial, restart input, memo
+//                                   table delta}
 //                               'S' sweep {n, n x (index, trialCount)}
 //                               'A' ack of one streamed sweep capture
-// Responses (worker -> parent): 'r' restart {status, delta, outcome or error}
+// Responses (worker -> parent): 'r' restart {status, delta, outcome, last
+//                                   iteration and memo keys, or error}
 //                               'c' one streamed sweep capture (await 'A')
 //                               'e' sweep end {completed, captured, failure,
 //                                              delta}
+// The parent alone writes the campaign's memo table: each 'R' carries the
+// entries the worker's replica lacks (all of them after a respawn), and
+// each decided 'r' carries the keys its restart passed.
 // A worker starts every request from a zeroed metrics registry and an empty
 // campaign profile and records exactly as an in-process run does; the
 // delta closing each 'r'/'e' reply is what the request left behind: the
@@ -494,6 +514,24 @@ void copyOutcome(const CrashTestRecord& from, CrashTestRecord& to) {
   to.note = from.note;
 }
 
+/// The memo entry a decided restart's keys receive.
+MemoOutcome memoOutcome(const CrashTestRecord& record, int lastIteration) {
+  return {record.response, record.extraIterations, lastIteration, record.note};
+}
+
+/// The bytes a memo key stands for (MemoSeams::compareBytes): the tracked
+/// image, which a direct-mode run keeps whole in NVM, and the host state.
+std::string memoStateBytes(const runtime::IApp& app, Runtime& rt) {
+  std::string bytes(rt.footprintBytes(), '\0');
+  rt.readNvm(0, {reinterpret_cast<std::uint8_t*>(bytes.data()), bytes.size()});
+  runtime::HostState host;
+  app.hostState(host);
+  return bytes + host.bytes();
+}
+
+std::atomic<bool> g_memoTrialMatches{true};
+std::atomic<bool> g_memoCompareBytes{false};
+
 // ---- Fork-worker child state -----------------------------------------------
 
 /// The forked child's trace buffer: TraceSink is redirected here right after
@@ -501,6 +539,10 @@ void copyOutcome(const CrashTestRecord& from, CrashTestRecord& to) {
 /// for the parent to splice into the real trace via writeRaw(). Set only in
 /// a worker child, so it doubles as the in-worker flag.
 std::ostringstream* g_childTraceBuf = nullptr;
+
+/// A worker child's replica of the campaign's memo table, created empty
+/// right after the fork and filled by the deltas 'R' requests carry.
+MemoTable* g_childMemo = nullptr;
 
 std::string takeChildTrace() {
   if (g_childTraceBuf == nullptr) return {};
@@ -687,21 +729,25 @@ struct ForkChildServer {
     encodeProfile(w, runner.profile_);
   }
 
-  /// Run one restart attempt from the shipped restart input, then ship an
+  /// Run one restart attempt from the shipped restart input against the
+  /// replica the request's table delta brought up to date, then ship an
   /// 'r' frame: status 0 carries the outcome (response, extra iterations,
-  /// note), status 1 the exception text — the parent names the crash site
-  /// from its own stamped record. Both carry the delta: a failed attempt
+  /// note) and the memo trail, status 1 the exception text — the parent
+  /// names the crash site from its own stamped record. Both carry the delta: a failed attempt
   /// still simulated runs the parent must account, exactly as the
   /// in-process evaluator records them before its exception propagates.
   void serveRestart(WireReader& req, const WorkerPool::ChildChannel& ch) const {
     const std::uint64_t trial = req.u64();
     SweepCapture input;
     decodeRestartInput(req, input, ch.arena(), ch.arenaBytes());
+    g_childMemo->applyDelta(req);
     CrashTestRecord record;
+    MemoTrail trail;
     std::string error;
     bool failed = false;
     try {
-      runner.runRestart(golden, input, static_cast<std::size_t>(trial), record);
+      trail = runner.runRestart(golden, input, static_cast<std::size_t>(trial), record,
+                                g_childMemo);
     } catch (const std::bad_alloc&) {
       throw;  // childMain -> _exit(kWorkerOomExit)
     } catch (const std::exception& e) {
@@ -718,6 +764,8 @@ struct ForkChildServer {
       resp.u8(static_cast<std::uint8_t>(record.response));
       resp.i64(record.extraIterations);
       resp.str(record.note);
+      resp.i64(trail.lastIteration);
+      encodeMemoKeys(resp, trail.keys);
     }
     ch.send(resp.take());
   }
@@ -773,10 +821,12 @@ class ForkParent {
   /// replacement child is indistinguishable from the original. The arenas
   /// are sized off `captureBytes`, one capture's candidate bytes.
   /// `timeoutMs` is the base deadline (0 = none).
-  ForkParent(const CampaignRunner& runner, const GoldenStats& golden, int slots,
-             std::size_t captureBytes, std::uint64_t timeoutMs)
+  ForkParent(const CampaignRunner& runner, const GoldenStats& golden, MemoTable& memo,
+             int slots, std::size_t captureBytes, std::uint64_t timeoutMs)
       : runner_(runner),
         childServer_{runner, golden},
+        memo_(memo),
+        memoCursors_(static_cast<std::size_t>(slots)),
         timeoutMs_(timeoutMs),
         pool_(slots, kBlackBoxBytes + captureBytes + captureBytes / 8 + 4096,
               [this](int slot, const std::string& request,
@@ -787,13 +837,14 @@ class ForkParent {
     CampaignMetrics::get().workerSpawns.add(pool_.spawnCount());
   }
 
-  /// The restart of trial t in worker w: ship only the restart input and
-  /// copy the reply's outcome onto `record`, which the caller stamped with
-  /// the trial's own capture — so a restart that throws names the stamped
-  /// crash site, as it does in-process. `budget` scales the deadline. A
-  /// reply that does not decode is a protocol death: the stream may be
-  /// desynchronized, so the worker is killed and the next attempt starts
-  /// fresh. Throws AttemptFailure.
+  /// The restart of trial t in worker w: ship the restart input and the
+  /// worker's memo delta, copy the reply's outcome onto `record`, which the
+  /// caller stamped with the trial's own capture — so a restart that throws
+  /// names the stamped crash site, as it does in-process — and insert the
+  /// reply's memo trail. `budget` scales the deadline. A reply that does
+  /// not decode is a protocol death: the stream may be desynchronized, so
+  /// the worker is killed, nothing is inserted, and the next attempt
+  /// starts fresh. Throws AttemptFailure.
   void restart(std::size_t t, int w, const SweepCapture& input, double budget,
                CrashTestRecord& record) {
     const pid_t pid = ensureWorker(w);
@@ -801,6 +852,7 @@ class ForkParent {
     req.u8('R');
     req.u64(t);
     encodeRestartInput(req, input, pool_.arena(w), pool_.arenaBytes());
+    memo_.encodeDelta(req, memoCursors_[static_cast<std::size_t>(w)]);
     (void)pool_.send(w, req.take());  // a dead worker surfaces in receive()
     const std::string frame = receive(w, pid, deadline(budget));
     try {
@@ -819,6 +871,15 @@ class ForkParent {
       record.response = static_cast<Response>(response);
       record.extraIterations = static_cast<int>(r.i64());
       record.note = r.str();
+      const int cap =
+          childServer_.golden.finalIteration * runner_.config_.maxIterationFactor;
+      const std::int64_t lastIteration = r.i64();
+      if (lastIteration < 0 || lastIteration > cap) {
+        throw std::runtime_error("last iteration outside the restart's cap");
+      }
+      const std::vector<MemoKey> keys = decodeMemoKeys(r, input.restartIteration, cap);
+      memo_.insert(keys, memoOutcome(record, static_cast<int>(lastIteration)),
+                   MemoSource::Trial);
     } catch (const std::exception& e) {
       killWorker(w);
       throw AttemptFailure{"protocol", false,
@@ -914,6 +975,7 @@ class ForkParent {
       // parent; the parent's stream (and its buffered bytes) stay its own.
       g_childTraceBuf = new std::ostringstream();
       telemetry::TraceSink::instance().redirectInForkedChild(g_childTraceBuf);
+      g_childMemo = new MemoTable();
     };
     return hooks;
   }
@@ -936,6 +998,8 @@ class ForkParent {
       throw AttemptFailure{"protocol", false, "worker fork failed", ""};
     }
     if (respawned) {
+      // The new worker's replica starts empty.
+      memoCursors_[static_cast<std::size_t>(w)] = {};
       CampaignMetrics::get().workerSpawns.add();
       CampaignMetrics::get().workerRespawns.add();
       if (telemetry::tracing()) {
@@ -1008,6 +1072,9 @@ class ForkParent {
 
   const CampaignRunner& runner_;
   const ForkChildServer childServer_;
+  MemoTable& memo_;
+  /// Per slot: how much of memo_ the slot's worker already holds.
+  std::vector<MemoTable::Cursor> memoCursors_;
   const std::uint64_t timeoutMs_;
   std::atomic<std::uint64_t> deaths_{0};
   WorkerPool pool_;  ///< last: its children serve childServer_
@@ -1020,6 +1087,15 @@ const char* toString(Response response) {
     case Response::S4: return "S4";
   }
   return "?";
+}
+
+void setMemoSeams(const MemoSeams& seams) {
+  g_memoTrialMatches.store(seams.trialMatches);
+  g_memoCompareBytes.store(seams.compareBytes);
+}
+
+MemoSeams memoSeams() {
+  return {g_memoTrialMatches.load(), g_memoCompareBytes.load()};
 }
 
 const char* toString(FaultPlan::Kind kind) {
@@ -1207,12 +1283,50 @@ GoldenStats CampaignRunner::goldenRun() const {
   // architectural values, both routing-independent. Only MemEvents describe
   // the simulated cache machine, so the run goes direct-to-NVM unless a
   // caller asked for them.
-  rt.setDirect(!config_.goldenEvents);
+  const bool direct = !config_.goldenEvents;
+  rt.setDirect(direct);
   rt.setPlan(config_.plan);
   rt.setTraceRun("golden");
   armProfile(rt);
   auto app = factory_();
-  const auto result = Driver::freshRun(*app, rt);
+  app->setup(rt);
+  app->initialize(rt);
+  // The convergence memo's stride is fixed at the end of the first
+  // iteration, from its tracked accesses and the blocks an iteration can
+  // write at most: every block of a writable object. Comparing bytes, the
+  // memo checks as often as the table size allows, whatever that costs. A
+  // direct golden run then keys every goldenStride-th iteration end; those
+  // keys seed the memo. Its digest stays unarmed: hashing the footprint at
+  // those few iteration ends costs less than marking every store.
+  const auto blockSize = static_cast<double>(config_.cache.blockSize);
+  double writableBlocks = 0.0;
+  for (const auto& object : rt.objects()) {
+    if (!object.readOnly) {
+      writableBlocks += std::ceil(static_cast<double>(object.bytes) / blockSize);
+    }
+  }
+  const bool compareBytes = memoSeams().compareBytes;
+  int stride = 0;
+  int goldenStride = 0;
+  std::vector<MemoKey> keys;
+  std::vector<std::string> keyBytes;
+  const Driver::IterationHook keyIteration = [&](int iteration) {
+    if (iteration == 1) {
+      const auto accesses = static_cast<double>(rt.windowAccesses());
+      stride = memoStride(app->nominalIterations(), accesses,
+                          compareBytes ? 0.0 : writableBlocks);
+      goldenStride =
+          compareBytes ? stride
+                       : goldenKeyStride(stride, accesses,
+                                         static_cast<double>(rt.footprintBytes()) / blockSize);
+    }
+    if (direct && goldenStride > 0 && iteration % goldenStride == 0) {
+      keys.push_back({iteration, Driver::stateKey(*app, rt)});
+      if (compareBytes) keyBytes.push_back(memoStateBytes(*app, rt));
+    }
+    return false;
+  };
+  const auto result = Driver::run(*app, rt, 1, 0, keyIteration);
   noteRun(rt);
   EC_CHECK_MSG(!result.interrupted, "golden run interrupted: " + result.interruptReason);
   EC_CHECK_MSG(result.verification.pass,
@@ -1236,6 +1350,14 @@ GoldenStats CampaignRunner::goldenRun() const {
         static_cast<double>(accesses) / static_cast<double>(golden.windowAccesses);
   }
   golden.regionIterationEnds = rt.regionIterationEnds();
+  golden.verifyDetail = result.verification.detail;
+  golden.memoStride = stride;
+  // Golden keys stand for "converges as the golden run did" only when the
+  // run converged rather than stopped at its cap.
+  if (!result.reachedCap) {
+    golden.memoKeys = std::move(keys);
+    golden.memoBytes = std::move(keyBytes);
+  }
   return golden;
 }
 
@@ -1418,8 +1540,15 @@ class CampaignExecution {
         if (object.candidate) captureBytes += object.bytes;
       }
     }
+    // The golden keys seed the convergence memo: a restart that reaches
+    // one converges as the golden run did.
+    const GoldenStats& golden = result_.golden;
+    memo_.insert(golden.memoKeys,
+                 MemoOutcome{Response::S1, 0, golden.finalIteration, golden.verifyDetail},
+                 MemoSource::Golden, golden.memoBytes);
     if (res_.isolation == IsolationMode::Fork && !plan_.empty()) {
-      fork_.emplace(runner_, result_.golden, threads_ + 1, captureBytes, timeoutMs_);
+      fork_.emplace(runner_, result_.golden, memo_, threads_ + 1, captureBytes,
+                    timeoutMs_);
     }
     startStatus();
     if (plan_.empty()) return;
@@ -1803,7 +1932,7 @@ class CampaignExecution {
   /// IsolationMode::Propagate (the legacy all-or-nothing behaviour).
   void decideRestart(std::size_t t, const SweepCapture& capture,
                      const SweepCapture& input, int w) {
-    CampaignMetrics::get().restartMemoMisses.add();
+    CampaignMetrics::get().restartsExecuted.add();
     const int finalIteration = result_.golden.finalIteration;
     const double budget =
         static_cast<double>(finalIteration * config_.maxIterationFactor -
@@ -1818,7 +1947,10 @@ class CampaignExecution {
         if (fork_) {
           fork_->restart(t, w, input, budget, record);
         } else {
-          runner_.runRestart(result_.golden, input, t, record);
+          const MemoTrail trail =
+              runner_.runRestart(result_.golden, input, t, record, &memo_);
+          memo_.insert(trail.keys, memoOutcome(record, trail.lastIteration),
+                       MemoSource::Trial, trail.bytes);
         }
       } catch (...) {
         if (res_.isolation == IsolationMode::Propagate) throw;
@@ -1854,7 +1986,7 @@ class CampaignExecution {
       CampaignRunner::stampCapture(*member.capture, record);
       copyOutcome(*records_[leader], record);
       records_[member.trial] = std::move(record);
-      CampaignMetrics::get().restartMemoHits.add();
+      CampaignMetrics::get().restartGroupFollowers.add();
       commitDecided(member.trial);
     }
   }
@@ -1894,6 +2026,7 @@ class CampaignExecution {
   std::size_t resumedFailures_ = 0;
   std::vector<PlannedPoint> plan_;
   std::optional<TrialJournal> journal_;
+  MemoTable memo_;  ///< the convergence memo; fork workers hold replicas
 
   std::optional<telemetry::ProgressMeter> meter_;
   std::mutex tallyMutex_;
@@ -2050,16 +2183,20 @@ void CampaignRunner::stampCapture(const SweepCapture& capture, CrashTestRecord& 
   record.inconsistentRate = capture.inconsistentRate;
 }
 
-void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& input,
-                                std::size_t trial, CrashTestRecord& record) const {
+MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& input,
+                                     std::size_t trial, CrashTestRecord& record,
+                                     const MemoTable* memo) const {
   telemetry::PhaseSpan restartSpan("restart", CampaignMetrics::get().restartUs,
                                    static_cast<std::int64_t>(trial));
+  CampaignMetrics& metrics = CampaignMetrics::get();
   Runtime restartRt(config_.cache);
   // Restarts run in direct-access mode: their outcome (S1-S4, extra
   // iterations) depends only on computed values, which direct mode preserves
   // bit-for-bit, and the paper's restarts execute natively anyway — only the
   // crashing run's cache-vs-NVM divergence needs the hierarchy simulated.
   restartRt.setDirect(true);
+  const int stride = memo != nullptr ? golden.memoStride : 0;
+  if (stride > 0) restartRt.armStateDigest();
   restartRt.setPlan(config_.plan);
   restartRt.setTraceRun("restart:" + std::to_string(trial));
   auto restartApp = factory_();
@@ -2069,10 +2206,51 @@ void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& i
     restartRt.restoreObject(id, bytes);
   }
 
+  // Key every stride-th iteration end; the first key the table holds
+  // decides the restart. Keys passed before it go into the trail.
+  const MemoSeams seams = memoSeams();
+  MemoTrail trail;
+  std::optional<MemoHit> hit;
+  const Driver::IterationHook check = [&](int iteration) {
+    if (iteration % stride != 0) return false;
+    metrics.memoChecks.add();
+    const MemoKey key{iteration, Driver::stateKey(*restartApp, restartRt)};
+    std::string bytes;
+    if (seams.compareBytes) bytes = memoStateBytes(*restartApp, restartRt);
+    hit = memo->find(key, seams.compareBytes ? &bytes : nullptr);
+    if (hit && (hit->source == MemoSource::Golden || seams.trialMatches)) return true;
+    hit.reset();
+    trail.keys.push_back(key);
+    if (seams.compareBytes) trail.bytes.push_back(std::move(bytes));
+    return false;
+  };
   const int cap = golden.finalIteration * config_.maxIterationFactor;
-  const auto rerun =
-      Driver::run(*restartApp, restartRt, input.restartIteration, cap);
+  const auto rerun = Driver::run(*restartApp, restartRt, input.restartIteration, cap,
+                                 stride > 0 ? check : Driver::IterationHook{});
   noteRun(restartRt);
+  metrics.restartIterations.add(static_cast<std::uint64_t>(rerun.iterationsExecuted));
+
+  if (rerun.stopped) {
+    const MemoOutcome& outcome = hit->outcome;
+    record.response = outcome.response;
+    record.extraIterations = outcome.extraIterations;
+    record.note = outcome.note;
+    trail.lastIteration = outcome.lastIteration;
+    const int skipped = std::max(0, outcome.lastIteration - rerun.finalIteration);
+    (hit->source == MemoSource::Golden ? metrics.memoGoldenHits : metrics.memoTrialHits)
+        .add();
+    metrics.memoIterationsSkipped.add(static_cast<std::uint64_t>(skipped));
+    if (telemetry::tracing()) {
+      telemetry::TraceEvent("restart_converged")
+          .field("trial", static_cast<std::uint64_t>(trial))
+          .field("iteration", rerun.finalIteration)
+          .field("source", toString(hit->source))
+          .field("skipped", skipped)
+          .emit();
+    }
+    return trail;
+  }
+  trail.lastIteration = rerun.finalIteration;
 
   if (rerun.interrupted) {
     record.response = Response::S3;
@@ -2094,6 +2272,7 @@ void CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& i
   // the parent (commitTrial) once the decision is final, so a forked
   // attempt's accounting lands campaign-side regardless of which process
   // simulated it.
+  return trail;
 }
 
 }  // namespace easycrash::crash

@@ -200,6 +200,32 @@ struct CampaignConfig {
   FaultPlan inject;
 };
 
+/// A convergence-memo key (docs/INTERNALS.md "Convergence memo"): a
+/// main-loop iteration end and the run's state key there
+/// (runtime::Driver::stateKey).
+struct MemoKey {
+  int iteration = 0;
+  memsim::Digest128 digest;
+
+  friend bool operator==(const MemoKey&, const MemoKey&) = default;
+};
+
+/// Test seams of the convergence memo, the campaign-level counterpart of
+/// Runtime::setBulk/setScan: process-wide, and inherited by fork workers
+/// forked after they are set. Neither changes a byte of campaign output.
+struct MemoSeams {
+  /// Let restarts stop on keys other restarts inserted. Off, only golden
+  /// keys match, so the work each restart does no longer depends on which
+  /// lane decided what first.
+  bool trialMatches = true;
+  /// Keep every entry's full state bytes and compare them on every hit
+  /// (a mismatch throws). Entries shipped to fork workers carry no bytes,
+  /// so the comparison covers in-process tables.
+  bool compareBytes = false;
+};
+void setMemoSeams(const MemoSeams& seams);
+[[nodiscard]] MemoSeams memoSeams();
+
 /// Statistics of the golden (crash-free) execution.
 struct GoldenStats {
   std::uint64_t windowAccesses = 0;  ///< tracked accesses in the crash window
@@ -216,6 +242,18 @@ struct GoldenStats {
   std::map<runtime::PointId, double> regionTimeShare;
   /// Iteration-end persist points reached per region over the execution.
   std::map<runtime::PointId, std::uint64_t> regionIterationEnds;
+  /// The verification note: what a restart that reaches a golden memo key
+  /// reports.
+  std::string verifyDetail;
+  /// Convergence memo: restarts key every memoStride-th iteration end
+  /// (0 = memo off), and memoKeys are the golden run's keys at some of
+  /// those iteration ends, spaced to keep the golden run cheap. Empty under
+  /// goldenEvents (a tracked golden run has no state digest) and when the
+  /// run stopped at its cap instead of converging. memoBytes holds their
+  /// state bytes under MemoSeams::compareBytes only.
+  int memoStride = 0;
+  std::vector<MemoKey> memoKeys;
+  std::vector<std::string> memoBytes;
 };
 
 /// Everything a trial needs from its crashing run, detached from the runtime
@@ -235,6 +273,11 @@ struct SweepCapture {
   std::map<runtime::ObjectId, double> inconsistentRate;
   std::map<runtime::ObjectId, std::vector<std::uint8_t>> snapshots;
 };
+
+/// The convergence memo's table and what a restart leaves for it. Defined
+/// in src/crash/convergence_memo.hpp.
+class MemoTable;
+struct MemoTrail;
 
 /// How one sweep crashing run ended (CampaignRunner::runSweep). A run
 /// visits its crash indices in ascending order, so the captured points are
@@ -356,8 +399,13 @@ class CampaignRunner {
   /// extraIterations and note. A pure function of that restart input, which
   /// is what lets one restart decide a whole restart group; shared verbatim
   /// by every isolation mode, which is what makes them byte-identical.
-  void runRestart(const GoldenStats& golden, const SweepCapture& input,
-                  std::size_t trial, CrashTestRecord& record) const;
+  /// With a `memo` table it keys every golden.memoStride-th iteration end
+  /// and, on the first key the table holds, stops and copies that outcome
+  /// (docs/INTERNALS.md "Convergence memo"). It only reads the table: the
+  /// caller inserts the returned trail once the restart is decided.
+  MemoTrail runRestart(const GoldenStats& golden, const SweepCapture& input,
+                       std::size_t trial, CrashTestRecord& record,
+                       const MemoTable* memo) const;
 
   /// Enable profiling on a simulated run's runtime (per config_.profile) and
   /// fold its finished profile into profile_. Worker threads call the fold

@@ -5,6 +5,7 @@
 // not. The store grows on demand so allocation order does not matter.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -12,9 +13,40 @@
 
 namespace easycrash::memsim {
 
+/// A 128-bit state digest: a sum (mod 2^128) of per-block hashes, so a block
+/// rewrite updates it by subtracting the old hash and adding the new one.
+struct Digest128 {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  friend bool operator==(const Digest128&, const Digest128&) = default;
+  Digest128& operator+=(const Digest128& o) {
+    const std::uint64_t sum = lo + o.lo;
+    hi += o.hi + (sum < lo ? 1 : 0);
+    lo = sum;
+    return *this;
+  }
+  Digest128& operator-=(const Digest128& o) {
+    const std::uint64_t diff = lo - o.lo;
+    hi -= o.hi + (lo < o.lo ? 1 : 0);
+    lo = diff;
+    return *this;
+  }
+};
+
+/// Hash of `bytes` (a whole number of 16-byte words) as the block with index
+/// `index`. An all-zero block hashes to {0, 0} at every index, so bytes
+/// that were never written need no special case in a digest.
+[[nodiscard]] Digest128 blockDigest(std::uint64_t index, const std::uint8_t* bytes,
+                                    std::size_t size);
+
 class NvmStore {
  public:
   explicit NvmStore(std::uint32_t blockSize = 64);
+  // dirty_ points into dirtyMap_, and a CacheHierarchy holds the store by
+  // reference: it stays where it was built.
+  NvmStore(const NvmStore&) = delete;
+  NvmStore& operator=(const NvmStore&) = delete;
 
   [[nodiscard]] std::uint32_t blockSize() const { return blockSize_; }
 
@@ -54,6 +86,7 @@ class NvmStore {
   /// slow side as in read().
   void poke(std::uint64_t addr, std::span<const std::uint8_t> src) {
     if (addr < image_.size() && src.size() - 1 < image_.size() - addr) [[likely]] {
+      if (dirty_ != nullptr) markDirty(addr, src.size());
       std::memcpy(image_.data() + addr, src.data(), src.size());
       return;
     }
@@ -86,16 +119,54 @@ class NvmStore {
 
   void resetCounters() { blockWrites_ = 0; }
 
+  // ---- State digest (the convergence memo's key, docs/INTERNALS.md) ------
+
+  /// Start maintaining digest() incrementally: from here on every poke and
+  /// block write marks the blocks it touches, hashing each block's old
+  /// bytes out of the digest the first time it is marked. Off by default;
+  /// an unarmed store pays one predictable branch per write.
+  void armDigest();
+  [[nodiscard]] bool digestArmed() const { return dirty_ != nullptr; }
+  /// Digest of the whole value image: the sum of blockDigest() over every
+  /// block. Folds in the blocks marked since the last call (hashing each
+  /// once), so its cost follows the bytes changed, not the image size.
+  [[nodiscard]] Digest128 digest();
+  /// The same value recomputed over the blocks below `limit` (default: the
+  /// whole image) — the digest itself when nothing at or past `limit` was
+  /// ever written. The incremental digest's oracle; armDigest() starts
+  /// from it.
+  [[nodiscard]] Digest128 digestFromScratch(std::uint64_t limit = ~std::uint64_t{0}) const;
+
  private:
+  /// Mark the blocks of [addr, addr + size), which lie inside the image,
+  /// dirty. Inline: a store within two already-marked blocks costs two
+  /// byte tests.
+  void markDirty(std::uint64_t addr, std::size_t size) {
+    const std::uint64_t first = addr >> blockShift_;
+    const std::uint64_t last = (addr + size - 1) >> blockShift_;
+    if (last - first <= 1 && (dirty_[first] & dirty_[last]) != 0) return;
+    markDirtySlow(addr, size);
+  }
+  void markDirtySlow(std::uint64_t addr, std::size_t size);
+  [[nodiscard]] Digest128 hashBlock(std::uint64_t block) const;
   void ensure(std::uint64_t endAddr);
   void readSlow(std::uint64_t addr, std::span<std::uint8_t> dst) const;
   void pokeSlow(std::uint64_t addr, std::span<const std::uint8_t> src);
 
   std::uint32_t blockSize_;
+  std::uint32_t blockShift_ = 0;  ///< log2(blockSize_)
   std::vector<std::uint8_t> image_;
   std::uint64_t blockWrites_ = 0;
   bool wearEnabled_ = false;
   std::vector<std::uint64_t> wearProfile_;
+
+  Digest128 digest_;  ///< digest of the image minus the dirty blocks
+  /// One byte per image block, non-zero while the block is dirty; dirty_
+  /// is its data, null while the digest is not armed (one load and one
+  /// predictable branch per store).
+  std::vector<std::uint8_t> dirtyMap_;
+  std::uint8_t* dirty_ = nullptr;
+  std::vector<std::uint64_t> dirtyBlocks_;  ///< the marked blocks, in order
 };
 
 }  // namespace easycrash::memsim

@@ -4,7 +4,8 @@
 
 namespace easycrash::runtime {
 
-RunResult Driver::run(IApp& app, Runtime& rt, int fromIteration, int maxIterations) {
+RunResult Driver::run(IApp& app, Runtime& rt, int fromIteration, int maxIterations,
+                      const IterationHook& atIterationEnd) {
   if (maxIterations <= 0) maxIterations = app.nominalIterations();
   RunResult result;
   rt.setCrashWindow(true);
@@ -16,6 +17,10 @@ RunResult Driver::run(IApp& app, Runtime& rt, int fromIteration, int maxIteratio
       rt.mainLoopIterationEnd(it);
       result.finalIteration = it;
       ++result.iterationsExecuted;
+      if (atIterationEnd && atIterationEnd(it)) {
+        result.stopped = true;
+        break;
+      }
       if (app.converged(rt, it)) break;
       if (it == maxIterations) result.reachedCap = true;
     }
@@ -26,8 +31,23 @@ RunResult Driver::run(IApp& app, Runtime& rt, int fromIteration, int maxIteratio
     return result;
   }
   rt.setCrashWindow(false);
-  result.verification = app.verify(rt);
+  if (!result.stopped) result.verification = app.verify(rt);
   return result;
+}
+
+memsim::Digest128 Driver::stateKey(const IApp& app, Runtime& rt) {
+  memsim::Digest128 key = rt.stateDigest();
+  HostState host;
+  app.hostState(host);
+  if (!host.bytes().empty()) {
+    // Host bytes hash as blocks past any address a store can reach.
+    std::string padded = host.bytes();
+    padded.resize((padded.size() + 15) / 16 * 16, '\0');
+    key += memsim::blockDigest(~std::uint64_t{0},
+                               reinterpret_cast<const std::uint8_t*>(padded.data()),
+                               padded.size());
+  }
+  return key;
 }
 
 RunResult Driver::freshRun(IApp& app, Runtime& rt, int maxIterations) {

@@ -258,6 +258,18 @@ class Runtime {
   void setDirect(bool on) noexcept { direct_ = on; }
   [[nodiscard]] bool direct() const noexcept { return direct_; }
 
+  /// State digest of a direct-mode run (docs/INTERNALS.md "Convergence
+  /// memo"): with the caches never populated, the NVM image is the whole
+  /// tracked state, so its memsim::NvmStore digest names it. Armed before
+  /// setup(), stateDigest() costs a hash per block written since the last
+  /// call, for runs that key many iteration ends; unarmed, it hashes the
+  /// footprint, and stores pay nothing. Both give the same value: tracked
+  /// accesses never reach past the footprint.
+  void armStateDigest() { nvm_.armDigest(); }
+  [[nodiscard]] memsim::Digest128 stateDigest() {
+    return nvm_.digestArmed() ? nvm_.digest() : nvm_.digestFromScratch(nextAddr_);
+  }
+
   /// Bulk fast-path control: when off, loadRange/storeRange lower to the
   /// element-wise accesses they are equivalent to. A reference hook: the
   /// per-trial campaign reference model (tests/reference_campaign.hpp) runs

@@ -1,0 +1,265 @@
+// The convergence memo's exactness oracles (docs/INTERNALS.md "Convergence
+// memo"): the incremental state digest against a from-scratch digest at
+// every iteration end of each app's golden run and of one restart, equal
+// digests holding exactly when the bytes are equal across all those states,
+// and the table's own contract. The campaign-level byte oracle is
+// SweepReferenceTest.*, whose reference restarts every trial to its end.
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "convergence_memo.hpp"
+#include "easycrash/apps/registry.hpp"
+#include "easycrash/memsim/nvm_store.hpp"
+#include "easycrash/runtime/app.hpp"
+
+namespace rt = easycrash::runtime;
+namespace cr = easycrash::crash;
+namespace ms = easycrash::memsim;
+
+namespace {
+
+/// The tracked bytes a direct-mode runtime holds.
+std::string imageBytes(const rt::Runtime& runtime) {
+  std::string bytes(runtime.footprintBytes(), '\0');
+  runtime.readNvm(0, {reinterpret_cast<std::uint8_t*>(bytes.data()), bytes.size()});
+  return bytes;
+}
+
+/// Call `visit` at every iteration end of the app's golden run and of one
+/// restart from a crash in the middle of the golden run's window, both in
+/// direct mode with the digest armed before setup, as campaign restarts
+/// run. Deterministic, so a second call visits the same states.
+void visitStates(const rt::AppFactory& factory, const std::function<void(rt::Runtime&)>& visit) {
+  std::uint64_t window = 0;
+  int finalIteration = 0;
+  {
+    rt::Runtime runtime;
+    runtime.setDirect(true);
+    runtime.armStateDigest();
+    auto app = factory();
+    app->setup(runtime);
+    app->initialize(runtime);
+    const auto run = rt::Driver::run(*app, runtime, 1, 0, [&](int) {
+      visit(runtime);
+      return false;
+    });
+    window = runtime.windowAccesses();
+    finalIteration = run.finalIteration;
+  }
+  std::map<rt::ObjectId, std::vector<std::uint8_t>> snapshots;
+  int restartIteration = 0;
+  {
+    rt::Runtime runtime;
+    auto app = factory();
+    app->setup(runtime);
+    app->initialize(runtime);
+    runtime.armCrash(window / 2);
+    try {
+      (void)rt::Driver::run(*app, runtime, 1, finalIteration);
+      FAIL() << "armed crash did not fire";
+    } catch (const rt::CrashEvent&) {
+      for (const auto& object : runtime.objects()) {
+        if (object.candidate) snapshots[object.id] = runtime.dumpObjectNvm(object.id);
+      }
+      restartIteration = runtime.bookmarkedIterationNvm();
+    }
+  }
+  rt::Runtime runtime;
+  runtime.setDirect(true);
+  runtime.armStateDigest();
+  auto app = factory();
+  app->setup(runtime);
+  app->initialize(runtime);
+  for (const auto& [id, bytes] : snapshots) runtime.restoreObject(id, bytes);
+  (void)rt::Driver::run(*app, runtime, restartIteration, 2 * finalIteration, [&](int) {
+    visit(runtime);
+    return false;
+  });
+}
+
+using DigestPair = std::pair<std::uint64_t, std::uint64_t>;
+
+DigestPair asPair(const ms::Digest128& d) { return {d.lo, d.hi}; }
+
+std::vector<std::string> appNames() {
+  std::vector<std::string> names;
+  for (const auto& entry : easycrash::apps::allBenchmarks()) names.push_back(entry.name);
+  return names;
+}
+
+class StateDigestTest : public testing::TestWithParam<std::string> {};
+
+}  // namespace
+
+TEST_P(StateDigestTest, IncrementalDigestIsExactAtEveryIterationEnd) {
+  const auto& factory = easycrash::apps::findBenchmark(GetParam()).factory;
+  // Pass 1: each state's incremental digest, checked against a from-scratch
+  // digest, and a hash of its bytes.
+  std::vector<DigestPair> digests;
+  std::vector<std::size_t> byteHashes;
+  visitStates(factory, [&](rt::Runtime& runtime) {
+    const ms::Digest128 digest = runtime.stateDigest();
+    EXPECT_EQ(digest, runtime.nvm().digestFromScratch())
+        << "state " << digests.size();
+    digests.push_back(asPair(digest));
+    byteHashes.push_back(std::hash<std::string>{}(imageBytes(runtime)));
+  });
+  ASSERT_GT(digests.size(), 1u);
+
+  // Pass 2: keep the bytes of every state whose digest or byte hash another
+  // state shares — the only states where "equal digests exactly when equal
+  // bytes" can fail — and compare them pairwise within each group.
+  std::map<DigestPair, std::vector<std::size_t>> byDigest;
+  std::map<std::size_t, std::vector<std::size_t>> byHash;
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    byDigest[digests[i]].push_back(i);
+    byHash[byteHashes[i]].push_back(i);
+  }
+  std::set<std::size_t> keep;
+  for (const auto& [digest, states] : byDigest) {
+    if (states.size() > 1) keep.insert(states.begin(), states.end());
+  }
+  for (const auto& [hash, states] : byHash) {
+    if (states.size() > 1) keep.insert(states.begin(), states.end());
+  }
+  std::map<std::size_t, std::string> bytes;
+  std::size_t state = 0;
+  visitStates(factory, [&](rt::Runtime& runtime) {
+    if (keep.count(state) != 0) bytes[state] = imageBytes(runtime);
+    ++state;
+  });
+  ASSERT_EQ(state, digests.size()) << "the runs are not deterministic";
+  for (const std::size_t i : keep) {
+    for (const std::size_t j : keep) {
+      if (j <= i || (digests[i] != digests[j] && byteHashes[i] != byteHashes[j])) continue;
+      EXPECT_EQ(digests[i] == digests[j], bytes[i] == bytes[j])
+          << "states " << i << " and " << j;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, StateDigestTest,
+                         testing::ValuesIn(appNames()),
+                         [](const testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(NvmDigestTest, ZeroBlocksHashToZeroAndIndicesSeparateContents) {
+  std::vector<std::uint8_t> block(64, 0);
+  EXPECT_EQ(ms::blockDigest(3, block.data(), block.size()), ms::Digest128{});
+  block[17] = 1;
+  EXPECT_NE(ms::blockDigest(3, block.data(), block.size()),
+            ms::blockDigest(4, block.data(), block.size()));
+
+  // Growing the image with zeros leaves the digest alone; writing back a
+  // block's old bytes restores it.
+  ms::NvmStore nvm(64);
+  nvm.armDigest();
+  const ms::Digest128 empty = nvm.digest();
+  std::vector<std::uint8_t> zeros(4096, 0);
+  nvm.poke(1 << 21, zeros);
+  EXPECT_EQ(nvm.digest(), empty);
+  std::vector<std::uint8_t> value(8, 0x5a);
+  nvm.poke(100, value);
+  const ms::Digest128 written = nvm.digest();
+  EXPECT_NE(written, empty);
+  nvm.poke(100, {zeros.data(), 8});
+  EXPECT_EQ(nvm.digest(), empty);
+  nvm.writeBlock(128, {block.data(), 64});
+  EXPECT_EQ(nvm.digest(), nvm.digestFromScratch());
+}
+
+// ---- The table --------------------------------------------------------------
+
+namespace {
+
+cr::MemoKey key(int iteration, std::uint64_t lo) { return {iteration, {lo, ~lo}}; }
+
+cr::MemoOutcome outcome(cr::Response response, int last, const std::string& note) {
+  return {response, 0, last, note};
+}
+
+}  // namespace
+
+TEST(MemoTableTest, TheFirstOutcomeOfAKeyStands) {
+  cr::MemoTable table;
+  EXPECT_FALSE(table.find(key(2, 7)).has_value());
+  table.insert({key(2, 7), key(3, 8)}, outcome(cr::Response::S1, 10, "golden"),
+               cr::MemoSource::Golden);
+  table.insert({key(3, 8), key(4, 9)}, outcome(cr::Response::S4, 20, "trial"),
+               cr::MemoSource::Trial);
+  EXPECT_EQ(table.size(), 3u);
+  const auto hit = table.find(key(3, 8));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->source, cr::MemoSource::Golden);
+  EXPECT_EQ(hit->outcome, outcome(cr::Response::S1, 10, "golden"));
+  EXPECT_EQ(table.find(key(4, 9))->outcome.note, "trial");
+  // The iteration is part of the key.
+  EXPECT_FALSE(table.find(key(5, 9)).has_value());
+}
+
+TEST(MemoTableTest, KeptBytesExposeADigestCollision) {
+  cr::MemoTable table;
+  table.insert({key(1, 1)}, outcome(cr::Response::S1, 4, ""), cr::MemoSource::Golden,
+               {"state-a"});
+  const std::string same = "state-a";
+  const std::string other = "state-b";
+  EXPECT_TRUE(table.find(key(1, 1), &same).has_value());
+  EXPECT_THROW((void)table.find(key(1, 1), &other), std::logic_error);
+  EXPECT_THROW(table.insert({key(1, 1)}, outcome(cr::Response::S1, 4, ""),
+                            cr::MemoSource::Trial, {"state-b"}),
+               std::logic_error);
+}
+
+TEST(MemoTableTest, DeltasBringAReplicaUpToDateInOrder) {
+  cr::MemoTable parent;
+  cr::MemoTable replica;
+  cr::MemoTable::Cursor cursor;
+  parent.insert({key(2, 1)}, outcome(cr::Response::S1, 6, "g"), cr::MemoSource::Golden);
+  {
+    cr::WireWriter w;
+    parent.encodeDelta(w, cursor);
+    const std::string frame = w.take();
+    cr::WireReader r(frame);
+    replica.applyDelta(r);
+  }
+  parent.insert({key(3, 2), key(4, 3)}, outcome(cr::Response::S2, 8, "t"),
+                cr::MemoSource::Trial);
+  cr::WireWriter w;
+  parent.encodeDelta(w, cursor);
+  const std::string frame = w.take();
+  cr::WireReader r(frame);
+  replica.applyDelta(r);
+  EXPECT_EQ(replica.size(), 3u);
+  EXPECT_EQ(replica.find(key(4, 3))->outcome, outcome(cr::Response::S2, 8, "t"));
+  EXPECT_EQ(replica.find(key(2, 1))->source, cr::MemoSource::Golden);
+  // Replaying a delta the replica already holds does not continue it.
+  cr::WireReader again(frame);
+  EXPECT_THROW(replica.applyDelta(again), std::runtime_error);
+}
+
+TEST(MemoStrideTest, TheStrideFollowsTheBlocksWrittenPerAccess) {
+  // Cheap digests check every iteration; dearer ones spread checks out;
+  // past the limit the memo is off. Long runs are held to a bounded number
+  // of checks.
+  EXPECT_EQ(cr::memoStride(10, 200000.0, 1000.0), 1);
+  EXPECT_EQ(cr::memoStride(24, 100000.0, 1400.0), 2);
+  EXPECT_EQ(cr::memoStride(30, 50000.0, 1000.0), 0);
+  EXPECT_EQ(cr::memoStride(4096, 100000.0, 10.0), 64);
+  EXPECT_EQ(cr::memoStride(1, 1000.0, 0.0), 1);
+  EXPECT_EQ(cr::memoStride(0, 1000.0, 0.0), 0);
+  // The golden run keys a multiple of the stride, spaced out by the cost
+  // of hashing its whole footprint.
+  EXPECT_EQ(cr::goldenKeyStride(1, 200000.0, 500.0), 1);
+  EXPECT_EQ(cr::goldenKeyStride(1, 200000.0, 1800.0), 2);
+  EXPECT_EQ(cr::goldenKeyStride(2, 1000000.0, 38000.0), 8);
+  EXPECT_EQ(cr::goldenKeyStride(0, 1000.0, 100.0), 0);
+}

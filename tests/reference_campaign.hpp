@@ -7,8 +7,9 @@
 // restart that throws becomes the failure the campaign must record for that
 // trial after 1 + maxRetries attempts, named by the runtime's throw site.
 //
-// Deliberately naive: no capture sharing, no restart grouping, no threads,
-// no isolation, and every run on the runtime's scalar reference paths —
+// Deliberately naive: no capture sharing, no restart grouping, no
+// convergence memo (every restart runs to its end), no threads, no
+// isolation, and every run on the runtime's scalar reference paths —
 // element-wise range accesses (setBulk(false)) and the probe-every-level
 // post-mortem scan (setScan(false)) — so every comparison against the
 // campaign also checks both fast paths end to end. Only the unsharded

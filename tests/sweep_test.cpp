@@ -109,6 +109,13 @@ class SweepApp final : public rt::IApp {
     return out;
   }
 
+  /// sweepFactory exempts the golden instance from both failure knobs, so
+  /// instances differ in behaviour, not only in tracked state: a golden
+  /// pair must never stand in for a restart that throws.
+  void hostState(rt::HostState& state) const override {
+    state.add(knobs_.throwAtIteration).add(knobs_.restartThrowsAt);
+  }
+
  private:
   Knobs knobs_;
   rt::AppInfo info_{"sweep-app", "sweep evaluator test app"};
@@ -249,6 +256,20 @@ std::map<std::string, std::uint64_t> registryDelta(const tl::MetricsSnapshot& be
   }
   return delta;
 }
+
+/// Holds the convergence memo's test seams for one scope.
+class ScopedMemoSeams {
+ public:
+  explicit ScopedMemoSeams(const cr::MemoSeams& seams) : saved_(cr::memoSeams()) {
+    cr::setMemoSeams(seams);
+  }
+  ~ScopedMemoSeams() { cr::setMemoSeams(saved_); }
+  ScopedMemoSeams(const ScopedMemoSeams&) = delete;
+  ScopedMemoSeams& operator=(const ScopedMemoSeams&) = delete;
+
+ private:
+  cr::MemoSeams saved_;
+};
 
 }  // namespace
 
@@ -500,11 +521,15 @@ namespace {
 
 /// The sweep against the reference on a real app, on every thread/isolation
 /// axis: records, CSV bytes, and completed-journal bytes (the reference
-/// journal written through TrialJournal). sp shares few restart inputs; ft
-/// shares most, so its grouping carries the comparison. lulesh leans hardest
-/// on the bulk range path (overlapping stencil reads, a mid-range
-/// AppInterrupt), and kmeans mixes int32 membership writes with double point
-/// reads between bulk chunks — against the reference's scalar paths.
+/// journal written through TrialJournal). The reference restarts every
+/// trial to its end, so this is also the convergence memo's byte oracle;
+/// one more in-process run checks as often as the memo may and compares
+/// the full state bytes on every hit (MemoSeams::compareBytes). sp shares
+/// few restart inputs; ft shares most, so its grouping carries the
+/// comparison. lulesh leans hardest on the bulk range path (overlapping
+/// stencil reads, a mid-range AppInterrupt), and kmeans mixes int32
+/// membership writes with double point reads between bulk chunks — against
+/// the reference's scalar paths.
 void expectAppMatchesTheReference(const std::string& app, int tests) {
   const auto& entry = easycrash::apps::findBenchmark(app);
   cr::CampaignConfig config;
@@ -518,33 +543,60 @@ void expectAppMatchesTheReference(const std::string& app, int tests) {
   const std::string referenceJournal = readFile(referencePath);
   std::remove(referencePath.c_str());
 
+  const auto expectMatch = [&](cr::IsolationMode isolation, int threads,
+                                const std::string& axis) {
+    const std::string path = testing::TempDir() + app + "_sweep.jsonl";
+    std::remove(path.c_str());
+    config.resilience.isolation = isolation;
+    config.resilience.journalPath = path;
+    config.threads = threads;
+    const auto sweep = cr::CampaignRunner(entry.factory, config).run();
+    SCOPED_TRACE(app + " " + axis);
+    expectSameRecords(reference, sweep);
+    EXPECT_TRUE(sweep.failures.empty());
+    EXPECT_EQ(campaignCsv(reference), campaignCsv(sweep));
+    EXPECT_EQ(readFile(path), referenceJournal);
+    std::remove(path.c_str());
+  };
   for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
     for (const int threads : {1, 4}) {
-      const std::string path = testing::TempDir() + app + "_sweep.jsonl";
-      std::remove(path.c_str());
-      config.resilience.isolation = isolation;
-      config.resilience.journalPath = path;
-      config.threads = threads;
-      const auto sweep = cr::CampaignRunner(entry.factory, config).run();
-      SCOPED_TRACE(app + " " + isolationName(isolation) +
-                   " threads=" + std::to_string(threads));
-      expectSameRecords(reference, sweep);
-      EXPECT_EQ(campaignCsv(reference), campaignCsv(sweep));
-      EXPECT_EQ(readFile(path), referenceJournal);
-      std::remove(path.c_str());
+      expectMatch(isolation, threads,
+                  std::string(isolationName(isolation)) + " threads=" + std::to_string(threads));
     }
   }
+  // A digest collision would throw here and surface as a failure.
+  const ScopedMemoSeams compareBytes({.trialMatches = true, .compareBytes = true});
+  const auto checks = counterValue("campaign.memo_checks");
+  expectMatch(cr::IsolationMode::InProcess, 4, "compareBytes");
+  EXPECT_GT(counterValue("campaign.memo_checks"), checks)
+      << app << ": the memo never checked";
 }
 
 }  // namespace
 
-TEST(SweepReferenceTest, SpMatchesOnEveryAxis) { expectAppMatchesTheReference("sp", 12); }
+TEST(SweepReferenceTest, SpMatchesOnEveryAxis) { expectAppMatchesTheReference("sp", 16); }
 
 TEST(SweepReferenceTest, FtMatchesOnEveryAxis) { expectAppMatchesTheReference("ft", 60); }
 
-TEST(SweepReferenceTest, LuleshMatchesOnEveryAxis) { expectAppMatchesTheReference("lulesh", 12); }
+TEST(SweepReferenceTest, LuleshMatchesOnEveryAxis) { expectAppMatchesTheReference("lulesh", 16); }
 
 TEST(SweepReferenceTest, KmeansMatchesOnEveryAxis) { expectAppMatchesTheReference("kmeans", 10); }
+
+TEST(SweepReferenceTest, MgMatchesOnEveryAxis) { expectAppMatchesTheReference("mg", 16); }
+
+TEST(SweepReferenceTest, CgMatchesOnEveryAxis) { expectAppMatchesTheReference("cg", 16); }
+
+TEST(SweepReferenceTest, BtMatchesOnEveryAxis) { expectAppMatchesTheReference("bt", 16); }
+
+TEST(SweepReferenceTest, BotssparMatchesOnEveryAxis) {
+  expectAppMatchesTheReference("botsspar", 16);
+}
+
+TEST(SweepReferenceTest, LuMatchesOnEveryAxis) { expectAppMatchesTheReference("lu", 16); }
+
+TEST(SweepReferenceTest, IsMatchesOnEveryAxis) { expectAppMatchesTheReference("is", 16); }
+
+TEST(SweepReferenceTest, EpMatchesOnEveryAxis) { expectAppMatchesTheReference("ep", 6); }
 
 // ---- Restart grouping -------------------------------------------------------
 
@@ -560,15 +612,15 @@ TEST(RestartGroupTest, GroupedRecordsMatchThePerTrialPathOnEveryAxis) {
     for (const int threads : {1, 4}) {
       config.resilience.isolation = isolation;
       config.threads = threads;
-      const auto hits = counterValue("campaign.restart_memo_hits");
-      const auto misses = counterValue("campaign.restart_memo_misses");
+      const auto followers = counterValue("campaign.restart_group_followers");
+      const auto executed = counterValue("campaign.restarts_executed");
       const auto grouped = cr::CampaignRunner(sweepFactory({}), config).run();
       SCOPED_TRACE(std::string(isolationName(isolation)) +
                    " threads=" + std::to_string(threads));
       expectSameRecords(reference, grouped);
       EXPECT_EQ(campaignCsv(reference), campaignCsv(grouped));
-      EXPECT_EQ(counterValue("campaign.restart_memo_misses") - misses, groups);
-      EXPECT_EQ(counterValue("campaign.restart_memo_hits") - hits,
+      EXPECT_EQ(counterValue("campaign.restarts_executed") - executed, groups);
+      EXPECT_EQ(counterValue("campaign.restart_group_followers") - followers,
                 reference.tests.size() - groups);
     }
   }
@@ -591,7 +643,7 @@ TEST(RestartGroupTest, ALeadersFailureIsNeverShared) {
 
   for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
     config.resilience.isolation = isolation;
-    const auto misses = counterValue("campaign.restart_memo_misses");
+    const auto executedBefore = counterValue("campaign.restarts_executed");
     const auto retries = counterValue("campaign.trial_retries");
     const auto grouped = cr::CampaignRunner(sweepFactory(knobs), config).run();
     SCOPED_TRACE(isolationName(isolation));
@@ -599,7 +651,7 @@ TEST(RestartGroupTest, ALeadersFailureIsNeverShared) {
     expectSameFailures(reference, grouped);
     EXPECT_EQ(counterValue("campaign.trial_retries") - retries, reference.failures.size());
     // Every failed trial ran its own restart; only successes were shared.
-    const auto executed = counterValue("campaign.restart_memo_misses") - misses;
+    const auto executed = counterValue("campaign.restarts_executed") - executedBefore;
     EXPECT_GT(executed, groups) << "no failing group had a follower";
     EXPECT_GE(executed, reference.failures.size());
   }
@@ -610,7 +662,12 @@ TEST(RestartGroupTest, PhaseHistogramsAgreeAcrossIsolation) {
   // registry delta back, so a default (fork) campaign reports every counter
   // and histogram count an in-process one does — bar the fork-only
   // campaign.worker_* — and restart_us counts exactly the restarts executed.
-  // The persistence plan keeps the runtime.* instruments live.
+  // The persistence plan keeps the runtime.* instruments live. Restarts stop
+  // only on golden memo keys, which are deterministic: which restart first
+  // decides a trial key depends on lane timing, and with it every
+  // instrument of the restarts that reach it (TrialMatchesAgreeAcrossIsolation
+  // checks what stays exact with them on).
+  const ScopedMemoSeams goldenOnly({.trialMatches = false, .compareBytes = false});
   auto config = tinyConfig(24);
   config.threads = 2;
   config.plan = rt::PersistencePlan::atMainLoopEnd({1, 2});
@@ -645,5 +702,46 @@ TEST(RestartGroupTest, PhaseHistogramsAgreeAcrossIsolation) {
   EXPECT_EQ(inProcess.at("campaign.crash_run_us.count"), 1u);  // one span: the sweep
   EXPECT_GT(inProcess.count("campaign.postmortem_us.count"), 0u);
   EXPECT_EQ(inProcess.at("campaign.restart_us.count"),
-            inProcess.at("campaign.restart_memo_misses"));
+            inProcess.at("campaign.restarts_executed"));
+}
+
+TEST(RestartGroupTest, TrialMatchesAgreeAcrossIsolation) {
+  // With trial memo keys on, which restart decides a key first depends on
+  // lane timing, so checks and hits may differ between runs. What may not:
+  // the records, the restarts executed, and each restart's iterations —
+  // run or skipped, they add up to the iterations it stands for.
+  const auto& entry = easycrash::apps::findBenchmark("mg");
+  cr::CampaignConfig config;
+  config.numTests = 100;
+  config.threads = 2;
+  config.appLabel = entry.name;
+  std::vector<cr::CampaignResult> results;
+  std::vector<std::map<std::string, std::uint64_t>> deltas;
+  for (const auto isolation : {cr::IsolationMode::InProcess, cr::IsolationMode::Fork}) {
+    config.resilience.isolation = isolation;
+    const auto before = tl::MetricsRegistry::instance().snapshot();
+    results.push_back(cr::CampaignRunner(entry.factory, config).run());
+    deltas.push_back(registryDelta(before, tl::MetricsRegistry::instance().snapshot()));
+  }
+  expectSameRecords(results[0], results[1]);
+  EXPECT_EQ(campaignCsv(results[0]), campaignCsv(results[1]));
+  const auto value = [](const std::map<std::string, std::uint64_t>& delta,
+                        const std::string& name) {
+    const auto it = delta.find(name);
+    return it == delta.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_GT(value(deltas[0], "campaign.memo_trial_hits") +
+                value(deltas[1], "campaign.memo_trial_hits"),
+            0u)
+      << "no trial key was hit";
+  for (const auto& delta : deltas) {
+    EXPECT_EQ(value(delta, "campaign.restart_us.count"),
+              value(delta, "campaign.restarts_executed"));
+  }
+  EXPECT_EQ(value(deltas[0], "campaign.restart_us.count"),
+            value(deltas[1], "campaign.restart_us.count"));
+  EXPECT_EQ(value(deltas[0], "campaign.restart_iterations") +
+                value(deltas[0], "campaign.memo_iterations_skipped"),
+            value(deltas[1], "campaign.restart_iterations") +
+                value(deltas[1], "campaign.memo_iterations_skipped"));
 }

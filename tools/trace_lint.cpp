@@ -15,8 +15,11 @@
 // joining captures against trial_end rows breaks silently otherwise. The
 // flight recorder's phase spans (docs/OBSERVABILITY.md) are checked too: a
 // phase_begin must name its "phase" and a phase_end must additionally carry
-// a non-negative "duration_ns", and a postmortem_scan must carry its block
-// tallies plus the compare kernel that ran. --stats appends a name-sorted
+// a non-negative "duration_ns", a postmortem_scan must carry its block
+// tallies plus the compare kernel that ran, and a restart_converged must
+// carry its trial, the iteration it stopped at, the source of the memo key
+// it reached ("golden" or "trial") and the iterations it skipped. --stats
+// appends a name-sorted
 // event-type frequency table, a quick census of what a trace actually
 // contains.
 //
@@ -148,6 +151,30 @@ std::string lintSweepEvent(const json::Value& value, const std::string& type) {
   return {};
 }
 
+/// Per-type schema of the convergence memo's trace event: a restart that
+/// reached a decided state names where it stopped and what it skipped.
+std::string lintMemoEvent(const json::Value& value, const std::string& type) {
+  if (type != "restart_converged") return {};
+  double trial = 0;
+  double iteration = 0;
+  double skipped = 0;
+  if (!numberField(value, "trial", &trial) || trial < 0) {
+    return "restart_converged missing non-negative \"trial\"";
+  }
+  if (!numberField(value, "iteration", &iteration) || iteration < 1) {
+    return "restart_converged missing positive \"iteration\"";
+  }
+  if (!numberField(value, "skipped", &skipped) || skipped < 0) {
+    return "restart_converged missing non-negative \"skipped\"";
+  }
+  const json::Value* source = value.find("source");
+  if (source == nullptr || !source->isString() ||
+      (source->string != "golden" && source->string != "trial")) {
+    return "restart_converged \"source\" must be \"golden\" or \"trial\"";
+  }
+  return {};
+}
+
 /// Per-type schema of the post-mortem scan's trace event: the fast-path
 /// inconsistency scan emits one postmortem_scan per scanned range, carrying
 /// its block tallies and the compare kernel that ran. skipped + compared
@@ -212,6 +239,7 @@ int lintTrace(const std::string& path, const std::vector<std::string>& requiredF
     for (const std::string& error2 : {lintSweepEvent(*value, type->string),
                                       lintPhaseEvent(*value, type->string),
                                       lintWorkerEvent(*value, type->string),
+                                      lintMemoEvent(*value, type->string),
                                       lintPostmortemEvent(*value, type->string)}) {
       if (!error2.empty()) {
         std::cerr << "trace_lint: " << path << ':' << lineNo << ": " << error2 << '\n';
