@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 #include "easycrash/common/check.hpp"
+#include "easycrash/crash/report.hpp"
 #include "easycrash/runtime/runtime.hpp"
 
 namespace ec = easycrash;
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
     const auto plan = ec::bench::atRegionEndPlan(
         golden, static_cast<ec::runtime::PointId>(region), {*uId});
     regionTable.row()
-        .cell("R" + std::to_string(region + 1))
+        .cell(ec::crash::regionName(static_cast<ec::runtime::PointId>(region)))
         .cellPercent(recomputabilityUnderPlan(mg.factory, base, plan));
   }
   regionTable.row().cell("main-loop end").cellPercent(recomputabilityUnderPlan(

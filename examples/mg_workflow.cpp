@@ -9,6 +9,7 @@
 #include "easycrash/common/cli.hpp"
 #include "easycrash/common/table.hpp"
 #include "easycrash/core/workflow.hpp"
+#include "easycrash/crash/report.hpp"
 
 namespace ec = easycrash;
 
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
     regions.row()
         .cell(choice.point == ec::runtime::kMainLoopEnd
                   ? std::string("main-loop end")
-                  : "R" + std::to_string(choice.point + 1))
+                  : ec::crash::regionName(choice.point))
         .cell(static_cast<long long>(choice.everyN))
         .cellPercent(choice.costFraction)
         .cellPercent(choice.predictedCk)

@@ -318,8 +318,8 @@ class RestartQueue {
 // whole delta before folding any of it in; a truncated delta or a histogram
 // whose shape disagrees with the parent's is a protocol death.
 // Integers are little-endian; snapshot payloads ride the slot's shared
-// arena when they fit (the common case — the arena is sized off the app's
-// candidate bytes) and fall back to inline frame bytes when they don't.
+// arena, which is sized to hold one capture's snapshots (the candidate
+// objects' bytes); a frame whose snapshots overrun it is a protocol error.
 
 void encodeMetrics(WireWriter& w, const telemetry::MetricsSnapshot& m) {
   w.u64(m.counters.size());
@@ -421,51 +421,37 @@ constexpr std::size_t kBlackBoxBytes = 256;
 static_assert(sizeof(BlackBox) <= kBlackBoxBytes, "black box must fit its slot");
 
 /// A capture's restart input: restartIteration plus the candidate snapshots
-/// (the 'R' request body and the tail of a 'c' frame).
+/// (the 'R' request body and the tail of a 'c' frame); the snapshot bytes
+/// go to the arena past the black box.
 void encodeRestartInput(WireWriter& w, const SweepCapture& c, std::uint8_t* arena,
                         std::size_t arenaBytes) {
   w.i64(c.restartIteration);
-  std::size_t total = 0;
-  for (const auto& [id, bytes] : c.snapshots) total += bytes.size();
-  const bool inArena =
-      arena != nullptr && arenaBytes >= kBlackBoxBytes &&
-      total <= arenaBytes - kBlackBoxBytes;
-  w.u8(inArena ? 1 : 0);
   w.u64(c.snapshots.size());
   std::size_t offset = kBlackBoxBytes;
   for (const auto& [id, bytes] : c.snapshots) {
+    EC_CHECK_MSG(offset <= arenaBytes && bytes.size() <= arenaBytes - offset,
+                 "capture overruns the arena");
     w.u32(id);
     w.u64(bytes.size());
     if (bytes.empty()) continue;
-    if (inArena) {
-      std::memcpy(arena + offset, bytes.data(), bytes.size());
-      offset += bytes.size();
-    } else {
-      w.raw(bytes.data(), bytes.size());
-    }
+    std::memcpy(arena + offset, bytes.data(), bytes.size());
+    offset += bytes.size();
   }
 }
 
 void decodeRestartInput(WireReader& r, SweepCapture& c, const std::uint8_t* arena,
                         std::size_t arenaBytes) {
   c.restartIteration = static_cast<int>(r.i64());
-  const bool inArena = r.u8() != 0;
   const std::uint64_t nSnaps = r.u64();
   std::size_t offset = kBlackBoxBytes;
   for (std::uint64_t i = 0; i < nSnaps; ++i) {
     const runtime::ObjectId id = r.u32();
-    const std::uint64_t size = inArena ? r.u64() : r.count(1);
-    std::vector<std::uint8_t>& bytes = c.snapshots[id];
-    if (inArena) {
-      if (arena == nullptr || size > arenaBytes || offset > arenaBytes - size) {
-        throw std::runtime_error("wire: capture overruns the arena");
-      }
-      bytes.assign(arena + offset, arena + offset + size);
-      offset += static_cast<std::size_t>(size);
-    } else {
-      bytes.resize(static_cast<std::size_t>(size));
-      if (!bytes.empty()) r.raw(bytes.data(), bytes.size());
+    const std::uint64_t size = r.u64();
+    if (arena == nullptr || size > arenaBytes || offset > arenaBytes - size) {
+      throw std::runtime_error("wire: capture overruns the arena");
     }
+    c.snapshots[id].assign(arena + offset, arena + offset + size);
+    offset += static_cast<std::size_t>(size);
   }
 }
 
@@ -519,11 +505,11 @@ MemoOutcome memoOutcome(const CrashTestRecord& record, int lastIteration) {
   return {record.response, record.extraIterations, lastIteration, record.note};
 }
 
-/// The bytes a memo key stands for (MemoSeams::compareBytes): the tracked
-/// image, which a direct-mode run keeps whole in NVM, and the host state.
+/// The bytes a memo key stands for (MemoSeams::compareBytes): the value
+/// image over the footprint, and the host state.
 std::string memoStateBytes(const runtime::IApp& app, Runtime& rt) {
   std::string bytes(rt.footprintBytes(), '\0');
-  rt.readNvm(0, {reinterpret_cast<std::uint8_t*>(bytes.data()), bytes.size()});
+  rt.peek(0, {reinterpret_cast<std::uint8_t*>(bytes.data()), bytes.size()});
   runtime::HostState host;
   app.hostState(host);
   return bytes + host.bytes();
@@ -1283,8 +1269,7 @@ GoldenStats CampaignRunner::goldenRun() const {
   // architectural values, both routing-independent. Only MemEvents describe
   // the simulated cache machine, so the run goes direct-to-NVM unless a
   // caller asked for them.
-  const bool direct = !config_.goldenEvents;
-  rt.setDirect(direct);
+  rt.setDirect(!config_.goldenEvents);
   rt.setPlan(config_.plan);
   rt.setTraceRun("golden");
   armProfile(rt);
@@ -1294,10 +1279,10 @@ GoldenStats CampaignRunner::goldenRun() const {
   // The convergence memo's stride is fixed at the end of the first
   // iteration, from its tracked accesses and the blocks an iteration can
   // write at most: every block of a writable object. Comparing bytes, the
-  // memo checks as often as the table size allows, whatever that costs. A
-  // direct golden run then keys every goldenStride-th iteration end; those
-  // keys seed the memo. Its digest stays unarmed: hashing the footprint at
-  // those few iteration ends costs less than marking every store.
+  // memo checks as often as the table size allows, whatever that costs. The
+  // golden run then keys every goldenStride-th iteration end; those keys
+  // seed the memo. Its digest stays unarmed: hashing the footprint at those
+  // few iteration ends costs less than marking every store.
   const auto blockSize = static_cast<double>(config_.cache.blockSize);
   double writableBlocks = 0.0;
   for (const auto& object : rt.objects()) {
@@ -1320,7 +1305,7 @@ GoldenStats CampaignRunner::goldenRun() const {
                        : goldenKeyStride(stride, accesses,
                                          static_cast<double>(rt.footprintBytes()) / blockSize);
     }
-    if (direct && goldenStride > 0 && iteration % goldenStride == 0) {
+    if (goldenStride > 0 && iteration % goldenStride == 0) {
       keys.push_back({iteration, Driver::stateKey(*app, rt)});
       if (compareBytes) keyBytes.push_back(memoStateBytes(*app, rt));
     }

@@ -247,10 +247,10 @@ struct GoldenStats {
   std::string verifyDetail;
   /// Convergence memo: restarts key every memoStride-th iteration end
   /// (0 = memo off), and memoKeys are the golden run's keys at some of
-  /// those iteration ends, spaced to keep the golden run cheap. Empty under
-  /// goldenEvents (a tracked golden run has no state digest) and when the
-  /// run stopped at its cap instead of converging. memoBytes holds their
-  /// state bytes under MemoSeams::compareBytes only.
+  /// those iteration ends, spaced to keep the golden run cheap, read from
+  /// its value image whether it ran direct or tracked (goldenEvents). Empty
+  /// when the run stopped at its cap instead of converging. memoBytes holds
+  /// their state bytes under MemoSeams::compareBytes only.
   int memoStride = 0;
   std::vector<MemoKey> memoKeys;
   std::vector<std::string> memoBytes;

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "easycrash/crash/report.hpp"
+
 namespace easycrash::crash {
 
 namespace {
@@ -91,7 +93,7 @@ std::string formatPlanSpec(const runtime::PersistencePlan& plan,
       objects += rt.object(id).name;
     }
     out += objects + '@';
-    out += point == runtime::kMainLoopEnd ? "main" : "R" + std::to_string(point + 1);
+    out += point == runtime::kMainLoopEnd ? std::string("main") : regionName(point);
     if (directive.everyN != 1) out += ':' + std::to_string(directive.everyN);
   }
   return out.empty() ? "none" : out;

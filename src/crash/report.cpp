@@ -36,12 +36,20 @@ std::vector<std::string> splitCsvLine(const std::string& line) {
 
 }  // namespace
 
+std::string regionName(runtime::PointId region) {
+  // Appending, not "R" + std::to_string(...): GCC 12's -Wrestrict misfires
+  // on that concatenation in optimized builds.
+  std::string out = "R";
+  out += std::to_string(region + 1);
+  return out;
+}
+
 std::string formatRegionPath(const std::vector<runtime::PointId>& path) {
   if (path.empty()) return "main";
   std::string out;
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (i) out += '>';
-    out += "R" + std::to_string(path[i] + 1);
+    out += regionName(path[i]);
   }
   return out;
 }
@@ -111,8 +119,7 @@ void writeCampaignSummary(const CampaignResult& campaign, std::ostream& os) {
     const auto perRegionCount = campaign.regionTestCounts();
     for (const auto& [region, ck] : perRegion) {
       os << "    "
-         << (region == runtime::kMainLoopEnd ? std::string("main")
-                                             : "R" + std::to_string(region + 1))
+         << (region == runtime::kMainLoopEnd ? std::string("main") : regionName(region))
          << ": " << 100.0 * ck << "% (" << perRegionCount.at(region)
          << " crashes)\n";
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "easycrash/common/check.hpp"
 #include "easycrash/memsim/scan.hpp"
@@ -36,13 +35,6 @@ CacheHierarchy::CacheHierarchy(CacheConfig config, NvmStore& nvm)
       levels_(buildLevels(config_)),
       dir_(levels_.back(), upperLevels(levels_), nvm_, config_.blockSize) {
   EC_CHECK(nvm_.blockSize() == config_.blockSize);
-  if (levels_.size() == 1) {
-    identity_.resize(levels_[0].lineCount());
-    for (std::uint32_t i = 0; i < identity_.size(); ++i) identity_[i] = i;
-    l1Llc_ = identity_.data();
-  } else {
-    l1Llc_ = dir_.llcLineTable(0);
-  }
 }
 
 std::uint32_t CacheHierarchy::fillUpper(std::size_t level, std::uint64_t blockAddr,
@@ -52,7 +44,7 @@ std::uint32_t CacheHierarchy::fillUpper(std::size_t level, std::uint64_t blockAd
   if (levels_[level].valid(line)) {
     // Inclusion: the victim's copies above this level go with it, and its
     // dirtiness (theirs or its own) moves to the level below, which holds
-    // the block by inclusion. Its bytes already live in the LLC payload.
+    // the block by inclusion. Its bytes already live in the value image.
     const std::uint32_t victimLlc = dir_.llcLineOf(u, line);
     const std::uint64_t above = (1ULL << u) - 1;
     if (dir_.dropUpper(u, line, above)) {
@@ -134,8 +126,8 @@ void CacheHierarchy::loadSlow(std::uint64_t addr, std::span<std::uint8_t> dst) {
   // loadValue of an aligned element) — one probe, one memcpy.
   const std::uint64_t inBlock = addr & blockMask_;
   if (!dst.empty() && inBlock + dst.size() <= config_.blockSize) {
-    const std::uint32_t line = ensureInL1(addr - inBlock);
-    std::memcpy(dst.data(), l1Payload(line) + inBlock, dst.size());
+    ensureInL1(addr - inBlock);
+    dir_.values().read(addr, dst);
     ++events_.loads;
     return;
   }
@@ -146,8 +138,8 @@ void CacheHierarchy::loadSlow(std::uint64_t addr, std::span<std::uint8_t> dst) {
     const std::uint64_t off = a - base;
     const std::uint64_t chunk =
         std::min<std::uint64_t>(config_.blockSize - off, dst.size() - offset);
-    const std::uint32_t line = ensureInL1(base);
-    std::memcpy(dst.data() + offset, l1Payload(line) + off, chunk);
+    ensureInL1(base);
+    dir_.values().read(a, dst.subspan(offset, chunk));
     ++events_.loads;
     offset += chunk;
   }
@@ -158,7 +150,7 @@ void CacheHierarchy::storeSlow(std::uint64_t addr, std::span<const std::uint8_t>
   const std::uint64_t inBlock = addr & blockMask_;
   if (!src.empty() && inBlock + src.size() <= config_.blockSize) {
     const std::uint32_t line = ensureInL1(addr - inBlock);
-    std::memcpy(l1Payload(line) + inBlock, src.data(), src.size());
+    dir_.values().poke(addr, src);
     if (!levels_[0].dirty(line)) markL1Dirty(line);
     ++events_.stores;
     return;
@@ -171,7 +163,7 @@ void CacheHierarchy::storeSlow(std::uint64_t addr, std::span<const std::uint8_t>
     const std::uint64_t chunk =
         std::min<std::uint64_t>(config_.blockSize - off, src.size() - offset);
     const std::uint32_t line = ensureInL1(base);
-    std::memcpy(l1Payload(line) + off, src.data() + offset, chunk);
+    dir_.values().poke(a, src.subspan(offset, chunk));
     if (!levels_[0].dirty(line)) markL1Dirty(line);
     ++events_.stores;
     offset += chunk;
@@ -194,11 +186,11 @@ void CacheHierarchy::loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
     // belongs to both of its blocks, as the scalar chunk loop counts it).
     const std::uint64_t touches =
         (offset + chunk - 1) / elemSize - offset / elemSize + 1;
-    const std::uint32_t line = ensureInL1(base);
+    ensureInL1(base);
     events_.hits[0] += touches - 1;
     events_.loads += touches;
     ++events_.rangeSplitBlocks;
-    std::memcpy(dst.data() + offset, l1Payload(line) + off, chunk);
+    dir_.values().read(a, dst.subspan(offset, chunk));
     offset += chunk;
   }
 }
@@ -222,7 +214,7 @@ void CacheHierarchy::storeRange(std::uint64_t addr,
     events_.hits[0] += touches - 1;
     events_.stores += touches;
     ++events_.rangeSplitBlocks;
-    std::memcpy(l1Payload(line) + off, src.data() + offset, chunk);
+    dir_.values().poke(a, src.subspan(offset, chunk));
     if (!levels_[0].dirty(line)) markL1Dirty(line);
     offset += chunk;
   }
@@ -265,14 +257,6 @@ void CacheHierarchy::flushRange(std::uint64_t addr, std::uint64_t size,
         .field("non_resident", d.flushNonResident)
         .field("nvm_writes", d.nvmBlockWrites)
         .emit();
-  }
-}
-
-void CacheHierarchy::peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-  if (scanFast_) {
-    dir_.peek(addr, dst);
-  } else {
-    dir_.peekScalar(addr, dst);
   }
 }
 

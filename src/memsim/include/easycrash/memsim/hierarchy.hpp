@@ -5,16 +5,16 @@
 // crash is modelled by invalidateAll() — everything not written back to the
 // NvmStore is lost, exactly as on app-direct-mode persistent memory.
 //
-// The levels hold metadata only (tags, LRU stamps, dirty bits); each
-// resident block's one value copy lives in its LLC line (LlcDirectory), and
-// every L1..L(n-1) line links to that LLC line. An access therefore moves
-// block bytes exactly once — between the caller and the payload — and fills,
-// evictions and back-invalidations move only metadata (see docs/INTERNALS.md
+// The levels hold metadata only (tags, LRU stamps, dirty bits); every
+// byte's current value lives in one flat value image (LlcDirectory::values),
+// and every L1..L(n-1) line links to its block's LLC line. An access
+// therefore moves bytes exactly once — between the caller and the image —
+// and fills, evictions and back-invalidations move only metadata; only a
+// write-back copies a block, from the image to NVM (see docs/INTERNALS.md
 // "Simulator performance").
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -45,7 +45,7 @@ class CacheHierarchy {
         const auto l1 = static_cast<std::uint32_t>(line);
         ++events_.hits[0];
         levels_[0].touch(l1);
-        std::memcpy(dst.data(), l1Payload(l1) + inBlock, dst.size());
+        dir_.values().read(addr, dst);
         ++events_.loads;
         return;
       }
@@ -61,7 +61,7 @@ class CacheHierarchy {
         const auto l1 = static_cast<std::uint32_t>(line);
         ++events_.hits[0];
         levels_[0].touch(l1);
-        std::memcpy(l1Payload(l1) + inBlock, src.data(), src.size());
+        dir_.values().poke(addr, src);
         if (!levels_[0].dirty(l1)) markL1Dirty(l1);
         ++events_.stores;
         return;
@@ -92,11 +92,15 @@ class CacheHierarchy {
   /// flushed even when not resident, because hardware cannot tell).
   void flushRange(std::uint64_t addr, std::uint64_t size, FlushKind kind);
 
-  /// Read the architecturally-current value (the payload of a block dirty
-  /// anywhere, NVM otherwise) without perturbing cache state or counters.
-  /// With the scan fast path on, clean runs of blocks are served straight
-  /// from NVM in bulk reads and only the LLC's dirty blocks are visited.
-  void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const;
+  /// Read the architecturally-current value from the value image, without
+  /// perturbing cache state or counters.
+  void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
+    dir_.values().read(addr, dst);
+  }
+  /// The value image: every byte's current value (docs/INTERNALS.md
+  /// "Memory-system invariants").
+  [[nodiscard]] NvmStore& values() { return dir_.values(); }
+  [[nodiscard]] const NvmStore& values() const { return dir_.values(); }
 
   /// Bytes in [addr, addr+size) whose cached value differs from the NVM
   /// image — the paper's per-object inconsistency measure (§3). The fast
@@ -107,7 +111,7 @@ class CacheHierarchy {
                                                 std::uint64_t size) const;
 
   /// Post-mortem scan fast-path control (LLC dirty list + vectorized
-  /// compare in inconsistentBytes/peek). Both settings return bit-identical
+  /// compare in inconsistentBytes). Both settings return bit-identical
   /// results; off exists as the differential oracle and for perf comparison.
   void setScanFastPath(bool on) noexcept { scanFast_ = on; }
   [[nodiscard]] bool scanFastPath() const noexcept { return scanFast_; }
@@ -136,7 +140,8 @@ class CacheHierarchy {
   [[nodiscard]] const CacheLevel& level(std::size_t i) const { return levels_[i]; }
 
   /// Internal consistency check (inclusion at every level, the LLC
-  /// directory's links and masks, NVM agreement of blocks dirty nowhere).
+  /// directory's links and masks, and the value image equal to NVM in every
+  /// block dirty nowhere).
   /// Intended for tests; throws std::logic_error on violation.
   void checkInvariants() const;
 
@@ -166,10 +171,6 @@ class CacheHierarchy {
   }
   [[nodiscard]] std::size_t llcLevel() const { return levels_.size() - 1; }
 
-  /// The payload behind L1 line `l1`.
-  [[nodiscard]] std::uint8_t* l1Payload(std::uint32_t l1) {
-    return dir_.payload(l1Llc_[l1]);
-  }
   /// First store to a clean L1 line: set its dirty bit (and the LLC's
   /// dirty-holder bit, unless L1 is the LLC).
   void markL1Dirty(std::uint32_t l1) {
@@ -200,12 +201,8 @@ class CacheHierarchy {
   NvmStore& nvm_;
   std::vector<CacheLevel> levels_;  ///< never resized after construction
   LlcDirectory dir_;
-  /// L1 line → LLC line: the directory's table, or an identity table when
-  /// L1 is the LLC.
-  std::vector<std::uint32_t> identity_;
-  const std::uint32_t* l1Llc_ = nullptr;
-  // Mutable so the const observation paths (peek/inconsistentBytes) can
-  // record their postmortem_* diagnostics.
+  // Mutable so the const inconsistentBytes can record its postmortem_*
+  // diagnostics.
   mutable MemEvents events_;
   bool scanFast_ = true;
 

@@ -1,24 +1,25 @@
-// The last-level cache's directory of an inclusive hierarchy: the one value
-// copy of every resident block, and which upper caches hold it where.
+// The last-level cache's directory of an inclusive hierarchy: which upper
+// caches hold each resident block where, plus the run's value image.
 //
-// Inclusion means every block cached anywhere sits in the LLC, so the LLC
-// line is the natural home for everything a block's copies share. Per LLC
-// line the directory keeps:
-//  - the block's payload — its one value copy, always the freshest value: a
-//    store writes it and marks the storing cache's line dirty;
-//  - a holder mask (bit u: upper cache u holds the block), a dirty-holder
-//    mask (bit u: that copy is dirty) and each holder's line index.
-// Each upper line in turn records its block's LLC line. With both links,
-// evicting or flushing a block reaches every copy without a probe, and no
-// block bytes move between levels: fills and evictions are metadata only.
+// The caches keep metadata only. Every byte's current value — what a load
+// observes — lives in one flat value image (an NvmStore the directory owns),
+// and the NVM store holds what survives a crash. Inclusion means every block
+// cached anywhere sits in the LLC, so the LLC line is the natural home for
+// everything a block's copies share. Per LLC line the directory keeps a
+// holder mask (bit u: upper cache u holds the block), a dirty-holder mask
+// (bit u: that copy is dirty) and each holder's line index. Each upper line
+// in turn records its block's LLC line. With both links, evicting or
+// flushing a block reaches every copy without a probe, and fills and
+// evictions move no block bytes.
 //
 // A block is "dirty anywhere" when its LLC line's own dirty bit or any bit
-// of its dirty-holder mask is set. Only such a block can differ from the
-// NVM image (a clean block was filled from NVM or written back to it since
-// its last store), so write-backs — LLC eviction, flush, drain — write the
-// payload exactly when some copy is dirty, and the post-mortem scan
-// compares only those blocks, enumerated from the LLC lines in address
-// order (rebuilt lazily after the dirty set changed).
+// of its dirty-holder mask is set. The invariant: the value image equals NVM
+// in every block that is not dirty anywhere. A write-back — LLC eviction,
+// flush, drain — copies a dirty-anywhere block from the value image to NVM,
+// and a power loss copies NVM back into the value image for those blocks.
+// The post-mortem scan therefore compares only the dirty-anywhere blocks,
+// enumerated from the LLC lines in address order (rebuilt lazily after the
+// dirty set changed).
 //
 // The owner decides the topology: CacheHierarchy registers its L1..L(n-1)
 // as upper caches 0..n-2 (a copy at level u implies copies at every level
@@ -26,8 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "easycrash/common/check.hpp"
@@ -47,20 +46,13 @@ class LlcDirectory {
 
   // ---- Values and links ------------------------------------------------------
 
-  [[nodiscard]] std::uint8_t* payload(std::uint32_t llcLine) {
-    return payload_.data() + static_cast<std::size_t>(llcLine) * blockSize_;
-  }
-  [[nodiscard]] const std::uint8_t* payload(std::uint32_t llcLine) const {
-    return payload_.data() + static_cast<std::size_t>(llcLine) * blockSize_;
-  }
+  /// The value image: a load reads it, a store pokes it (uncounted), and a
+  /// write-back copies a block of it to NVM.
+  [[nodiscard]] NvmStore& values() { return values_; }
+  [[nodiscard]] const NvmStore& values() const { return values_; }
   /// LLC line of the block held in `upperLine` of upper cache `u`.
   [[nodiscard]] std::uint32_t llcLineOf(std::uint32_t u, std::uint32_t upperLine) const {
     return llcLineOf_[u][upperLine];
-  }
-  /// Address of upper cache `u`'s line → LLC line table (stable for the
-  /// directory's lifetime), for the owner's header-level hit paths.
-  [[nodiscard]] const std::uint32_t* llcLineTable(std::uint32_t u) const {
-    return llcLineOf_[u].data();
   }
   [[nodiscard]] std::uint64_t holders(std::uint32_t llcLine) const {
     return holders_[llcLine];
@@ -83,9 +75,9 @@ class LlcDirectory {
     std::uint32_t line = 0;
     bool wroteBack = false;  ///< the displaced block was dirty and went to NVM
   };
-  /// Make `blockAddr` (absent from the LLC) resident with its NVM value,
-  /// evicting the set's victim first: every copy of it is dropped, and its
-  /// payload is written to NVM when any copy was dirty.
+  /// Make `blockAddr` (absent from the LLC) resident, evicting the set's
+  /// victim first: every copy of it is dropped, and its value is written to
+  /// NVM when any copy was dirty.
   LlcFill fillLlc(std::uint64_t blockAddr);
 
   /// Install `blockAddr`, resident in the LLC at `llcLine`, in the invalid
@@ -103,7 +95,7 @@ class LlcDirectory {
   void setLlcDirty(std::uint32_t llcLine, bool dirty);
 
   enum class FlushResult { NonResident, Clean, WroteBack };
-  /// Write the block's payload to NVM if any copy is dirty (every copy is
+  /// Write the block's value to NVM if any copy is dirty (every copy is
   /// clean afterwards); with `drop`, remove every copy too.
   FlushResult flush(std::uint64_t blockAddr, bool drop);
 
@@ -111,7 +103,8 @@ class LlcDirectory {
   /// copies; lines stay resident. Returns the number of blocks written.
   std::uint64_t drainAll();
 
-  /// Power loss: every cache registered here loses everything.
+  /// Power loss: every cache registered here loses everything, and the value
+  /// image takes back NVM's bytes wherever a copy was dirty.
   void invalidateAll();
 
   // ---- Post-mortem -----------------------------------------------------------
@@ -124,30 +117,25 @@ class LlcDirectory {
     return line.has_value() && dirtyAnywhere(*line);
   }
 
-  /// Architecturally-current bytes: dirty-anywhere blocks from their
-  /// payloads, everything else from NVM in bulk reads.
-  void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const;
-
   struct Diff {
     std::uint64_t bytes = 0;          ///< bytes differing from the NVM image
     std::uint64_t blocksCompared = 0;
     std::uint64_t bytesCompared = 0;
   };
-  /// Bytes in [addr, addr+size) whose current value differs from the NVM
-  /// image: only dirty-anywhere blocks are compared, with the vectorized
-  /// scan kernel.
+  /// Bytes in [addr, addr+size) whose value differs from the NVM image:
+  /// only dirty-anywhere blocks are compared, with the vectorized scan
+  /// kernel.
   [[nodiscard]] Diff diff(std::uint64_t addr, std::uint64_t size) const;
 
-  /// Scalar oracles of peek() and diff(): probe the LLC per block for the
-  /// payload and every cache's own dirty bit for dirtiness (no masks, no
-  /// dirty list), and compare byte by byte.
-  void peekScalar(std::uint64_t addr, std::span<std::uint8_t> dst) const;
+  /// Scalar oracle of diff(): probe the LLC and every cache's own dirty bit
+  /// per block (no masks, no dirty list), and compare byte by byte.
   [[nodiscard]] std::uint64_t diffScalar(std::uint64_t addr, std::uint64_t size) const;
 
   /// Structural check (tests): every upper line is linked both ways to an
   /// LLC line of the same block, masks mirror the upper caches' valid and
-  /// dirty bits, empty LLC lines carry no masks, and a block dirty nowhere
-  /// holds its NVM value. Throws std::logic_error on violation.
+  /// dirty bits, empty LLC lines carry no masks, and the value image equals
+  /// NVM in every block dirty nowhere, over the whole image. Throws
+  /// std::logic_error on violation.
   void checkInvariants() const;
 
  private:
@@ -157,13 +145,15 @@ class LlcDirectory {
   std::uint32_t& upperLineSlot(std::uint32_t llcLine, std::uint32_t u) {
     return upperLine_[static_cast<std::size_t>(llcLine) * uppers_.size() + u];
   }
-  /// Drop every copy of the LLC block, writing its payload back when any copy
+  /// Drop every copy of the LLC block, writing its value back when any copy
   /// was dirty; returns whether it wrote.
   bool evictLlc(std::uint32_t llcLine);
+  /// Copy the block from the value image to NVM (a counted block write).
+  void writeBack(std::uint64_t blockAddr);
   /// Clear every dirty bit of the LLC block.
   void clean(std::uint32_t llcLine);
   /// Visit the dirty-anywhere blocks in [first, last] in ascending address
-  /// order: fn(blockBase, llcLine).
+  /// order: fn(blockBase).
   template <typename Fn>
   void forEachDirtyIn(std::uint64_t first, std::uint64_t last, Fn&& fn) const;
   void refreshDirtyList() const;
@@ -173,17 +163,18 @@ class LlcDirectory {
   NvmStore& nvm_;
   std::uint32_t blockSize_;
 
-  std::vector<std::uint8_t> payload_;             ///< LLC lines × blockSize
+  NvmStore values_;                               ///< the value image
   std::vector<std::uint64_t> holders_;            ///< per LLC line
   std::vector<std::uint64_t> dirtyHolders_;       ///< per LLC line
   std::vector<std::uint32_t> upperLine_;          ///< LLC lines × uppers
   std::vector<std::vector<std::uint32_t>> llcLineOf_;  ///< per upper: line → LLC line
 
-  // Dirty-anywhere blocks as (block, LLC line), sorted by block. Mutable so
-  // the const post-mortem paths can rebuild it after the set changed.
-  mutable std::vector<std::pair<std::uint64_t, std::uint32_t>> dirtyList_;
+  // Dirty-anywhere blocks, sorted. Mutable so the const post-mortem paths
+  // can rebuild it after the set changed.
+  mutable std::vector<std::uint64_t> dirtyList_;
   mutable bool dirtyListStale_ = false;
-  // NVM block for the scans, for blocks the image does not fully back.
+  // Scratch block: NVM bytes for the scans (blocks NVM does not fully
+  // back) and for invalidateAll's copy-back.
   mutable std::vector<std::uint8_t> scanImage_;
 };
 

@@ -10,11 +10,11 @@
 // semantics as the single-core hierarchy — a flush or a crash interacts
 // with every cached copy, wherever it lives.
 //
-// As in CacheHierarchy, the caches hold metadata only and each resident
-// block's one value copy lives in its shared-LLC line (LlcDirectory), whose
-// holder masks name the cores caching it. MESI allows one writer at a time
-// and invalidates every other copy before a write, so that single payload
-// is the coherent value every core observes.
+// As in CacheHierarchy, the caches hold metadata only: the shared LLC's
+// directory (LlcDirectory) names the cores caching each block, and one flat
+// value image holds every byte's current value. MESI allows one writer at a
+// time and invalidates every other copy before a write, so that image is
+// the coherent value every core observes.
 #pragma once
 
 #include <cstdint>
@@ -83,10 +83,10 @@ class MulticoreSystem {
   void flushBlock(std::uint64_t addr, FlushKind kind);
   void flushRange(std::uint64_t addr, std::uint64_t size, FlushKind kind);
 
-  /// Architecturally-current value: the owning core's copy, else LLC/NVM.
-  /// With the scan fast path on, runs of blocks dirty nowhere are served
-  /// straight from NVM in bulk reads.
-  void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const;
+  /// Architecturally-current value, read from the value image.
+  void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
+    dir_.values().read(addr, dst);
+  }
 
   /// Bytes in [addr, addr+size) whose freshest cached value differs from
   /// the NVM image (same definition as the single-core hierarchy). The fast
@@ -120,7 +120,7 @@ class MulticoreSystem {
 
   /// Coherence invariant check: every private line present in the inclusive
   /// LLC and linked from it; a Modified copy is the block's only private
-  /// copy; a block dirty nowhere holds its NVM value.
+  /// copy; the value image equals NVM in every block dirty nowhere.
   void checkInvariants() const;
 
  private:
@@ -131,11 +131,6 @@ class MulticoreSystem {
   /// Make `blockAddr` usable by `core` (exclusive if `forWrite`); returns
   /// the private-cache line index.
   std::uint32_t acquire(int core, std::uint64_t blockAddr, bool forWrite);
-
-  /// The payload behind `core`'s private line `line`.
-  [[nodiscard]] std::uint8_t* payload(int core, std::uint32_t line) {
-    return dir_.payload(dir_.llcLineOf(static_cast<std::uint32_t>(core), line));
-  }
 
   MulticoreConfig config_;
   NvmStore& nvm_;

@@ -1,12 +1,15 @@
-// NVM backing store: a byte-addressable value image plus write accounting.
+// NVM backing store: a byte-addressable image plus write accounting.
 //
 // This models app-direct-mode persistent memory (paper §2.3): bytes written
 // here survive a crash; bytes still sitting dirty in the cache hierarchy do
-// not. The store grows on demand so allocation order does not matter.
+// not. The store grows on demand so allocation order does not matter. A
+// tracked run's value image (LlcDirectory::values) is an NvmStore too,
+// written only through uncounted pokes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -43,6 +46,7 @@ struct Digest128 {
 class NvmStore {
  public:
   explicit NvmStore(std::uint32_t blockSize = 64);
+  ~NvmStore() { std::free(image_); }
   // dirty_ points into dirtyMap_, and a CacheHierarchy holds the store by
   // reference: it stays where it was built.
   NvmStore(const NvmStore&) = delete;
@@ -59,8 +63,8 @@ class NvmStore {
   /// fails the comparison (its size - 1 wraps) and takes the slow side,
   /// which returns before memcpy could see a null pointer.
   void read(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-    if (addr < image_.size() && dst.size() - 1 < image_.size() - addr) [[likely]] {
-      std::memcpy(dst.data(), image_.data() + addr, dst.size());
+    if (addr < imageBytes_ && dst.size() - 1 < imageBytes_ - addr) [[likely]] {
+      std::memcpy(dst.data(), image_ + addr, dst.size());
       return;
     }
     readSlow(addr, dst);
@@ -72,7 +76,7 @@ class NvmStore {
   /// view in place instead of copying every block through a scratch buffer;
   /// the pointer is invalidated by any write that grows the image.
   [[nodiscard]] std::span<const std::uint8_t> blockView(std::uint64_t addr) const {
-    if (addr + blockSize_ <= image_.size()) return {image_.data() + addr, blockSize_};
+    if (addr + blockSize_ <= imageBytes_) return {image_ + addr, blockSize_};
     return {};
   }
 
@@ -85,9 +89,9 @@ class NvmStore {
   /// here once per tracked element; zero-length pokes take the
   /// slow side as in read().
   void poke(std::uint64_t addr, std::span<const std::uint8_t> src) {
-    if (addr < image_.size() && src.size() - 1 < image_.size() - addr) [[likely]] {
+    if (addr < imageBytes_ && src.size() - 1 < imageBytes_ - addr) [[likely]] {
       if (dirty_ != nullptr) markDirty(addr, src.size());
-      std::memcpy(image_.data() + addr, src.data(), src.size());
+      std::memcpy(image_ + addr, src.data(), src.size());
       return;
     }
     pokeSlow(addr, src);
@@ -110,11 +114,13 @@ class NvmStore {
   }
 
   /// Size of the materialised image in bytes.
-  [[nodiscard]] std::uint64_t imageBytes() const { return image_.size(); }
+  [[nodiscard]] std::uint64_t imageBytes() const { return imageBytes_; }
 
   /// Snapshot/restore the full value image (campaigns restore pristine state
   /// between crash tests without re-running initialisation).
-  [[nodiscard]] std::vector<std::uint8_t> snapshotImage() const { return image_; }
+  [[nodiscard]] std::vector<std::uint8_t> snapshotImage() const {
+    return {image_, image_ + imageBytes_};
+  }
   void restoreImage(std::vector<std::uint8_t> image);
 
   void resetCounters() { blockWrites_ = 0; }
@@ -155,7 +161,11 @@ class NvmStore {
 
   std::uint32_t blockSize_;
   std::uint32_t blockShift_ = 0;  ///< log2(blockSize_)
-  std::vector<std::uint8_t> image_;
+  /// The image: malloc'd rather than a vector so that growth can realloc,
+  /// which moves a large image's pages instead of copying its bytes.
+  std::uint8_t* image_ = nullptr;
+  std::uint64_t imageBytes_ = 0;  ///< bytes backed, all initialised
+  std::uint64_t capacity_ = 0;    ///< bytes allocated
   std::uint64_t blockWrites_ = 0;
   bool wearEnabled_ = false;
   std::vector<std::uint64_t> wearProfile_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <utility>
 
 #include "easycrash/common/check.hpp"
 #include "easycrash/memsim/scan.hpp"
@@ -24,10 +24,13 @@ void forEachBit(std::uint64_t mask, Fn&& fn) {
 
 LlcDirectory::LlcDirectory(CacheLevel& llc, std::vector<CacheLevel*> uppers,
                            NvmStore& nvm, std::uint32_t blockSize)
-    : llc_(llc), uppers_(std::move(uppers)), nvm_(nvm), blockSize_(blockSize) {
+    : llc_(llc),
+      uppers_(std::move(uppers)),
+      nvm_(nvm),
+      blockSize_(blockSize),
+      values_(blockSize) {
   EC_CHECK_MSG(uppers_.size() <= 64, "the holder masks cover at most 64 upper caches");
   const std::uint32_t lines = llc_.lineCount();
-  payload_.assign(static_cast<std::size_t>(lines) * blockSize_, 0);
   holders_.assign(lines, 0);
   dirtyHolders_.assign(lines, 0);
   upperLine_.assign(static_cast<std::size_t>(lines) * uppers_.size(), 0);
@@ -43,7 +46,6 @@ LlcDirectory::LlcFill LlcDirectory::fillLlc(std::uint64_t blockAddr) {
   EC_DCHECK_MSG(holders_[fill.line] == 0 && dirtyHolders_[fill.line] == 0,
                 "empty LLC line carries holder masks");
   llc_.fill(fill.line, blockAddr);
-  nvm_.read(blockAddr, {payload(fill.line), blockSize_});
   return fill;
 }
 
@@ -58,7 +60,7 @@ bool LlcDirectory::evictLlc(std::uint32_t llcLine) {
   holders_[llcLine] = 0;
   dirtyHolders_[llcLine] = 0;
   if (dirty) {
-    nvm_.writeBlock(llc_.blockAddr(llcLine), {payload(llcLine), blockSize_});
+    writeBack(llc_.blockAddr(llcLine));
     dirtyListStale_ = true;
   }
   llc_.invalidateLine(llcLine);
@@ -109,6 +111,11 @@ void LlcDirectory::setLlcDirty(std::uint32_t llcLine, bool dirty) {
   dirtyListStale_ = true;
 }
 
+void LlcDirectory::writeBack(std::uint64_t blockAddr) {
+  // A block is dirty only after a store, which backed it in the image.
+  nvm_.writeBlock(blockAddr, values_.blockView(blockAddr));
+}
+
 void LlcDirectory::clean(std::uint32_t llcLine) {
   forEachBit(dirtyHolders_[llcLine], [&](std::uint32_t u) {
     uppers_[u]->setDirty(upperLine(llcLine, u), false);
@@ -123,7 +130,7 @@ LlcDirectory::FlushResult LlcDirectory::flush(std::uint64_t blockAddr, bool drop
   if (!line) return FlushResult::NonResident;  // inclusion: cached nowhere
   const bool dirty = dirtyAnywhere(*line);
   if (dirty) {
-    nvm_.writeBlock(blockAddr, {payload(*line), blockSize_});
+    writeBack(blockAddr);
     clean(*line);
   }
   if (drop) (void)evictLlc(*line);  // every copy is clean now: no write
@@ -134,7 +141,7 @@ std::uint64_t LlcDirectory::drainAll() {
   std::uint64_t written = 0;
   llc_.forEachValid([&](std::uint32_t line) {
     if (!dirtyAnywhere(line)) return;
-    nvm_.writeBlock(llc_.blockAddr(line), {payload(line), blockSize_});
+    writeBack(llc_.blockAddr(line));
     clean(line);
     ++written;
   });
@@ -142,6 +149,13 @@ std::uint64_t LlcDirectory::drainAll() {
 }
 
 void LlcDirectory::invalidateAll() {
+  // What the caches held is lost: the value image falls back to NVM.
+  llc_.forEachValid([&](std::uint32_t line) {
+    if (!dirtyAnywhere(line)) return;
+    const std::uint64_t base = llc_.blockAddr(line);
+    nvm_.read(base, scanImage_);
+    values_.poke(base, scanImage_);
+  });
   for (CacheLevel* upper : uppers_) upper->invalidateAll();
   llc_.invalidateAll();
   std::fill(holders_.begin(), holders_.end(), 0);
@@ -154,7 +168,7 @@ void LlcDirectory::refreshDirtyList() const {
   if (!dirtyListStale_) return;
   dirtyList_.clear();
   llc_.forEachValid([&](std::uint32_t line) {
-    if (dirtyAnywhere(line)) dirtyList_.emplace_back(llc_.blockAddr(line), line);
+    if (dirtyAnywhere(line)) dirtyList_.push_back(llc_.blockAddr(line));
   });
   std::sort(dirtyList_.begin(), dirtyList_.end());
   dirtyListStale_ = false;
@@ -169,77 +183,39 @@ template <typename Fn>
 void LlcDirectory::forEachDirtyIn(std::uint64_t first, std::uint64_t last,
                                   Fn&& fn) const {
   refreshDirtyList();
-  auto it = std::lower_bound(dirtyList_.begin(), dirtyList_.end(),
-                             std::pair<std::uint64_t, std::uint32_t>{first, 0});
-  for (; it != dirtyList_.end() && it->first <= last; ++it) {
-    EC_DCHECK_MSG(llc_.blockAddr(it->second) == it->first && dirtyAnywhere(it->second),
-                  "dirty list out of sync with the LLC");
-    fn(it->first, it->second);
-  }
-}
-
-void LlcDirectory::peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-  if (dst.empty()) return;
-  const std::uint64_t end = addr + dst.size();
-  std::uint64_t runStart = addr;  // start of the pending NVM run
-  forEachDirtyIn(blockBase(addr), blockBase(end - 1),
-                 [&](std::uint64_t base, std::uint32_t line) {
-                   const std::uint64_t lo = std::max(base, addr);
-                   const std::uint64_t hi = std::min(base + blockSize_, end);
-                   if (lo > runStart) {
-                     nvm_.read(runStart, {dst.data() + (runStart - addr), lo - runStart});
-                   }
-                   std::memcpy(dst.data() + (lo - addr), payload(line) + (lo - base),
-                               hi - lo);
-                   runStart = hi;
-                 });
-  if (runStart < end) {
-    nvm_.read(runStart, {dst.data() + (runStart - addr), end - runStart});
+  auto it = std::lower_bound(dirtyList_.begin(), dirtyList_.end(), first);
+  for (; it != dirtyList_.end() && *it <= last; ++it) {
+    EC_DCHECK_MSG(dirtyAnywhereBlock(*it), "dirty list out of sync with the LLC");
+    fn(*it);
   }
 }
 
 LlcDirectory::Diff LlcDirectory::diff(std::uint64_t addr, std::uint64_t size) const {
   Diff d;
   if (size == 0) return d;
-  forEachDirtyIn(blockBase(addr), blockBase(addr + size - 1),
-                 [&](std::uint64_t base, std::uint32_t line) {
-                   // Compare against the NVM image in place; the scratch copy
-                   // only serves blocks the image does not fully back.
-                   const std::uint8_t* image = nvm_.blockView(base).data();
-                   if (image == nullptr) {
-                     nvm_.read(base, scanImage_);
-                     image = scanImage_.data();
-                   }
-                   const std::uint64_t lo = std::max(base, addr);
-                   const std::uint64_t hi = std::min(base + blockSize_, addr + size);
-                   d.bytes += scan::countDiffBytes(payload(line) + (lo - base),
-                                                   image + (lo - base), hi - lo);
-                   ++d.blocksCompared;
-                   d.bytesCompared += hi - lo;
-                 });
-  return d;
-}
-
-void LlcDirectory::peekScalar(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-  std::uint64_t offset = 0;
-  while (offset < dst.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t inBlock = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(blockSize_ - inBlock, dst.size() - offset);
-    if (const auto line = llc_.find(base)) {
-      std::memcpy(dst.data() + offset, payload(*line) + inBlock, chunk);
-    } else {
-      nvm_.read(a, {dst.data() + offset, chunk});
+  forEachDirtyIn(blockBase(addr), blockBase(addr + size - 1), [&](std::uint64_t base) {
+    // Compare both images in place; the scratch copy only serves blocks NVM
+    // does not fully back.
+    const std::uint8_t* current = values_.blockView(base).data();
+    EC_DCHECK_MSG(current != nullptr, "dirty block missing from the value image");
+    const std::uint8_t* image = nvm_.blockView(base).data();
+    if (image == nullptr) {
+      nvm_.read(base, scanImage_);
+      image = scanImage_.data();
     }
-    offset += chunk;
-  }
+    const std::uint64_t lo = std::max(base, addr);
+    const std::uint64_t hi = std::min(base + blockSize_, addr + size);
+    d.bytes += scan::countDiffBytes(current + (lo - base), image + (lo - base), hi - lo);
+    ++d.blocksCompared;
+    d.bytesCompared += hi - lo;
+  });
+  return d;
 }
 
 std::uint64_t LlcDirectory::diffScalar(std::uint64_t addr, std::uint64_t size) const {
   if (size == 0) return 0;
   std::uint64_t count = 0;
+  std::vector<std::uint8_t> cached(blockSize_);
   std::vector<std::uint8_t> image(blockSize_);
   for (std::uint64_t base = blockBase(addr); base <= blockBase(addr + size - 1);
        base += blockSize_) {
@@ -250,8 +226,8 @@ std::uint64_t LlcDirectory::diffScalar(std::uint64_t addr, std::uint64_t size) c
       if (const auto l = upper->find(base)) dirty = dirty || upper->dirty(*l);
     }
     if (!dirty) continue;  // every copy is clean: it matches NVM
+    values_.read(base, cached);
     nvm_.read(base, image);
-    const std::uint8_t* cached = payload(*line);
     const std::uint64_t lo = std::max(base, addr);
     const std::uint64_t hi = std::min(base + blockSize_, addr + size);
     for (std::uint64_t b = lo; b < hi; ++b) {
@@ -275,7 +251,6 @@ void LlcDirectory::checkInvariants() const {
                    "dirty-holder bit differs from the upper dirty bit");
     });
   }
-  std::vector<std::uint8_t> image(blockSize_);
   for (std::uint32_t line = 0; line < llc_.lineCount(); ++line) {
     if (!llc_.valid(line)) {
       EC_CHECK_MSG(holders_[line] == 0 && dirtyHolders_[line] == 0,
@@ -289,11 +264,15 @@ void LlcDirectory::checkInvariants() const {
                        uppers_[u]->blockAddr(upperLine(line, u)) == llc_.blockAddr(line),
                    "holder bit without a live upper line");
     });
-    if (!dirtyAnywhere(line)) {
-      nvm_.read(llc_.blockAddr(line), image);
-      EC_CHECK_MSG(std::memcmp(payload(line), image.data(), blockSize_) == 0,
-                   "block dirty nowhere differs from the NVM image");
-    }
+  }
+  std::vector<std::uint8_t> current(blockSize_);
+  std::vector<std::uint8_t> image(blockSize_);
+  const std::uint64_t end = std::max(values_.imageBytes(), nvm_.imageBytes());
+  for (std::uint64_t base = 0; base < end; base += blockSize_) {
+    values_.read(base, current);
+    nvm_.read(base, image);
+    EC_CHECK_MSG(current == image || dirtyAnywhereBlock(base),
+                 "block dirty nowhere differs from the NVM image");
   }
 }
 

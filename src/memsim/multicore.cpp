@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "easycrash/common/check.hpp"
 #include "easycrash/memsim/scan.hpp"
@@ -133,8 +132,8 @@ void MulticoreSystem::load(int core, std::uint64_t addr,
     const std::uint64_t inBlock = a - base;
     const std::uint64_t chunk =
         std::min<std::uint64_t>(config_.blockSize - inBlock, dst.size() - offset);
-    const auto line = acquire(core, base, /*forWrite=*/false);
-    std::memcpy(dst.data() + offset, payload(core, line) + inBlock, chunk);
+    acquire(core, base, /*forWrite=*/false);
+    dir_.values().read(a, dst.subspan(offset, chunk));
     events_[static_cast<std::size_t>(core)].loads += 1;
     offset += chunk;
   }
@@ -149,8 +148,8 @@ void MulticoreSystem::store(int core, std::uint64_t addr,
     const std::uint64_t inBlock = a - base;
     const std::uint64_t chunk =
         std::min<std::uint64_t>(config_.blockSize - inBlock, src.size() - offset);
-    const auto line = acquire(core, base, /*forWrite=*/true);
-    std::memcpy(payload(core, line) + inBlock, src.data() + offset, chunk);
+    acquire(core, base, /*forWrite=*/true);
+    dir_.values().poke(a, src.subspan(offset, chunk));
     events_[static_cast<std::size_t>(core)].stores += 1;
     offset += chunk;
   }
@@ -170,10 +169,10 @@ void MulticoreSystem::loadRange(int core, std::uint64_t addr,
         std::min<std::uint64_t>(config_.blockSize - inBlock, dst.size() - offset);
     const std::uint64_t touches =
         (offset + chunk - 1) / elemSize - offset / elemSize + 1;
-    const auto line = acquire(core, base, /*forWrite=*/false);
+    acquire(core, base, /*forWrite=*/false);
     ev.privateHits += touches - 1;
     ev.loads += touches;
-    std::memcpy(dst.data() + offset, payload(core, line) + inBlock, chunk);
+    dir_.values().read(a, dst.subspan(offset, chunk));
     offset += chunk;
   }
 }
@@ -192,10 +191,10 @@ void MulticoreSystem::storeRange(int core, std::uint64_t addr,
         std::min<std::uint64_t>(config_.blockSize - inBlock, src.size() - offset);
     const std::uint64_t touches =
         (offset + chunk - 1) / elemSize - offset / elemSize + 1;
-    const auto line = acquire(core, base, /*forWrite=*/true);
+    acquire(core, base, /*forWrite=*/true);
     ev.privateHits += touches - 1;
     ev.stores += touches;
-    std::memcpy(payload(core, line) + inBlock, src.data() + offset, chunk);
+    dir_.values().poke(a, src.subspan(offset, chunk));
     offset += chunk;
   }
 }
@@ -223,14 +222,6 @@ void MulticoreSystem::flushRange(std::uint64_t addr, std::uint64_t size,
   const std::uint64_t last = blockBase(addr + size - 1);
   for (std::uint64_t b = first; b <= last; b += config_.blockSize) {
     flushBlock(b, kind);
-  }
-}
-
-void MulticoreSystem::peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-  if (scanFast_) {
-    dir_.peek(addr, dst);
-  } else {
-    dir_.peekScalar(addr, dst);
   }
 }
 

@@ -60,13 +60,24 @@ NvmStore::NvmStore(std::uint32_t blockSize) : blockSize_(blockSize) {
 }
 
 void NvmStore::ensure(std::uint64_t endAddr) {
-  // Round capacity growth to 1MiB chunks to amortise resizes.
-  constexpr std::uint64_t kChunk = 1ULL << 20;
-  EC_CHECK_MSG(endAddr <= std::numeric_limits<std::uint64_t>::max() - kChunk,
+  // Back page-sized steps (whole blocks) and double the allocation: realloc
+  // moves a large image's pages instead of copying its bytes, and an image
+  // that backs only its first block — a direct run's cached iteration
+  // bookmark — stays one page.
+  const std::uint64_t chunk = std::max<std::uint64_t>(4096, blockSize_);
+  EC_CHECK_MSG(endAddr <= std::numeric_limits<std::uint64_t>::max() - chunk,
                "NvmStore address range overflows");
-  if (endAddr > image_.size()) {
-    const std::uint64_t target = (endAddr + kChunk - 1) / kChunk * kChunk;
-    image_.resize(target, 0);
+  if (endAddr > imageBytes_) {
+    const std::uint64_t target = (endAddr + chunk - 1) / chunk * chunk;
+    if (target > capacity_) {
+      const std::uint64_t capacity = std::max(target, 2 * capacity_);
+      auto* grown = static_cast<std::uint8_t*>(std::realloc(image_, capacity));
+      EC_CHECK_MSG(grown != nullptr, "NvmStore image allocation failed");
+      image_ = grown;
+      capacity_ = capacity;
+    }
+    std::memset(image_ + imageBytes_, 0, target - imageBytes_);
+    imageBytes_ = target;
     if (digestArmed()) {
       dirtyMap_.resize((target + blockSize_ - 1) >> blockShift_, 0);
       dirty_ = dirtyMap_.data();
@@ -81,10 +92,10 @@ void NvmStore::readSlow(std::uint64_t addr, std::span<std::uint8_t> dst) const {
   // are served as zeros, so scanning a large never-written object does not
   // balloon the store (reads of unbacked NVM are architecturally zero).
   const std::uint64_t backed =
-      addr < image_.size()
-          ? std::min<std::uint64_t>(dst.size(), image_.size() - addr)
+      addr < imageBytes_
+          ? std::min<std::uint64_t>(dst.size(), imageBytes_ - addr)
           : 0;
-  if (backed > 0) std::memcpy(dst.data(), image_.data() + addr, backed);
+  if (backed > 0) std::memcpy(dst.data(), image_ + addr, backed);
   if (backed < dst.size()) std::memset(dst.data() + backed, 0, dst.size() - backed);
 }
 
@@ -93,7 +104,7 @@ void NvmStore::writeBlock(std::uint64_t addr, std::span<const std::uint8_t> src)
   EC_CHECK(src.size() == blockSize_);
   ensure(addr + blockSize_);
   if (digestArmed()) markDirty(addr, blockSize_);
-  std::memcpy(image_.data() + addr, src.data(), blockSize_);
+  std::memcpy(image_ + addr, src.data(), blockSize_);
   ++blockWrites_;
   if constexpr (telemetry::kTraceCompiledIn) {
     if (wearEnabled_) {
@@ -113,11 +124,13 @@ void NvmStore::pokeSlow(std::uint64_t addr, std::span<const std::uint8_t> src) {
   EC_CHECK_MSG(addr + src.size() > addr, "NvmStore poke range overflows");
   ensure(addr + src.size());
   if (digestArmed()) markDirty(addr, src.size());
-  std::memcpy(image_.data() + addr, src.data(), src.size());
+  std::memcpy(image_ + addr, src.data(), src.size());
 }
 
 void NvmStore::restoreImage(std::vector<std::uint8_t> image) {
-  image_ = std::move(image);
+  imageBytes_ = 0;
+  ensure(image.size());
+  if (!image.empty()) std::memcpy(image_, image.data(), image.size());
   if (digestArmed()) armDigest();
 }
 
@@ -125,7 +138,7 @@ void NvmStore::armDigest() {
   EC_CHECK_MSG(blockSize_ >= 16, "the state digest hashes 16-byte words");
   // Never empty, so dirty_ is non-null even over an empty image.
   dirtyMap_.assign(
-      std::max<std::uint64_t>(1, (image_.size() + blockSize_ - 1) >> blockShift_), 0);
+      std::max<std::uint64_t>(1, (imageBytes_ + blockSize_ - 1) >> blockShift_), 0);
   dirty_ = dirtyMap_.data();
   dirtyBlocks_.clear();
   digest_ = digestFromScratch();
@@ -133,10 +146,10 @@ void NvmStore::armDigest() {
 
 Digest128 NvmStore::hashBlock(std::uint64_t block) const {
   const std::uint64_t addr = block << blockShift_;
-  if (addr + blockSize_ <= image_.size()) {
-    return blockDigest(block, image_.data() + addr, blockSize_);
+  if (addr + blockSize_ <= imageBytes_) {
+    return blockDigest(block, image_ + addr, blockSize_);
   }
-  if (addr >= image_.size()) return {};  // unbacked: reads as zeros
+  if (addr >= imageBytes_) return {};  // unbacked: reads as zeros
   std::vector<std::uint8_t> padded(blockSize_, 0);
   read(addr, padded);
   return blockDigest(block, padded.data(), blockSize_);
@@ -163,7 +176,7 @@ Digest128 NvmStore::digest() {
 
 Digest128 NvmStore::digestFromScratch(std::uint64_t limit) const {
   Digest128 total;
-  const std::uint64_t end = std::min<std::uint64_t>(limit, image_.size());
+  const std::uint64_t end = std::min<std::uint64_t>(limit, imageBytes_);
   const std::uint64_t blocks = (end + blockSize_ - 1) >> blockShift_;
   for (std::uint64_t block = 0; block < blocks; ++block) total += hashBlock(block);
   return total;

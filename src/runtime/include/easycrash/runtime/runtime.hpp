@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "easycrash/common/check.hpp"
 #include "easycrash/memsim/hierarchy.hpp"
 #include "easycrash/memsim/nvm_store.hpp"
 #include "easycrash/runtime/data_object.hpp"
@@ -98,8 +99,11 @@ class Runtime {
   void storeRange(std::uint64_t addr, std::span<const std::uint8_t> src,
                   std::uint32_t elemSize);
 
-  /// Architecturally-current value without counters or cache perturbation.
-  void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const;
+  /// Architecturally-current value without counters or cache perturbation:
+  /// a read of the value image.
+  void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
+    values().read(addr, dst);
+  }
   /// Read straight from the NVM image (what survives a crash).
   void readNvm(std::uint64_t addr, std::span<std::uint8_t> dst) const;
 
@@ -245,29 +249,45 @@ class Runtime {
   void powerLoss();
 
   /// Direct-access mode: tracked loads/stores bypass the cache simulation
-  /// and read/write the NVM image itself. With the caches never populated,
-  /// the NVM image IS the architectural state, so every load returns exactly
-  /// what the simulated hierarchy would have returned — values, control flow
-  /// and therefore campaign results are bit-identical — while the simulation
-  /// cost of a run collapses to raw memory traffic. Restarts run in this
-  /// mode: the paper's restarts execute natively on the machine under study;
-  /// only the crashing run (whose cache-vs-NVM divergence is the object of
-  /// measurement) needs the hierarchy simulated. Crash-clock ticks and armed
-  /// crashes/captures behave identically in both modes; MemEvents and NVM
-  /// wear counters record (by design) nothing.
-  void setDirect(bool on) noexcept { direct_ = on; }
+  /// and read/write the NVM image itself, which is then the run's value
+  /// image. Only the iteration bookmark still enters the caches (stored,
+  /// then flushed at once), so NVM holds every byte's current value: every
+  /// load returns exactly what the simulated hierarchy would have returned —
+  /// values, control flow and therefore campaign results are bit-identical —
+  /// while the simulation cost of a run collapses to raw memory traffic.
+  /// Restarts run in this mode: the paper's restarts execute natively on the
+  /// machine under study; only the crashing run (whose cache-vs-NVM
+  /// divergence is the object of measurement) needs the hierarchy
+  /// simulated. Crash-clock ticks and armed crashes/captures behave
+  /// identically in both modes; MemEvents record only the bookmark's store
+  /// and the flush instructions. Set before the first allocation.
+  void setDirect(bool on) {
+    EC_CHECK_MSG(objects_.size() == 1, "setDirect after an allocation");
+    direct_ = on;
+  }
   [[nodiscard]] bool direct() const noexcept { return direct_; }
 
-  /// State digest of a direct-mode run (docs/INTERNALS.md "Convergence
-  /// memo"): with the caches never populated, the NVM image is the whole
-  /// tracked state, so its memsim::NvmStore digest names it. Armed before
-  /// setup(), stateDigest() costs a hash per block written since the last
-  /// call, for runs that key many iteration ends; unarmed, it hashes the
-  /// footprint, and stores pay nothing. Both give the same value: tracked
-  /// accesses never reach past the footprint.
-  void armStateDigest() { nvm_.armDigest(); }
+  /// The value image (docs/INTERNALS.md "Memory-system invariants"): every
+  /// tracked byte's current value — NVM itself in a direct run, the
+  /// hierarchy's image in a tracked one.
+  [[nodiscard]] memsim::NvmStore& values() {
+    return direct_ ? nvm_ : hierarchy_.values();
+  }
+  [[nodiscard]] const memsim::NvmStore& values() const {
+    return direct_ ? nvm_ : hierarchy_.values();
+  }
+
+  /// State digest (docs/INTERNALS.md "Convergence memo"): the value image
+  /// is the whole tracked state, so its memsim::NvmStore digest names it,
+  /// in direct and tracked runs alike. Armed before setup(), stateDigest()
+  /// costs a hash per block written since the last call, for runs that key
+  /// many iteration ends; unarmed, it hashes the footprint, and stores pay
+  /// nothing. Both give the same value: tracked accesses never reach past
+  /// the footprint.
+  void armStateDigest() { values().armDigest(); }
   [[nodiscard]] memsim::Digest128 stateDigest() {
-    return nvm_.digestArmed() ? nvm_.digest() : nvm_.digestFromScratch(nextAddr_);
+    memsim::NvmStore& image = values();
+    return image.digestArmed() ? image.digest() : image.digestFromScratch(nextAddr_);
   }
 
   /// Bulk fast-path control: when off, loadRange/storeRange lower to the
@@ -278,8 +298,8 @@ class Runtime {
   void setBulk(bool on) noexcept { bulk_ = on; }
   [[nodiscard]] bool bulk() const noexcept { return bulk_; }
 
-  /// Post-mortem scan fast-path control: when off, inconsistentRate and the
-  /// snapshot dumps fall back to the probe-every-level scalar walk. Both
+  /// Post-mortem scan fast-path control: when off, inconsistentRate falls
+  /// back to the probe-every-level scalar walk. Both
   /// settings are bit-identical (the campaign reference model runs with it
   /// off, and the scan equivalence tests prove it); the state lives on the
   /// hierarchy, not the runtime.

@@ -151,10 +151,6 @@ void Runtime::updateTrigger() {
   nextTrigger_ = next;
 }
 
-void Runtime::peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-  hierarchy_.peek(addr, dst);
-}
-
 void Runtime::readNvm(std::uint64_t addr, std::span<std::uint8_t> dst) const {
   nvm_.read(addr, dst);
 }
@@ -232,7 +228,7 @@ std::vector<std::uint8_t> Runtime::dumpObjectNvm(ObjectId id) const {
 std::vector<std::uint8_t> Runtime::dumpObjectCurrent(ObjectId id) const {
   const DataObjectInfo& info = object(id);
   std::vector<std::uint8_t> out(info.bytes);
-  hierarchy_.peek(info.addr, out);
+  peek(info.addr, out);
   return out;
 }
 

@@ -9,7 +9,8 @@
 // * direct golden oracle: a campaign's default direct-to-NVM golden run
 //   reports every output the campaign reads exactly as the cache-simulated
 //   golden run (CampaignConfig::goldenEvents) does, with and without a
-//   persistence plan.
+//   persistence plan, and a tracked run's state key equals a direct run's
+//   at every main-loop iteration end.
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -21,6 +22,7 @@
 #include "easycrash/apps/registry.hpp"
 #include "easycrash/core/workflow.hpp"
 #include "easycrash/crash/campaign.hpp"
+#include "easycrash/runtime/app.hpp"
 #include "easycrash/runtime/runtime.hpp"
 
 namespace ec = easycrash;
@@ -131,6 +133,36 @@ void expectSameGoldenOutputs(const ec::crash::GoldenStats& direct,
     EXPECT_EQ(a.candidate, b.candidate);
     EXPECT_EQ(a.readOnly, b.readOnly);
   }
+  EXPECT_EQ(direct.memoStride, tracked.memoStride);
+  EXPECT_EQ(direct.memoKeys, tracked.memoKeys);
+}
+
+/// Driver::stateKey at every main-loop iteration end of a fresh run.
+std::vector<ec::memsim::Digest128> iterationKeys(const rt::AppFactory& factory,
+                                                 const rt::PersistencePlan& plan,
+                                                 bool direct) {
+  rt::Runtime runtime;
+  runtime.setDirect(direct);
+  runtime.setPlan(plan);
+  auto app = factory();
+  app->setup(runtime);
+  app->initialize(runtime);
+  std::vector<ec::memsim::Digest128> keys;
+  rt::Driver::run(*app, runtime, 1, 0, [&](int) {
+    keys.push_back(rt::Driver::stateKey(*app, runtime));
+    return false;
+  });
+  return keys;
+}
+
+/// The restart contract's first third: a tracked run names its state (its
+/// value image and host state) exactly as a direct run does.
+void expectSameIterationKeys(const rt::AppFactory& factory,
+                             const rt::PersistencePlan& plan) {
+  const auto direct = iterationKeys(factory, plan, true);
+  const auto tracked = iterationKeys(factory, plan, false);
+  EXPECT_FALSE(direct.empty());
+  EXPECT_TRUE(direct == tracked);
 }
 
 }  // namespace
@@ -149,6 +181,7 @@ TEST_P(GoldenRunSuite, DirectGoldenMatchesTracked) {
   EXPECT_EQ(directGolden.events.loads, 0u);
   EXPECT_GT(trackedGolden.events.loads, 0u);
   expectSameGoldenOutputs(directGolden, trackedGolden);
+  expectSameIterationKeys(entry.factory, {});
 
   // Under the workflow's persist-everywhere plan, whose persistenceOps feed
   // the Equation-5 flush-cost estimate.
@@ -162,6 +195,7 @@ TEST_P(GoldenRunSuite, DirectGoldenMatchesTracked) {
   const auto trackedPlanned = ec::crash::CampaignRunner(entry.factory, tracked).goldenRun();
   EXPECT_GT(trackedPlanned.persistenceOps, 0u);
   expectSameGoldenOutputs(directPlanned, trackedPlanned);
+  expectSameIterationKeys(entry.factory, direct.plan);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, GoldenRunSuite, ::testing::ValuesIn(appNames()),

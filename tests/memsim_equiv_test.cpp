@@ -681,8 +681,8 @@ TEST(MemsimEquivalence, RangeAccessesMatchElementwiseNonPowerOfTwoSets) {
 // array every store writes (and a power loss resets to the NVM image). After
 // every step each engine's loads and peeks must return the array's bytes,
 // and every block dirty nowhere must hold the array's bytes in NVM — the
-// single-payload design's claim that the LLC copy is the coherent value and
-// that clean blocks never diverge from the image.
+// value-image design's claim that one flat image is the coherent value and
+// that clean blocks never diverge from NVM.
 // ---------------------------------------------------------------------------
 
 void expectMatchesFlatOracle(const ms::MulticoreSystem& sys, const ms::NvmStore& nvm,

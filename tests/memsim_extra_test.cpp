@@ -245,8 +245,8 @@ TEST(HierarchyInvariants, HoldAfterDrainAndRefill) {
   s.cache.checkInvariants();
 }
 
-// A one-level configuration makes L1 the LLC: its lines carry the payloads
-// and its own dirty bits decide write-backs.
+// A one-level configuration makes L1 the LLC: its own dirty bits decide
+// write-backs.
 TEST(HierarchyInvariants, SingleLevelHierarchyTracksValues) {
   ms::CacheConfig config;
   config.blockSize = 64;

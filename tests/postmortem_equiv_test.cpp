@@ -1,16 +1,17 @@
 // Differential test of the post-mortem scan fast path (the LLC's dirty-block
 // list + vectorized compare kernel) against its scalar references.
 //
-// The contract is bit-identity: inconsistentBytes and peek must return the
-// same answers with the fast path on, with it off (the probe-every-level
-// walk), and against an oracle computed from first principles — the
-// architecturally-current value (peek) diffed byte-by-byte against the NVM
-// image, which is the paper's definition of inconsistency. The compare
-// kernels themselves (portable word-at-a-time and AVX2) are additionally
-// differentially tested against a naive byte loop on awkward sizes, and the
-// dirty-anywhere set the LLC directory's masks describe is checked against a
-// full forEachValid walk of the levels' own dirty bits after every mutation
-// burst.
+// The contract is bit-identity: inconsistentBytes must return the same
+// answers with the fast path on, with it off (the probe-every-level walk),
+// and against an oracle computed from first principles — the value image
+// (peek) diffed byte-by-byte against the NVM image, which is the paper's
+// definition of inconsistency. After a power loss the value image must
+// equal NVM byte for byte. The compare kernels themselves (portable
+// word-at-a-time and AVX2) are additionally differentially tested against a
+// naive byte loop on awkward sizes, and the dirty-anywhere set the LLC
+// directory's masks describe is checked against a full forEachValid walk of
+// the levels' own dirty bits after every mutation burst.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -122,6 +123,16 @@ void expectDirtySetCoherent(const ms::CacheHierarchy& h, std::uint64_t footprint
   }
 }
 
+/// The value image equals NVM byte for byte over both images' extent, as it
+/// must right after a power loss.
+void expectImageEqualsNvm(const ms::NvmStore& values, const ms::NvmStore& nvm) {
+  const std::uint64_t extent = std::max(values.imageBytes(), nvm.imageBytes());
+  std::vector<std::uint8_t> current(extent), image(extent);
+  values.read(0, current);
+  nvm.read(0, image);
+  ASSERT_TRUE(current == image);
+}
+
 /// inconsistentBytes from first principles: architectural value vs NVM image.
 std::uint64_t oracleInconsistent(const ms::CacheHierarchy& h, const ms::NvmStore& nvm,
                                  std::uint64_t addr, std::uint64_t size) {
@@ -160,7 +171,8 @@ void runHierarchyDifferential(const ms::CacheConfig& config, std::uint64_t seed)
       hier.drainAll();
     } else if (kind < 91) {
       hier.invalidateAll();
-    } else if (kind < 96) {
+      expectImageEqualsNvm(hier.values(), nvm);
+    } else {
       // Post-mortem probe: fast vs scalar vs oracle on a random sub-range.
       const std::uint64_t size = rng.between(1, 2048);
       const std::uint64_t addr = rng.below(kFootprint - size);
@@ -171,17 +183,6 @@ void runHierarchyDifferential(const ms::CacheConfig& config, std::uint64_t seed)
       hier.setScanFastPath(true);
       ASSERT_EQ(fast, scalar) << "op " << op;
       ASSERT_EQ(fast, oracleInconsistent(hier, nvm, addr, size)) << "op " << op;
-    } else {
-      // Snapshot probe: peek fast vs scalar, byte-identical.
-      const std::uint64_t size = rng.between(1, 1024);
-      const std::uint64_t addr = rng.below(kFootprint - size);
-      std::vector<std::uint8_t> fast(size), scalar(size);
-      hier.setScanFastPath(true);
-      hier.peek(addr, fast);
-      hier.setScanFastPath(false);
-      hier.peek(addr, scalar);
-      hier.setScanFastPath(true);
-      ASSERT_EQ(fast, scalar) << "op " << op;
     }
     if (op % 5000 == 0) expectDirtySetCoherent(hier, kFootprint);
   }
@@ -229,6 +230,37 @@ TEST(PostmortemEquiv, EmptyIndexAfterPowerLoss) {
   const auto& ev = hier.events();
   EXPECT_EQ(ev.postmortemBlocksCompared, 0u);
   EXPECT_EQ(ev.postmortemBlocksSkipped, 4096u / 64u);
+}
+
+// Property: whatever stores, flushes and evictions came before, a power
+// loss leaves the value image equal to NVM byte for byte — over geometries
+// where L1 is the LLC, where it is not, and where the LLC is tiny.
+TEST(PostmortemEquiv, PowerLossLeavesValueImageEqualToNvm) {
+  ms::CacheConfig single;
+  single.blockSize = 64;
+  single.levels = {{256, 2}};
+  for (const ms::CacheConfig& config : {ms::CacheConfig::tiny(), single}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      ms::NvmStore nvm(config.blockSize);
+      ms::CacheHierarchy hier(config, nvm);
+      easycrash::Rng rng(seed);
+      const std::uint64_t footprint = 64 * rng.between(4, 96);
+      for (int op = 0; op < 400; ++op) {
+        const std::uint64_t size = rng.between(1, 200);
+        const std::uint64_t addr = rng.below(footprint);
+        if (rng.below(4) != 0) {
+          std::vector<std::uint8_t> buf(size);
+          for (auto& byte : buf) byte = static_cast<std::uint8_t>(rng.below(256));
+          hier.store(addr, buf);
+        } else {
+          hier.flushRange(addr, size, static_cast<ms::FlushKind>(rng.below(3)));
+        }
+      }
+      hier.invalidateAll();
+      expectImageEqualsNvm(hier.values(), nvm);
+      hier.checkInvariants();
+    }
+  }
 }
 
 // The postmortem_* counters are fast-path diagnostics: the scalar walk must
@@ -301,7 +333,8 @@ TEST(PostmortemEquiv, Multicore) {
     } else if (kind < 89) {
       sys.invalidateAll();
       EXPECT_EQ(sys.dirtyBlockCount(), 0u);
-    } else if (kind < 95) {
+      EXPECT_EQ(oracleInconsistentMc(sys, nvm, 0, kFootprint), 0u);
+    } else {
       const std::uint64_t size = rng.between(1, 1024);
       const std::uint64_t addr = rng.below(kFootprint - size);
       sys.setScanFastPath(true);
@@ -311,16 +344,6 @@ TEST(PostmortemEquiv, Multicore) {
       sys.setScanFastPath(true);
       ASSERT_EQ(fast, scalar) << "op " << op;
       ASSERT_EQ(fast, oracleInconsistentMc(sys, nvm, addr, size)) << "op " << op;
-    } else {
-      const std::uint64_t size = rng.between(1, 512);
-      const std::uint64_t addr = rng.below(kFootprint - size);
-      std::vector<std::uint8_t> fast(size), scalar(size);
-      sys.setScanFastPath(true);
-      sys.peek(addr, fast);
-      sys.setScanFastPath(false);
-      sys.peek(addr, scalar);
-      sys.setScanFastPath(true);
-      ASSERT_EQ(fast, scalar) << "op " << op;
     }
     if (op % 10000 == 0) sys.checkInvariants();
   }
