@@ -48,26 +48,16 @@ using runtime::Runtime;
 
 namespace {
 
-/// Mirrors of the MemEvents counters, accumulated over every run a campaign
-/// simulates (golden + each trial's crashing and restart runs). These are
-/// the `memsim.*` counters in --metrics-out; their names match the
-/// MemEvents fields so a metrics snapshot correlates 1:1 with Table 4.
+/// Mirrors of the MemEvents counters, accumulated over the golden run and
+/// every sweep crashing run. These are the `memsim.*` counters in
+/// --metrics-out (names from memsim::kMemEventCounters), so a metrics
+/// snapshot correlates 1:1 with Table 4. Restarts are not counted: they run
+/// direct, and how far each runs depends on which lane decided a memo key
+/// first.
 struct CampaignMetrics {
-  telemetry::Counter& loads;
-  telemetry::Counter& stores;
-  telemetry::Counter& nvmBlockReads;
-  telemetry::Counter& nvmBlockWrites;
-  telemetry::Counter& flushDirty;
-  telemetry::Counter& flushClean;
-  telemetry::Counter& flushNonResident;
-  telemetry::Counter& flushInducedNvmWrites;
-  telemetry::Counter& rangeLoads;
-  telemetry::Counter& rangeStores;
-  telemetry::Counter& rangeSplitBlocks;
+  /// One per memsim::kMemEventCounters row, in its order.
+  std::array<telemetry::Counter*, memsim::kMemEventCounters.size()> memsimCounters;
   telemetry::Counter& rangeAccesses;
-  telemetry::Counter& postmortemBlocksSkipped;
-  telemetry::Counter& postmortemBlocksCompared;
-  telemetry::Counter& postmortemBytesCompared;
   telemetry::Counter& trials;
   std::array<telemetry::Counter*, 4> responses;
   telemetry::Histogram& trialUs;
@@ -100,8 +90,6 @@ struct CampaignMetrics {
   telemetry::Counter& workerCrashes;
   telemetry::Counter& workerKills;
   telemetry::Counter& workerRespawns;
-  /// Backoff slept between trial retries (resilience.retryBackoffMs).
-  telemetry::Histogram& retryBackoff;
   /// Flight-recorder phase latencies (telemetry::PhaseSpan): the golden
   /// run, the crashing run up to the armed crash, the S1–S4 post-mortem
   /// capture, the restart.
@@ -115,21 +103,14 @@ struct CampaignMetrics {
   static CampaignMetrics& get() {
     auto& reg = telemetry::MetricsRegistry::instance();
     static CampaignMetrics m{
-        reg.counter("memsim.loads"),
-        reg.counter("memsim.stores"),
-        reg.counter("memsim.nvmBlockReads"),
-        reg.counter("memsim.nvmBlockWrites"),
-        reg.counter("memsim.flushDirty"),
-        reg.counter("memsim.flushClean"),
-        reg.counter("memsim.flushNonResident"),
-        reg.counter("memsim.flushInducedNvmWrites"),
-        reg.counter("memsim.range_loads"),
-        reg.counter("memsim.range_stores"),
-        reg.counter("memsim.range_split_blocks"),
+        [&reg] {
+          std::array<telemetry::Counter*, memsim::kMemEventCounters.size()> counters{};
+          for (std::size_t i = 0; i < counters.size(); ++i) {
+            counters[i] = &reg.counter(memsim::kMemEventCounters[i].second);
+          }
+          return counters;
+        }(),
         reg.counter("campaign.range_accesses"),
-        reg.counter("memsim.postmortem_blocks_skipped"),
-        reg.counter("memsim.postmortem_blocks_compared"),
-        reg.counter("memsim.postmortem_bytes_compared"),
         reg.counter("campaign.trials"),
         {&reg.counter("campaign.responses.s1"), &reg.counter("campaign.responses.s2"),
          &reg.counter("campaign.responses.s3"), &reg.counter("campaign.responses.s4")},
@@ -154,8 +135,6 @@ struct CampaignMetrics {
         reg.counter("campaign.worker_crashes"),
         reg.counter("campaign.worker_kills"),
         reg.counter("campaign.worker_respawns"),
-        reg.histogram("campaign.retry_backoff_ms",
-                      telemetry::Histogram::exponentialBounds(1.0, 2.0, 12)),
         reg.histogram("campaign.golden_us",
                       telemetry::Histogram::exponentialBounds(100.0, 4.0, 12)),
         reg.histogram("campaign.crash_run_us",
@@ -168,26 +147,14 @@ struct CampaignMetrics {
     return m;
   }
 
+  /// The range_* and postmortem_* counters are diagnostics of the bulk and
+  /// scan fast paths (call counts, not logical accesses): zero on the scalar
+  /// paths, so they never feed equivalence comparisons.
   void recordRun(const memsim::MemEvents& ev) {
-    loads.add(ev.loads);
-    stores.add(ev.stores);
-    nvmBlockReads.add(ev.nvmBlockReads);
-    nvmBlockWrites.add(ev.nvmBlockWrites);
-    flushDirty.add(ev.flushDirty);
-    flushClean.add(ev.flushClean);
-    flushNonResident.add(ev.flushNonResident);
-    flushInducedNvmWrites.add(ev.flushInducedNvmWrites);
-    // Diagnostics of the bulk fast path (call counts, not logical accesses):
-    // zero on the scalar path, so they never feed equivalence comparisons.
-    rangeLoads.add(ev.rangeLoads);
-    rangeStores.add(ev.rangeStores);
-    rangeSplitBlocks.add(ev.rangeSplitBlocks);
+    for (std::size_t i = 0; i < memsimCounters.size(); ++i) {
+      memsimCounters[i]->add(ev.*memsim::kMemEventCounters[i].first);
+    }
     rangeAccesses.add(ev.rangeLoads + ev.rangeStores);
-    // Diagnostics of the post-mortem scan fast path: zero on the scalar
-    // walk, so they never feed equivalence comparisons either.
-    postmortemBlocksSkipped.add(ev.postmortemBlocksSkipped);
-    postmortemBlocksCompared.add(ev.postmortemBlocksCompared);
-    postmortemBytesCompared.add(ev.postmortemBytesCompared);
   }
 };
 
@@ -1075,6 +1042,13 @@ const char* toString(Response response) {
   return "?";
 }
 
+std::optional<Response> responseFromString(std::string_view text) {
+  for (const Response r : {Response::S1, Response::S2, Response::S3, Response::S4}) {
+    if (text == toString(r)) return r;
+  }
+  return std::nullopt;
+}
+
 void setMemoSeams(const MemoSeams& seams) {
   g_memoTrialMatches.store(seams.trialMatches);
   g_memoCompareBytes.store(seams.compareBytes);
@@ -1514,17 +1488,9 @@ class CampaignExecution {
   /// worker children, and a child death becomes a TrialFailure instead of
   /// taking the campaign down.
   void evaluate() {
-    // Candidate bytes of one capture (probed on an un-simulated setup): they
-    // size the restart queue's backpressure window and the worker arenas.
-    std::size_t captureBytes = 0;
-    if (!plan_.empty()) {
-      Runtime probe;
-      auto app = runner_.factory_();
-      app->setup(probe);
-      for (const auto& object : probe.objects()) {
-        if (object.candidate) captureBytes += object.bytes;
-      }
-    }
+    // Candidate bytes of one capture: they size the restart queue's
+    // backpressure window and the worker arenas.
+    const std::size_t captureBytes = result_.golden.candidateBytes;
     // The golden keys seed the convergence memo: a restart that reaches
     // one converges as the golden run did.
     const GoldenStats& golden = result_.golden;
@@ -1795,9 +1761,9 @@ class CampaignExecution {
   }
 
   /// Charge one failed attempt (1-based) to trial t, whether a restart of t
-  /// or the sweep crashing run that died on t's crash point: count it, then
-  /// either back off before the retry or, once the attempts are spent,
-  /// record the trial's TrialFailure against the --max-trial-failures budget.
+  /// or the sweep crashing run that died on t's crash point: count it, and
+  /// once the attempts are spent record the trial's TrialFailure against the
+  /// --max-trial-failures budget.
   void chargeAttempt(std::size_t t, int attempt, const AttemptFailure& f) {
     if (f.timeout) {
       CampaignMetrics::get().trialTimeouts.add();
@@ -1808,11 +1774,6 @@ class CampaignExecution {
       retryCount_.fetch_add(1);
       EC_LOG_DEBUG("trial " << t << " attempt " << attempt << " failed ("
                             << f.reason << "), retrying");
-      const std::uint64_t backoff = retryBackoffMs(res_, config_.seed, t, attempt);
-      if (backoff > 0) {
-        CampaignMetrics::get().retryBackoff.observe(static_cast<double>(backoff));
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      }
       return;
     }
     TrialFailure failure;
@@ -2212,7 +2173,6 @@ MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCaptu
   const int cap = golden.finalIteration * config_.maxIterationFactor;
   const auto rerun = Driver::run(*restartApp, restartRt, input.restartIteration, cap,
                                  stride > 0 ? check : Driver::IterationHook{});
-  noteRun(restartRt);
   metrics.restartIterations.add(static_cast<std::uint64_t>(rerun.iterationsExecuted));
 
   if (rerun.stopped) {

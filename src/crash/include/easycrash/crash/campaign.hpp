@@ -17,7 +17,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "easycrash/memsim/config.hpp"
@@ -36,6 +38,8 @@ enum class Response {
 };
 
 [[nodiscard]] const char* toString(Response response);
+/// Inverse of toString(Response); nullopt for any other text.
+[[nodiscard]] std::optional<Response> responseFromString(std::string_view text);
 
 /// How the restart snapshot is taken.
 enum class SnapshotMode {
@@ -111,12 +115,6 @@ struct ResilienceConfig {
   /// Test hook: request a graceful stop (as SIGINT/SIGTERM would) once this
   /// many new trials have completed. 0 = off.
   int stopAfterTrials = 0;
-  /// Exponential backoff between trial retries: attempt k (1-based) sleeps
-  /// retryBackoffMs * 2^(k-1) plus a bounded deterministic jitter (seeded
-  /// from campaign seed, trial and attempt), capped at retryBackoffMaxMs.
-  /// 0 disables the backoff (immediate re-run, the pre-backoff behaviour).
-  std::uint64_t retryBackoffMs = 25;
-  std::uint64_t retryBackoffMaxMs = 2000;
 };
 
 /// Deterministic fault injection (`nvct --inject`): execute a real,

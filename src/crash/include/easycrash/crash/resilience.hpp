@@ -167,17 +167,6 @@ struct JournalReplay {
 [[nodiscard]] CrashTestRecord parseTrialRecord(const std::string& line,
                                                std::size_t* trial);
 
-// ---- Retry backoff -----------------------------------------------------------
-
-/// Backoff before retry `attempt` (1-based: the sleep after the first failed
-/// attempt) of `trial`: ResilienceConfig::retryBackoffMs doubled per attempt
-/// plus a deterministic bounded jitter (seeded by campaign seed, trial and
-/// attempt — reruns sleep identically), capped at retryBackoffMaxMs. Zero
-/// when backoff is disabled.
-[[nodiscard]] std::uint64_t retryBackoffMs(const ResilienceConfig& res,
-                                           std::uint64_t seed,
-                                           std::size_t trial, int attempt);
-
 // ---- Atomic file replacement -------------------------------------------------
 
 /// Replace `path` with `content` atomically: write `<path>.tmp`, fsync,

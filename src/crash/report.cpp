@@ -11,14 +11,6 @@ namespace easycrash::crash {
 
 namespace {
 
-Response responseFromString(const std::string& text) {
-  if (text == "S1") return Response::S1;
-  if (text == "S2") return Response::S2;
-  if (text == "S3") return Response::S3;
-  if (text == "S4") return Response::S4;
-  throw std::runtime_error("unknown response class: " + text);
-}
-
 std::vector<std::string> splitCsvLine(const std::string& line) {
   std::vector<std::string> fields;
   std::string field;
@@ -157,7 +149,9 @@ std::vector<CrashTestRecord> readCampaignCsv(std::istream& is) {
     record.crashIteration = std::stoi(fields[1]);
     record.restartIteration = std::stoi(fields[2]);
     record.region = std::stoi(fields[3]);
-    record.response = responseFromString(fields[5]);
+    const auto response = responseFromString(fields[5]);
+    if (!response) throw std::runtime_error("unknown response class: " + fields[5]);
+    record.response = *response;
     record.extraIterations = std::stoi(fields[6]);
     for (std::size_t c = kFixedColumns; c < fields.size(); ++c) {
       record.inconsistentRate[static_cast<runtime::ObjectId>(c - kFixedColumns)] =

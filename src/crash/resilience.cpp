@@ -14,7 +14,6 @@
 #include <stdexcept>
 
 #include "easycrash/common/check.hpp"
-#include "easycrash/common/rng.hpp"
 #include "easycrash/telemetry/json.hpp"
 #include "easycrash/telemetry/log.hpp"
 #include "easycrash/telemetry/trace.hpp"
@@ -141,25 +140,10 @@ void atomicWriteFile(const std::string& path, const std::string& content) {
 
 namespace {
 
-/// Shortest representation that strtod parses back to the same double.
-void appendDouble(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 void appendQuoted(std::string& out, std::string_view s) {
   out += '"';
   telemetry::appendJsonEscaped(out, s);
   out += '"';
-}
-
-Response responseFromString(const std::string& text) {
-  if (text == "S1") return Response::S1;
-  if (text == "S2") return Response::S2;
-  if (text == "S3") return Response::S3;
-  if (text == "S4") return Response::S4;
-  throw std::runtime_error("journal: unknown response class '" + text + "'");
 }
 
 std::string serializeHeader(const JournalHeader& h) {
@@ -220,7 +204,7 @@ std::string serializeTrial(std::size_t trial, const CrashTestRecord& r) {
     if (!first) line += ',';
     first = false;
     line += '"' + std::to_string(id) + "\":";
-    appendDouble(line, rate);
+    telemetry::appendExactDouble(line, rate);
   }
   line += "},\"note\":";
   appendQuoted(line, r.note);
@@ -288,7 +272,10 @@ CrashTestRecord parseTrial(const json::Value& obj, std::size_t* trial) {
   }
   r.crashIteration = static_cast<int>(num(obj, "crash_iteration"));
   r.restartIteration = static_cast<int>(num(obj, "restart_iteration"));
-  r.response = responseFromString(str(obj, "response"));
+  const std::string response = str(obj, "response");
+  const auto parsed = responseFromString(response);
+  if (!parsed) throw std::runtime_error("journal: unknown response class '" + response + "'");
+  r.response = *parsed;
   r.extraIterations = static_cast<int>(num(obj, "extra_iterations"));
   const json::Value& rates = member(obj, "rates");
   if (!rates.isObject()) throw std::runtime_error("journal: \"rates\" is not an object");
@@ -381,23 +368,6 @@ CrashTestRecord parseTrialRecord(const std::string& line, std::size_t* trial) {
     throw std::runtime_error("trial record: wrong type");
   }
   return parseTrial(*value, trial);
-}
-
-std::uint64_t retryBackoffMs(const ResilienceConfig& res, std::uint64_t seed,
-                             std::size_t trial, int attempt) {
-  if (res.retryBackoffMs == 0 || attempt < 1) return 0;
-  const std::uint64_t cap =
-      std::max<std::uint64_t>(res.retryBackoffMaxMs, res.retryBackoffMs);
-  // base * 2^(attempt-1), saturating well before a uint64 overflow.
-  const int shift = std::min(attempt - 1, 32);
-  std::uint64_t backoff = res.retryBackoffMs << shift;
-  if (backoff > cap || (backoff >> shift) != res.retryBackoffMs) backoff = cap;
-  // Bounded jitter in [0, backoff/2], drawn from a stream keyed by (seed,
-  // trial, attempt) so reruns and resumes sleep identically.
-  Rng rng(seed ^ (0x9e3779b97f4a7c15ull * (trial + 1)) ^
-                  (0xbf58476d1ce4e5b9ull * static_cast<std::uint64_t>(attempt)));
-  const std::uint64_t jitter = rng.below(backoff / 2 + 1);
-  return std::min(backoff + jitter, cap);
 }
 
 std::uint64_t planFingerprint(const runtime::PersistencePlan& plan) {

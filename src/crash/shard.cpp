@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -13,12 +12,6 @@
 namespace easycrash::crash {
 
 namespace {
-
-void appendExactDouble(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
 
 /// Loud rejection: every validation failure names the offending journal and
 /// what disagreed, so a mis-addressed shard on a 10-machine fan-out is a
@@ -241,9 +234,9 @@ std::string renderMergedMetrics(const ShardMerge& merge) {
     out += "{\"id\": " + std::to_string(id);
     out += ", \"samples\": " + std::to_string(stats.samples);
     out += ", \"mean\": ";
-    appendExactDouble(out, stats.sum / static_cast<double>(stats.samples));
+    telemetry::appendExactDouble(out, stats.sum / static_cast<double>(stats.samples));
     out += ", \"max\": ";
-    appendExactDouble(out, stats.max);
+    telemetry::appendExactDouble(out, stats.max);
     out += '}';
   }
   out += "]\n}\n";

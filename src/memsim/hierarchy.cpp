@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "easycrash/common/check.hpp"
-#include "easycrash/memsim/scan.hpp"
 #include "easycrash/telemetry/trace.hpp"
 
 namespace easycrash::memsim {
@@ -121,168 +120,78 @@ std::uint32_t CacheHierarchy::fillToL1(std::uint64_t blockAddr) {
   return l1Line;
 }
 
-void CacheHierarchy::loadSlow(std::uint64_t addr, std::span<std::uint8_t> dst) {
-  // Fast path: the whole access falls inside one block (every scalar
-  // loadValue of an aligned element) — one probe, one memcpy.
+template <bool kStore>
+void CacheHierarchy::accessSlow(std::uint64_t addr, AccessSpan<kStore> bytes) {
+  // The whole access falls inside one block (every scalar access of an
+  // aligned element): one probe, one memcpy.
   const std::uint64_t inBlock = addr & blockMask_;
-  if (!dst.empty() && inBlock + dst.size() <= config_.blockSize) {
-    ensureInL1(addr - inBlock);
-    dir_.values().read(addr, dst);
-    ++events_.loads;
+  if (!bytes.empty() && inBlock + bytes.size() <= config_.blockSize) {
+    moveSegment<kStore>(ensureInL1(addr - inBlock), addr, bytes, 1);
     return;
   }
-  std::uint64_t offset = 0;
-  while (offset < dst.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t off = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - off, dst.size() - offset);
-    ensureInL1(base);
-    dir_.values().read(a, dst.subspan(offset, chunk));
-    ++events_.loads;
-    offset += chunk;
-  }
+  // A multi-block access is one element: one micro-access per block.
+  walk<kStore>(addr, bytes, bytes.size());
 }
+template void CacheHierarchy::accessSlow<false>(std::uint64_t, AccessSpan<false>);
+template void CacheHierarchy::accessSlow<true>(std::uint64_t, AccessSpan<true>);
 
-void CacheHierarchy::storeSlow(std::uint64_t addr, std::span<const std::uint8_t> src) {
-  // Fast path mirroring load(): single-block stores skip the chunking loop.
-  const std::uint64_t inBlock = addr & blockMask_;
-  if (!src.empty() && inBlock + src.size() <= config_.blockSize) {
-    const std::uint32_t line = ensureInL1(addr - inBlock);
-    dir_.values().poke(addr, src);
-    if (!levels_[0].dirty(line)) markL1Dirty(line);
-    ++events_.stores;
-    return;
-  }
-  std::uint64_t offset = 0;
-  while (offset < src.size()) {
+template <bool kStore>
+std::uint64_t CacheHierarchy::walk(std::uint64_t addr, AccessSpan<kStore> bytes,
+                                   std::uint64_t elemSize) {
+  std::uint64_t blocks = 0;
+  for (std::uint64_t offset = 0; offset < bytes.size(); ++blocks) {
     const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t off = a - base;
     const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - off, src.size() - offset);
-    const std::uint32_t line = ensureInL1(base);
-    dir_.values().poke(a, src.subspan(offset, chunk));
-    if (!levels_[0].dirty(line)) markL1Dirty(line);
-    ++events_.stores;
-    offset += chunk;
-  }
-}
-
-void CacheHierarchy::loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
-                               std::uint32_t elemSize) {
-  EC_CHECK(elemSize > 0);
-  if (dst.empty()) return;
-  ++events_.rangeLoads;
-  std::uint64_t offset = 0;
-  while (offset < dst.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t off = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - off, dst.size() - offset);
+        std::min<std::uint64_t>(config_.blockSize - (a & blockMask_), bytes.size() - offset);
     // Logical elements overlapping this block segment (a straddling element
     // belongs to both of its blocks, as the scalar chunk loop counts it).
-    const std::uint64_t touches =
-        (offset + chunk - 1) / elemSize - offset / elemSize + 1;
-    ensureInL1(base);
+    const std::uint64_t touches = (offset + chunk - 1) / elemSize - offset / elemSize + 1;
+    // Resident first: a write-back the fill triggers sees the new bytes of
+    // the blocks already stored and the old bytes of the rest.
+    const std::uint32_t l1 = ensureInL1(blockBase(a));
     events_.hits[0] += touches - 1;
-    events_.loads += touches;
-    ++events_.rangeSplitBlocks;
-    dir_.values().read(a, dst.subspan(offset, chunk));
+    moveSegment<kStore>(l1, a, bytes.subspan(offset, chunk), touches);
     offset += chunk;
   }
+  return blocks;
 }
 
-void CacheHierarchy::storeRange(std::uint64_t addr,
-                                std::span<const std::uint8_t> src,
-                                std::uint32_t elemSize) {
+template <bool kStore>
+void CacheHierarchy::accessRange(std::uint64_t addr, AccessSpan<kStore> bytes,
+                                 std::uint32_t elemSize) {
   EC_CHECK(elemSize > 0);
-  if (src.empty()) return;
-  ++events_.rangeStores;
-  std::uint64_t offset = 0;
-  while (offset < src.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t off = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - off, src.size() - offset);
-    const std::uint64_t touches =
-        (offset + chunk - 1) / elemSize - offset / elemSize + 1;
-    const std::uint32_t line = ensureInL1(base);
-    events_.hits[0] += touches - 1;
-    events_.stores += touches;
-    ++events_.rangeSplitBlocks;
-    dir_.values().poke(a, src.subspan(offset, chunk));
-    if (!levels_[0].dirty(line)) markL1Dirty(line);
-    offset += chunk;
-  }
+  if (bytes.empty()) return;
+  ++(kStore ? events_.rangeStores : events_.rangeLoads);
+  events_.rangeSplitBlocks += walk<kStore>(addr, bytes, elemSize);
 }
-
-void CacheHierarchy::flushBlock(std::uint64_t addr, FlushKind kind) {
-  switch (dir_.flush(blockBase(addr), kind != FlushKind::Clwb)) {
-    case LlcDirectory::FlushResult::NonResident:
-      ++events_.flushNonResident;
-      break;
-    case LlcDirectory::FlushResult::Clean:
-      ++events_.flushClean;
-      break;
-    case LlcDirectory::FlushResult::WroteBack:
-      ++events_.nvmBlockWrites;
-      ++events_.flushInducedNvmWrites;
-      ++events_.flushDirty;
-      break;
-  }
-}
+template void CacheHierarchy::accessRange<false>(std::uint64_t, AccessSpan<false>,
+                                                 std::uint32_t);
+template void CacheHierarchy::accessRange<true>(std::uint64_t, AccessSpan<true>,
+                                                std::uint32_t);
 
 void CacheHierarchy::flushRange(std::uint64_t addr, std::uint64_t size,
                                 FlushKind kind) {
   if (size == 0) return;
-  const bool trace = telemetry::tracing();
-  const MemEvents before = trace ? events_ : MemEvents{};
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(addr + size - 1);
-  for (std::uint64_t b = first; b <= last; b += config_.blockSize) {
-    flushBlock(b, kind);
-  }
-  if (trace) {
-    const MemEvents d = events_.delta(before);
+  const LlcDirectory::FlushTally t = flush(addr, size, kind);
+  if (telemetry::tracing()) {
     telemetry::TraceEvent("flush_burst")
         .field("addr", addr)
         .field("bytes", size)
-        .field("blocks", (last - first) / config_.blockSize + 1)
-        .field("dirty", d.flushDirty)
-        .field("clean", d.flushClean)
-        .field("non_resident", d.flushNonResident)
-        .field("nvm_writes", d.nvmBlockWrites)
+        .field("blocks", t.dirty + t.clean + t.nonResident)
+        .field("dirty", t.dirty)
+        .field("clean", t.clean)
+        .field("non_resident", t.nonResident)
+        .field("nvm_writes", t.dirty)
         .emit();
   }
 }
 
 std::uint64_t CacheHierarchy::inconsistentBytes(std::uint64_t addr,
                                                 std::uint64_t size) const {
-  if (size == 0) return 0;
-  if (!scanFast_) return dir_.diffScalar(addr, size);
-  const std::uint64_t blocks = (blockBase(addr + size - 1) - blockBase(addr)) /
-                                   config_.blockSize +
-                               1;
-  const LlcDirectory::Diff d = dir_.diff(addr, size);
+  const LlcDirectory::Diff d = dir_.diff(addr, size, scanFast_);
   events_.postmortemBlocksCompared += d.blocksCompared;
-  events_.postmortemBlocksSkipped += blocks - d.blocksCompared;
+  events_.postmortemBlocksSkipped += d.blocksSkipped;
   events_.postmortemBytesCompared += d.bytesCompared;
-  if (telemetry::tracing()) {
-    telemetry::TraceEvent("postmortem_scan")
-        .field("addr", addr)
-        .field("bytes", size)
-        .field("blocks", blocks)
-        .field("blocks_compared", d.blocksCompared)
-        .field("blocks_skipped", blocks - d.blocksCompared)
-        .field("bytes_compared", d.bytesCompared)
-        .field("diff", d.bytes)
-        .field("kernel", scan::kernelName(scan::activeKernel()))
-        .emit();
-  }
   return d.bytes;
 }
 

@@ -7,6 +7,8 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <utility>
 
 #include "easycrash/common/check.hpp"
 
@@ -60,59 +62,44 @@ struct MemEvents {
   /// hierarchy. Counters are monotonic, so every term must be >= its
   /// `earlier` counterpart; a violation means the snapshot came from a
   /// different (or reset) hierarchy and would silently underflow.
-  [[nodiscard]] MemEvents delta(const MemEvents& earlier) const {
-    EC_DCHECK_MSG(loads >= earlier.loads, "MemEvents::delta: loads not monotonic");
-    EC_DCHECK_MSG(stores >= earlier.stores, "MemEvents::delta: stores not monotonic");
-    for (std::size_t i = 0; i < kMaxLevels; ++i) {
-      EC_DCHECK_MSG(hits[i] >= earlier.hits[i], "MemEvents::delta: hits not monotonic");
-      EC_DCHECK_MSG(misses[i] >= earlier.misses[i],
-                    "MemEvents::delta: misses not monotonic");
-    }
-    EC_DCHECK_MSG(nvmBlockReads >= earlier.nvmBlockReads,
-                  "MemEvents::delta: nvmBlockReads not monotonic");
-    EC_DCHECK_MSG(nvmBlockWrites >= earlier.nvmBlockWrites,
-                  "MemEvents::delta: nvmBlockWrites not monotonic");
-    EC_DCHECK_MSG(flushDirty >= earlier.flushDirty,
-                  "MemEvents::delta: flushDirty not monotonic");
-    EC_DCHECK_MSG(flushClean >= earlier.flushClean,
-                  "MemEvents::delta: flushClean not monotonic");
-    EC_DCHECK_MSG(flushNonResident >= earlier.flushNonResident,
-                  "MemEvents::delta: flushNonResident not monotonic");
-    EC_DCHECK_MSG(flushInducedNvmWrites >= earlier.flushInducedNvmWrites,
-                  "MemEvents::delta: flushInducedNvmWrites not monotonic");
-    EC_DCHECK_MSG(rangeLoads >= earlier.rangeLoads,
-                  "MemEvents::delta: rangeLoads not monotonic");
-    EC_DCHECK_MSG(rangeStores >= earlier.rangeStores,
-                  "MemEvents::delta: rangeStores not monotonic");
-    EC_DCHECK_MSG(rangeSplitBlocks >= earlier.rangeSplitBlocks,
-                  "MemEvents::delta: rangeSplitBlocks not monotonic");
-    EC_DCHECK_MSG(postmortemBlocksSkipped >= earlier.postmortemBlocksSkipped,
-                  "MemEvents::delta: postmortemBlocksSkipped not monotonic");
-    EC_DCHECK_MSG(postmortemBlocksCompared >= earlier.postmortemBlocksCompared,
-                  "MemEvents::delta: postmortemBlocksCompared not monotonic");
-    EC_DCHECK_MSG(postmortemBytesCompared >= earlier.postmortemBytesCompared,
-                  "MemEvents::delta: postmortemBytesCompared not monotonic");
-    MemEvents d;
-    d.loads = loads - earlier.loads;
-    d.stores = stores - earlier.stores;
-    for (std::size_t i = 0; i < kMaxLevels; ++i) {
-      d.hits[i] = hits[i] - earlier.hits[i];
-      d.misses[i] = misses[i] - earlier.misses[i];
-    }
-    d.nvmBlockReads = nvmBlockReads - earlier.nvmBlockReads;
-    d.nvmBlockWrites = nvmBlockWrites - earlier.nvmBlockWrites;
-    d.flushDirty = flushDirty - earlier.flushDirty;
-    d.flushClean = flushClean - earlier.flushClean;
-    d.flushNonResident = flushNonResident - earlier.flushNonResident;
-    d.flushInducedNvmWrites = flushInducedNvmWrites - earlier.flushInducedNvmWrites;
-    d.rangeLoads = rangeLoads - earlier.rangeLoads;
-    d.rangeStores = rangeStores - earlier.rangeStores;
-    d.rangeSplitBlocks = rangeSplitBlocks - earlier.rangeSplitBlocks;
-    d.postmortemBlocksSkipped = postmortemBlocksSkipped - earlier.postmortemBlocksSkipped;
-    d.postmortemBlocksCompared = postmortemBlocksCompared - earlier.postmortemBlocksCompared;
-    d.postmortemBytesCompared = postmortemBytesCompared - earlier.postmortemBytesCompared;
-    return d;
-  }
+  [[nodiscard]] MemEvents delta(const MemEvents& earlier) const;
 };
+
+/// The scalar counters with their `memsim.*` metric names (--metrics-out):
+/// one row per counter drives MemEvents::delta and the campaign's registry
+/// mirror.
+inline constexpr std::array<std::pair<std::uint64_t MemEvents::*, const char*>, 14>
+    kMemEventCounters{{
+        {&MemEvents::loads, "memsim.loads"},
+        {&MemEvents::stores, "memsim.stores"},
+        {&MemEvents::nvmBlockReads, "memsim.nvmBlockReads"},
+        {&MemEvents::nvmBlockWrites, "memsim.nvmBlockWrites"},
+        {&MemEvents::flushDirty, "memsim.flushDirty"},
+        {&MemEvents::flushClean, "memsim.flushClean"},
+        {&MemEvents::flushNonResident, "memsim.flushNonResident"},
+        {&MemEvents::flushInducedNvmWrites, "memsim.flushInducedNvmWrites"},
+        {&MemEvents::rangeLoads, "memsim.range_loads"},
+        {&MemEvents::rangeStores, "memsim.range_stores"},
+        {&MemEvents::rangeSplitBlocks, "memsim.range_split_blocks"},
+        {&MemEvents::postmortemBlocksSkipped, "memsim.postmortem_blocks_skipped"},
+        {&MemEvents::postmortemBlocksCompared, "memsim.postmortem_blocks_compared"},
+        {&MemEvents::postmortemBytesCompared, "memsim.postmortem_bytes_compared"},
+    }};
+
+inline MemEvents MemEvents::delta(const MemEvents& earlier) const {
+  MemEvents d;
+  for (std::size_t i = 0; i < kMaxLevels; ++i) {
+    EC_DCHECK_MSG(hits[i] >= earlier.hits[i], "MemEvents::delta: hits not monotonic");
+    EC_DCHECK_MSG(misses[i] >= earlier.misses[i], "MemEvents::delta: misses not monotonic");
+    d.hits[i] = hits[i] - earlier.hits[i];
+    d.misses[i] = misses[i] - earlier.misses[i];
+  }
+  for (const auto& [counter, name] : kMemEventCounters) {
+    EC_DCHECK_MSG(this->*counter >= earlier.*counter,
+                  std::string("MemEvents::delta: ") + name + " not monotonic");
+    d.*counter = this->*counter - earlier.*counter;
+  }
+  return d;
+}
 
 }  // namespace easycrash::memsim

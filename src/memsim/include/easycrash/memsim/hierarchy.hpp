@@ -36,7 +36,9 @@ class CacheHierarchy {
   /// Load `dst.size()` bytes from `addr` through the cache hierarchy.
   /// The header-level fast path covers the dominant case — a single-block
   /// access hitting L1's most-recently-used line — without leaving the
-  /// caller's translation unit; everything else goes out of line.
+  /// caller's translation unit; everything else goes out of line. Written
+  /// out for each direction: folding load() and store() into one template
+  /// changes how the compiler inlines them into the apps' loops.
   void load(std::uint64_t addr, std::span<std::uint8_t> dst) {
     const std::uint64_t inBlock = addr & blockMask_;
     if (!dst.empty() && inBlock + dst.size() <= config_.blockSize) {
@@ -50,7 +52,7 @@ class CacheHierarchy {
         return;
       }
     }
-    loadSlow(addr, dst);
+    accessSlow<false>(addr, dst);
   }
   /// Store `src.size()` bytes at `addr` through the cache hierarchy.
   void store(std::uint64_t addr, std::span<const std::uint8_t> src) {
@@ -67,7 +69,7 @@ class CacheHierarchy {
         return;
       }
     }
-    storeSlow(addr, src);
+    accessSlow<true>(addr, src);
   }
 
   /// Bulk range access: move [addr, addr+dst.size()) in one call, splitting
@@ -81,12 +83,19 @@ class CacheHierarchy {
   /// rangeSplitBlocks, which are diagnostics excluded from equivalence, tell
   /// the two paths apart.
   void loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
-                 std::uint32_t elemSize);
+                 std::uint32_t elemSize) {
+    accessRange<false>(addr, dst, elemSize);
+  }
   void storeRange(std::uint64_t addr, std::span<const std::uint8_t> src,
-                  std::uint32_t elemSize);
+                  std::uint32_t elemSize) {
+    accessRange<true>(addr, src, elemSize);
+  }
+  /// loadRange() or storeRange(), for callers generic over the direction.
+  template <bool kStore>
+  void accessRange(std::uint64_t addr, AccessSpan<kStore> bytes, std::uint32_t elemSize);
 
   /// Apply a flush instruction to the block containing `addr`.
-  void flushBlock(std::uint64_t addr, FlushKind kind);
+  void flushBlock(std::uint64_t addr, FlushKind kind) { flush(addr, 1, kind); }
   /// Flush every block overlapping [addr, addr+size) — the paper's
   /// cache_block_flush() over a whole data object (§2.1: all blocks are
   /// flushed even when not resident, because hardware cannot tell).
@@ -181,10 +190,43 @@ class CacheHierarchy {
     }
   }
 
-  /// Out-of-line halves of load()/store(): multi-block accesses and
+  /// Move one block segment's bytes between the caller and the value image,
+  /// once L1 line `l1` holds the block, and count `touches` micro-accesses.
+  template <bool kStore>
+  void moveSegment(std::uint32_t l1, std::uint64_t addr, AccessSpan<kStore> bytes,
+                   std::uint64_t touches) {
+    dir_.values().move<kStore>(addr, bytes);
+    if constexpr (kStore) {
+      if (!levels_[0].dirty(l1)) markL1Dirty(l1);
+      events_.stores += touches;
+    } else {
+      events_.loads += touches;
+    }
+  }
+
+  /// Out-of-line half of load()/store(): multi-block accesses and
   /// single-block accesses that miss the L1 MRU entry.
-  void loadSlow(std::uint64_t addr, std::span<std::uint8_t> dst);
-  void storeSlow(std::uint64_t addr, std::span<const std::uint8_t> src);
+  template <bool kStore>
+  void accessSlow(std::uint64_t addr, AccessSpan<kStore> bytes);
+  /// The block walk behind every access that leaves the single-block paths:
+  /// for each block of [addr, addr+bytes.size()) in ascending order, make it
+  /// resident in L1 (fills, evictions, write-backs), then move its bytes and
+  /// count one micro-access per `elemSize`-byte element overlapping it.
+  /// Returns the number of blocks walked.
+  template <bool kStore>
+  std::uint64_t walk(std::uint64_t addr, AccessSpan<kStore> bytes, std::uint64_t elemSize);
+
+  /// Flush every block overlapping [addr, addr+size) (size > 0) and count
+  /// the flushes. Inline, so flushBlock() costs one out-of-line call.
+  LlcDirectory::FlushTally flush(std::uint64_t addr, std::uint64_t size, FlushKind kind) {
+    const LlcDirectory::FlushTally t = dir_.flush(addr, size, kind != FlushKind::Clwb);
+    events_.flushDirty += t.dirty;
+    events_.flushClean += t.clean;
+    events_.flushNonResident += t.nonResident;
+    events_.nvmBlockWrites += t.dirty;
+    events_.flushInducedNvmWrites += t.dirty;
+    return t;
+  }
 
   /// Make `blockAddr` resident in L1; returns the L1 line index.
   std::uint32_t ensureInL1(std::uint64_t blockAddr);

@@ -26,6 +26,7 @@
 // below it), MulticoreSystem registers one private cache per core.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +35,15 @@
 #include "easycrash/memsim/nvm_store.hpp"
 
 namespace easycrash::memsim {
+
+/// Visit the set bits of `mask` in ascending order: fn(bit).
+template <typename Fn>
+void forEachBit(std::uint64_t mask, Fn&& fn) {
+  while (mask != 0) {
+    fn(static_cast<std::uint32_t>(std::countr_zero(mask)));
+    mask &= mask - 1;
+  }
+}
 
 class LlcDirectory {
  public:
@@ -94,10 +104,16 @@ class LlcDirectory {
   void setUpperDirty(std::uint32_t u, std::uint32_t line, bool dirty);
   void setLlcDirty(std::uint32_t llcLine, bool dirty);
 
-  enum class FlushResult { NonResident, Clean, WroteBack };
-  /// Write the block's value to NVM if any copy is dirty (every copy is
-  /// clean afterwards); with `drop`, remove every copy too.
-  FlushResult flush(std::uint64_t blockAddr, bool drop);
+  /// What a flush found, per block.
+  struct FlushTally {
+    std::uint64_t dirty = 0;        ///< written back to NVM
+    std::uint64_t clean = 0;        ///< resident, every copy clean
+    std::uint64_t nonResident = 0;  ///< cached nowhere
+  };
+  /// Flush every block overlapping [addr, addr+size) in ascending order:
+  /// write its value to NVM if any copy is dirty (every copy is clean
+  /// afterwards); with `drop`, remove every copy too.
+  FlushTally flush(std::uint64_t addr, std::uint64_t size, bool drop);
 
   /// Write every dirty-anywhere block to NVM in LLC line order and clean all
   /// copies; lines stay resident. Returns the number of blocks written.
@@ -118,18 +134,19 @@ class LlcDirectory {
   }
 
   struct Diff {
-    std::uint64_t bytes = 0;          ///< bytes differing from the NVM image
+    std::uint64_t bytes = 0;  ///< bytes differing from the NVM image
+    /// Fast path only: blocks compared, blocks skipped (dirty nowhere) and
+    /// bytes compared.
     std::uint64_t blocksCompared = 0;
+    std::uint64_t blocksSkipped = 0;
     std::uint64_t bytesCompared = 0;
   };
-  /// Bytes in [addr, addr+size) whose value differs from the NVM image:
-  /// only dirty-anywhere blocks are compared, with the vectorized scan
-  /// kernel.
-  [[nodiscard]] Diff diff(std::uint64_t addr, std::uint64_t size) const;
-
-  /// Scalar oracle of diff(): probe the LLC and every cache's own dirty bit
-  /// per block (no masks, no dirty list), and compare byte by byte.
-  [[nodiscard]] std::uint64_t diffScalar(std::uint64_t addr, std::uint64_t size) const;
+  /// Bytes in [addr, addr+size) whose value differs from the NVM image. The
+  /// fast path compares only the dirty-anywhere blocks, with the vectorized
+  /// scan kernel, and traces a `postmortem_scan` event; `fast` false probes
+  /// the LLC and every cache's own dirty bit per block (no masks, no dirty
+  /// list) and compares byte by byte — the differential oracle.
+  [[nodiscard]] Diff diff(std::uint64_t addr, std::uint64_t size, bool fast) const;
 
   /// Structural check (tests): every upper line is linked both ways to an
   /// LLC line of the same block, masks mirror the upper caches' valid and
@@ -152,6 +169,8 @@ class LlcDirectory {
   void writeBack(std::uint64_t blockAddr);
   /// Clear every dirty bit of the LLC block.
   void clean(std::uint32_t llcLine);
+  /// The scalar side of diff().
+  [[nodiscard]] std::uint64_t diffScalar(std::uint64_t addr, std::uint64_t size) const;
   /// Visit the dirty-anywhere blocks in [first, last] in ascending address
   /// order: fn(blockBase).
   template <typename Fn>

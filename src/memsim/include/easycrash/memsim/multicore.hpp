@@ -80,7 +80,7 @@ class MulticoreSystem {
 
   /// Flush the block wherever it is cached (any core, the LLC): write the
   /// freshest copy to NVM; Clwb keeps copies resident, others invalidate.
-  void flushBlock(std::uint64_t addr, FlushKind kind);
+  void flushBlock(std::uint64_t addr, FlushKind kind) { flushRange(addr, 1, kind); }
   void flushRange(std::uint64_t addr, std::uint64_t size, FlushKind kind);
 
   /// Architecturally-current value, read from the value image.
@@ -131,6 +131,12 @@ class MulticoreSystem {
   /// Make `blockAddr` usable by `core` (exclusive if `forWrite`); returns
   /// the private-cache line index.
   std::uint32_t acquire(int core, std::uint64_t blockAddr, bool forWrite);
+  /// The block walk behind every access: for each block of
+  /// [addr, addr+bytes.size()) in ascending order, acquire it for `core`,
+  /// then move its bytes and count one micro-access per `elemSize`-byte
+  /// element overlapping it.
+  template <bool kStore>
+  void walk(int core, std::uint64_t addr, AccessSpan<kStore> bytes, std::uint64_t elemSize);
 
   MulticoreConfig config_;
   NvmStore& nvm_;

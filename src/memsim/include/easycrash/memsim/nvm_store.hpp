@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 namespace easycrash::memsim {
@@ -42,6 +43,11 @@ struct Digest128 {
 /// that were never written need no special case in a digest.
 [[nodiscard]] Digest128 blockDigest(std::uint64_t index, const std::uint8_t* bytes,
                                     std::size_t size);
+
+/// The caller's side of a tracked access: a load fills it, a store reads it.
+template <bool kStore>
+using AccessSpan =
+    std::conditional_t<kStore, std::span<const std::uint8_t>, std::span<std::uint8_t>>;
 
 class NvmStore {
  public:
@@ -95,6 +101,17 @@ class NvmStore {
       return;
     }
     pokeSlow(addr, src);
+  }
+
+  /// The byte move of one tracked access: read() for a load, poke() for a
+  /// store.
+  template <bool kStore>
+  void move(std::uint64_t addr, AccessSpan<kStore> bytes) {
+    if constexpr (kStore) {
+      poke(addr, bytes);
+    } else {
+      read(addr, bytes);
+    }
   }
 
   /// Number of modelled block writes into NVM so far.

@@ -1,26 +1,13 @@
 #include "easycrash/memsim/llc_directory.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "easycrash/common/check.hpp"
 #include "easycrash/memsim/scan.hpp"
+#include "easycrash/telemetry/trace.hpp"
 
 namespace easycrash::memsim {
-
-namespace {
-
-/// Visit the set bits of `mask` in ascending order: fn(bit).
-template <typename Fn>
-void forEachBit(std::uint64_t mask, Fn&& fn) {
-  while (mask != 0) {
-    fn(static_cast<std::uint32_t>(std::countr_zero(mask)));
-    mask &= mask - 1;
-  }
-}
-
-}  // namespace
 
 LlcDirectory::LlcDirectory(CacheLevel& llc, std::vector<CacheLevel*> uppers,
                            NvmStore& nvm, std::uint32_t blockSize)
@@ -125,16 +112,27 @@ void LlcDirectory::clean(std::uint32_t llcLine) {
   dirtyListStale_ = true;
 }
 
-LlcDirectory::FlushResult LlcDirectory::flush(std::uint64_t blockAddr, bool drop) {
-  const auto line = llc_.find(blockAddr);
-  if (!line) return FlushResult::NonResident;  // inclusion: cached nowhere
-  const bool dirty = dirtyAnywhere(*line);
-  if (dirty) {
-    writeBack(blockAddr);
-    clean(*line);
+LlcDirectory::FlushTally LlcDirectory::flush(std::uint64_t addr, std::uint64_t size,
+                                             bool drop) {
+  FlushTally tally;
+  if (size == 0) return tally;
+  const std::uint64_t last = blockBase(addr + size - 1);
+  for (std::uint64_t b = blockBase(addr); b <= last; b += blockSize_) {
+    const auto line = llc_.find(b);
+    if (!line) {  // inclusion: cached nowhere
+      ++tally.nonResident;
+      continue;
+    }
+    if (dirtyAnywhere(*line)) {
+      writeBack(b);
+      clean(*line);
+      ++tally.dirty;
+    } else {
+      ++tally.clean;
+    }
+    if (drop) (void)evictLlc(*line);  // every copy is clean now: no write
   }
-  if (drop) (void)evictLlc(*line);  // every copy is clean now: no write
-  return dirty ? FlushResult::WroteBack : FlushResult::Clean;
+  return tally;
 }
 
 std::uint64_t LlcDirectory::drainAll() {
@@ -190,10 +188,17 @@ void LlcDirectory::forEachDirtyIn(std::uint64_t first, std::uint64_t last,
   }
 }
 
-LlcDirectory::Diff LlcDirectory::diff(std::uint64_t addr, std::uint64_t size) const {
+LlcDirectory::Diff LlcDirectory::diff(std::uint64_t addr, std::uint64_t size,
+                                      bool fast) const {
   Diff d;
   if (size == 0) return d;
-  forEachDirtyIn(blockBase(addr), blockBase(addr + size - 1), [&](std::uint64_t base) {
+  if (!fast) {
+    d.bytes = diffScalar(addr, size);
+    return d;
+  }
+  const std::uint64_t first = blockBase(addr);
+  const std::uint64_t last = blockBase(addr + size - 1);
+  forEachDirtyIn(first, last, [&](std::uint64_t base) {
     // Compare both images in place; the scratch copy only serves blocks NVM
     // does not fully back.
     const std::uint8_t* current = values_.blockView(base).data();
@@ -209,11 +214,24 @@ LlcDirectory::Diff LlcDirectory::diff(std::uint64_t addr, std::uint64_t size) co
     ++d.blocksCompared;
     d.bytesCompared += hi - lo;
   });
+  const std::uint64_t blocks = (last - first) / blockSize_ + 1;
+  d.blocksSkipped = blocks - d.blocksCompared;
+  if (telemetry::tracing()) {
+    telemetry::TraceEvent("postmortem_scan")
+        .field("addr", addr)
+        .field("bytes", size)
+        .field("blocks", blocks)
+        .field("blocks_compared", d.blocksCompared)
+        .field("blocks_skipped", d.blocksSkipped)
+        .field("bytes_compared", d.bytesCompared)
+        .field("diff", d.bytes)
+        .field("kernel", scan::kernelName(scan::activeKernel()))
+        .emit();
+  }
   return d;
 }
 
 std::uint64_t LlcDirectory::diffScalar(std::uint64_t addr, std::uint64_t size) const {
-  if (size == 0) return 0;
   std::uint64_t count = 0;
   std::vector<std::uint8_t> cached(blockSize_);
   std::vector<std::uint8_t> image(blockSize_);

@@ -1,11 +1,10 @@
 #include "easycrash/memsim/multicore.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "easycrash/common/check.hpp"
-#include "easycrash/memsim/scan.hpp"
-#include "easycrash/telemetry/trace.hpp"
 
 namespace easycrash::memsim {
 
@@ -34,15 +33,6 @@ std::vector<CacheLevel*> pointersTo(std::vector<CacheLevel>& caches) {
   std::vector<CacheLevel*> out;
   for (CacheLevel& cache : caches) out.push_back(&cache);
   return out;
-}
-
-/// Visit the set bits of `mask` in ascending order: fn(bit).
-template <typename Fn>
-void forEachBit(std::uint64_t mask, Fn&& fn) {
-  while (mask != 0) {
-    fn(static_cast<std::uint32_t>(std::countr_zero(mask)));
-    mask &= mask - 1;
-  }
 }
 
 }  // namespace
@@ -123,128 +113,59 @@ std::uint32_t MulticoreSystem::acquire(int core, std::uint64_t blockAddr,
   return line;
 }
 
-void MulticoreSystem::load(int core, std::uint64_t addr,
-                           std::span<std::uint8_t> dst) {
-  std::uint64_t offset = 0;
-  while (offset < dst.size()) {
+template <bool kStore>
+void MulticoreSystem::walk(int core, std::uint64_t addr, AccessSpan<kStore> bytes,
+                           std::uint64_t elemSize) {
+  for (std::uint64_t offset = 0; offset < bytes.size();) {
     const std::uint64_t a = addr + offset;
     const std::uint64_t base = blockBase(a);
-    const std::uint64_t inBlock = a - base;
     const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - inBlock, dst.size() - offset);
-    acquire(core, base, /*forWrite=*/false);
-    dir_.values().read(a, dst.subspan(offset, chunk));
-    events_[static_cast<std::size_t>(core)].loads += 1;
+        std::min<std::uint64_t>(config_.blockSize - (a - base), bytes.size() - offset);
+    const std::uint64_t touches = (offset + chunk - 1) / elemSize - offset / elemSize + 1;
+    acquire(core, base, /*forWrite=*/kStore);
+    CoherenceEvents& ev = events_[static_cast<std::size_t>(core)];
+    ev.privateHits += touches - 1;
+    (kStore ? ev.stores : ev.loads) += touches;
+    dir_.values().move<kStore>(a, bytes.subspan(offset, chunk));
     offset += chunk;
   }
+}
+
+void MulticoreSystem::load(int core, std::uint64_t addr, std::span<std::uint8_t> dst) {
+  walk<false>(core, addr, dst, dst.size());
 }
 
 void MulticoreSystem::store(int core, std::uint64_t addr,
                             std::span<const std::uint8_t> src) {
-  std::uint64_t offset = 0;
-  while (offset < src.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t inBlock = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - inBlock, src.size() - offset);
-    acquire(core, base, /*forWrite=*/true);
-    dir_.values().poke(a, src.subspan(offset, chunk));
-    events_[static_cast<std::size_t>(core)].stores += 1;
-    offset += chunk;
-  }
+  walk<true>(core, addr, src, src.size());
 }
 
 void MulticoreSystem::loadRange(int core, std::uint64_t addr,
-                                std::span<std::uint8_t> dst,
-                                std::uint32_t elemSize) {
+                                std::span<std::uint8_t> dst, std::uint32_t elemSize) {
   EC_CHECK(elemSize > 0);
-  CoherenceEvents& ev = events_[static_cast<std::size_t>(core)];
-  std::uint64_t offset = 0;
-  while (offset < dst.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t inBlock = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - inBlock, dst.size() - offset);
-    const std::uint64_t touches =
-        (offset + chunk - 1) / elemSize - offset / elemSize + 1;
-    acquire(core, base, /*forWrite=*/false);
-    ev.privateHits += touches - 1;
-    ev.loads += touches;
-    dir_.values().read(a, dst.subspan(offset, chunk));
-    offset += chunk;
-  }
+  walk<false>(core, addr, dst, elemSize);
 }
 
 void MulticoreSystem::storeRange(int core, std::uint64_t addr,
                                  std::span<const std::uint8_t> src,
                                  std::uint32_t elemSize) {
   EC_CHECK(elemSize > 0);
-  CoherenceEvents& ev = events_[static_cast<std::size_t>(core)];
-  std::uint64_t offset = 0;
-  while (offset < src.size()) {
-    const std::uint64_t a = addr + offset;
-    const std::uint64_t base = blockBase(a);
-    const std::uint64_t inBlock = a - base;
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(config_.blockSize - inBlock, src.size() - offset);
-    const std::uint64_t touches =
-        (offset + chunk - 1) / elemSize - offset / elemSize + 1;
-    acquire(core, base, /*forWrite=*/true);
-    ev.privateHits += touches - 1;
-    ev.stores += touches;
-    dir_.values().poke(a, src.subspan(offset, chunk));
-    offset += chunk;
-  }
-}
-
-void MulticoreSystem::flushBlock(std::uint64_t addr, FlushKind kind) {
-  CoherenceEvents& ev = events_[0];
-  switch (dir_.flush(blockBase(addr), kind != FlushKind::Clwb)) {
-    case LlcDirectory::FlushResult::NonResident:
-      ev.flushNonResident += 1;
-      break;
-    case LlcDirectory::FlushResult::Clean:
-      ev.flushClean += 1;
-      break;
-    case LlcDirectory::FlushResult::WroteBack:
-      ev.nvmBlockWrites += 1;
-      ev.flushDirty += 1;
-      break;
-  }
+  walk<true>(core, addr, src, elemSize);
 }
 
 void MulticoreSystem::flushRange(std::uint64_t addr, std::uint64_t size,
                                  FlushKind kind) {
-  if (size == 0) return;
-  const std::uint64_t first = blockBase(addr);
-  const std::uint64_t last = blockBase(addr + size - 1);
-  for (std::uint64_t b = first; b <= last; b += config_.blockSize) {
-    flushBlock(b, kind);
-  }
+  const LlcDirectory::FlushTally t = dir_.flush(addr, size, kind != FlushKind::Clwb);
+  CoherenceEvents& ev = events_[0];
+  ev.flushDirty += t.dirty;
+  ev.flushClean += t.clean;
+  ev.flushNonResident += t.nonResident;
+  ev.nvmBlockWrites += t.dirty;
 }
 
 std::uint64_t MulticoreSystem::inconsistentBytes(std::uint64_t addr,
                                                  std::uint64_t size) const {
-  if (size == 0) return 0;
-  if (!scanFast_) return dir_.diffScalar(addr, size);
-  const LlcDirectory::Diff d = dir_.diff(addr, size);
-  if (telemetry::tracing()) {
-    const std::uint64_t blocks =
-        (blockBase(addr + size - 1) - blockBase(addr)) / config_.blockSize + 1;
-    telemetry::TraceEvent("postmortem_scan")
-        .field("addr", addr)
-        .field("bytes", size)
-        .field("blocks", blocks)
-        .field("blocks_compared", d.blocksCompared)
-        .field("blocks_skipped", blocks - d.blocksCompared)
-        .field("bytes_compared", d.bytesCompared)
-        .field("diff", d.bytes)
-        .field("kernel", scan::kernelName(scan::activeKernel()))
-        .emit();
-  }
-  return d.bytes;
+  return dir_.diff(addr, size, scanFast_).bytes;
 }
 
 void MulticoreSystem::invalidateAll() { dir_.invalidateAll(); }
@@ -257,21 +178,14 @@ const CoherenceEvents& MulticoreSystem::coreEvents(int core) const {
 }
 
 CoherenceEvents MulticoreSystem::totalEvents() const {
+  using E = CoherenceEvents;
+  static constexpr std::array kCounters{
+      &E::loads, &E::stores, &E::privateHits, &E::privateMisses, &E::llcHits,
+      &E::llcMisses, &E::invalidationsSent, &E::ownershipTransfers, &E::nvmBlockWrites,
+      &E::nvmBlockReads, &E::flushDirty, &E::flushClean, &E::flushNonResident};
   CoherenceEvents total;
   for (const auto& ev : events_) {
-    total.loads += ev.loads;
-    total.stores += ev.stores;
-    total.privateHits += ev.privateHits;
-    total.privateMisses += ev.privateMisses;
-    total.llcHits += ev.llcHits;
-    total.llcMisses += ev.llcMisses;
-    total.invalidationsSent += ev.invalidationsSent;
-    total.ownershipTransfers += ev.ownershipTransfers;
-    total.nvmBlockWrites += ev.nvmBlockWrites;
-    total.nvmBlockReads += ev.nvmBlockReads;
-    total.flushDirty += ev.flushDirty;
-    total.flushClean += ev.flushClean;
-    total.flushNonResident += ev.flushNonResident;
+    for (const auto counter : kCounters) total.*counter += ev.*counter;
   }
   return total;
 }

@@ -95,9 +95,13 @@ class Runtime {
   /// bulk fast path disabled (setBulk(false)) these literally lower to the
   /// element-wise loop. The span must be a whole number of elements.
   void loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
-                 std::uint32_t elemSize);
+                 std::uint32_t elemSize) {
+    accessRange<false>(addr, dst, elemSize);
+  }
   void storeRange(std::uint64_t addr, std::span<const std::uint8_t> src,
-                  std::uint32_t elemSize);
+                  std::uint32_t elemSize) {
+    accessRange<true>(addr, src, elemSize);
+  }
 
   /// Architecturally-current value without counters or cache perturbation:
   /// a read of the value image.
@@ -226,7 +230,6 @@ class Runtime {
   /// the hook observes exactly the element-wise memory state.
   using FaultHook = std::function<void()>;
   void armFault(std::uint64_t accessIndex, FaultHook hook);
-  void disarmFault();
   /// Region stack at this instant, outermost first (what CrashEvent carries
   /// as regionPath). Valid between tracked accesses, e.g. inside a capture
   /// hook or after catching an app exception.
@@ -360,28 +363,10 @@ class Runtime {
     regionCounter_ = &regionAccesses_[pointSlot(activeRegion())];
   }
 
-  /// Drive `count` logical accesses through `access(firstElem, nElems)`
-  /// chunks. Each chunk is clamped so the next armed capture/crash index is
-  /// the chunk's LAST element: the chunk's bytes are applied first, then
-  /// onAccess(n) fires the hook / throws CrashEvent at exactly the
-  /// element-wise window index with exactly the element-wise memory state.
-  /// After a capture fires, captureNext_ has advanced, so the next loop
-  /// iteration re-clamps against the new trigger.
-  template <typename AccessFn>
-  void forEachRangeChunk(std::uint64_t count, AccessFn&& access) {
-    std::uint64_t done = 0;
-    while (done < count) {
-      std::uint64_t n = count - done;
-      // An armed trigger is strictly ahead of the clock (arming checks it,
-      // firing advances past it), so the clamped chunk is never empty.
-      if (crashWindowActive_ && nextTrigger_ != kNever) {
-        n = std::min(n, nextTrigger_ - windowAccesses_);
-      }
-      access(done, n);
-      onAccess(n);
-      done += n;
-    }
-  }
+  /// loadRange() or storeRange().
+  template <bool kStore>
+  void accessRange(std::uint64_t addr, memsim::AccessSpan<kStore> bytes,
+                   std::uint32_t elemSize);
   void executeDirective(const PersistDirective& directive, PointId point);
 
   /// Per-point counters are flat vectors indexed by `point + 1` (slot 0 is

@@ -155,53 +155,51 @@ void Runtime::readNvm(std::uint64_t addr, std::span<std::uint8_t> dst) const {
   nvm_.read(addr, dst);
 }
 
-void Runtime::loadRange(std::uint64_t addr, std::span<std::uint8_t> dst,
-                        std::uint32_t elemSize) {
-  EC_CHECK_MSG(elemSize > 0, "loadRange: zero element size");
-  EC_CHECK_MSG(dst.size() % elemSize == 0,
-               "loadRange: span is not a whole number of elements");
-  if (dst.empty()) return;
+template <bool kStore>
+void Runtime::accessRange(std::uint64_t addr, memsim::AccessSpan<kStore> bytes,
+                          std::uint32_t elemSize) {
+  const char* op = kStore ? "storeRange" : "loadRange";
+  EC_CHECK_MSG(elemSize > 0, std::string(op) + ": zero element size");
+  EC_CHECK_MSG(bytes.size() % elemSize == 0,
+               std::string(op) + ": span is not a whole number of elements");
+  if (bytes.empty()) return;
   if (!bulk_) {
-    for (std::uint64_t off = 0; off < dst.size(); off += elemSize) {
-      load(addr + off, dst.subspan(off, elemSize));
+    for (std::uint64_t off = 0; off < bytes.size(); off += elemSize) {
+      if constexpr (kStore) {
+        store(addr + off, bytes.subspan(off, elemSize));
+      } else {
+        load(addr + off, bytes.subspan(off, elemSize));
+      }
     }
     return;
   }
-  forEachRangeChunk(dst.size() / elemSize,
-                    [&](std::uint64_t first, std::uint64_t n) {
-                      const std::uint64_t byteOff = first * elemSize;
-                      const auto part = dst.subspan(byteOff, n * elemSize);
-                      if (direct_) {
-                        nvm_.read(addr + byteOff, part);
-                      } else {
-                        hierarchy_.loadRange(addr + byteOff, part, elemSize);
-                      }
-                    });
-}
-
-void Runtime::storeRange(std::uint64_t addr, std::span<const std::uint8_t> src,
-                         std::uint32_t elemSize) {
-  EC_CHECK_MSG(elemSize > 0, "storeRange: zero element size");
-  EC_CHECK_MSG(src.size() % elemSize == 0,
-               "storeRange: span is not a whole number of elements");
-  if (src.empty()) return;
-  if (!bulk_) {
-    for (std::uint64_t off = 0; off < src.size(); off += elemSize) {
-      store(addr + off, src.subspan(off, elemSize));
+  // Each chunk is clamped so the next armed fault/capture/crash index is its
+  // LAST element: the chunk's bytes are applied first, then onAccess(n)
+  // fires the hook / throws CrashEvent at exactly the element-wise window
+  // index with exactly the element-wise memory state. After a capture
+  // fires, the next trigger has advanced, so the next chunk re-clamps.
+  const std::uint64_t count = bytes.size() / elemSize;
+  for (std::uint64_t done = 0; done < count;) {
+    std::uint64_t n = count - done;
+    // An armed trigger is strictly ahead of the clock (arming checks it,
+    // firing advances past it), so the clamped chunk is never empty.
+    if (crashWindowActive_ && nextTrigger_ != kNever) {
+      n = std::min(n, nextTrigger_ - windowAccesses_);
     }
-    return;
+    const auto part = bytes.subspan(done * elemSize, n * elemSize);
+    if (direct_) {
+      nvm_.move<kStore>(addr + done * elemSize, part);
+    } else {
+      hierarchy_.accessRange<kStore>(addr + done * elemSize, part, elemSize);
+    }
+    onAccess(n);
+    done += n;
   }
-  forEachRangeChunk(src.size() / elemSize,
-                    [&](std::uint64_t first, std::uint64_t n) {
-                      const std::uint64_t byteOff = first * elemSize;
-                      const auto part = src.subspan(byteOff, n * elemSize);
-                      if (direct_) {
-                        nvm_.poke(addr + byteOff, part);
-                      } else {
-                        hierarchy_.storeRange(addr + byteOff, part, elemSize);
-                      }
-                    });
 }
+template void Runtime::accessRange<false>(std::uint64_t, memsim::AccessSpan<false>,
+                                          std::uint32_t);
+template void Runtime::accessRange<true>(std::uint64_t, memsim::AccessSpan<true>,
+                                         std::uint32_t);
 
 void Runtime::persistObject(ObjectId id, memsim::FlushKind kind) {
   const DataObjectInfo& info = object(id);
@@ -405,12 +403,6 @@ void Runtime::armFault(std::uint64_t accessIndex, FaultHook hook) {
   EC_CHECK_MSG(static_cast<bool>(hook), "armFault needs a hook");
   faultAt_ = accessIndex;
   faultHook_ = std::move(hook);
-  updateTrigger();
-}
-
-void Runtime::disarmFault() {
-  faultAt_ = 0;
-  faultHook_ = nullptr;
   updateTrigger();
 }
 

@@ -45,6 +45,9 @@ inline std::atomic<bool> g_tracingEnabled{false};
 /// control characters; the payload is passed through as UTF-8).
 void appendJsonEscaped(std::string& out, std::string_view s);
 
+/// Append `v` as `%.17g`, which strtod parses back to the same double.
+void appendExactDouble(std::string& out, double v);
+
 /// Builder for one trace line. Constructing captures the timestamp; fields
 /// are serialized immediately into an internal buffer; emit() hands the
 /// line to the sink (a no-op when the sink was closed in the meantime).

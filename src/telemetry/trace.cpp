@@ -51,6 +51,12 @@ void appendJsonEscaped(std::string& out, std::string_view s) {
   }
 }
 
+void appendExactDouble(std::string& out, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  out += buf;
+}
+
 TraceEvent::TraceEvent(std::string_view type) {
   line_.reserve(160);
   line_ += "{\"type\":\"";
@@ -85,12 +91,10 @@ TraceEvent& TraceEvent::field(std::string_view key, std::int64_t value) {
 }
 
 TraceEvent& TraceEvent::field(std::string_view key, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
   line_ += ",\"";
   appendJsonEscaped(line_, key);
   line_ += "\":";
-  line_ += buf;
+  appendExactDouble(line_, value);
   return *this;
 }
 

@@ -771,31 +771,6 @@ TEST(ResilienceTest, ReadJournalRejectsSampledMonitorHeader) {
   std::remove(path.c_str());
 }
 
-TEST(ResilienceTest, RetryBackoffIsDeterministicDoublingAndCapped) {
-  cr::ResilienceConfig res;
-  res.retryBackoffMs = 25;
-  res.retryBackoffMaxMs = 2000;
-  // Deterministic: same (seed, trial, attempt) -> same sleep.
-  EXPECT_EQ(cr::retryBackoffMs(res, 42, 3, 1), cr::retryBackoffMs(res, 42, 3, 1));
-  // Jitter separates trials and attempts (with overwhelming probability for
-  // these fixed inputs — the values are pinned by the seeded RNG).
-  const auto a1 = cr::retryBackoffMs(res, 42, 3, 1);
-  const auto a2 = cr::retryBackoffMs(res, 42, 3, 2);
-  const auto a3 = cr::retryBackoffMs(res, 42, 3, 3);
-  // Exponential base: attempt k draws from [base*2^(k-1), 1.5*base*2^(k-1)].
-  EXPECT_GE(a1, 25u);
-  EXPECT_LE(a1, 38u);
-  EXPECT_GE(a2, 50u);
-  EXPECT_LE(a2, 75u);
-  EXPECT_GE(a3, 100u);
-  EXPECT_LE(a3, 150u);
-  // The cap bounds late attempts.
-  EXPECT_EQ(cr::retryBackoffMs(res, 42, 3, 30), 2000u);
-  // Disabled backoff sleeps zero.
-  res.retryBackoffMs = 0;
-  EXPECT_EQ(cr::retryBackoffMs(res, 42, 3, 1), 0u);
-}
-
 TEST(ResilienceTest, ReadJournalToleratesTornFinalLine) {
   const std::string path = tempPath("journal_torn.jsonl");
   {

@@ -461,7 +461,6 @@ TEST(SweepTest, DeadSweepRestartsAtTheFirstUncapturedPoint) {
     auto config = tinyConfig(30);
     config.resilience.isolation = cr::IsolationMode::InProcess;
     config.resilience.maxRetries = retries;
-    config.resilience.retryBackoffMs = 0;
     const auto reference =
         easycrash::reference::referenceCampaign(sweepFactory(knobs), config);
     ASSERT_GT(reference.failures.size(), 0u) << "expected late crash points to fail";
@@ -635,7 +634,6 @@ TEST(RestartGroupTest, ALeadersFailureIsNeverShared) {
   auto config = tinyConfig(60);
   config.resilience.isolation = cr::IsolationMode::InProcess;
   config.resilience.maxRetries = 1;
-  config.resilience.retryBackoffMs = 0;
   const auto reference = easycrash::reference::referenceCampaign(sweepFactory(knobs), config);
   ASSERT_GT(reference.failures.size(), 0u) << "expected early restarts to fail";
   ASSERT_GT(reference.tests.size(), 0u) << "expected late restarts to succeed";

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "easycrash/apps/registry.hpp"
 #include "easycrash/crash/campaign.hpp"
 #include "easycrash/memsim/events.hpp"
 #include "easycrash/runtime/runtime.hpp"
@@ -466,6 +469,43 @@ TEST(CampaignTelemetry, GoldenRunCountersEqualMemEventsExactly) {
             golden.events.flushNonResident);
   EXPECT_EQ(reg.counter("memsim.flushInducedNvmWrites").value(),
             golden.events.flushInducedNvmWrites);
+}
+
+// memsim.* counts the golden run and the sweep crashing runs only. Restarts
+// run direct, and how far each runs depends on memo trial hits, which lane
+// timing decides, so counting them would make the counters differ between
+// runs, thread counts and isolation modes.
+TEST(CampaignTelemetry, MemsimCountersDoNotDependOnRestartLengths) {
+  const auto run = [](const crash::CampaignConfig& config, const crash::MemoSeams& seams) {
+    const crash::MemoSeams saved = crash::memoSeams();
+    crash::setMemoSeams(seams);
+    auto& reg = tel::MetricsRegistry::instance();
+    reg.reset();
+    (void)crash::CampaignRunner(apps::findBenchmark("mg").factory, config).run();
+    crash::setMemoSeams(saved);
+    return reg.snapshot().counters;
+  };
+  const auto memsimOnly = [](const std::map<std::string, std::uint64_t>& counters) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : counters) {
+      if (name.rfind("memsim.", 0) == 0) out.emplace(name, value);
+    }
+    return out;
+  };
+  crash::CampaignConfig config;
+  config.numTests = 100;
+  config.threads = 1;
+  config.appLabel = "mg";
+  config.resilience.isolation = crash::IsolationMode::InProcess;
+  const auto trialHits = run(config, {.trialMatches = true});
+  const auto goldenHitsOnly = run(config, {.trialMatches = false});
+  config.threads = 2;
+  config.resilience.isolation = crash::IsolationMode::Fork;
+  const auto forked = run(config, {});
+  ASSERT_GT(trialHits.at("campaign.memo_trial_hits"), 0u) << "no restart was shortened";
+  ASSERT_GT(trialHits.at("memsim.loads"), 0u);
+  EXPECT_EQ(memsimOnly(trialHits), memsimOnly(goldenHitsOnly));
+  EXPECT_EQ(memsimOnly(trialHits), memsimOnly(forked));
 }
 
 TEST(CampaignTelemetry, FullCampaignRecordsTrialsAndTraceEvents) {

@@ -242,10 +242,6 @@ int main(int argc, char** argv) {
                 "deadline as a multiple of the golden run (used when "
                 "--trial-timeout-ms is 0; 0 disables the deadline; ignored "
                 "without --isolation fork)");
-  cli.addInt("retry-backoff-ms", 25,
-             "base backoff before a trial retry, doubled per attempt with "
-             "deterministic jitter (0 = retry immediately)");
-  cli.addInt("retry-backoff-max-ms", 2000, "retry backoff cap");
   cli.addString("isolation", "fork",
                 "trial evaluator isolation: 'fork' runs every crashing run "
                 "and restart in a pre-forked worker process (a trial that "
@@ -360,8 +356,6 @@ int main(int argc, char** argv) {
     res.resumePath = cli.getString("resume");
     res.journalFlushEvery = static_cast<int>(cli.getInt("journal-flush-every"));
     res.stopAfterTrials = static_cast<int>(cli.getInt("stop-after"));
-    res.retryBackoffMs = nonNegative(cli, "retry-backoff-ms");
-    res.retryBackoffMaxMs = nonNegative(cli, "retry-backoff-max-ms");
     const std::string isolation = cli.getString("isolation");
     if (isolation == "fork") {
       res.isolation = ec::crash::IsolationMode::Fork;
