@@ -165,6 +165,55 @@ BENCHMARK(BM_RangeAccess)
     ->Args({1, 1 << 16})
     ->Unit(benchmark::kMicrosecond);
 
+// The direct accessor (docs/INTERNALS.md "Direct access path"): an app
+// kernel's element loop, a[i] = a[i] + 0.25*b[i] with b[i] += 1e-6 and a
+// running sum (five accesses per element), over two 64 Ki-double arrays in a
+// direct run. Arg0 is the run kind: 0 the golden kind (RunKind::Direct, its
+// crash window open, so every access ticks the clock and the region
+// counter), 1 the clock-free restart kind. Arg1 arms the state digest, with
+// one stateDigest() per pass as at a memo-checked iteration end, so stores
+// also test and, once per block per pass, mark its dirty byte. Items are
+// accesses.
+void BM_DirectAccess(benchmark::State& state) {
+  const bool restart = state.range(0) != 0;
+  const bool digest = state.range(1) != 0;
+  constexpr std::uint64_t kElems = 64 * 1024;
+  easycrash::runtime::Runtime rt;
+  rt.setRunKind(restart ? easycrash::runtime::RunKind::Restart
+                        : easycrash::runtime::RunKind::Direct);
+  if (digest) rt.armStateDigest();
+  easycrash::runtime::TrackedArray<double> a(rt, "a", kElems, true);
+  easycrash::runtime::TrackedArray<double> b(rt, "b", kElems, true);
+  for (std::uint64_t i = 0; i < kElems; ++i) {
+    a.set(i, 0.5 * static_cast<double>(i));
+    b.set(i, 1.0);
+  }
+  rt.setCrashWindow(true);
+  double sum = 0.0;
+  for (auto _ : state) {
+    for (std::uint64_t i = 0; i < kElems; ++i) {
+      const double v = a.get(i) + 0.25 * b.get(i);
+      a.set(i, v);
+      b[i] += 1.0e-6;
+      sum += v;
+    }
+    if (digest) benchmark::DoNotOptimize(rt.stateDigest());
+    benchmark::DoNotOptimize(sum);
+    benchmark::ClobberMemory();
+  }
+  rt.setCrashWindow(false);
+  state.SetLabel(std::string(restart ? "restart-kind" : "golden-kind") +
+                 (digest ? "/digest" : "/no-digest"));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 5 *
+                          static_cast<std::int64_t>(kElems));
+}
+BENCHMARK(BM_DirectAccess)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_AppIteration(benchmark::State& state) {
   const auto& entry = easycrash::apps::allBenchmarks()[static_cast<std::size_t>(
       state.range(0))];
@@ -329,7 +378,8 @@ void BM_LargeFootprintGolden(benchmark::State& state) {
   std::uint64_t window = 0;
   for (auto _ : state) {
     easycrash::runtime::Runtime rt(config.cache);
-    rt.setDirect(direct);
+    rt.setRunKind(direct ? easycrash::runtime::RunKind::Direct
+                         : easycrash::runtime::RunKind::Tracked);
     auto app = factory();
     const auto result = easycrash::runtime::Driver::freshRun(*app, rt);
     benchmark::DoNotOptimize(result.finalIteration);

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <vector>
 
 #include "easycrash/apps/app_base.hpp"
@@ -59,7 +61,6 @@ class KmeansApp final : public AppBase {
     // reproduces the paper's ~36-iteration schedule.
     const double cx[kClusters] = {0.33, 0.5, 0.67};
     const double cy[kClusters] = {0.5, 0.5, 0.5};
-    referenceSse_ = 0.0;
     std::vector<double> pts(static_cast<std::size_t>(numPoints_) * kDim);
     for (int i = 0; i < numPoints_; ++i) {
       const int c = i % kClusters;
@@ -150,7 +151,7 @@ class KmeansApp final : public AppBase {
     (void)rt;
     // Reference SSE: run Lloyd's to convergence on the host from the same
     // deterministic initialisation (the known-good clustering quality).
-    const double ref = referenceSseValue();
+    const double ref = referenceSse(numPoints_);
     VerifyOutcome out;
     out.metric = lastSse_ / ref;
     out.pass = std::isfinite(lastSse_) && lastSse_ <= ref * kSseSlack &&
@@ -170,14 +171,27 @@ class KmeansApp final : public AppBase {
     return (s - 2.0) * std::sqrt(3.0);
   }
 
+  /// Reference SSE at `numPoints` points, computed once per process and
+  /// point count: it depends on no run state, and restarts of one campaign
+  /// may verify concurrently (`--isolation none --threads N`).
+  [[nodiscard]] static double referenceSse(int numPoints) {
+    static std::mutex mutex;
+    static std::map<int, double> cache;  // keyed by point count (--scale)
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto it = cache.find(numPoints);
+    if (it != cache.end()) return it->second;
+    const double value = hostReferenceSse(numPoints);
+    cache.emplace(numPoints, value);
+    return value;
+  }
+
   /// Host-side replication of the data generation + Lloyd's to convergence.
-  [[nodiscard]] double referenceSseValue() const {
-    if (referenceSse_ > 0.0) return referenceSse_;
+  [[nodiscard]] static double hostReferenceSse(int numPoints) {
     AppLcg lcg(1234);
     const double cx[kClusters] = {0.33, 0.5, 0.67};
     const double cy[kClusters] = {0.5, 0.5, 0.5};
-    std::vector<double> pts(static_cast<std::size_t>(numPoints_) * kDim);
-    for (int i = 0; i < numPoints_; ++i) {
+    std::vector<double> pts(static_cast<std::size_t>(numPoints) * kDim);
+    for (int i = 0; i < numPoints; ++i) {
       const int c = i % kClusters;
       AppLcg& l = lcg;
       const double gx = gaussianish(l), gy = gaussianish(l);
@@ -189,7 +203,7 @@ class KmeansApp final : public AppBase {
     for (int it = 0; it < 4 * kNominalIterations; ++it) {
       std::vector<double> acc(kClusters * (kDim + 1), 0.0);
       sse = 0.0;
-      for (int i = 0; i < numPoints_; ++i) {
+      for (int i = 0; i < numPoints; ++i) {
         double best = 1.0e300;
         int bestC = 0;
         for (int c = 0; c < kClusters; ++c) {
@@ -219,8 +233,7 @@ class KmeansApp final : public AppBase {
       }
       if (std::sqrt(shift) <= kShiftEps) break;
     }
-    referenceSse_ = sse;
-    return referenceSse_;
+    return sse;
   }
 
   const int numPoints_;  ///< point count (kBasePoints * scale)
@@ -228,7 +241,6 @@ class KmeansApp final : public AppBase {
   TrackedArray<std::int32_t> membership_;
   TrackedScalar<double> shift_;
   double lastSse_ = 0.0;
-  mutable double referenceSse_ = 0.0;
 };
 
 }  // namespace

@@ -7,12 +7,17 @@
 
 #include <sstream>
 #include <stdexcept>
-#include <string>
+#include <string_view>
 
 namespace easycrash {
 
-[[noreturn]] inline void checkFailed(const char* expr, const char* file, int line,
-                                     const std::string& message) {
+/// The failure path of EC_CHECK / EC_CHECK_MSG, kept out of line and cold so
+/// a check in a hot inline accessor costs its compare and one call
+/// instruction: no message temporary is built at the call site, and the
+/// check does not count against the inliner's budget of the function it
+/// sits in.
+[[noreturn, gnu::cold, gnu::noinline]] inline void checkFailed(
+    const char* expr, const char* file, int line, std::string_view message = {}) {
   std::ostringstream os;
   os << "EC_CHECK failed: " << expr << " at " << file << ':' << line;
   if (!message.empty()) os << " — " << message;
@@ -21,9 +26,9 @@ namespace easycrash {
 
 }  // namespace easycrash
 
-#define EC_CHECK(expr)                                                   \
-  do {                                                                   \
-    if (!(expr)) ::easycrash::checkFailed(#expr, __FILE__, __LINE__, ""); \
+#define EC_CHECK(expr)                                              \
+  do {                                                              \
+    if (!(expr)) ::easycrash::checkFailed(#expr, __FILE__, __LINE__); \
   } while (false)
 
 #define EC_CHECK_MSG(expr, msg)                                             \

@@ -45,6 +45,7 @@ namespace easycrash::crash {
 using runtime::CrashEvent;
 using runtime::Driver;
 using runtime::Runtime;
+using runtime::RunKind;
 
 namespace {
 
@@ -1242,8 +1243,9 @@ GoldenStats CampaignRunner::goldenRun() const {
   // shares, persistenceOps) is a function of the access stream and the
   // architectural values, both routing-independent. Only MemEvents describe
   // the simulated cache machine, so the run goes direct-to-NVM unless a
-  // caller asked for them.
-  rt.setDirect(!config_.goldenEvents);
+  // caller asked for them. It keeps its crash clock either way: its counts
+  // define the crash-point space and the memo stride.
+  rt.setRunKind(config_.goldenEvents ? RunKind::Tracked : RunKind::Direct);
   rt.setPlan(config_.plan);
   rt.setTraceRun("golden");
   armProfile(rt);
@@ -2136,11 +2138,13 @@ MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCaptu
                                    static_cast<std::int64_t>(trial));
   CampaignMetrics& metrics = CampaignMetrics::get();
   Runtime restartRt(config_.cache);
-  // Restarts run in direct-access mode: their outcome (S1-S4, extra
+  // Restarts run direct, without a crash clock: their outcome (S1-S4, extra
   // iterations) depends only on computed values, which direct mode preserves
   // bit-for-bit, and the paper's restarts execute natively anyway — only the
   // crashing run's cache-vs-NVM divergence needs the hierarchy simulated.
-  restartRt.setDirect(true);
+  // A restart never crashes (its deadline is the parent's SIGKILL) and no
+  // count of it is read.
+  restartRt.setRunKind(RunKind::Restart);
   const int stride = memo != nullptr ? golden.memoStride : 0;
   if (stride > 0) restartRt.armStateDigest();
   restartRt.setPlan(config_.plan);

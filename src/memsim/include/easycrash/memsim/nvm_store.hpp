@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -103,6 +104,31 @@ class NvmStore {
     pokeSlow(addr, src);
   }
 
+  /// Back the image up to `endAddr` (zero-filled): every access below it
+  /// then takes the in-image path, and the image pointer stays put until
+  /// something writes past it. A direct run backs NVM up to the footprint
+  /// at every allocation, so its image never grows after setup.
+  void back(std::uint64_t endAddr);
+
+  /// Typed access to one element at `addr` for a caller that has checked
+  /// [addr, addr + sizeof(T)) lies in the backed image and that `addr` is
+  /// aligned for T (a direct run's TrackedArray: objects are block-aligned
+  /// and backed at allocation, and malloc aligns the image for every
+  /// fundamental type). The image is malloc'd storage, so the element is an
+  /// implicitly created T. The access is typed rather than a memcpy, which
+  /// the compiler treats as aliasing everything: a double store then does
+  /// not make the caller reload its crash clock. Stores mark the digest's
+  /// dirty block as poke() does.
+  template <typename T>
+  [[nodiscard, gnu::always_inline]] T loadAt(std::uint64_t addr) const {
+    return *std::launder(reinterpret_cast<const T*>(image_ + addr));
+  }
+  template <typename T>
+  [[gnu::always_inline]] void storeAt(std::uint64_t addr, const T& v) {
+    if (dirty_ != nullptr) markDirty(addr, sizeof(T));
+    *std::launder(reinterpret_cast<T*>(image_ + addr)) = v;
+  }
+
   /// The byte move of one tracked access: read() for a load, poke() for a
   /// store.
   template <bool kStore>
@@ -172,7 +198,6 @@ class NvmStore {
   }
   void markDirtySlow(std::uint64_t addr, std::size_t size);
   [[nodiscard]] Digest128 hashBlock(std::uint64_t block) const;
-  void ensure(std::uint64_t endAddr);
   void readSlow(std::uint64_t addr, std::span<std::uint8_t> dst) const;
   void pokeSlow(std::uint64_t addr, std::span<const std::uint8_t> src);
 

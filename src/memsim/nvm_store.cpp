@@ -59,7 +59,7 @@ NvmStore::NvmStore(std::uint32_t blockSize) : blockSize_(blockSize) {
   while ((1u << blockShift_) < blockSize_) ++blockShift_;
 }
 
-void NvmStore::ensure(std::uint64_t endAddr) {
+void NvmStore::back(std::uint64_t endAddr) {
   // Back page-sized steps (whole blocks) and double the allocation: realloc
   // moves a large image's pages instead of copying its bytes, and an image
   // that backs only its first block — a direct run's cached iteration
@@ -102,7 +102,7 @@ void NvmStore::readSlow(std::uint64_t addr, std::span<std::uint8_t> dst) const {
 void NvmStore::writeBlock(std::uint64_t addr, std::span<const std::uint8_t> src) {
   EC_CHECK_MSG(addr % blockSize_ == 0, "block write must be block-aligned");
   EC_CHECK(src.size() == blockSize_);
-  ensure(addr + blockSize_);
+  back(addr + blockSize_);
   if (digestArmed()) markDirty(addr, blockSize_);
   std::memcpy(image_ + addr, src.data(), blockSize_);
   ++blockWrites_;
@@ -122,14 +122,14 @@ void NvmStore::enableWearProfile() {
 void NvmStore::pokeSlow(std::uint64_t addr, std::span<const std::uint8_t> src) {
   if (src.empty()) return;
   EC_CHECK_MSG(addr + src.size() > addr, "NvmStore poke range overflows");
-  ensure(addr + src.size());
+  back(addr + src.size());
   if (digestArmed()) markDirty(addr, src.size());
   std::memcpy(image_ + addr, src.data(), src.size());
 }
 
 void NvmStore::restoreImage(std::vector<std::uint8_t> image) {
   imageBytes_ = 0;
-  ensure(image.size());
+  back(image.size());
   if (!image.empty()) std::memcpy(image_, image.data(), image.size());
   if (digestArmed()) armDigest();
 }

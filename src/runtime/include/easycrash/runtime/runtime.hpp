@@ -44,6 +44,23 @@ struct AppInterrupt {
   std::string reason;
 };
 
+/// What a run keeps (docs/INTERNALS.md "Runtime protocol"). Set once per
+/// Runtime, before the first allocation.
+enum class RunKind : std::uint8_t {
+  /// Accesses enter the simulated cache hierarchy; the crash clock ticks.
+  /// Crashing runs, and golden runs that want MemEvents.
+  Tracked,
+  /// Accesses read and write the NVM image directly; the crash clock and
+  /// the region access counters tick as in a tracked run. Golden runs: their
+  /// counts define the crash-point space and the memo stride.
+  Direct,
+  /// Direct, with no crash clock and no region access counters: the crash
+  /// window never opens, so windowAccesses() stays 0, and crashes, captures
+  /// and faults cannot be armed. Restarts, which never crash (their
+  /// deadline is the parent's SIGKILL) and whose outcome no count feeds.
+  Restart,
+};
+
 class Runtime {
  public:
   explicit Runtime(memsim::CacheConfig config = memsim::CacheConfig::scaledDefault());
@@ -69,7 +86,7 @@ class Runtime {
   /// Inline so the memory system's header-level L1 fast path and the
   /// crash-window guard stay visible to the instrumented app's loops.
   void load(std::uint64_t addr, std::span<std::uint8_t> dst) {
-    if (direct_) {
+    if (direct()) {
       nvm_.read(addr, dst);
     } else {
       hierarchy_.load(addr, dst);
@@ -77,7 +94,7 @@ class Runtime {
     onAccess(1);
   }
   void store(std::uint64_t addr, std::span<const std::uint8_t> src) {
-    if (direct_) {
+    if (direct()) {
       nvm_.poke(addr, src);
     } else {
       hierarchy_.store(addr, src);
@@ -131,6 +148,23 @@ class Runtime {
     v = mutate(v);
     storeValue(addr, v);
     return v;
+  }
+  /// A direct run's element access (TrackedArray/TrackedScalar's inline
+  /// path): one typed access to the NVM image plus the clock tick, in the
+  /// order load()/store() apply them. Only for direct kinds, at an address
+  /// inside an allocated object — the image is backed up to the footprint
+  /// at every allocation, so no bounds check is needed past the caller's
+  /// element-index check.
+  template <typename T>
+  [[nodiscard, gnu::always_inline]] T directLoad(std::uint64_t addr) {
+    const T v = nvm_.loadAt<T>(addr);
+    onAccess(1);
+    return v;
+  }
+  template <typename T>
+  [[gnu::always_inline]] void directStore(std::uint64_t addr, const T& v) {
+    nvm_.storeAt(addr, v);
+    onAccess(1);
   }
   template <typename T>
   [[nodiscard]] T peekValue(std::uint64_t addr) const {
@@ -244,40 +278,47 @@ class Runtime {
     return unwindPath_.empty() ? regionStack_ : unwindPath_;
   }
   /// Crash window control: only accesses inside the window tick the clock
-  /// (the paper triggers crashes during the main computation loop).
-  void setCrashWindow(bool active) { crashWindowActive_ = active; }
+  /// (the paper triggers crashes during the main computation loop). A
+  /// restart-kind runtime keeps the window shut.
+  void setCrashWindow(bool active) {
+    crashWindowActive_ = active && kind_ != RunKind::Restart;
+  }
   [[nodiscard]] std::uint64_t windowAccesses() const { return windowAccesses_; }
 
   /// Simulate the power loss itself: drop all cache contents.
   void powerLoss();
 
-  /// Direct-access mode: tracked loads/stores bypass the cache simulation
-  /// and read/write the NVM image itself, which is then the run's value
-  /// image. Only the iteration bookmark still enters the caches (stored,
-  /// then flushed at once), so NVM holds every byte's current value: every
-  /// load returns exactly what the simulated hierarchy would have returned —
-  /// values, control flow and therefore campaign results are bit-identical —
-  /// while the simulation cost of a run collapses to raw memory traffic.
-  /// Restarts run in this mode: the paper's restarts execute natively on the
-  /// machine under study; only the crashing run (whose cache-vs-NVM
-  /// divergence is the object of measurement) needs the hierarchy
-  /// simulated. Crash-clock ticks and armed crashes/captures behave
-  /// identically in both modes; MemEvents record only the bookmark's store
-  /// and the flush instructions. Set before the first allocation.
-  void setDirect(bool on) {
-    EC_CHECK_MSG(objects_.size() == 1, "setDirect after an allocation");
-    direct_ = on;
-  }
-  [[nodiscard]] bool direct() const noexcept { return direct_; }
+  /// Choose the run kind. In the direct kinds, tracked loads/stores bypass
+  /// the cache simulation and read/write the NVM image itself, which is then
+  /// the run's value image. Only the iteration bookmark still enters the
+  /// caches (stored, then flushed at once), so NVM holds every byte's
+  /// current value: every load returns exactly what the simulated hierarchy
+  /// would have returned — values, control flow and therefore campaign
+  /// results are bit-identical — while the simulation cost of a run
+  /// collapses to raw memory traffic, and MemEvents record only the
+  /// bookmark's store and the flush instructions. The paper's restarts
+  /// execute natively on the machine under study; only the crashing run
+  /// (whose cache-vs-NVM divergence is the object of measurement) needs the
+  /// hierarchy simulated. A Direct run's crash clock, region counters and
+  /// armed crashes/captures/faults behave exactly as a tracked run's; a
+  /// Restart run has none of them (RunKind). Set before the first
+  /// allocation.
+  void setRunKind(RunKind kind);
+  [[nodiscard]] RunKind runKind() const noexcept { return kind_; }
+  /// setRunKind(on ? Direct : Tracked), for callers written against the
+  /// two-valued switch (nvbench/probe.cpp).
+  void setDirect(bool on) { setRunKind(on ? RunKind::Direct : RunKind::Tracked); }
+  /// True in both direct kinds.
+  [[nodiscard]] bool direct() const noexcept { return kind_ != RunKind::Tracked; }
 
   /// The value image (docs/INTERNALS.md "Memory-system invariants"): every
   /// tracked byte's current value — NVM itself in a direct run, the
   /// hierarchy's image in a tracked one.
   [[nodiscard]] memsim::NvmStore& values() {
-    return direct_ ? nvm_ : hierarchy_.values();
+    return direct() ? nvm_ : hierarchy_.values();
   }
   [[nodiscard]] const memsim::NvmStore& values() const {
-    return direct_ ? nvm_ : hierarchy_.values();
+    return direct() ? nvm_ : hierarchy_.values();
   }
 
   /// State digest (docs/INTERNALS.md "Convergence memo"): the value image
@@ -415,8 +456,8 @@ class Runtime {
   ObjectId iterObject_ = 0;  ///< the always-persisted loop-iterator bookmark
 
   bool crashWindowActive_ = false;
-  bool direct_ = false;  ///< bypass the hierarchy, touch NVM bytes directly
-  bool bulk_ = true;     ///< route loadRange/storeRange through the fast path
+  RunKind kind_ = RunKind::Tracked;
+  bool bulk_ = true;  ///< route loadRange/storeRange through the fast path
 
   std::uint64_t windowAccesses_ = 0;
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};

@@ -4,9 +4,15 @@
 // their data: every element read/write becomes a simulated load/store (cache
 // state, dirtiness, crash clock). A proxy reference makes `a[i] = x`,
 // `a[i] += x` and `double v = a[i]` work naturally.
+//
+// Element access has two paths (docs/INTERNALS.md "Direct access path"). In
+// a direct run it is a bounds check and one typed access to the NVM image,
+// pinned inline into the app's loop; the tracked path, which enters the
+// cache simulation, is one out-of-line call per access.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -21,6 +27,8 @@ template <typename T>
 class TrackedArray {
   static_assert(std::is_trivially_copyable_v<T>,
                 "tracked elements must be trivially copyable");
+  static_assert(alignof(T) <= alignof(std::max_align_t),
+                "the direct path needs elements the image's malloc aligns");
 
  public:
   TrackedArray() = default;
@@ -36,14 +44,21 @@ class TrackedArray {
   [[nodiscard]] std::uint64_t size() const { return count_; }
   [[nodiscard]] ObjectId id() const { return id_; }
 
-  [[nodiscard]] T get(std::uint64_t i) const {
+  [[nodiscard, gnu::always_inline]] T get(std::uint64_t i) const {
     EC_CHECK(i < count_);
-    return rt_->loadValue<T>(base_ + i * sizeof(T));
+    const std::uint64_t addr = base_ + i * sizeof(T);
+    if (rt_->direct()) return rt_->directLoad<T>(addr);
+    return loadTracked(addr);
   }
 
-  void set(std::uint64_t i, const T& v) {
+  [[gnu::always_inline]] void set(std::uint64_t i, const T& v) {
     EC_CHECK(i < count_);
-    rt_->storeValue(base_ + i * sizeof(T), v);
+    const std::uint64_t addr = base_ + i * sizeof(T);
+    if (rt_->direct()) {
+      rt_->directStore(addr, v);
+    } else {
+      storeTracked(addr, v);
+    }
   }
 
   /// Architecturally-current value without touching caches or the crash
@@ -56,10 +71,15 @@ class TrackedArray {
   /// Read-modify-write of one element: one bounds check and one address
   /// computation for the load/store pair (compound assignments route here).
   template <typename Mutator>
-  T apply(std::uint64_t i, Mutator&& mutate) {
+  [[gnu::always_inline]] T apply(std::uint64_t i, Mutator&& mutate) {
     EC_CHECK(i < count_);
-    return rt_->updateValue<T>(base_ + i * sizeof(T),
-                               std::forward<Mutator>(mutate));
+    const std::uint64_t addr = base_ + i * sizeof(T);
+    if (rt_->direct()) {
+      const T v = mutate(rt_->directLoad<T>(addr));
+      rt_->directStore(addr, v);
+      return v;
+    }
+    return applyTracked(addr, mutate);
   }
 
   // ---- Bulk operations (the range fast path) -------------------------------
@@ -137,25 +157,29 @@ class TrackedArray {
   class Ref {
    public:
     Ref(TrackedArray& a, std::uint64_t i) : array_(a), index_(i) {}
-    operator T() const { return array_.get(index_); }  // NOLINT(google-explicit-*)
-    Ref& operator=(const T& v) {
+    [[gnu::always_inline]] operator T() const {  // NOLINT(google-explicit-*)
+      return array_.get(index_);
+    }
+    [[gnu::always_inline]] Ref& operator=(const T& v) {
       array_.set(index_, v);
       return *this;
     }
-    Ref& operator=(const Ref& other) { return *this = static_cast<T>(other); }
-    Ref& operator+=(const T& v) {
+    [[gnu::always_inline]] Ref& operator=(const Ref& other) {
+      return *this = static_cast<T>(other);
+    }
+    [[gnu::always_inline]] Ref& operator+=(const T& v) {
       array_.apply(index_, [&](T cur) { return cur + v; });
       return *this;
     }
-    Ref& operator-=(const T& v) {
+    [[gnu::always_inline]] Ref& operator-=(const T& v) {
       array_.apply(index_, [&](T cur) { return cur - v; });
       return *this;
     }
-    Ref& operator*=(const T& v) {
+    [[gnu::always_inline]] Ref& operator*=(const T& v) {
       array_.apply(index_, [&](T cur) { return cur * v; });
       return *this;
     }
-    Ref& operator/=(const T& v) {
+    [[gnu::always_inline]] Ref& operator/=(const T& v) {
       array_.apply(index_, [&](T cur) { return cur / v; });
       return *this;
     }
@@ -165,8 +189,8 @@ class TrackedArray {
     std::uint64_t index_;
   };
 
-  Ref operator[](std::uint64_t i) { return Ref(*this, i); }
-  T operator[](std::uint64_t i) const { return get(i); }
+  [[gnu::always_inline]] Ref operator[](std::uint64_t i) { return Ref(*this, i); }
+  [[gnu::always_inline]] T operator[](std::uint64_t i) const { return get(i); }
 
   /// Flush every cache block of this object (the paper's cache_block_flush).
   void persist(memsim::FlushKind kind = memsim::FlushKind::Clflushopt) {
@@ -174,6 +198,20 @@ class TrackedArray {
   }
 
  private:
+  // The tracked path, out of line: the cache simulation is the cost of a
+  // tracked access, and keeping it out of the app's loop leaves the direct
+  // path's loop small.
+  [[gnu::noinline]] T loadTracked(std::uint64_t addr) const {
+    return rt_->loadValue<T>(addr);
+  }
+  [[gnu::noinline]] void storeTracked(std::uint64_t addr, const T& v) {
+    rt_->storeValue(addr, v);
+  }
+  template <typename Mutator>
+  [[gnu::noinline]] T applyTracked(std::uint64_t addr, Mutator& mutate) {
+    return rt_->updateValue<T>(addr, mutate);
+  }
+
   Runtime* rt_ = nullptr;
   ObjectId id_ = 0;
   std::uint64_t base_ = 0;
@@ -183,6 +221,7 @@ class TrackedArray {
 template <typename T>
 class TrackedScalar {
   static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(alignof(T) <= alignof(std::max_align_t));
 
  public:
   TrackedScalar() = default;
@@ -192,12 +231,24 @@ class TrackedScalar {
     addr_ = rt.object(id_).addr;
   }
 
-  [[nodiscard]] T get() const { return rt_->loadValue<T>(addr_); }
-  void set(const T& v) { rt_->storeValue(addr_, v); }
+  [[nodiscard, gnu::always_inline]] T get() const {
+    if (rt_->direct()) return rt_->directLoad<T>(addr_);
+    return loadTracked();
+  }
+  [[gnu::always_inline]] void set(const T& v) {
+    if (rt_->direct()) {
+      rt_->directStore(addr_, v);
+    } else {
+      storeTracked(v);
+    }
+  }
   [[nodiscard]] T peek() const { return rt_->peekValue<T>(addr_); }
   [[nodiscard]] ObjectId id() const { return id_; }
 
  private:
+  [[gnu::noinline]] T loadTracked() const { return rt_->loadValue<T>(addr_); }
+  [[gnu::noinline]] void storeTracked(const T& v) { rt_->storeValue(addr_, v); }
+
   Runtime* rt_ = nullptr;
   ObjectId id_ = 0;
   std::uint64_t addr_ = 0;

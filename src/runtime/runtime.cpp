@@ -81,7 +81,14 @@ ObjectId Runtime::allocate(std::string name, std::uint64_t bytes, bool candidate
   // Block-align the next allocation so objects never share a cache block
   // (flushing one object must not persist another's bytes).
   nextAddr_ += (bytes + blockSize - 1) / blockSize * blockSize;
+  if (direct()) nvm_.back(nextAddr_);
   return info.id;
+}
+
+void Runtime::setRunKind(RunKind kind) {
+  EC_CHECK_MSG(objects_.size() == 1, "setRunKind after an allocation");
+  kind_ = kind;
+  if (direct()) nvm_.back(nextAddr_);
 }
 
 const DataObjectInfo& Runtime::object(ObjectId id) const {
@@ -187,7 +194,7 @@ void Runtime::accessRange(std::uint64_t addr, memsim::AccessSpan<kStore> bytes,
       n = std::min(n, nextTrigger_ - windowAccesses_);
     }
     const auto part = bytes.subspan(done * elemSize, n * elemSize);
-    if (direct_) {
+    if (direct()) {
       nvm_.move<kStore>(addr + done * elemSize, part);
     } else {
       hierarchy_.accessRange<kStore>(addr + done * elemSize, part, elemSize);
@@ -209,7 +216,7 @@ void Runtime::persistObject(ObjectId id, memsim::FlushKind kind) {
 void Runtime::restoreObject(ObjectId id, std::span<const std::uint8_t> bytes) {
   const DataObjectInfo& info = object(id);
   EC_CHECK_MSG(bytes.size() == info.bytes, "restore size mismatch for " + info.name);
-  if (direct_) {
+  if (direct()) {
     nvm_.poke(info.addr, bytes);
   } else {
     hierarchy_.store(info.addr, bytes);
@@ -372,6 +379,7 @@ void Runtime::powerLoss() {
 }
 
 void Runtime::armCrash(std::uint64_t accessIndex) {
+  EC_CHECK_MSG(kind_ != RunKind::Restart, "armCrash on a restart-kind runtime");
   EC_CHECK_MSG(accessIndex > 0, "crash index is 1-based");
   EC_CHECK_MSG(accessIndex > windowAccesses_, "crash point already passed");
   crashAt_ = accessIndex;
@@ -384,6 +392,7 @@ void Runtime::disarmCrash() {
 }
 
 void Runtime::armCaptures(std::vector<std::uint64_t> indices, CaptureHook hook) {
+  EC_CHECK_MSG(kind_ != RunKind::Restart, "armCaptures on a restart-kind runtime");
   EC_CHECK_MSG(!indices.empty(), "armCaptures needs at least one index");
   EC_CHECK_MSG(static_cast<bool>(hook), "armCaptures needs a hook");
   EC_CHECK_MSG(indices.front() > windowAccesses_, "capture point already passed");
@@ -398,6 +407,7 @@ void Runtime::armCaptures(std::vector<std::uint64_t> indices, CaptureHook hook) 
 }
 
 void Runtime::armFault(std::uint64_t accessIndex, FaultHook hook) {
+  EC_CHECK_MSG(kind_ != RunKind::Restart, "armFault on a restart-kind runtime");
   EC_CHECK_MSG(accessIndex > 0, "fault index is 1-based");
   EC_CHECK_MSG(accessIndex > windowAccesses_, "fault point already passed");
   EC_CHECK_MSG(static_cast<bool>(hook), "armFault needs a hook");
@@ -435,7 +445,7 @@ void Runtime::fireCaptures() {
 void Runtime::enableProfile() {
   // Direct-mode runs bypass the hierarchy and record nothing by design, so
   // there is no profile to collect (campaign restarts stay free).
-  if (direct_) return;
+  if (direct()) return;
   hierarchy_.enableAccessProfile();
   nvm_.enableWearProfile();
 }

@@ -34,15 +34,16 @@ std::string imageBytes(const rt::Runtime& runtime) {
 }
 
 /// Call `visit` at every iteration end of the app's golden run and of one
-/// restart from a crash in the middle of the golden run's window, both in
-/// direct mode with the digest armed before setup, as campaign restarts
-/// run. Deterministic, so a second call visits the same states.
+/// restart from a crash in the middle of the golden run's window, a direct
+/// and a restart-kind run with the digest armed before setup, as a
+/// campaign runs them. Deterministic, so a second call visits the same
+/// states.
 void visitStates(const rt::AppFactory& factory, const std::function<void(rt::Runtime&)>& visit) {
   std::uint64_t window = 0;
   int finalIteration = 0;
   {
     rt::Runtime runtime;
-    runtime.setDirect(true);
+    runtime.setRunKind(rt::RunKind::Direct);
     runtime.armStateDigest();
     auto app = factory();
     app->setup(runtime);
@@ -73,7 +74,7 @@ void visitStates(const rt::AppFactory& factory, const std::function<void(rt::Run
     }
   }
   rt::Runtime runtime;
-  runtime.setDirect(true);
+  runtime.setRunKind(rt::RunKind::Restart);
   runtime.armStateDigest();
   auto app = factory();
   app->setup(runtime);

@@ -10,11 +10,18 @@
 //   reports every output the campaign reads exactly as the cache-simulated
 //   golden run (CampaignConfig::goldenEvents) does, with and without a
 //   persistence plan, and a tracked run's state key equals a direct run's
-//   at every main-loop iteration end.
+//   (and a restart-kind run's) at every main-loop iteration end;
+// * reference caches: an app that verifies against a reference computed
+//   once per process gives a golden run the same outcome whether or not a
+//   corrupted restart verified first.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -140,9 +147,9 @@ void expectSameGoldenOutputs(const ec::crash::GoldenStats& direct,
 /// Driver::stateKey at every main-loop iteration end of a fresh run.
 std::vector<ec::memsim::Digest128> iterationKeys(const rt::AppFactory& factory,
                                                  const rt::PersistencePlan& plan,
-                                                 bool direct) {
+                                                 rt::RunKind kind) {
   rt::Runtime runtime;
-  runtime.setDirect(direct);
+  runtime.setRunKind(kind);
   runtime.setPlan(plan);
   auto app = factory();
   app->setup(runtime);
@@ -156,13 +163,16 @@ std::vector<ec::memsim::Digest128> iterationKeys(const rt::AppFactory& factory,
 }
 
 /// The restart contract's first third: a tracked run names its state (its
-/// value image and host state) exactly as a direct run does.
+/// value image and host state) exactly as a direct run does, and so does a
+/// clock-free restart-kind run.
 void expectSameIterationKeys(const rt::AppFactory& factory,
                              const rt::PersistencePlan& plan) {
-  const auto direct = iterationKeys(factory, plan, true);
-  const auto tracked = iterationKeys(factory, plan, false);
+  const auto direct = iterationKeys(factory, plan, rt::RunKind::Direct);
+  const auto tracked = iterationKeys(factory, plan, rt::RunKind::Tracked);
+  const auto restart = iterationKeys(factory, plan, rt::RunKind::Restart);
   EXPECT_FALSE(direct.empty());
   EXPECT_TRUE(direct == tracked);
+  EXPECT_TRUE(restart == direct);
 }
 
 }  // namespace
@@ -199,4 +209,98 @@ TEST_P(GoldenRunSuite, DirectGoldenMatchesTracked) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, GoldenRunSuite, ::testing::ValuesIn(appNames()),
+                         [](const auto& info) { return info.param; });
+
+namespace {
+
+class ReferenceCache : public ::testing::TestWithParam<std::string> {};
+
+/// The golden verify outcome, as bytes: pass, the metric's bits, detail.
+std::string goldenOutcome(const rt::AppFactory& factory) {
+  rt::Runtime runtime;
+  runtime.setRunKind(rt::RunKind::Direct);
+  auto app = factory();
+  const auto run = rt::Driver::freshRun(*app, runtime);
+  const auto metric = std::bit_cast<std::uint64_t>(run.verification.metric);
+  std::string out(1, run.verification.pass ? '1' : '0');
+  out.append(reinterpret_cast<const char*>(&metric), sizeof metric);
+  return out + run.verification.detail;
+}
+
+/// A restart whose every object, read-only ones included, holds garbage,
+/// verified at its end: the first verify of this process.
+void corruptedRestart(const rt::AppFactory& factory) {
+  rt::Runtime runtime;
+  runtime.setRunKind(rt::RunKind::Restart);
+  auto app = factory();
+  app->setup(runtime);
+  app->initialize(runtime);
+  for (const auto& object : runtime.objects()) {
+    std::vector<std::uint8_t> garbage(object.bytes);
+    for (std::size_t i = 0; i < garbage.size(); ++i) {
+      garbage[i] = static_cast<std::uint8_t>(0x3f + 13 * i);
+    }
+    runtime.restoreObject(object.id, garbage);
+  }
+  const int last = app->nominalIterations();
+  try {
+    const auto run = rt::Driver::run(*app, runtime, last, last);
+    if (!run.interrupted) return;
+  } catch (const std::exception&) {
+  }
+  (void)app->verify(runtime);
+}
+
+/// Runs `body` in a child process and returns what it printed to a pipe, so
+/// each side starts from this process's reference caches as they are.
+template <typename Body>
+std::string inChild(Body body) {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::string out;
+    try {
+      out = body();
+    } catch (...) {
+      ::_exit(3);
+    }
+    std::size_t done = 0;
+    while (done < out.size()) {
+      const ssize_t n = ::write(fds[1], out.data() + done, out.size() - done);
+      if (n <= 0) ::_exit(2);
+      done += static_cast<std::size_t>(n);
+    }
+    ::_exit(0);
+  }
+  ::close(fds[1]);
+  std::string out;
+  char buf[512];
+  for (ssize_t n; (n = ::read(fds[0], buf, sizeof buf)) > 0;) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return out;
+}
+
+}  // namespace
+
+TEST_P(ReferenceCache, CorruptedRestartFirstLeavesGoldenVerifyUnchanged) {
+  const auto& factory = ec::apps::findBenchmark(GetParam()).factory;
+  const std::string fresh = inChild([&] { return goldenOutcome(factory); });
+  const std::string afterCorruption = inChild([&] {
+    corruptedRestart(factory);
+    return goldenOutcome(factory);
+  });
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_EQ(fresh[0], '1') << "the golden run must pass";
+  EXPECT_EQ(afterCorruption, fresh);
+}
+
+INSTANTIATE_TEST_SUITE_P(CachedReferences, ReferenceCache,
+                         ::testing::Values("ft", "ep", "lu", "kmeans"),
                          [](const auto& info) { return info.param; });

@@ -3,7 +3,10 @@
 // evaluator"). Each test runs the paper's NVCT procedure on its own —
 // re-draw the crash point from Rng(seed), arm a real crash, catch the
 // CrashEvent, take the post-mortem, restart in direct mode and classify
-// S1-S4 — using nothing but the runtime's public API. A crashing run or
+// S1-S4 — using nothing but the runtime's public API. Its restarts keep the
+// crash clock (RunKind::Direct), so comparing against the campaign's
+// clock-free RunKind::Restart restarts also checks that dropping the clock
+// changes no outcome. A crashing run or
 // restart that throws becomes the failure the campaign must record for that
 // trial after 1 + maxRetries attempts, named by the runtime's throw site.
 //
@@ -89,7 +92,7 @@ inline Attempt runTrial(const runtime::AppFactory& factory,
   }
 
   runtime::Runtime rt(config.cache);
-  rt.setDirect(true);
+  rt.setRunKind(runtime::RunKind::Direct);
   scalarPaths(rt);
   rt.setPlan(config.plan);
   auto app = factory();

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "easycrash/runtime/app.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
 
@@ -551,7 +552,7 @@ TEST(TrackedArrayBulk, DirectModeBulkOnOffIdentical) {
   // crash-index semantics there too.
   const auto drive = [](bool bulkOn) {
     auto runtime = makeRuntime();
-    runtime.setDirect(true);
+    runtime.setRunKind(rt::RunKind::Direct);
     runtime.setBulk(bulkOn);
     rt::TrackedArray<double> a(runtime, "a", 20, true);
     runtime.setCrashWindow(true);
@@ -613,4 +614,206 @@ TEST(TrackedArrayBulk, BulkOffLowersToIdenticalObservables) {
   EXPECT_EQ(off.rangeLoads, 0u);
   EXPECT_EQ(off.rangeStores, 0u);
   EXPECT_EQ(off.rangeSplitBlocks, 0u);
+}
+
+namespace {
+
+/// Drives every element-access form through one runtime of `kind` and
+/// returns what an app would observe: each value read, then the objects'
+/// final bytes.
+struct AccessTrace {
+  std::vector<double> reads;
+  std::vector<std::uint8_t> doubles, ints, scalar;
+  std::uint64_t windowAccesses = 0;
+  std::map<rt::PointId, std::uint64_t> regionAccesses;
+};
+
+AccessTrace driveAccessors(rt::RunKind kind) {
+  auto runtime = makeRuntime();
+  runtime.setRunKind(kind);
+  rt::TrackedArray<double> a(runtime, "a", 40, true);
+  rt::TrackedArray<std::int32_t> n(runtime, "n", 24, true);
+  rt::TrackedScalar<double> s(runtime, "s", true);
+  AccessTrace out;
+  runtime.setCrashWindow(true);
+  {
+    rt::RegionScope region(runtime, 0);
+    for (std::uint64_t i = 0; i < a.size(); ++i) a.set(i, 0.5 * static_cast<double>(i));
+    for (std::uint64_t i = 0; i < n.size(); ++i) n[i] = static_cast<std::int32_t>(3 * i);
+    for (std::uint64_t i = 1; i < a.size(); i += 3) {
+      a[i] += 1.25;
+      a[i - 1] -= a.get(i);
+      a[i] *= 3.0;
+      a[i] /= 4.0;
+      out.reads.push_back(a[i]);
+      out.reads.push_back(a.apply(i, [](double v) { return v * v; }));
+    }
+  }
+  for (std::uint64_t i = 0; i + 1 < n.size(); ++i) {
+    n[i + 1] = n[i];
+    n[i] += 7;
+    out.reads.push_back(static_cast<double>(n.get(i)));
+  }
+  s.set(a.get(5));
+  s.set(s.get() * 2.0);
+  out.reads.push_back(s.get());
+  runtime.setCrashWindow(false);
+  out.doubles = runtime.dumpObjectCurrent(a.id());
+  out.ints = runtime.dumpObjectCurrent(n.id());
+  out.scalar = runtime.dumpObjectCurrent(s.id());
+  out.windowAccesses = runtime.windowAccesses();
+  out.regionAccesses = runtime.regionAccesses();
+  return out;
+}
+
+}  // namespace
+
+TEST(DirectAccessor, MatchesTheTrackedPath) {
+  const AccessTrace tracked = driveAccessors(rt::RunKind::Tracked);
+  for (const auto kind : {rt::RunKind::Direct, rt::RunKind::Restart}) {
+    const AccessTrace direct = driveAccessors(kind);
+    EXPECT_EQ(direct.reads, tracked.reads);
+    EXPECT_EQ(direct.doubles, tracked.doubles);
+    EXPECT_EQ(direct.ints, tracked.ints);
+    EXPECT_EQ(direct.scalar, tracked.scalar);
+  }
+  // A direct run ticks the clock exactly as a tracked one; a restart none.
+  const AccessTrace direct = driveAccessors(rt::RunKind::Direct);
+  EXPECT_GT(tracked.windowAccesses, 0u);
+  EXPECT_EQ(direct.windowAccesses, tracked.windowAccesses);
+  EXPECT_EQ(direct.regionAccesses, tracked.regionAccesses);
+  const AccessTrace restart = driveAccessors(rt::RunKind::Restart);
+  EXPECT_EQ(restart.windowAccesses, 0u);
+  EXPECT_TRUE(restart.regionAccesses.empty());
+}
+
+TEST(DirectAccessor, IncrementalDigestMatchesScratchAfterDirectStores) {
+  for (const auto kind : {rt::RunKind::Direct, rt::RunKind::Restart}) {
+    auto runtime = makeRuntime();
+    runtime.setRunKind(kind);
+    runtime.armStateDigest();
+    rt::TrackedArray<double> a(runtime, "a", 100, true);
+    rt::TrackedArray<std::int32_t> n(runtime, "n", 50, true);
+    rt::TrackedScalar<double> s(runtime, "s", true);
+    ms::NvmStore& image = runtime.values();
+    EXPECT_EQ(image.digest(), image.digestFromScratch());
+    for (std::uint64_t i = 0; i < a.size(); i += 7) a.set(i, 1.0 + static_cast<double>(i));
+    n[3] = 11;
+    s.set(2.5);
+    EXPECT_EQ(image.digest(), image.digestFromScratch());
+    // Stores into blocks the last digest() call cleaned mark them again.
+    a[7] += 0.5;
+    a[99] = -1.0;
+    n[49] += 4;
+    s.set(s.get() + 1.0);
+    EXPECT_EQ(runtime.stateDigest(), image.digestFromScratch(runtime.footprintBytes()));
+    EXPECT_EQ(image.digest(), image.digestFromScratch());
+  }
+}
+
+TEST(DirectAccessor, OutOfRangeIndexStillThrows) {
+  for (const auto kind : {rt::RunKind::Direct, rt::RunKind::Restart}) {
+    auto runtime = makeRuntime();
+    runtime.setRunKind(kind);
+    rt::TrackedArray<double> a(runtime, "a", 4, true);
+    EXPECT_THROW((void)a.get(4), std::logic_error);
+    EXPECT_THROW(a.set(4, 1.0), std::logic_error);
+    EXPECT_THROW(a[4] += 1.0, std::logic_error);
+    EXPECT_THROW((void)a.apply(100, [](double v) { return v; }), std::logic_error);
+    try {
+      (void)a.get(9);
+      FAIL() << "out-of-range get did not throw";
+    } catch (const std::logic_error& e) {
+      // The out-of-line failure path keeps the message format.
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("EC_CHECK failed: i < count_ at ", 0), 0u) << what;
+      EXPECT_NE(what.find("tracked.hpp:"), std::string::npos) << what;
+      EXPECT_EQ(what.find(" — "), std::string::npos) << what;
+    }
+  }
+  auto runtime = makeRuntime();
+  (void)runtime.allocate("x", 8, true);
+  try {
+    (void)runtime.allocate("x", 8, true);
+    FAIL() << "duplicate name accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("EC_CHECK failed: !findObject(name).has_value() at ", 0), 0u)
+        << what;
+    EXPECT_NE(what.find(" — duplicate data object name: x"), std::string::npos) << what;
+  }
+}
+
+namespace {
+
+/// A two-region smoothing loop over one array and a running scalar.
+class SmoothApp final : public rt::IApp {
+ public:
+  [[nodiscard]] const rt::AppInfo& info() const override { return info_; }
+  void setup(rt::Runtime& runtime) override {
+    runtime.declareRegionCount(2);
+    u_ = rt::TrackedArray<double>(runtime, "u", 64, true);
+    total_ = rt::TrackedScalar<double>(runtime, "total", true);
+  }
+  void initialize(rt::Runtime&) override {
+    for (std::uint64_t i = 0; i < u_.size(); ++i) u_.set(i, static_cast<double>(i % 5));
+    total_.set(0.0);
+  }
+  void iterate(rt::Runtime& runtime, int) override {
+    {
+      rt::RegionScope region(runtime, 0);
+      for (std::uint64_t i = 1; i < u_.size(); ++i) u_[i] += 0.5 * u_.get(i - 1);
+      region.iterationEnd();
+    }
+    rt::RegionScope region(runtime, 1);
+    total_.set(total_.get() + u_.get(u_.size() - 1));
+    region.iterationEnd();
+  }
+  [[nodiscard]] int nominalIterations() const override { return 6; }
+  [[nodiscard]] rt::VerifyOutcome verify(rt::Runtime&) override {
+    rt::VerifyOutcome out;
+    out.metric = total_.peek();
+    out.pass = true;
+    return out;
+  }
+
+ private:
+  rt::AppInfo info_{"smooth", "test"};
+  rt::TrackedArray<double> u_;
+  rt::TrackedScalar<double> total_;
+};
+
+}  // namespace
+
+TEST(RestartKind, KeepsNoClockAcrossDriverRunAndRefusesArming) {
+  const auto run = [](rt::RunKind kind, std::uint64_t& window) {
+    auto runtime = makeRuntime();
+    runtime.setRunKind(kind);
+    SmoothApp app;
+    const auto result = rt::Driver::freshRun(app, runtime);
+    window = runtime.windowAccesses();
+    if (kind == rt::RunKind::Restart) {
+      EXPECT_TRUE(runtime.regionAccesses().empty());
+    }
+    return result.verification.metric;
+  };
+  std::uint64_t directWindow = 0;
+  std::uint64_t restartWindow = 0;
+  const double direct = run(rt::RunKind::Direct, directWindow);
+  const double restart = run(rt::RunKind::Restart, restartWindow);
+  EXPECT_EQ(direct, restart);
+  EXPECT_GT(directWindow, 0u);
+  EXPECT_EQ(restartWindow, 0u);
+
+  auto runtime = makeRuntime();
+  runtime.setRunKind(rt::RunKind::Restart);
+  EXPECT_TRUE(runtime.direct());
+  EXPECT_THROW(runtime.armCrash(1), std::logic_error);
+  EXPECT_THROW(runtime.armCaptures({1}, [](const rt::CrashEvent&) {}), std::logic_error);
+  EXPECT_THROW(runtime.armFault(1, [] {}), std::logic_error);
+  // setCrashWindow(true) leaves a restart-kind window shut.
+  runtime.setCrashWindow(true);
+  rt::TrackedArray<double> a(runtime, "a", 8, true);
+  a[2] = 1.0;
+  EXPECT_EQ(runtime.windowAccesses(), 0u);
 }
