@@ -34,7 +34,6 @@
 #include "easycrash/telemetry/log.hpp"
 #include "easycrash/telemetry/metrics.hpp"
 #include "easycrash/telemetry/phase_span.hpp"
-#include "easycrash/telemetry/progress.hpp"
 #include "easycrash/telemetry/timer.hpp"
 #include "easycrash/telemetry/trace.hpp"
 #include "convergence_memo.hpp"
@@ -268,23 +267,24 @@ class RestartQueue {
 //
 // Requests (parent -> worker):  'R' restart {trial, restart input, memo
 //                                   table delta}
-//                               'S' sweep {n, n x (index, trialCount)}
+//                               'S' sweep {n, n x index}
 //                               'A' ack of one streamed sweep capture
 // Responses (worker -> parent): 'r' restart {status, delta, outcome, last
 //                                   iteration and memo keys, or error}
 //                               'c' one streamed sweep capture (await 'A')
 //                               'e' sweep end {completed, captured, failure,
-//                                              delta}
+//                                              profile, delta}
 // The parent alone writes the campaign's memo table: each 'R' carries the
 // entries the worker's replica lacks (all of them after a respawn), and
 // each decided 'r' carries the keys its restart passed.
-// A worker starts every request from a zeroed metrics registry and an empty
-// campaign profile and records exactly as an in-process run does; the
-// delta closing each 'r'/'e' reply is what the request left behind: the
-// buffered trace lines, every non-zero counter and histogram by name
-// (histograms with their bounds), and the profile. The parent decodes the
-// whole delta before folding any of it in; a truncated delta or a histogram
-// whose shape disagrees with the parent's is a protocol death.
+// A worker starts every request from a zeroed metrics registry and records
+// exactly as an in-process run does; the delta closing each 'r'/'e' reply
+// is what the request left behind: the buffered trace lines and every
+// non-zero counter and histogram by name (histograms with their bounds).
+// The sweep's access profile is part of its outcome, so only 'e' carries
+// one. The parent decodes the whole delta before folding any of it in; a
+// truncated delta or a histogram whose shape disagrees with the parent's is
+// a protocol death.
 // Integers are little-endian; snapshot payloads ride the slot's shared
 // arena, which is sized to hold one capture's snapshots (the candidate
 // objects' bytes); a frame whose snapshots overrun it is a protocol error.
@@ -570,6 +570,7 @@ struct SweepOutcome {
   std::size_t captured = 0;  ///< points captured, a prefix of the planned ones
   bool completed = false;    ///< every point captured and the armed crash fired
   std::optional<AttemptFailure> failure;  ///< set when the run died early
+  CampaignProfile profile;   ///< the crashing run's access/wear profile
 };
 
 namespace {
@@ -657,7 +658,6 @@ struct ForkChildServer {
     // The child inherited the parent's counts at fork and keeps its own from
     // earlier requests: start from zero so the reply ships this request's.
     telemetry::MetricsRegistry::instance().reset();
-    runner.profile_ = CampaignProfile{};
     static ChildFaultContext faultCtx;
     faultCtx.plan = runner.config_.inject;
     faultCtx.blackBox = ch.arena();
@@ -680,7 +680,6 @@ struct ForkChildServer {
   void encodeDelta(WireWriter& w) const {
     w.str(takeChildTrace());
     encodeMetrics(w, telemetry::MetricsRegistry::instance().snapshot());
-    encodeProfile(w, runner.profile_);
   }
 
   /// Run one restart attempt from the shipped restart input against the
@@ -726,17 +725,13 @@ struct ForkChildServer {
 
   /// The sweep crashing run, child side: stream each capture as a 'c' frame
   /// and wait for the parent's 'A' ack (that handshake IS the restart-queue
-  /// backpressure), then ship the 'e' summary with the run's failure fields.
+  /// backpressure), then ship the 'e' summary with the run's failure fields
+  /// and profile.
   void serveSweep(WireReader& req, const WorkerPool::ChildChannel& ch) const {
-    const std::uint64_t count = req.u64();
-    std::vector<std::uint64_t> indices(static_cast<std::size_t>(count));
-    std::vector<std::uint64_t> trialCounts(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      indices[i] = req.u64();
-      trialCounts[i] = req.u64();
-    }
+    std::vector<std::uint64_t> indices(static_cast<std::size_t>(req.count(8)));
+    for (std::uint64_t& index : indices) index = req.u64();
     const SweepOutcome outcome = runner.runSweep(
-        golden, indices, trialCounts, [&ch](std::shared_ptr<SweepCapture> capture) {
+        golden, indices, [&ch](std::shared_ptr<SweepCapture> capture) {
           WireWriter frame;
           frame.u8('c');
           encodeCapture(frame, *capture, ch.arena(), ch.arenaBytes());
@@ -755,6 +750,7 @@ struct ForkChildServer {
       resp.str(outcome.failure->reason);
       resp.str(outcome.failure->regionPath);
     }
+    encodeProfile(resp, outcome.profile);
     encodeDelta(resp);
     ch.send(resp.take());
   }
@@ -787,7 +783,7 @@ class ForkParent {
                      const WorkerPool::ChildChannel& ch) {
                 childServer_.serve(slot, request, ch);
               },
-              forkHooks(runner.profileMutex_)) {
+              forkHooks()) {
     CampaignMetrics::get().workerSpawns.add(pool_.spawnCount());
   }
 
@@ -847,7 +843,6 @@ class ForkParent {
   /// handshake IS the backpressure an in-process sink applies by blocking.
   /// A worker death ends the sweep with its failure.
   SweepOutcome sweep(int slot, const std::vector<std::uint64_t>& indices,
-                     const std::vector<std::uint64_t>& trialCounts,
                      const CaptureSink& sink) {
     SweepOutcome outcome;
     try {
@@ -855,10 +850,7 @@ class ForkParent {
       WireWriter req;
       req.u8('S');
       req.u64(indices.size());
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        req.u64(indices[i]);
-        req.u64(trialCounts[i]);
-      }
+      for (const std::uint64_t index : indices) req.u64(index);
       (void)pool_.send(slot, req.take());
       for (;;) {
         const std::string frame = receive(slot, pid, deadline(1.0));
@@ -886,7 +878,9 @@ class ForkParent {
             f.reason = r.str();
             f.regionPath = r.str();
           }
+          CampaignProfile profile = decodeProfile(r);
           absorbDelta(r);
+          outcome.profile = std::move(profile);
           return outcome;
         } else {
           throw std::runtime_error("fork sweep: unexpected frame tag");
@@ -906,23 +900,19 @@ class ForkParent {
   [[nodiscard]] std::uint64_t deaths() const { return deaths_.load(); }
 
  private:
-  /// Never fork while another campaign thread holds the trace, metrics or
-  /// profile lock: the child would inherit a locked mutex it can never
-  /// unlock.
-  static WorkerPool::ForkHooks forkHooks(std::mutex& profileMutex) {
+  /// Never fork while another campaign thread holds the trace or metrics
+  /// lock: the child would inherit a locked mutex it can never unlock.
+  static WorkerPool::ForkHooks forkHooks() {
     WorkerPool::ForkHooks hooks;
-    hooks.prepare = [&profileMutex] {
+    hooks.prepare = [] {
       telemetry::TraceSink::instance().lockForFork();
       telemetry::MetricsRegistry::instance().lockForFork();
-      profileMutex.lock();
     };
-    hooks.parent = [&profileMutex] {
-      profileMutex.unlock();
+    hooks.parent = [] {
       telemetry::MetricsRegistry::instance().unlockAfterFork();
       telemetry::TraceSink::instance().unlockAfterFork();
     };
-    hooks.child = [&profileMutex](int) {
-      profileMutex.unlock();
+    hooks.child = [](int) {
       telemetry::MetricsRegistry::instance().unlockAfterFork();
       telemetry::TraceSink::instance().unlockAfterFork();
       // Reroute trace lines into a buffer the response frames ship to the
@@ -1012,16 +1002,13 @@ class ForkParent {
   }
 
   /// Fold a reply's delta (ForkChildServer::encodeDelta) into the parent:
-  /// its metrics, its trace lines, its profile. Decoded in full first, so a
-  /// truncated delta throws before anything lands.
+  /// its metrics and its trace lines. Decoded in full first, so a truncated
+  /// delta throws before anything lands.
   void absorbDelta(WireReader& r) {
     const std::string trace = r.str();
     const telemetry::MetricsSnapshot metrics = decodeMetrics(r);
-    const CampaignProfile profile = decodeProfile(r);
     telemetry::MetricsRegistry::instance().merge(metrics);
     if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
-    std::lock_guard<std::mutex> lock(runner_.profileMutex_);
-    runner_.profile_.merge(profile);
   }
 
   const CampaignRunner& runner_;
@@ -1184,21 +1171,6 @@ CampaignRunner::CampaignRunner(runtime::AppFactory factory, CampaignConfig confi
                "fault injection needs a 1-based tracked-access index");
 }
 
-void CampaignRunner::armProfile(Runtime& rt) const {
-  if (config_.profile) rt.enableProfile();
-}
-
-void CampaignRunner::accumulateProfile(const Runtime& rt) const {
-  if (!config_.profile || !rt.profiling()) return;
-  std::lock_guard<std::mutex> lock(profileMutex_);
-  profile_.accumulate(rt);
-}
-
-void CampaignRunner::noteRun(const Runtime& rt) const {
-  CampaignMetrics::get().recordRun(rt.events());
-  accumulateProfile(rt);
-}
-
 void CampaignRunner::commitTrial(std::size_t trial,
                                  const CrashTestRecord& record) const {
   CampaignMetrics::get().trials.add();
@@ -1236,7 +1208,7 @@ void CampaignRunner::installFault(Runtime& rt) const {
   });
 }
 
-GoldenStats CampaignRunner::goldenRun() const {
+GoldenStats CampaignRunner::goldenRun(CampaignProfile* profile) const {
   Runtime rt(config_.cache);
   // Every golden output a campaign depends on (windowAccesses and with it
   // the pre-drawn crash sequence, finalIteration, verify metric, region
@@ -1248,7 +1220,7 @@ GoldenStats CampaignRunner::goldenRun() const {
   rt.setRunKind(config_.goldenEvents ? RunKind::Tracked : RunKind::Direct);
   rt.setPlan(config_.plan);
   rt.setTraceRun("golden");
-  armProfile(rt);
+  rt.enableProfile();
   auto app = factory_();
   app->setup(rt);
   app->initialize(rt);
@@ -1288,7 +1260,8 @@ GoldenStats CampaignRunner::goldenRun() const {
     return false;
   };
   const auto result = Driver::run(*app, rt, 1, 0, keyIteration);
-  noteRun(rt);
+  CampaignMetrics::get().recordRun(rt.events());
+  if (profile != nullptr) profile->accumulate(rt);
   EC_CHECK_MSG(!result.interrupted, "golden run interrupted: " + result.interruptReason);
   EC_CHECK_MSG(result.verification.pass,
                "golden run failed its own acceptance verification (" +
@@ -1345,18 +1318,6 @@ void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
   }
 }
 
-std::string responseTally(const std::array<int, 4>& counts) {
-  std::string out;
-  for (int s = 0; s < 4; ++s) {
-    if (s) out += ' ';
-    out += 'S';
-    out += static_cast<char>('1' + s);
-    out += ':';
-    out += std::to_string(counts[s]);
-  }
-  return out;
-}
-
 /// One point of the sweep's capture plan: a distinct crash index and the
 /// undecided trials that drew it.
 struct PlannedPoint {
@@ -1389,7 +1350,7 @@ class CampaignExecution {
     const auto start = std::chrono::steady_clock::now();
     {
       telemetry::PhaseSpan span("golden", CampaignMetrics::get().goldenUs);
-      result_.golden = runner_.goldenRun();
+      result_.golden = runner_.goldenRun(&result_.profile);
     }
     const auto goldenMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                               std::chrono::steady_clock::now() - start)
@@ -1438,8 +1399,8 @@ class CampaignExecution {
     }
   }
 
-  /// Seed the decided slots from a resumed journal, open this run's journal
-  /// (replayed entries first) and start the progress line.
+  /// Seed the decided slots and the tally from a resumed journal, and open
+  /// this run's journal (replayed entries first).
   void resume(std::optional<JournalReplay> replay) {
     const JournalHeader header = journalHeader();
     if (replay) replayJournal(*replay, header);
@@ -1451,21 +1412,10 @@ class CampaignExecution {
       }
       journal_->flush();  // always leave a resumable file behind, even header-only
     }
-    // Progress, percentage and ETA all count the shard-local slice: a shard
-    // that owns N/k trials is "done" at N/k decided, and its ETA reflects
-    // its own remaining work, not the fleet's.
-    meter_.emplace((config_.appLabel.empty() ? "campaign" : config_.appLabel) + " trials",
-                   ownedCount_, config_.progress ? &std::cerr : nullptr);
     for (const auto& record : records_) {
       if (record) tally_[static_cast<int>(record->response)] += 1;
     }
     done_ = resumedTrials_ + resumedFailures_;
-    // The ETA rate must count only trials this process actually ran:
-    // resumed trials landed instantly and would otherwise skew the estimate.
-    meter_->setBaseline(done_);
-    if (config_.progress && done_ > 0) meter_->update(done_, responseTally(tally_));
-    lastPercent_ = ownedCount_ == 0 ? 0 : done_ * 100 / ownedCount_;
-    lastEmit_ = std::chrono::steady_clock::now();
   }
 
   /// The sweep's capture plan: each distinct crash index, ascending, with
@@ -1575,13 +1525,7 @@ class CampaignExecution {
         result_.failures.push_back(std::move(*failures_[t]));
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(runner_.profileMutex_);
-      result_.profile = std::move(runner_.profile_);
-      runner_.profile_ = CampaignProfile{};
-    }
     if (status_) status_->writeFinal(result_.interrupted);
-    if (config_.progress && !result_.interrupted) meter_->finish(responseTally(tally_));
     if (telemetry::tracing()) {
       const auto counts = result_.responseCounts();
       telemetry::TraceEvent("campaign_end")
@@ -1658,14 +1602,15 @@ class CampaignExecution {
     }
   }
 
-  /// Live status snapshots (docs/OBSERVABILITY.md): a background thread
-  /// samples the shared tallies on an interval and atomically rewrites the
-  /// snapshot file; finalize() writes one last done/interrupted snapshot
-  /// after the drain, so a SIGINT'd campaign leaves the truth behind.
+  /// The live view (docs/OBSERVABILITY.md): a background thread samples
+  /// the shared tallies on an interval, atomically rewrites the status
+  /// snapshot file and redraws the stderr progress line from the same
+  /// sample; finalize() publishes one last done/interrupted snapshot after
+  /// the drain, so a SIGINT'd campaign leaves the truth behind.
   void startStatus() {
-    if (config_.statusPath.empty()) return;
+    if (config_.statusPath.empty() && !config_.progress) return;
     const auto start = std::chrono::steady_clock::now();
-    status_.emplace(config_.statusPath,
+    status_.emplace(config_.statusPath, config_.progress ? &std::cerr : nullptr,
                     std::chrono::milliseconds(std::max(1, config_.statusIntervalMs)),
                     [this, start] { return statusSnapshot(start); });
   }
@@ -1674,8 +1619,9 @@ class CampaignExecution {
     CampaignStatus s;
     s.app = config_.appLabel;
     // Shard-local totals: `tests` is this shard's owned slice, so
-    // decided/tests and the ETA describe THIS process's work — a fleet
-    // watcher sums the slices (they partition [0, N)).
+    // decided/tests and the ETA describe THIS process's work — a shard that
+    // owns N/k trials is done at N/k decided, and a fleet watcher sums the
+    // slices (they partition [0, N)).
     s.plannedTests = static_cast<int>(ownedCount_);
     s.shardIndex = config_.shard.index;
     s.shardCount = config_.shard.count;
@@ -1696,13 +1642,7 @@ class CampaignExecution {
     }
     s.elapsedS =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    const std::uint64_t fresh = s.decided > s.resumed ? s.decided - s.resumed : 0;
-    if (s.elapsedS > 0.0 && fresh > 0) {
-      s.trialsPerS = static_cast<double>(fresh) / s.elapsedS;
-      if (ownedCount_ >= s.decided) {
-        s.etaS = static_cast<double>(ownedCount_ - s.decided) / s.trialsPerS;
-      }
-    }
+    s.estimateRate();
     s.interrupted = stopRequested();
     return s;
   }
@@ -1723,35 +1663,16 @@ class CampaignExecution {
     return stopRequested() || budgetExceeded_.load() || workersAbort_.load();
   }
 
-  /// Progress for every newly decided trial (completion or permanent
-  /// failure), throttled to percentage-point or >=100 ms boundaries: with
-  /// small trials at high --threads, having every decided trial format a
-  /// tally string and serialise on the meter is measurable overhead.
+  /// Tally one newly decided trial (a completion, or a permanent failure
+  /// when `record` is null) for the status sampler.
   void recordDecided(const CrashTestRecord* record) {
-    std::array<int, 4> counts{};
-    std::size_t doneNow = 0;
-    bool emit = false;
-    {
-      std::lock_guard<std::mutex> lock(tallyMutex_);
-      if (record != nullptr) tally_[static_cast<int>(record->response)] += 1;
-      doneNow = ++done_;
-      if (config_.progress) {
-        const std::size_t percent = ownedCount_ == 0 ? 100 : doneNow * 100 / ownedCount_;
-        const auto now = std::chrono::steady_clock::now();
-        if (doneNow == ownedCount_ || percent != lastPercent_ ||
-            now - lastEmit_ >= std::chrono::milliseconds(100)) {
-          lastPercent_ = percent;
-          lastEmit_ = now;
-          counts = tally_;
-          emit = true;
-        }
-      }
-    }
-    if (emit) meter_->update(doneNow, responseTally(counts));
+    std::lock_guard<std::mutex> lock(tallyMutex_);
+    if (record != nullptr) tally_[static_cast<int>(record->response)] += 1;
+    ++done_;
   }
 
   /// Commit a trial whose record is in place: counters and trial_end trace,
-  /// journal, progress, and the --stop-after hook.
+  /// journal, tally, and the --stop-after hook.
   void commitDecided(std::size_t t) {
     runner_.commitTrial(t, *records_[t]);
     if (journal_) journal_->recordTrial(t, *records_[t]);
@@ -1810,23 +1731,28 @@ class CampaignExecution {
 
   /// One sweep crashing run from point `head` to the end of the plan, in
   /// this process or the producer's worker. Every capture is counted and
-  /// queues the restarts of the trials that drew it; the sink's false ends
-  /// the sweep.
+  /// traced, and queues the restarts of the trials that drew it; the sink's
+  /// false ends the sweep.
   SweepOutcome sweepFrom(RestartQueue& queue, std::size_t head) {
     std::vector<std::uint64_t> indices;
-    std::vector<std::uint64_t> trialCounts;
-    for (std::size_t p = head; p < plan_.size(); ++p) {
-      indices.push_back(plan_[p].index);
-      trialCounts.push_back(plan_[p].trials.size());
-    }
+    for (std::size_t p = head; p < plan_.size(); ++p) indices.push_back(plan_[p].index);
     std::size_t point = head;
     const CaptureSink sink = [&](std::shared_ptr<SweepCapture> capture) {
       CampaignMetrics::get().sweepCaptures.add();
       const std::size_t p = point++;
+      if (telemetry::tracing()) {
+        telemetry::TraceEvent("sweep_capture")
+            .field("run", "sweep")
+            .field("crash_access", capture->crashAccessIndex)
+            .field("region", capture->region)
+            .field("iteration", capture->crashIteration)
+            .field("trials", static_cast<std::uint64_t>(plan_[p].trials.size()))
+            .emit();
+      }
       return !halted() && queue.push(std::move(capture), plan_[p].trials);
     };
-    return fork_ ? fork_->sweep(threads_, indices, trialCounts, sink)
-                 : runner_.runSweep(result_.golden, indices, trialCounts, sink);
+    return fork_ ? fork_->sweep(threads_, indices, sink)
+                 : runner_.runSweep(result_.golden, indices, sink);
   }
 
   /// The producer: sweep from the head — the first point no sweep has
@@ -1844,6 +1770,7 @@ class CampaignExecution {
       CampaignMetrics::get().sweepRuns.add();
       const std::size_t planned = plan_.size() - head;
       const SweepOutcome outcome = sweepFrom(queue, head);
+      result_.profile.merge(outcome.profile);
       if (telemetry::tracing()) {
         telemetry::TraceEvent("sweep_end")
             .field("run", "sweep")
@@ -1976,12 +1903,9 @@ class CampaignExecution {
   std::optional<TrialJournal> journal_;
   MemoTable memo_;  ///< the convergence memo; fork workers hold replicas
 
-  std::optional<telemetry::ProgressMeter> meter_;
   std::mutex tallyMutex_;
   std::array<int, 4> tally_{};
   std::size_t done_ = 0;
-  std::size_t lastPercent_ = 0;
-  std::chrono::steady_clock::time_point lastEmit_;
 
   std::atomic<int> failureCount_{0};
   std::atomic<std::uint64_t> retryCount_{0};
@@ -2023,11 +1947,6 @@ CampaignResult CampaignRunner::run() const {
   // bad path/file fails fast.
   std::optional<JournalReplay> replay;
   if (!res.resumePath.empty()) replay = readJournal(res.resumePath);
-  {
-    // A runner can be reused; each run() aggregates its own profile.
-    std::lock_guard<std::mutex> lock(profileMutex_);
-    profile_ = CampaignProfile{};
-  }
 
   CampaignExecution execution(*this);
   execution.golden();
@@ -2040,13 +1959,12 @@ CampaignResult CampaignRunner::run() const {
 
 SweepOutcome CampaignRunner::runSweep(const GoldenStats& golden,
                                       const std::vector<std::uint64_t>& indices,
-                                      const std::vector<std::uint64_t>& trialCounts,
                                       const CaptureSink& sink) const {
   SweepOutcome outcome;
   Runtime rt(config_.cache);
   rt.setPlan(config_.plan);
   rt.setTraceRun("sweep");
-  armProfile(rt);
+  rt.enableProfile();
   // A failed run must not throw past the accounting below, unless the
   // campaign propagates its first exception.
   const auto died = [&] {
@@ -2088,15 +2006,6 @@ SweepOutcome CampaignRunner::runSweep(const GoldenStats& golden,
                                         ? rt.bookmarkedIterationNvm()
                                         : at.iteration;
       }
-      if (telemetry::tracing()) {
-        telemetry::TraceEvent("sweep_capture")
-            .field("run", rt.traceRun())
-            .field("crash_access", capture->crashAccessIndex)
-            .field("region", at.activeRegion)
-            .field("iteration", at.iteration)
-            .field("trials", trialCounts[outcome.captured])
-            .emit();
-      }
       ++outcome.captured;
       if (!sink(std::move(capture))) throw SweepAbort{};
     });
@@ -2117,7 +2026,8 @@ SweepOutcome CampaignRunner::runSweep(const GoldenStats& golden,
     died();
   }
   rt.powerLoss();
-  noteRun(rt);
+  CampaignMetrics::get().recordRun(rt.events());
+  outcome.profile.accumulate(rt);
   return outcome;
 }
 

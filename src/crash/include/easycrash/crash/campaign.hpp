@@ -16,7 +16,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -166,20 +165,14 @@ struct CampaignConfig {
   int threads = 1;
   /// App name stamped onto telemetry (trace common field + trial events).
   std::string appLabel;
-  /// Render a live progress line on stderr: trials done, S1-S4 tally, ETA.
+  /// Render a live progress line on stderr from each status sample: trials
+  /// done, S1-S4 tally, ETA.
   bool progress = false;
-  /// Flight recorder (docs/OBSERVABILITY.md): collect the sampled per-object
-  /// access/wear profile on the simulated runs (the sweep crashing runs,
-  /// plus the golden run under goldenEvents; direct-mode runs record
-  /// nothing by design). On by default — the perf gate measures the
-  /// recorder's overhead — and compiled out (always empty) under
-  /// -DEASYCRASH_TELEMETRY=OFF.
-  bool profile = true;
   /// Atomically rewrite a self-contained live status snapshot (JSON) at this
   /// path while the campaign runs, and once more after the drain on
   /// interrupt. Empty = off.
   std::string statusPath;
-  /// Status snapshot rewrite interval.
+  /// Status sample interval: the snapshot rewrite and the progress redraw.
   int statusIntervalMs = 1000;
   /// Run the golden run through the cache simulator so GoldenStats::events
   /// (and the persistence flush mix in them) describe the simulated
@@ -277,9 +270,10 @@ struct SweepCapture {
 class MemoTable;
 struct MemoTrail;
 
-/// How one sweep crashing run ended (CampaignRunner::runSweep). A run
-/// visits its crash indices in ascending order, so the captured points are
-/// always a prefix of the planned ones. Defined in campaign.cpp.
+/// How one sweep crashing run ended (CampaignRunner::runSweep), with its
+/// access/wear profile. A run visits its crash indices in ascending order,
+/// so the captured points are always a prefix of the planned ones. Defined
+/// in campaign.cpp.
 struct SweepOutcome;
 
 /// Receives each sweep capture in crash-index order; false ends the run.
@@ -301,8 +295,10 @@ struct CrashTestRecord {
 
 /// Aggregated access/wear profile of a campaign's simulated runs (the sweep
 /// crashing runs, plus the golden run under CampaignConfig::goldenEvents;
-/// CampaignConfig::profile). All runs of a campaign see the same object
-/// layout, so per-object totals and bins merge element-wise.
+/// direct-mode runs record nothing by design). The flight recorder is always
+/// on, and compiled out (always empty) under -DEASYCRASH_TELEMETRY=OFF. All
+/// runs of a campaign see the same object layout, so per-object totals and
+/// bins merge element-wise.
 struct CampaignProfile {
   std::uint32_t strideBytes = 0;  ///< address range per access-profile counter
   std::uint64_t runs = 0;         ///< simulated runs folded in
@@ -315,7 +311,7 @@ struct CampaignProfile {
   /// Fold one finished run's profile in (no-op unless `rt` is profiling).
   void accumulate(const runtime::Runtime& rt, std::size_t bins = 16);
   /// Fold another accumulated profile in (layout-checked element-wise merge;
-  /// the fork evaluator ships per-run profiles from worker children).
+  /// a campaign whose sweep died and restarted folds in one per sweep).
   void merge(const CampaignProfile& other);
 };
 
@@ -330,8 +326,8 @@ struct CampaignResult {
   int plannedTests = 0;            ///< numTests this campaign was drawn for
   std::size_t resumedTrials = 0;   ///< trials replayed from --resume
   bool interrupted = false;        ///< stopped early by SIGINT/SIGTERM
-  /// Flight-recorder access/wear profile (empty unless CampaignConfig::profile
-  /// and telemetry are compiled in).
+  /// Flight-recorder access/wear profile: the sweep crashing runs', plus the
+  /// golden run's under goldenEvents (empty with telemetry compiled out).
   CampaignProfile profile;
 
   /// The paper's application recomputability: S1 fraction.
@@ -362,8 +358,9 @@ class CampaignRunner {
   /// change, so they are identical while the run costs O(accesses) instead
   /// of O(accesses x cache simulation). Only MemEvents and the per-block
   /// access/wear profile, which describe the cache machine, are then
-  /// (near-empty) direct-run values.
-  [[nodiscard]] GoldenStats goldenRun() const;
+  /// (near-empty) direct-run values. A tracked run's access/wear profile is
+  /// folded into `profile` when given.
+  [[nodiscard]] GoldenStats goldenRun(CampaignProfile* profile = nullptr) const;
 
   /// Full campaign: golden run + numTests crash tests.
   [[nodiscard]] CampaignResult run() const;
@@ -374,14 +371,13 @@ class CampaignRunner {
   /// takes the NVCT post-mortem at each into a SweepCapture handed to
   /// `sink`, which returns false to end the run early; a real CrashEvent
   /// armed at the last index ends the run without simulating the tail.
-  /// `trialCounts[i]` is how many trials drew `indices[i]` (trace only).
   /// In-process the sink queues restarts; in a fork worker it streams the
-  /// capture to the parent. A run that dies early reports the failure
-  /// instead of throwing — unless the campaign propagates exceptions
+  /// capture to the parent. The outcome carries the run's access/wear
+  /// profile. A run that dies early reports the failure instead of
+  /// throwing — unless the campaign propagates exceptions
   /// (IsolationMode::Propagate).
   [[nodiscard]] SweepOutcome runSweep(const GoldenStats& golden,
                                       const std::vector<std::uint64_t>& indices,
-                                      const std::vector<std::uint64_t>& trialCounts,
                                       const CaptureSink& sink) const;
 
   /// The per-trial half of a record: reset `record` and copy the capture's
@@ -405,17 +401,6 @@ class CampaignRunner {
                        std::size_t trial, CrashTestRecord& record,
                        const MemoTable* memo) const;
 
-  /// Enable profiling on a simulated run's runtime (per config_.profile) and
-  /// fold its finished profile into profile_. Worker threads call the fold
-  /// concurrently, hence the mutex; the hot access paths never touch it.
-  void armProfile(runtime::Runtime& rt) const;
-  void accumulateProfile(const runtime::Runtime& rt) const;
-
-  /// Record one finished simulated run: its MemEvents into the metrics
-  /// registry, its profile into profile_. The same in every process; a fork
-  /// worker ships what its requests recorded back to the parent.
-  void noteRun(const runtime::Runtime& rt) const;
-
   /// Parent-side completion bookkeeping of one decided trial: campaign
   /// counters (trials, S1-S4 responses) and the trial_end trace event. Only
   /// the deciding process runs this — fork workers never do, so the parent's
@@ -432,8 +417,6 @@ class CampaignRunner {
 
   runtime::AppFactory factory_;
   CampaignConfig config_;
-  mutable std::mutex profileMutex_;
-  mutable CampaignProfile profile_;
 };
 
 }  // namespace easycrash::crash

@@ -1,12 +1,14 @@
-// Live campaign status snapshots (flight recorder, docs/OBSERVABILITY.md).
+// Live campaign status (flight recorder, docs/OBSERVABILITY.md).
 //
 // A running campaign periodically samples its shared tallies into a
-// CampaignStatus and atomically rewrites one self-contained JSON file
-// (temp + fsync + rename, like every other output), so an external watcher —
-// a future campaign service, a dashboard, `watch cat` — always reads a
-// complete, consistent snapshot and never a torn write. The final snapshot
-// after the SIGINT/SIGTERM drain carries done=true plus the interrupted
-// flag, so the file also records how the campaign ended.
+// CampaignStatus. The snapshot is the campaign's one live view: it is
+// rendered as the stderr progress line, and atomically rewritten as one
+// self-contained JSON file (temp + fsync + rename, like every other
+// output), so an external watcher — a future campaign service, a dashboard,
+// `watch cat` — always reads a complete, consistent snapshot and never a
+// torn write. The final snapshot after the SIGINT/SIGTERM drain carries
+// done=true plus the interrupted flag, so the file also records how the
+// campaign ended.
 #pragma once
 
 #include <array>
@@ -14,6 +16,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -45,22 +48,35 @@ struct CampaignStatus {
   bool interrupted = false;             ///< a stop was requested
   bool done = false;                    ///< final snapshot (campaign returned)
   std::uint64_t seq = 0;                ///< snapshot sequence number
+
+  /// Fill trialsPerS and etaS from elapsedS and the fresh (non-resumed)
+  /// decided trials: resumed trials landed instantly and would otherwise
+  /// make the rate look impossibly fast.
+  void estimateRate();
 };
 
 /// One-line JSON encoding ({"type":"campaign_status",...}\n). Deterministic
 /// for a fixed status value: fixed field order, %.3f floats.
 [[nodiscard]] std::string serializeStatus(const CampaignStatus& status);
 
-/// Background snapshot writer: every `interval` it calls `sampler` and
-/// atomically rewrites `path`. writeFinal() stops the thread and writes one
-/// last snapshot with done=true; the destructor stops the thread without a
-/// final write (the error-unwind path keeps the last periodic snapshot).
+/// The progress line: "<app> trials  decided/tests  S1:a S2:b S3:c S4:d",
+/// then "  X.Xs" elapsed once done (or every trial decided), else
+/// "  eta X.Xs" once etaS is known.
+[[nodiscard]] std::string progressLine(const CampaignStatus& status);
+
+/// Background sampler: every `interval` it calls `sampler`, atomically
+/// rewrites `path` (empty = no file) and redraws the progress line on
+/// `progress` ('\r' rewrites of one line; nullptr = none). writeFinal()
+/// stops the thread, writes one last snapshot with done=true and ends the
+/// line with a newline; the destructor stops the thread without a final
+/// snapshot (the error-unwind path keeps the last periodic one) and only
+/// ends a drawn line.
 class StatusWriter {
  public:
   using Sampler = std::function<CampaignStatus()>;
 
-  StatusWriter(std::string path, std::chrono::milliseconds interval,
-               Sampler sampler);
+  StatusWriter(std::string path, std::ostream* progress,
+               std::chrono::milliseconds interval, Sampler sampler);
   ~StatusWriter();
 
   StatusWriter(const StatusWriter&) = delete;
@@ -71,9 +87,11 @@ class StatusWriter {
  private:
   void loop();
   void stopThread();
-  void writeSnapshot(CampaignStatus status);
+  void publish(CampaignStatus status);
 
   std::string path_;
+  std::ostream* progress_;
+  std::size_t lineLen_ = 0;  ///< length of the line drawn last; 0 = none
   std::chrono::milliseconds interval_;
   Sampler sampler_;
   std::mutex mutex_;

@@ -132,9 +132,8 @@ class WorkerPool {
     return spawnCount_.load(std::memory_order_relaxed);
   }
 
-  /// SIGKILL and reap one worker / all workers (graceful-stop drain).
+  /// SIGKILL and reap one worker.
   void kill(int slot);
-  void killAll();
 
   [[nodiscard]] std::uint8_t* arena(int slot);
   [[nodiscard]] std::size_t arenaBytes() const { return arenaBytes_; }

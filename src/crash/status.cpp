@@ -1,6 +1,8 @@
 #include "easycrash/crash/status.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <ostream>
 #include <utility>
 
 #include "easycrash/crash/resilience.hpp"
@@ -18,6 +20,14 @@ void appendDouble(std::string& out, double v) {
 }
 
 }  // namespace
+
+void CampaignStatus::estimateRate() {
+  const std::uint64_t fresh = decided > resumed ? decided - resumed : 0;
+  if (elapsedS <= 0.0 || fresh == 0) return;
+  trialsPerS = static_cast<double>(fresh) / elapsedS;
+  const auto tests = static_cast<std::uint64_t>(std::max(0, plannedTests));
+  if (tests >= decided) etaS = static_cast<double>(tests - decided) / trialsPerS;
+}
 
 std::string serializeStatus(const CampaignStatus& status) {
   std::string line = "{\"type\":\"campaign_status\",\"app\":\"";
@@ -66,15 +76,42 @@ std::string serializeStatus(const CampaignStatus& status) {
   return line;
 }
 
-StatusWriter::StatusWriter(std::string path, std::chrono::milliseconds interval,
-                           Sampler sampler)
+std::string progressLine(const CampaignStatus& status) {
+  std::string line = status.app.empty() ? "campaign" : status.app;
+  line += " trials  ";
+  line += std::to_string(status.decided);
+  line += '/';
+  line += std::to_string(status.plannedTests);
+  for (int s = 0; s < 4; ++s) {
+    line += s == 0 ? "  S" : " S";
+    line += static_cast<char>('1' + s);
+    line += ':';
+    line += std::to_string(status.responses[static_cast<std::size_t>(s)]);
+  }
+  char buf[48];
+  if (status.done || status.decided >= static_cast<std::uint64_t>(status.plannedTests)) {
+    std::snprintf(buf, sizeof buf, "  %.1fs", status.elapsedS);
+    line += buf;
+  } else if (status.etaS >= 0.0) {
+    std::snprintf(buf, sizeof buf, "  eta %.1fs", status.etaS);
+    line += buf;
+  }
+  return line;
+}
+
+StatusWriter::StatusWriter(std::string path, std::ostream* progress,
+                           std::chrono::milliseconds interval, Sampler sampler)
     : path_(std::move(path)),
+      progress_(progress),
       interval_(interval),
       sampler_(std::move(sampler)) {
   thread_ = std::thread([this] { loop(); });
 }
 
-StatusWriter::~StatusWriter() { stopThread(); }
+StatusWriter::~StatusWriter() {
+  stopThread();
+  if (lineLen_ > 0) *progress_ << '\n';
+}
 
 void StatusWriter::stopThread() {
   {
@@ -90,7 +127,9 @@ void StatusWriter::writeFinal(bool interrupted) {
   CampaignStatus status = sampler_();
   status.interrupted = interrupted;
   status.done = true;
-  writeSnapshot(std::move(status));
+  publish(std::move(status));
+  if (progress_ != nullptr) *progress_ << '\n';
+  lineLen_ = 0;
 }
 
 void StatusWriter::loop() {
@@ -99,12 +138,22 @@ void StatusWriter::loop() {
       std::unique_lock<std::mutex> lock(mutex_);
       if (cv_.wait_for(lock, interval_, [&] { return shutdown_; })) return;
     }
-    writeSnapshot(sampler_());
+    publish(sampler_());
   }
 }
 
-void StatusWriter::writeSnapshot(CampaignStatus status) {
+void StatusWriter::publish(CampaignStatus status) {
   status.seq = ++seq_;
+  if (progress_ != nullptr) {
+    // Pad with spaces so a shorter line fully overwrites the previous one.
+    std::string line = progressLine(status);
+    const std::size_t drawn = line.size();
+    line.append(lineLen_ > drawn ? lineLen_ - drawn : 0, ' ');
+    lineLen_ = drawn;
+    *progress_ << '\r' << line;
+    progress_->flush();
+  }
+  if (path_.empty()) return;
   try {
     atomicWriteFile(path_, serializeStatus(status));
   } catch (const std::exception& e) {

@@ -392,15 +392,6 @@ void WorkerPool::kill(int slot) {
   reapLocked(slot, discard);
 }
 
-void WorkerPool::killAll() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (int i = 0; i < workers(); ++i) killLocked(i);
-  for (int i = 0; i < workers(); ++i) {
-    Reply discard;
-    reapLocked(i, discard);
-  }
-}
-
 std::uint8_t* WorkerPool::arena(int slot) {
   return slots_[static_cast<std::size_t>(slot)].arena;
 }

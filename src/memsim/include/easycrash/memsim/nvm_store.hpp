@@ -159,15 +159,6 @@ class NvmStore {
   /// Size of the materialised image in bytes.
   [[nodiscard]] std::uint64_t imageBytes() const { return imageBytes_; }
 
-  /// Snapshot/restore the full value image (campaigns restore pristine state
-  /// between crash tests without re-running initialisation).
-  [[nodiscard]] std::vector<std::uint8_t> snapshotImage() const {
-    return {image_, image_ + imageBytes_};
-  }
-  void restoreImage(std::vector<std::uint8_t> image);
-
-  void resetCounters() { blockWrites_ = 0; }
-
   // ---- State digest (the convergence memo's key, docs/INTERNALS.md) ------
 
   /// Start maintaining digest() incrementally: from here on every poke and

@@ -127,13 +127,6 @@ void NvmStore::pokeSlow(std::uint64_t addr, std::span<const std::uint8_t> src) {
   std::memcpy(image_ + addr, src.data(), src.size());
 }
 
-void NvmStore::restoreImage(std::vector<std::uint8_t> image) {
-  imageBytes_ = 0;
-  back(image.size());
-  if (!image.empty()) std::memcpy(image_, image.data(), image.size());
-  if (digestArmed()) armDigest();
-}
-
 void NvmStore::armDigest() {
   EC_CHECK_MSG(blockSize_ >= 16, "the state digest hashes 16-byte words");
   // Never empty, so dirty_ is non-null even over an empty image.

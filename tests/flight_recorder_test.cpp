@@ -1,6 +1,7 @@
 // Campaign flight recorder: per-object access/wear profiles, phase-span
-// trace events, live status snapshots, the ETA baseline fix, and the
-// deterministic `nvct report` renderer (docs/OBSERVABILITY.md).
+// trace events, live status snapshots and the progress line rendered from
+// them (its ETA ignores resumed trials), and the deterministic `nvct report`
+// renderer (docs/OBSERVABILITY.md).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,7 +21,6 @@
 #include "easycrash/telemetry/json.hpp"
 #include "easycrash/telemetry/metrics.hpp"
 #include "easycrash/telemetry/phase_span.hpp"
-#include "easycrash/telemetry/progress.hpp"
 #include "easycrash/telemetry/trace.hpp"
 
 namespace easycrash {
@@ -152,11 +152,72 @@ TEST(AccessProfile, CampaignAccumulatesAcrossRuns) {
   const auto* objects = doc->find("objects");
   ASSERT_NE(objects, nullptr);
   EXPECT_EQ(objects->array.size(), campaign.profile.objects.size());
+}
 
-  // Profiling off ⇒ no profile, even with telemetry compiled in.
-  config.profile = false;
-  const auto bare = crash::CampaignRunner(recorderFactory(), config).run();
-  EXPECT_TRUE(bare.profile.empty());
+void expectSameProfile(const crash::CampaignProfile& a, const crash::CampaignProfile& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.strideBytes, b.strideBytes) << what;
+  EXPECT_EQ(a.runs, b.runs) << what;
+  EXPECT_EQ(a.regionAccesses, b.regionAccesses) << what;
+  ASSERT_EQ(a.objects.size(), b.objects.size()) << what;
+  for (std::size_t i = 0; i < a.objects.size(); ++i) {
+    const runtime::ObjectProfile& x = a.objects[i];
+    const runtime::ObjectProfile& y = b.objects[i];
+    EXPECT_EQ(x.id, y.id) << what;
+    EXPECT_EQ(x.name, y.name) << what;
+    EXPECT_EQ(x.bytes, y.bytes) << what << ' ' << x.name;
+    EXPECT_EQ(x.accesses, y.accesses) << what << ' ' << x.name;
+    EXPECT_EQ(x.nvmWrites, y.nvmWrites) << what << ' ' << x.name;
+    EXPECT_EQ(x.accessBins, y.accessBins) << what << ' ' << x.name;
+    EXPECT_EQ(x.wearBins, y.wearBins) << what << ' ' << x.name;
+  }
+}
+
+// The profile is the sweep crashing run's, whichever process ran it: the
+// in-process sweep and a fork worker's sweep yield the same bins. Under
+// goldenEvents the tracked golden run is folded in as a second run.
+TEST(AccessProfile, SweepProfileIsTheSameInEveryIsolationMode) {
+  crash::CampaignConfig config;
+  config.numTests = 6;
+  config.cache = memsim::CacheConfig::tiny();
+  config.appLabel = "recorder";
+  const auto runWith = [&](crash::IsolationMode isolation, int threads) {
+    crash::CampaignConfig c = config;
+    c.resilience.isolation = isolation;
+    c.threads = threads;
+    return crash::CampaignRunner(recorderFactory(), c).run().profile;
+  };
+  const crash::CampaignProfile propagate = runWith(crash::IsolationMode::Propagate, 1);
+  expectSameProfile(propagate, runWith(crash::IsolationMode::InProcess, 2), "in-process");
+  expectSameProfile(propagate, runWith(crash::IsolationMode::Fork, 2), "fork");
+  if (!tel::kTraceCompiledIn) {
+    EXPECT_TRUE(propagate.empty());
+    return;
+  }
+  EXPECT_EQ(propagate.runs, 1u);
+
+  // The golden run alone, tracked, as the campaign runs it under
+  // goldenEvents: the campaign profile is its bins plus the sweep's.
+  crash::CampaignProfile expected;
+  {
+    runtime::Runtime rt(config.cache);
+    rt.setRunKind(runtime::RunKind::Tracked);
+    rt.enableProfile();
+    RecorderApp app;
+    app.setup(rt);
+    app.initialize(rt);
+    (void)runtime::Driver::run(app, rt, 1, 0);
+    expected.accumulate(rt);
+  }
+  ASSERT_EQ(expected.runs, 1u);
+  expected.merge(propagate);
+
+  config.goldenEvents = true;
+  for (const auto isolation : {crash::IsolationMode::Propagate, crash::IsolationMode::Fork}) {
+    const crash::CampaignProfile withGolden = runWith(isolation, 2);
+    EXPECT_EQ(withGolden.runs, 2u);
+    expectSameProfile(withGolden, expected, "goldenEvents");
+  }
 }
 
 TEST(PhaseSpan, EmitsPairedEventsAndObservesDuration) {
@@ -233,7 +294,7 @@ TEST(Status, WriterProducesFinalSnapshot) {
   sample.decided = 5;
   sample.responses = {5, 0, 0, 0};
   {
-    crash::StatusWriter writer(path, std::chrono::milliseconds(10),
+    crash::StatusWriter writer(path, nullptr, std::chrono::milliseconds(10),
                                [&sample] { return sample; });
     writer.writeFinal(/*interrupted=*/false);
   }
@@ -251,18 +312,27 @@ TEST(Status, WriterProducesFinalSnapshot) {
 }
 
 TEST(Progress, EtaIgnoresResumedBaseline) {
-  std::ostringstream os;
-  tel::ProgressMeter meter("resume", 100, &os);
-  meter.setBaseline(50);
-  meter.update(50, "");  // all resumed — no rate basis yet, so no ETA
-  EXPECT_EQ(os.str().find("eta"), std::string::npos);
-  meter.finish("");
+  crash::CampaignStatus status;
+  status.app = "resume";
+  status.plannedTests = 100;
+  status.decided = 50;
+  status.resumed = 50;
+  status.elapsedS = 2.0;
+  status.estimateRate();  // all resumed — no rate basis yet, so no ETA
+  EXPECT_LT(status.etaS, 0.0);
+  EXPECT_EQ(crash::progressLine(status), "resume trials  50/100  S1:0 S2:0 S3:0 S4:0");
 
-  std::ostringstream fresh;
-  tel::ProgressMeter freshMeter("fresh", 100, &fresh);
-  freshMeter.update(50, "");  // same count, no baseline — ETA renders
-  EXPECT_NE(fresh.str().find("eta"), std::string::npos);
-  freshMeter.finish("");
+  crash::CampaignStatus fresh = status;
+  fresh.resumed = 0;
+  fresh.estimateRate();  // same count, no baseline: 25 trials/s
+  EXPECT_DOUBLE_EQ(fresh.trialsPerS, 25.0);
+  EXPECT_NE(crash::progressLine(fresh).find("  eta 2.0s"), std::string::npos);
+
+  crash::CampaignStatus mixed = status;
+  mixed.decided = 60;  // 10 fresh trials in 2 s: 40 left at 5 trials/s
+  mixed.estimateRate();
+  EXPECT_DOUBLE_EQ(mixed.trialsPerS, 5.0);
+  EXPECT_NE(crash::progressLine(mixed).find("  eta 8.0s"), std::string::npos);
 }
 
 TEST(FlightReport, RendersDeterministicallyFromJournal) {

@@ -65,19 +65,6 @@ TEST(NvmStore, PokeDoesNotCountAsWrite) {
   EXPECT_EQ(nvm.blockWrites(), 0u);
 }
 
-TEST(NvmStore, SnapshotRestoreRoundTrip) {
-  ms::NvmStore nvm(64);
-  std::vector<std::uint8_t> data(8, 0x42);
-  nvm.poke(100, data);
-  auto snap = nvm.snapshotImage();
-  std::vector<std::uint8_t> other(8, 0x99);
-  nvm.poke(100, other);
-  nvm.restoreImage(std::move(snap));
-  std::vector<std::uint8_t> out(8);
-  nvm.read(100, out);
-  EXPECT_EQ(out, data);
-}
-
 TEST(CacheConfig, PresetsValidate) {
   EXPECT_NO_THROW(ms::CacheConfig::xeonGold6126().validate());
   EXPECT_NO_THROW(ms::CacheConfig::scaledDefault().validate());

@@ -3,6 +3,7 @@
 // the MemEvents::delta monotonicity debug assertion.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -14,13 +15,13 @@
 
 #include "easycrash/apps/registry.hpp"
 #include "easycrash/crash/campaign.hpp"
+#include "easycrash/crash/status.hpp"
 #include "easycrash/memsim/events.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
 #include "easycrash/telemetry/json.hpp"
 #include "easycrash/telemetry/log.hpp"
 #include "easycrash/telemetry/metrics.hpp"
-#include "easycrash/telemetry/progress.hpp"
 #include "easycrash/telemetry/timer.hpp"
 #include "easycrash/telemetry/trace.hpp"
 
@@ -425,21 +426,25 @@ TEST(MemEventsDelta, DebugAssertsMonotonicity) {
 }
 
 TEST(Progress, RendersTallyAndFinishes) {
+  crash::CampaignStatus sample;
+  sample.app = "unit";
+  sample.plannedTests = 3;
+  sample.decided = 3;
+  sample.responses = {2, 0, 1, 0};
+  sample.elapsedS = 2.5;
+  const auto sampler = [&sample] { return sample; };
   std::ostringstream os;
-  tel::ProgressMeter meter("unit", 3, &os);
-  meter.update(1, "S1:1");
-  meter.update(3, "S1:2 S3:1");
-  meter.finish("S1:2 S3:1");
-  const std::string out = os.str();
-  EXPECT_NE(out.find("unit"), std::string::npos);
-  EXPECT_NE(out.find("3/3"), std::string::npos);
-  EXPECT_NE(out.find("S1:2 S3:1"), std::string::npos);
-  EXPECT_EQ(out.back(), '\n');
+  {
+    // The interval outlasts the test: only the final line is drawn.
+    crash::StatusWriter writer("", &os, std::chrono::hours(1), sampler);
+    writer.writeFinal(/*interrupted=*/false);
+  }
+  EXPECT_EQ(os.str(), "\runit trials  3/3  S1:2 S2:0 S3:1 S4:0  2.5s\n");
 
-  // A null stream disables the meter entirely.
-  tel::ProgressMeter off("off", 3, nullptr);
-  off.update(1, "x");
-  off.finish("x");
+  // Without a stream or a path the sampler writes nothing anywhere.
+  crash::StatusWriter off("", nullptr, std::chrono::milliseconds(1), sampler);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  off.writeFinal(/*interrupted=*/false);
 }
 
 // The acceptance-level contract: the memsim.* registry counters are an exact

@@ -11,12 +11,12 @@
 //   nvct --app kmeans --list-objects
 //
 // Observability (docs/OBSERVABILITY.md): --trace-out writes a JSONL event
-// trace, --metrics-out a counters/histograms snapshot (including the
-// per-object access/wear profile unless --profile off), --status-out keeps a
-// live status snapshot fresh while the campaign runs, --log-level tunes
-// stderr diagnostics, and a live progress line tracks the campaign. After a
-// campaign, `nvct report` joins the journal, trace, and metrics into one
-// deterministic markdown report:
+// trace, --metrics-out a counters/histograms snapshot (including the sweep's
+// per-object access/wear profile), --status-out keeps a live status snapshot
+// fresh while the campaign runs, --log-level tunes stderr diagnostics, and a
+// live progress line, rendered from the same status samples, tracks the
+// campaign. After a campaign, `nvct report` joins the journal, trace, and
+// metrics into one deterministic markdown report:
 //
 //   nvct report --journal mg.jsonl --trace mg_trace.jsonl
 //        --metrics mg_metrics.json --out mg_report.md
@@ -223,10 +223,8 @@ int main(int argc, char** argv) {
   cli.addString("status-out", "",
                 "atomically rewrite a live campaign status snapshot (JSON) "
                 "on every interval and after the final drain");
-  cli.addInt("status-interval-ms", 1000, "status snapshot interval");
-  cli.addString("profile", "on",
-                "per-object access/wear profiling (on|off; exported as the "
-                "'profile' section of --metrics-out)");
+  cli.addInt("status-interval-ms", 1000,
+             "status sample interval (snapshot rewrite and progress redraw)");
   cli.addString("log-level", "", "stderr log level: error|warn|info|debug|trace");
   cli.addFlag("no-progress", "suppress the live campaign progress line");
   cli.addString("journal", "", "append decided trials to this crash-safe JSONL journal");
@@ -330,12 +328,6 @@ int main(int argc, char** argv) {
       config.mode = ec::crash::SnapshotMode::Coherent;
     } else if (mode != "nvm") {
       throw std::runtime_error("--mode must be 'nvm' or 'coherent'");
-    }
-    const std::string profile = cli.getString("profile");
-    if (profile == "off") {
-      config.profile = false;
-    } else if (profile != "on") {
-      throw std::runtime_error("--profile must be 'on' or 'off'");
     }
     config.statusPath = cli.getString("status-out");
     config.statusIntervalMs = static_cast<int>(cli.getInt("status-interval-ms"));
