@@ -24,7 +24,10 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 APP=sp
-TESTS=120
+TESTS=1000
+# 2^53 + 1: no double holds it, so the journal's header must be read
+# exactly for --resume to accept the campaign's own journal.
+SEED=9007199254740993
 JOURNAL="$WORK/journal.jsonl"
 
 # The campaign (and its pre-forked workers) all carry the unique journal
@@ -42,7 +45,7 @@ assert_no_orphans() {
 
 if [[ "$SIGNAL" == WORKER ]]; then
   echo "== campaign with a SIGKILLed worker child =="
-  "$NVCT" --app "$APP" --tests "$TESTS" --no-progress \
+  "$NVCT" --app "$APP" --tests "$TESTS" --seed "$SEED" --no-progress \
     --journal "$JOURNAL" --journal-flush-every 4 \
     --csv-out "$WORK/healed.csv" --metrics-out "$WORK/healed_metrics.json" &
   PID=$!
@@ -57,7 +60,7 @@ if [[ "$SIGNAL" == WORKER ]]; then
       wait "$PID" || true
       exit 1
     fi
-    sleep 0.2
+    sleep 0.05
   done
 
   WORKER_PID=$(pgrep -P "$PID" | head -n 1 || true)
@@ -81,7 +84,7 @@ print(f"ok: {deaths} worker death(s) recorded, "
 EOF
 
   echo "== undisturbed reference run =="
-  "$NVCT" --app "$APP" --tests "$TESTS" --no-progress \
+  "$NVCT" --app "$APP" --tests "$TESTS" --seed "$SEED" --no-progress \
     --csv-out "$WORK/fresh.csv"
 
   if cmp "$WORK/healed.csv" "$WORK/fresh.csv"; then
@@ -94,7 +97,7 @@ EOF
 fi
 
 echo "== campaign under SIG$SIGNAL =="
-"$NVCT" --app "$APP" --tests "$TESTS" --no-progress \
+"$NVCT" --app "$APP" --tests "$TESTS" --seed "$SEED" --no-progress \
   --journal "$JOURNAL" --journal-flush-every 4 &
 PID=$!
 
@@ -109,7 +112,7 @@ for _ in $(seq 1 300); do
     wait "$PID" || true
     exit 1
   fi
-  sleep 0.2
+  sleep 0.05
 done
 
 kill "-$SIGNAL" "$PID"
@@ -136,13 +139,13 @@ echo "== journal holds $DECIDED decided trials; linting =="
   echo "FAIL: kill did not land mid-campaign ($DECIDED/$TESTS)"; exit 1; }
 
 echo "== resuming =="
-"$NVCT" --app "$APP" --tests "$TESTS" --no-progress \
+"$NVCT" --app "$APP" --tests "$TESTS" --seed "$SEED" --no-progress \
   --journal "$JOURNAL" --resume "$JOURNAL" \
   --csv-out "$WORK/resumed.csv"
 assert_no_orphans
 
 echo "== uninterrupted reference run =="
-"$NVCT" --app "$APP" --tests "$TESTS" --no-progress \
+"$NVCT" --app "$APP" --tests "$TESTS" --seed "$SEED" --no-progress \
   --csv-out "$WORK/fresh.csv"
 
 if cmp "$WORK/resumed.csv" "$WORK/fresh.csv"; then

@@ -585,7 +585,10 @@ AttemptFailure currentFailure(const std::vector<runtime::PointId>& regionPath) {
   } catch (const AttemptFailure& f) {
     return f;
   } catch (const std::exception& e) {
-    return {"exception", false, e.what(), formatRegionPath(regionPath)};
+    // The journal refuses an empty reason, so an exception without a
+    // message still gets one.
+    const char* reason = *e.what() != '\0' ? e.what() : "exception without a message";
+    return {"exception", false, reason, formatRegionPath(regionPath)};
   }
 }
 
@@ -907,12 +910,15 @@ class ForkParent {
     hooks.prepare = [] {
       telemetry::TraceSink::instance().lockForFork();
       telemetry::MetricsRegistry::instance().lockForFork();
+      telemetry::lockConsoleForFork();
     };
     hooks.parent = [] {
+      telemetry::unlockConsoleAfterFork(false);
       telemetry::MetricsRegistry::instance().unlockAfterFork();
       telemetry::TraceSink::instance().unlockAfterFork();
     };
     hooks.child = [](int) {
+      telemetry::unlockConsoleAfterFork(true);
       telemetry::MetricsRegistry::instance().unlockAfterFork();
       telemetry::TraceSink::instance().unlockAfterFork();
       // Reroute trace lines into a buffer the response frames ship to the
@@ -1268,6 +1274,7 @@ GoldenStats CampaignRunner::goldenRun(CampaignProfile* profile) const {
                    app->info().name + "): " + result.verification.detail);
 
   GoldenStats golden;
+  golden.app = app->info().name;
   golden.windowAccesses = rt.windowAccesses();
   golden.finalIteration = result.finalIteration;
   golden.events = rt.events();
@@ -1296,27 +1303,6 @@ GoldenStats CampaignRunner::goldenRun(CampaignProfile* profile) const {
 }
 
 namespace {
-
-/// Throws unless the resumed journal was drawn for exactly this campaign.
-void checkHeaderMatches(const JournalHeader& journal, const JournalHeader& ours,
-                        const std::string& path) {
-  const auto mismatch = [&path](const std::string& what) {
-    throw std::runtime_error("--resume " + path + ": journal " + what +
-                             " does not match this campaign");
-  };
-  if (journal.app != ours.app) mismatch("app (" + journal.app + ")");
-  if (journal.seed != ours.seed) mismatch("seed");
-  if (journal.tests != ours.tests) mismatch("test count");
-  if (journal.mode != ours.mode) mismatch("snapshot mode");
-  if (journal.planFingerprint != ours.planFingerprint) mismatch("persistence plan");
-  if (journal.windowAccesses != ours.windowAccesses) mismatch("golden crash window");
-  // A shard journal resumes only under the same --shard i/k; a merged (or
-  // legacy) journal is unsharded on both sides and passes trivially.
-  if (journal.shardCount != ours.shardCount || journal.shardIndex != ours.shardIndex) {
-    mismatch("shard (" + std::to_string(journal.shardIndex) + "/" +
-             std::to_string(journal.shardCount) + ")");
-  }
-}
 
 /// One point of the sweep's capture plan: a distinct crash index and the
 /// undecided trials that drew it.
@@ -1545,7 +1531,9 @@ class CampaignExecution {
  private:
   JournalHeader journalHeader() const {
     JournalHeader header;
-    header.app = config_.appLabel;
+    // The reader refuses an empty app, so an unlabelled campaign (a library
+    // caller's) is named after its app.
+    header.app = config_.appLabel.empty() ? result_.golden.app : config_.appLabel;
     header.seed = config_.seed;
     header.tests = config_.numTests;
     header.mode = config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent";
@@ -1568,13 +1556,23 @@ class CampaignExecution {
     return header;
   }
 
+  /// Throws unless the resumed journal was drawn for exactly this campaign.
+  /// readJournal has already bounded every index by the header's tests.
   void replayJournal(JournalReplay& replay, const JournalHeader& header) {
-    checkHeaderMatches(replay.header, header, res_.resumePath);
+    const JournalHeader& journal = replay.header;
+    std::string mismatch = identityMismatch(journal, header);
+    // A shard journal resumes only under the same --shard i/k; a merged (or
+    // legacy) journal is unsharded on both sides and passes trivially.
+    if (mismatch.empty() && (journal.shardCount != header.shardCount ||
+                             journal.shardIndex != header.shardIndex)) {
+      mismatch = "shard (" + std::to_string(journal.shardIndex) + "/" +
+                 std::to_string(journal.shardCount) + ")";
+    }
+    if (!mismatch.empty()) {
+      throw std::runtime_error("--resume " + res_.resumePath + ": journal " +
+                               mismatch + " does not match this campaign");
+    }
     for (auto& [trial, record] : replay.trials) {
-      if (trial >= records_.size()) {
-        throw std::runtime_error("--resume " + res_.resumePath +
-                                 ": trial index out of range");
-      }
       EC_CHECK_MSG(record.crashAccessIndex == crashIndices_[trial],
                    "resumed journal crash point diverges from the re-drawn "
                    "sequence — journal does not belong to this campaign");
@@ -1582,10 +1580,6 @@ class CampaignExecution {
       ++resumedTrials_;
     }
     for (auto& [trial, failure] : replay.failures) {
-      if (trial >= failures_.size()) {
-        throw std::runtime_error("--resume " + res_.resumePath +
-                                 ": failure index out of range");
-      }
       failures_[trial] = std::move(failure);
       ++resumedFailures_;
     }

@@ -232,16 +232,9 @@ std::string campaignProfileJson(const CampaignProfile& profile) {
   return out;
 }
 
-std::string renderFlightReport(const FlightReportInputs& inputs) {
-  return renderFlightReport(readJournal(inputs.journalPath), inputs.tracePath,
-                            inputs.metricsPath);
-}
-
 std::string renderFlightReport(const JournalReplay& journal,
                                const std::string& tracePath,
                                const std::string& metricsPath) {
-  const FlightReportInputs inputs{"", tracePath, metricsPath};
-
   std::ostringstream md;
   md << "# nvct campaign report\n\n";
 
@@ -319,7 +312,7 @@ std::string renderFlightReport(const JournalReplay& journal,
 
   // --- Per-object inconsistency rates -------------------------------------
   std::optional<ParsedProfile> profile;
-  if (!inputs.metricsPath.empty()) profile = parseProfileSection(inputs.metricsPath);
+  if (!metricsPath.empty()) profile = parseProfileSection(metricsPath);
   const auto objectName = [&](runtime::ObjectId id) {
     if (profile) {
       for (const ProfileRow& row : profile->objects) {
@@ -357,8 +350,8 @@ std::string renderFlightReport(const JournalReplay& journal,
   }
 
   // --- Phase latencies (trace only) ---------------------------------------
-  if (!inputs.tracePath.empty()) {
-    const auto phases = parsePhaseDurations(inputs.tracePath);
+  if (!tracePath.empty()) {
+    const auto phases = parsePhaseDurations(tracePath);
     md << "## Phase latencies\n\n";
     if (phases.empty()) {
       md << "No phase_end events in the trace.\n\n";

@@ -219,6 +219,7 @@ void setMemoSeams(const MemoSeams& seams);
 
 /// Statistics of the golden (crash-free) execution.
 struct GoldenStats {
+  std::string app;  ///< the app's own name (IApp::info().name)
   std::uint64_t windowAccesses = 0;  ///< tracked accesses in the crash window
   int finalIteration = 0;
   /// Simulated-machine events; near-empty unless CampaignConfig::goldenEvents.

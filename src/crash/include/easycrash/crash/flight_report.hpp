@@ -20,19 +20,11 @@
 
 namespace easycrash::crash {
 
-struct FlightReportInputs {
-  std::string journalPath;  ///< required: the campaign journal
-  std::string tracePath;    ///< optional: JSONL trace (phase latencies)
-  std::string metricsPath;  ///< optional: metrics snapshot (profile heatmap)
-};
-
-/// Render the markdown report. Throws std::runtime_error when the journal
-/// cannot be read or an optional input exists but is malformed.
-[[nodiscard]] std::string renderFlightReport(const FlightReportInputs& inputs);
-
-/// Render from an already-replayed journal — the entry point `nvct merge`
-/// and the multi-journal `nvct report` use, so a merged decided set renders
-/// the identical bytes an unsharded journal file would.
+/// Render the markdown report of a read (or merged) journal, joined with the
+/// optional JSONL trace (phase latencies; "" = none) and metrics snapshot
+/// (access/wear heatmap; "" = none). Throws std::runtime_error when an
+/// optional input is given but cannot be read or is malformed. `nvct
+/// report` passes mergeShardJournals' replay, for one journal or several.
 [[nodiscard]] std::string renderFlightReport(const JournalReplay& journal,
                                              const std::string& tracePath,
                                              const std::string& metricsPath);

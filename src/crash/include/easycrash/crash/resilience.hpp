@@ -19,8 +19,10 @@
 // resuming into it) rewrites it fully compacted, so finished journals are
 // canonical — byte-identical for the same decided trials regardless of
 // decision order — and segment files never grow without bound. Legacy
-// journals (fully sorted, no "format" header field) parse identically;
-// trace_lint --journal checks whichever discipline the header declares.
+// journals (fully sorted, no "format" header field) parse identically,
+// with strictly ascending indices. readJournal is the format's one reader:
+// --resume, `nvct merge`, `nvct report` and `trace_lint --journal` all
+// accept and refuse exactly the same journals.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +94,13 @@ struct JournalHeader {
 /// whose stamped hash disagrees (a tampered or mis-labelled journal).
 [[nodiscard]] std::uint64_t campaignHash(const JournalHeader& header);
 
+/// The first identity field (app, seed, tests, mode, plan fingerprint,
+/// window accesses) in which two headers differ, named for an error
+/// message; empty when the headers describe the same campaign. Shard
+/// coordinates are not compared: each caller has its own rule for them.
+[[nodiscard]] std::string identityMismatch(const JournalHeader& a,
+                                           const JournalHeader& b);
+
 /// FNV-1a over the plan's points/frequencies/objects — cheap identity check
 /// for the journal header (full plan round-tripping is not needed: any
 /// difference changes results, which the header exists to prevent).
@@ -140,32 +149,35 @@ class TrialJournal {
 
 /// A parsed journal: the header plus every decided trial, compacted on load
 /// — when the appended segments carry several records for one test index,
-/// the last one wins. The reader tolerates (and ignores) a trailing partial
-/// line from a torn append.
+/// trial or failure, the last one wins, so an index is in at most one map.
 struct JournalReplay {
   JournalHeader header;
   std::map<std::size_t, CrashTestRecord> trials;
   std::map<std::size_t, TrialFailure> failures;
 };
 
-/// Parse `path`. Throws std::runtime_error on a missing file or a journal
-/// whose prefix is malformed.
+/// Parse `path`, enforcing every rule of the format (docs/ROBUSTNESS.md
+/// "The journal and --resume"): header field types, tests >= 1, the mode,
+/// decimal-string fingerprints, the shard fields together and a stamped
+/// campaign_hash equal to campaignHash(header); known record types only,
+/// 0 <= trial < tests, responses S1..S4, rates in [0, 1], attempts >= 1, a
+/// non-empty reason and kind, and strictly ascending indices in a legacy
+/// journal. Integers are read exactly from their source text into their
+/// field's type. A final line with no newline that does not parse (a torn
+/// append) is dropped. Throws std::runtime_error naming `journal
+/// <path>:<line>` on anything else, or on a missing file.
 [[nodiscard]] JournalReplay readJournal(const std::string& path);
 
 // ---- Record transport --------------------------------------------------------
 
-/// The journal's exact trial/header/failure line formats, exposed so the
-/// shard merge core can emit a canonical merged journal byte-identical to
-/// what an unsharded TrialJournal leaves behind on close. Doubles are
-/// serialized with %.17g, so a record round-trips exactly.
+/// The journal's exact trial/header/failure line formats: TrialJournal
+/// writes them, and the shard merge core emits a canonical merged journal
+/// byte-identical to what an unsharded TrialJournal leaves behind on close.
+/// Doubles are serialized with %.17g, so a record round-trips exactly.
 [[nodiscard]] std::string serializeTrialRecord(std::size_t trial,
                                                const CrashTestRecord& record);
 [[nodiscard]] std::string serializeJournalHeader(const JournalHeader& header);
 [[nodiscard]] std::string serializeFailureRecord(const TrialFailure& failure);
-/// Inverse of serializeTrialRecord. Throws std::runtime_error on malformed
-/// input (a journal line torn or tampered with).
-[[nodiscard]] CrashTestRecord parseTrialRecord(const std::string& line,
-                                               std::size_t* trial);
 
 // ---- Atomic file replacement -------------------------------------------------
 

@@ -4,10 +4,11 @@
 // A campaign sharded `--shard i/k` across k nvct processes leaves k
 // self-describing shard journals, each holding only the trials its shard
 // owns (trial t belongs to shard t % k). This core folds them back into one
-// canonical decided set: validation first (every journal drawn for the same
-// campaign — identity fields and recomputed campaign fingerprint must agree,
-// shard counts must match, every record must be owned by the shard that
-// wrote it), then a last-wins fold keyed by trial index. The fold is
+// canonical decided set: validation first (readJournal checks each journal,
+// a shard header's recomputed campaign fingerprint included; then every
+// journal must be drawn for the same campaign — identity fields agree,
+// shard counts match, every record is owned by the shard that wrote it),
+// then a last-wins fold keyed by trial index. The fold is
 // commutative and idempotent — any journal order, and any mix of complete,
 // partial and re-merged journals, produces the identical decided set — so
 // the rendered artifacts (compact journal, per-test CSV, flight report) are
@@ -15,7 +16,7 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,31 +26,30 @@ namespace easycrash::crash {
 
 /// The merged view of one campaign's shard journals.
 struct ShardMerge {
-  /// Canonical unsharded header (shard fields cleared): exactly what the
-  /// single-machine run's journal carries on line 1.
-  JournalHeader header;
-  /// Candidate objects (from the shard headers; empty when merging a single
-  /// unsharded journal, which never carried the list).
-  std::vector<JournalCandidate> candidates;
-  /// Decided set, compacted last-wins by trial index.
-  std::map<std::size_t, CrashTestRecord> trials;
-  std::map<std::size_t, TrialFailure> failures;
+  /// The decided set, compacted last-wins by trial index across every
+  /// journal, under the canonical unsharded header (shard coordinates and
+  /// campaign hash cleared): exactly what the single-machine run's journal
+  /// carries on line 1. The header keeps the shard journals' candidate list
+  /// for renderMergedCsv (empty when merging unsharded journals, which never
+  /// carried one); an unsharded header never serializes it.
+  JournalReplay replay;
   /// Shard count the inputs declared (1 when merging unsharded journals).
   int shardCount = 1;
-  /// Distinct shard indices seen, ascending.
-  std::vector<int> shardsSeen;
+  /// Distinct shard indices seen.
+  std::set<int> shardsSeen;
 
   /// True iff every planned trial is decided (no undecided tail remains).
   [[nodiscard]] bool complete() const {
-    return trials.size() + failures.size() ==
-           static_cast<std::size_t>(header.tests);
+    return replay.trials.size() + replay.failures.size() ==
+           static_cast<std::size_t>(replay.header.tests);
   }
 };
 
-/// Read, validate and fold `paths` (throws std::runtime_error naming the
-/// offending journal and field on any mismatch). Partial shard journals are
-/// legal inputs — merge never requires completeness — and merging a single
-/// unsharded journal is the k=1 identity.
+/// Read (readJournal), validate and fold `paths`; throws std::runtime_error
+/// naming the offending journal and field on any mismatch. Partial shard
+/// journals are legal inputs — merge never requires completeness — and
+/// merging a single unsharded journal is the k=1 identity (`nvct report`
+/// reads one journal this way too).
 [[nodiscard]] ShardMerge mergeShardJournals(const std::vector<std::string>& paths);
 
 /// The canonical compact journal bytes of the merged decided set: unsharded
@@ -70,8 +70,5 @@ struct ShardMerge {
 /// so sharded and unsharded campaigns that decided the same trials project
 /// identically (docs/INTERNALS.md "Sharded campaigns").
 [[nodiscard]] std::string renderMergedMetrics(const ShardMerge& merge);
-
-/// The merged decided set as a JournalReplay (for renderFlightReport).
-[[nodiscard]] JournalReplay toReplay(const ShardMerge& merge);
 
 }  // namespace easycrash::crash

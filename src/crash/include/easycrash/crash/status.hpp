@@ -66,11 +66,12 @@ struct CampaignStatus {
 
 /// Background sampler: every `interval` it calls `sampler`, atomically
 /// rewrites `path` (empty = no file) and redraws the progress line on
-/// `progress` ('\r' rewrites of one line; nullptr = none). writeFinal()
-/// stops the thread, writes one last snapshot with done=true and ends the
-/// line with a newline; the destructor stops the thread without a final
-/// snapshot (the error-unwind path keeps the last periodic one) and only
-/// ends a drawn line.
+/// `progress` ('\r' rewrites of one line through telemetry's
+/// drawProgressLine, so a log line never lands on it; nullptr = none).
+/// writeFinal() stops the thread, writes one last snapshot with done=true
+/// and ends the line with a newline; the destructor stops the thread
+/// without a final snapshot (the error-unwind path keeps the last periodic
+/// one) and only ends a line still open.
 class StatusWriter {
  public:
   using Sampler = std::function<CampaignStatus()>;
@@ -91,7 +92,6 @@ class StatusWriter {
 
   std::string path_;
   std::ostream* progress_;
-  std::size_t lineLen_ = 0;  ///< length of the line drawn last; 0 = none
   std::chrono::milliseconds interval_;
   Sampler sampler_;
   std::mutex mutex_;

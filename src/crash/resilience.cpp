@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "easycrash/common/check.hpp"
 #include "easycrash/telemetry/json.hpp"
@@ -93,10 +95,6 @@ std::string tryWriteOnce(const std::string& path, const std::string& content) {
   return {};
 }
 
-}  // namespace
-
-namespace {
-
 /// One append-fsync attempt onto an existing file; returns an error
 /// description or "". A failure can leave a torn final line — callers
 /// recover by rewriting the whole file atomically, and readers tolerate the
@@ -146,7 +144,9 @@ void appendQuoted(std::string& out, std::string_view s) {
   out += '"';
 }
 
-std::string serializeHeader(const JournalHeader& h) {
+}  // namespace
+
+std::string serializeJournalHeader(const JournalHeader& h) {
   std::string line = "{\"type\":\"campaign_header\",\"app\":";
   appendQuoted(line, h.app);
   line += ",\"seed\":" + std::to_string(h.seed);
@@ -184,7 +184,7 @@ std::string serializeHeader(const JournalHeader& h) {
   return line;
 }
 
-std::string serializeTrial(std::size_t trial, const CrashTestRecord& r) {
+std::string serializeTrialRecord(std::size_t trial, const CrashTestRecord& r) {
   std::string line = "{\"type\":\"trial\",\"trial\":" + std::to_string(trial);
   line += ",\"crash_access\":" + std::to_string(r.crashAccessIndex);
   line += ",\"region\":" + std::to_string(r.region);
@@ -212,7 +212,7 @@ std::string serializeTrial(std::size_t trial, const CrashTestRecord& r) {
   return line;
 }
 
-std::string serializeFailure(const TrialFailure& f) {
+std::string serializeFailureRecord(const TrialFailure& f) {
   std::string line =
       "{\"type\":\"trial_failure\",\"trial\":" + std::to_string(f.trial);
   line += ",\"crash_access\":" + std::to_string(f.crashAccessIndex);
@@ -227,104 +227,6 @@ std::string serializeFailure(const TrialFailure& f) {
   appendQuoted(line, f.regionPath);
   line += "}\n";
   return line;
-}
-
-// -- parsing helpers; all throw with the journal line context ----------------
-
-const json::Value& member(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) {
-    throw std::runtime_error(std::string("journal: missing field \"") + key + '"');
-  }
-  return *v;
-}
-
-double num(const json::Value& obj, const char* key) {
-  const json::Value& v = member(obj, key);
-  if (!v.isNumber()) {
-    throw std::runtime_error(std::string("journal: field \"") + key +
-                             "\" is not a number");
-  }
-  return v.number;
-}
-
-std::string str(const json::Value& obj, const char* key) {
-  const json::Value& v = member(obj, key);
-  if (!v.isString()) {
-    throw std::runtime_error(std::string("journal: field \"") + key +
-                             "\" is not a string");
-  }
-  return v.string;
-}
-
-CrashTestRecord parseTrial(const json::Value& obj, std::size_t* trial) {
-  *trial = static_cast<std::size_t>(num(obj, "trial"));
-  CrashTestRecord r;
-  r.crashAccessIndex = static_cast<std::uint64_t>(num(obj, "crash_access"));
-  r.region = static_cast<runtime::PointId>(num(obj, "region"));
-  const json::Value& path = member(obj, "region_path");
-  if (path.kind != json::Value::Kind::Array) {
-    throw std::runtime_error("journal: \"region_path\" is not an array");
-  }
-  for (const auto& p : path.array) {
-    if (!p.isNumber()) throw std::runtime_error("journal: bad region_path entry");
-    r.regionPath.push_back(static_cast<runtime::PointId>(p.number));
-  }
-  r.crashIteration = static_cast<int>(num(obj, "crash_iteration"));
-  r.restartIteration = static_cast<int>(num(obj, "restart_iteration"));
-  const std::string response = str(obj, "response");
-  const auto parsed = responseFromString(response);
-  if (!parsed) throw std::runtime_error("journal: unknown response class '" + response + "'");
-  r.response = *parsed;
-  r.extraIterations = static_cast<int>(num(obj, "extra_iterations"));
-  const json::Value& rates = member(obj, "rates");
-  if (!rates.isObject()) throw std::runtime_error("journal: \"rates\" is not an object");
-  for (const auto& [key, value] : rates.object) {
-    if (!value.isNumber()) throw std::runtime_error("journal: bad rate for " + key);
-    r.inconsistentRate[static_cast<runtime::ObjectId>(std::stoul(key))] = value.number;
-  }
-  r.note = str(obj, "note");
-  return r;
-}
-
-TrialFailure parseFailure(const json::Value& obj) {
-  TrialFailure f;
-  f.trial = static_cast<std::size_t>(num(obj, "trial"));
-  f.crashAccessIndex = static_cast<std::uint64_t>(num(obj, "crash_access"));
-  const json::Value& timeout = member(obj, "timeout");
-  if (timeout.kind != json::Value::Kind::Bool) {
-    throw std::runtime_error("journal: \"timeout\" is not a bool");
-  }
-  f.timeout = timeout.boolean;
-  // "kind" arrived with the fork evaluator; legacy journals only knew the
-  // in-process failure modes, recoverable from the timeout flag.
-  const json::Value* kind = obj.find("kind");
-  if (kind != nullptr) {
-    if (!kind->isString()) {
-      throw std::runtime_error("journal: \"kind\" is not a string");
-    }
-    f.kind = kind->string;
-  } else {
-    f.kind = f.timeout ? "timeout" : "exception";
-  }
-  f.attempts = static_cast<int>(num(obj, "attempts"));
-  f.reason = str(obj, "reason");
-  f.regionPath = str(obj, "region_path");
-  return f;
-}
-
-}  // namespace
-
-std::string serializeTrialRecord(std::size_t trial, const CrashTestRecord& record) {
-  return serializeTrial(trial, record);
-}
-
-std::string serializeJournalHeader(const JournalHeader& header) {
-  return serializeHeader(header);
-}
-
-std::string serializeFailureRecord(const TrialFailure& failure) {
-  return serializeFailure(failure);
 }
 
 std::uint64_t campaignHash(const JournalHeader& header) {
@@ -357,17 +259,14 @@ std::uint64_t campaignHash(const JournalHeader& header) {
   return h;
 }
 
-CrashTestRecord parseTrialRecord(const std::string& line, std::size_t* trial) {
-  std::string error;
-  const auto value = json::parse(line, &error);
-  if (!value || !value->isObject()) {
-    throw std::runtime_error("trial record: " +
-                             (error.empty() ? "not an object" : error));
-  }
-  if (str(*value, "type") != "trial") {
-    throw std::runtime_error("trial record: wrong type");
-  }
-  return parseTrial(*value, trial);
+std::string identityMismatch(const JournalHeader& a, const JournalHeader& b) {
+  if (a.app != b.app) return "app (" + a.app + " vs " + b.app + ")";
+  if (a.seed != b.seed) return "seed";
+  if (a.tests != b.tests) return "test count";
+  if (a.mode != b.mode) return "snapshot mode";
+  if (a.planFingerprint != b.planFingerprint) return "persistence plan";
+  if (a.windowAccesses != b.windowAccesses) return "golden crash window";
+  return {};
 }
 
 std::uint64_t planFingerprint(const runtime::PersistencePlan& plan) {
@@ -393,7 +292,7 @@ std::uint64_t planFingerprint(const runtime::PersistencePlan& plan) {
 TrialJournal::TrialJournal(std::string path, const JournalHeader& header,
                            int flushEvery)
     : path_(std::move(path)),
-      header_(serializeHeader(header)),
+      header_(serializeJournalHeader(header)),
       flushEvery_(std::max(1, flushEvery)) {
   // Nothing is written yet: when resuming into the same path, the campaign
   // first re-feeds the replayed records, then flushes — the on-disk journal
@@ -411,7 +310,7 @@ TrialJournal::~TrialJournal() {
 void TrialJournal::recordTrial(std::size_t trial, const CrashTestRecord& record) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (closed_) return;
-  std::string line = serializeTrial(trial, record);
+  std::string line = serializeTrialRecord(trial, record);
   if (written_) pending_.push_back(line);
   entries_[trial] = std::move(line);
   if (++sinceFlush_ >= static_cast<std::size_t>(flushEvery_)) flushLocked();
@@ -420,7 +319,7 @@ void TrialJournal::recordTrial(std::size_t trial, const CrashTestRecord& record)
 void TrialJournal::recordFailure(const TrialFailure& failure) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (closed_) return;
-  std::string line = serializeFailure(failure);
+  std::string line = serializeFailureRecord(failure);
   if (written_) pending_.push_back(line);
   entries_[failure.trial] = std::move(line);
   if (++sinceFlush_ >= static_cast<std::size_t>(flushEvery_)) flushLocked();
@@ -484,6 +383,192 @@ void TrialJournal::flushLocked() {
 
 // ---- readJournal ------------------------------------------------------------
 
+namespace {
+
+// The journal's one reader: --resume, `nvct merge`, `nvct report` and
+// `trace_lint --journal` all read through here, so every rule below holds
+// for all of them. The helpers throw a bare description; readJournal names
+// the line.
+
+[[noreturn]] void refuse(const std::string& what) { throw std::runtime_error(what); }
+
+std::string field(const char* key) { return std::string("field \"") + key + '"'; }
+
+const json::Value& member(const json::Value& obj, const char* key) {
+  const json::Value* v = obj.find(key);
+  if (v == nullptr) refuse("missing " + field(key));
+  return *v;
+}
+
+const std::string& str(const json::Value& obj, const char* key) {
+  const json::Value& v = member(obj, key);
+  if (!v.isString()) refuse(field(key) + " is not a string");
+  return v.string;
+}
+
+const std::string& nonEmpty(const json::Value& obj, const char* key) {
+  const std::string& s = str(obj, key);
+  if (s.empty()) refuse(field(key) + " is empty");
+  return s;
+}
+
+/// `text` read exactly into T: a fraction, an exponent, a sign T cannot
+/// hold or a value past T's range is refused, never rounded or wrapped.
+template <class T>
+T exactInteger(std::string_view text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    refuse(what + " (" + std::string(text) + ") is not " +
+           (std::is_signed_v<T> ? "an integer" : "a non-negative integer") +
+           " in range");
+  }
+  return value;
+}
+
+/// A JSON number read exactly from its source text (json::Value keeps it).
+template <class T>
+T integerValue(const json::Value& v, const std::string& what) {
+  if (!v.isNumber()) refuse(what + " is not a number");
+  return exactInteger<T>(v.string, what);
+}
+
+template <class T>
+T integer(const json::Value& obj, const char* key) {
+  return integerValue<T>(member(obj, key), field(key));
+}
+
+/// A 64-bit hash the writer quotes, so it never passes through a double.
+std::uint64_t decimalString(const json::Value& obj, const char* key) {
+  const std::string& s = str(obj, key);
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+    refuse(field(key) + " must be a decimal string");
+  }
+  return exactInteger<std::uint64_t>(s, field(key));
+}
+
+bool boolean(const json::Value& obj, const char* key) {
+  const json::Value& v = member(obj, key);
+  if (v.kind != json::Value::Kind::Bool) refuse(field(key) + " is not a bool");
+  return v.boolean;
+}
+
+/// Line 1. Sets `segments` when the header declares the append-only format.
+JournalHeader parseHeader(const json::Value& obj, bool* segments) {
+  if (str(obj, "type") != "campaign_header") {
+    refuse("first line must be a campaign_header");
+  }
+  // Only campaigns of the retired sampled monitoring mode stamped
+  // "monitor". Their trials ran another access path, so neither --resume
+  // nor merge may take them as this program's work.
+  if (const json::Value* monitor = obj.find("monitor")) {
+    refuse("header carries \"monitor\"" +
+           (monitor->isString() ? ":\"" + monitor->string + '"' : "") +
+           ", a journal of the retired sampled monitoring mode; re-run the "
+           "campaign");
+  }
+  JournalHeader h;
+  h.app = nonEmpty(obj, "app");
+  h.seed = integer<std::uint64_t>(obj, "seed");
+  h.tests = integer<int>(obj, "tests");
+  if (h.tests < 1) refuse("field \"tests\" must be at least 1");
+  h.mode = str(obj, "mode");
+  if (h.mode != "nvm" && h.mode != "coherent") {
+    refuse("field \"mode\" must be nvm or coherent");
+  }
+  h.planFingerprint = decimalString(obj, "plan_fingerprint");
+  h.windowAccesses = integer<std::uint64_t>(obj, "window_accesses");
+  if (const json::Value* format = obj.find("format")) {
+    if (!format->isString() || format->string != "segments") {
+      refuse("field \"format\" must be \"segments\" when present");
+    }
+    *segments = true;
+  }
+
+  // Shard header segment (docs/INTERNALS.md "Sharded campaigns"): the
+  // coordinates, the campaign fingerprint and the candidate list travel
+  // together, and an unsharded header carries none of them.
+  const json::Value* shards = obj.find("shards");
+  if (shards == nullptr) {
+    for (const char* key : {"shard", "campaign_hash", "objects"}) {
+      if (obj.find(key) != nullptr) refuse(field(key) + " requires \"shards\"");
+    }
+    return h;
+  }
+  h.shardCount = integerValue<int>(*shards, field("shards"));
+  if (h.shardCount < 2) refuse("field \"shards\" must be at least 2");
+  h.shardIndex = integer<int>(obj, "shard");
+  if (h.shardIndex < 0 || h.shardIndex >= h.shardCount) {
+    refuse("field \"shard\" must be in [0, shards)");
+  }
+  h.campaignHash = decimalString(obj, "campaign_hash");
+  // A stamped fingerprint that disagrees with the header's own identity
+  // fields marks a tampered or mis-assembled journal.
+  if (h.campaignHash != campaignHash(h)) {
+    refuse("campaign fingerprint (campaign_hash) does not match the header's "
+           "own identity fields");
+  }
+  const json::Value& objects = member(obj, "objects");
+  if (objects.kind != json::Value::Kind::Array) {
+    refuse("field \"objects\" is not an array");
+  }
+  for (const json::Value& object : objects.array) {
+    if (!object.isObject()) refuse("an \"objects\" entry is not an object");
+    h.candidates.push_back(JournalCandidate{
+        integer<runtime::ObjectId>(object, "id"), nonEmpty(object, "name")});
+  }
+  return h;
+}
+
+CrashTestRecord parseTrial(const json::Value& obj) {
+  CrashTestRecord r;
+  r.crashAccessIndex = integer<std::uint64_t>(obj, "crash_access");
+  r.region = integer<runtime::PointId>(obj, "region");
+  const json::Value& path = member(obj, "region_path");
+  if (path.kind != json::Value::Kind::Array) {
+    refuse("field \"region_path\" is not an array");
+  }
+  for (const json::Value& p : path.array) {
+    r.regionPath.push_back(integerValue<runtime::PointId>(p, "a \"region_path\" entry"));
+  }
+  r.crashIteration = integer<int>(obj, "crash_iteration");
+  r.restartIteration = integer<int>(obj, "restart_iteration");
+  const std::string& response = str(obj, "response");
+  const auto parsed = responseFromString(response);
+  if (!parsed) refuse("field \"response\" must be S1..S4, not '" + response + "'");
+  r.response = *parsed;
+  r.extraIterations = integer<int>(obj, "extra_iterations");
+  const json::Value& rates = member(obj, "rates");
+  if (!rates.isObject()) refuse("field \"rates\" is not an object");
+  for (const auto& [key, value] : rates.object) {
+    const auto id = exactInteger<runtime::ObjectId>(key, "rate object id");
+    if (!value.isNumber() || !(value.number >= 0.0 && value.number <= 1.0)) {
+      refuse("rate for object " + key + " is not a number in [0, 1]");
+    }
+    r.inconsistentRate[id] = value.number;
+  }
+  r.note = str(obj, "note");
+  return r;
+}
+
+TrialFailure parseFailure(const json::Value& obj) {
+  TrialFailure f;
+  f.crashAccessIndex = integer<std::uint64_t>(obj, "crash_access");
+  f.timeout = boolean(obj, "timeout");
+  // "kind" arrived with the fork evaluator; legacy journals only knew the
+  // in-process failure modes, recoverable from the timeout flag.
+  f.kind = obj.find("kind") != nullptr ? nonEmpty(obj, "kind")
+                                       : f.timeout ? "timeout" : "exception";
+  f.attempts = integer<int>(obj, "attempts");
+  if (f.attempts < 1) refuse("field \"attempts\" must be at least 1");
+  f.reason = nonEmpty(obj, "reason");
+  f.regionPath = str(obj, "region_path");
+  return f;
+}
+
+}  // namespace
+
 JournalReplay readJournal(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open journal " + path);
@@ -493,6 +578,9 @@ JournalReplay readJournal(const std::string& path) {
 
   JournalReplay replay;
   bool sawHeader = false;
+  bool segments = false;   // legacy journals keep indices strictly ascending
+  bool anyRecord = false;
+  std::size_t lastTrial = 0;
   std::size_t lineNo = 0;
   std::size_t pos = 0;
   while (pos < content.size()) {
@@ -501,90 +589,57 @@ JournalReplay readJournal(const std::string& path) {
     const std::string line = content.substr(pos, torn ? std::string::npos : nl - pos);
     pos = torn ? content.size() : nl + 1;
     ++lineNo;
-    if (line.empty()) continue;
-    std::string error;
-    const auto value = json::parse(line, &error);
-    if (!value || !value->isObject()) {
-      // The writer only renames complete files, but tolerate a torn final
-      // line anyway (e.g. a journal produced by some future appending
-      // writer, or a copy truncated in flight).
-      if (torn) break;
-      throw std::runtime_error("journal " + path + ':' + std::to_string(lineNo) +
-                               ": " + (error.empty() ? "not an object" : error));
-    }
-    const std::string type = str(*value, "type");
-    if (lineNo == 1) {
-      if (type != "campaign_header") {
-        throw std::runtime_error("journal " + path + ": first line is not a header");
+    if (line.empty() && sawHeader) continue;
+    try {
+      std::string error;
+      const auto value = json::parse(line, &error);
+      if (!value || !value->isObject()) {
+        // A final line with no newline that does not parse is an append a
+        // crash cut short: dropped here, repaired by the next compaction,
+        // and reported by trace_lint.
+        if (torn && sawHeader) break;
+        refuse(error.empty() ? "not a JSON object" : error);
       }
-      replay.header.app = str(*value, "app");
-      replay.header.seed = static_cast<std::uint64_t>(num(*value, "seed"));
-      replay.header.tests = static_cast<int>(num(*value, "tests"));
-      replay.header.mode = str(*value, "mode");
-      replay.header.planFingerprint =
-          std::stoull(str(*value, "plan_fingerprint"));
-      replay.header.windowAccesses =
-          static_cast<std::uint64_t>(num(*value, "window_accesses"));
-      // Only campaigns of the retired sampled monitoring mode stamped
-      // "monitor". Their trials ran another access path, so neither
-      // --resume nor merge may take them as this program's work.
-      const json::Value* monitor = value->find("monitor");
-      if (monitor != nullptr) {
-        throw std::runtime_error(
-            "journal " + path + ": header carries \"monitor\"" +
-            (monitor->isString() ? ":\"" + monitor->string + '"' : "") +
-            ", a journal of the retired sampled monitoring mode; re-run the "
-            "campaign");
+      if (!sawHeader) {
+        replay.header = parseHeader(*value, &segments);
+        sawHeader = true;
+        continue;
       }
-      // Shard header segment — absent in unsharded journals.
-      const json::Value* shards = value->find("shards");
-      if (shards != nullptr) {
-        if (!shards->isNumber() || shards->number < 2) {
-          throw std::runtime_error("journal: \"shards\" must be >= 2");
-        }
-        replay.header.shardCount = static_cast<int>(shards->number);
-        replay.header.shardIndex = static_cast<int>(num(*value, "shard"));
-        if (replay.header.shardIndex < 0 ||
-            replay.header.shardIndex >= replay.header.shardCount) {
-          throw std::runtime_error("journal: \"shard\" outside [0, shards)");
-        }
-        try {
-          replay.header.campaignHash = std::stoull(str(*value, "campaign_hash"));
-        } catch (const std::exception&) {
-          throw std::runtime_error(
-              "journal: \"campaign_hash\" is not a 64-bit decimal");
-        }
-        const json::Value& objects = member(*value, "objects");
-        if (objects.kind != json::Value::Kind::Array) {
-          throw std::runtime_error("journal: \"objects\" is not an array");
-        }
-        for (const auto& object : objects.array) {
-          if (!object.isObject()) {
-            throw std::runtime_error("journal: bad \"objects\" entry");
-          }
-          JournalCandidate candidate;
-          candidate.id = static_cast<runtime::ObjectId>(num(object, "id"));
-          candidate.name = str(object, "name");
-          replay.header.candidates.push_back(std::move(candidate));
-        }
+      const std::string& type = str(*value, "type");
+      if (type != "trial" && type != "trial_failure") {
+        refuse("unknown record type \"" + type + '"');
       }
-      sawHeader = true;
-      continue;
-    }
-    if (type == "trial") {
-      std::size_t trial = 0;
-      CrashTestRecord record = parseTrial(*value, &trial);
+      const auto trial = integer<std::size_t>(*value, "trial");
+      if (trial >= static_cast<std::size_t>(replay.header.tests)) {
+        refuse("trial " + std::to_string(trial) + " is not below the header's " +
+               std::to_string(replay.header.tests) + " tests");
+      }
+      if (!segments && anyRecord && trial <= lastTrial) {
+        refuse(trial == lastTrial ? "duplicate trial index"
+                                  : "trial indices are not ascending");
+      }
+      anyRecord = true;
+      lastTrial = trial;
       // Compact on load: appended segments may carry several records for
-      // one index (e.g. a re-decided trial after a resume); the last wins.
-      replay.trials.insert_or_assign(trial, std::move(record));
-    } else if (type == "trial_failure") {
-      TrialFailure failure = parseFailure(*value);
-      replay.failures.insert_or_assign(failure.trial, std::move(failure));
+      // one index (e.g. a re-decided trial after a resume). The last one
+      // wins, whichever kind it is.
+      if (type == "trial") {
+        replay.trials.insert_or_assign(trial, parseTrial(*value));
+        replay.failures.erase(trial);
+      } else {
+        TrialFailure failure = parseFailure(*value);
+        failure.trial = trial;
+        replay.failures.insert_or_assign(trial, std::move(failure));
+        replay.trials.erase(trial);
+      }
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("journal " + path + ':' + std::to_string(lineNo) +
+                               ": " + e.what());
     }
-    // Unknown types are skipped: the journal is allowed to grow new record
-    // kinds without invalidating older readers.
   }
-  if (!sawHeader) throw std::runtime_error("journal " + path + ": empty");
+  if (!sawHeader) {
+    throw std::runtime_error("journal " + path + ":1: no campaign header");
+  }
   return replay;
 }
 

@@ -17,83 +17,55 @@ namespace {
 /// what disagreed, so a mis-addressed shard on a 10-machine fan-out is a
 /// one-line diagnosis, not a silently corrupted merge.
 [[noreturn]] void reject(const std::string& path, const std::string& what) {
-  throw std::runtime_error("nvct merge: " + path + ": " + what);
-}
-
-void checkIdentityMatches(const JournalHeader& h, const JournalHeader& ref,
-                          const std::string& path, const std::string& refPath) {
-  const auto mismatch = [&](const std::string& field) {
-    reject(path, field + " does not match " + refPath +
-                     " — journals were drawn for different campaigns");
-  };
-  if (h.app != ref.app) mismatch("app (" + h.app + " vs " + ref.app + ")");
-  if (h.seed != ref.seed) mismatch("seed");
-  if (h.tests != ref.tests) mismatch("test count");
-  if (h.mode != ref.mode) mismatch("snapshot mode");
-  if (h.planFingerprint != ref.planFingerprint) mismatch("persistence plan");
-  if (h.windowAccesses != ref.windowAccesses) mismatch("golden crash window");
+  throw std::runtime_error(path + ": " + what);
 }
 
 }  // namespace
 
 ShardMerge mergeShardJournals(const std::vector<std::string>& paths) {
-  if (paths.empty()) {
-    throw std::runtime_error("nvct merge: no journals given");
-  }
+  if (paths.empty()) throw std::runtime_error("no journals given");
 
   ShardMerge merge;
+  JournalHeader& ref = merge.replay.header;
   std::string refPath;
-  std::map<int, bool> seen;
   for (const std::string& path : paths) {
+    // readJournal has already checked every line, the trial ranges and a
+    // shard header's own campaign fingerprint.
     JournalReplay replay = readJournal(path);
     const JournalHeader& h = replay.header;
 
-    // Config-hash check first: a shard journal whose stamped fingerprint
-    // disagrees with its own identity fields was tampered with or
-    // mis-assembled, and the per-field comparison below would mis-blame the
-    // other journal.
-    if (h.shardCount > 1 && h.campaignHash != campaignHash(h)) {
-      reject(path, "campaign fingerprint (config hash) does not match the "
-                   "journal's own identity fields");
-    }
-
     if (refPath.empty()) {
       refPath = path;
-      merge.header = h;
       // The merged header is the unsharded one: exactly what the
       // single-machine run's journal carries.
-      merge.header.shardIndex = 0;
-      merge.header.shardCount = 1;
-      merge.header.campaignHash = 0;
-      merge.header.candidates.clear();
+      ref = h;
+      ref.shardIndex = 0;
+      ref.shardCount = 1;
+      ref.campaignHash = 0;
       merge.shardCount = h.shardCount;
-      merge.candidates = h.candidates;
     } else {
-      checkIdentityMatches(h, merge.header, path, refPath);
+      const std::string mismatch = identityMismatch(h, ref);
+      if (!mismatch.empty()) {
+        reject(path, mismatch + " does not match " + refPath +
+                         " — journals were drawn for different campaigns");
+      }
       if (h.shardCount != merge.shardCount) {
         reject(path, "shard count " + std::to_string(h.shardCount) +
                          " does not match " + refPath + " (" +
                          std::to_string(merge.shardCount) +
                          ") — unsharded and sharded journals cannot be mixed");
       }
-      if (h.shardCount > 1 && !(h.candidates == merge.candidates)) {
+      if (h.shardCount > 1 && !(h.candidates == ref.candidates)) {
         reject(path, "candidate object list does not match " + refPath);
       }
     }
-    if (!seen[h.shardIndex]) {
-      seen[h.shardIndex] = true;
-      merge.shardsSeen.push_back(h.shardIndex);
-    }
+    merge.shardsSeen.insert(h.shardIndex);
 
     // Ownership: a shard journal may only decide the trials the partition
     // function assigns it (trial t belongs to shard t % k). This both
     // enforces disjointness — making the last-wins fold order-independent —
     // and catches a journal copied under the wrong shard's name.
     const auto checkOwned = [&](std::size_t trial) {
-      if (trial >= static_cast<std::size_t>(merge.header.tests)) {
-        reject(path, "trial " + std::to_string(trial) +
-                         " beyond the header's planned tests");
-      }
       if (h.shardCount > 1 &&
           trial % static_cast<std::size_t>(h.shardCount) !=
               static_cast<std::size_t>(h.shardIndex)) {
@@ -103,13 +75,17 @@ ShardMerge mergeShardJournals(const std::vector<std::string>& paths) {
                          " — journal does not belong to this shard");
       }
     };
+    // The last record for an index wins, whichever kind it is, as within
+    // one journal.
     for (auto& [trial, record] : replay.trials) {
       checkOwned(trial);
-      merge.trials.insert_or_assign(trial, std::move(record));
+      merge.replay.failures.erase(trial);
+      merge.replay.trials.insert_or_assign(trial, std::move(record));
     }
     for (auto& [trial, failure] : replay.failures) {
       checkOwned(trial);
-      merge.failures.insert_or_assign(trial, std::move(failure));
+      merge.replay.trials.erase(trial);
+      merge.replay.failures.insert_or_assign(trial, std::move(failure));
     }
   }
   return merge;
@@ -119,12 +95,13 @@ std::string renderMergedJournal(const ShardMerge& merge) {
   // Header + every decided entry in trial order: the identical construction
   // to TrialJournal::compactLocked, so the merged journal is byte-for-byte
   // what an unsharded run leaves behind on close.
-  std::string content = serializeJournalHeader(merge.header);
-  auto trial = merge.trials.cbegin();
-  auto failure = merge.failures.cbegin();
-  while (trial != merge.trials.cend() || failure != merge.failures.cend()) {
-    if (failure == merge.failures.cend() ||
-        (trial != merge.trials.cend() && trial->first < failure->first)) {
+  const JournalReplay& replay = merge.replay;
+  std::string content = serializeJournalHeader(replay.header);
+  auto trial = replay.trials.cbegin();
+  auto failure = replay.failures.cbegin();
+  while (trial != replay.trials.cend() || failure != replay.failures.cend()) {
+    if (failure == replay.failures.cend() ||
+        (trial != replay.trials.cend() && trial->first < failure->first)) {
       content += serializeTrialRecord(trial->first, trial->second);
       ++trial;
     } else {
@@ -136,9 +113,9 @@ std::string renderMergedJournal(const ShardMerge& merge) {
 }
 
 std::string renderMergedCsv(const ShardMerge& merge) {
-  if (merge.candidates.empty()) {
+  if (merge.replay.header.candidates.empty()) {
     throw std::runtime_error(
-        "nvct merge: cannot rebuild the CSV — the journals carry no candidate "
+        "cannot rebuild the CSV — the journals carry no candidate "
         "object list (only shard journals embed one)");
   }
   // Rebuild just enough of a CampaignResult for writeCampaignCsv: the
@@ -146,14 +123,16 @@ std::string renderMergedCsv(const ShardMerge& merge) {
   // writer (not reimplementing it) is what guarantees byte-identity with
   // the unsharded run's --csv-out.
   CampaignResult result;
-  for (const JournalCandidate& candidate : merge.candidates) {
+  for (const JournalCandidate& candidate : merge.replay.header.candidates) {
     runtime::DataObjectInfo object;
     object.id = candidate.id;
     object.name = candidate.name;
     object.candidate = true;
     result.golden.objects.push_back(std::move(object));
   }
-  for (const auto& [trial, record] : merge.trials) result.tests.push_back(record);
+  for (const auto& [trial, record] : merge.replay.trials) {
+    result.tests.push_back(record);
+  }
   std::ostringstream os;
   writeCampaignCsv(result, os);
   return os.str();
@@ -164,23 +143,25 @@ std::string renderMergedMetrics(const ShardMerge& merge) {
   // the shard layout, wall clock, or the k separate simulations that
   // produced it — so any shard split (including k=1) that decided the same
   // trials projects byte-identical JSON.
+  const JournalReplay& replay = merge.replay;
+  const JournalHeader& header = replay.header;
   std::string out = "{\n  \"type\": \"campaign_merge_metrics\",\n  \"app\": \"";
-  telemetry::appendJsonEscaped(out, merge.header.app);
-  out += "\",\n  \"seed\": " + std::to_string(merge.header.seed);
-  out += ",\n  \"tests\": " + std::to_string(merge.header.tests);
+  telemetry::appendJsonEscaped(out, header.app);
+  out += "\",\n  \"seed\": " + std::to_string(header.seed);
+  out += ",\n  \"tests\": " + std::to_string(header.tests);
   out += ",\n  \"mode\": \"";
-  telemetry::appendJsonEscaped(out, merge.header.mode);
+  telemetry::appendJsonEscaped(out, header.mode);
   out += "\",\n  \"plan_fingerprint\": \"" +
-         std::to_string(merge.header.planFingerprint) + '"';
-  out += ",\n  \"window_accesses\": " + std::to_string(merge.header.windowAccesses);
+         std::to_string(header.planFingerprint) + '"';
+  out += ",\n  \"window_accesses\": " + std::to_string(header.windowAccesses);
   out += ",\n  \"decided\": " +
-         std::to_string(merge.trials.size() + merge.failures.size());
+         std::to_string(replay.trials.size() + replay.failures.size());
   out += ",\n  \"complete\": ";
   out += merge.complete() ? "true" : "false";
 
   std::array<std::uint64_t, 4> responses{};
   std::uint64_t extraIterations = 0;
-  for (const auto& [trial, record] : merge.trials) {
+  for (const auto& [trial, record] : replay.trials) {
     responses[static_cast<std::size_t>(record.response)] += 1;
     if (record.response == Response::S2) {
       extraIterations += static_cast<std::uint64_t>(record.extraIterations);
@@ -196,8 +177,8 @@ std::string renderMergedMetrics(const ShardMerge& merge) {
   out += "},\n  \"extra_iterations\": " + std::to_string(extraIterations);
 
   std::map<std::string, std::uint64_t> failureKinds;
-  for (const auto& [trial, failure] : merge.failures) ++failureKinds[failure.kind];
-  out += ",\n  \"failures\": " + std::to_string(merge.failures.size());
+  for (const auto& [trial, failure] : replay.failures) ++failureKinds[failure.kind];
+  out += ",\n  \"failures\": " + std::to_string(replay.failures.size());
   out += ",\n  \"failure_kinds\": {";
   bool first = true;
   for (const auto& [kind, count] : failureKinds) {
@@ -218,7 +199,7 @@ std::string renderMergedMetrics(const ShardMerge& merge) {
     std::uint64_t samples = 0;
   };
   std::map<runtime::ObjectId, RateStats> rates;
-  for (const auto& [trial, record] : merge.trials) {
+  for (const auto& [trial, record] : replay.trials) {
     for (const auto& [id, rate] : record.inconsistentRate) {
       RateStats& stats = rates[id];
       stats.sum += rate;
@@ -241,14 +222,6 @@ std::string renderMergedMetrics(const ShardMerge& merge) {
   }
   out += "]\n}\n";
   return out;
-}
-
-JournalReplay toReplay(const ShardMerge& merge) {
-  JournalReplay replay;
-  replay.header = merge.header;
-  replay.trials = merge.trials;
-  replay.failures = merge.failures;
-  return replay;
 }
 
 }  // namespace easycrash::crash

@@ -110,7 +110,7 @@ StatusWriter::StatusWriter(std::string path, std::ostream* progress,
 
 StatusWriter::~StatusWriter() {
   stopThread();
-  if (lineLen_ > 0) *progress_ << '\n';
+  if (progress_ != nullptr) telemetry::endProgressLine(*progress_);
 }
 
 void StatusWriter::stopThread() {
@@ -128,8 +128,7 @@ void StatusWriter::writeFinal(bool interrupted) {
   status.interrupted = interrupted;
   status.done = true;
   publish(std::move(status));
-  if (progress_ != nullptr) *progress_ << '\n';
-  lineLen_ = 0;
+  if (progress_ != nullptr) telemetry::endProgressLine(*progress_);
 }
 
 void StatusWriter::loop() {
@@ -144,15 +143,7 @@ void StatusWriter::loop() {
 
 void StatusWriter::publish(CampaignStatus status) {
   status.seq = ++seq_;
-  if (progress_ != nullptr) {
-    // Pad with spaces so a shorter line fully overwrites the previous one.
-    std::string line = progressLine(status);
-    const std::size_t drawn = line.size();
-    line.append(lineLen_ > drawn ? lineLen_ - drawn : 0, ' ');
-    lineLen_ = drawn;
-    *progress_ << '\r' << line;
-    progress_->flush();
-  }
+  if (progress_ != nullptr) telemetry::drawProgressLine(*progress_, progressLine(status));
   if (path_.empty()) return;
   try {
     atomicWriteFile(path_, serializeStatus(status));

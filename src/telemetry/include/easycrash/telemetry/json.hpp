@@ -1,6 +1,10 @@
-// Minimal JSON parser used to validate the telemetry subsystem's own
-// output (trace JSONL lines, metrics exports) in trace_lint and the tests.
-// Full RFC 8259 value grammar; numbers are held as double.
+// Minimal JSON parser for the program's own files: trace JSONL lines,
+// metrics exports and status snapshots (trace_lint, the tests, the report),
+// and the campaign journal (crash::readJournal). Full RFC 8259 value
+// grammar. A number is held as a double in `number`, and its source text
+// in `string`, so a reader that needs an exact integer (a 64-bit seed, an
+// index) parses the text with std::from_chars instead of trusting the
+// double's 53-bit mantissa.
 #pragma once
 
 #include <map>
@@ -17,7 +21,7 @@ struct Value {
   Kind kind = Kind::Null;
   bool boolean = false;
   double number = 0.0;
-  std::string string;
+  std::string string;  ///< a String's value, or a Number's source text
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;  // preserves order
 

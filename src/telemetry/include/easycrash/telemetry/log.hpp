@@ -8,6 +8,7 @@
 // nvct overrides it with --log-level.
 #pragma once
 
+#include <iosfwd>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -24,6 +25,23 @@ void setLogLevel(LogLevel level);
 
 [[nodiscard]] bool logEnabled(LogLevel level);
 void logMessage(LogLevel level, std::string_view message);
+
+// ---- The progress line ---------------------------------------------------
+// stderr has one owner: log lines and the progress line's '\r' redraws
+// (crash::StatusWriter) take one lock, and a log line first ends a progress
+// line still open on std::cerr, so it never lands on the end of that line.
+
+/// Redraw the open progress line on `os`: '\r', then `text` padded with
+/// spaces to cover the previous draw on `os`. The line stays open.
+void drawProgressLine(std::ostream& os, std::string_view text);
+/// End the progress line open on `os` with '\n'; a no-op when none is.
+void endProgressLine(std::ostream& os);
+
+/// fork() support, as TraceSink's: hold the lock across the fork; parent
+/// and child each release it. The child also forgets the parent's open
+/// line, which is not its own to end.
+void lockConsoleForFork();
+void unlockConsoleAfterFork(bool inChild);
 
 }  // namespace easycrash::telemetry
 

@@ -224,7 +224,8 @@ class Parser {
       while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
     }
     out.kind = Value::Kind::Number;
-    out.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
+    out.string.assign(text_.substr(start, pos_ - start));
+    out.number = std::strtod(out.string.c_str(), nullptr);
     return true;
   }
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 #include <string>
 
 #include "easycrash/telemetry/trace.hpp"
@@ -24,7 +25,48 @@ std::atomic<int>& levelVar() {
   return level;
 }
 
+/// stderr's one owner (log.hpp "The progress line").
+struct Console {
+  std::mutex mutex;
+  std::ostream* open = nullptr;  ///< stream whose progress line is open
+  std::size_t width = 0;         ///< that line's drawn length
+};
+
+Console& console() {
+  static Console c;
+  return c;
+}
+
 }  // namespace
+
+void drawProgressLine(std::ostream& os, std::string_view text) {
+  Console& c = console();
+  std::lock_guard<std::mutex> lock(c.mutex);
+  os << '\r' << text;
+  if (c.open == &os && c.width > text.size()) {
+    os << std::string(c.width - text.size(), ' ');
+  }
+  os.flush();
+  c.open = &os;
+  c.width = text.size();
+}
+
+void endProgressLine(std::ostream& os) {
+  Console& c = console();
+  std::lock_guard<std::mutex> lock(c.mutex);
+  if (c.open != &os) return;
+  os << '\n';
+  c.open = nullptr;
+  c.width = 0;
+}
+
+void lockConsoleForFork() { console().mutex.lock(); }
+
+void unlockConsoleAfterFork(bool inChild) {
+  Console& c = console();
+  if (inChild) c.open = nullptr;
+  c.mutex.unlock();
+}
 
 void setLogLevel(LogLevel level) {
   levelVar().store(static_cast<int>(level), std::memory_order_relaxed);
@@ -63,10 +105,17 @@ bool logEnabled(LogLevel level) {
 
 void logMessage(LogLevel level, std::string_view message) {
   {
-    // One formatted write keeps concurrent campaign workers from
-    // interleaving mid-line.
+    // One formatted write under the console lock keeps concurrent campaign
+    // workers from interleaving mid-line, and starts it on a fresh line.
     std::string line;
-    line.reserve(message.size() + 24);
+    line.reserve(message.size() + 25);
+    Console& c = console();
+    std::lock_guard<std::mutex> lock(c.mutex);
+    if (c.open == &std::cerr) {
+      line += '\n';
+      c.open = nullptr;
+      c.width = 0;
+    }
     line += "[easycrash ";
     line += toString(level);
     line += "] ";

@@ -358,11 +358,10 @@ TEST(FlightReport, RendersDeterministicallyFromJournal) {
     out << os.str();
   }
 
-  crash::FlightReportInputs inputs;
-  inputs.journalPath = journal;
-  inputs.metricsPath = metrics;
-  const std::string once = crash::renderFlightReport(inputs);
-  const std::string twice = crash::renderFlightReport(inputs);
+  const auto replay = crash::readJournal(journal);
+  const std::string once = crash::renderFlightReport(replay, "", metrics);
+  const std::string twice =
+      crash::renderFlightReport(crash::readJournal(journal), "", metrics);
   EXPECT_EQ(once, twice);
   EXPECT_NE(once.find("# nvct campaign report"), std::string::npos);
   EXPECT_NE(once.find("## Outcomes"), std::string::npos);
@@ -374,9 +373,7 @@ TEST(FlightReport, RendersDeterministicallyFromJournal) {
   }
 
   // The journal alone renders too (no optional inputs).
-  crash::FlightReportInputs bare;
-  bare.journalPath = journal;
-  const std::string minimal = crash::renderFlightReport(bare);
+  const std::string minimal = crash::renderFlightReport(replay, "", "");
   EXPECT_NE(minimal.find("## Outcomes"), std::string::npos);
   EXPECT_EQ(minimal.find("## Phase latencies"), std::string::npos);
 
@@ -385,9 +382,9 @@ TEST(FlightReport, RendersDeterministicallyFromJournal) {
 }
 
 TEST(FlightReport, MissingJournalThrows) {
-  crash::FlightReportInputs inputs;
-  inputs.journalPath = tempPath("flight_report_nonexistent.jsonl");
-  EXPECT_THROW((void)crash::renderFlightReport(inputs), std::runtime_error);
+  EXPECT_THROW((void)crash::renderFlightReport(
+                   crash::readJournal(tempPath("flight_report_nonexistent.jsonl")), "", ""),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -136,6 +136,7 @@ inline crash::CampaignResult referenceCampaign(const runtime::AppFactory& factor
     rt.setPlan(config.plan);
     auto app = factory();
     const auto run = runtime::Driver::freshRun(*app, rt);
+    result.golden.app = app->info().name;
     result.golden.windowAccesses = rt.windowAccesses();
     result.golden.finalIteration = run.finalIteration;
     result.golden.objects = rt.objects();
@@ -172,7 +173,7 @@ inline void writeReferenceJournal(const crash::CampaignResult& campaign,
                                   const crash::CampaignConfig& config,
                                   const std::string& path) {
   crash::JournalHeader header;
-  header.app = config.appLabel;
+  header.app = config.appLabel.empty() ? campaign.golden.app : config.appLabel;
   header.seed = config.seed;
   header.tests = config.numTests;
   header.mode = config.mode == crash::SnapshotMode::NvmImage ? "nvm" : "coherent";

@@ -41,6 +41,7 @@ class FaultyApp final : public rt::IApp {
     int iterations = 6;
     int cells = 256;
     FailMode failMode = FailMode::None;
+    const char* message = "faulty: non-uniform state";  ///< what Throw throws
   };
 
   explicit FaultyApp(Knobs knobs) : knobs_(knobs) {}
@@ -72,7 +73,7 @@ class FaultyApp final : public rt::IApp {
       for (int i = 0; i < knobs_.cells; ++i) total += data_.get(i);
       if (knobs_.failMode != FailMode::None && !uniform()) {
         if (knobs_.failMode == FailMode::Throw) {
-          throw std::runtime_error("faulty: non-uniform state");
+          throw std::runtime_error(knobs_.message);
         }
         // Hang: spin on tracked loads forever.
         for (;;) {
@@ -277,6 +278,28 @@ TEST(ResilienceTest, ThrowingTrialsBecomeFailuresNotAborts) {
   const auto counts = result.responseCounts();
   EXPECT_EQ(static_cast<std::size_t>(counts[0] + counts[1] + counts[2] + counts[3]),
             result.tests.size());
+}
+
+TEST(ResilienceTest, ExceptionWithoutAMessageLeavesAReadableJournal) {
+  // The journal reader refuses an empty failure reason, so a trial that
+  // throws one without a message is still recorded with a reason.
+  FaultyApp::Knobs knobs;
+  knobs.failMode = FaultyApp::FailMode::Throw;
+  knobs.message = "";
+  const std::string path = tempPath("journal_empty_reason.jsonl");
+  std::remove(path.c_str());
+  auto config = tinyConfig(20);
+  config.resilience.isolation = cr::IsolationMode::InProcess;
+  config.resilience.maxRetries = 0;
+  config.resilience.journalPath = path;
+  const auto result = cr::CampaignRunner(faultyFactory(knobs), config).run();
+  ASSERT_GT(result.failures.size(), 0u);
+  const auto replay = cr::readJournal(path);
+  ASSERT_EQ(replay.failures.size(), result.failures.size());
+  for (const auto& [trial, failure] : replay.failures) {
+    EXPECT_EQ(failure.reason, "exception without a message");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ResilienceTest, WithoutIsolationFirstThrowAborts) {

@@ -3,9 +3,14 @@
 // same campaign, and merging the shard journals reproduces the unsharded
 // run's journal/CSV byte-for-byte — in any merge order, idempotently, and
 // across isolation/thread settings. Mismatched campaigns are rejected loudly.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -261,6 +266,186 @@ TEST(ShardTest, MergeIsCommutativeAndIdempotent) {
   std::remove(mergedPath.c_str());
 }
 
+// ---- Merge property -----------------------------------------------------------
+
+namespace {
+
+/// A synthetic decided set: each index is a trial, a failure or undecided.
+struct DecidedSet {
+  cr::JournalHeader header;
+  std::map<std::size_t, cr::CrashTestRecord> trials;
+  std::map<std::size_t, cr::TrialFailure> failures;
+};
+
+DecidedSet randomDecidedSet(std::mt19937_64& rng) {
+  const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  DecidedSet set;
+  set.header.app = "synthetic";
+  set.header.seed = rng();  // full 64-bit: no double holds most of these
+  set.header.tests = 1 + static_cast<int>(below(40));
+  set.header.mode = below(2) ? "nvm" : "coherent";
+  set.header.planFingerprint = rng();
+  set.header.windowAccesses = rng();
+  set.header.candidates = {{1, "u"}, {4, "r\"hs"}, {9, "p"}};
+  const char* kinds[] = {"exception", "crashed", "killed", "oom", "protocol"};
+  for (std::size_t t = 0; t < static_cast<std::size_t>(set.header.tests); ++t) {
+    const auto roll = below(10);
+    if (roll < 7) {
+      cr::CrashTestRecord r;
+      r.crashAccessIndex = rng();
+      r.region = static_cast<rt::PointId>(below(5)) - 1;
+      for (std::uint64_t d = below(3); d > 0; --d) {
+        r.regionPath.push_back(static_cast<rt::PointId>(below(4)));
+      }
+      r.crashIteration = static_cast<int>(below(100));
+      r.restartIteration = r.crashIteration + static_cast<int>(below(3));
+      r.response = static_cast<cr::Response>(below(4));
+      r.extraIterations = static_cast<int>(below(4));
+      for (const auto& candidate : set.header.candidates) {
+        if (below(2)) {
+          r.inconsistentRate[candidate.id] =
+              static_cast<double>(rng() >> 11) / static_cast<double>(1ull << 53);
+        }
+      }
+      r.note = "note " + std::to_string(below(1000)) + (below(2) ? " \"q\"\n" : "");
+      set.trials[t] = std::move(r);
+    } else if (roll < 9) {
+      cr::TrialFailure f;
+      f.trial = t;
+      f.crashAccessIndex = rng();
+      f.timeout = below(2) != 0;
+      f.kind = kinds[below(5)];
+      f.attempts = 1 + static_cast<int>(below(3));
+      f.reason = "reason " + std::to_string(below(1000));
+      f.regionPath = below(2) ? "R1>R2" : "";
+      set.failures[t] = std::move(f);
+    }
+  }
+  return set;
+}
+
+/// Journal the decided indices `keep` accepts through TrialJournal, in a
+/// shuffled decision order and at a random flush cadence (so finished and
+/// segment-appended journals both occur; `close` picks which).
+void journalSet(const DecidedSet& set, const cr::JournalHeader& header,
+                const std::string& path, std::mt19937_64& rng,
+                const std::function<bool(std::size_t)>& keep, bool close) {
+  std::remove(path.c_str());
+  std::vector<std::size_t> order;
+  for (const auto& [t, record] : set.trials) if (keep(t)) order.push_back(t);
+  for (const auto& [t, failure] : set.failures) if (keep(t)) order.push_back(t);
+  std::shuffle(order.begin(), order.end(), rng);
+  std::string segments;
+  {
+    cr::TrialJournal journal(path, header, 1 + static_cast<int>(rng() % 4));
+    journal.flush();
+    for (const std::size_t t : order) {
+      if (set.trials.count(t)) {
+        journal.recordTrial(t, set.trials.at(t));
+      } else {
+        journal.recordFailure(set.failures.at(t));
+      }
+    }
+    journal.flush();
+    segments = readFile(path);
+  }
+  // Unclosed: the appended segments as a killed campaign leaves them, before
+  // the close-time compaction.
+  if (!close) cr::atomicWriteFile(path, segments);
+}
+
+}  // namespace
+
+TEST(ShardTest, MergeOfAnySplitEqualsTheUnshardedCompaction) {
+  // Property: for k in [1, 5] shard journals of one synthetic decided set,
+  // merged in any order and from any subset, the merged journal equals the
+  // unsharded compaction of the union of the merged shards, and the metrics
+  // projection does not depend on k.
+  std::mt19937_64 rng(4242);
+  const std::string unsharded = tempPath("merge_property_union.jsonl");
+  for (int round = 0; round < 12; ++round) {
+    const DecidedSet set = randomDecidedSet(rng);
+    cr::JournalHeader plain = set.header;
+    plain.candidates.clear();
+    journalSet(set, plain, unsharded, rng, [](std::size_t) { return true; }, true);
+    const std::string whole = readFile(unsharded);
+    std::string metrics;
+    for (int k = 1; k <= 5; ++k) {
+      std::vector<std::string> paths;
+      for (int i = 0; i < k; ++i) {
+        cr::JournalHeader header = k == 1 ? plain : set.header;
+        if (k > 1) {
+          header.shardIndex = i;
+          header.shardCount = k;
+          header.campaignHash = cr::campaignHash(header);
+        }
+        paths.push_back(
+            tempPath(("merge_property_" + std::to_string(i) + ".jsonl").c_str()));
+        journalSet(set, header, paths.back(), rng,
+                   [&](std::size_t t) { return static_cast<int>(t) % k == i; },
+                   rng() % 2 == 0);
+      }
+      std::shuffle(paths.begin(), paths.end(), rng);
+      const auto merge = cr::mergeShardJournals(paths);
+      EXPECT_EQ(cr::renderMergedJournal(merge), whole) << "round " << round << " k=" << k;
+      EXPECT_EQ(merge.complete(), set.trials.size() + set.failures.size() ==
+                                      static_cast<std::size_t>(set.header.tests));
+      const std::string projected = cr::renderMergedMetrics(merge);
+      if (k == 1) metrics = projected;
+      EXPECT_EQ(projected, metrics) << "round " << round << " k=" << k;
+
+      // A random non-empty subset merges to the compaction of its union.
+      std::vector<std::string> subset;
+      std::set<int> shards;
+      for (std::size_t p = 0; p < paths.size(); ++p) {
+        if (rng() % 2 == 0 || (subset.empty() && p + 1 == paths.size())) {
+          subset.push_back(paths[p]);
+          shards.insert(cr::readJournal(paths[p]).header.shardIndex);
+        }
+      }
+      journalSet(set, plain, unsharded, rng,
+                 [&](std::size_t t) { return shards.count(static_cast<int>(t) % k) > 0; },
+                 true);
+      EXPECT_EQ(cr::renderMergedJournal(cr::mergeShardJournals(subset)),
+                readFile(unsharded))
+          << "round " << round << " k=" << k << " subset of " << subset.size();
+      for (const auto& path : paths) std::remove(path.c_str());
+    }
+  }
+  std::remove(unsharded.c_str());
+}
+
+TEST(ShardTest, MergeKeepsTheLastRecordAcrossKinds) {
+  // A journal given later re-decides an index whichever kind either record
+  // is, as within one journal: the index counts once.
+  cr::JournalHeader header;
+  header.app = "probe";
+  header.tests = 2;
+  header.mode = "nvm";
+  cr::TrialFailure failure;
+  failure.reason = "boom";
+  const std::string failed = tempPath("merge_kinds_failed.jsonl");
+  const std::string decided = tempPath("merge_kinds_decided.jsonl");
+  {
+    cr::TrialJournal journal(failed, header, 1);
+    journal.recordFailure(failure);
+    journal.recordTrial(1, cr::CrashTestRecord{});
+  }
+  {
+    cr::TrialJournal journal(decided, header, 1);
+    journal.recordTrial(0, cr::CrashTestRecord{});
+  }
+  const auto later = cr::mergeShardJournals({failed, decided});
+  EXPECT_EQ(later.replay.trials.size(), 2u);
+  EXPECT_TRUE(later.replay.failures.empty());
+  const auto earlier = cr::mergeShardJournals({decided, failed});
+  EXPECT_EQ(earlier.replay.trials.size(), 1u);
+  EXPECT_EQ(earlier.replay.failures.size(), 1u);
+  EXPECT_TRUE(earlier.complete());
+  std::remove(failed.c_str());
+  std::remove(decided.c_str());
+}
+
 // ---- Rejection --------------------------------------------------------------
 
 TEST(ShardTest, MergeRejectsJournalsFromDifferentCampaigns) {
@@ -378,7 +563,8 @@ TEST(ShardTest, InterruptedShardResumesAndMergesByteIdentical) {
 
   const auto partialMerge = cr::mergeShardJournals({s0, s1});
   EXPECT_FALSE(partialMerge.complete());
-  EXPECT_LT(partialMerge.trials.size() + partialMerge.failures.size(), 30u);
+  EXPECT_LT(partialMerge.replay.trials.size() + partialMerge.replay.failures.size(),
+            30u);
 
   cr::clearStopFlag();
   config.resilience.stopAfterTrials = 0;

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -445,6 +446,35 @@ TEST(Progress, RendersTallyAndFinishes) {
   crash::StatusWriter off("", nullptr, std::chrono::milliseconds(1), sampler);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   off.writeFinal(/*interrupted=*/false);
+}
+
+TEST(Progress, LogLineBetweenRedrawsStartsOnAFreshLine) {
+  // stderr has one owner: a log line written while the progress line is
+  // open ends that line first, and the next redraw starts a new one.
+  std::ostringstream captured;
+  struct Restore {
+    std::streambuf* cerr;
+    tel::LogLevel level;
+    ~Restore() {
+      std::cerr.rdbuf(cerr);
+      tel::setLogLevel(level);
+    }
+  } restore{std::cerr.rdbuf(captured.rdbuf()), tel::logLevel()};
+  tel::setLogLevel(tel::LogLevel::Warn);
+
+  tel::drawProgressLine(std::cerr, "mg trials  130/200  eta 0.1s");
+  EC_LOG_WARN("campaign interrupted");
+  tel::drawProgressLine(std::cerr, "mg trials  151/200");
+  tel::drawProgressLine(std::cerr, "mg trials  15/200");  // padded over the last
+  EC_LOG_WARN("once more");
+  tel::endProgressLine(std::cerr);  // already ended by the log line
+  EC_LOG_WARN("no line open");
+  EXPECT_EQ(captured.str(),
+            "\rmg trials  130/200  eta 0.1s\n"
+            "[easycrash warn] campaign interrupted\n"
+            "\rmg trials  151/200\rmg trials  15/200 \n"
+            "[easycrash warn] once more\n"
+            "[easycrash warn] no line open\n");
 }
 
 // The acceptance-level contract: the memsim.* registry counters are an exact

@@ -89,21 +89,11 @@ int reportMain(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
     const auto& journals = cli.getStringList("journal");
     if (journals.empty()) {
-      throw std::runtime_error("nvct report requires --journal");
+      throw std::runtime_error("requires --journal");
     }
-    std::string report;
-    if (journals.size() == 1) {
-      ec::crash::FlightReportInputs inputs;
-      inputs.journalPath = journals.front();
-      inputs.tracePath = cli.getString("trace");
-      inputs.metricsPath = cli.getString("metrics");
-      report = ec::crash::renderFlightReport(inputs);
-    } else {
-      const auto merge = ec::crash::mergeShardJournals(journals);
-      report = ec::crash::renderFlightReport(
-          ec::crash::toReplay(merge), cli.getString("trace"),
-          cli.getString("metrics"));
-    }
+    const std::string report = ec::crash::renderFlightReport(
+        ec::crash::mergeShardJournals(journals).replay, cli.getString("trace"),
+        cli.getString("metrics"));
     const std::string outPath = cli.getString("out");
     if (outPath.empty()) {
       std::cout << report;
@@ -145,13 +135,14 @@ int mergeMain(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
     const auto& journals = cli.getStringList("journal");
     if (journals.empty()) {
-      throw std::runtime_error("nvct merge requires at least one --journal");
+      throw std::runtime_error("requires at least one --journal");
     }
     const auto merge = ec::crash::mergeShardJournals(journals);
-    const std::size_t decided = merge.trials.size() + merge.failures.size();
+    const std::size_t decided =
+        merge.replay.trials.size() + merge.replay.failures.size();
     std::cout << "merged " << journals.size() << " journal(s), "
               << merge.shardsSeen.size() << "/" << merge.shardCount
-              << " shards seen, " << decided << "/" << merge.header.tests
+              << " shards seen, " << decided << "/" << merge.replay.header.tests
               << " trials decided"
               << (merge.complete() ? "" : " (incomplete)") << '\n';
 
@@ -173,16 +164,12 @@ int mergeMain(int argc, char** argv) {
     const std::string reportOut = cli.getString("report-out");
     if (!reportOut.empty()) {
       const std::string report = ec::crash::renderFlightReport(
-          ec::crash::toReplay(merge), cli.getString("trace"),
-          cli.getString("metrics"));
+          merge.replay, cli.getString("trace"), cli.getString("metrics"));
       ec::crash::atomicWriteFile(reportOut, report);
       std::cout << "merged report written to " << reportOut << '\n';
     }
   } catch (const std::exception& e) {
-    std::cerr << (std::string_view(e.what()).rfind("nvct merge:", 0) == 0
-                      ? ""
-                      : "nvct merge: ")
-              << e.what() << '\n';
+    std::cerr << "nvct merge: " << e.what() << '\n';
     return 1;
   }
   return 0;

@@ -27,13 +27,11 @@
 // single campaign_status object whose tallies are self-consistent
 // (s1+s2+s3+s4+failures == decided <= tests).
 //
-// Journal mode checks the campaign-journal schema (docs/ROBUSTNESS.md):
-// line 1 is a well-formed campaign_header; every following line is a trial
-// or trial_failure with indices inside [0, tests); trial responses are
-// S1-S4 with inconsistency rates in [0, 1]. A header declaring
-// "format":"segments" (the append-only writer) may repeat and reorder
-// indices — the reader compacts, last record per index wins — while a
-// legacy header additionally requires strictly monotone, unique indices.
+// Journal mode reads the campaign journal with crash::readJournal, the
+// reader --resume, `nvct merge` and `nvct report` use, so it accepts and
+// refuses exactly what they do (docs/ROBUSTNESS.md lists the rules). On top
+// it requires a final newline: the reader drops a torn final line, which
+// the lint reports.
 //
 // Exit status 0 iff every check passes; failures name the offending line.
 // Doubles as the e2e check behind the nvct smoke test in tests/.
@@ -41,11 +39,13 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "easycrash/common/cli.hpp"
+#include "easycrash/crash/resilience.hpp"
 #include "easycrash/telemetry/json.hpp"
 
 namespace ec = easycrash;
@@ -378,194 +378,38 @@ int lintMetrics(const std::string& path, const std::vector<std::string>& require
   return 0;
 }
 
+/// The campaign journal, read by the one reader --resume, `nvct merge` and
+/// `nvct report` use. The lint adds two checks: the file must end in a
+/// newline (the reader drops a torn final line, which the next compaction
+/// repairs; the lint reports it), and each required failure kind must be
+/// decided at least once.
 int lintJournal(const std::string& path,
                 const std::vector<std::string>& requiredFailureKinds) {
-  std::ifstream is(path);
-  if (!is) {
-    std::cerr << "trace_lint: cannot open " << path << '\n';
+  ec::crash::JournalReplay replay;
+  try {
+    replay = ec::crash::readJournal(path);
+  } catch (const std::runtime_error& e) {
+    std::cerr << "trace_lint: " << e.what() << '\n';
     return 1;
   }
-  std::string line;
-  std::uint64_t lineNo = 0;
-  double tests = 0;
-  bool segments = false;
-  bool haveLast = false;
-  double lastTrial = -1;
-  std::map<std::string, std::uint64_t> failureKinds;
-  // Last record kind per test index (true = trial): segment journals may
-  // re-decide an index, so the tallies count the compacted view.
-  std::map<std::uint64_t, bool> decided;
-  const auto fail = [&path, &lineNo](const std::string& what) {
-    std::cerr << "trace_lint: " << path << ':' << lineNo << ": " << what << '\n';
-    return 1;
-  };
-  while (std::getline(is, line)) {
-    ++lineNo;
-    if (line.empty()) continue;
-    std::string error;
-    const auto value = json::parse(line, &error);
-    if (!value || !value->isObject()) {
-      return fail(error.empty() ? "not a JSON object" : error);
-    }
-    const json::Value* type = value->find("type");
-    if (type == nullptr || !type->isString()) return fail("missing \"type\"");
-
-    if (lineNo == 1) {
-      if (type->string != "campaign_header") {
-        return fail("first line must be a campaign_header");
-      }
-      const json::Value* app = value->find("app");
-      if (app == nullptr || !app->isString() || app->string.empty()) {
-        return fail("header missing \"app\"");
-      }
-      if (!numberField(*value, "seed")) return fail("header missing \"seed\"");
-      if (!numberField(*value, "tests", &tests) || tests < 1) {
-        return fail("header missing positive \"tests\"");
-      }
-      const json::Value* mode = value->find("mode");
-      if (mode == nullptr || !mode->isString() ||
-          (mode->string != "nvm" && mode->string != "coherent")) {
-        return fail("header \"mode\" must be nvm or coherent");
-      }
-      const json::Value* fp = value->find("plan_fingerprint");
-      if (fp == nullptr || !fp->isString() || fp->string.empty() ||
-          fp->string.find_first_not_of("0123456789") != std::string::npos) {
-        return fail("header \"plan_fingerprint\" must be a decimal string");
-      }
-      if (!numberField(*value, "window_accesses")) {
-        return fail("header missing \"window_accesses\"");
-      }
-      const json::Value* format = value->find("format");
-      if (format != nullptr) {
-        if (!format->isString() || format->string != "segments") {
-          return fail("header \"format\" must be \"segments\" when present");
-        }
-        segments = true;
-      }
-      // Shard journals (--shard i/k, docs/INTERNALS.md "Sharded campaigns")
-      // carry the shard coordinates, the recomputable campaign fingerprint,
-      // and the candidate list the merge needs to rebuild the CSV. The four
-      // fields travel together; an unsharded header carries none of them.
-      const json::Value* shards = value->find("shards");
-      if (shards != nullptr) {
-        double shardCount = 0;
-        double shardIndex = -1;
-        if (!shards->isNumber() || shards->number < 2) {
-          return fail("header \"shards\" must be a shard count >= 2");
-        }
-        shardCount = shards->number;
-        if (!numberField(*value, "shard", &shardIndex) || shardIndex < 0 ||
-            shardIndex >= shardCount) {
-          return fail("header \"shard\" must be in [0, shards)");
-        }
-        const json::Value* hash = value->find("campaign_hash");
-        if (hash == nullptr || !hash->isString() || hash->string.empty() ||
-            hash->string.find_first_not_of("0123456789") != std::string::npos) {
-          return fail("header \"campaign_hash\" must be a decimal string");
-        }
-        const json::Value* objects = value->find("objects");
-        if (objects == nullptr || objects->kind != json::Value::Kind::Array) {
-          return fail("shard header missing \"objects\" array");
-        }
-        for (const json::Value& object : objects->array) {
-          if (!object.isObject() || !numberField(object, "id")) {
-            return fail("shard header \"objects\" entry missing numeric \"id\"");
-          }
-          const json::Value* name = object.find("name");
-          if (name == nullptr || !name->isString() || name->string.empty()) {
-            return fail("shard header \"objects\" entry missing \"name\"");
-          }
-        }
-      } else if (value->find("shard") != nullptr ||
-                 value->find("campaign_hash") != nullptr) {
-        return fail("header \"shard\"/\"campaign_hash\" require \"shards\"");
-      }
-      continue;
-    }
-    if (type->string != "trial" && type->string != "trial_failure") {
-      return fail("unknown record type \"" + type->string + "\"");
-    }
-
-    double trial = 0;
-    if (!numberField(*value, "trial", &trial) || trial < 0) {
-      return fail("missing trial index");
-    }
-    if (trial >= tests) return fail("trial index beyond the header's tests");
-    if (!segments && haveLast && trial <= lastTrial) {
-      return fail(trial == lastTrial ? "duplicate trial index"
-                                     : "trial indices are not monotone");
-    }
-    haveLast = true;
-    lastTrial = trial;
-    decided[static_cast<std::uint64_t>(trial)] = type->string == "trial";
-    if (!numberField(*value, "crash_access")) return fail("missing \"crash_access\"");
-
-    if (type->string == "trial") {
-      const json::Value* response = value->find("response");
-      if (response == nullptr || !response->isString() ||
-          (response->string != "S1" && response->string != "S2" &&
-           response->string != "S3" && response->string != "S4")) {
-        return fail("trial \"response\" must be S1..S4");
-      }
-      if (!numberField(*value, "region") ||
-          !numberField(*value, "crash_iteration") ||
-          !numberField(*value, "restart_iteration") ||
-          !numberField(*value, "extra_iterations")) {
-        return fail("trial missing iteration/region fields");
-      }
-      const json::Value* rates = value->find("rates");
-      if (rates == nullptr || !rates->isObject()) {
-        return fail("trial missing \"rates\" object");
-      }
-      for (const auto& [id, rate] : rates->object) {
-        if (!rate.isNumber() || rate.number < 0.0 || rate.number > 1.0) {
-          return fail("rate for object " + id + " outside [0, 1]");
-        }
-      }
-    } else {
-      double attempts = 0;
-      if (!numberField(*value, "attempts", &attempts) || attempts < 1) {
-        return fail("trial_failure missing positive \"attempts\"");
-      }
-      const json::Value* reason = value->find("reason");
-      if (reason == nullptr || !reason->isString() || reason->string.empty()) {
-        return fail("trial_failure missing \"reason\"");
-      }
-      const json::Value* timeout = value->find("timeout");
-      if (timeout == nullptr ||
-          !(timeout->kind == json::Value::Kind::Bool || timeout->isNumber())) {
-        return fail("trial_failure missing \"timeout\"");
-      }
-      // "kind" is optional (legacy journals predate it) but must be a
-      // non-empty string when present; the fork evaluator writes one of
-      // exception|timeout|crashed|killed|oom|protocol.
-      const json::Value* kind = value->find("kind");
-      if (kind != nullptr && (!kind->isString() || kind->string.empty())) {
-        return fail("trial_failure \"kind\" must be a non-empty string");
-      }
-      ++failureKinds[kind != nullptr ? kind->string
-                                     : std::string("<absent>")];
-    }
-  }
-  if (lineNo == 0) {
-    std::cerr << "trace_lint: " << path << " is empty\n";
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  char last = 0;
+  if (is.tellg() > 0) is.seekg(-1, std::ios::end).get(last);
+  if (last != '\n') {
+    std::cerr << "trace_lint: " << path << ": torn final line (no newline)\n";
     return 1;
   }
-  std::uint64_t trials = 0;
-  std::uint64_t failures = 0;
-  for (const auto& [index, isTrial] : decided) {
-    (void)index;
-    isTrial ? ++trials : ++failures;
-  }
+  std::set<std::string> failureKinds;
+  for (const auto& [trial, failure] : replay.failures) failureKinds.insert(failure.kind);
   for (const auto& required : requiredFailureKinds) {
-    if (failureKinds.find(required) == failureKinds.end()) {
+    if (failureKinds.count(required) == 0) {
       std::cerr << "trace_lint: " << path << ": no trial_failure of kind \""
                 << required << "\"\n";
       return 1;
     }
   }
-  std::cout << path << ": journal ok (" << trials << " trials, " << failures
-            << " failures of " << static_cast<std::uint64_t>(tests)
+  std::cout << path << ": journal ok (" << replay.trials.size() << " trials, "
+            << replay.failures.size() << " failures of " << replay.header.tests
             << " planned)\n";
   return 0;
 }
