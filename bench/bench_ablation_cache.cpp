@@ -24,7 +24,7 @@ ec::memsim::CacheConfig scaledLlc(double factor) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Ablation: LLC-size sensitivity of intrinsic recomputability");
   addCampaignOptions(cli, /*defaultTests=*/30);
   if (!cli.parse(argc, argv)) return 0;
@@ -42,4 +42,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Ablation: intrinsic recomputability vs. LLC size");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

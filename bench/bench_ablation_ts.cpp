@@ -11,7 +11,7 @@ namespace ec = easycrash;
 using ec::bench::addCampaignOptions;
 using ec::bench::printResult;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Ablation: t_s budget sensitivity");
   addCampaignOptions(cli, /*defaultTests=*/15);
   if (!cli.parse(argc, argv)) return 0;
@@ -36,4 +36,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Ablation: t_s sensitivity of region selection");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -1,8 +1,10 @@
-// Shared plumbing for the table/figure bench binaries: a standard CLI
-// (test counts, seed, app filter, CSV output), app iteration, and common
-// plan constructions.
+// Shared plumbing for the table/figure bench binaries: one main wrapper, a
+// standard CLI (test counts, seed, app filter, CSV output), app iteration,
+// and common plan constructions.
 #pragma once
 
+#include <exception>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -18,6 +20,19 @@
 #include "easycrash/telemetry/metrics.hpp"
 
 namespace easycrash::bench {
+
+/// The main of every table/figure bench binary: runs `body`, and turns an
+/// exception (an unknown option, a malformed value, an unwritable output)
+/// into "<binary>: <message>" on stderr and exit status 1, as nvct does.
+inline int runMain(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << std::filesystem::path(argv[0]).filename().string() << ": " << e.what()
+              << '\n';
+    return 1;
+  }
+}
 
 /// Standard options shared by every campaign-driven bench binary.
 inline void addCampaignOptions(CliParser& cli, int defaultTests = 120) {

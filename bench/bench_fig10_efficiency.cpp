@@ -16,7 +16,7 @@ using ec::bench::addCampaignOptions;
 using ec::bench::printResult;
 using ec::sysmodel::SystemParams;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 10: system efficiency with and without EasyCrash");
   addCampaignOptions(cli, /*defaultTests=*/60);
   cli.addDouble("r-low", 0.03, "R_EasyCrash of the lowest benchmark (FT)");
@@ -71,4 +71,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Figure 10: system efficiency (MTBF = 12 h)");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -11,7 +11,7 @@ using ec::bench::addCampaignOptions;
 using ec::bench::printResult;
 using ec::sysmodel::SystemParams;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 11: system-efficiency scaling for CG");
   addCampaignOptions(cli, /*defaultTests=*/60);
   cli.addDouble("r-cg", 0.43, "R_EasyCrash of CG (see EXPERIMENTS.md)");
@@ -47,4 +47,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Figure 11: CG system efficiency vs. system scale");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -11,7 +11,7 @@ using ec::bench::campaignConfig;
 using ec::bench::printResult;
 using ec::bench::selectedApps;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 3: application responses after crash and restart");
   addCampaignOptions(cli, /*defaultTests=*/60);
   if (!cli.parse(argc, argv)) return 0;
@@ -42,4 +42,8 @@ int main(int argc, char** argv) {
   printResult(cli, table,
               "Figure 3: responses after crash+restart (no persistence)");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

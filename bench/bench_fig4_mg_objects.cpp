@@ -29,7 +29,7 @@ double recomputabilityUnderPlan(const ec::runtime::AppFactory& factory,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 4: MG recomputability by persisted object / region");
   addCampaignOptions(cli, /*defaultTests=*/50);
   if (!cli.parse(argc, argv)) return 0;
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
   printResult(cli, regionTable,
               "Figure 4(b): MG recomputability persisting u at each region");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -13,7 +13,7 @@ using ec::bench::campaignConfig;
 using ec::bench::printResult;
 using ec::bench::selectedApps;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 5: selection verification (none / selected / all)");
   addCampaignOptions(cli, /*defaultTests=*/40);
   if (!cli.parse(argc, argv)) return 0;
@@ -50,4 +50,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Figure 5: recomputability under three persistence strategies");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -15,7 +15,7 @@ using ec::bench::addCampaignOptions;
 using ec::bench::printResult;
 using ec::bench::workflowConfig;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 6: recomputability with different methods");
   addCampaignOptions(cli, /*defaultTests=*/40);
   if (!cli.parse(argc, argv)) return 0;
@@ -98,4 +98,8 @@ int main(int argc, char** argv) {
               << "% of previously-failing crashes into correct recomputation\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -14,7 +14,7 @@ using ec::bench::workflowConfig;
 using ec::perfmodel::NvmProfile;
 using ec::perfmodel::TimeModel;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 7: normalized time under NVM latency/bandwidth emulation");
   addCampaignOptions(cli, /*defaultTests=*/20);
   if (!cli.parse(argc, argv)) return 0;
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Figure 7: normalized execution time under NVM emulation");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -11,7 +11,7 @@ using ec::bench::addCampaignOptions;
 using ec::bench::printResult;
 using ec::bench::workflowConfig;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 8: normalized time on Optane DC PMM");
   addCampaignOptions(cli, /*defaultTests=*/20);
   if (!cli.parse(argc, argv)) return 0;
@@ -56,4 +56,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Figure 8: normalized execution time on Optane DC PMM");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -15,7 +15,7 @@ using ec::bench::printResult;
 using ec::bench::workflowConfig;
 using ec::perfmodel::CheckpointScope;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Figure 9: normalized number of NVM writes");
   addCampaignOptions(cli, /*defaultTests=*/20);
   if (!cli.parse(argc, argv)) return 0;
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
   printResult(cli, table,
               "Figure 9: extra NVM writes, normalized by a plain run's writes");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

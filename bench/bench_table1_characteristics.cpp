@@ -16,7 +16,7 @@ using ec::bench::campaignConfig;
 using ec::bench::printResult;
 using ec::bench::selectedApps;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Table 1: benchmark characteristics for crash experiments");
   addCampaignOptions(cli, /*defaultTests=*/60);
   if (!cli.parse(argc, argv)) return 0;
@@ -63,4 +63,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Table 1: benchmark information (scaled problems)");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

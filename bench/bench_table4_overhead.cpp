@@ -13,7 +13,7 @@ using ec::bench::addCampaignOptions;
 using ec::bench::printResult;
 using ec::bench::workflowConfig;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Table 4: normalized execution time of persistence");
   addCampaignOptions(cli, /*defaultTests=*/20);
   if (!cli.parse(argc, argv)) return 0;
@@ -84,4 +84,8 @@ int main(int argc, char** argv) {
   }
   printResult(cli, table, "Table 4: normalized execution time (DRAM time model)");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

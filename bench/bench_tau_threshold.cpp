@@ -4,6 +4,7 @@
 // cross-check of the closed-form efficiency model.
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "easycrash/common/cli.hpp"
 #include "easycrash/common/table.hpp"
 #include "easycrash/sysmodel/efficiency.hpp"
@@ -11,7 +12,7 @@
 namespace ec = easycrash;
 using ec::sysmodel::SystemParams;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("tau thresholds + Monte-Carlo cross-check of the model");
   cli.addDouble("overhead", 0.02, "EasyCrash runtime overhead t_s");
   cli.addFlag("csv", "emit CSV");
@@ -47,4 +48,8 @@ int main(int argc, char** argv) {
     table.print(std::cout, "Recomputability threshold tau and model cross-check");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "easycrash/apps/registry.hpp"
 #include "easycrash/common/cli.hpp"
 #include "easycrash/common/table.hpp"
@@ -12,7 +13,7 @@
 
 namespace ec = easycrash;
 
-int main(int argc, char** argv) {
+static int benchMain(int argc, char** argv) {
   ec::CliParser cli("Golden-run calibration and quick crash campaign");
   cli.addString("app", "all", "benchmark name or 'all'");
   cli.addInt("tests", 0, "crash tests per app (0 = golden run only)");
@@ -82,4 +83,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout, "Calibration (no persistence plan)");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ec::bench::runMain(argc, argv, benchMain);
 }

@@ -40,20 +40,9 @@ std::uint32_t CacheHierarchy::fillUpper(std::size_t level, std::uint64_t blockAd
                                         std::uint32_t llcLine) {
   const auto u = static_cast<std::uint32_t>(level);
   const std::uint32_t line = levels_[level].victim(blockAddr);
-  if (levels_[level].valid(line)) {
-    // Inclusion: the victim's copies above this level go with it, and its
-    // dirtiness (theirs or its own) moves to the level below, which holds
-    // the block by inclusion. Its bytes already live in the value image.
-    const std::uint32_t victimLlc = dir_.llcLineOf(u, line);
-    const std::uint64_t above = (1ULL << u) - 1;
-    if (dir_.dropUpper(u, line, above)) {
-      if (level + 1 == llcLevel()) {
-        dir_.setLlcDirty(victimLlc, true);
-      } else {
-        dir_.setUpperDirty(u + 1, dir_.upperLine(victimLlc, u + 1), true);
-      }
-    }
-  }
+  // Inclusion: the victim's copies above this level go with it, and the
+  // directory moves their dirtiness to the level below.
+  if (levels_[level].valid(line)) dir_.dropUpper(u, line);
   dir_.installUpper(u, line, blockAddr, llcLine);
   return line;
 }

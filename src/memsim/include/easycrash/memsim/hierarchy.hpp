@@ -184,9 +184,9 @@ class CacheHierarchy {
   /// dirty-holder bit, unless L1 is the LLC).
   void markL1Dirty(std::uint32_t l1) {
     if (levels_.size() == 1) {
-      dir_.setLlcDirty(l1, true);
+      dir_.markLlcDirty(l1);
     } else {
-      dir_.setUpperDirty(0, l1, true);
+      dir_.markUpperDirty(0, l1);
     }
   }
 

@@ -1,16 +1,18 @@
-// The last-level cache's directory of an inclusive hierarchy: which upper
-// caches hold each resident block where, plus the run's value image.
+// The last-level cache's directory of the inclusive cache hierarchy: which
+// upper levels hold each resident block where, plus the run's value image.
 //
 // The caches keep metadata only. Every byte's current value — what a load
 // observes — lives in one flat value image (an NvmStore the directory owns),
 // and the NVM store holds what survives a crash. Inclusion means every block
 // cached anywhere sits in the LLC, so the LLC line is the natural home for
-// everything a block's copies share. Per LLC line the directory keeps a
-// holder mask (bit u: upper cache u holds the block), a dirty-holder mask
-// (bit u: that copy is dirty) and each holder's line index. Each upper line
-// in turn records its block's LLC line. With both links, evicting or
-// flushing a block reaches every copy without a probe, and fills and
-// evictions move no block bytes.
+// everything a block's copies share. The upper caches are the hierarchy's
+// L1..L(n-1), numbered 0..n-2, and inclusion nests: a copy at upper level u
+// implies copies at every level below it. Per LLC line the directory keeps a
+// holder mask (bit u: level u holds the block), a dirty-holder mask (bit u:
+// that copy is dirty) and each holder's line index. Each upper line in turn
+// records its block's LLC line. With both links, evicting or flushing a
+// block reaches every copy without a probe, and fills and evictions move no
+// block bytes.
 //
 // A block is "dirty anywhere" when its LLC line's own dirty bit or any bit
 // of its dirty-holder mask is set. The invariant: the value image equals NVM
@@ -20,13 +22,8 @@
 // The post-mortem scan therefore compares only the dirty-anywhere blocks,
 // enumerated from the LLC lines in address order (rebuilt lazily after the
 // dirty set changed).
-//
-// The owner decides the topology: CacheHierarchy registers its L1..L(n-1)
-// as upper caches 0..n-2 (a copy at level u implies copies at every level
-// below it), MulticoreSystem registers one private cache per core.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -36,18 +33,10 @@
 
 namespace easycrash::memsim {
 
-/// Visit the set bits of `mask` in ascending order: fn(bit).
-template <typename Fn>
-void forEachBit(std::uint64_t mask, Fn&& fn) {
-  while (mask != 0) {
-    fn(static_cast<std::uint32_t>(std::countr_zero(mask)));
-    mask &= mask - 1;
-  }
-}
-
 class LlcDirectory {
  public:
-  /// `llc` and every `uppers[u]` must outlive the directory and never move.
+  /// `llc` and every `uppers[u]` (level u, L1 first) must outlive the
+  /// directory and never move.
   LlcDirectory(CacheLevel& llc, std::vector<CacheLevel*> uppers, NvmStore& nvm,
                std::uint32_t blockSize);
 
@@ -60,15 +49,8 @@ class LlcDirectory {
   /// write-back copies a block of it to NVM.
   [[nodiscard]] NvmStore& values() { return values_; }
   [[nodiscard]] const NvmStore& values() const { return values_; }
-  /// LLC line of the block held in `upperLine` of upper cache `u`.
-  [[nodiscard]] std::uint32_t llcLineOf(std::uint32_t u, std::uint32_t upperLine) const {
-    return llcLineOf_[u][upperLine];
-  }
   [[nodiscard]] std::uint64_t holders(std::uint32_t llcLine) const {
     return holders_[llcLine];
-  }
-  [[nodiscard]] std::uint64_t dirtyHolders(std::uint32_t llcLine) const {
-    return dirtyHolders_[llcLine];
   }
   /// Line of upper cache `u` holding the block (its holder bit must be set).
   [[nodiscard]] std::uint32_t upperLine(std::uint32_t llcLine, std::uint32_t u) const {
@@ -95,14 +77,16 @@ class LlcDirectory {
   void installUpper(std::uint32_t u, std::uint32_t line, std::uint64_t blockAddr,
                     std::uint32_t llcLine);
 
-  /// Drop the block in `line` of upper cache `u`, and its copies in every
-  /// upper cache of `alsoDrop` that holds it, without write-back. Returns
-  /// whether any dropped copy was dirty; the caller moves that dirtiness to
-  /// the cache below.
-  bool dropUpper(std::uint32_t u, std::uint32_t line, std::uint64_t alsoDrop);
+  /// Drop the block in `line` of upper level `u` and its copies at every
+  /// level above it, without write-back. When any dropped copy was dirty,
+  /// the copy at the level below (level u + 1, or the LLC) becomes dirty:
+  /// the block stays dirty anywhere, and its bytes stay in the value image.
+  void dropUpper(std::uint32_t u, std::uint32_t line);
 
-  void setUpperDirty(std::uint32_t u, std::uint32_t line, bool dirty);
-  void setLlcDirty(std::uint32_t llcLine, bool dirty);
+  /// A store reached the clean copy in `line` of upper level `u`.
+  void markUpperDirty(std::uint32_t u, std::uint32_t line);
+  /// A store reached the clean LLC copy (the LLC is the only level).
+  void markLlcDirty(std::uint32_t llcLine);
 
   /// What a flush found, per block.
   struct FlushTally {

@@ -1,6 +1,7 @@
 #include "easycrash/memsim/llc_directory.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "easycrash/common/check.hpp"
@@ -9,6 +10,19 @@
 
 namespace easycrash::memsim {
 
+namespace {
+
+/// Visit the set bits of `mask` in ascending order: fn(bit).
+template <typename Fn>
+void forEachBit(std::uint64_t mask, Fn&& fn) {
+  while (mask != 0) {
+    fn(static_cast<std::uint32_t>(std::countr_zero(mask)));
+    mask &= mask - 1;
+  }
+}
+
+}  // namespace
+
 LlcDirectory::LlcDirectory(CacheLevel& llc, std::vector<CacheLevel*> uppers,
                            NvmStore& nvm, std::uint32_t blockSize)
     : llc_(llc),
@@ -16,7 +30,6 @@ LlcDirectory::LlcDirectory(CacheLevel& llc, std::vector<CacheLevel*> uppers,
       nvm_(nvm),
       blockSize_(blockSize),
       values_(blockSize) {
-  EC_CHECK_MSG(uppers_.size() <= 64, "the holder masks cover at most 64 upper caches");
   const std::uint32_t lines = llc_.lineCount();
   holders_.assign(lines, 0);
   dirtyHolders_.assign(lines, 0);
@@ -64,11 +77,12 @@ void LlcDirectory::installUpper(std::uint32_t u, std::uint32_t line,
   holders_[llcLine] |= 1ULL << u;
 }
 
-bool LlcDirectory::dropUpper(std::uint32_t u, std::uint32_t line, std::uint64_t alsoDrop) {
+void LlcDirectory::dropUpper(std::uint32_t u, std::uint32_t line) {
   const std::uint32_t llcLine = llcLineOf_[u][line];
   EC_DCHECK_MSG((holders_[llcLine] >> u & 1) != 0 && upperLine(llcLine, u) == line,
                 "upper line not linked from its LLC line");
-  const std::uint64_t drop = holders_[llcLine] & (alsoDrop | 1ULL << u);
+  // Levels 0..u: inclusion puts any copy above level u there.
+  const std::uint64_t drop = holders_[llcLine] & ((2ULL << u) - 1);
   const bool dirty = (dirtyHolders_[llcLine] & drop) != 0;
   forEachBit(drop, [&](std::uint32_t k) {
     const std::uint32_t kLine = upperLine(llcLine, k);
@@ -78,23 +92,26 @@ bool LlcDirectory::dropUpper(std::uint32_t u, std::uint32_t line, std::uint64_t 
   });
   holders_[llcLine] &= ~drop;
   dirtyHolders_[llcLine] &= ~drop;
-  return dirty;
+  if (!dirty) return;
+  // The level below holds the block by inclusion.
+  const std::uint32_t below = u + 1;
+  if (below == uppers_.size()) {
+    markLlcDirty(llcLine);
+  } else {
+    markUpperDirty(below, upperLine(llcLine, below));
+  }
 }
 
-void LlcDirectory::setUpperDirty(std::uint32_t u, std::uint32_t line, bool dirty) {
+void LlcDirectory::markUpperDirty(std::uint32_t u, std::uint32_t line) {
   const std::uint32_t llcLine = llcLineOf_[u][line];
   EC_DCHECK_MSG((holders_[llcLine] >> u & 1) != 0, "dirty bit on a block the cache does not hold");
-  uppers_[u]->setDirty(line, dirty);
-  if (dirty) {
-    dirtyHolders_[llcLine] |= 1ULL << u;
-  } else {
-    dirtyHolders_[llcLine] &= ~(1ULL << u);
-  }
+  uppers_[u]->setDirty(line, true);
+  dirtyHolders_[llcLine] |= 1ULL << u;
   dirtyListStale_ = true;
 }
 
-void LlcDirectory::setLlcDirty(std::uint32_t llcLine, bool dirty) {
-  llc_.setDirty(llcLine, dirty);
+void LlcDirectory::markLlcDirty(std::uint32_t llcLine) {
+  llc_.setDirty(llcLine, true);
   dirtyListStale_ = true;
 }
 

@@ -21,7 +21,6 @@
 
 #include "easycrash/common/rng.hpp"
 #include "easycrash/memsim/hierarchy.hpp"
-#include "easycrash/memsim/multicore.hpp"
 
 namespace ms = easycrash::memsim;
 
@@ -669,158 +668,6 @@ TEST(MemsimEquivalence, RangeAccessesMatchElementwiseNonPowerOfTwoSets) {
   config.levels = {{6ULL * 64, 2}, {10ULL * 64, 2}, {28ULL * 64, 4}};
   config.validate();
   driveRangeVsElementwise(config, 0xFACADE, 20000);
-}
-
-// ---------------------------------------------------------------------------
-// Multicore range fast path vs element-wise accesses: same discipline, with
-// MESI coherence traffic (invalidations, ownership transfers) in the
-// comparison — a range store must upgrade/invalidate exactly as the
-// element-wise loop does.
-//
-// Both engines are also held to an independent value oracle: a flat byte
-// array every store writes (and a power loss resets to the NVM image). After
-// every step each engine's loads and peeks must return the array's bytes,
-// and every block dirty nowhere must hold the array's bytes in NVM — the
-// value-image design's claim that one flat image is the coherent value and
-// that clean blocks never diverge from NVM.
-// ---------------------------------------------------------------------------
-
-void expectMatchesFlatOracle(const ms::MulticoreSystem& sys, const ms::NvmStore& nvm,
-                             const std::vector<std::uint8_t>& flat,
-                             std::uint32_t blockSize, std::uint64_t step,
-                             const char* what) {
-  std::vector<std::uint8_t> current(flat.size()), image(flat.size());
-  sys.peek(0, current);
-  ASSERT_EQ(current, flat) << what << ": peek differs from the oracle at step " << step;
-  nvm.read(0, image);
-  for (std::uint64_t base = 0; base < flat.size(); base += blockSize) {
-    if (sys.dirtyAnywhere(base)) continue;
-    ASSERT_TRUE(std::equal(flat.begin() + static_cast<std::ptrdiff_t>(base),
-                           flat.begin() + static_cast<std::ptrdiff_t>(base + blockSize),
-                           image.begin() + static_cast<std::ptrdiff_t>(base)))
-        << what << ": block " << base << " is dirty nowhere but differs from NVM at step "
-        << step;
-  }
-}
-
-void expectSameCoherence(const ms::CoherenceEvents& a, const ms::CoherenceEvents& b,
-                         std::uint64_t step, const char* what) {
-  ASSERT_EQ(a.loads, b.loads) << what << " step " << step;
-  ASSERT_EQ(a.stores, b.stores) << what << " step " << step;
-  ASSERT_EQ(a.privateHits, b.privateHits) << what << " step " << step;
-  ASSERT_EQ(a.privateMisses, b.privateMisses) << what << " step " << step;
-  ASSERT_EQ(a.llcHits, b.llcHits) << what << " step " << step;
-  ASSERT_EQ(a.llcMisses, b.llcMisses) << what << " step " << step;
-  ASSERT_EQ(a.invalidationsSent, b.invalidationsSent) << what << " step " << step;
-  ASSERT_EQ(a.ownershipTransfers, b.ownershipTransfers) << what << " step " << step;
-  ASSERT_EQ(a.nvmBlockWrites, b.nvmBlockWrites) << what << " step " << step;
-  ASSERT_EQ(a.nvmBlockReads, b.nvmBlockReads) << what << " step " << step;
-  ASSERT_EQ(a.flushDirty, b.flushDirty) << what << " step " << step;
-  ASSERT_EQ(a.flushClean, b.flushClean) << what << " step " << step;
-  ASSERT_EQ(a.flushNonResident, b.flushNonResident) << what << " step " << step;
-}
-
-TEST(MulticoreEquivalence, RangeAccessesMatchElementwise) {
-  ms::MulticoreConfig config;
-  config.cores = 3;
-  config.privateCache = {4ULL * 64, 2};  // tiny: heavy eviction + coherence
-  config.sharedLlc = {16ULL * 64, 4};
-  config.blockSize = 64;
-  config.validate();
-
-  ms::NvmStore nvmBulk(config.blockSize);
-  ms::NvmStore nvmScalar(config.blockSize);
-  ms::MulticoreSystem bulk(config, nvmBulk);
-  ms::MulticoreSystem scalar(config, nvmScalar);
-
-  easycrash::Rng rng(0xCAFED00D);
-  constexpr std::uint64_t kFootprint = 4 * 1024;
-  constexpr std::uint32_t kElemSizes[] = {1, 4, 8};
-  std::vector<std::uint8_t> buf, refBuf;
-  std::vector<std::uint8_t> flat(kFootprint, 0);  // the value oracle
-  const auto oracleStore = [&](std::uint64_t addr) {
-    std::copy(buf.begin(), buf.end(), flat.begin() + static_cast<std::ptrdiff_t>(addr));
-  };
-  const auto expectOracleLoad = [&](std::uint64_t addr, std::uint64_t step) {
-    ASSERT_TRUE(std::equal(buf.begin(), buf.end(),
-                           flat.begin() + static_cast<std::ptrdiff_t>(addr)))
-        << "load differs from the oracle at step " << step;
-  };
-
-  for (std::uint64_t step = 0; step < 20000; ++step) {
-    const int core = static_cast<int>(rng.below(3));
-    const std::uint64_t op = rng.below(100);
-    if (op < 40) {
-      const std::uint32_t elemSize = kElemSizes[rng.below(3)];
-      const std::uint64_t count = rng.between(1, 40);
-      const std::uint64_t bytes = count * elemSize;
-      const std::uint64_t addr = rng.below(kFootprint - bytes);
-      buf.resize(bytes);
-      for (auto& byte : buf) byte = static_cast<std::uint8_t>(rng.below(256));
-      bulk.storeRange(core, addr, buf, elemSize);
-      for (std::uint64_t off = 0; off < bytes; off += elemSize) {
-        scalar.store(core, addr + off,
-                     std::span<const std::uint8_t>(buf).subspan(off, elemSize));
-      }
-      oracleStore(addr);
-    } else if (op < 80) {
-      const std::uint32_t elemSize = kElemSizes[rng.below(3)];
-      const std::uint64_t count = rng.between(1, 40);
-      const std::uint64_t bytes = count * elemSize;
-      const std::uint64_t addr = rng.below(kFootprint - bytes);
-      buf.assign(bytes, 0xAA);
-      refBuf.assign(bytes, 0x55);
-      bulk.loadRange(core, addr, buf, elemSize);
-      for (std::uint64_t off = 0; off < bytes; off += elemSize) {
-        scalar.load(core, addr + off,
-                    std::span<std::uint8_t>(refBuf).subspan(off, elemSize));
-      }
-      ASSERT_EQ(buf, refBuf) << "range-loaded values differ at step " << step;
-      expectOracleLoad(addr, step);
-    } else if (op < 88) {
-      const std::uint64_t size = rng.between(1, 256);
-      const std::uint64_t addr = rng.below(kFootprint - size);
-      const auto kind = static_cast<ms::FlushKind>(rng.below(3));
-      bulk.flushRange(addr, size, kind);
-      scalar.flushRange(addr, size, kind);
-    } else if (op < 94) {
-      const std::uint64_t size = rng.between(1, 128);
-      const std::uint64_t addr = rng.below(kFootprint - size);
-      buf.assign(size, 0xAA);
-      refBuf.assign(size, 0x55);
-      bulk.peek(addr, buf);
-      scalar.peek(addr, refBuf);
-      ASSERT_EQ(buf, refBuf) << "peeked values differ at step " << step;
-      ASSERT_EQ(bulk.inconsistentBytes(addr, size),
-                scalar.inconsistentBytes(addr, size))
-          << "inconsistency differs at step " << step;
-    } else if (op < 97) {
-      bulk.drainAll();
-      scalar.drainAll();
-    } else if (op < 99) {
-      bulk.invalidateAll();
-      scalar.invalidateAll();
-      nvmBulk.read(0, flat);  // everything unwritten-back is lost
-    } else {
-      bulk.checkInvariants();
-      scalar.checkInvariants();
-    }
-
-    expectMatchesFlatOracle(bulk, nvmBulk, flat, config.blockSize, step, "bulk");
-    expectMatchesFlatOracle(scalar, nvmScalar, flat, config.blockSize, step, "scalar");
-    if (::testing::Test::HasFatalFailure()) return;
-    for (int c = 0; c < config.cores; ++c) {
-      expectSameCoherence(bulk.coreEvents(c), scalar.coreEvents(c), step, "core");
-    }
-    if (step % 1024 == 0 || step == 19999) {
-      expectSameNvmStores(nvmBulk, nvmScalar, step);
-    }
-  }
-
-  bulk.drainAll();
-  scalar.drainAll();
-  expectSameCoherence(bulk.totalEvents(), scalar.totalEvents(), 20000, "total");
-  expectSameNvmStores(nvmBulk, nvmScalar, 20000);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 
 #include "easycrash/common/rng.hpp"
 #include "easycrash/memsim/hierarchy.hpp"
-#include "easycrash/memsim/multicore.hpp"
 #include "easycrash/memsim/scan.hpp"
 
 namespace ms = easycrash::memsim;
@@ -283,74 +282,6 @@ TEST(PostmortemEquiv, CountersOnlyOnFastPath) {
   EXPECT_EQ(hier.events().postmortemBlocksCompared, 2u);
   EXPECT_EQ(hier.events().postmortemBlocksSkipped, 4096u / 64u - 2u);
   EXPECT_EQ(hier.events().postmortemBytesCompared, 128u);
-}
-
-// ---------------------------------------------------------------------------
-// Multicore differential: MESI hierarchy, same three-way agreement.
-// ---------------------------------------------------------------------------
-
-std::uint64_t oracleInconsistentMc(const ms::MulticoreSystem& sys,
-                                   const ms::NvmStore& nvm, std::uint64_t addr,
-                                   std::uint64_t size) {
-  std::vector<std::uint8_t> current(size), image(size);
-  sys.peek(addr, current);
-  nvm.read(addr, image);
-  return naiveDiff(current.data(), image.data(), size);
-}
-
-TEST(PostmortemEquiv, Multicore) {
-  ms::MulticoreConfig config;
-  config.cores = 3;
-  config.privateCache = {4ULL * 64, 2};
-  config.sharedLlc = {16ULL * 64, 4};
-  ms::NvmStore nvm(config.blockSize);
-  ms::MulticoreSystem sys(config, nvm);
-  constexpr std::uint64_t kFootprint = 4 * 1024;
-  easycrash::Rng rng(0xC04E5);
-
-  for (int op = 0; op < 60000; ++op) {
-    const int core = static_cast<int>(rng.below(3));
-    const std::uint64_t kind = rng.below(100);
-    if (kind < 45) {
-      const std::uint64_t size = rng.between(1, 96);
-      const std::uint64_t addr = rng.below(kFootprint - size);
-      std::vector<std::uint8_t> buf(size);
-      for (auto& byte : buf) byte = static_cast<std::uint8_t>(rng.below(256));
-      sys.store(core, addr, buf);
-    } else if (kind < 70) {
-      const std::uint64_t size = rng.between(1, 96);
-      const std::uint64_t addr = rng.below(kFootprint - size);
-      std::vector<std::uint8_t> buf(size);
-      sys.load(core, addr, buf);
-    } else if (kind < 80) {
-      sys.flushBlock(rng.below(kFootprint), static_cast<ms::FlushKind>(rng.below(3)));
-    } else if (kind < 86) {
-      const std::uint64_t size = rng.between(1, 512);
-      const std::uint64_t addr = rng.below(kFootprint - size);
-      sys.flushRange(addr, size, static_cast<ms::FlushKind>(rng.below(3)));
-    } else if (kind < 88) {
-      sys.drainAll();
-    } else if (kind < 89) {
-      sys.invalidateAll();
-      EXPECT_EQ(sys.dirtyBlockCount(), 0u);
-      EXPECT_EQ(oracleInconsistentMc(sys, nvm, 0, kFootprint), 0u);
-    } else {
-      const std::uint64_t size = rng.between(1, 1024);
-      const std::uint64_t addr = rng.below(kFootprint - size);
-      sys.setScanFastPath(true);
-      const std::uint64_t fast = sys.inconsistentBytes(addr, size);
-      sys.setScanFastPath(false);
-      const std::uint64_t scalar = sys.inconsistentBytes(addr, size);
-      sys.setScanFastPath(true);
-      ASSERT_EQ(fast, scalar) << "op " << op;
-      ASSERT_EQ(fast, oracleInconsistentMc(sys, nvm, addr, size)) << "op " << op;
-    }
-    if (op % 10000 == 0) sys.checkInvariants();
-  }
-  sys.setScanFastPath(true);
-  const std::uint64_t fast = sys.inconsistentBytes(0, kFootprint);
-  sys.setScanFastPath(false);
-  EXPECT_EQ(fast, sys.inconsistentBytes(0, kFootprint));
 }
 
 }  // namespace
