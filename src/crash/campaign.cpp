@@ -279,8 +279,9 @@ class RestartQueue {
 // each decided 'r' carries the keys its restart passed.
 // A worker starts every request from a zeroed metrics registry and records
 // exactly as an in-process run does; the delta closing each 'r'/'e' reply
-// is what the request left behind: the buffered trace lines and every
-// non-zero counter and histogram by name (histograms with their bounds).
+// is what the request left behind: the buffered trace lines, the buffered
+// log lines, and every non-zero counter and histogram by name (histograms
+// with their bounds).
 // The sweep's access profile is part of its outcome, so only 'e' carries
 // one. The parent decodes the whole delta before folding any of it in; a
 // truncated delta or a histogram whose shape disagrees with the parent's is
@@ -494,6 +495,10 @@ std::atomic<bool> g_memoCompareBytes{false};
 /// a worker child, so it doubles as the in-worker flag.
 std::ostringstream* g_childTraceBuf = nullptr;
 
+/// The forked child's log lines, collected the same way: a worker cannot see
+/// whether the parent's progress line is open, so the parent writes them.
+std::string* g_childLogBuf = nullptr;
+
 /// A worker child's replica of the campaign's memo table, created empty
 /// right after the fork and filled by the deltas 'R' requests carry.
 MemoTable* g_childMemo = nullptr;
@@ -503,6 +508,11 @@ std::string takeChildTrace() {
   std::string out = g_childTraceBuf->str();
   g_childTraceBuf->str("");
   return out;
+}
+
+std::string takeChildLog() {
+  if (g_childLogBuf == nullptr) return {};
+  return std::exchange(*g_childLogBuf, std::string());
 }
 
 /// Installed in a worker child while a crashing run may host an injected
@@ -682,6 +692,7 @@ struct ForkChildServer {
   /// The request's telemetry delta (ForkParent::absorbDelta reads it).
   void encodeDelta(WireWriter& w) const {
     w.str(takeChildTrace());
+    w.str(takeChildLog());
     encodeMetrics(w, telemetry::MetricsRegistry::instance().snapshot());
   }
 
@@ -925,6 +936,8 @@ class ForkParent {
       // parent; the parent's stream (and its buffered bytes) stay its own.
       g_childTraceBuf = new std::ostringstream();
       telemetry::TraceSink::instance().redirectInForkedChild(g_childTraceBuf);
+      g_childLogBuf = new std::string();
+      telemetry::redirectLogLines(g_childLogBuf);
       g_childMemo = new MemoTable();
     };
     return hooks;
@@ -1008,13 +1021,16 @@ class ForkParent {
   }
 
   /// Fold a reply's delta (ForkChildServer::encodeDelta) into the parent:
-  /// its metrics and its trace lines. Decoded in full first, so a truncated
-  /// delta throws before anything lands.
+  /// its metrics, its trace lines and its log lines (through the stderr
+  /// owner, so they never land on the progress line). Decoded in full
+  /// first, so a truncated delta throws before anything lands.
   void absorbDelta(WireReader& r) {
     const std::string trace = r.str();
+    const std::string log = r.str();
     const telemetry::MetricsSnapshot metrics = decodeMetrics(r);
     telemetry::MetricsRegistry::instance().merge(metrics);
     if (!trace.empty()) telemetry::TraceSink::instance().writeRaw(trace);
+    telemetry::writeLogLines(log);
   }
 
   const CampaignRunner& runner_;

@@ -25,13 +25,6 @@ std::string fmt(const char* format, double v) {
   return buf;
 }
 
-std::string regionLabel(runtime::PointId region) {
-  if (region == runtime::kMainLoopEnd) return "main";
-  std::string label = "R";
-  label += std::to_string(region);
-  return label;
-}
-
 /// Nearest-rank percentile of an ascending-sorted sample.
 double percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -394,7 +387,7 @@ std::string renderFlightReport(const JournalReplay& journal,
       md << "### Region access shares\n\n";
       md << "| region | accesses | share |\n|---|---:|---:|\n";
       for (const auto& [region, accesses] : profile->regionAccesses) {
-        md << "| `" << regionLabel(region) << "` | " << accesses << " | "
+        md << "| `" << regionName(region) << "` | " << accesses << " | "
            << fmt("%.1f%%", totalAccesses > 0
                                 ? 100.0 * static_cast<double>(accesses) /
                                       static_cast<double>(totalAccesses)

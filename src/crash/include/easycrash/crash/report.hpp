@@ -21,7 +21,7 @@ void writeCampaignCsv(const CampaignResult& campaign, std::ostream& os);
 /// Human-readable post-mortem summary of a campaign.
 void writeCampaignSummary(const CampaignResult& campaign, std::ostream& os);
 
-/// A code region's name, "R<k>" for region k - 1.
+/// A code region's name: "R<k>" for region k - 1, "main" for kMainLoopEnd.
 [[nodiscard]] std::string regionName(runtime::PointId region);
 
 /// Render a region path like "R2>R5" ("main" for the top level).

@@ -93,7 +93,7 @@ std::string formatPlanSpec(const runtime::PersistencePlan& plan,
       objects += rt.object(id).name;
     }
     out += objects + '@';
-    out += point == runtime::kMainLoopEnd ? std::string("main") : regionName(point);
+    out += regionName(point);
     if (directive.everyN != 1) out += ':' + std::to_string(directive.everyN);
   }
   return out.empty() ? "none" : out;

@@ -29,6 +29,7 @@ std::vector<std::string> splitCsvLine(const std::string& line) {
 }  // namespace
 
 std::string regionName(runtime::PointId region) {
+  if (region == runtime::kMainLoopEnd) return "main";
   // Appending, not "R" + std::to_string(...): GCC 12's -Wrestrict misfires
   // on that concatenation in optimized builds.
   std::string out = "R";
@@ -111,8 +112,7 @@ void writeCampaignSummary(const CampaignResult& campaign, std::ostream& os) {
     const auto perRegionCount = campaign.regionTestCounts();
     for (const auto& [region, ck] : perRegion) {
       os << "    "
-         << (region == runtime::kMainLoopEnd ? std::string("main") : regionName(region))
-         << ": " << 100.0 * ck << "% (" << perRegionCount.at(region)
+         << regionName(region) << ": " << 100.0 * ck << "% (" << perRegionCount.at(region)
          << " crashes)\n";
     }
     os << "  mean inconsistency per candidate:\n" << std::setprecision(2);

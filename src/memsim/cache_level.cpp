@@ -46,7 +46,6 @@ void CacheLevel::invalidateAll() {
   std::fill(stamps_.begin(), stamps_.end(), 0);
   std::fill(dirty_.begin(), dirty_.end(), 0);
   validCount_ = 0;
-  dirtyCount_ = 0;
 }
 
 }  // namespace easycrash::memsim

@@ -2,12 +2,12 @@
 // bits, no data.
 //
 // A level only answers "is this block here, in which line, is it dirty, and
-// which line would an insertion displace". Block values live once per
-// resident block in the owning system's last-level-cache directory
-// (llc_directory.hpp), which is what lets the simulator answer the question
-// at the core of the paper — after an arbitrary crash, which bytes differ
-// between the (lost) caches and the (surviving) NVM image — without copying
-// a block between levels on every fill and eviction.
+// which line would an insertion displace". Block values live in the
+// hierarchy's one flat value image (hierarchy.hpp), which is what lets the
+// simulator answer the question at the core of the paper — after an
+// arbitrary crash, which bytes differ between the (lost) caches and the
+// (surviving) NVM image — without copying a block between levels on every
+// fill and eviction.
 //
 // Hot-path design (docs/INTERNALS.md "Simulator performance"):
 //  - per-way state is three flat arrays (tag, LRU stamp, dirty bit); an
@@ -23,7 +23,8 @@
 //    remembered line index, so an L1 hit on the current block skips the set
 //    probe (an invalidated or refilled line's tag no longer matches, so the
 //    hint needs no invalidation bookkeeping);
-//  - valid/dirty line counts are maintained incrementally.
+//  - the valid line count is maintained incrementally, so visiting an empty
+//    level's lines costs nothing.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +94,6 @@ class CacheLevel {
   void invalidateLine(std::uint32_t line) {
     EC_CHECK_MSG(valid(line), "invalidateLine of an invalid line");
     --validCount_;
-    dirtyCount_ -= dirty_[line];
     tags_[line] = kInvalidTag;
     stamps_[line] = 0;
     dirty_[line] = 0;
@@ -107,7 +107,6 @@ class CacheLevel {
   [[nodiscard]] bool dirty(std::uint32_t line) const { return dirty_[line] != 0; }
   void setDirty(std::uint32_t line, bool value) {
     EC_DCHECK_MSG(valid(line), "setDirty on an invalid line");
-    dirtyCount_ += static_cast<std::uint64_t>(value) - dirty_[line];
     dirty_[line] = value ? 1 : 0;
   }
   [[nodiscard]] std::uint64_t blockAddr(std::uint32_t line) const { return tags_[line]; }
@@ -127,13 +126,10 @@ class CacheLevel {
     }
   }
 
-  [[nodiscard]] std::uint64_t sets() const { return sets_; }
-  [[nodiscard]] std::uint32_t associativity() const { return assoc_; }
   [[nodiscard]] std::uint32_t lineCount() const {
     return static_cast<std::uint32_t>(tags_.size());
   }
   [[nodiscard]] std::uint64_t validLines() const { return validCount_; }
-  [[nodiscard]] std::uint64_t dirtyLines() const { return dirtyCount_; }
 
  private:
   [[nodiscard]] std::uint32_t setBase(std::uint64_t blockAddr) const {
@@ -149,7 +145,6 @@ class CacheLevel {
   std::uint32_t assoc_;
   std::uint64_t tick_ = 0;
   std::uint64_t validCount_ = 0;
-  std::uint64_t dirtyCount_ = 0;
   std::uint32_t mruLine_ = 0;
   std::vector<std::uint64_t> tags_;    ///< kInvalidTag when the way is empty
   std::vector<std::uint64_t> stamps_;  ///< 0 when empty, else the touch tick

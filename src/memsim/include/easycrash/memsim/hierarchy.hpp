@@ -6,22 +6,40 @@
 // NvmStore is lost, exactly as on app-direct-mode persistent memory.
 //
 // The levels hold metadata only (tags, LRU stamps, dirty bits); every
-// byte's current value lives in one flat value image (LlcDirectory::values),
-// and every L1..L(n-1) line links to its block's LLC line. An access
+// byte's current value lives in one flat value image (values()). An access
 // therefore moves bytes exactly once — between the caller and the image —
 // and fills, evictions and back-invalidations move only metadata; only a
 // write-back copies a block, from the image to NVM (see docs/INTERNALS.md
 // "Simulator performance").
+//
+// Inclusion means every block cached anywhere sits in the LLC, so the LLC
+// line is the home of everything a block's copies share. The upper levels
+// are L1..L(n-1), numbered 0..n-2, and inclusion nests: a copy at upper
+// level u implies copies at every level below it. Per LLC line the
+// hierarchy keeps a holder mask (bit u: level u holds the block), a
+// dirty-holder mask (bit u: that copy is dirty) and each holder's line
+// index; each upper line in turn records its block's LLC line. With both
+// links, an L1 miss costs one LLC probe, and evicting or flushing a block
+// reaches every copy without a probe.
+//
+// A block is "dirty anywhere" when its LLC line's own dirty bit or any bit
+// of its dirty-holder mask is set. The invariant: the value image equals
+// NVM in every block that is not dirty anywhere. A write-back — LLC
+// eviction, flush, drain — copies a dirty-anywhere block from the value
+// image to NVM, and a power loss copies NVM back into the value image for
+// those blocks. The post-mortem scan therefore compares only the
+// dirty-anywhere blocks, enumerated from the LLC lines in address order
+// (rebuilt lazily after the dirty set changed).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "easycrash/common/check.hpp"
 #include "easycrash/memsim/cache_level.hpp"
 #include "easycrash/memsim/config.hpp"
 #include "easycrash/memsim/events.hpp"
-#include "easycrash/memsim/llc_directory.hpp"
 #include "easycrash/memsim/nvm_store.hpp"
 
 namespace easycrash::memsim {
@@ -47,7 +65,7 @@ class CacheHierarchy {
         const auto l1 = static_cast<std::uint32_t>(line);
         ++events_.hits[0];
         levels_[0].touch(l1);
-        dir_.values().read(addr, dst);
+        values_.read(addr, dst);
         ++events_.loads;
         return;
       }
@@ -63,7 +81,7 @@ class CacheHierarchy {
         const auto l1 = static_cast<std::uint32_t>(line);
         ++events_.hits[0];
         levels_[0].touch(l1);
-        dir_.values().poke(addr, src);
+        values_.poke(addr, src);
         if (!levels_[0].dirty(l1)) markL1Dirty(l1);
         ++events_.stores;
         return;
@@ -104,12 +122,12 @@ class CacheHierarchy {
   /// Read the architecturally-current value from the value image, without
   /// perturbing cache state or counters.
   void peek(std::uint64_t addr, std::span<std::uint8_t> dst) const {
-    dir_.values().read(addr, dst);
+    values_.read(addr, dst);
   }
   /// The value image: every byte's current value (docs/INTERNALS.md
   /// "Memory-system invariants").
-  [[nodiscard]] NvmStore& values() { return dir_.values(); }
-  [[nodiscard]] const NvmStore& values() const { return dir_.values(); }
+  [[nodiscard]] NvmStore& values() { return values_; }
+  [[nodiscard]] const NvmStore& values() const { return values_; }
 
   /// Bytes in [addr, addr+size) whose cached value differs from the NVM
   /// image — the paper's per-object inconsistency measure (§3). The fast
@@ -127,9 +145,10 @@ class CacheHierarchy {
 
   /// Number of blocks dirty in at least one level, and whether one block is
   /// (tests assert both against the levels' own dirty bits).
-  [[nodiscard]] std::size_t dirtyBlockCount() const { return dir_.dirtyBlockCount(); }
+  [[nodiscard]] std::size_t dirtyBlockCount() const;
   [[nodiscard]] bool dirtyAnywhere(std::uint64_t blockAddr) const {
-    return dir_.dirtyAnywhereBlock(blockBase(blockAddr));
+    const auto line = levels_.back().find(blockBase(blockAddr));
+    return line.has_value() && dirtyAnywhereLine(*line);
   }
 
   /// Write every dirty block back to NVM (counted as modelled writes); lines
@@ -148,10 +167,11 @@ class CacheHierarchy {
   [[nodiscard]] std::size_t levelCount() const { return levels_.size(); }
   [[nodiscard]] const CacheLevel& level(std::size_t i) const { return levels_[i]; }
 
-  /// Internal consistency check (inclusion at every level, the LLC
-  /// directory's links and masks, and the value image equal to NVM in every
-  /// block dirty nowhere).
-  /// Intended for tests; throws std::logic_error on violation.
+  /// Internal consistency check (tests): inclusion at every level, every
+  /// upper line linked both ways to an LLC line of the same block, masks
+  /// mirroring the upper levels' valid and dirty bits, no masks on empty LLC
+  /// lines, and the value image equal to NVM in every block dirty nowhere,
+  /// over the whole image. Throws std::logic_error on violation.
   void checkInvariants() const;
 
   /// Enable the sampled access profile: per-stride touch counters fed only by
@@ -175,6 +195,13 @@ class CacheHierarchy {
   }
 
  private:
+  /// What a flush found, per block.
+  struct FlushTally {
+    std::uint64_t dirty = 0;        ///< written back to NVM
+    std::uint64_t clean = 0;        ///< resident, every copy clean
+    std::uint64_t nonResident = 0;  ///< cached nowhere
+  };
+
   [[nodiscard]] std::uint64_t blockBase(std::uint64_t addr) const {
     return addr & ~blockMask_;
   }
@@ -184,9 +211,9 @@ class CacheHierarchy {
   /// dirty-holder bit, unless L1 is the LLC).
   void markL1Dirty(std::uint32_t l1) {
     if (levels_.size() == 1) {
-      dir_.markLlcDirty(l1);
+      markLlcDirty(l1);
     } else {
-      dir_.markUpperDirty(0, l1);
+      markUpperDirty(0, l1);
     }
   }
 
@@ -195,7 +222,7 @@ class CacheHierarchy {
   template <bool kStore>
   void moveSegment(std::uint32_t l1, std::uint64_t addr, AccessSpan<kStore> bytes,
                    std::uint64_t touches) {
-    dir_.values().move<kStore>(addr, bytes);
+    values_.move<kStore>(addr, bytes);
     if constexpr (kStore) {
       if (!levels_[0].dirty(l1)) markL1Dirty(l1);
       events_.stores += touches;
@@ -216,17 +243,11 @@ class CacheHierarchy {
   template <bool kStore>
   std::uint64_t walk(std::uint64_t addr, AccessSpan<kStore> bytes, std::uint64_t elemSize);
 
-  /// Flush every block overlapping [addr, addr+size) (size > 0) and count
-  /// the flushes. Inline, so flushBlock() costs one out-of-line call.
-  LlcDirectory::FlushTally flush(std::uint64_t addr, std::uint64_t size, FlushKind kind) {
-    const LlcDirectory::FlushTally t = dir_.flush(addr, size, kind != FlushKind::Clwb);
-    events_.flushDirty += t.dirty;
-    events_.flushClean += t.clean;
-    events_.flushNonResident += t.nonResident;
-    events_.nvmBlockWrites += t.dirty;
-    events_.flushInducedNvmWrites += t.dirty;
-    return t;
-  }
+  /// Flush every block overlapping [addr, addr+size) (size > 0) in
+  /// ascending order and count the flushes: write a block's value to NVM if
+  /// any copy is dirty (every copy is clean afterwards); unless `kind` is
+  /// CLWB, remove every copy too.
+  FlushTally flush(std::uint64_t addr, std::uint64_t size, FlushKind kind);
 
   /// Make `blockAddr` resident in L1; returns the L1 line index.
   std::uint32_t ensureInL1(std::uint64_t blockAddr);
@@ -238,11 +259,65 @@ class CacheHierarchy {
   std::uint32_t fillUpper(std::size_t level, std::uint64_t blockAddr,
                           std::uint32_t llcLine);
 
+  // ---- The LLC lines' holder state (see the header comment) ---------------
+
+  /// Line of upper level `u` holding the LLC line's block (its holder bit
+  /// must be set).
+  [[nodiscard]] std::uint32_t upperLine(std::uint32_t llcLine, std::uint32_t u) const {
+    EC_DCHECK_MSG((holders_[llcLine] >> u & 1) != 0, "upper level does not hold the block");
+    return upperLine_[static_cast<std::size_t>(llcLine) * llcLevel() + u];
+  }
+  [[nodiscard]] bool dirtyAnywhereLine(std::uint32_t llcLine) const {
+    return levels_.back().dirty(llcLine) || dirtyHolders_[llcLine] != 0;
+  }
+  /// Drop every copy of the LLC block, writing its value back when any copy
+  /// was dirty.
+  void evictLlc(std::uint32_t llcLine);
+  /// Install `blockAddr`, resident in the LLC at `llcLine`, in the invalid
+  /// `line` of upper level `u` (clean, most recently used).
+  void installUpper(std::uint32_t u, std::uint32_t line, std::uint64_t blockAddr,
+                    std::uint32_t llcLine);
+  /// Drop the block in `line` of upper level `u` and its copies at every
+  /// level above it, without write-back. When any dropped copy was dirty,
+  /// the copy at the level below (level u + 1, or the LLC) becomes dirty:
+  /// the block stays dirty anywhere, and its bytes stay in the value image.
+  void dropUpper(std::uint32_t u, std::uint32_t line);
+  /// A store reached the clean copy in `line` of upper level `u`.
+  void markUpperDirty(std::uint32_t u, std::uint32_t line);
+  /// A store reached the clean LLC copy (the LLC is the only level).
+  void markLlcDirty(std::uint32_t llcLine);
+  /// Copy the block from the value image to NVM and count the write.
+  void writeBack(std::uint64_t blockAddr);
+  /// Clear every dirty bit of the LLC block.
+  void clean(std::uint32_t llcLine);
+  /// The scalar side of inconsistentBytes(): probe the LLC and every level's
+  /// own dirty bit per block (no masks, no dirty list) and compare byte by
+  /// byte — the differential oracle.
+  [[nodiscard]] std::uint64_t diffScalar(std::uint64_t addr, std::uint64_t size) const;
+  /// Visit the dirty-anywhere blocks in [first, last] in ascending address
+  /// order: fn(blockBase).
+  template <typename Fn>
+  void forEachDirtyIn(std::uint64_t first, std::uint64_t last, Fn&& fn) const;
+  void refreshDirtyList() const;
+
   CacheConfig config_;
   std::uint64_t blockMask_ = 0;  ///< blockSize - 1 (blockSize is power of two)
   NvmStore& nvm_;
   std::vector<CacheLevel> levels_;  ///< never resized after construction
-  LlcDirectory dir_;
+  NvmStore values_;                 ///< the value image
+
+  std::vector<std::uint64_t> holders_;       ///< per LLC line
+  std::vector<std::uint64_t> dirtyHolders_;  ///< per LLC line
+  std::vector<std::uint32_t> upperLine_;     ///< LLC lines × upper levels
+  std::vector<std::vector<std::uint32_t>> llcLineOf_;  ///< per upper: line → LLC line
+
+  // Dirty-anywhere blocks, sorted. Mutable so the const post-mortem paths
+  // can rebuild it after the set changed.
+  mutable std::vector<std::uint64_t> dirtyList_;
+  mutable bool dirtyListStale_ = false;
+  // Scratch block: NVM bytes for the scans (blocks NVM does not fully
+  // back) and for invalidateAll's copy-back.
+  mutable std::vector<std::uint8_t> scanImage_;
   // Mutable so the const inconsistentBytes can record its postmortem_*
   // diagnostics.
   mutable MemEvents events_;

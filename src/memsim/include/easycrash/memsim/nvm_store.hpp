@@ -3,7 +3,7 @@
 // This models app-direct-mode persistent memory (paper §2.3): bytes written
 // here survive a crash; bytes still sitting dirty in the cache hierarchy do
 // not. The store grows on demand so allocation order does not matter. A
-// tracked run's value image (LlcDirectory::values) is an NvmStore too,
+// tracked run's value image (CacheHierarchy::values) is an NvmStore too,
 // written only through uncounted pokes.
 #pragma once
 

@@ -11,6 +11,7 @@
 #include <iosfwd>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 namespace easycrash::telemetry {
@@ -36,6 +37,15 @@ void logMessage(LogLevel level, std::string_view message);
 void drawProgressLine(std::ostream& os, std::string_view text);
 /// End the progress line open on `os` with '\n'; a no-op when none is.
 void endProgressLine(std::ostream& os);
+
+/// While `buffer` is set, log lines are appended to it instead of reaching
+/// stderr; nullptr restores stderr. A campaign's fork worker child buffers
+/// its lines this way and ships them in each reply, since it cannot see the
+/// parent's progress line.
+void redirectLogLines(std::string* buffer);
+/// Write whole log lines (each ending in '\n', e.g. a worker's buffered
+/// ones) as logMessage writes one: an open progress line is ended first.
+void writeLogLines(std::string_view lines);
 
 /// fork() support, as TraceSink's: hold the lock across the fork; parent
 /// and child each release it. The child also forgets the parent's open

@@ -28,8 +28,9 @@ std::atomic<int>& levelVar() {
 /// stderr's one owner (log.hpp "The progress line").
 struct Console {
   std::mutex mutex;
-  std::ostream* open = nullptr;  ///< stream whose progress line is open
-  std::size_t width = 0;         ///< that line's drawn length
+  std::ostream* open = nullptr;   ///< stream whose progress line is open
+  std::size_t width = 0;          ///< that line's drawn length
+  std::string* buffer = nullptr;  ///< redirectLogLines() target, if any
 };
 
 Console& console() {
@@ -58,6 +59,32 @@ void endProgressLine(std::ostream& os) {
   os << '\n';
   c.open = nullptr;
   c.width = 0;
+}
+
+void redirectLogLines(std::string* buffer) {
+  Console& c = console();
+  std::lock_guard<std::mutex> lock(c.mutex);
+  c.buffer = buffer;
+}
+
+void writeLogLines(std::string_view lines) {
+  if (lines.empty()) return;
+  // One write under the console lock keeps concurrent campaign workers from
+  // interleaving mid-line, and starts it on a fresh line.
+  Console& c = console();
+  std::lock_guard<std::mutex> lock(c.mutex);
+  if (c.buffer != nullptr) {
+    c.buffer->append(lines);
+    return;
+  }
+  std::string out;
+  if (c.open == &std::cerr) {
+    out += '\n';
+    c.open = nullptr;
+    c.width = 0;
+  }
+  out += lines;
+  std::cerr << out;
 }
 
 void lockConsoleForFork() { console().mutex.lock(); }
@@ -104,25 +131,14 @@ bool logEnabled(LogLevel level) {
 }
 
 void logMessage(LogLevel level, std::string_view message) {
-  {
-    // One formatted write under the console lock keeps concurrent campaign
-    // workers from interleaving mid-line, and starts it on a fresh line.
-    std::string line;
-    line.reserve(message.size() + 25);
-    Console& c = console();
-    std::lock_guard<std::mutex> lock(c.mutex);
-    if (c.open == &std::cerr) {
-      line += '\n';
-      c.open = nullptr;
-      c.width = 0;
-    }
-    line += "[easycrash ";
-    line += toString(level);
-    line += "] ";
-    line += message;
-    line += '\n';
-    std::cerr << line;
-  }
+  std::string line;
+  line.reserve(message.size() + 24);
+  line += "[easycrash ";
+  line += toString(level);
+  line += "] ";
+  line += message;
+  line += '\n';
+  writeLogLines(line);
   if (tracing()) {
     TraceEvent("log").field("level", toString(level)).field("msg", message).emit();
   }

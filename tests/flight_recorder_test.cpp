@@ -8,6 +8,7 @@
 #include <fstream>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -335,6 +336,22 @@ TEST(Progress, EtaIgnoresResumedBaseline) {
   EXPECT_NE(crash::progressLine(mixed).find("  eta 8.0s"), std::string::npos);
 }
 
+/// The first-column labels (between backticks) of the markdown table under
+/// `heading`.
+std::set<std::string> tableLabels(const std::string& md, const std::string& heading) {
+  std::set<std::string> labels;
+  std::size_t pos = md.find(heading);
+  if (pos == std::string::npos) return labels;
+  pos = md.find("\n|", pos);
+  while (pos != std::string::npos && md.compare(pos, 2, "\n|") == 0) {
+    const std::size_t end = md.find('\n', pos + 1);
+    const std::string row = md.substr(pos + 1, end - pos - 1);
+    if (row.rfind("| `", 0) == 0) labels.insert(row.substr(3, row.find('`', 3) - 3));
+    pos = end;
+  }
+  return labels;
+}
+
 TEST(FlightReport, RendersDeterministicallyFromJournal) {
   const std::string journal = tempPath("flight_report_journal.jsonl");
   const std::string metrics = tempPath("flight_report_metrics.json");
@@ -370,6 +387,14 @@ TEST(FlightReport, RendersDeterministicallyFromJournal) {
     // The metrics profile section feeds the heatmap.
     EXPECT_NE(once.find("## Access/wear profile"), std::string::npos);
     EXPECT_NE(once.find("`data`"), std::string::npos);
+    // Both tables name a region the same way: every region a crash landed
+    // in has a row in the access shares.
+    const auto outcomes = tableLabels(once, "## Per-region outcomes");
+    const auto shares = tableLabels(once, "### Region access shares");
+    EXPECT_TRUE(outcomes.count("R1")) << once;
+    for (const std::string& region : outcomes) {
+      EXPECT_TRUE(shares.count(region)) << region << " missing from the access shares\n" << once;
+    }
   }
 
   // The journal alone renders too (no optional inputs).

@@ -403,17 +403,20 @@ void expectSameNvm(const ms::NvmStore& real, const RefNvm& ref, std::uint64_t st
   ASSERT_EQ(a, b) << "NVM image differs at step " << step;
 }
 
-TEST(MemsimEquivalence, RandomOpsMatchNaiveReference) {
-  const ms::CacheConfig config = ms::CacheConfig::tiny();
+/// Drive both engines through `kOps` seeded random operations — stores,
+/// loads, single-block and range flushes of every kind, peeks with
+/// inconsistency counts, drains, power losses and self-checks — comparing
+/// events after every step and NVM images periodically.
+void runRandomOps(const ms::CacheConfig& config, std::uint64_t seed, std::uint64_t kOps) {
   ms::NvmStore nvm(config.blockSize);
   ms::CacheHierarchy real(config, nvm);
   RefNvm refNvm(config.blockSize);
   RefHierarchy ref(config, refNvm);
 
-  easycrash::Rng rng(0xEC5EED);
-  // Footprint of 8 KiB >> the 1 KiB tiny LLC: plenty of natural evictions.
+  easycrash::Rng rng(seed);
+  // Footprint of 8 KiB >> every LLC below (at most 1 KiB): plenty of natural
+  // evictions.
   constexpr std::uint64_t kFootprint = 8 * 1024;
-  constexpr std::uint64_t kOps = 100000;
   std::vector<std::uint8_t> buf, refBuf;
 
   for (std::uint64_t step = 0; step < kOps; ++step) {
@@ -479,6 +482,32 @@ TEST(MemsimEquivalence, RandomOpsMatchNaiveReference) {
   expectSameEvents(real.events(), ref.events, kOps);
   expectSameNvm(nvm, refNvm, kOps);
   EXPECT_EQ(real.inconsistentBytes(0, kFootprint), 0u);
+}
+
+TEST(MemsimEquivalence, RandomOpsMatchNaiveReference) {
+  runRandomOps(ms::CacheConfig::tiny(), 0xEC5EED, 100000);
+}
+
+// L1 is the LLC: stores mark the LLC line itself dirty, and no level sits
+// above the one that evicts.
+TEST(MemsimEquivalence, RandomOpsMatchNaiveReferenceOneLevel) {
+  ms::CacheConfig config;
+  config.name = "one-level";
+  config.blockSize = 64;
+  config.levels = {{512, 2}};
+  config.validate();
+  runRandomOps(config, 0x1EE7, 50000);
+}
+
+// The level below L1 is the LLC: an L1 victim's dirtiness moves straight to
+// the LLC line.
+TEST(MemsimEquivalence, RandomOpsMatchNaiveReferenceTwoLevels) {
+  ms::CacheConfig config;
+  config.name = "two-level";
+  config.blockSize = 64;
+  config.levels = {{256, 2}, {1024, 4}};
+  config.validate();
+  runRandomOps(config, 0x2EE7, 50000);
 }
 
 // The same differential driver over a non-power-of-two set count exercises

@@ -469,12 +469,27 @@ TEST(Progress, LogLineBetweenRedrawsStartsOnAFreshLine) {
   EC_LOG_WARN("once more");
   tel::endProgressLine(std::cerr);  // already ended by the log line
   EC_LOG_WARN("no line open");
+
+  // A fork worker buffers its log lines instead of writing stderr; the
+  // parent absorbing the reply writes them while its line is open.
+  std::string workerLines;
+  tel::redirectLogLines(&workerLines);
+  EC_LOG_WARN("from a worker");
+  tel::redirectLogLines(nullptr);
+  EXPECT_EQ(workerLines, "[easycrash warn] from a worker\n");
+  tel::drawProgressLine(std::cerr, "sp trials  59/60  eta 0.3s");
+  tel::writeLogLines(workerLines);
+  tel::drawProgressLine(std::cerr, "sp trials  60/60");
+  tel::endProgressLine(std::cerr);
   EXPECT_EQ(captured.str(),
             "\rmg trials  130/200  eta 0.1s\n"
             "[easycrash warn] campaign interrupted\n"
             "\rmg trials  151/200\rmg trials  15/200 \n"
             "[easycrash warn] once more\n"
-            "[easycrash warn] no line open\n");
+            "[easycrash warn] no line open\n"
+            "\rsp trials  59/60  eta 0.3s\n"
+            "[easycrash warn] from a worker\n"
+            "\rsp trials  60/60\n");
 }
 
 // The acceptance-level contract: the memsim.* registry counters are an exact

@@ -1,10 +1,12 @@
 # Checks for the nvct fixture table (tools/CMakeLists.txt), run with cmake -P.
 #
 # Expect mode: run a command and demand both its exit status and a line of
-# its output. (ctest's PASS_REGULAR_EXPRESSION alone ignores the exit
-# status, so an nvct that aborted after printing the text would pass.)
+# its output, and with REJECT, that no part of its output matches <reject>.
+# (ctest's PASS_REGULAR_EXPRESSION alone ignores the exit status, so an nvct
+# that aborted after printing the text would pass.)
 #
-#   cmake -DSTATUS=<n> -DEXPECT=<regex> -P nvct_check.cmake -- <command>...
+#   cmake -DSTATUS=<n> -DEXPECT=<regex> [-DREJECT=<reject>]
+#         -P nvct_check.cmake -- <command>...
 #
 # Same mode: byte-compare two artifacts. A side given a journal is a report
 # rendered first with `nvct report` from that run's journal (plus its
@@ -61,4 +63,7 @@ if(NOT "${status}" STREQUAL "${STATUS}")
 endif()
 if(NOT output MATCHES "${EXPECT}")
   message(FATAL_ERROR "output does not match \"${EXPECT}\"")
+endif()
+if(DEFINED REJECT AND output MATCHES "${REJECT}")
+  message(FATAL_ERROR "output matches \"${REJECT}\": \"${CMAKE_MATCH_0}\"")
 endif()
