@@ -4,6 +4,7 @@
 // post-crash inconsistency scan, and end-to-end app-iteration throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -29,6 +30,20 @@ struct Sim {
   ms::CacheHierarchy cache;
 };
 
+/// Interquartile range of repetition times (linear interpolation between
+/// order statistics), reported next to the median.
+double interquartileRange(const std::vector<double>& v) {
+  std::vector<double> sorted = v;
+  std::sort(sorted.begin(), sorted.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+  };
+  return sorted.empty() ? 0.0 : quantile(0.75) - quantile(0.25);
+}
+
 void BM_L1HitLoad(benchmark::State& state) {
   Sim s;
   std::uint64_t v = 0;
@@ -38,7 +53,7 @@ void BM_L1HitLoad(benchmark::State& state) {
     benchmark::DoNotOptimize(v);
   }
 }
-BENCHMARK(BM_L1HitLoad);
+BENCHMARK(BM_L1HitLoad)->ComputeStatistics("iqr", interquartileRange);
 
 void BM_StreamingStoreMiss(benchmark::State& state) {
   Sim s;
@@ -57,6 +72,12 @@ BENCHMARK(BM_StreamingStoreMiss);
 // LLC when the ring (32 KB) fits the 64 KB LLC and from NVM when it (2 MB)
 // does not. Unlike BM_StreamingStoreMiss no access grows the value image:
 // the ring is written, drained and then swept once before timing starts.
+// One pass spreads 10-30% on a shared VM, so compare two builds by their
+// medians and IQRs (the "_iqr" aggregate) over alternating runs of
+//   bench_memsim_micro --benchmark_filter='BM_Ring|BM_L1HitLoad'
+//       --benchmark_repetitions=11 --benchmark_report_aggregates_only=true
+// One block's trip through the miss path costs 8 x (ns/access) less 7
+// L1-MRU hits (BM_L1HitLoad).
 void BM_Ring(benchmark::State& state) {
   Sim s;
   const auto ringBytes = static_cast<std::uint64_t>(state.range(0));
@@ -88,7 +109,8 @@ BENCHMARK(BM_Ring)
     ->Args({32 << 10, 0})
     ->Args({32 << 10, 1})
     ->Args({2 << 20, 0})
-    ->Args({2 << 20, 1});
+    ->Args({2 << 20, 1})
+    ->ComputeStatistics("iqr", interquartileRange);
 
 void BM_FlushDirtyBlock(benchmark::State& state) {
   Sim s;

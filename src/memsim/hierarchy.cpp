@@ -34,6 +34,7 @@ void forEachBit(std::uint64_t mask, Fn&& fn) {
 CacheHierarchy::CacheHierarchy(CacheConfig config, NvmStore& nvm)
     : config_(std::move(config)),
       blockMask_(config_.blockSize - 1),
+      blockShift_(static_cast<std::uint32_t>(std::countr_zero(config_.blockSize))),
       nvm_(nvm),
       levels_(buildLevels(config_)),
       values_(config_.blockSize) {
@@ -66,12 +67,16 @@ std::uint32_t CacheHierarchy::ensureInL1(std::uint64_t blockAddr) {
       ++accessProfile_[bucket];
     }
   }
-  if (const auto l1 = levels_[0].find(blockAddr)) {
+  // Inclusion: a block L1 holds sits in the LLC, whose line's holder mask
+  // names L1's copy (and in a one-level hierarchy the LLC line is L1's).
+  const std::uint32_t llcLine = llcLineOfBlock(blockAddr);
+  if (llcLine != kNoLine && (llcLevel() == 0 || (holders_[llcLine] & 1) != 0)) {
+    const std::uint32_t l1 = llcLevel() == 0 ? llcLine : upperLine(llcLine, 0);
     ++events_.hits[0];
-    levels_[0].touch(*l1);
-    return *l1;
+    levels_[0].touch(l1);
+    return l1;
   }
-  return fillToL1(blockAddr);
+  return fillToL1(blockAddr, llcLine);
 }
 
 void CacheHierarchy::enableAccessProfile(std::uint32_t strideBytes) {
@@ -83,17 +88,15 @@ void CacheHierarchy::enableAccessProfile(std::uint32_t strideBytes) {
   }
 }
 
-std::uint32_t CacheHierarchy::fillToL1(std::uint64_t blockAddr) {
+std::uint32_t CacheHierarchy::fillToL1(std::uint64_t blockAddr, std::uint32_t llcLine) {
   ++events_.misses[0];
   const std::size_t llc = llcLevel();
 
-  // Find the closest level below L1 holding the block: one LLC probe, then
-  // its holder mask (inclusion: a block absent from the LLC is cached
-  // nowhere, and one present sits in exactly the levels its mask names).
+  // Find the closest level below L1 holding the block from its LLC line's
+  // holder mask (inclusion: a block absent from the LLC is cached nowhere,
+  // and one present sits in exactly the levels its mask names).
   std::size_t source = llc + 1;  // llc + 1 == NVM
-  std::uint32_t llcLine = 0;
-  if (const auto line = levels_[llc].find(blockAddr)) {
-    llcLine = *line;
+  if (llcLine != kNoLine) {
     const std::uint64_t held = holders_[llcLine];
     EC_DCHECK_MSG((held & 1) == 0, "L1 miss on a block L1 holds");
     source = held != 0 ? static_cast<std::size_t>(std::countr_zero(held)) : llc;
@@ -111,6 +114,14 @@ std::uint32_t CacheHierarchy::fillToL1(std::uint64_t blockAddr) {
     EC_DCHECK_MSG(holders_[llcLine] == 0 && dirtyHolders_[llcLine] == 0,
                   "empty LLC line carries holder masks");
     levels_[llc].fill(llcLine, blockAddr);
+    const std::uint64_t block = blockAddr >> blockShift_;
+    if (block >= llcLineOfBlock_.size()) {
+      // Grow to the image's blocks at once, so a footprint the run stored
+      // first costs one resize.
+      const std::uint64_t imageBlocks = values_.imageBytes() >> blockShift_;
+      llcLineOfBlock_.resize(std::max(block + 1, imageBlocks), kNoLine);
+    }
+    llcLineOfBlock_[block] = llcLine;
     source = llc;
   }
 
@@ -191,22 +202,21 @@ void CacheHierarchy::flushRange(std::uint64_t addr, std::uint64_t size,
 CacheHierarchy::FlushTally CacheHierarchy::flush(std::uint64_t addr, std::uint64_t size,
                                                  FlushKind kind) {
   FlushTally tally;
-  CacheLevel& llc = levels_.back();
   const std::uint64_t last = blockBase(addr + size - 1);
   for (std::uint64_t b = blockBase(addr); b <= last; b += config_.blockSize) {
-    const auto line = llc.find(b);
-    if (!line) {  // inclusion: cached nowhere
+    const std::uint32_t line = llcLineOfBlock(b);
+    if (line == kNoLine) {  // inclusion: cached nowhere
       ++tally.nonResident;
       continue;
     }
-    if (dirtyAnywhereLine(*line)) {
+    if (dirtyAnywhereLine(line)) {
       writeBack(b);
-      clean(*line);
+      clean(line);
       ++tally.dirty;
     } else {
       ++tally.clean;
     }
-    if (kind != FlushKind::Clwb) evictLlc(*line);  // every copy is clean now: no write
+    if (kind != FlushKind::Clwb) evictLlc(line);  // every copy is clean now: no write
   }
   events_.flushDirty += tally.dirty;
   events_.flushClean += tally.clean;
@@ -226,10 +236,12 @@ void CacheHierarchy::evictLlc(std::uint32_t llcLine) {
   });
   holders_[llcLine] = 0;
   dirtyHolders_[llcLine] = 0;
+  const std::uint64_t blockAddr = llc.blockAddr(llcLine);
   if (dirty) {
-    writeBack(llc.blockAddr(llcLine));
+    writeBack(blockAddr);
     dirtyListStale_ = true;
   }
+  llcLineOfBlock_[blockAddr >> blockShift_] = kNoLine;
   llc.invalidateLine(llcLine);
 }
 
@@ -307,11 +319,14 @@ void CacheHierarchy::drainAll() {
 }
 
 void CacheHierarchy::invalidateAll() {
-  // What the caches held is lost: the value image falls back to NVM.
+  // What the caches held is lost: the value image falls back to NVM. Only
+  // the valid LLC lines' map entries are set, so clearing them costs
+  // O(LLC lines), not O(footprint).
   const CacheLevel& llc = levels_.back();
   llc.forEachValid([&](std::uint32_t line) {
-    if (!dirtyAnywhereLine(line)) return;
     const std::uint64_t base = llc.blockAddr(line);
+    llcLineOfBlock_[base >> blockShift_] = kNoLine;
+    if (!dirtyAnywhereLine(line)) return;
     nvm_.read(base, scanImage_);
     values_.poke(base, scanImage_);
   });
@@ -443,6 +458,8 @@ void CacheHierarchy::checkInvariants() const {
                    "empty LLC line carries holder masks");
       continue;
     }
+    EC_CHECK_MSG(llcLineOfBlock(llc.blockAddr(line)) == line,
+                 "block map misses a valid LLC line");
     EC_CHECK_MSG((dirtyHolders_[line] & ~holders_[line]) == 0,
                  "dirty holder that does not hold the block");
     forEachBit(holders_[line], [&](std::uint32_t u) {
@@ -451,6 +468,16 @@ void CacheHierarchy::checkInvariants() const {
                    "holder bit without a live upper line");
     });
   }
+  std::uint64_t mapped = 0;
+  for (std::uint64_t block = 0; block < llcLineOfBlock_.size(); ++block) {
+    const std::uint32_t line = llcLineOfBlock_[block];
+    if (line == kNoLine) continue;
+    ++mapped;
+    EC_CHECK_MSG(line < llc.lineCount() && llc.valid(line) &&
+                     llc.blockAddr(line) == block << blockShift_,
+                 "block map names an LLC line that does not hold the block");
+  }
+  EC_CHECK_MSG(mapped == llc.validLines(), "block map and LLC disagree on the resident count");
   std::vector<std::uint8_t> current(config_.blockSize);
   std::vector<std::uint8_t> image(config_.blockSize);
   const std::uint64_t end = std::max(values_.imageBytes(), nvm_.imageBytes());

@@ -18,9 +18,11 @@
 // level u implies copies at every level below it. Per LLC line the
 // hierarchy keeps a holder mask (bit u: level u holds the block), a
 // dirty-holder mask (bit u: that copy is dirty) and each holder's line
-// index; each upper line in turn records its block's LLC line. With both
-// links, an L1 miss costs one LLC probe, and evicting or flushing a block
-// reaches every copy without a probe.
+// index; each upper line in turn records its block's LLC line. A flat map,
+// one entry per block, gives each block's LLC line (kNoLine when the block
+// is cached nowhere). With the map and both links, an access that leaves
+// the L1-MRU fast path finds every copy of its block without a tag probe,
+// and evicting or flushing a block reaches every copy the same way.
 //
 // A block is "dirty anywhere" when its LLC line's own dirty bit or any bit
 // of its dirty-holder mask is set. The invariant: the value image equals
@@ -57,7 +59,10 @@ class CacheHierarchy {
   /// caller's translation unit; everything else goes out of line. Written
   /// out for each direction: folding load() and store() into one template
   /// changes how the compiler inlines them into the apps' loops.
-  void load(std::uint64_t addr, std::span<std::uint8_t> dst) {
+  /// Pinned inline (as the direct accessors are): how much of the out-of-line
+  /// miss path sits in this unit must not change how GCC inlines these two
+  /// into the apps' kernels.
+  [[gnu::always_inline]] void load(std::uint64_t addr, std::span<std::uint8_t> dst) {
     const std::uint64_t inBlock = addr & blockMask_;
     if (!dst.empty() && inBlock + dst.size() <= config_.blockSize) {
       const std::int64_t line = levels_[0].mruLineOf(addr - inBlock);
@@ -73,7 +78,7 @@ class CacheHierarchy {
     accessSlow<false>(addr, dst);
   }
   /// Store `src.size()` bytes at `addr` through the cache hierarchy.
-  void store(std::uint64_t addr, std::span<const std::uint8_t> src) {
+  [[gnu::always_inline]] void store(std::uint64_t addr, std::span<const std::uint8_t> src) {
     const std::uint64_t inBlock = addr & blockMask_;
     if (!src.empty() && inBlock + src.size() <= config_.blockSize) {
       const std::int64_t line = levels_[0].mruLineOf(addr - inBlock);
@@ -147,8 +152,8 @@ class CacheHierarchy {
   /// (tests assert both against the levels' own dirty bits).
   [[nodiscard]] std::size_t dirtyBlockCount() const;
   [[nodiscard]] bool dirtyAnywhere(std::uint64_t blockAddr) const {
-    const auto line = levels_.back().find(blockBase(blockAddr));
-    return line.has_value() && dirtyAnywhereLine(*line);
+    const std::uint32_t line = llcLineOfBlock(blockAddr);
+    return line != kNoLine && dirtyAnywhereLine(line);
   }
 
   /// Write every dirty block back to NVM (counted as modelled writes); lines
@@ -170,8 +175,9 @@ class CacheHierarchy {
   /// Internal consistency check (tests): inclusion at every level, every
   /// upper line linked both ways to an LLC line of the same block, masks
   /// mirroring the upper levels' valid and dirty bits, no masks on empty LLC
-  /// lines, and the value image equal to NVM in every block dirty nowhere,
-  /// over the whole image. Throws std::logic_error on violation.
+  /// lines, the block map naming exactly the valid LLC lines (both ways),
+  /// and the value image equal to NVM in every block dirty nowhere, over the
+  /// whole image. Throws std::logic_error on violation.
   void checkInvariants() const;
 
   /// Enable the sampled access profile: per-stride touch counters fed only by
@@ -206,6 +212,11 @@ class CacheHierarchy {
     return addr & ~blockMask_;
   }
   [[nodiscard]] std::size_t llcLevel() const { return levels_.size() - 1; }
+  /// The LLC line holding `addr`'s block, kNoLine when it is cached nowhere.
+  [[nodiscard]] std::uint32_t llcLineOfBlock(std::uint64_t addr) const {
+    const std::uint64_t block = addr >> blockShift_;
+    return block < llcLineOfBlock_.size() ? llcLineOfBlock_[block] : kNoLine;
+  }
 
   /// First store to a clean L1 line: set its dirty bit (and the LLC's
   /// dirty-holder bit, unless L1 is the LLC).
@@ -251,9 +262,9 @@ class CacheHierarchy {
 
   /// Make `blockAddr` resident in L1; returns the L1 line index.
   std::uint32_t ensureInL1(std::uint64_t blockAddr);
-  /// Miss path of ensureInL1 (kept out of line so the L1-hit fast path stays
-  /// small enough to inline into load()/store()).
-  std::uint32_t fillToL1(std::uint64_t blockAddr);
+  /// Miss path of ensureInL1: the block's LLC line is `llcLine` (kNoLine
+  /// when it is cached nowhere, and then this fills the LLC from NVM).
+  std::uint32_t fillToL1(std::uint64_t blockAddr, std::uint32_t llcLine);
   /// Install `blockAddr` (LLC line `llcLine`) at upper level `level`,
   /// evicting that set's victim first; returns the filled line.
   std::uint32_t fillUpper(std::size_t level, std::uint64_t blockAddr,
@@ -292,7 +303,9 @@ class CacheHierarchy {
   void clean(std::uint32_t llcLine);
   /// The scalar side of inconsistentBytes(): probe the LLC and every level's
   /// own dirty bit per block (no masks, no dirty list) and compare byte by
-  /// byte — the differential oracle.
+  /// byte — the differential oracle. It probes every level's tags and reads
+  /// neither the block map nor the holder masks, so it never shares the
+  /// structure it checks.
   [[nodiscard]] std::uint64_t diffScalar(std::uint64_t addr, std::uint64_t size) const;
   /// Visit the dirty-anywhere blocks in [first, last] in ascending address
   /// order: fn(blockBase).
@@ -300,8 +313,11 @@ class CacheHierarchy {
   void forEachDirtyIn(std::uint64_t first, std::uint64_t last, Fn&& fn) const;
   void refreshDirtyList() const;
 
+  static constexpr std::uint32_t kNoLine = ~std::uint32_t{0};
+
   CacheConfig config_;
   std::uint64_t blockMask_ = 0;  ///< blockSize - 1 (blockSize is power of two)
+  std::uint32_t blockShift_ = 0;  ///< log2(blockSize)
   NvmStore& nvm_;
   std::vector<CacheLevel> levels_;  ///< never resized after construction
   NvmStore values_;                 ///< the value image
@@ -310,6 +326,10 @@ class CacheHierarchy {
   std::vector<std::uint64_t> dirtyHolders_;  ///< per LLC line
   std::vector<std::uint32_t> upperLine_;     ///< LLC lines × upper levels
   std::vector<std::vector<std::uint32_t>> llcLineOf_;  ///< per upper: line → LLC line
+  /// Block index (addr >> blockShift_) → LLC line, kNoLine when the block is
+  /// cached nowhere. Set on an LLC fill and cleared on an LLC eviction; it
+  /// grows only on a fill, and an index past its end reads kNoLine.
+  std::vector<std::uint32_t> llcLineOfBlock_;
 
   // Dirty-anywhere blocks, sorted. Mutable so the const post-mortem paths
   // can rebuild it after the set changed.

@@ -3,10 +3,13 @@
 // event counters.
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "easycrash/common/rng.hpp"
 #include "easycrash/memsim/cache_level.hpp"
 #include "easycrash/memsim/events.hpp"
 #include "easycrash/memsim/hierarchy.hpp"
@@ -282,6 +285,107 @@ TEST(HierarchyInvariants, SingleLevelHierarchyTracksValues) {
   EXPECT_EQ(load64(0), 99u) << "flushed before the crash";
   EXPECT_EQ(load64(64), 2u) << "the store after the flush was lost";
   cache.checkInvariants();
+}
+
+namespace {
+
+ms::CacheConfig geometry(const char* name, std::vector<ms::CacheGeometry> levels) {
+  ms::CacheConfig config;
+  config.name = name;
+  config.blockSize = 64;
+  config.levels = std::move(levels);
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
+// A power loss empties every level at once, so every block → LLC line entry
+// has to go with it: a stale entry would turn the refill's first access to a
+// block into an LLC hit on an empty line. Run on each geometry the
+// differential suites use, checking the structure after every phase and the
+// refill's misses and values against NVM.
+TEST(HierarchyInvariants, HoldThroughPowerLossAndRefill) {
+  const std::vector<ms::CacheConfig> configs = {
+      ms::CacheConfig::tiny(),
+      geometry("one-level", {{512, 2}}),
+      geometry("two-level", {{256, 2}, {1024, 4}}),
+      geometry("np2", {{6ULL * 64, 2}, {10ULL * 64, 2}, {28ULL * 64, 4}}),
+  };
+  constexpr std::uint64_t kFootprint = 8 * 1024;  // 8x the largest LLC here
+  for (const ms::CacheConfig& config : configs) {
+    SCOPED_TRACE(config.name);
+    ms::NvmStore nvm(config.blockSize);
+    ms::CacheHierarchy cache(config, nvm);
+    easycrash::Rng rng(0x9A11);
+    const auto randomOps = [&](int ops) {
+      for (int i = 0; i < ops; ++i) {
+        const std::uint64_t addr = rng.below(kFootprint / 8) * 8;
+        std::uint64_t v = rng();
+        const std::uint64_t op = rng.below(10);
+        if (op < 5) {
+          cache.store(addr, {reinterpret_cast<const std::uint8_t*>(&v), 8});
+        } else if (op < 9) {
+          cache.load(addr, {reinterpret_cast<std::uint8_t*>(&v), 8});
+        } else {
+          cache.flushBlock(addr, static_cast<ms::FlushKind>(rng.below(3)));
+        }
+      }
+    };
+    randomOps(4000);
+    cache.checkInvariants();
+    ASSERT_GT(cache.dirtyBlockCount(), 0u);
+
+    cache.invalidateAll();
+    cache.checkInvariants();
+    for (std::size_t i = 0; i < cache.levelCount(); ++i) {
+      EXPECT_EQ(cache.level(i).validLines(), 0u) << "level " << i;
+    }
+    EXPECT_EQ(cache.dirtyBlockCount(), 0u);
+    EXPECT_EQ(cache.inconsistentBytes(0, kFootprint), 0u);
+    std::vector<std::uint8_t> survived(kFootprint);
+    std::vector<std::uint8_t> current(kFootprint);
+    nvm.read(0, survived);
+    cache.peek(0, current);
+    EXPECT_EQ(current, survived) << "the value image fell back to NVM";
+
+    // Refill: every block's first load misses every level, reads NVM and
+    // returns what survived.
+    const std::uint64_t llc = cache.levelCount() - 1;
+    for (std::uint64_t base = 0; base < kFootprint; base += config.blockSize) {
+      const ms::MemEvents before = cache.events();
+      std::uint64_t v = 0;
+      cache.load(base, {reinterpret_cast<std::uint8_t*>(&v), 8});
+      std::uint64_t expected = 0;
+      std::memcpy(&expected, survived.data() + base, 8);
+      ASSERT_EQ(v, expected) << "block " << base;
+      ASSERT_EQ(cache.events().nvmBlockReads, before.nvmBlockReads + 1) << "block " << base;
+      ASSERT_EQ(cache.events().hits[llc], before.hits[llc]) << "block " << base;
+    }
+    cache.checkInvariants();
+    randomOps(4000);
+    cache.checkInvariants();
+  }
+}
+
+// A flush over addresses no access ever reached finds every block cached
+// nowhere, and looking that up allocates nothing: neither the value image
+// nor NVM grows.
+TEST(HierarchyCounters, FlushFarBeyondTheFootprintIsNonResident) {
+  Sim s;
+  constexpr std::uint64_t kFar = 1ULL << 40;
+  constexpr std::uint64_t kBlocks = 16;
+  s.cache.flushRange(kFar, kBlocks * 64, ms::FlushKind::Clflushopt);
+  s.cache.flushBlock(kFar + (1ULL << 20), ms::FlushKind::Clwb);
+  const ms::MemEvents& e = s.cache.events();
+  EXPECT_EQ(e.flushNonResident, kBlocks + 1);
+  EXPECT_EQ(e.flushDirty, 0u);
+  EXPECT_EQ(e.flushClean, 0u);
+  EXPECT_EQ(e.nvmBlockWrites, 0u);
+  EXPECT_EQ(e.nvmBlockReads, 0u);
+  EXPECT_EQ(s.cache.values().imageBytes(), 0u);
+  EXPECT_EQ(s.nvm.imageBytes(), 0u);
+  s.cache.checkInvariants();
 }
 
 TEST(CacheConfigTest, SetsComputation) {
