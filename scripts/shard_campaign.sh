@@ -2,8 +2,8 @@
 # Sharded-campaign driver (docs/INTERNALS.md "Sharded campaigns"): fan one
 # crash campaign out over k local nvct processes with --shard i/k, watch the
 # per-shard live status snapshots, fold the shard journals back together
-# with `nvct merge`, and byte-check the merged journal + CSV against an
-# unsharded reference run.
+# with `nvct merge` and `nvct report`, and byte-check the merged journal,
+# CSV and report against an unsharded reference run.
 #
 #   scripts/shard_campaign.sh <build-dir> [shards] [app] [tests] [extra nvct args...]
 #
@@ -84,18 +84,21 @@ echo "== merging $SHARDS shard journals =="
 "$NVCT" merge "${MERGE_ARGS[@]}" \
   --journal-out "$WORK/merged.jsonl" \
   --csv-out "$WORK/merged.csv" \
-  --metrics-out "$WORK/merged_metrics.json" \
-  --report-out "$WORK/merged_report.md"
+  --metrics-out "$WORK/merged_metrics.json"
+"$NVCT" report "${MERGE_ARGS[@]}" --out "$WORK/merged_report.md"
 
 echo "== unsharded reference run =="
 "$NVCT" --app "$APP" --tests "$TESTS" --no-progress \
   --journal "$WORK/reference.jsonl" --csv-out "$WORK/reference.csv" \
   "${EXTRA_ARGS[@]+"${EXTRA_ARGS[@]}"}" > /dev/null
+"$NVCT" report --journal "$WORK/reference.jsonl" --out "$WORK/reference_report.md"
 
 OK=1
 cmp "$WORK/merged.jsonl" "$WORK/reference.jsonl" \
   || { echo "FAIL: merged journal differs from the unsharded run"; OK=0; }
 cmp "$WORK/merged.csv" "$WORK/reference.csv" \
   || { echo "FAIL: merged CSV differs from the unsharded run"; OK=0; }
+cmp "$WORK/merged_report.md" "$WORK/reference_report.md" \
+  || { echo "FAIL: merged report differs from the unsharded run's"; OK=0; }
 (( OK == 1 )) || exit 1
 echo "PASS: $SHARDS-shard merge is byte-identical to the unsharded campaign"

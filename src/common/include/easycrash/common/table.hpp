@@ -21,8 +21,6 @@ class Table {
   Table& cell(unsigned long long value);
   Table& cellPercent(double fraction, int precision = 1);
 
-  [[nodiscard]] std::size_t rowCount() const { return rows_.size(); }
-
   /// Render with unicode-free ASCII rules, aligned columns.
   void print(std::ostream& os, const std::string& title = "") const;
   /// Render as CSV (RFC-4180-ish; quotes cells containing commas).

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "easycrash/common/check.hpp"
+#include "easycrash/crash/report.hpp"
 #include "easycrash/stats/spearman.hpp"
 
 namespace easycrash::core {
@@ -11,7 +12,9 @@ ObjectSelectionResult selectCriticalObjects(const crash::CampaignResult& campaig
                                             const ObjectSelectionCriteria& criteria) {
   EC_CHECK_MSG(!campaign.tests.empty(), "object selection needs crash tests");
   ObjectSelectionResult result;
-  const double recomputability = campaign.recomputability();
+  const crash::TrialTally tally = campaign.tally();
+  const double recomputability = static_cast<double>(tally.all.responses[0]) /
+                                 static_cast<double>(campaign.tests.size());
 
   // Outcome vector shared by all objects: 1 = successful recomputation (S1).
   std::vector<double> outcome;
@@ -26,14 +29,16 @@ ObjectSelectionResult selectCriticalObjects(const crash::CampaignResult& campaig
 
     std::vector<double> rates;
     rates.reserve(campaign.tests.size());
-    double meanRate = 0.0;
     for (const auto& test : campaign.tests) {
       const auto it = test.inconsistentRate.find(object.id);
-      const double rate = it == test.inconsistentRate.end() ? 0.0 : it->second;
-      rates.push_back(rate);
-      meanRate += rate;
+      rates.push_back(it == test.inconsistentRate.end() ? 0.0 : it->second);
     }
-    meanRate /= static_cast<double>(campaign.tests.size());
+    // A trial that recorded no rate for the object counts as 0.
+    const auto tallied = tally.rates.find(object.id);
+    const double meanRate = tallied == tally.rates.end()
+                                ? 0.0
+                                : tallied->second.sum /
+                                      static_cast<double>(campaign.tests.size());
 
     ObjectCorrelation corr;
     corr.id = object.id;

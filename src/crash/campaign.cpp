@@ -1079,10 +1079,19 @@ const char* toString(FaultPlan::Kind kind) {
   return "?";
 }
 
+TrialTally CampaignResult::tally() const {
+  TrialTally tally;
+  for (const auto& test : tests) tally.add(test);
+  return tally;
+}
+
+std::array<int, 4> CampaignResult::responseCounts() const {
+  return tally().all.responses;
+}
+
 double CampaignResult::recomputability() const {
   if (tests.empty()) return 0.0;
-  const auto counts = responseCounts();
-  return static_cast<double>(counts[0]) / static_cast<double>(tests.size());
+  return static_cast<double>(responseCounts()[0]) / static_cast<double>(tests.size());
 }
 
 double CampaignResult::successWithExtra() const {
@@ -1092,50 +1101,20 @@ double CampaignResult::successWithExtra() const {
          static_cast<double>(tests.size());
 }
 
-std::array<int, 4> CampaignResult::responseCounts() const {
-  std::array<int, 4> counts{};
-  for (const auto& t : tests) counts[static_cast<int>(t.response)] += 1;
-  return counts;
-}
-
 double CampaignResult::averageExtraIterations() const {
-  int n = 0;
-  long long total = 0;
-  for (const auto& t : tests) {
-    if (t.response == Response::S2) {
-      total += t.extraIterations;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : static_cast<double>(total) / n;
+  const TrialTally::Outcomes all = tally().all;
+  return all.responses[1] == 0
+             ? 0.0
+             : static_cast<double>(all.s2ExtraIterations) / all.responses[1];
 }
 
 std::map<runtime::PointId, double> CampaignResult::regionRecomputability() const {
-  std::map<runtime::PointId, int> s1, all;
-  for (const auto& t : tests) {
-    all[t.region] += 1;
-    if (t.response == Response::S1) s1[t.region] += 1;
-  }
   std::map<runtime::PointId, double> out;
-  for (const auto& [region, n] : all) {
-    out[region] = static_cast<double>(s1[region]) / static_cast<double>(n);
+  for (const auto& [region, outcomes] : tally().byRegion) {
+    out[region] = static_cast<double>(outcomes.responses[0]) /
+                  static_cast<double>(outcomes.trials());
   }
   return out;
-}
-
-std::map<runtime::PointId, int> CampaignResult::regionTestCounts() const {
-  std::map<runtime::PointId, int> all;
-  for (const auto& t : tests) all[t.region] += 1;
-  return all;
-}
-
-std::map<runtime::ObjectId, double> CampaignResult::meanInconsistentRate() const {
-  std::map<runtime::ObjectId, double> sum;
-  for (const auto& t : tests) {
-    for (const auto& [id, rate] : t.inconsistentRate) sum[id] += rate;
-  }
-  for (auto& [id, total] : sum) total /= static_cast<double>(tests.size());
-  return sum;
 }
 
 void CampaignProfile::accumulate(const runtime::Runtime& rt, std::size_t bins) {
@@ -1415,7 +1394,7 @@ class CampaignExecution {
       journal_->flush();  // always leave a resumable file behind, even header-only
     }
     for (const auto& record : records_) {
-      if (record) tally_[static_cast<int>(record->response)] += 1;
+      if (record) tally_.add(*record);
     }
     done_ = resumedTrials_ + resumedFailures_;
   }
@@ -1638,7 +1617,7 @@ class CampaignExecution {
     {
       std::lock_guard<std::mutex> lock(tallyMutex_);
       s.decided = done_;
-      s.responses = tally_;
+      s.responses = tally_.responses;
     }
     s.resumed = resumedTrials_ + resumedFailures_;
     s.failures = static_cast<std::uint64_t>(std::max(0, failureCount_.load()));
@@ -1677,7 +1656,7 @@ class CampaignExecution {
   /// when `record` is null) for the status sampler.
   void recordDecided(const CrashTestRecord* record) {
     std::lock_guard<std::mutex> lock(tallyMutex_);
-    if (record != nullptr) tally_[static_cast<int>(record->response)] += 1;
+    if (record != nullptr) tally_.add(*record);
     ++done_;
   }
 
@@ -1914,7 +1893,7 @@ class CampaignExecution {
   MemoTable memo_;  ///< the convergence memo; fork workers hold replicas
 
   std::mutex tallyMutex_;
-  std::array<int, 4> tally_{};
+  TrialTally::Outcomes tally_;
   std::size_t done_ = 0;
 
   std::atomic<int> failureCount_{0};

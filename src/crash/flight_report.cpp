@@ -246,16 +246,9 @@ std::string renderFlightReport(const JournalReplay& journal,
   md << "- failed trials: " << journal.failures.size() << "\n\n";
 
   // --- S1-S4 outcome summary ----------------------------------------------
-  std::array<int, 4> counts{};
-  long long extraIterations = 0;
-  int s2Tests = 0;
-  for (const auto& [trial, record] : journal.trials) {
-    counts[static_cast<std::size_t>(record.response)] += 1;
-    if (record.response == Response::S2) {
-      extraIterations += record.extraIterations;
-      ++s2Tests;
-    }
-  }
+  TrialTally tally;
+  for (const auto& [trial, record] : journal.trials) tally.add(record);
+  const auto& counts = tally.all.responses;
   const double decided = static_cast<double>(journal.trials.size());
   md << "## Outcomes\n\n";
   md << "| response | trials | share |\n|---|---:|---:|\n";
@@ -270,34 +263,23 @@ std::string renderFlightReport(const JournalReplay& journal,
   md << "- success incl. extra iterations (S1+S2): "
      << fmt("%.4f", decided > 0 ? (counts[0] + counts[1]) / decided : 0.0) << "\n";
   md << "- average extra iterations over S2: "
-     << fmt("%.2f", s2Tests > 0 ? static_cast<double>(extraIterations) / s2Tests : 0.0)
+     << fmt("%.2f", counts[1] > 0
+                        ? static_cast<double>(tally.all.s2ExtraIterations) / counts[1]
+                        : 0.0)
      << "\n\n";
 
   // --- Per-region breakdown (Table 1 style) -------------------------------
-  struct RegionStats {
-    int trials = 0;
-    std::array<int, 4> counts{};
-    long long extraIterations = 0;
-  };
-  std::map<std::string, RegionStats> regions;  // keyed by formatted path
-  for (const auto& [trial, record] : journal.trials) {
-    RegionStats& stats = regions[formatRegionPath(record.regionPath)];
-    stats.trials += 1;
-    stats.counts[static_cast<std::size_t>(record.response)] += 1;
-    if (record.response == Response::S2) {
-      stats.extraIterations += record.extraIterations;
-    }
-  }
   md << "## Per-region outcomes\n\n";
   md << "| region | trials | S1 | S2 | S3 | S4 | recomputability | avg extra iters |\n";
   md << "|---|---:|---:|---:|---:|---:|---:|---:|\n";
-  for (const auto& [region, stats] : regions) {
-    md << "| `" << region << "` | " << stats.trials;
-    for (int s = 0; s < 4; ++s) md << " | " << stats.counts[static_cast<std::size_t>(s)];
+  for (const auto& [region, stats] : tally.byRegionPath) {
+    md << "| `" << region << "` | " << stats.trials();
+    for (int s = 0; s < 4; ++s) md << " | " << stats.responses[static_cast<std::size_t>(s)];
     md << " | "
-       << fmt("%.4f", static_cast<double>(stats.counts[0]) / stats.trials) << " | "
-       << fmt("%.2f", stats.counts[1] > 0
-                          ? static_cast<double>(stats.extraIterations) / stats.counts[1]
+       << fmt("%.4f", static_cast<double>(stats.responses[0]) / stats.trials()) << " | "
+       << fmt("%.2f", stats.responses[1] > 0
+                          ? static_cast<double>(stats.s2ExtraIterations) /
+                                stats.responses[1]
                           : 0.0)
        << " |\n";
   }
@@ -315,26 +297,12 @@ std::string renderFlightReport(const JournalReplay& journal,
     return "obj" + std::to_string(id);
   };
 
-  struct RateStats {
-    double sum = 0.0;
-    double max = 0.0;
-    int samples = 0;
-  };
-  std::map<runtime::ObjectId, RateStats> rates;
-  for (const auto& [trial, record] : journal.trials) {
-    for (const auto& [id, rate] : record.inconsistentRate) {
-      RateStats& stats = rates[id];
-      stats.sum += rate;
-      stats.max = std::max(stats.max, rate);
-      stats.samples += 1;
-    }
-  }
   md << "## Inconsistency rates\n\n";
-  if (rates.empty()) {
+  if (tally.rates.empty()) {
     md << "No per-object rates recorded in the journal.\n\n";
   } else {
     md << "| object | samples | mean rate | max rate |\n|---|---:|---:|---:|\n";
-    for (const auto& [id, stats] : rates) {
+    for (const auto& [id, stats] : tally.rates) {
       md << "| `" << objectName(id) << "` | " << stats.samples << " | "
          << fmt("%.4f", stats.sum / stats.samples) << " | "
          << fmt("%.4f", stats.max) << " |\n";

@@ -316,6 +316,8 @@ struct CampaignProfile {
   void merge(const CampaignProfile& other);
 };
 
+struct TrialTally;  // report.hpp
+
 struct CampaignResult {
   GoldenStats golden;
   /// Completed trials in campaign test-index order. Without failures or an
@@ -331,6 +333,9 @@ struct CampaignResult {
   /// golden run's under goldenEvents (empty with telemetry compiled out).
   CampaignProfile profile;
 
+  /// The outcome statistics of `tests` (report.hpp); the accessors below
+  /// read it.
+  [[nodiscard]] TrialTally tally() const;
   /// The paper's application recomputability: S1 fraction.
   [[nodiscard]] double recomputability() const;
   /// S1+S2 fraction (successful outcome, performance aside).
@@ -340,9 +345,6 @@ struct CampaignResult {
   [[nodiscard]] double averageExtraIterations() const;
   /// c_k: per-region recomputability (S1 fraction of crashes in region k).
   [[nodiscard]] std::map<runtime::PointId, double> regionRecomputability() const;
-  [[nodiscard]] std::map<runtime::PointId, int> regionTestCounts() const;
-  /// Per-candidate mean inconsistency rate across tests.
-  [[nodiscard]] std::map<runtime::ObjectId, double> meanInconsistentRate() const;
 };
 
 /// Runs campaigns. The factory must produce deterministic app instances: a

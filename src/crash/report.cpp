@@ -1,5 +1,6 @@
 #include "easycrash/crash/report.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -47,6 +48,27 @@ std::string formatRegionPath(const std::vector<runtime::PointId>& path) {
   return out;
 }
 
+void TrialTally::Outcomes::add(const CrashTestRecord& record) {
+  responses[static_cast<std::size_t>(record.response)] += 1;
+  if (record.response == Response::S2) s2ExtraIterations += record.extraIterations;
+}
+
+int TrialTally::Outcomes::trials() const {
+  return responses[0] + responses[1] + responses[2] + responses[3];
+}
+
+void TrialTally::add(const CrashTestRecord& record) {
+  all.add(record);
+  byRegion[record.region].add(record);
+  byRegionPath[formatRegionPath(record.regionPath)].add(record);
+  for (const auto& [id, rate] : record.inconsistentRate) {
+    Rates& object = rates[id];
+    object.sum += rate;
+    object.max = std::max(object.max, rate);
+    object.samples += 1;
+  }
+}
+
 void writeCampaignCsv(const CampaignResult& campaign, std::ostream& os) {
   os << "crash_access,iteration,restart_iteration,region,region_path,response,"
         "extra_iterations";
@@ -73,7 +95,8 @@ void writeCampaignCsv(const CampaignResult& campaign, std::ostream& os) {
 }
 
 void writeCampaignSummary(const CampaignResult& campaign, std::ostream& os) {
-  const auto counts = campaign.responseCounts();
+  const TrialTally tally = campaign.tally();
+  const auto& counts = tally.all.responses;
   const double total = static_cast<double>(campaign.tests.size());
   os << "campaign summary\n"
      << "  tests:            " << campaign.tests.size() << '\n'
@@ -104,24 +127,24 @@ void writeCampaignSummary(const CampaignResult& campaign, std::ostream& os) {
     os << "  S1 " << 100.0 * counts[0] / total << "%  S2 "
        << 100.0 * counts[1] / total << "%  S3 " << 100.0 * counts[2] / total
        << "%  S4 " << 100.0 * counts[3] / total << "%\n"
-       << "  recomputability:  " << 100.0 * campaign.recomputability() << "%\n"
+       << "  recomputability:  " << 100.0 * (counts[0] / total) << "%\n"
        << "  avg extra iters:  " << std::setprecision(2)
-       << campaign.averageExtraIterations() << '\n';
+       << (counts[1] == 0 ? 0.0
+                          : static_cast<double>(tally.all.s2ExtraIterations) / counts[1])
+       << '\n';
     os << "  per-region c_k:\n" << std::setprecision(1);
-    const auto perRegion = campaign.regionRecomputability();
-    const auto perRegionCount = campaign.regionTestCounts();
-    for (const auto& [region, ck] : perRegion) {
-      os << "    "
-         << regionName(region) << ": " << 100.0 * ck << "% (" << perRegionCount.at(region)
-         << " crashes)\n";
+    for (const auto& [region, outcomes] : tally.byRegion) {
+      const double ck = static_cast<double>(outcomes.responses[0]) /
+                        static_cast<double>(outcomes.trials());
+      os << "    " << regionName(region) << ": " << 100.0 * ck << "% ("
+         << outcomes.trials() << " crashes)\n";
     }
     os << "  mean inconsistency per candidate:\n" << std::setprecision(2);
-    const auto rates = campaign.meanInconsistentRate();
     for (const auto& object : campaign.golden.objects) {
       if (!object.candidate) continue;
-      const auto it = rates.find(object.id);
+      const auto it = tally.rates.find(object.id);
       os << "    " << object.name << ": "
-         << 100.0 * (it == rates.end() ? 0.0 : it->second) << "%\n";
+         << 100.0 * (it == tally.rates.end() ? 0.0 : it->second.sum / total) << "%\n";
     }
   }
 }

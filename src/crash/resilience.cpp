@@ -62,25 +62,28 @@ void clearStopFlag() noexcept {
 
 namespace {
 
-/// One write-temp-fsync-rename attempt; returns an error description or "".
-std::string tryWriteOnce(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return "open " + tmp + ": " + std::strerror(errno);
+/// Write all of `content` to `fd` (retrying EINTR), then fsync it; returns
+/// "write <name>: ..." or "fsync <name>: ..." on failure, else "".
+std::string writeAll(int fd, const std::string& name, const std::string& content) {
   std::size_t off = 0;
   while (off < content.size()) {
     const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const std::string err = std::string("write ") + tmp + ": " + std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return err;
+      return "write " + name + ": " + std::strerror(errno);
     }
     off += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd) != 0) {
-    const std::string err = std::string("fsync ") + tmp + ": " + std::strerror(errno);
+  if (::fsync(fd) != 0) return "fsync " + name + ": " + std::strerror(errno);
+  return {};
+}
+
+/// One write-temp-fsync-rename attempt; returns an error description or "".
+std::string tryWriteOnce(const std::string& path, const std::string& content) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return "open " + tmp + ": " + std::strerror(errno);
+  if (std::string err = writeAll(fd, tmp, content); !err.empty()) {
     ::close(fd);
     ::unlink(tmp.c_str());
     return err;
@@ -102,19 +105,7 @@ std::string tryWriteOnce(const std::string& path, const std::string& content) {
 std::string tryAppendOnce(const std::string& path, const std::string& content) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (fd < 0) return "open " + path + ": " + std::strerror(errno);
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::string("write ") + path + ": " + std::strerror(errno);
-      ::close(fd);
-      return err;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const std::string err = std::string("fsync ") + path + ": " + std::strerror(errno);
+  if (std::string err = writeAll(fd, path, content); !err.empty()) {
     ::close(fd);
     return err;
   }

@@ -1,6 +1,5 @@
 #include "easycrash/crash/shard.hpp"
 
-#include <array>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -159,22 +158,18 @@ std::string renderMergedMetrics(const ShardMerge& merge) {
   out += ",\n  \"complete\": ";
   out += merge.complete() ? "true" : "false";
 
-  std::array<std::uint64_t, 4> responses{};
-  std::uint64_t extraIterations = 0;
-  for (const auto& [trial, record] : replay.trials) {
-    responses[static_cast<std::size_t>(record.response)] += 1;
-    if (record.response == Response::S2) {
-      extraIterations += static_cast<std::uint64_t>(record.extraIterations);
-    }
-  }
+  TrialTally tally;
+  for (const auto& [trial, record] : replay.trials) tally.add(record);
   out += ",\n  \"responses\": {";
   for (int s = 0; s < 4; ++s) {
     if (s) out += ", ";
     out += "\"s";
     out += static_cast<char>('1' + s);
-    out += "\": " + std::to_string(responses[static_cast<std::size_t>(s)]);
+    out += "\": " + std::to_string(tally.all.responses[static_cast<std::size_t>(s)]);
   }
-  out += "},\n  \"extra_iterations\": " + std::to_string(extraIterations);
+  // The projection's field is unsigned.
+  out += "},\n  \"extra_iterations\": " +
+         std::to_string(static_cast<std::uint64_t>(tally.all.s2ExtraIterations));
 
   std::map<std::string, std::uint64_t> failureKinds;
   for (const auto& [trial, failure] : replay.failures) ++failureKinds[failure.kind];
@@ -193,23 +188,9 @@ std::string renderMergedMetrics(const ShardMerge& merge) {
   // Per-candidate rate aggregates, keyed by object id (names are a shard-
   // header extra an unsharded journal never carried; leaving them out keeps
   // the projection identical whichever journal kind it was derived from).
-  struct RateStats {
-    double sum = 0.0;
-    double max = 0.0;
-    std::uint64_t samples = 0;
-  };
-  std::map<runtime::ObjectId, RateStats> rates;
-  for (const auto& [trial, record] : replay.trials) {
-    for (const auto& [id, rate] : record.inconsistentRate) {
-      RateStats& stats = rates[id];
-      stats.sum += rate;
-      if (rate > stats.max) stats.max = rate;
-      stats.samples += 1;
-    }
-  }
   out += ",\n  \"rates\": [";
   first = true;
-  for (const auto& [id, stats] : rates) {
+  for (const auto& [id, stats] : tally.rates) {
     if (!first) out += ", ";
     first = false;
     out += "{\"id\": " + std::to_string(id);

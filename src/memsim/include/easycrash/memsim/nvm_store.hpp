@@ -148,7 +148,6 @@ class NvmStore {
   /// default and compiled out entirely under -DEASYCRASH_TELEMETRY=OFF, so
   /// writeBlock() carries no extra cost unless a campaign asks for it.
   void enableWearProfile();
-  [[nodiscard]] bool wearProfiling() const { return wearEnabled_; }
 
   /// Block-write counts indexed by block number (addr / blockSize). Empty
   /// when profiling is off; sized to the highest profiled block + 1.

@@ -304,7 +304,6 @@ class Runtime {
   /// Restart run has none of them (RunKind). Set before the first
   /// allocation.
   void setRunKind(RunKind kind);
-  [[nodiscard]] RunKind runKind() const noexcept { return kind_; }
   /// setRunKind(on ? Direct : Tracked), for callers written against the
   /// two-valued switch (nvbench/probe.cpp).
   void setDirect(bool on) { setRunKind(on ? RunKind::Direct : RunKind::Tracked); }

@@ -95,10 +95,6 @@ class TraceSink {
   void setCommonField(std::string_view key, std::string_view value);
   void clearCommonFields();
 
-  [[nodiscard]] std::uint64_t linesWritten() const noexcept {
-    return lines_.load(std::memory_order_relaxed);
-  }
-
   /// Internal: complete `line` with common fields + '}' and write it.
   void write(const std::string& line);
 
@@ -128,7 +124,6 @@ class TraceSink {
   std::unique_ptr<std::ofstream> file_;
   std::ostream* os_ = nullptr;
   std::string commonFields_;  // ","key":"value"... fragment
-  std::atomic<std::uint64_t> lines_{0};
 };
 
 }  // namespace easycrash::telemetry

@@ -155,7 +155,6 @@ void TraceSink::write(const std::string& line) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (os_ == nullptr) return;  // sink closed while the event was being built
   *os_ << line << commonFields_ << "}\n";
-  lines_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TraceSink::writeRaw(std::string_view text) {
@@ -163,11 +162,6 @@ void TraceSink::writeRaw(std::string_view text) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (os_ == nullptr) return;
   os_->write(text.data(), static_cast<std::streamsize>(text.size()));
-  std::uint64_t newlines = 0;
-  for (const char c : text) {
-    if (c == '\n') ++newlines;
-  }
-  lines_.fetch_add(newlines, std::memory_order_relaxed);
 }
 
 void TraceSink::lockForFork() {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "easycrash/crash/campaign.hpp"
+#include "easycrash/crash/report.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
 
@@ -288,9 +289,9 @@ TEST(CampaignTest, InconsistencyRatesRecorded) {
 TEST(CampaignTest, RegionAttributionCoversBothRegions) {
   const cr::CampaignRunner runner(probeFactory({}), tinyConfig(60));
   const auto result = runner.run();
-  const auto counts = result.regionTestCounts();
-  EXPECT_TRUE(counts.count(0));
-  EXPECT_TRUE(counts.count(1));
+  const auto regions = result.tally().byRegion;
+  EXPECT_TRUE(regions.count(0));
+  EXPECT_TRUE(regions.count(1));
 }
 
 TEST(CampaignTest, ResponseAggregationConsistent) {

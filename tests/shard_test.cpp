@@ -4,6 +4,7 @@
 // run's journal/CSV byte-for-byte — in any merge order, idempotently, and
 // across isolation/thread settings. Mismatched campaigns are rejected loudly.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -19,12 +20,14 @@
 #include <gtest/gtest.h>
 
 #include "easycrash/crash/campaign.hpp"
+#include "easycrash/crash/flight_report.hpp"
 #include "easycrash/crash/report.hpp"
 #include "easycrash/crash/resilience.hpp"
 #include "easycrash/crash/shard.hpp"
 #include "easycrash/crash/status.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
+#include "easycrash/telemetry/trace.hpp"
 #include "reference_campaign.hpp"
 
 namespace rt = easycrash::runtime;
@@ -413,6 +416,149 @@ TEST(ShardTest, MergeOfAnySplitEqualsTheUnshardedCompaction) {
     }
   }
   std::remove(unsharded.c_str());
+}
+
+// printf-formats one value (the renderers' own formats, restated).
+template <typename... Args>
+std::string format(const char* spec, Args... args) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, spec, args...);
+  return buf;
+}
+
+TEST(TrialTally, MatchesARecountAndEveryRendererCarriesIt) {
+  // Random decided sets — S2 trials with extra iterations, multi-level region
+  // paths, objects some trials recorded no rate for: the tally equals a
+  // recount written here, and the summary, `nvct report`'s tables and the
+  // merged metrics projection, all rendered from one set, carry the same
+  // S1-S4 counts, S2 extra sum and per-object means.
+  struct Rate {
+    double sum = 0.0;
+    double max = 0.0;
+    int samples = 0;
+  };
+  std::mt19937_64 rng(2929);
+  const std::string path = tempPath("tally_property.jsonl");
+  for (int round = 0; round < 16; ++round) {
+    const DecidedSet set = randomDecidedSet(rng);
+    std::array<int, 4> counts{};
+    long long extra = 0;
+    std::map<rt::PointId, std::array<int, 4>> byRegion;
+    std::map<std::string, std::pair<std::array<int, 4>, long long>> byPath;
+    std::map<rt::ObjectId, Rate> rates;
+    cr::TrialTally tally;
+    cr::CampaignResult campaign;
+    for (const auto& [t, record] : set.trials) {
+      tally.add(record);
+      campaign.tests.push_back(record);
+      const auto s = static_cast<std::size_t>(record.response);
+      auto& pathStats = byPath[cr::formatRegionPath(record.regionPath)];
+      counts[s] += 1;
+      byRegion[record.region][s] += 1;
+      pathStats.first[s] += 1;
+      if (record.response == cr::Response::S2) {
+        extra += record.extraIterations;
+        pathStats.second += record.extraIterations;
+      }
+      for (const auto& [id, rate] : record.inconsistentRate) {
+        rates[id].sum += rate;
+        rates[id].max = rate > rates[id].max ? rate : rates[id].max;
+        rates[id].samples += 1;
+      }
+    }
+    const std::string where = "round " + std::to_string(round);
+    EXPECT_EQ(tally.all.responses, counts) << where;
+    EXPECT_EQ(tally.all.s2ExtraIterations, extra) << where;
+    EXPECT_EQ(tally.all.trials(), static_cast<int>(set.trials.size())) << where;
+    ASSERT_EQ(tally.byRegion.size(), byRegion.size()) << where;
+    for (const auto& [region, regionCounts] : byRegion) {
+      EXPECT_EQ(tally.byRegion.at(region).responses, regionCounts) << where;
+    }
+    ASSERT_EQ(tally.byRegionPath.size(), byPath.size()) << where;
+    for (const auto& [name, pathStats] : byPath) {
+      EXPECT_EQ(tally.byRegionPath.at(name).responses, pathStats.first) << where;
+      EXPECT_EQ(tally.byRegionPath.at(name).s2ExtraIterations, pathStats.second) << where;
+    }
+    ASSERT_EQ(tally.rates.size(), rates.size()) << where;
+    for (const auto& [id, rate] : rates) {
+      EXPECT_EQ(tally.rates.at(id).sum, rate.sum) << where;
+      EXPECT_EQ(tally.rates.at(id).max, rate.max) << where;
+      EXPECT_EQ(tally.rates.at(id).samples, rate.samples) << where;
+    }
+
+    cr::JournalHeader plain = set.header;
+    plain.candidates.clear();
+    journalSet(set, plain, path, rng, [](std::size_t) { return true; }, true);
+    const auto merge = cr::mergeShardJournals({path});
+    const std::string report = cr::renderFlightReport(merge.replay, "", "");
+    const std::string metrics = cr::renderMergedMetrics(merge);
+    for (const auto& candidate : set.header.candidates) {
+      rt::DataObjectInfo object;
+      object.id = candidate.id;
+      object.name = candidate.name;
+      object.candidate = true;
+      campaign.golden.objects.push_back(object);
+    }
+    std::ostringstream summaryStream;
+    cr::writeCampaignSummary(campaign, summaryStream);
+    const std::string summary = summaryStream.str();
+
+    const double decided = static_cast<double>(set.trials.size());
+    const double avgExtra = counts[1] > 0 ? static_cast<double>(extra) / counts[1] : 0.0;
+    std::vector<std::string> inReport, inSummary, inMetrics;
+    for (int s = 0; s < 4; ++s) {
+      inReport.push_back(format("| S%d | %d | %.1f%% |", s + 1, counts[s],
+                                decided > 0 ? 100.0 * counts[s] / decided : 0.0));
+    }
+    inReport.push_back(format("- average extra iterations over S2: %.2f\n", avgExtra));
+    for (const auto& [name, pathStats] : byPath) {
+      const auto& c = pathStats.first;
+      inReport.push_back(format("| `%s` | %d | %d | %d | %d | %d |", name.c_str(),
+                                c[0] + c[1] + c[2] + c[3], c[0], c[1], c[2], c[3]));
+    }
+    inMetrics.push_back(format("\"responses\": {\"s1\": %d, \"s2\": %d, \"s3\": %d, "
+                               "\"s4\": %d},\n  \"extra_iterations\": %lld,",
+                               counts[0], counts[1], counts[2], counts[3], extra));
+    for (const auto& [id, rate] : rates) {
+      inReport.push_back(format("| `obj%d` | %d | %.4f | %.4f |", static_cast<int>(id),
+                                rate.samples, rate.sum / rate.samples, rate.max));
+      std::string entry = format("{\"id\": %d, \"samples\": %d, \"mean\": ",
+                                 static_cast<int>(id), rate.samples);
+      easycrash::telemetry::appendExactDouble(entry, rate.sum / rate.samples);
+      entry += ", \"max\": ";
+      easycrash::telemetry::appendExactDouble(entry, rate.max);
+      inMetrics.push_back(entry + '}');
+    }
+    if (!set.trials.empty()) {
+      inSummary.push_back(format("  S1 %.1f%%  S2 %.1f%%  S3 %.1f%%  S4 %.1f%%\n",
+                                 100.0 * counts[0] / decided, 100.0 * counts[1] / decided,
+                                 100.0 * counts[2] / decided, 100.0 * counts[3] / decided));
+      inSummary.push_back(format("  avg extra iters:  %.2f\n", avgExtra));
+      for (const auto& [region, c] : byRegion) {
+        const int n = c[0] + c[1] + c[2] + c[3];
+        inSummary.push_back(format("    %s: %.1f%% (%d crashes)\n",
+                                   cr::regionName(region).c_str(),
+                                   100.0 * (static_cast<double>(c[0]) / n), n));
+      }
+      // The summary's mean counts a trial without a rate as 0.
+      for (const auto& candidate : set.header.candidates) {
+        const auto it = rates.find(candidate.id);
+        inSummary.push_back(format(
+            "    %s: %.2f%%\n", candidate.name.c_str(),
+            100.0 * (it == rates.end() ? 0.0 : it->second.sum / decided)));
+      }
+    }
+    for (const auto& line : inReport) {
+      EXPECT_NE(report.find(line), std::string::npos) << where << ": " << line;
+    }
+    for (const auto& line : inMetrics) {
+      EXPECT_NE(metrics.find(line), std::string::npos) << where << ": " << line;
+    }
+    for (const auto& line : inSummary) {
+      EXPECT_NE(summary.find(line), std::string::npos) << where << ": " << line;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardTest, MergeKeepsTheLastRecordAcrossKinds) {

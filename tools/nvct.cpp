@@ -115,11 +115,12 @@ int mergeMain(int argc, char** argv) {
   ec::CliParser cli(
       "nvct merge — fold the shard journals of one `--shard i/k` campaign "
       "into canonical single-campaign artifacts.\n"
-      "The merged journal, CSV and report are byte-identical to the "
-      "unsharded run's outputs; journals may be given in any order, and "
-      "partial (interrupted) shard journals are accepted. Journals drawn "
-      "for a different campaign (seed, plan, app, window, or a tampered "
-      "campaign fingerprint) are rejected loudly.");
+      "The merged journal and CSV are byte-identical to the unsharded run's "
+      "outputs; journals may be given in any order, and partial "
+      "(interrupted) shard journals are accepted. Journals drawn for a "
+      "different campaign (seed, plan, app, window, or a tampered campaign "
+      "fingerprint) are rejected loudly. `nvct report` given the same "
+      "journals renders the merged report.");
   cli.addStringList("journal", "a shard journal (give one per shard)");
   cli.addString("journal-out", "", "write the merged compact journal here");
   cli.addString("csv-out", "", "write the merged per-test CSV here");
@@ -127,9 +128,6 @@ int mergeMain(int argc, char** argv) {
                 "write the deterministic merged metrics projection (JSON); "
                 "a pure function of the decided set, identical for any "
                 "shard layout that decided the same trials");
-  cli.addString("report-out", "", "render the merged flight report here");
-  cli.addString("trace", "", "JSONL trace for the report's phase latencies");
-  cli.addString("metrics", "", "metrics snapshot for the report's heatmap");
 
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -160,13 +158,6 @@ int mergeMain(int argc, char** argv) {
     if (!metricsOut.empty()) {
       ec::crash::atomicWriteFile(metricsOut, ec::crash::renderMergedMetrics(merge));
       std::cout << "merged metrics projection written to " << metricsOut << '\n';
-    }
-    const std::string reportOut = cli.getString("report-out");
-    if (!reportOut.empty()) {
-      const std::string report = ec::crash::renderFlightReport(
-          merge.replay, cli.getString("trace"), cli.getString("metrics"));
-      ec::crash::atomicWriteFile(reportOut, report);
-      std::cout << "merged report written to " << reportOut << '\n';
     }
   } catch (const std::exception& e) {
     std::cerr << "nvct merge: " << e.what() << '\n';
@@ -199,8 +190,9 @@ int main(int argc, char** argv) {
                 "run shard i of a k-way campaign split ('i/k', zero-based): "
                 "this process draws the identical golden run and crash "
                 "points but executes only the trials with index % k == i; "
-                "fold the k shard journals with `nvct merge` — the merged "
-                "journal/CSV/report are byte-identical to the unsharded run");
+                "fold the k shard journals with `nvct merge` (journal, CSV) "
+                "and `nvct report` (report) — each byte-identical to the "
+                "unsharded run's");
   cli.addInt("scale", 1,
              "problem-size multiplier for cg, mg and kmeans (grid edge / "
              "point count); other apps only accept 1");
