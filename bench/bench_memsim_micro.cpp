@@ -306,8 +306,7 @@ BENCHMARK(BM_AppIteration)->DenseRange(0, 10)->Unit(benchmark::kMillisecond);
 // counters. The perf gate (scripts/bench_baseline.py) byte-compares these
 // against the baseline's: the simulator's work must not silently change
 // shape under a perf PR, and the profile sampler must keep seeing every
-// block touch. Zero when telemetry is compiled out (the bench gate runs on
-// the telemetry-ON leg). The campaign's golden run is direct-to-NVM, so the
+// block touch. The campaign's golden run is direct-to-NVM, so the
 // golden_* counters hold only its iteration bookmark's events; a jump means
 // the golden run went back through the cache simulator.
 void setCampaignCounters(benchmark::State& state,

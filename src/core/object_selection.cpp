@@ -27,18 +27,17 @@ ObjectSelectionResult selectCriticalObjects(const crash::CampaignResult& campaig
     if (!object.candidate) continue;
     result.candidateBytes += object.bytes;
 
+    // The rank input counts a trial that recorded no rate for the object
+    // as 0.
     std::vector<double> rates;
     rates.reserve(campaign.tests.size());
     for (const auto& test : campaign.tests) {
       const auto it = test.inconsistentRate.find(object.id);
       rates.push_back(it == test.inconsistentRate.end() ? 0.0 : it->second);
     }
-    // A trial that recorded no rate for the object counts as 0.
     const auto tallied = tally.rates.find(object.id);
-    const double meanRate = tallied == tally.rates.end()
-                                ? 0.0
-                                : tallied->second.sum /
-                                      static_cast<double>(campaign.tests.size());
+    const double meanRate =
+        tallied == tally.rates.end() ? 0.0 : tallied->second.mean();
 
     ObjectCorrelation corr;
     corr.id = object.id;

@@ -304,7 +304,7 @@ std::string renderFlightReport(const JournalReplay& journal,
     md << "| object | samples | mean rate | max rate |\n|---|---:|---:|---:|\n";
     for (const auto& [id, stats] : tally.rates) {
       md << "| `" << objectName(id) << "` | " << stats.samples << " | "
-         << fmt("%.4f", stats.sum / stats.samples) << " | "
+         << fmt("%.4f", stats.mean()) << " | "
          << fmt("%.4f", stats.max) << " |\n";
     }
     md << "\n";

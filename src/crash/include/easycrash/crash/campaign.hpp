@@ -297,9 +297,8 @@ struct CrashTestRecord {
 /// Aggregated access/wear profile of a campaign's simulated runs (the sweep
 /// crashing runs, plus the golden run under CampaignConfig::goldenEvents;
 /// direct-mode runs record nothing by design). The flight recorder is always
-/// on, and compiled out (always empty) under -DEASYCRASH_TELEMETRY=OFF. All
-/// runs of a campaign see the same object layout, so per-object totals and
-/// bins merge element-wise.
+/// on. All runs of a campaign see the same object layout, so per-object
+/// totals and bins merge element-wise.
 struct CampaignProfile {
   std::uint32_t strideBytes = 0;  ///< address range per access-profile counter
   std::uint64_t runs = 0;         ///< simulated runs folded in
@@ -330,7 +329,7 @@ struct CampaignResult {
   std::size_t resumedTrials = 0;   ///< trials replayed from --resume
   bool interrupted = false;        ///< stopped early by SIGINT/SIGTERM
   /// Flight-recorder access/wear profile: the sweep crashing runs', plus the
-  /// golden run's under goldenEvents (empty with telemetry compiled out).
+  /// golden run's under goldenEvents.
   CampaignProfile profile;
 
   /// The outcome statistics of `tests` (report.hpp); the accessors below

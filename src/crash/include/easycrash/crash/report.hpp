@@ -22,8 +22,8 @@ namespace easycrash::crash {
 
 /// Outcome statistics of a set of decided trials, built by add() over the
 /// records in trial order (so every floating-point sum adds in that order).
-/// It holds counts and sums only; shares, means and formatting are each
-/// reader's own.
+/// It holds counts and sums, plus the one definition of an object's mean
+/// rate; shares and formatting are each reader's own.
 struct TrialTally {
   /// S1-S4 counts of some trials and their S2 extra-iteration sum.
   struct Outcomes {
@@ -38,6 +38,9 @@ struct TrialTally {
     double sum = 0.0;
     double max = 0.0;
     int samples = 0;
+
+    /// Mean over the trials that recorded the object.
+    [[nodiscard]] double mean() const { return sum / samples; }
   };
 
   Outcomes all;

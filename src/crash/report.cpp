@@ -144,7 +144,7 @@ void writeCampaignSummary(const CampaignResult& campaign, std::ostream& os) {
       if (!object.candidate) continue;
       const auto it = tally.rates.find(object.id);
       os << "    " << object.name << ": "
-         << 100.0 * (it == tally.rates.end() ? 0.0 : it->second.sum / total) << "%\n";
+         << 100.0 * (it == tally.rates.end() ? 0.0 : it->second.mean()) << "%\n";
     }
   }
 }

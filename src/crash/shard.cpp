@@ -196,7 +196,7 @@ std::string renderMergedMetrics(const ShardMerge& merge) {
     out += "{\"id\": " + std::to_string(id);
     out += ", \"samples\": " + std::to_string(stats.samples);
     out += ", \"mean\": ";
-    telemetry::appendExactDouble(out, stats.sum / static_cast<double>(stats.samples));
+    telemetry::appendExactDouble(out, stats.mean());
     out += ", \"max\": ";
     telemetry::appendExactDouble(out, stats.max);
     out += '}';

@@ -60,12 +60,10 @@ std::uint32_t CacheHierarchy::fillUpper(std::size_t level, std::uint64_t blockAd
 }
 
 std::uint32_t CacheHierarchy::ensureInL1(std::uint64_t blockAddr) {
-  if constexpr (telemetry::kTraceCompiledIn) {
-    if (profileShift_ != 0) {
-      const std::size_t bucket = static_cast<std::size_t>(blockAddr >> profileShift_);
-      if (bucket >= accessProfile_.size()) accessProfile_.resize(bucket + 1, 0);
-      ++accessProfile_[bucket];
-    }
+  if (profileShift_ != 0) {
+    const std::size_t bucket = static_cast<std::size_t>(blockAddr >> profileShift_);
+    if (bucket >= accessProfile_.size()) accessProfile_.resize(bucket + 1, 0);
+    ++accessProfile_[bucket];
   }
   // Inclusion: a block L1 holds sits in the LLC, whose line's holder mask
   // names L1's copy (and in a one-level hierarchy the LLC line is L1's).
@@ -80,12 +78,10 @@ std::uint32_t CacheHierarchy::ensureInL1(std::uint64_t blockAddr) {
 }
 
 void CacheHierarchy::enableAccessProfile(std::uint32_t strideBytes) {
-  if constexpr (telemetry::kTraceCompiledIn) {
-    const std::uint32_t stride = std::max(strideBytes, config_.blockSize);
-    std::uint32_t shift = 0;
-    while ((1u << shift) < stride) ++shift;  // round up to a power of two
-    profileShift_ = shift;
-  }
+  const std::uint32_t stride = std::max(strideBytes, config_.blockSize);
+  std::uint32_t shift = 0;
+  while ((1u << shift) < stride) ++shift;  // round up to a power of two
+  profileShift_ = shift;
 }
 
 std::uint32_t CacheHierarchy::fillToL1(std::uint64_t blockAddr, std::uint32_t llcLine) {
@@ -403,7 +399,6 @@ std::uint64_t CacheHierarchy::inconsistentBytes(std::uint64_t addr,
         .field("blocks_skipped", blocks - blocksCompared)
         .field("bytes_compared", bytesCompared)
         .field("diff", diff)
-        .field("kernel", scan::kernelName(scan::activeKernel()))
         .emit();
   }
   return diff;

@@ -187,7 +187,7 @@ class CacheHierarchy {
   /// segment of a range access — a cheap, stable sample of the true access
   /// distribution (flight recorder, docs/OBSERVABILITY.md). `strideBytes` is
   /// rounded up to a power of two and floored at the block size; 0 means one
-  /// counter per block. Compiled out under -DEASYCRASH_TELEMETRY=OFF.
+  /// counter per block.
   void enableAccessProfile(std::uint32_t strideBytes = 0);
   [[nodiscard]] bool accessProfiling() const { return profileShift_ != 0; }
   /// Bytes of address range covered by one profile counter.

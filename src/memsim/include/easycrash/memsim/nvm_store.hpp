@@ -145,8 +145,8 @@ class NvmStore {
 
   /// Enable per-block wear accounting: every modelled block write also bumps
   /// a per-block counter (flight recorder, docs/OBSERVABILITY.md). Off by
-  /// default and compiled out entirely under -DEASYCRASH_TELEMETRY=OFF, so
-  /// writeBlock() carries no extra cost unless a campaign asks for it.
+  /// default, so writeBlock() pays one predictable branch unless a campaign
+  /// asks for it.
   void enableWearProfile();
 
   /// Block-write counts indexed by block number (addr / blockSize). Empty

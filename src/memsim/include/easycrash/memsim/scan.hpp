@@ -5,19 +5,11 @@
 // dirty block per candidate object per capture. The kernel runs a memcmp
 // prefilter first (most dirty blocks differ in zero bytes only when a flush
 // raced the crash, but whole-block equality is common enough that libc's
-// optimised compare pays for itself), then counts differing bytes with an
-// AVX2 compare+movemask loop where the CPU supports it, falling back to a
-// portable word-at-a-time XOR + byte-nonzero popcount everywhere else.
-//
-// Dispatch is resolved once per process from CPUID, overridable two ways:
-//  - the EASYCRASH_SCAN_KERNEL environment variable ("avx2", "portable" or
-//    "auto"), which is how CI pins the sanitize job's forced-scalar leg and
-//    the byte-identity fixtures cross the two implementations;
-//  - forceKernel()/resetKernel(), the in-process hook the differential tests
-//    use to run both paths side by side.
-// Both implementations are exposed directly (countDiffBytesPortable /
-// countDiffBytesAvx2) so tests can compare them against each other and
-// against a naive byte loop without touching process state.
+// optimised compare pays for itself), then counts differing bytes 16 at a
+// time in u8 lane counters (GCC/Clang vector extensions, which lower to
+// baseline SSE2 on x86-64 and to generic code elsewhere) and finishes with a
+// byte loop over the tail. One kernel serves every host, so the tests and
+// the sanitizers run the code every campaign runs.
 #pragma once
 
 #include <cstddef>
@@ -25,34 +17,9 @@
 
 namespace easycrash::memsim::scan {
 
-enum class Kernel {
-  Portable,  ///< word-at-a-time uint64 XOR + popcount (always available)
-  Avx2,      ///< 32-byte compare + movemask (x86 with AVX2 only)
-};
-
-/// The kernel countDiffBytes dispatches to right now (env override, then
-/// forceKernel, then CPUID).
-[[nodiscard]] Kernel activeKernel() noexcept;
-[[nodiscard]] const char* kernelName(Kernel kernel) noexcept;
-/// Is the AVX2 implementation executable on this CPU?
-[[nodiscard]] bool avx2Available() noexcept;
-
-/// Pin dispatch to one kernel (test hook; forcing Avx2 on a CPU without it
-/// is ignored). resetKernel() restores env/CPUID resolution.
-void forceKernel(Kernel kernel) noexcept;
-void resetKernel() noexcept;
-
 /// Number of byte positions where a[i] != b[i], i in [0, n).
 [[nodiscard]] std::uint64_t countDiffBytes(const std::uint8_t* a,
                                            const std::uint8_t* b,
                                            std::size_t n) noexcept;
-
-/// The two implementations, callable directly (no prefilter, no dispatch).
-[[nodiscard]] std::uint64_t countDiffBytesPortable(const std::uint8_t* a,
-                                                   const std::uint8_t* b,
-                                                   std::size_t n) noexcept;
-[[nodiscard]] std::uint64_t countDiffBytesAvx2(const std::uint8_t* a,
-                                               const std::uint8_t* b,
-                                               std::size_t n) noexcept;
 
 }  // namespace easycrash::memsim::scan

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "easycrash/common/check.hpp"
-#include "easycrash/telemetry/trace.hpp"
 
 namespace easycrash::memsim {
 
@@ -106,18 +105,14 @@ void NvmStore::writeBlock(std::uint64_t addr, std::span<const std::uint8_t> src)
   if (digestArmed()) markDirty(addr, blockSize_);
   std::memcpy(image_ + addr, src.data(), blockSize_);
   ++blockWrites_;
-  if constexpr (telemetry::kTraceCompiledIn) {
-    if (wearEnabled_) {
-      const std::size_t block = static_cast<std::size_t>(addr / blockSize_);
-      if (block >= wearProfile_.size()) wearProfile_.resize(block + 1, 0);
-      ++wearProfile_[block];
-    }
+  if (wearEnabled_) {
+    const std::size_t block = static_cast<std::size_t>(addr / blockSize_);
+    if (block >= wearProfile_.size()) wearProfile_.resize(block + 1, 0);
+    ++wearProfile_[block];
   }
 }
 
-void NvmStore::enableWearProfile() {
-  if constexpr (telemetry::kTraceCompiledIn) wearEnabled_ = true;
-}
+void NvmStore::enableWearProfile() { wearEnabled_ = true; }
 
 void NvmStore::pokeSlow(std::uint64_t addr, std::span<const std::uint8_t> src) {
   if (src.empty()) return;

@@ -1,115 +1,53 @@
 #include "easycrash/memsim/scan.hpp"
 
-#include <atomic>
-#include <bit>
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
-
-#if defined(__x86_64__) || defined(__i386__)
-#define EASYCRASH_SCAN_HAS_AVX2 1
-#include <immintrin.h>
-#else
-#define EASYCRASH_SCAN_HAS_AVX2 0
-#endif
 
 namespace easycrash::memsim::scan {
 
 namespace {
 
-/// -1 = resolve from env/CPUID, otherwise a forced Kernel value.
-std::atomic<int> g_forced{-1};
+// Sixteen u8 lanes. A lane-wise compare yields 0 or 0xFF per lane.
+typedef std::uint8_t Lanes __attribute__((vector_size(16)));
 
-[[nodiscard]] Kernel resolveKernel() noexcept {
-  if (const char* env = std::getenv("EASYCRASH_SCAN_KERNEL")) {
-    if (std::strcmp(env, "portable") == 0) return Kernel::Portable;
-    if (std::strcmp(env, "avx2") == 0 && avx2Available()) return Kernel::Avx2;
-    // "auto", an unexecutable request or an unknown value all fall through
-    // to CPUID resolution.
-  }
-  return avx2Available() ? Kernel::Avx2 : Kernel::Portable;
+constexpr std::size_t kLaneCount = sizeof(Lanes);
+// A u8 lane counter wraps past 255, so the accumulator drains at least that
+// often.
+constexpr std::size_t kMaxStepsPerDrain = 255;
+
+/// Sum of the sixteen u8 lane counters.
+[[nodiscard]] std::uint64_t laneSum(Lanes acc) noexcept {
+  std::uint64_t w[2];
+  std::memcpy(w, &acc, sizeof w);
+  // Widen adjacent u8 lanes into u16 lanes (each at most 4 * 255), then
+  // gather the four u16 lanes into the top 16 bits with one multiply.
+  constexpr std::uint64_t kLow = 0x00FF00FF00FF00FFULL;
+  const std::uint64_t pairs = (w[0] & kLow) + ((w[0] >> 8) & kLow) +
+                              (w[1] & kLow) + ((w[1] >> 8) & kLow);
+  return (pairs * 0x0001000100010001ULL) >> 48;
 }
 
 }  // namespace
 
-bool avx2Available() noexcept {
-#if EASYCRASH_SCAN_HAS_AVX2
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-Kernel activeKernel() noexcept {
-  const int forced = g_forced.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<Kernel>(forced);
-  static const Kernel resolved = resolveKernel();
-  return resolved;
-}
-
-const char* kernelName(Kernel kernel) noexcept {
-  return kernel == Kernel::Avx2 ? "avx2" : "portable";
-}
-
-void forceKernel(Kernel kernel) noexcept {
-  if (kernel == Kernel::Avx2 && !avx2Available()) return;
-  g_forced.store(static_cast<int>(kernel), std::memory_order_relaxed);
-}
-
-void resetKernel() noexcept { g_forced.store(-1, std::memory_order_relaxed); }
-
-std::uint64_t countDiffBytesPortable(const std::uint8_t* a, const std::uint8_t* b,
-                                     std::size_t n) noexcept {
-  std::uint64_t count = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t wa;
-    std::uint64_t wb;
-    std::memcpy(&wa, a + i, 8);
-    std::memcpy(&wb, b + i, 8);
-    std::uint64_t x = wa ^ wb;
-    // Fold each byte's bits into its bit 0, then popcount the byte-nonzero
-    // mask: cross-byte contamination from the shifts lands only in bits the
-    // final mask discards.
-    x |= x >> 1;
-    x |= x >> 2;
-    x |= x >> 4;
-    count += static_cast<std::uint64_t>(
-        std::popcount(x & 0x0101010101010101ULL));
-  }
-  for (; i < n; ++i) count += a[i] != b[i] ? 1 : 0;
-  return count;
-}
-
-#if EASYCRASH_SCAN_HAS_AVX2
-__attribute__((target("avx2"))) std::uint64_t countDiffBytesAvx2(
-    const std::uint8_t* a, const std::uint8_t* b, std::size_t n) noexcept {
-  std::uint64_t equal = 0;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const int mask = _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb));
-    equal += static_cast<std::uint64_t>(
-        std::popcount(static_cast<std::uint32_t>(mask)));
-  }
-  std::uint64_t count = i - equal;
-  count += countDiffBytesPortable(a + i, b + i, n - i);
-  return count;
-}
-#else
-std::uint64_t countDiffBytesAvx2(const std::uint8_t* a, const std::uint8_t* b,
-                                 std::size_t n) noexcept {
-  return countDiffBytesPortable(a, b, n);
-}
-#endif
-
 std::uint64_t countDiffBytes(const std::uint8_t* a, const std::uint8_t* b,
                              std::size_t n) noexcept {
   if (n == 0 || std::memcmp(a, b, n) == 0) return 0;
-  return activeKernel() == Kernel::Avx2 ? countDiffBytesAvx2(a, b, n)
-                                        : countDiffBytesPortable(a, b, n);
+  std::uint64_t count = 0;
+  std::size_t i = 0;
+  while (n - i >= kLaneCount) {
+    const std::size_t steps = std::min((n - i) / kLaneCount, kMaxStepsPerDrain);
+    Lanes acc{};
+    for (std::size_t s = 0; s < steps; ++s, i += kLaneCount) {
+      Lanes va;
+      Lanes vb;
+      std::memcpy(&va, a + i, kLaneCount);
+      std::memcpy(&vb, b + i, kLaneCount);
+      acc += reinterpret_cast<Lanes>(va != vb) & 1;
+    }
+    count += laneSum(acc);
+  }
+  for (; i < n; ++i) count += a[i] != b[i] ? 1 : 0;
+  return count;
 }
 
 }  // namespace easycrash::memsim::scan

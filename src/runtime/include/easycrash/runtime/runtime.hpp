@@ -359,9 +359,8 @@ class Runtime {
   [[nodiscard]] const std::string& traceRun() const { return traceRun_; }
 
   /// Enable the sampled access/wear profile on the underlying memory system
-  /// (flight recorder). No-op when telemetry is compiled out or in direct
-  /// mode, where the hierarchy records nothing by design. Campaigns enable
-  /// this on the simulated runs only.
+  /// (flight recorder). No-op in direct mode, where the hierarchy records
+  /// nothing by design. Campaigns enable this on the simulated runs only.
   void enableProfile();
   [[nodiscard]] bool profiling() const;
   /// Fold the memory system's sampled stride counters onto the tracked data

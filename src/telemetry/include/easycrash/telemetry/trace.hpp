@@ -5,11 +5,9 @@
 // persist calls, restart/recovery outcomes and workflow phase transitions.
 //
 // Cost model: the hot-path guard is `telemetry::tracing()` — one relaxed
-// atomic load when compiled in, `constexpr false` (dead-code-eliminated
-// call sites) when the build defines EASYCRASH_TELEMETRY_DISABLED
-// (-DEASYCRASH_TELEMETRY=OFF). Every event-building call site must sit
-// behind this guard so a run without --trace-out pays one predictable
-// branch per instrumentation point and nothing else.
+// atomic load. Every event-building call site must sit behind this guard so
+// a run without --trace-out pays one predictable branch per instrumentation
+// point and nothing else.
 #pragma once
 
 #include <atomic>
@@ -21,21 +19,13 @@
 
 namespace easycrash::telemetry {
 
-#ifdef EASYCRASH_TELEMETRY_DISABLED
-inline constexpr bool kTraceCompiledIn = false;
-#else
-inline constexpr bool kTraceCompiledIn = true;
-#endif
-
 namespace detail {
 inline std::atomic<bool> g_tracingEnabled{false};
 }  // namespace detail
 
-/// True when a sink is open and tracing is compiled in. Call sites guard
-/// event construction with this.
+/// True when a sink is open. Call sites guard event construction with this.
 [[nodiscard]] inline bool tracing() noexcept {
-  return kTraceCompiledIn &&
-         detail::g_tracingEnabled.load(std::memory_order_relaxed);
+  return detail::g_tracingEnabled.load(std::memory_order_relaxed);
 }
 
 /// Monotonic nanoseconds since the first telemetry call in this process.

@@ -90,7 +90,7 @@ std::uint64_t sumOf(const std::vector<std::uint64_t>& bins) {
 TEST(AccessProfile, ObjectBinsFoldExactlyToTotals) {
   runtime::Runtime rt(memsim::CacheConfig::tiny());
   rt.enableProfile();
-  EXPECT_EQ(rt.profiling(), tel::kTraceCompiledIn);
+  EXPECT_TRUE(rt.profiling());
 
   RecorderApp app;
   app.setup(rt);
@@ -98,11 +98,6 @@ TEST(AccessProfile, ObjectBinsFoldExactlyToTotals) {
   for (int i = 0; i < RecorderApp::kIterations; ++i) app.iterate(rt, i);
 
   const auto profiles = rt.objectProfiles(4);
-  if (!tel::kTraceCompiledIn) {
-    // The recorder compiles out: no profiling, no profiles.
-    EXPECT_TRUE(profiles.empty());
-    return;
-  }
   ASSERT_FALSE(profiles.empty());
   bool sawAccesses = false;
   bool sawWear = false;
@@ -127,10 +122,6 @@ TEST(AccessProfile, CampaignAccumulatesAcrossRuns) {
   config.appLabel = "recorder";
   const auto campaign = crash::CampaignRunner(recorderFactory(), config).run();
 
-  if (!tel::kTraceCompiledIn) {
-    EXPECT_TRUE(campaign.profile.empty());
-    return;
-  }
   ASSERT_FALSE(campaign.profile.empty());
   // The one sweep crashing run: the golden run and the restarts go direct
   // and record no profile.
@@ -191,10 +182,6 @@ TEST(AccessProfile, SweepProfileIsTheSameInEveryIsolationMode) {
   const crash::CampaignProfile propagate = runWith(crash::IsolationMode::Propagate, 1);
   expectSameProfile(propagate, runWith(crash::IsolationMode::InProcess, 2), "in-process");
   expectSameProfile(propagate, runWith(crash::IsolationMode::Fork, 2), "fork");
-  if (!tel::kTraceCompiledIn) {
-    EXPECT_TRUE(propagate.empty());
-    return;
-  }
   EXPECT_EQ(propagate.runs, 1u);
 
   // The golden run alone, tracked, as the campaign runs it under
@@ -222,7 +209,6 @@ TEST(AccessProfile, SweepProfileIsTheSameInEveryIsolationMode) {
 }
 
 TEST(PhaseSpan, EmitsPairedEventsAndObservesDuration) {
-  if (!tel::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   std::ostringstream buffer;
   auto& sink = tel::TraceSink::instance();
   sink.clearCommonFields();
@@ -383,18 +369,16 @@ TEST(FlightReport, RendersDeterministicallyFromJournal) {
   EXPECT_NE(once.find("# nvct campaign report"), std::string::npos);
   EXPECT_NE(once.find("## Outcomes"), std::string::npos);
   EXPECT_NE(once.find("decided trials: 3"), std::string::npos);
-  if (tel::kTraceCompiledIn) {
-    // The metrics profile section feeds the heatmap.
-    EXPECT_NE(once.find("## Access/wear profile"), std::string::npos);
-    EXPECT_NE(once.find("`data`"), std::string::npos);
-    // Both tables name a region the same way: every region a crash landed
-    // in has a row in the access shares.
-    const auto outcomes = tableLabels(once, "## Per-region outcomes");
-    const auto shares = tableLabels(once, "### Region access shares");
-    EXPECT_TRUE(outcomes.count("R1")) << once;
-    for (const std::string& region : outcomes) {
-      EXPECT_TRUE(shares.count(region)) << region << " missing from the access shares\n" << once;
-    }
+  // The metrics profile section feeds the heatmap.
+  EXPECT_NE(once.find("## Access/wear profile"), std::string::npos);
+  EXPECT_NE(once.find("`data`"), std::string::npos);
+  // Both tables name a region the same way: every region a crash landed in
+  // has a row in the access shares.
+  const auto outcomes = tableLabels(once, "## Per-region outcomes");
+  const auto shares = tableLabels(once, "### Region access shares");
+  EXPECT_TRUE(outcomes.count("R1")) << once;
+  for (const std::string& region : outcomes) {
+    EXPECT_TRUE(shares.count(region)) << region << " missing from the access shares\n" << once;
   }
 
   // The journal alone renders too (no optional inputs).

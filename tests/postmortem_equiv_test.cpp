@@ -6,11 +6,11 @@
 // and against an oracle computed from first principles — the value image
 // (peek) diffed byte-by-byte against the NVM image, which is the paper's
 // definition of inconsistency. After a power loss the value image must
-// equal NVM byte for byte. The compare kernels themselves (portable
-// word-at-a-time and AVX2) are additionally differentially tested against a
-// naive byte loop on awkward sizes, and the dirty-anywhere set the LLC
-// directory's masks describe is checked against a full forEachValid walk of
-// the levels' own dirty bits after every mutation burst.
+// equal NVM byte for byte. The compare kernel itself is additionally tested
+// against a naive byte loop on awkward sizes and offsets, and the
+// dirty-anywhere set the LLC directory's masks describe is checked against a
+// full forEachValid walk of the levels' own dirty bits after every mutation
+// burst.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -40,61 +40,56 @@ std::uint64_t naiveDiff(const std::uint8_t* a, const std::uint8_t* b,
   return count;
 }
 
-TEST(ScanKernel, PortableMatchesNaiveOnAwkwardSizes) {
-  easycrash::Rng rng(0x5CA11);
-  for (std::size_t n = 0; n <= 130; ++n) {
-    std::vector<std::uint8_t> a(n), b(n);
-    for (auto& byte : a) byte = static_cast<std::uint8_t>(rng.below(256));
-    // Sparse diffs: copy then corrupt a few bytes, covering the all-equal,
-    // one-diff and dense cases.
-    b = a;
-    const std::uint64_t diffs = n == 0 ? 0 : rng.below(n + 1);
-    for (std::uint64_t d = 0; d < diffs; ++d) {
-      b[rng.below(n)] ^= static_cast<std::uint8_t>(1 + rng.below(255));
-    }
-    EXPECT_EQ(scan::countDiffBytesPortable(a.data(), b.data(), n),
-              naiveDiff(a.data(), b.data(), n))
-        << "n=" << n;
-  }
-}
+/// Fill `a` at random and `b` from it in one of three patterns: equal, a few
+/// corrupted bytes, or every byte different.
+enum class DiffPattern { Equal, Sparse, AllDifferent };
 
-TEST(ScanKernel, Avx2MatchesPortable) {
-  if (!scan::avx2Available()) GTEST_SKIP() << "no AVX2 on this host";
-  easycrash::Rng rng(0xA5A5);
-  for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{31},
-                        std::size_t{32}, std::size_t{33}, std::size_t{63},
-                        std::size_t{64}, std::size_t{65}, std::size_t{100},
-                        std::size_t{256}, std::size_t{1000}}) {
-    for (int round = 0; round < 16; ++round) {
-      std::vector<std::uint8_t> a(n), b(n);
-      for (auto& byte : a) byte = static_cast<std::uint8_t>(rng.below(256));
-      for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.below(256));
-      EXPECT_EQ(scan::countDiffBytesAvx2(a.data(), b.data(), n),
-                scan::countDiffBytesPortable(a.data(), b.data(), n))
-          << "n=" << n;
-    }
-  }
-}
-
-TEST(ScanKernel, ForcedKernelsAgreeThroughDispatch) {
-  std::vector<std::uint8_t> a(192), b(192);
-  easycrash::Rng rng(0xD15);
+void fillPair(easycrash::Rng& rng, std::vector<std::uint8_t>& a,
+              std::vector<std::uint8_t>& b, DiffPattern pattern) {
   for (auto& byte : a) byte = static_cast<std::uint8_t>(rng.below(256));
   b = a;
-  b[0] ^= 0x80;
-  b[100] ^= 0x01;
-  b[191] ^= 0xFF;
-  scan::forceKernel(scan::Kernel::Portable);
-  const std::uint64_t viaPortable = scan::countDiffBytes(a.data(), b.data(), a.size());
-  EXPECT_EQ(scan::activeKernel(), scan::Kernel::Portable);
-  scan::forceKernel(scan::Kernel::Avx2);  // no-op when AVX2 is unavailable
-  const std::uint64_t viaForced = scan::countDiffBytes(a.data(), b.data(), a.size());
-  scan::resetKernel();
-  EXPECT_EQ(viaPortable, 3u);
-  EXPECT_EQ(viaForced, 3u);
-  // The memcmp prefilter must short-circuit the all-equal case.
-  EXPECT_EQ(scan::countDiffBytes(a.data(), a.data(), a.size()), 0u);
+  if (pattern == DiffPattern::AllDifferent) {
+    for (auto& byte : b) byte ^= static_cast<std::uint8_t>(1 + rng.below(255));
+  } else if (pattern == DiffPattern::Sparse && !b.empty()) {
+    const std::uint64_t diffs = 1 + rng.below(b.size() / 8 + 1);
+    for (std::uint64_t d = 0; d < diffs; ++d) {
+      b[rng.below(b.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+    }
+  }
+}
+
+// countDiffBytes against the naive byte loop: every length through four
+// 64-byte blocks and past them, at every source offset a 16-byte lane can
+// sit at; lengths on both sides of the 255-step u8 lane drain; one long run
+// that drains many times; and the all-equal and empty cases the memcmp
+// prefilter answers.
+TEST(ScanKernel, MatchesNaiveByteLoop) {
+  easycrash::Rng rng(0x5CA11);
+  const auto check = [&](std::size_t n, std::size_t offset) {
+    for (const DiffPattern pattern :
+         {DiffPattern::Equal, DiffPattern::Sparse, DiffPattern::AllDifferent}) {
+      std::vector<std::uint8_t> a(offset + n), b(offset + n);
+      fillPair(rng, a, b, pattern);
+      const std::uint8_t* pa = a.data() + offset;
+      const std::uint8_t* pb = b.data() + offset;
+      ASSERT_EQ(scan::countDiffBytes(pa, pb, n), naiveDiff(pa, pb, n))
+          << "n=" << n << " offset=" << offset
+          << " pattern=" << static_cast<int>(pattern);
+      ASSERT_EQ(scan::countDiffBytes(pa, pa, n), 0u) << "n=" << n;
+    }
+  };
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t n = 0; n <= 4 * 64 + 17; ++n) check(n, offset);
+  }
+  constexpr std::size_t kDrainBytes = 16 * 255;
+  for (std::size_t n = kDrainBytes - 17; n <= kDrainBytes + 33; ++n) check(n, n % 16);
+  check(70000, 0);
+  check(70000, 5);
+
+  std::vector<std::uint8_t> a(192), b(192);
+  fillPair(rng, a, b, DiffPattern::AllDifferent);
   EXPECT_EQ(scan::countDiffBytes(a.data(), b.data(), 0), 0u);
+  EXPECT_EQ(scan::countDiffBytes(a.data(), b.data(), a.size()), a.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -186,18 +181,13 @@ void runHierarchyDifferential(const ms::CacheConfig& config, std::uint64_t seed)
     if (op % 5000 == 0) expectDirtySetCoherent(hier, kFootprint);
   }
   expectDirtySetCoherent(hier, kFootprint);
-  // Whole-footprint agreement at the end, under both forced kernels.
-  for (const scan::Kernel kernel : {scan::Kernel::Portable, scan::Kernel::Avx2}) {
-    scan::forceKernel(kernel);
-    hier.setScanFastPath(true);
-    const std::uint64_t fast = hier.inconsistentBytes(0, kFootprint);
-    hier.setScanFastPath(false);
-    const std::uint64_t scalar = hier.inconsistentBytes(0, kFootprint);
-    hier.setScanFastPath(true);
-    EXPECT_EQ(fast, scalar);
-    EXPECT_EQ(fast, oracleInconsistent(hier, nvm, 0, kFootprint));
-  }
-  scan::resetKernel();
+  // Whole-footprint agreement at the end.
+  const std::uint64_t fast = hier.inconsistentBytes(0, kFootprint);
+  hier.setScanFastPath(false);
+  const std::uint64_t scalar = hier.inconsistentBytes(0, kFootprint);
+  hier.setScanFastPath(true);
+  EXPECT_EQ(fast, scalar);
+  EXPECT_EQ(fast, oracleInconsistent(hier, nvm, 0, kFootprint));
 }
 
 TEST(PostmortemEquiv, TinyGeometry) {

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "easycrash/core/object_selection.hpp"
 #include "easycrash/crash/campaign.hpp"
 #include "easycrash/crash/flight_report.hpp"
 #include "easycrash/crash/report.hpp"
@@ -431,7 +432,8 @@ TEST(TrialTally, MatchesARecountAndEveryRendererCarriesIt) {
   // paths, objects some trials recorded no rate for: the tally equals a
   // recount written here, and the summary, `nvct report`'s tables and the
   // merged metrics projection, all rendered from one set, carry the same
-  // S1-S4 counts, S2 extra sum and per-object means.
+  // S1-S4 counts, S2 extra sum and per-object means (each over the trials
+  // that recorded the object), and object selection uses those means.
   struct Rate {
     double sum = 0.0;
     double max = 0.0;
@@ -540,12 +542,18 @@ TEST(TrialTally, MatchesARecountAndEveryRendererCarriesIt) {
                                    cr::regionName(region).c_str(),
                                    100.0 * (static_cast<double>(c[0]) / n), n));
       }
-      // The summary's mean counts a trial without a rate as 0.
       for (const auto& candidate : set.header.candidates) {
         const auto it = rates.find(candidate.id);
         inSummary.push_back(format(
             "    %s: %.2f%%\n", candidate.name.c_str(),
-            100.0 * (it == rates.end() ? 0.0 : it->second.sum / decided)));
+            100.0 * (it == rates.end() ? 0.0 : it->second.sum / it->second.samples)));
+      }
+      // Object selection reads the same mean.
+      for (const auto& corr : easycrash::core::selectCriticalObjects(campaign).correlations) {
+        const auto it = rates.find(corr.id);
+        EXPECT_EQ(corr.meanInconsistentRate,
+                  it == rates.end() ? 0.0 : it->second.sum / it->second.samples)
+            << where << ": " << corr.name;
       }
     }
     for (const auto& line : inReport) {

@@ -311,7 +311,6 @@ class TraceSinkTest : public ::testing::Test {
 };
 
 TEST_F(TraceSinkTest, EnablesAndDisablesTracing) {
-  if (!tel::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   EXPECT_TRUE(tel::tracing());
   tel::TraceSink::instance().close();
   EXPECT_FALSE(tel::tracing());
@@ -587,9 +586,7 @@ TEST(CampaignTelemetry, FullCampaignRecordsTrialsAndTraceEvents) {
                                   reg.counter("campaign.responses.s4").value();
   EXPECT_EQ(responses, 3u);
 
-  // The trace carries the campaign lifecycle with the app tag on every line
-  // (only when tracing is compiled in; the metrics above work either way).
-  if (!tel::kTraceCompiledIn) return;
+  // The trace carries the campaign lifecycle with the app tag on every line.
   std::istringstream lines(trace.str());
   std::string line;
   std::size_t total = 0;

@@ -16,12 +16,10 @@
 // flight recorder's phase spans (docs/OBSERVABILITY.md) are checked too: a
 // phase_begin must name its "phase" and a phase_end must additionally carry
 // a non-negative "duration_ns", a postmortem_scan must carry its block
-// tallies plus the compare kernel that ran, and a restart_converged must
-// carry its trial, the iteration it stopped at, the source of the memo key
-// it reached ("golden" or "trial") and the iterations it skipped. --stats
-// appends a name-sorted
-// event-type frequency table, a quick census of what a trace actually
-// contains.
+// tallies, and a restart_converged must carry its trial, the iteration it
+// stopped at, the source of the memo key it reached ("golden" or "trial")
+// and the iterations it skipped. --stats appends a name-sorted event-type
+// frequency table, a quick census of what a trace actually contains.
 //
 // Status mode validates one live snapshot written by nvct --status-out: a
 // single campaign_status object whose tallies are self-consistent
@@ -177,7 +175,7 @@ std::string lintMemoEvent(const json::Value& value, const std::string& type) {
 
 /// Per-type schema of the post-mortem scan's trace event: the fast-path
 /// inconsistency scan emits one postmortem_scan per scanned range, carrying
-/// its block tallies and the compare kernel that ran. skipped + compared
+/// its block tallies. skipped + compared
 /// must equal the range's block count, so both tallies are required.
 std::string lintPostmortemEvent(const json::Value& value, const std::string& type) {
   if (type != "postmortem_scan") return {};
@@ -187,10 +185,6 @@ std::string lintPostmortemEvent(const json::Value& value, const std::string& typ
     if (!numberField(value, name, &field) || field < 0) {
       return std::string("postmortem_scan missing non-negative \"") + name + '"';
     }
-  }
-  const json::Value* kernel = value.find("kernel");
-  if (kernel == nullptr || !kernel->isString() || kernel->string.empty()) {
-    return "postmortem_scan missing \"kernel\"";
   }
   return {};
 }
