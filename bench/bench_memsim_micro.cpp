@@ -5,17 +5,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "easycrash/apps/registry.hpp"
 #include "easycrash/common/rng.hpp"
 #include "easycrash/crash/campaign.hpp"
-#include "easycrash/crash/shard.hpp"
 #include "easycrash/memsim/hierarchy.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
@@ -360,66 +356,6 @@ void BM_CampaignNScaling(benchmark::State& state) {
   setCampaignCounters(state, last);
 }
 BENCHMARK(BM_CampaignNScaling)->Arg(25)->Arg(100)->Unit(benchmark::kMillisecond);
-
-// Sharded campaign execution (docs/INTERNALS.md "Sharded campaigns"). One
-// shard's end-to-end critical path at k=1/2/4: shard 0's campaign — the
-// golden run every shard repeats plus its N/k owned trials — then the
-// `nvct merge` fold of all k shard journals into the canonical compact
-// journal. With k machines running their shards concurrently, this per-
-// shard time IS the campaign wall-clock, so the k=1/k ratio is the fan-out
-// speedup (bounded below 1/k by the replicated golden run and the merge).
-// The k shard journals are produced once outside the timed loop; merge
-// time is also broken out as merge_ms — it grows with decided trials, not
-// with the simulation, so it stays a rounding error next to the campaign.
-void BM_ShardedCampaign(benchmark::State& state) {
-  namespace cr = easycrash::crash;
-  const int shards = static_cast<int>(state.range(0));
-  const auto& entry = easycrash::apps::findBenchmark("is");
-  const int tests = 1536;
-  const auto configFor = [&](int index) {
-    cr::CampaignConfig config;
-    config.seed = 1;
-    config.numTests = tests;
-    config.threads = 1;
-    config.appLabel = entry.name;
-    config.shard.index = index;
-    config.shard.count = shards;
-    return config;
-  };
-  const std::string dir = std::filesystem::temp_directory_path().string();
-  std::vector<std::string> paths;
-  for (int i = 0; i < shards; ++i) {
-    std::string path = dir + "/bench_shard_" + std::to_string(shards) + "_" +
-                       std::to_string(i) + ".jsonl";
-    std::remove(path.c_str());
-    auto config = configFor(i);
-    config.resilience.journalPath = path;
-    (void)cr::CampaignRunner(entry.factory, config).run();
-    paths.push_back(std::move(path));
-  }
-  cr::CampaignResult last;
-  double mergeMs = 0.0;
-  for (auto _ : state) {
-    last = cr::CampaignRunner(entry.factory, configFor(0)).run();
-    const auto mergeStart = std::chrono::steady_clock::now();
-    const auto merge = cr::mergeShardJournals(paths);
-    const std::string journal = cr::renderMergedJournal(merge);
-    benchmark::DoNotOptimize(journal.size());
-    mergeMs += std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - mergeStart)
-                   .count();
-  }
-  for (const auto& path : paths) std::remove(path.c_str());
-  state.SetItemsProcessed(state.iterations() * tests);
-  state.counters["merge_ms"] =
-      mergeMs / static_cast<double>(state.iterations());
-  setCampaignCounters(state, last);
-}
-BENCHMARK(BM_ShardedCampaign)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 // The golden layer's cost at a large footprint (CG at 16x its bundled
 // problem size). Arg 0: a fully-tracked golden run — what a campaign pays

@@ -65,10 +65,6 @@ struct CampaignMetrics {
   telemetry::Counter& trialRetries;
   telemetry::Counter& trialTimeouts;
   telemetry::Counter& resumedTrials;
-  /// Sharded campaigns (--shard i/k): trials this shard owns out of the
-  /// campaign's planned N. Zero when unsharded, so it never feeds
-  /// equivalence comparisons.
-  telemetry::Counter& shardOwnedTrials;
   telemetry::Counter& sweepRuns;
   telemetry::Counter& sweepCaptures;
   telemetry::Counter& sweepFallbacks;
@@ -120,7 +116,6 @@ struct CampaignMetrics {
         reg.counter("campaign.trial_retries"),
         reg.counter("campaign.trial_timeouts"),
         reg.counter("campaign.resumed_trials"),
-        reg.counter("campaign.shard_owned_trials"),
         reg.counter("campaign.sweep_runs"),
         reg.counter("campaign.sweep_captures"),
         reg.counter("campaign.sweep_fallbacks"),
@@ -1355,29 +1350,14 @@ class CampaignExecution {
 
   /// Pre-draw every crash point, so the campaign is identical at any number
   /// of worker threads and a resumed campaign re-draws the exact sequence.
-  /// Every shard draws the whole sequence; only evaluation is partitioned
-  /// (trial t belongs to shard t % k), so the slices are disjoint and their
-  /// union is the unsharded set.
   void draw() {
     Rng rng(config_.seed);
     crashIndices_.resize(static_cast<std::size_t>(config_.numTests));
     for (auto& index : crashIndices_) {
       index = rng.between(1, result_.golden.windowAccesses);
     }
-    const std::size_t n = crashIndices_.size();
-    records_.resize(n);
-    failures_.resize(n);
-    ownedCount_ = n;
-    const ShardConfig& shard = config_.shard;
-    if (shard.active()) {
-      ownedCount_ = 0;
-      for (std::size_t t = 0; t < n; ++t) {
-        if (shard.owns(t)) ++ownedCount_;
-      }
-      CampaignMetrics::get().shardOwnedTrials.add(ownedCount_);
-      EC_LOG_INFO("shard " << shard.index << "/" << shard.count << " owns "
-                           << ownedCount_ << " of " << n << " trials");
-    }
+    records_.resize(crashIndices_.size());
+    failures_.resize(crashIndices_.size());
   }
 
   /// Seed the decided slots and the tally from a resumed journal, and open
@@ -1401,14 +1381,11 @@ class CampaignExecution {
 
   /// The sweep's capture plan: each distinct crash index, ascending, with
   /// the undecided trials that drew it. Trials drawing the same index share
-  /// one capture; decided (resumed) trials never re-enter. Sharded, only
-  /// this shard's owned trials are planned; a duplicate index whose trials
-  /// straddle shards is captured on each — the capture is deterministic, so
-  /// the records still merge byte-identically.
+  /// one capture; decided (resumed) trials never re-enter.
   void plan() {
     std::map<std::uint64_t, std::vector<std::size_t>> byIndex;
     for (std::size_t t = 0; t < crashIndices_.size(); ++t) {
-      if (config_.shard.owns(t) && !records_[t] && !failures_[t]) {
+      if (!records_[t] && !failures_[t]) {
         byIndex[crashIndices_[t]].push_back(t);
       }
     }
@@ -1475,23 +1452,22 @@ class CampaignExecution {
           " trial failures exceeded the budget of " + std::to_string(res_.maxFailures) +
           (res_.journalPath.empty() ? "" : " — journal kept at " + res_.journalPath));
     }
-    // Only the owned slice owes a decision: an unowned trial left undecided
-    // is another shard's work, not an interruption of this one.
     std::size_t undecided = 0;
     for (std::size_t t = 0; t < records_.size(); ++t) {
-      if (config_.shard.owns(t) && !records_[t] && !failures_[t]) ++undecided;
+      if (!records_[t] && !failures_[t]) ++undecided;
     }
+    const std::size_t planned = records_.size();
     result_.interrupted = undecided > 0;
     if (result_.interrupted) {
-      EC_LOG_WARN("campaign interrupted: " << (ownedCount_ - undecided) << "/"
-                                           << ownedCount_ << " trials decided"
+      EC_LOG_WARN("campaign interrupted: " << (planned - undecided) << "/"
+                                           << planned << " trials decided"
                                            << (stopSignal() != 0
                                                    ? " (signal " +
                                                          std::to_string(stopSignal()) + ")"
                                                    : ""));
       if (telemetry::tracing()) {
         telemetry::TraceEvent("campaign_interrupted")
-            .field("decided", static_cast<std::uint64_t>(ownedCount_ - undecided))
+            .field("decided", static_cast<std::uint64_t>(planned - undecided))
             .field("remaining", static_cast<std::uint64_t>(undecided))
             .field("signal", stopSignal())
             .emit();
@@ -1534,35 +1510,13 @@ class CampaignExecution {
     header.mode = config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent";
     header.planFingerprint = planFingerprint(config_.plan);
     header.windowAccesses = result_.golden.windowAccesses;
-    if (config_.shard.active()) {
-      // Self-describing shard journal: coordinates, the campaign fingerprint
-      // over the identity fields, and the candidate list `nvct merge` needs
-      // to rebuild the CSV without re-running the app. Unsharded headers
-      // carry none of this (byte-identical to pre-sharding journals).
-      header.shardIndex = config_.shard.index;
-      header.shardCount = config_.shard.count;
-      header.campaignHash = campaignHash(header);
-      for (const auto& object : result_.golden.objects) {
-        if (object.candidate) {
-          header.candidates.push_back(JournalCandidate{object.id, object.name});
-        }
-      }
-    }
     return header;
   }
 
   /// Throws unless the resumed journal was drawn for exactly this campaign.
   /// readJournal has already bounded every index by the header's tests.
   void replayJournal(JournalReplay& replay, const JournalHeader& header) {
-    const JournalHeader& journal = replay.header;
-    std::string mismatch = identityMismatch(journal, header);
-    // A shard journal resumes only under the same --shard i/k; a merged (or
-    // legacy) journal is unsharded on both sides and passes trivially.
-    if (mismatch.empty() && (journal.shardCount != header.shardCount ||
-                             journal.shardIndex != header.shardIndex)) {
-      mismatch = "shard (" + std::to_string(journal.shardIndex) + "/" +
-                 std::to_string(journal.shardCount) + ")";
-    }
+    const std::string mismatch = identityMismatch(replay.header, header);
     if (!mismatch.empty()) {
       throw std::runtime_error("--resume " + res_.resumePath + ": journal " +
                                mismatch + " does not match this campaign");
@@ -1607,13 +1561,7 @@ class CampaignExecution {
   CampaignStatus statusSnapshot(std::chrono::steady_clock::time_point start) {
     CampaignStatus s;
     s.app = config_.appLabel;
-    // Shard-local totals: `tests` is this shard's owned slice, so
-    // decided/tests and the ETA describe THIS process's work — a shard that
-    // owns N/k trials is done at N/k decided, and a fleet watcher sums the
-    // slices (they partition [0, N)).
-    s.plannedTests = static_cast<int>(ownedCount_);
-    s.shardIndex = config_.shard.index;
-    s.shardCount = config_.shard.count;
+    s.plannedTests = config_.numTests;
     {
       std::lock_guard<std::mutex> lock(tallyMutex_);
       s.decided = done_;
@@ -1883,7 +1831,6 @@ class CampaignExecution {
   std::uint64_t timeoutMs_ = 0;  ///< fork-only trial deadline base; 0 = none
   CampaignResult result_;
   std::vector<std::uint64_t> crashIndices_;
-  std::size_t ownedCount_ = 0;
   std::vector<std::optional<CrashTestRecord>> records_;
   std::vector<std::optional<TrialFailure>> failures_;
   std::size_t resumedTrials_ = 0;
@@ -1911,9 +1858,6 @@ class CampaignExecution {
 
 CampaignResult CampaignRunner::run() const {
   const ResilienceConfig& res = config_.resilience;
-  EC_CHECK_MSG(config_.shard.count >= 1 && config_.shard.index >= 0 &&
-                   config_.shard.index < config_.shard.count,
-               "shard index outside [0, count)");
   // Only a fork worker can be reclaimed from a hang: an in-process run has
   // no way to stop a trial that never returns.
   if (res.trialTimeoutMs > 0 && res.isolation != IsolationMode::Fork) {
@@ -1921,21 +1865,28 @@ CampaignResult CampaignRunner::run() const {
         "a trial deadline (trialTimeoutMs) requires fork isolation");
   }
   if (telemetry::tracing()) {
-    telemetry::TraceEvent event("campaign_begin");
-    event.field("tests", config_.numTests)
+    telemetry::TraceEvent("campaign_begin")
+        .field("tests", config_.numTests)
         .field("seed", config_.seed)
         .field("mode", config_.mode == SnapshotMode::NvmImage ? "nvm" : "coherent")
-        .field("plan_points", static_cast<std::uint64_t>(config_.plan.points.size()));
-    if (config_.shard.active()) {
-      event.field("shard", config_.shard.index).field("shards", config_.shard.count);
-    }
-    event.emit();
+        .field("plan_points", static_cast<std::uint64_t>(config_.plan.points.size()))
+        .emit();
   }
 
   // Parse any resume journal before spending time on the golden run, so a
   // bad path/file fails fast.
   std::optional<JournalReplay> replay;
-  if (!res.resumePath.empty()) replay = readJournal(res.resumePath);
+  if (!res.resumePath.empty()) {
+    replay = readJournal(res.resumePath);
+    const JournalHeader& header = replay->header;
+    if (header.shardCount > 1) {
+      throw std::runtime_error(
+          "--resume " + res.resumePath + ": journal is shard " +
+          std::to_string(header.shardIndex) + "/" + std::to_string(header.shardCount) +
+          " of a sharded campaign; sharding was removed, so only an unsharded "
+          "journal resumes");
+    }
+  }
 
   CampaignExecution execution(*this);
   execution.golden();

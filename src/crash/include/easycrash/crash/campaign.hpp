@@ -72,7 +72,7 @@ struct TrialFailure {
 /// How trials are isolated from the campaign and from the host process.
 /// InProcess and Fork produce byte-identical CSV/journal/report output and
 /// the same metrics (bar `campaign.worker_*`) for every trial that does not
-/// die — the same differential bar as threads and sharding.
+/// die — the same differential bar as the thread count.
 enum class IsolationMode {
   Propagate,  ///< in-process, no isolation (library default; unit tests,
               ///< embedding): the first trial exception escapes run()
@@ -131,24 +131,6 @@ struct FaultPlan {
 
 [[nodiscard]] const char* toString(FaultPlan::Kind kind);
 
-/// Scale-out sharding (`nvct --shard i/k`, docs/INTERNALS.md "Sharded
-/// campaigns"). A sharded campaign draws the identical golden run, crash
-/// points and seeds as the unsharded one, but executes only the trials it
-/// owns: trial t belongs to shard t % count. Shards share no state, so k
-/// shards on k machines run the campaign ~k× faster; `nvct merge` folds
-/// their journals back into artifacts byte-identical to the unsharded run.
-struct ShardConfig {
-  int index = 0;  ///< this shard's index in [0, count)
-  int count = 1;  ///< total shards; 1 = unsharded (the default)
-
-  [[nodiscard]] bool active() const { return count > 1; }
-  /// True iff this shard executes trial `t`.
-  [[nodiscard]] bool owns(std::size_t t) const {
-    return count <= 1 ||
-           t % static_cast<std::size_t>(count) == static_cast<std::size_t>(index);
-  }
-};
-
 struct CampaignConfig {
   std::uint64_t seed = 1;
   int numTests = 200;
@@ -181,9 +163,6 @@ struct CampaignConfig {
   /// either way. Only consumers of golden MemEvents — the workflow's
   /// Equation-5 time model, the overhead benches — set it.
   bool goldenEvents = false;
-  /// Scale-out sharding: execute only the trials this shard owns (see
-  /// ShardConfig). Defaults to unsharded.
-  ShardConfig shard;
   /// Fault tolerance: trial isolation, deadline, journal/resume (see above).
   ResilienceConfig resilience;
   /// Deterministic fault injection into every crashing run (see FaultPlan).

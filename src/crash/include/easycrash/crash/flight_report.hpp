@@ -20,11 +20,11 @@
 
 namespace easycrash::crash {
 
-/// Render the markdown report of a read (or merged) journal, joined with the
+/// Render the markdown report of a read journal, joined with the
 /// optional JSONL trace (phase latencies; "" = none) and metrics snapshot
 /// (access/wear heatmap; "" = none). Throws std::runtime_error when an
 /// optional input is given but cannot be read or is malformed. `nvct
-/// report` passes mergeShardJournals' replay, for one journal or several.
+/// report` passes readJournal's replay of its one journal.
 [[nodiscard]] std::string renderFlightReport(const JournalReplay& journal,
                                              const std::string& tracePath,
                                              const std::string& metricsPath);

@@ -7,8 +7,8 @@
 //   per-region / per-object aggregates the EasyCrash workflow consumes.
 //
 // TrialTally is the one place those aggregates are counted: the summary,
-// `nvct report`, the merged metrics projection, the workflow's c_k and
-// object selection all read one, each with its own arithmetic and format.
+// `nvct report`, the workflow's c_k and object selection all read one,
+// each with its own arithmetic and format.
 #pragma once
 
 #include <array>

@@ -51,9 +51,8 @@ void clearStopFlag() noexcept;
 
 // ---- Journal ----------------------------------------------------------------
 
-/// One candidate object's identity, embedded in a shard journal's header so
-/// `nvct merge` can rebuild the per-test CSV (rate_<name> columns, candidate
-/// order) without re-running the application.
+/// One candidate object's identity, embedded in a shard journal's header
+/// (docs/INTERNALS.md "The shard-journal fold").
 struct JournalCandidate {
   runtime::ObjectId id = 0;
   std::string name;
@@ -73,14 +72,13 @@ struct JournalHeader {
   std::string mode;  ///< "nvm" | "coherent"
   std::uint64_t planFingerprint = 0;
   std::uint64_t windowAccesses = 0;
-  /// Shard header segment (docs/INTERNALS.md "Sharded campaigns"): the
-  /// shard's coordinates, the campaign fingerprint over the identity fields
-  /// above (campaignHash; the shard coordinates are deliberately excluded,
-  /// so every shard of one campaign — and its unsharded run — hash alike),
-  /// and the candidate objects for CSV reconstruction. Serialized only when
-  /// shardCount > 1: unsharded journals stay byte-identical to journals from
-  /// before sharding existed, which is what makes a merged journal byte-
-  /// comparable against an unsharded run's.
+  /// Shard header segment (docs/INTERNALS.md "The shard-journal fold"),
+  /// written now only by nvbench's merge replay: the shard's coordinates,
+  /// the campaign fingerprint over the identity fields above (campaignHash;
+  /// the shard coordinates are deliberately excluded, so every shard of one
+  /// campaign — and its unsharded journal — hash alike), and the candidate
+  /// objects. Serialized only when shardCount > 1, so a campaign's journal
+  /// never carries it, and --resume refuses a journal that does.
   int shardIndex = 0;
   int shardCount = 1;
   std::uint64_t campaignHash = 0;  ///< stamped value; 0 = not stamped
@@ -90,14 +88,14 @@ struct JournalHeader {
 /// FNV-1a campaign fingerprint over the header's identity fields (app, seed,
 /// tests, mode, plan fingerprint, window accesses) — NOT the shard
 /// coordinates, so the k shard journals of one campaign and the unsharded
-/// journal all agree. `nvct merge` recomputes it and rejects a shard journal
+/// journal all agree. readJournal recomputes it and refuses a shard journal
 /// whose stamped hash disagrees (a tampered or mis-labelled journal).
 [[nodiscard]] std::uint64_t campaignHash(const JournalHeader& header);
 
 /// The first identity field (app, seed, tests, mode, plan fingerprint,
 /// window accesses) in which two headers differ, named for an error
 /// message; empty when the headers describe the same campaign. Shard
-/// coordinates are not compared: each caller has its own rule for them.
+/// coordinates are not compared.
 [[nodiscard]] std::string identityMismatch(const JournalHeader& a,
                                            const JournalHeader& b);
 
@@ -171,7 +169,7 @@ struct JournalReplay {
 // ---- Record transport --------------------------------------------------------
 
 /// The journal's exact trial/header/failure line formats: TrialJournal
-/// writes them, and the shard merge core emits a canonical merged journal
+/// writes them, and the shard-journal fold emits a canonical merged journal
 /// byte-identical to what an unsharded TrialJournal leaves behind on close.
 /// Doubles are serialized with %.17g, so a record round-trips exactly.
 [[nodiscard]] std::string serializeTrialRecord(std::size_t trial,

@@ -27,11 +27,6 @@ namespace easycrash::crash {
 /// campaign started (resumed trials included in `decided`/`responses`).
 struct CampaignStatus {
   std::string app;
-  /// Shard coordinates (serialized as "shard":"i/k"; "0/1" when unsharded).
-  /// All remaining totals are shard-local: `plannedTests` is the owned
-  /// slice, so decided/tests and the ETA describe this process's work.
-  int shardIndex = 0;
-  int shardCount = 1;
   int plannedTests = 0;
   std::uint64_t decided = 0;            ///< trials with a record or a failure
   std::uint64_t resumed = 0;            ///< of those, replayed from --resume

@@ -148,9 +148,9 @@ std::string serializeJournalHeader(const JournalHeader& h) {
   // through the JSON reader's double representation (2^53 mantissa).
   line += ",\"plan_fingerprint\":\"" + std::to_string(h.planFingerprint) + '"';
   line += ",\"window_accesses\":" + std::to_string(h.windowAccesses);
-  // Shard header segment, only when sharded: unsharded journals keep the
-  // exact legacy bytes, so a merged journal (whose header is unsharded) is
-  // byte-comparable against a single-machine run's journal.
+  // Shard header segment, only for shard journals (written now only by
+  // nvbench's merge replay): unsharded journals keep the exact legacy
+  // bytes, so a merged journal is byte-comparable against a campaign's.
   if (h.shardCount > 1) {
     line += ",\"shard\":" + std::to_string(h.shardIndex);
     line += ",\"shards\":" + std::to_string(h.shardCount);
@@ -236,7 +236,8 @@ std::uint64_t campaignHash(const JournalHeader& header) {
     for (const char c : s) mixByte(static_cast<std::uint8_t>(c));
   };
   // Identity fields only — never the shard coordinates or the candidate
-  // list, so all k shards of one campaign (and its unsharded run) agree.
+  // list, so all k shard journals of one campaign (and its unsharded
+  // journal) agree.
   mixString(header.app);
   mix(header.seed);
   mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(header.tests)));
@@ -477,7 +478,7 @@ JournalHeader parseHeader(const json::Value& obj, bool* segments) {
     *segments = true;
   }
 
-  // Shard header segment (docs/INTERNALS.md "Sharded campaigns"): the
+  // Shard header segment (docs/INTERNALS.md "The shard-journal fold"): the
   // coordinates, the campaign fingerprint and the candidate list travel
   // together, and an unsharded header carries none of them.
   const json::Value* shards = obj.find("shards");

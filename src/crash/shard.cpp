@@ -1,20 +1,14 @@
 #include "easycrash/crash/shard.hpp"
 
-#include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
-
-#include "easycrash/crash/report.hpp"
-#include "easycrash/telemetry/trace.hpp"
 
 namespace easycrash::crash {
 
 namespace {
 
 /// Loud rejection: every validation failure names the offending journal and
-/// what disagreed, so a mis-addressed shard on a 10-machine fan-out is a
-/// one-line diagnosis, not a silently corrupted merge.
+/// what disagreed, never a silently corrupted merge.
 [[noreturn]] void reject(const std::string& path, const std::string& what) {
   throw std::runtime_error(path + ": " + what);
 }
@@ -35,8 +29,8 @@ ShardMerge mergeShardJournals(const std::vector<std::string>& paths) {
 
     if (refPath.empty()) {
       refPath = path;
-      // The merged header is the unsharded one: exactly what the
-      // single-machine run's journal carries.
+      // The merged header is the unsharded one: exactly what an unsharded
+      // journal carries.
       ref = h;
       ref.shardIndex = 0;
       ref.shardCount = 1;
@@ -58,7 +52,6 @@ ShardMerge mergeShardJournals(const std::vector<std::string>& paths) {
         reject(path, "candidate object list does not match " + refPath);
       }
     }
-    merge.shardsSeen.insert(h.shardIndex);
 
     // Ownership: a shard journal may only decide the trials the partition
     // function assigns it (trial t belongs to shard t % k). This both
@@ -109,100 +102,6 @@ std::string renderMergedJournal(const ShardMerge& merge) {
     }
   }
   return content;
-}
-
-std::string renderMergedCsv(const ShardMerge& merge) {
-  if (merge.replay.header.candidates.empty()) {
-    throw std::runtime_error(
-        "cannot rebuild the CSV — the journals carry no candidate "
-        "object list (only shard journals embed one)");
-  }
-  // Rebuild just enough of a CampaignResult for writeCampaignCsv: the
-  // candidate columns and the decided trials in index order. Reusing the
-  // writer (not reimplementing it) is what guarantees byte-identity with
-  // the unsharded run's --csv-out.
-  CampaignResult result;
-  for (const JournalCandidate& candidate : merge.replay.header.candidates) {
-    runtime::DataObjectInfo object;
-    object.id = candidate.id;
-    object.name = candidate.name;
-    object.candidate = true;
-    result.golden.objects.push_back(std::move(object));
-  }
-  for (const auto& [trial, record] : merge.replay.trials) {
-    result.tests.push_back(record);
-  }
-  std::ostringstream os;
-  writeCampaignCsv(result, os);
-  return os.str();
-}
-
-std::string renderMergedMetrics(const ShardMerge& merge) {
-  // A pure function of the identity header and the decided set — never of
-  // the shard layout, wall clock, or the k separate simulations that
-  // produced it — so any shard split (including k=1) that decided the same
-  // trials projects byte-identical JSON.
-  const JournalReplay& replay = merge.replay;
-  const JournalHeader& header = replay.header;
-  std::string out = "{\n  \"type\": \"campaign_merge_metrics\",\n  \"app\": \"";
-  telemetry::appendJsonEscaped(out, header.app);
-  out += "\",\n  \"seed\": " + std::to_string(header.seed);
-  out += ",\n  \"tests\": " + std::to_string(header.tests);
-  out += ",\n  \"mode\": \"";
-  telemetry::appendJsonEscaped(out, header.mode);
-  out += "\",\n  \"plan_fingerprint\": \"" +
-         std::to_string(header.planFingerprint) + '"';
-  out += ",\n  \"window_accesses\": " + std::to_string(header.windowAccesses);
-  out += ",\n  \"decided\": " +
-         std::to_string(replay.trials.size() + replay.failures.size());
-  out += ",\n  \"complete\": ";
-  out += merge.complete() ? "true" : "false";
-
-  TrialTally tally;
-  for (const auto& [trial, record] : replay.trials) tally.add(record);
-  out += ",\n  \"responses\": {";
-  for (int s = 0; s < 4; ++s) {
-    if (s) out += ", ";
-    out += "\"s";
-    out += static_cast<char>('1' + s);
-    out += "\": " + std::to_string(tally.all.responses[static_cast<std::size_t>(s)]);
-  }
-  // The projection's field is unsigned.
-  out += "},\n  \"extra_iterations\": " +
-         std::to_string(static_cast<std::uint64_t>(tally.all.s2ExtraIterations));
-
-  std::map<std::string, std::uint64_t> failureKinds;
-  for (const auto& [trial, failure] : replay.failures) ++failureKinds[failure.kind];
-  out += ",\n  \"failures\": " + std::to_string(replay.failures.size());
-  out += ",\n  \"failure_kinds\": {";
-  bool first = true;
-  for (const auto& [kind, count] : failureKinds) {
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    telemetry::appendJsonEscaped(out, kind);
-    out += "\": " + std::to_string(count);
-  }
-  out += '}';
-
-  // Per-candidate rate aggregates, keyed by object id (names are a shard-
-  // header extra an unsharded journal never carried; leaving them out keeps
-  // the projection identical whichever journal kind it was derived from).
-  out += ",\n  \"rates\": [";
-  first = true;
-  for (const auto& [id, stats] : tally.rates) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"id\": " + std::to_string(id);
-    out += ", \"samples\": " + std::to_string(stats.samples);
-    out += ", \"mean\": ";
-    telemetry::appendExactDouble(out, stats.mean());
-    out += ", \"max\": ";
-    telemetry::appendExactDouble(out, stats.max);
-    out += '}';
-  }
-  out += "]\n}\n";
-  return out;
 }
 
 }  // namespace easycrash::crash

@@ -32,10 +32,6 @@ void CampaignStatus::estimateRate() {
 std::string serializeStatus(const CampaignStatus& status) {
   std::string line = "{\"type\":\"campaign_status\",\"app\":\"";
   telemetry::appendJsonEscaped(line, status.app);
-  line += "\",\"shard\":\"";
-  line += std::to_string(status.shardIndex);
-  line += '/';
-  line += std::to_string(status.shardCount);
   line += "\",\"tests\":";
   line += std::to_string(status.plannedTests);
   line += ",\"decided\":";

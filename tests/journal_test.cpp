@@ -1,6 +1,6 @@
 // Tests for the campaign journal's one reader, crash::readJournal
-// (docs/ROBUSTNESS.md "The journal and --resume"): --resume, `nvct merge`,
-// `nvct report` and `trace_lint --journal` all read through it, so one table
+// (docs/ROBUSTNESS.md "The journal and --resume"): --resume, `nvct report`,
+// the shard-journal fold and `trace_lint --journal` all read through it, so one table
 // of malformed journals holds every rule of the format, and a seeded
 // mutation sweep over real journals holds the reader's promise — a journal
 // is either refused with `journal <path>:<line>`, or it reads back exactly
@@ -13,7 +13,6 @@
 #include <map>
 #include <optional>
 #include <random>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -24,8 +23,10 @@
 #include "easycrash/apps/registry.hpp"
 #include "easycrash/crash/campaign.hpp"
 #include "easycrash/crash/resilience.hpp"
+#include "journal_fixtures.hpp"
 
 namespace cr = easycrash::crash;
+namespace fx = easycrash::fixtures;
 
 namespace {
 
@@ -34,13 +35,6 @@ std::string tempPath(const std::string& name) { return testing::TempDir() + name
 void writeFile(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os << bytes;
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << is.rdbuf();
-  return buffer.str();
 }
 
 /// `text` with its one occurrence of `from` replaced (the row is wrong, not
@@ -322,26 +316,24 @@ TEST(JournalReader, TornFinalLineIsDroppedAndLinted) {
 
 // ---- Seeded mutation sweep -------------------------------------------------------
 
-/// Real journals of a small sp campaign: unsharded, and both shards of a
-/// 2-way split.
+/// Real journals of a small sp campaign: its own, and both shard journals
+/// of a 2-way split of it.
 std::vector<std::string> seedJournals() {
-  std::vector<std::string> journals;
-  for (int shard = -1; shard < 2; ++shard) {
-    const std::string path = tempPath("journal_mutation_seed.jsonl");
-    std::remove(path.c_str());
-    cr::CampaignConfig config;
-    config.numTests = 8;
-    config.appLabel = "sp";
-    config.resilience.isolation = cr::IsolationMode::InProcess;
-    config.resilience.journalPath = path;
-    if (shard >= 0) {
-      config.shard.index = shard;
-      config.shard.count = 2;
-    }
-    (void)cr::CampaignRunner(easycrash::apps::findBenchmark("sp").factory, config).run();
-    journals.push_back(readFile(path));
-    std::remove(path.c_str());
+  const std::string path = tempPath("journal_mutation_seed.jsonl");
+  std::remove(path.c_str());
+  cr::CampaignConfig config;
+  config.numTests = 8;
+  config.appLabel = "sp";
+  config.resilience.isolation = cr::IsolationMode::InProcess;
+  config.resilience.journalPath = path;
+  const auto campaign =
+      cr::CampaignRunner(easycrash::apps::findBenchmark("sp").factory, config).run();
+  std::vector<std::string> journals{fx::readFile(path)};
+  for (const auto& shard : fx::splitIntoShardJournals(path, campaign.golden, 2)) {
+    journals.push_back(fx::readFile(shard));
+    std::remove(shard.c_str());
   }
+  std::remove(path.c_str());
   return journals;
 }
 

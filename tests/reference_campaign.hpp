@@ -15,8 +15,7 @@
 // isolation, and every run on the runtime's scalar reference paths —
 // element-wise range accesses (setBulk(false)) and the probe-every-level
 // post-mortem scan (setScan(false)) — so every comparison against the
-// campaign also checks both fast paths end to end. Only the unsharded
-// campaign is modelled.
+// campaign also checks both fast paths end to end.
 #pragma once
 
 #include <algorithm>
@@ -168,7 +167,7 @@ inline crash::CampaignResult referenceCampaign(const runtime::AppFactory& factor
 }
 
 /// Journal `campaign` to `path` through TrialJournal under the header the
-/// campaign writes for `config` (unsharded).
+/// campaign writes for `config`.
 inline void writeReferenceJournal(const crash::CampaignResult& campaign,
                                   const crash::CampaignConfig& config,
                                   const std::string& path) {

@@ -20,6 +20,7 @@
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/runtime/tracked.hpp"
 #include "easycrash/telemetry/metrics.hpp"
+#include "journal_fixtures.hpp"
 #include "reference_campaign.hpp"
 
 namespace rt = easycrash::runtime;
@@ -647,6 +648,34 @@ TEST(ResilienceTest, ResumeRejectsMismatchedJournal) {
   other.seed = config.seed + 1;  // different campaign: different crash draw
   EXPECT_THROW(cr::CampaignRunner(faultyFactory({}), other).run(),
                std::exception);
+  std::remove(journal.c_str());
+}
+
+TEST(ResilienceTest, ResumeRefusesAShardJournal) {
+  // Campaigns no longer shard, so a shard journal (a header with "shards")
+  // names no campaign this build can finish: --resume refuses it, saying
+  // why, before the golden run.
+  StopFlagGuard guard;
+  const std::string journal = tempPath("resume_shard.jsonl");
+  std::remove(journal.c_str());
+  auto config = tinyConfig(10);
+  config.resilience.isolation = cr::IsolationMode::InProcess;
+  config.resilience.journalPath = journal;
+  const auto campaign = cr::CampaignRunner(faultyFactory({}), config).run();
+  const auto shards = easycrash::fixtures::splitIntoShardJournals(journal, campaign.golden, 2);
+
+  auto resume = config;
+  resume.resilience.journalPath.clear();
+  resume.resilience.resumePath = shards[0];
+  try {
+    (void)cr::CampaignRunner(faultyFactory({}), resume).run();
+    ADD_FAILURE() << "a shard journal was resumed";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard 0/2"), std::string::npos) << what;
+    EXPECT_NE(what.find("sharding was removed"), std::string::npos) << what;
+  }
+  for (const auto& path : shards) std::remove(path.c_str());
   std::remove(journal.c_str());
 }
 

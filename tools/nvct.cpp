@@ -50,7 +50,6 @@
 #include "easycrash/crash/plan_spec.hpp"
 #include "easycrash/crash/report.hpp"
 #include "easycrash/crash/resilience.hpp"
-#include "easycrash/crash/shard.hpp"
 #include "easycrash/runtime/runtime.hpp"
 #include "easycrash/telemetry/log.hpp"
 #include "easycrash/telemetry/metrics.hpp"
@@ -77,10 +76,10 @@ int reportMain(int argc, char** argv) {
   ec::CliParser cli(
       "nvct report — render a deterministic markdown report from a finished "
       "campaign's journal (+ optional trace and metrics snapshot).\n"
-      "Give --journal more than once to render the merged view of a sharded "
-      "campaign's journals (validated like `nvct merge`).\n"
       "Byte-identical output for identical inputs.");
-  cli.addStringList("journal", "campaign journal (required; repeat for shards)");
+  // A list, so that a second --journal is refused rather than silently
+  // overriding the first.
+  cli.addStringList("journal", "campaign journal (required, exactly one)");
   cli.addString("trace", "", "JSONL trace for phase-latency percentiles");
   cli.addString("metrics", "", "metrics snapshot for the access/wear heatmap");
   cli.addString("out", "", "write the report here (default: stdout)");
@@ -91,8 +90,13 @@ int reportMain(int argc, char** argv) {
     if (journals.empty()) {
       throw std::runtime_error("requires --journal");
     }
+    if (journals.size() > 1) {
+      throw std::runtime_error(
+          "takes exactly one --journal (got " + std::to_string(journals.size()) +
+          "): campaigns are no longer sharded, so there are no journals to merge");
+    }
     const std::string report = ec::crash::renderFlightReport(
-        ec::crash::mergeShardJournals(journals).replay, cli.getString("trace"),
+        ec::crash::readJournal(journals.front()), cli.getString("trace"),
         cli.getString("metrics"));
     const std::string outPath = cli.getString("out");
     if (outPath.empty()) {
@@ -108,72 +112,11 @@ int reportMain(int argc, char** argv) {
   return 0;
 }
 
-// `nvct merge`: fold k shard journals back into the single-machine
-// campaign's artifacts. Every output is byte-identical to what the
-// equivalent unsharded run writes (docs/INTERNALS.md "Sharded campaigns").
-int mergeMain(int argc, char** argv) {
-  ec::CliParser cli(
-      "nvct merge — fold the shard journals of one `--shard i/k` campaign "
-      "into canonical single-campaign artifacts.\n"
-      "The merged journal and CSV are byte-identical to the unsharded run's "
-      "outputs; journals may be given in any order, and partial "
-      "(interrupted) shard journals are accepted. Journals drawn for a "
-      "different campaign (seed, plan, app, window, or a tampered campaign "
-      "fingerprint) are rejected loudly. `nvct report` given the same "
-      "journals renders the merged report.");
-  cli.addStringList("journal", "a shard journal (give one per shard)");
-  cli.addString("journal-out", "", "write the merged compact journal here");
-  cli.addString("csv-out", "", "write the merged per-test CSV here");
-  cli.addString("metrics-out", "",
-                "write the deterministic merged metrics projection (JSON); "
-                "a pure function of the decided set, identical for any "
-                "shard layout that decided the same trials");
-
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-    const auto& journals = cli.getStringList("journal");
-    if (journals.empty()) {
-      throw std::runtime_error("requires at least one --journal");
-    }
-    const auto merge = ec::crash::mergeShardJournals(journals);
-    const std::size_t decided =
-        merge.replay.trials.size() + merge.replay.failures.size();
-    std::cout << "merged " << journals.size() << " journal(s), "
-              << merge.shardsSeen.size() << "/" << merge.shardCount
-              << " shards seen, " << decided << "/" << merge.replay.header.tests
-              << " trials decided"
-              << (merge.complete() ? "" : " (incomplete)") << '\n';
-
-    const std::string journalOut = cli.getString("journal-out");
-    if (!journalOut.empty()) {
-      ec::crash::atomicWriteFile(journalOut, ec::crash::renderMergedJournal(merge));
-      std::cout << "merged journal written to " << journalOut << '\n';
-    }
-    const std::string csvOut = cli.getString("csv-out");
-    if (!csvOut.empty()) {
-      ec::crash::atomicWriteFile(csvOut, ec::crash::renderMergedCsv(merge));
-      std::cout << "merged per-test CSV written to " << csvOut << '\n';
-    }
-    const std::string metricsOut = cli.getString("metrics-out");
-    if (!metricsOut.empty()) {
-      ec::crash::atomicWriteFile(metricsOut, ec::crash::renderMergedMetrics(merge));
-      std::cout << "merged metrics projection written to " << metricsOut << '\n';
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "nvct merge: " << e.what() << '\n';
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::string_view(argv[1]) == "report") {
     return reportMain(argc - 1, argv + 1);
-  }
-  if (argc >= 2 && std::string_view(argv[1]) == "merge") {
-    return mergeMain(argc - 1, argv + 1);
   }
   ec::CliParser cli(
       "nvct — crash-test campaigns on the simulated NVM machine.\n"
@@ -186,13 +129,6 @@ int main(int argc, char** argv) {
   cli.addString("plan", "none", "persistence plan spec");
   cli.addString("mode", "nvm", "snapshot mode: nvm (NVCT) or coherent (verified)");
   cli.addInt("threads", 1, "campaign worker threads (0 = hardware concurrency)");
-  cli.addString("shard", "0/1",
-                "run shard i of a k-way campaign split ('i/k', zero-based): "
-                "this process draws the identical golden run and crash "
-                "points but executes only the trials with index % k == i; "
-                "fold the k shard journals with `nvct merge` (journal, CSV) "
-                "and `nvct report` (report) — each byte-identical to the "
-                "unsharded run's");
   cli.addInt("scale", 1,
              "problem-size multiplier for cg, mg and kmeans (grid edge / "
              "point count); other apps only accept 1");
@@ -277,31 +213,6 @@ int main(int argc, char** argv) {
         scale == 1 ? entry.name : entry.name + "@s" + std::to_string(scale);
     config.threads = static_cast<int>(cli.getInt("threads"));
     config.progress = !cli.getFlag("no-progress");
-    const std::string shard = cli.getString("shard");
-    {
-      const auto slash = shard.find('/');
-      std::size_t usedI = 0;
-      std::size_t usedK = 0;
-      int index = -1;
-      int count = 0;
-      try {
-        if (slash == std::string::npos || slash == 0 ||
-            slash + 1 >= shard.size()) {
-          throw std::invalid_argument("no slash");
-        }
-        index = std::stoi(shard.substr(0, slash), &usedI);
-        count = std::stoi(shard.substr(slash + 1), &usedK);
-      } catch (const std::exception&) {
-        throw std::runtime_error("--shard must be 'i/k' (e.g. 0/4)");
-      }
-      if (usedI != slash || usedK != shard.size() - slash - 1 || count < 1 ||
-          index < 0 || index >= count) {
-        throw std::runtime_error(
-            "--shard must be 'i/k' with 0 <= i < k (got " + shard + ")");
-      }
-      config.shard.index = index;
-      config.shard.count = count;
-    }
     const std::string mode = cli.getString("mode");
     if (mode == "coherent") {
       config.mode = ec::crash::SnapshotMode::Coherent;
@@ -384,12 +295,7 @@ int main(int argc, char** argv) {
 
     std::cout << "app: " << config.appLabel << "  plan: "
               << ec::crash::formatPlanSpec(config.plan, probe) << "  mode: " << mode
-              << "  tests: " << config.numTests;
-    if (config.shard.active()) {
-      std::cout << "  shard: " << config.shard.index << '/'
-                << config.shard.count;
-    }
-    std::cout << '\n';
+              << "  tests: " << config.numTests << '\n';
     const auto campaign = ec::crash::CampaignRunner(factory, config).run();
     ec::crash::writeCampaignSummary(campaign, std::cout);
 

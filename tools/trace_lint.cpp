@@ -15,8 +15,8 @@
 // joining captures against trial_end rows breaks silently otherwise. The
 // flight recorder's phase spans (docs/OBSERVABILITY.md) are checked too: a
 // phase_begin must name its "phase" and a phase_end must additionally carry
-// a non-negative "duration_ns", a postmortem_scan must carry its block
-// tallies, and a restart_converged must carry its trial, the iteration it
+// a non-negative "duration_ns", a postmortem_scan must carry block tallies
+// that add up (skipped + compared == blocks), and a restart_converged must carry its trial, the iteration it
 // stopped at, the source of the memo key it reached ("golden" or "trial")
 // and the iterations it skipped. --stats appends a name-sorted event-type
 // frequency table, a quick census of what a trace actually contains.
@@ -26,7 +26,7 @@
 // (s1+s2+s3+s4+failures == decided <= tests).
 //
 // Journal mode reads the campaign journal with crash::readJournal, the
-// reader --resume, `nvct merge` and `nvct report` use, so it accepts and
+// reader --resume and `nvct report` use, so it accepts and
 // refuses exactly what they do (docs/ROBUSTNESS.md lists the rules). On top
 // it requires a final newline: the reader drops a torn final line, which
 // the lint reports.
@@ -175,16 +175,19 @@ std::string lintMemoEvent(const json::Value& value, const std::string& type) {
 
 /// Per-type schema of the post-mortem scan's trace event: the fast-path
 /// inconsistency scan emits one postmortem_scan per scanned range, carrying
-/// its block tallies. skipped + compared
-/// must equal the range's block count, so both tallies are required.
+/// its block tallies: every block of the range is either skipped or
+/// compared, so blocks_skipped + blocks_compared must equal blocks.
 std::string lintPostmortemEvent(const json::Value& value, const std::string& type) {
   if (type != "postmortem_scan") return {};
+  std::map<std::string, double> fields;
   for (const char* name :
        {"blocks", "blocks_compared", "blocks_skipped", "bytes_compared"}) {
-    double field = 0;
-    if (!numberField(value, name, &field) || field < 0) {
+    if (!numberField(value, name, &fields[name]) || fields[name] < 0) {
       return std::string("postmortem_scan missing non-negative \"") + name + '"';
     }
+  }
+  if (fields["blocks_skipped"] + fields["blocks_compared"] != fields["blocks"]) {
+    return "postmortem_scan blocks_skipped + blocks_compared != blocks";
   }
   return {};
 }
@@ -283,26 +286,6 @@ int lintStatus(const std::string& path) {
   if (app == nullptr || !app->isString() || app->string.empty()) {
     return fail("missing \"app\"");
   }
-  // Shard coordinates ("i/k", "0/1" unsharded): every snapshot carries them,
-  // and the remaining tallies are shard-local, so a fan-out driver can lint
-  // each shard's status file against the same schema.
-  const json::Value* shard = value->find("shard");
-  if (shard == nullptr || !shard->isString()) {
-    return fail("missing \"shard\" (\"i/k\")");
-  }
-  {
-    const std::string& s = shard->string;
-    const auto slash = s.find('/');
-    bool ok = slash != std::string::npos && slash > 0 && slash + 1 < s.size() &&
-              s.find_first_not_of("0123456789") == slash &&
-              s.find_first_not_of("0123456789", slash + 1) == std::string::npos;
-    if (ok) {
-      const long index = std::stol(s.substr(0, slash));
-      const long count = std::stol(s.substr(slash + 1));
-      ok = count >= 1 && index >= 0 && index < count;
-    }
-    if (!ok) return fail("\"shard\" must be 'i/k' with 0 <= i < k");
-  }
   std::map<std::string, double> fields;
   for (const char* name : {"tests", "decided", "resumed", "s1", "s2", "s3", "s4",
                            "failures", "retries", "timeouts", "queue_depth",
@@ -372,8 +355,8 @@ int lintMetrics(const std::string& path, const std::vector<std::string>& require
   return 0;
 }
 
-/// The campaign journal, read by the one reader --resume, `nvct merge` and
-/// `nvct report` use. The lint adds two checks: the file must end in a
+/// The campaign journal, read by the one reader --resume and `nvct report`
+/// use. The lint adds two checks: the file must end in a
 /// newline (the reader drops a torn final line, which the next compaction
 /// repairs; the lint reports it), and each required failure kind must be
 /// decided at least once.
