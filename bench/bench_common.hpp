@@ -75,14 +75,14 @@ inline void maybeWriteMetrics(const CliParser& cli) {
 
 [[nodiscard]] inline crash::CampaignConfig campaignConfig(const CliParser& cli) {
   crash::CampaignConfig config;
-  config.numTests = static_cast<int>(cli.getInt("tests"));
+  config.numTests = cli.getIntIn<int>("tests", 0);
   config.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
   return config;
 }
 
 [[nodiscard]] inline core::WorkflowConfig workflowConfig(const CliParser& cli) {
   core::WorkflowConfig config;
-  config.testsPerCampaign = static_cast<int>(cli.getInt("tests"));
+  config.testsPerCampaign = cli.getIntIn<int>("tests", 0);
   config.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
   config.regionConfig.ts = cli.getDouble("ts");
   return config;

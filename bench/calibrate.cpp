@@ -27,7 +27,7 @@ static int benchMain(int argc, char** argv) {
   for (const auto& entry : ec::apps::allBenchmarks()) {
     if (cli.getString("app") != "all" && cli.getString("app") != entry.name) continue;
     ec::crash::CampaignConfig config;
-    config.numTests = static_cast<int>(cli.getInt("tests"));
+    config.numTests = cli.getIntIn<int>("tests", 0);
     config.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
     config.goldenEvents = true;  // the R/W column reads the golden MemEvents
     ec::crash::CampaignRunner runner(entry.factory, config);

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   ec::crash::CampaignConfig config;
-  config.numTests = static_cast<int>(cli.getInt("tests"));
+  config.numTests = cli.getIntIn<int>("tests", 0);
   const ec::crash::CampaignRunner runner(
       [] { return std::make_unique<HeatApp>(); }, config);
   const auto campaign = runner.run();

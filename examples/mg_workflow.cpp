@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   const auto& entry = ec::apps::findBenchmark(cli.getString("app"));
   ec::core::WorkflowConfig config;
-  config.testsPerCampaign = static_cast<int>(cli.getInt("tests"));
+  config.testsPerCampaign = cli.getIntIn<int>("tests", 0);
 
   std::cout << "=== Step 1: baseline crash-test campaign (" << entry.name
             << ", " << config.testsPerCampaign << " tests) ===\n";

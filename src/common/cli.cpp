@@ -1,12 +1,33 @@
 #include "easycrash/common/cli.hpp"
 
+#include <charconv>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "easycrash/common/check.hpp"
 
 namespace easycrash {
+
+namespace {
+
+/// The whole of `text` as a T, or a message naming the option `--name`.
+template <typename T>
+T parseNumber(const std::string& name, const std::string& text, const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc::result_out_of_range) {
+    throw std::runtime_error("--" + name + ": " + text + " is out of range");
+  }
+  if (error != std::errc() || stop != end) {
+    throw std::runtime_error("--" + name + " expects " + what + ", got '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 CliParser::CliParser(std::string description) : description_(std::move(description)) {}
 
@@ -81,6 +102,10 @@ bool CliParser::parse(int argc, const char* const* argv) {
       opt.values.push_back(value);
       continue;
     }
+    if (opt.given) throw std::runtime_error("--" + arg + " given more than once");
+    if (opt.kind == Kind::Int) (void)parseNumber<std::int64_t>(arg, value, "an integer");
+    if (opt.kind == Kind::Double) (void)parseNumber<double>(arg, value, "a number");
+    opt.given = true;
     opt.value = value;
   }
   return true;
@@ -98,11 +123,11 @@ const std::string& CliParser::getString(const std::string& name) const {
 }
 
 std::int64_t CliParser::getInt(const std::string& name) const {
-  return std::stoll(find(name, Kind::Int).value);
+  return parseNumber<std::int64_t>(name, find(name, Kind::Int).value, "an integer");
 }
 
 double CliParser::getDouble(const std::string& name) const {
-  return std::stod(find(name, Kind::Double).value);
+  return parseNumber<double>(name, find(name, Kind::Double).value, "a number");
 }
 
 bool CliParser::getFlag(const std::string& name) const {

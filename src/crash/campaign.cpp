@@ -260,18 +260,22 @@ class RestartQueue {
 
 // ---- Fork evaluator wire protocol ------------------------------------------
 //
-// Requests (parent -> worker):  'R' restart {trial, restart input, memo
-//                                   table delta}
+// Requests (parent -> worker):  'R' restart {trial, restart input}
 //                               'S' sweep {n, n x index}
 //                               'A' ack of one streamed sweep capture
-// Responses (worker -> parent): 'r' restart {status, delta, outcome, last
-//                                   iteration and memo keys, or error}
+//                               'm' / 'h' memo answer: a miss, or a hit
+//                                   {source, outcome}
+// Responses (worker -> parent): 'k' memo query {iteration, state digest}
+//                                   (await 'm' or 'h')
+//                               'r' restart {status, delta, outcome and
+//                                   last iteration, or error}
 //                               'c' one streamed sweep capture (await 'A')
 //                               'e' sweep end {completed, captured, failure,
 //                                              profile, delta}
-// The parent alone writes the campaign's memo table: each 'R' carries the
-// entries the worker's replica lacks (all of them after a respawn), and
-// each decided 'r' carries the keys its restart passed.
+// The campaign's memo table lives in the parent only. A restarting worker
+// asks it at each checked iteration end with a 'k' frame, which the
+// parent answers through the attempt's MemoProbe, and the probe inserts
+// the restart's misses once its 'r' decides it (convergence_memo.hpp).
 // A worker starts every request from a zeroed metrics registry and records
 // exactly as an in-process run does; the delta closing each 'r'/'e' reply
 // is what the request left behind: the buffered trace lines, the buffered
@@ -494,10 +498,6 @@ std::ostringstream* g_childTraceBuf = nullptr;
 /// whether the parent's progress line is open, so the parent writes them.
 std::string* g_childLogBuf = nullptr;
 
-/// A worker child's replica of the campaign's memo table, created empty
-/// right after the fork and filled by the deltas 'R' requests carry.
-MemoTable* g_childMemo = nullptr;
-
 std::string takeChildTrace() {
   if (g_childTraceBuf == nullptr) return {};
   std::string out = g_childTraceBuf->str();
@@ -691,25 +691,26 @@ struct ForkChildServer {
     encodeMetrics(w, telemetry::MetricsRegistry::instance().snapshot());
   }
 
-  /// Run one restart attempt from the shipped restart input against the
-  /// replica the request's table delta brought up to date, then ship an
-  /// 'r' frame: status 0 carries the outcome (response, extra iterations,
-  /// note) and the memo trail, status 1 the exception text — the parent
-  /// names the crash site from its own stamped record. Both carry the delta: a failed attempt
-  /// still simulated runs the parent must account, exactly as the
-  /// in-process evaluator records them before its exception propagates.
+  /// Run one restart attempt from the shipped restart input, asking the
+  /// parent's memo table at each checked iteration end, then ship an 'r'
+  /// frame: status 0 carries the outcome (response, extra iterations, note)
+  /// and the last iteration it stands for, status 1 the exception text —
+  /// the parent names the crash site from its own stamped record. Both
+  /// carry the delta: a failed attempt still simulated runs the parent must
+  /// account, exactly as the in-process evaluator records them before its
+  /// exception propagates.
   void serveRestart(WireReader& req, const WorkerPool::ChildChannel& ch) const {
     const std::uint64_t trial = req.u64();
     SweepCapture input;
     decodeRestartInput(req, input, ch.arena(), ch.arenaBytes());
-    g_childMemo->applyDelta(req);
     CrashTestRecord record;
-    MemoTrail trail;
+    int lastIteration = 0;
     std::string error;
     bool failed = false;
     try {
-      trail = runner.runRestart(golden, input, static_cast<std::size_t>(trial), record,
-                                g_childMemo);
+      lastIteration = runner.runRestart(
+          golden, input, static_cast<std::size_t>(trial), record,
+          [&ch](const MemoKey& key, const std::string*) { return askParentMemo(ch, key); });
     } catch (const std::bad_alloc&) {
       throw;  // childMain -> _exit(kWorkerOomExit)
     } catch (const std::exception& e) {
@@ -726,8 +727,7 @@ struct ForkChildServer {
       resp.u8(static_cast<std::uint8_t>(record.response));
       resp.i64(record.extraIterations);
       resp.str(record.note);
-      resp.i64(trail.lastIteration);
-      encodeMemoKeys(resp, trail.keys);
+      resp.i64(lastIteration);
     }
     ch.send(resp.take());
   }
@@ -780,12 +780,10 @@ class ForkParent {
   /// replacement child is indistinguishable from the original. The arenas
   /// are sized off `captureBytes`, one capture's candidate bytes.
   /// `timeoutMs` is the base deadline (0 = none).
-  ForkParent(const CampaignRunner& runner, const GoldenStats& golden, MemoTable& memo,
-             int slots, std::size_t captureBytes, std::uint64_t timeoutMs)
+  ForkParent(const CampaignRunner& runner, const GoldenStats& golden, int slots,
+             std::size_t captureBytes, std::uint64_t timeoutMs)
       : runner_(runner),
         childServer_{runner, golden},
-        memo_(memo),
-        memoCursors_(static_cast<std::size_t>(slots)),
         timeoutMs_(timeoutMs),
         pool_(slots, kBlackBoxBytes + captureBytes + captureBytes / 8 + 4096,
               [this](int slot, const std::string& request,
@@ -796,25 +794,36 @@ class ForkParent {
     CampaignMetrics::get().workerSpawns.add(pool_.spawnCount());
   }
 
-  /// The restart of trial t in worker w: ship the restart input and the
-  /// worker's memo delta, copy the reply's outcome onto `record`, which the
-  /// caller stamped with the trial's own capture — so a restart that throws
-  /// names the stamped crash site, as it does in-process — and insert the
-  /// reply's memo trail. `budget` scales the deadline. A reply that does
-  /// not decode is a protocol death: the stream may be desynchronized, so
-  /// the worker is killed, nothing is inserted, and the next attempt
-  /// starts fresh. Throws AttemptFailure.
-  void restart(std::size_t t, int w, const SweepCapture& input, double budget,
-               CrashTestRecord& record) {
+  /// The restart of trial t in worker w: ship the restart input, answer
+  /// the worker's memo queries through `probe`, and copy the reply's
+  /// outcome onto `record`, which the caller stamped with the trial's own
+  /// capture — so a restart that throws names the stamped crash site, as
+  /// it does in-process. Returns the last iteration the outcome stands
+  /// for. The attempt has one deadline, scaled by `budget`, and each frame
+  /// waits only for what is left of it. A query or reply that does not
+  /// decode is a protocol death: the stream may be desynchronized, so the
+  /// worker is killed, the caller's probe inserts nothing, and the next
+  /// attempt starts fresh. Throws AttemptFailure.
+  int restart(std::size_t t, int w, const SweepCapture& input, double budget,
+              CrashTestRecord& record, MemoProbe& probe) {
     const pid_t pid = ensureWorker(w);
     WireWriter req;
     req.u8('R');
     req.u64(t);
     encodeRestartInput(req, input, pool_.arena(w), pool_.arenaBytes());
-    memo_.encodeDelta(req, memoCursors_[static_cast<std::size_t>(w)]);
     (void)pool_.send(w, req.take());  // a dead worker surfaces in receive()
-    const std::string frame = receive(w, pid, deadline(budget));
+    const std::chrono::milliseconds limit = deadline(budget);
+    const auto start = std::chrono::steady_clock::now();
+    const auto left = [&] {
+      if (limit.count() == 0) return limit;
+      const auto spent = std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start);
+      return std::max(std::chrono::milliseconds(1), limit - spent);
+    };
     try {
+      const std::string frame = answerMemoQueries(
+          probe, [&] { return receive(w, pid, left()); },
+          [&](const std::string& answer) { (void)pool_.send(w, answer); });
       WireReader r(frame);
       if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
       const std::uint8_t status = r.u8();
@@ -836,9 +845,7 @@ class ForkParent {
       if (lastIteration < 0 || lastIteration > cap) {
         throw std::runtime_error("last iteration outside the restart's cap");
       }
-      const std::vector<MemoKey> keys = decodeMemoKeys(r, input.restartIteration, cap);
-      memo_.insert(keys, memoOutcome(record, static_cast<int>(lastIteration)),
-                   MemoSource::Trial);
+      return static_cast<int>(lastIteration);
     } catch (const std::exception& e) {
       killWorker(w);
       throw AttemptFailure{"protocol", false,
@@ -933,7 +940,6 @@ class ForkParent {
       telemetry::TraceSink::instance().redirectInForkedChild(g_childTraceBuf);
       g_childLogBuf = new std::string();
       telemetry::redirectLogLines(g_childLogBuf);
-      g_childMemo = new MemoTable();
     };
     return hooks;
   }
@@ -956,8 +962,6 @@ class ForkParent {
       throw AttemptFailure{"protocol", false, "worker fork failed", ""};
     }
     if (respawned) {
-      // The new worker's replica starts empty.
-      memoCursors_[static_cast<std::size_t>(w)] = {};
       CampaignMetrics::get().workerSpawns.add();
       CampaignMetrics::get().workerRespawns.add();
       if (telemetry::tracing()) {
@@ -1030,9 +1034,6 @@ class ForkParent {
 
   const CampaignRunner& runner_;
   const ForkChildServer childServer_;
-  MemoTable& memo_;
-  /// Per slot: how much of memo_ the slot's worker already holds.
-  std::vector<MemoTable::Cursor> memoCursors_;
   const std::uint64_t timeoutMs_;
   std::atomic<std::uint64_t> deaths_{0};
   WorkerPool pool_;  ///< last: its children serve childServer_
@@ -1408,8 +1409,7 @@ class CampaignExecution {
                  MemoOutcome{Response::S1, 0, golden.finalIteration, golden.verifyDetail},
                  MemoSource::Golden, golden.memoBytes);
     if (res_.isolation == IsolationMode::Fork && !plan_.empty()) {
-      fork_.emplace(runner_, result_.golden, memo_, threads_ + 1, captureBytes,
-                    timeoutMs_);
+      fork_.emplace(runner_, result_.golden, threads_ + 1, captureBytes, timeoutMs_);
     }
     startStatus();
     if (plan_.empty()) return;
@@ -1746,24 +1746,23 @@ class CampaignExecution {
                      const SweepCapture& input, int w) {
     CampaignMetrics::get().restartsExecuted.add();
     const int finalIteration = result_.golden.finalIteration;
-    const double budget =
-        static_cast<double>(finalIteration * config_.maxIterationFactor -
-                            input.restartIteration) /
-        static_cast<double>(std::max(1, finalIteration));
+    const int cap = finalIteration * config_.maxIterationFactor;
+    const double budget = static_cast<double>(cap - input.restartIteration) /
+                          static_cast<double>(std::max(1, finalIteration));
     for (int attempt = 1;; ++attempt) {
       CrashTestRecord record;
       std::optional<AttemptFailure> failure;
       try {
         telemetry::ScopedTimer trialTimer(CampaignMetrics::get().trialUs);
         CampaignRunner::stampCapture(capture, record);
-        if (fork_) {
-          fork_->restart(t, w, input, budget, record);
-        } else {
-          const MemoTrail trail =
-              runner_.runRestart(result_.golden, input, t, record, &memo_);
-          memo_.insert(trail.keys, memoOutcome(record, trail.lastIteration),
-                       MemoSource::Trial, trail.bytes);
-        }
+        MemoProbe probe(memo_, input.restartIteration, cap);
+        const int lastIteration =
+            fork_ ? fork_->restart(t, w, input, budget, record, probe)
+                  : runner_.runRestart(result_.golden, input, t, record,
+                                       [&probe](const MemoKey& key, const std::string* bytes) {
+                                         return probe.lookup(key, bytes);
+                                       });
+        probe.decide(memoOutcome(record, lastIteration));
       } catch (...) {
         if (res_.isolation == IsolationMode::Propagate) throw;
         failure = currentFailure(record.regionPath);
@@ -1837,7 +1836,7 @@ class CampaignExecution {
   std::size_t resumedFailures_ = 0;
   std::vector<PlannedPoint> plan_;
   std::optional<TrialJournal> journal_;
-  MemoTable memo_;  ///< the convergence memo; fork workers hold replicas
+  MemoTable memo_;  ///< the convergence memo, the campaign's only table
 
   std::mutex tallyMutex_;
   TrialTally::Outcomes tally_;
@@ -1981,9 +1980,9 @@ void CampaignRunner::stampCapture(const SweepCapture& capture, CrashTestRecord& 
   record.inconsistentRate = capture.inconsistentRate;
 }
 
-MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& input,
-                                     std::size_t trial, CrashTestRecord& record,
-                                     const MemoTable* memo) const {
+int CampaignRunner::runRestart(const GoldenStats& golden, const SweepCapture& input,
+                               std::size_t trial, CrashTestRecord& record,
+                               const MemoLookup& lookup) const {
   telemetry::PhaseSpan restartSpan("restart", CampaignMetrics::get().restartUs,
                                    static_cast<std::int64_t>(trial));
   CampaignMetrics& metrics = CampaignMetrics::get();
@@ -1995,7 +1994,7 @@ MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCaptu
   // A restart never crashes (its deadline is the parent's SIGKILL) and no
   // count of it is read.
   restartRt.setRunKind(RunKind::Restart);
-  const int stride = memo != nullptr ? golden.memoStride : 0;
+  const int stride = golden.memoStride;
   if (stride > 0) restartRt.armStateDigest();
   restartRt.setPlan(config_.plan);
   restartRt.setTraceRun("restart:" + std::to_string(trial));
@@ -2006,23 +2005,17 @@ MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCaptu
     restartRt.restoreObject(id, bytes);
   }
 
-  // Key every stride-th iteration end; the first key the table holds
-  // decides the restart. Keys passed before it go into the trail.
-  const MemoSeams seams = memoSeams();
-  MemoTrail trail;
+  // Key every stride-th iteration end; the first hit decides the restart.
+  const bool compareBytes = memoSeams().compareBytes;
   std::optional<MemoHit> hit;
   const Driver::IterationHook check = [&](int iteration) {
     if (iteration % stride != 0) return false;
     metrics.memoChecks.add();
     const MemoKey key{iteration, Driver::stateKey(*restartApp, restartRt)};
     std::string bytes;
-    if (seams.compareBytes) bytes = memoStateBytes(*restartApp, restartRt);
-    hit = memo->find(key, seams.compareBytes ? &bytes : nullptr);
-    if (hit && (hit->source == MemoSource::Golden || seams.trialMatches)) return true;
-    hit.reset();
-    trail.keys.push_back(key);
-    if (seams.compareBytes) trail.bytes.push_back(std::move(bytes));
-    return false;
+    if (compareBytes) bytes = memoStateBytes(*restartApp, restartRt);
+    hit = lookup(key, compareBytes ? &bytes : nullptr);
+    return hit.has_value();
   };
   const int cap = golden.finalIteration * config_.maxIterationFactor;
   const auto rerun = Driver::run(*restartApp, restartRt, input.restartIteration, cap,
@@ -2034,7 +2027,6 @@ MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCaptu
     record.response = outcome.response;
     record.extraIterations = outcome.extraIterations;
     record.note = outcome.note;
-    trail.lastIteration = outcome.lastIteration;
     const int skipped = std::max(0, outcome.lastIteration - rerun.finalIteration);
     (hit->source == MemoSource::Golden ? metrics.memoGoldenHits : metrics.memoTrialHits)
         .add();
@@ -2047,9 +2039,8 @@ MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCaptu
           .field("skipped", skipped)
           .emit();
     }
-    return trail;
+    return outcome.lastIteration;
   }
-  trail.lastIteration = rerun.finalIteration;
 
   if (rerun.interrupted) {
     record.response = Response::S3;
@@ -2071,7 +2062,7 @@ MemoTrail CampaignRunner::runRestart(const GoldenStats& golden, const SweepCaptu
   // the parent (commitTrial) once the decision is final, so a forked
   // attempt's accounting lands campaign-side regardless of which process
   // simulated it.
-  return trail;
+  return rerun.finalIteration;
 }
 
 }  // namespace easycrash::crash

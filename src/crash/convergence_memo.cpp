@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "wire.hpp"
+
 namespace easycrash::crash {
 
 const char* toString(MemoSource source) {
@@ -13,9 +15,9 @@ const char* toString(MemoSource source) {
 
 std::optional<MemoHit> MemoTable::find(const MemoKey& key, const std::string* bytes) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  const Entry& entry = entries_[it->second];
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return std::nullopt;
+  const Entry& entry = it->second;
   if (bytes != nullptr && !entry.bytes.empty() && entry.bytes != *bytes) {
     throw std::logic_error("convergence memo: digest collision at iteration " +
                            std::to_string(key.iteration));
@@ -27,9 +29,19 @@ void MemoTable::insert(const std::vector<MemoKey>& keys, const MemoOutcome& outc
                        MemoSource source, const std::vector<std::string>& bytes) {
   if (keys.empty()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint32_t index = internLocked(outcome);
+  const auto [interned, added] =
+      interned_.try_emplace(outcome, static_cast<std::uint32_t>(outcomes_.size()));
+  if (added) outcomes_.push_back(outcome);
+  static const std::string kNoBytes;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    insertLocked({keys[i], index, source, bytes.empty() ? std::string() : bytes[i]});
+    const std::string& keyBytes = bytes.empty() ? kNoBytes : bytes[i];
+    const auto [it, inserted] =
+        entries_.try_emplace(keys[i], Entry{interned->second, source, keyBytes});
+    if (!inserted && !it->second.bytes.empty() && !keyBytes.empty() &&
+        it->second.bytes != keyBytes) {
+      throw std::logic_error("convergence memo: digest collision at iteration " +
+                             std::to_string(keys[i].iteration));
+    }
   }
 }
 
@@ -38,138 +50,83 @@ std::size_t MemoTable::size() const {
   return entries_.size();
 }
 
-std::uint32_t MemoTable::internLocked(const MemoOutcome& outcome) {
-  const auto [it, added] =
-      interned_.try_emplace(outcome, static_cast<std::uint32_t>(outcomes_.size()));
-  if (added) outcomes_.push_back(outcome);
-  return it->second;
+MemoProbe::MemoProbe(MemoTable& table, int firstIteration, int cap)
+    : table_(table), cap_(cap), trialMatches_(memoSeams().trialMatches),
+      next_(firstIteration) {}
+
+std::optional<MemoHit> MemoProbe::lookup(const MemoKey& key, const std::string* bytes) {
+  if (hit_) throw std::runtime_error("memo: a key after the restart's hit");
+  if (key.iteration < next_ || key.iteration > cap_) {
+    throw std::runtime_error("memo: key at iteration " + std::to_string(key.iteration) +
+                             " outside the restart's iterations " +
+                             std::to_string(next_) + ".." + std::to_string(cap_));
+  }
+  next_ = key.iteration + 1;
+  std::optional<MemoHit> hit = table_.find(key, bytes);
+  if (hit && (hit->source == MemoSource::Golden || trialMatches_)) {
+    hit_ = true;
+    return hit;
+  }
+  keys_.push_back(key);
+  if (bytes != nullptr) bytes_.push_back(*bytes);
+  return std::nullopt;
 }
 
-void MemoTable::insertLocked(Entry entry) {
-  const auto it = index_.find(entry.key);
-  if (it != index_.end()) {
-    const Entry& held = entries_[it->second];
-    if (!held.bytes.empty() && !entry.bytes.empty() && held.bytes != entry.bytes) {
-      throw std::logic_error("convergence memo: digest collision at iteration " +
-                             std::to_string(entry.key.iteration));
-    }
-    return;
-  }
-  index_.emplace(entry.key, entries_.size());
-  entries_.push_back(std::move(entry));
+void MemoProbe::decide(const MemoOutcome& outcome) {
+  table_.insert(keys_, outcome, MemoSource::Trial, bytes_);
 }
 
-// Delta layout: u64 first outcome index, u64 outcome count, per outcome
-// {u8 response, i64 extra iterations, i64 last iteration, str note}; then
-// u64 first entry index, u64 entry count, per entry {i64 iteration,
-// u64 digest lo, u64 digest hi, u32 outcome index, u8 source}.
-void MemoTable::encodeDelta(WireWriter& w, Cursor& cursor) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  w.u64(cursor.outcomes);
-  w.u64(outcomes_.size() - cursor.outcomes);
-  for (std::size_t i = cursor.outcomes; i < outcomes_.size(); ++i) {
-    const MemoOutcome& o = outcomes_[i];
-    w.u8(static_cast<std::uint8_t>(o.response));
-    w.i64(o.extraIterations);
-    w.i64(o.lastIteration);
-    w.str(o.note);
-  }
-  w.u64(cursor.entries);
-  w.u64(entries_.size() - cursor.entries);
-  for (std::size_t i = cursor.entries; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    w.i64(e.key.iteration);
-    w.u64(e.key.digest.lo);
-    w.u64(e.key.digest.hi);
-    w.u32(e.outcome);
-    w.u8(static_cast<std::uint8_t>(e.source));
-  }
-  cursor = {outcomes_.size(), entries_.size()};
+// The 'k' exchange: the worker sends {'k', i64 iteration, u64 digest lo,
+// u64 digest hi}; the parent answers {'m'} for a miss or {'h', u8 source,
+// u8 response, i64 extra iterations, i64 last iteration, str note}.
+std::optional<MemoHit> askParentMemo(const WorkerPool::ChildChannel& ch,
+                                     const MemoKey& key) {
+  WireWriter query;
+  query.u8('k');
+  query.i64(key.iteration);
+  query.u64(key.digest.lo);
+  query.u64(key.digest.hi);
+  ch.send(query.take());
+  std::string answer;
+  if (!ch.recv(answer)) throw std::runtime_error("memo: no answer from the parent");
+  WireReader r(answer);
+  const std::uint8_t tag = r.u8();
+  if (tag == 'm') return std::nullopt;
+  if (tag != 'h') throw std::runtime_error("memo: unexpected answer tag");
+  MemoHit hit;
+  hit.source = static_cast<MemoSource>(r.u8());
+  hit.outcome.response = static_cast<Response>(r.u8());
+  hit.outcome.extraIterations = static_cast<int>(r.i64());
+  hit.outcome.lastIteration = static_cast<int>(r.i64());
+  hit.outcome.note = r.str();
+  return hit;
 }
 
-namespace {
-
-int checkedIteration(std::int64_t iteration) {
-  if (iteration < 0 || iteration > std::int64_t{1} << 30) {
-    throw std::runtime_error("wire: memo iteration out of range");
-  }
-  return static_cast<int>(iteration);
-}
-
-}  // namespace
-
-void MemoTable::applyDelta(WireReader& r) {
-  const std::uint64_t firstOutcome = r.u64();
-  std::vector<MemoOutcome> outcomes(static_cast<std::size_t>(r.count(1 + 8 + 8 + 8)));
-  for (MemoOutcome& o : outcomes) {
-    const std::uint8_t response = r.u8();
-    if (response > static_cast<std::uint8_t>(Response::S4)) {
-      throw std::runtime_error("wire: memo response out of range");
-    }
-    o.response = static_cast<Response>(response);
-    o.extraIterations = checkedIteration(r.i64());
-    o.lastIteration = checkedIteration(r.i64());
-    o.note = r.str();
-  }
-  const std::uint64_t firstEntry = r.u64();
-  std::vector<Entry> entries(static_cast<std::size_t>(r.count(8 + 16 + 4 + 1)));
-  for (Entry& e : entries) {
-    e.key.iteration = checkedIteration(r.i64());
-    e.key.digest.lo = r.u64();
-    e.key.digest.hi = r.u64();
-    e.outcome = r.u32();
-    const std::uint8_t source = r.u8();
-    if (source > static_cast<std::uint8_t>(MemoSource::Trial)) {
-      throw std::runtime_error("wire: memo source out of range");
-    }
-    e.source = static_cast<MemoSource>(source);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (firstOutcome != outcomes_.size() || firstEntry != entries_.size()) {
-    throw std::runtime_error("wire: memo delta does not continue the replica");
-  }
-  for (const Entry& e : entries) {
-    if (e.outcome >= outcomes_.size() + outcomes.size()) {
-      throw std::runtime_error("wire: memo outcome index out of range");
-    }
-  }
-  // The parent interned these; appending keeps the indices aligned.
-  for (MemoOutcome& o : outcomes) {
-    interned_.emplace(o, static_cast<std::uint32_t>(outcomes_.size()));
-    outcomes_.push_back(std::move(o));
-  }
-  // Keys are unique in the parent's log, so every entry appends.
-  for (Entry& e : entries) {
-    index_.emplace(e.key, entries_.size());
-    entries_.push_back(std::move(e));
-  }
-}
-
-void encodeMemoKeys(WireWriter& w, const std::vector<MemoKey>& keys) {
-  w.u64(keys.size());
-  for (const MemoKey& key : keys) {
-    w.i64(key.iteration);
-    w.u64(key.digest.lo);
-    w.u64(key.digest.hi);
-  }
-}
-
-std::vector<MemoKey> decodeMemoKeys(WireReader& r, int firstIteration, int cap) {
-  const std::uint64_t n = r.count(8 + 16);
-  if (n > static_cast<std::uint64_t>(std::max(0, cap - firstIteration + 1))) {
-    throw std::runtime_error("wire: more memo keys than iterations under the cap");
-  }
-  std::vector<MemoKey> keys(static_cast<std::size_t>(n));
-  for (MemoKey& key : keys) {
+std::string answerMemoQueries(MemoProbe& probe, const std::function<std::string()>& receive,
+                              const std::function<void(const std::string&)>& send) {
+  for (;;) {
+    std::string frame = receive();
+    WireReader r(frame);
+    if (frame.empty() || r.u8() != 'k') return frame;
     const std::int64_t iteration = r.i64();
-    if (iteration < firstIteration || iteration > cap) {
-      throw std::runtime_error("wire: memo key outside the restart's iterations");
+    if (iteration != static_cast<int>(iteration)) {
+      throw std::runtime_error("memo: key iteration out of range");
     }
-    key.iteration = static_cast<int>(iteration);
-    key.digest.lo = r.u64();
-    key.digest.hi = r.u64();
+    const MemoKey key{static_cast<int>(iteration), {r.u64(), r.u64()}};
+    const std::optional<MemoHit> hit = probe.lookup(key);
+    WireWriter answer;
+    if (!hit) {
+      answer.u8('m');
+    } else {
+      answer.u8('h');
+      answer.u8(static_cast<std::uint8_t>(hit->source));
+      answer.u8(static_cast<std::uint8_t>(hit->outcome.response));
+      answer.i64(hit->outcome.extraIterations);
+      answer.i64(hit->outcome.lastIteration);
+      answer.str(hit->outcome.note);
+    }
+    send(answer.take());
   }
-  return keys;
 }
 
 int memoStride(int nominalIterations, double accessesPerIteration,

@@ -3,12 +3,14 @@
 // state at a checked iteration end equals a state the campaign has already
 // decided would replay that decision, so it stops there and copies the
 // outcome. The golden run seeds the table; every decided restart extends it
-// with the keys it passed. Internal to ec_crash; the tests include it to
-// drive the table and its wire format directly.
+// with the keys it passed, through its MemoProbe. Fork workers hold no
+// table: they ask the parent's. Internal to ec_crash; the tests include it
+// to drive the table, the probe and the worker exchange directly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -18,7 +20,7 @@
 #include <vector>
 
 #include "easycrash/crash/campaign.hpp"
-#include "wire.hpp"
+#include "easycrash/crash/worker_pool.hpp"
 
 namespace easycrash::crash {
 
@@ -52,20 +54,9 @@ struct MemoHit {
   MemoSource source = MemoSource::Golden;
 };
 
-/// What one restart leaves for the table: the keys of its checked
-/// iteration ends up to its decision (a hit's own key is already in the
-/// table) and the last iteration its outcome stands for. `bytes` holds
-/// each key's state bytes under MemoSeams::compareBytes only.
-struct MemoTrail {
-  int lastIteration = 0;
-  std::vector<MemoKey> keys;
-  std::vector<std::string> bytes;
-};
-
 /// One campaign's table. Thread-safe: restart lanes look up and insert
-/// concurrently. Outcomes are interned, so an entry is a key and an
-/// outcome index; entries are kept in insertion order, which is what a
-/// fork worker's replica receives in deltas.
+/// concurrently. Outcomes are interned, so an entry is an outcome index,
+/// its source and, under MemoSeams::compareBytes, its state bytes.
 class MemoTable {
  public:
   /// The entry for `key`. With `bytes` (MemoSeams::compareBytes), an entry
@@ -82,22 +73,8 @@ class MemoTable {
 
   [[nodiscard]] std::size_t size() const;
 
-  /// How much of the table one fork worker's replica already holds.
-  struct Cursor {
-    std::size_t outcomes = 0;
-    std::size_t entries = 0;
-  };
-  /// Append the outcomes and entries added since `cursor` (an 'R' request's
-  /// table delta) and advance it.
-  void encodeDelta(WireWriter& w, Cursor& cursor) const;
-  /// Apply a delta encodeDelta wrote, in a worker's replica. Decoded in
-  /// full first: a truncated delta, one that does not continue this
-  /// replica, or an out-of-range field throws before anything lands.
-  void applyDelta(WireReader& r);
-
  private:
   struct Entry {
-    MemoKey key;
     std::uint32_t outcome = 0;
     MemoSource source = MemoSource::Golden;
     std::string bytes;
@@ -109,23 +86,60 @@ class MemoTable {
     }
   };
 
-  std::uint32_t internLocked(const MemoOutcome& outcome);
-  void insertLocked(Entry entry);
-
   mutable std::mutex mutex_;
   std::vector<MemoOutcome> outcomes_;
   std::map<MemoOutcome, std::uint32_t> interned_;
-  std::vector<Entry> entries_;
-  std::unordered_map<MemoKey, std::size_t, KeyHash> index_;  ///< -> entries_
+  std::unordered_map<MemoKey, Entry, KeyHash> entries_;
 };
 
-/// A restart's keys in an 'r' reply.
-void encodeMemoKeys(WireWriter& w, const std::vector<MemoKey>& keys);
-/// Decode the keys of a restart that resumed at `firstIteration` under the
-/// iteration cap `cap`: at most one key per iteration in between, each
-/// inside it. Anything else throws (the parent's protocol death).
-[[nodiscard]] std::vector<MemoKey> decodeMemoKeys(WireReader& r, int firstIteration,
-                                                  int cap);
+/// One restart's view of the table, the same in both isolation modes: the
+/// restart asks it at each checked iteration end, in order, and it keeps
+/// the keys that missed (the trail) until the restart is decided. A probe
+/// discarded undecided (the attempt failed) inserts nothing.
+class MemoProbe {
+ public:
+  /// For a restart that resumes at `firstIteration` under the iteration
+  /// cap `cap`. Reads MemoSeams::trialMatches once.
+  MemoProbe(MemoTable& table, int firstIteration, int cap);
+
+  /// The outcome the table holds for `key`, if any (under
+  /// MemoSeams::trialMatches off, only a golden entry counts). A miss
+  /// joins the trail, with `bytes` (MemoSeams::compareBytes) when given.
+  /// A key outside [firstIteration, cap], one that does not advance past
+  /// the previous key, or any key after a hit throws std::runtime_error:
+  /// from a fork worker, a protocol death.
+  [[nodiscard]] std::optional<MemoHit> lookup(const MemoKey& key,
+                                              const std::string* bytes = nullptr);
+
+  /// Insert the trail: every key that missed decides `outcome`.
+  void decide(const MemoOutcome& outcome);
+
+  [[nodiscard]] const std::vector<MemoKey>& trail() const { return keys_; }
+
+ private:
+  MemoTable& table_;
+  const int cap_;
+  const bool trialMatches_;
+  int next_;  ///< the least iteration the next key may carry
+  bool hit_ = false;
+  std::vector<MemoKey> keys_;
+  std::vector<std::string> bytes_;
+};
+
+/// The fork worker's side of a lookup (the 'k' exchange, documented in
+/// campaign.cpp): send `key` to the parent over `ch` and wait for the
+/// answer of its probe.
+[[nodiscard]] std::optional<MemoHit> askParentMemo(const WorkerPool::ChildChannel& ch,
+                                                   const MemoKey& key);
+
+/// The parent's side: receive frames from a restarting worker, answering
+/// each 'k' through `probe`, and return the first frame of any other tag.
+/// A 'k' that does not decode, or that the probe refuses, throws
+/// std::runtime_error (the caller's protocol death) and nothing is
+/// inserted: the caller discards the probe undecided.
+[[nodiscard]] std::string answerMemoQueries(
+    MemoProbe& probe, const std::function<std::string()>& receive,
+    const std::function<void(const std::string&)>& send);
 
 /// The check stride of a campaign, from the golden run's counts: the
 /// tracked accesses of an iteration, the blocks one can write, and the

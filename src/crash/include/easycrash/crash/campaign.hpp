@@ -189,8 +189,8 @@ struct MemoSeams {
   /// lane decided what first.
   bool trialMatches = true;
   /// Keep every entry's full state bytes and compare them on every hit
-  /// (a mismatch throws). Entries shipped to fork workers carry no bytes,
-  /// so the comparison covers in-process tables.
+  /// (a mismatch throws). A fork worker's keys reach the parent's table
+  /// without their bytes, so the comparison covers in-process restarts.
   bool compareBytes = false;
 };
 void setMemoSeams(const MemoSeams& seams);
@@ -245,10 +245,16 @@ struct SweepCapture {
   std::map<runtime::ObjectId, std::vector<std::uint8_t>> snapshots;
 };
 
-/// The convergence memo's table and what a restart leaves for it. Defined
-/// in src/crash/convergence_memo.hpp.
-class MemoTable;
-struct MemoTrail;
+/// A convergence memo hit: the outcome a key decides and where it came
+/// from. Defined in src/crash/convergence_memo.hpp.
+struct MemoHit;
+
+/// How a restart asks the convergence memo about a checked iteration end:
+/// its MemoProbe in-process, a round trip to the parent's probe in a fork
+/// worker. `bytes` is the key's state bytes under MemoSeams::compareBytes,
+/// else null.
+using MemoLookup =
+    std::function<std::optional<MemoHit>(const MemoKey& key, const std::string* bytes)>;
 
 /// How one sweep crashing run ended (CampaignRunner::runSweep), with its
 /// access/wear profile. A run visits its crash indices in ascending order,
@@ -374,13 +380,12 @@ class CampaignRunner {
   /// extraIterations and note. A pure function of that restart input, which
   /// is what lets one restart decide a whole restart group; shared verbatim
   /// by every isolation mode, which is what makes them byte-identical.
-  /// With a `memo` table it keys every golden.memoStride-th iteration end
-  /// and, on the first key the table holds, stops and copies that outcome
-  /// (docs/INTERNALS.md "Convergence memo"). It only reads the table: the
-  /// caller inserts the returned trail once the restart is decided.
-  MemoTrail runRestart(const GoldenStats& golden, const SweepCapture& input,
-                       std::size_t trial, CrashTestRecord& record,
-                       const MemoTable* memo) const;
+  /// It keys every golden.memoStride-th iteration end through `lookup` and,
+  /// on the first hit, stops and copies that outcome (docs/INTERNALS.md
+  /// "Convergence memo"). Returns the last iteration the outcome stands
+  /// for; the caller's probe inserts its trail once the restart is decided.
+  int runRestart(const GoldenStats& golden, const SweepCapture& input, std::size_t trial,
+                 CrashTestRecord& record, const MemoLookup& lookup) const;
 
   /// Parent-side completion bookkeeping of one decided trial: campaign
   /// counters (trials, S1-S4 responses) and the trial_end trace event. Only

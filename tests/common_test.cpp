@@ -1,7 +1,12 @@
 // Tests for the common utilities: deterministic RNG, CLI parsing, and the
 // table/format helpers.
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +134,94 @@ TEST(Cli, MissingValueThrows) {
   cli.addInt("n", 1, "n");
   const char* argv[] = {"prog", "--n"};
   EXPECT_THROW((void)cli.parse(2, argv), std::runtime_error);
+}
+
+namespace {
+
+/// The message parse() throws for `args`, or "" when it accepts them.
+std::string parseError(ec::CliParser& cli, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  try {
+    (void)cli.parse(static_cast<int>(args.size()), args.data());
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+ec::CliParser everyKind() {
+  ec::CliParser cli("test");
+  cli.addString("name", "x", "a name");
+  cli.addInt("count", 3, "a count");
+  cli.addDouble("ratio", 0.5, "a ratio");
+  cli.addFlag("quiet", "say less");
+  cli.addStringList("input", "an input");
+  return cli;
+}
+
+}  // namespace
+
+TEST(Cli, AScalarOptionGivenTwiceIsRefused) {
+  for (const char* name : {"--name", "--count", "--ratio"}) {
+    auto cli = everyKind();
+    EXPECT_EQ(parseError(cli, {name, "1", name, "2"}),
+              std::string(name) + " given more than once");
+  }
+  auto cli = everyKind();
+  EXPECT_EQ(parseError(cli, {"--count=1", "--count", "1"}), "--count given more than once");
+}
+
+TEST(Cli, FlagsRepeatAndListsAppend) {
+  auto cli = everyKind();
+  ASSERT_EQ(parseError(cli, {"--quiet", "--input", "a", "--quiet", "--input=b"}), "");
+  EXPECT_TRUE(cli.getFlag("quiet"));
+  EXPECT_EQ(cli.getStringList("input"), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(Cli, NumbersMustParseWhole) {
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases = {
+      {{"--count", "3x"}, "--count expects an integer, got '3x'"},
+      {{"--count", "abc"}, "--count expects an integer, got 'abc'"},
+      {{"--count", ""}, "--count expects an integer, got ''"},
+      {{"--count", "1.5"}, "--count expects an integer, got '1.5'"},
+      {{"--count", "99999999999999999999"}, "--count: 99999999999999999999 is out of range"},
+      {{"--ratio", "2.5zz"}, "--ratio expects a number, got '2.5zz'"},
+      {{"--ratio", "1e999"}, "--ratio: 1e999 is out of range"},
+  };
+  for (const auto& [args, message] : cases) {
+    auto cli = everyKind();
+    EXPECT_EQ(parseError(cli, args), message);
+  }
+  auto cli = everyKind();
+  ASSERT_EQ(parseError(cli, {"--count", "-7", "--ratio", "1e-3"}), "");
+  EXPECT_EQ(cli.getInt("count"), -7);
+  EXPECT_EQ(cli.getDouble("ratio"), 1e-3);
+}
+
+TEST(Cli, GetIntInHoldsTheValueToItsRange) {
+  const auto read = [](const char* value, int min, int max) {
+    auto cli = everyKind();
+    EXPECT_EQ(parseError(cli, {"--count", value}), "");
+    return cli.getIntIn<int>("count", min, max);
+  };
+  EXPECT_EQ(read("5", 0, 9), 5);
+  EXPECT_EQ(read("-1", -1, 9), -1);
+  const auto refusal = [&](const char* value, int min, int max) {
+    try {
+      (void)read(value, min, max);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(refusal("-1", 0, 9), "--count must not be negative (got -1)");
+  EXPECT_EQ(refusal("0", 1, 9), "--count must be positive (got 0)");
+  EXPECT_EQ(refusal("-2", -1, 9), "--count must be at least -1 (got -2)");
+  EXPECT_EQ(refusal("10", 0, 9), "--count must be at most 9 (got 10)");
+  auto cli = everyKind();
+  ASSERT_EQ(parseError(cli, {"--count", "4294967298"}), "");
+  EXPECT_THROW((void)cli.getIntIn<int>("count", 0), std::runtime_error) << "no wrap to 2";
+  EXPECT_EQ(cli.getIntIn<std::uint64_t>("count", 0), 4294967298u);
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -2,8 +2,10 @@
 // memo"): the incremental state digest against a from-scratch digest at
 // every iteration end of each app's golden run and of one restart, equal
 // digests holding exactly when the bytes are equal across all those states,
-// and the table's own contract. The campaign-level byte oracle is
+// the table's own contract, and one restart's probe of it, in-process and
+// over a fork worker's pipe. The campaign-level byte oracle is
 // SweepReferenceTest.*, whose reference restarts every trial to its end.
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -17,8 +19,10 @@
 
 #include "convergence_memo.hpp"
 #include "easycrash/apps/registry.hpp"
+#include "easycrash/crash/worker_pool.hpp"
 #include "easycrash/memsim/nvm_store.hpp"
 #include "easycrash/runtime/app.hpp"
+#include "wire.hpp"
 
 namespace rt = easycrash::runtime;
 namespace cr = easycrash::crash;
@@ -220,31 +224,147 @@ TEST(MemoTableTest, KeptBytesExposeADigestCollision) {
                std::logic_error);
 }
 
-TEST(MemoTableTest, DeltasBringAReplicaUpToDateInOrder) {
-  cr::MemoTable parent;
-  cr::MemoTable replica;
-  cr::MemoTable::Cursor cursor;
-  parent.insert({key(2, 1)}, outcome(cr::Response::S1, 6, "g"), cr::MemoSource::Golden);
+// ---- The probe: one restart's view of the table ----------------------------
+
+TEST(MemoProbeTest, MissesJoinTheTrailInOrderAndDecideInsertsOnlyThem) {
+  cr::MemoTable table;
+  table.insert({key(6, 60)}, outcome(cr::Response::S1, 10, "golden"),
+               cr::MemoSource::Golden);
+  cr::MemoProbe probe(table, 2, 12);
+  EXPECT_FALSE(probe.lookup(key(2, 20)).has_value());
+  EXPECT_FALSE(probe.lookup(key(4, 40)).has_value());
+  EXPECT_EQ(probe.trail(), (std::vector<cr::MemoKey>{key(2, 20), key(4, 40)}));
+  const auto hit = probe.lookup(key(6, 60));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->source, cr::MemoSource::Golden);
+  EXPECT_EQ(hit->outcome, outcome(cr::Response::S1, 10, "golden"));
+  EXPECT_THROW((void)probe.lookup(key(8, 80)), std::runtime_error) << "a key after a hit";
+  EXPECT_EQ(table.size(), 1u) << "nothing lands before the restart is decided";
+  probe.decide(outcome(cr::Response::S1, 10, "golden"));
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.find(key(2, 20))->source, cr::MemoSource::Trial);
+  EXPECT_EQ(table.find(key(4, 40))->outcome, outcome(cr::Response::S1, 10, "golden"));
+  EXPECT_FALSE(table.find(key(8, 80)).has_value());
+}
+
+TEST(MemoProbeTest, KeysOutsideTheRestartOrNotAdvancingAreRefused) {
+  cr::MemoTable table;
+  cr::MemoProbe probe(table, 3, 6);
+  EXPECT_THROW((void)probe.lookup(key(2, 1)), std::runtime_error) << "before the bookmark";
+  EXPECT_THROW((void)probe.lookup(key(7, 1)), std::runtime_error) << "past the cap";
+  EXPECT_FALSE(probe.lookup(key(3, 1)).has_value());
+  EXPECT_THROW((void)probe.lookup(key(3, 2)), std::runtime_error) << "the same iteration";
+  EXPECT_FALSE(probe.lookup(key(5, 3)).has_value());
+  EXPECT_THROW((void)probe.lookup(key(4, 4)), std::runtime_error) << "going back";
+  EXPECT_FALSE(probe.lookup(key(6, 5)).has_value());
+  EXPECT_EQ(probe.trail(), (std::vector<cr::MemoKey>{key(3, 1), key(5, 3), key(6, 5)}));
+}
+
+TEST(MemoProbeTest, ADiscardedProbeInsertsNothing) {
+  cr::MemoTable table;
   {
-    cr::WireWriter w;
-    parent.encodeDelta(w, cursor);
-    const std::string frame = w.take();
-    cr::WireReader r(frame);
-    replica.applyDelta(r);
-  }
-  parent.insert({key(3, 2), key(4, 3)}, outcome(cr::Response::S2, 8, "t"),
-                cr::MemoSource::Trial);
+    cr::MemoProbe probe(table, 1, 8);
+    EXPECT_FALSE(probe.lookup(key(2, 1)).has_value());
+    EXPECT_FALSE(probe.lookup(key(4, 2)).has_value());
+  }  // the attempt failed: never decided
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(MemoProbeTest, WithoutTrialMatchesOnlyGoldenEntriesHit) {
+  const cr::MemoSeams saved = cr::memoSeams();
+  cr::setMemoSeams({.trialMatches = false});
+  cr::MemoTable table;
+  table.insert({key(2, 1)}, outcome(cr::Response::S4, 9, "trial"), cr::MemoSource::Trial);
+  table.insert({key(4, 2)}, outcome(cr::Response::S1, 9, "golden"), cr::MemoSource::Golden);
+  cr::MemoProbe probe(table, 1, 9);
+  cr::setMemoSeams(saved);
+  EXPECT_FALSE(probe.lookup(key(2, 1)).has_value());
+  EXPECT_EQ(probe.lookup(key(4, 2))->source, cr::MemoSource::Golden);
+  EXPECT_EQ(probe.trail(), std::vector<cr::MemoKey>{key(2, 1)});
+  probe.decide(outcome(cr::Response::S1, 9, "golden"));
+  EXPECT_EQ(table.find(key(2, 1))->outcome.note, "trial") << "the first outcome stands";
+}
+
+// ---- The 'k' exchange: a fork worker asks the parent's probe -----------------
+//
+// A fake worker in a real WorkerPool plays the restart's side; the test plays
+// the parent's with the same answerMemoQueries the fork evaluator uses, which
+// turns its throw into a protocol death (the worker is killed and the probe
+// discarded).
+
+namespace {
+
+using namespace std::chrono_literals;
+
+/// The parent's side of one restart request: answer the worker's queries
+/// through `probe` until it sends another frame.
+std::string answerWorker(cr::WorkerPool& pool, cr::MemoProbe& probe) {
+  return cr::answerMemoQueries(
+      probe,
+      [&pool] {
+        cr::WorkerPool::Reply reply = pool.recv(0, 10s);
+        if (!reply.ok) throw std::runtime_error("worker died");
+        return reply.frame;
+      },
+      [&pool](const std::string& answer) { (void)pool.send(0, answer); });
+}
+
+std::string queryFrame(std::int64_t iteration) {
   cr::WireWriter w;
-  parent.encodeDelta(w, cursor);
-  const std::string frame = w.take();
-  cr::WireReader r(frame);
-  replica.applyDelta(r);
-  EXPECT_EQ(replica.size(), 3u);
-  EXPECT_EQ(replica.find(key(4, 3))->outcome, outcome(cr::Response::S2, 8, "t"));
-  EXPECT_EQ(replica.find(key(2, 1))->source, cr::MemoSource::Golden);
-  // Replaying a delta the replica already holds does not continue it.
-  cr::WireReader again(frame);
-  EXPECT_THROW(replica.applyDelta(again), std::runtime_error);
+  w.u8('k');
+  w.i64(iteration);
+  w.u64(7);
+  w.u64(~std::uint64_t{7});
+  return w.take();
+}
+
+/// "ask": a miss at 3, then the table's entry at 5, then a reply naming
+/// what came back. Any other request sends that request's bytes as a raw
+/// query after a miss at 3, and waits for an answer that never comes.
+void fakeWorker(int, const std::string& request, const cr::WorkerPool::ChildChannel& ch) {
+  const bool miss = !cr::askParentMemo(ch, key(3, 30)).has_value();
+  if (request != "ask") {
+    ch.send(request);
+    std::string answer;
+    (void)ch.recv(answer);
+    ch.send("answered");
+    return;
+  }
+  const auto hit = cr::askParentMemo(ch, key(5, 50));
+  const bool trialHit = hit && hit->source == cr::MemoSource::Trial &&
+                        hit->outcome == outcome(cr::Response::S2, 9, "trial");
+  ch.send(std::string("r") + (miss ? "M" : "?") + (trialHit ? "H" : "?"));
+}
+
+}  // namespace
+
+TEST(MemoProbeTest, AForkWorkerAsksTheParentsProbeAtEachCheck) {
+  cr::MemoTable table;
+  table.insert({key(5, 50)}, outcome(cr::Response::S2, 9, "trial"), cr::MemoSource::Trial);
+  cr::WorkerPool pool(1, 4096, fakeWorker);
+  ASSERT_TRUE(pool.send(0, "ask"));
+  cr::MemoProbe probe(table, 3, 6);
+  EXPECT_EQ(answerWorker(pool, probe), "rMH");
+  EXPECT_EQ(probe.trail(), std::vector<cr::MemoKey>{key(3, 30)});
+  probe.decide(outcome(cr::Response::S2, 9, "trial"));
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(MemoProbeTest, AMalformedOrOutOfRangeQueryLandsNothing) {
+  cr::MemoTable table;
+  cr::WorkerPool pool(1, 4096, fakeWorker);
+  const std::string truncated = queryFrame(4).substr(0, 12);
+  for (const std::string& query : {truncated, queryFrame(7), queryFrame(3), queryFrame(2),
+                                   queryFrame(std::int64_t{1} << 40)}) {
+    ASSERT_TRUE(pool.ensureWorker(0));
+    ASSERT_TRUE(pool.send(0, query));
+    cr::MemoProbe probe(table, 3, 6);
+    EXPECT_THROW((void)answerWorker(pool, probe), std::runtime_error)
+        << "query of " << query.size() << " bytes";
+    EXPECT_EQ(probe.trail().size(), 1u) << "the miss at 3 was answered";
+    pool.kill(0);
+    EXPECT_EQ(table.size(), 0u);
+  }
 }
 
 TEST(MemoStrideTest, TheStrideFollowsTheBlocksWrittenPerAccess) {

@@ -36,6 +36,7 @@
 // partial summary.
 //
 // Exit codes: 0 success, 1 error, 130 interrupted (SIGINT/SIGTERM).
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -60,14 +61,6 @@ namespace ec = easycrash;
 namespace {
 
 constexpr int kExitInterrupted = 130;
-
-// A millisecond option that must not be negative: a negative value would
-// wrap to a ~2^64 ms sleep or deadline.
-std::uint64_t nonNegative(const ec::CliParser& cli, const std::string& name) {
-  const std::int64_t value = cli.getInt(name);
-  if (value < 0) throw std::runtime_error("--" + name + " must not be negative");
-  return static_cast<std::uint64_t>(value);
-}
 
 // `nvct report`: deterministic post-run analysis over a finished campaign's
 // outputs. Dispatched on argv[1] before the campaign CLI (CliParser has no
@@ -186,7 +179,7 @@ int main(int argc, char** argv) {
     }
 
     const auto& entry = ec::apps::findBenchmark(cli.getString("app"));
-    const int scale = static_cast<int>(cli.getInt("scale"));
+    const int scale = cli.getIntIn<int>("scale", 1);
     const auto factory = ec::apps::scaledBenchmarkFactory(entry.name, scale);
 
     // A setup-only runtime resolves object names for the plan spec.
@@ -204,14 +197,14 @@ int main(int argc, char** argv) {
     }
 
     ec::crash::CampaignConfig config;
-    config.numTests = static_cast<int>(cli.getInt("tests"));
+    config.numTests = cli.getIntIn<int>("tests", 0);
     config.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
     config.plan = ec::crash::parsePlanSpec(cli.getString("plan"), probe);
     // Scaled instances get their own label: their golden runs (and journals)
     // are different campaigns from the scale-1 app.
     config.appLabel =
         scale == 1 ? entry.name : entry.name + "@s" + std::to_string(scale);
-    config.threads = static_cast<int>(cli.getInt("threads"));
+    config.threads = cli.getIntIn<int>("threads", 0);
     config.progress = !cli.getFlag("no-progress");
     const std::string mode = cli.getString("mode");
     if (mode == "coherent") {
@@ -220,15 +213,12 @@ int main(int argc, char** argv) {
       throw std::runtime_error("--mode must be 'nvm' or 'coherent'");
     }
     config.statusPath = cli.getString("status-out");
-    config.statusIntervalMs = static_cast<int>(cli.getInt("status-interval-ms"));
-    if (config.statusIntervalMs <= 0) {
-      throw std::runtime_error("--status-interval-ms must be positive");
-    }
+    config.statusIntervalMs = cli.getIntIn<int>("status-interval-ms", 1);
 
     auto& res = config.resilience;
-    res.maxFailures = static_cast<int>(cli.getInt("max-trial-failures"));
-    res.maxRetries = static_cast<int>(cli.getInt("trial-retries"));
-    res.trialTimeoutMs = nonNegative(cli, "trial-timeout-ms");
+    res.maxFailures = cli.getIntIn<int>("max-trial-failures", -1);
+    res.maxRetries = cli.getIntIn<int>("trial-retries", 0);
+    res.trialTimeoutMs = cli.getIntIn<std::uint64_t>("trial-timeout-ms", 0);
     res.goldenTimeoutMultiple = cli.getDouble("timeout-golden-multiple");
     if (!std::isfinite(res.goldenTimeoutMultiple) || res.goldenTimeoutMultiple < 0) {
       throw std::runtime_error(
@@ -236,8 +226,8 @@ int main(int argc, char** argv) {
     }
     res.journalPath = cli.getString("journal");
     res.resumePath = cli.getString("resume");
-    res.journalFlushEvery = static_cast<int>(cli.getInt("journal-flush-every"));
-    res.stopAfterTrials = static_cast<int>(cli.getInt("stop-after"));
+    res.journalFlushEvery = cli.getIntIn<int>("journal-flush-every", 1);
+    res.stopAfterTrials = cli.getIntIn<int>("stop-after", 0);
     const std::string isolation = cli.getString("isolation");
     if (isolation == "fork") {
       res.isolation = ec::crash::IsolationMode::Fork;
@@ -275,10 +265,11 @@ int main(int argc, char** argv) {
         throw std::runtime_error(
             "--inject kind must be segv|wild-write|oom|hang");
       }
-      std::size_t used = 0;
-      const std::string idx = inject.substr(colon + 1);
-      config.inject.accessIndex = std::stoull(idx, &used);
-      if (used != idx.size() || config.inject.accessIndex == 0) {
+      const std::string_view idx = std::string_view(inject).substr(colon + 1);
+      const auto [stop, error] =
+          std::from_chars(idx.data(), idx.data() + idx.size(), config.inject.accessIndex);
+      if (error != std::errc() || stop != idx.data() + idx.size() ||
+          config.inject.accessIndex == 0) {
         throw std::runtime_error("--inject access index must be a positive "
                                  "integer");
       }
