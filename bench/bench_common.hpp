@@ -77,6 +77,7 @@ inline void maybeWriteMetrics(const CliParser& cli) {
   crash::CampaignConfig config;
   config.numTests = cli.getIntIn<int>("tests", 0);
   config.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
+  config.threads = 0;  // one lane per core
   return config;
 }
 

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
             << ec::formatDouble(100 * workflow.baselineRecomputability(), 1)
             << "%\n\n";
 
-  std::cout << "=== Step 2: critical data objects (Spearman, p < 0.01) ===\n";
+  std::cout << "=== Step 2: critical data objects (Spearman, p < "
+            << ec::formatDouble(config.objectCriteria.pValueThreshold, 2) << ") ===\n";
   ec::Table objects({"object", "rho", "p-value", "mean inconsistency", "critical?"});
   for (const auto& c : workflow.objects.correlations) {
     objects.row()

@@ -85,6 +85,7 @@ WorkflowResult runEasyCrashWorkflow(const runtime::AppFactory& factory,
   base.seed = config.seed;
   base.cache = config.cache;
   base.resilience = config.resilience;
+  base.threads = 0;  // one lane per core
   {
     PhaseSpan phase("baseline_campaign");
     CampaignConfig baseline = base;

@@ -52,7 +52,7 @@ namespace {
 /// every sweep crashing run. These are the `memsim.*` counters in
 /// --metrics-out (names from memsim::kMemEventCounters), so a metrics
 /// snapshot correlates 1:1 with Table 4. Restarts are not counted: they run
-/// direct, and how far each runs depends on which lane decided a memo key
+/// direct, and how far each runs depends on which lane claimed a memo key
 /// first.
 struct CampaignMetrics {
   /// One per memsim::kMemEventCounters row, in its order.
@@ -274,8 +274,9 @@ class RestartQueue {
 //                                              profile, delta}
 // The campaign's memo table lives in the parent only. A restarting worker
 // asks it at each checked iteration end with a 'k' frame, which the
-// parent answers through the attempt's MemoProbe, and the probe inserts
-// the restart's misses once its 'r' decides it (convergence_memo.hpp).
+// parent answers through the attempt's MemoProbe (after waiting, when
+// another restart is computing that key), and the probe inserts the
+// restart's misses once its 'r' decides it (convergence_memo.hpp).
 // A worker starts every request from a zeroed metrics registry and records
 // exactly as an in-process run does; the delta closing each 'r'/'e' reply
 // is what the request left behind: the buffered trace lines, the buffered
@@ -800,10 +801,12 @@ class ForkParent {
   /// capture — so a restart that throws names the stamped crash site, as
   /// it does in-process. Returns the last iteration the outcome stands
   /// for. The attempt has one deadline, scaled by `budget`, and each frame
-  /// waits only for what is left of it. A query or reply that does not
-  /// decode is a protocol death: the stream may be desynchronized, so the
-  /// worker is killed, the caller's probe inserts nothing, and the next
-  /// attempt starts fresh. Throws AttemptFailure.
+  /// waits only for what is left of it; the time the lane spends waiting
+  /// on another restart's pending memo key does not count, as the worker
+  /// is idle then (the owner's own deadline bounds that wait). A query or
+  /// reply that does not decode is a protocol death: the stream may be
+  /// desynchronized, so the worker is killed, the caller's probe inserts
+  /// nothing, and the next attempt starts fresh. Throws AttemptFailure.
   int restart(std::size_t t, int w, const SweepCapture& input, double budget,
               CrashTestRecord& record, MemoProbe& probe) {
     const pid_t pid = ensureWorker(w);
@@ -812,17 +815,10 @@ class ForkParent {
     req.u64(t);
     encodeRestartInput(req, input, pool_.arena(w), pool_.arenaBytes());
     (void)pool_.send(w, req.take());  // a dead worker surfaces in receive()
-    const std::chrono::milliseconds limit = deadline(budget);
-    const auto start = std::chrono::steady_clock::now();
-    const auto left = [&] {
-      if (limit.count() == 0) return limit;
-      const auto spent = std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start);
-      return std::max(std::chrono::milliseconds(1), limit - spent);
-    };
     try {
       const std::string frame = answerMemoQueries(
-          probe, [&] { return receive(w, pid, left()); },
+          probe, deadline(budget),
+          [&](std::chrono::milliseconds within) { return receive(w, pid, within); },
           [&](const std::string& answer) { (void)pool_.send(w, answer); });
       WireReader r(frame);
       if (r.u8() != 'r') throw std::runtime_error("unexpected reply tag");
@@ -1313,9 +1309,12 @@ class CampaignExecution {
   explicit CampaignExecution(const CampaignRunner& runner)
       : runner_(runner), config_(runner.config_), res_(config_.resilience) {
     result_.plannedTests = config_.numTests;
-    const int threads = config_.threads == 0
-                            ? static_cast<int>(std::thread::hardware_concurrency())
-                            : config_.threads;
+    // 0: one lane per core, counting the producer, which joins the restart
+    // lanes once the sweep is done.
+    const int threads =
+        config_.threads == 0
+            ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1)
+            : config_.threads;
     threads_ = std::max(1, std::min<int>(threads, std::max(1, config_.numTests)));
   }
 

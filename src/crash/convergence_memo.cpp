@@ -1,6 +1,7 @@
 #include "convergence_memo.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -13,16 +14,20 @@ const char* toString(MemoSource source) {
   return source == MemoSource::Golden ? "golden" : "trial";
 }
 
-std::optional<MemoHit> MemoTable::find(const MemoKey& key, const std::string* bytes) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  const Entry& entry = it->second;
+MemoHit MemoTable::hit(const MemoKey& key, const Entry& entry,
+                       const std::string* bytes) const {
   if (bytes != nullptr && !entry.bytes.empty() && entry.bytes != *bytes) {
     throw std::logic_error("convergence memo: digest collision at iteration " +
                            std::to_string(key.iteration));
   }
   return MemoHit{outcomes_[entry.outcome], entry.source};
+}
+
+std::optional<MemoHit> MemoTable::find(const MemoKey& key, const std::string* bytes) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.owner != nullptr) return std::nullopt;
+  return hit(key, it->second, bytes);
 }
 
 void MemoTable::insert(const std::vector<MemoKey>& keys, const MemoOutcome& outcome,
@@ -37,22 +42,64 @@ void MemoTable::insert(const std::vector<MemoKey>& keys, const MemoOutcome& outc
     const std::string& keyBytes = bytes.empty() ? kNoBytes : bytes[i];
     const auto [it, inserted] =
         entries_.try_emplace(keys[i], Entry{interned->second, source, keyBytes});
-    if (!inserted && !it->second.bytes.empty() && !keyBytes.empty() &&
-        it->second.bytes != keyBytes) {
+    Entry& entry = it->second;
+    if (entry.owner != nullptr) {
+      entry = Entry{interned->second, source, keyBytes};
+      --pending_;
+    } else if (!inserted && !entry.bytes.empty() && !keyBytes.empty() &&
+               entry.bytes != keyBytes) {
       throw std::logic_error("convergence memo: digest collision at iteration " +
                              std::to_string(keys[i].iteration));
     }
   }
+  settled_.notify_all();
 }
 
 std::size_t MemoTable::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return entries_.size() - pending_;
+}
+
+std::optional<MemoHit> MemoTable::claim(const MemoKey& key, const std::string* bytes,
+                                        const MemoProbe* owner,
+                                        std::chrono::steady_clock::duration& waited) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      if (owner != nullptr) {
+        entries_.emplace(key, Entry{0, MemoSource::Trial, {}, owner});
+        ++pending_;
+      }
+      return std::nullopt;
+    }
+    if (it->second.owner == nullptr) return hit(key, it->second, bytes);
+    if (owner == nullptr) return std::nullopt;
+    const auto start = std::chrono::steady_clock::now();
+    settled_.wait(lock);
+    waited += std::chrono::steady_clock::now() - start;
+  }
+}
+
+void MemoTable::release(const std::vector<MemoKey>& keys, const MemoProbe* owner) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const MemoKey& key : keys) {
+    const auto it = entries_.find(key);
+    if (it != entries_.end() && it->second.owner == owner) {
+      entries_.erase(it);
+      --pending_;
+    }
+  }
+  settled_.notify_all();
 }
 
 MemoProbe::MemoProbe(MemoTable& table, int firstIteration, int cap)
     : table_(table), cap_(cap), trialMatches_(memoSeams().trialMatches),
       next_(firstIteration) {}
+
+MemoProbe::~MemoProbe() {
+  if (!decided_ && trialMatches_) table_.release(keys_, this);
+}
 
 std::optional<MemoHit> MemoProbe::lookup(const MemoKey& key, const std::string* bytes) {
   if (hit_) throw std::runtime_error("memo: a key after the restart's hit");
@@ -62,7 +109,8 @@ std::optional<MemoHit> MemoProbe::lookup(const MemoKey& key, const std::string* 
                              std::to_string(next_) + ".." + std::to_string(cap_));
   }
   next_ = key.iteration + 1;
-  std::optional<MemoHit> hit = table_.find(key, bytes);
+  std::optional<MemoHit> hit =
+      table_.claim(key, bytes, trialMatches_ ? this : nullptr, waited_);
   if (hit && (hit->source == MemoSource::Golden || trialMatches_)) {
     hit_ = true;
     return hit;
@@ -74,6 +122,7 @@ std::optional<MemoHit> MemoProbe::lookup(const MemoKey& key, const std::string* 
 
 void MemoProbe::decide(const MemoOutcome& outcome) {
   table_.insert(keys_, outcome, MemoSource::Trial, bytes_);
+  decided_ = true;
 }
 
 // The 'k' exchange: the worker sends {'k', i64 iteration, u64 digest lo,
@@ -102,10 +151,20 @@ std::optional<MemoHit> askParentMemo(const WorkerPool::ChildChannel& ch,
   return hit;
 }
 
-std::string answerMemoQueries(MemoProbe& probe, const std::function<std::string()>& receive,
-                              const std::function<void(const std::string&)>& send) {
+std::string answerMemoQueries(
+    MemoProbe& probe, std::chrono::milliseconds limit,
+    const std::function<std::string(std::chrono::milliseconds)>& receive,
+    const std::function<void(const std::string&)>& send) {
+  using std::chrono::milliseconds;
+  const auto start = std::chrono::steady_clock::now();
+  const auto left = [&] {
+    if (limit.count() == 0) return limit;
+    const auto spent = std::chrono::steady_clock::now() - start - probe.waited();
+    return std::max(milliseconds(1),
+                    limit - std::chrono::duration_cast<milliseconds>(spent));
+  };
   for (;;) {
-    std::string frame = receive();
+    std::string frame = receive(left());
     WireReader r(frame);
     if (frame.empty() || r.u8() != 'k') return frame;
     const std::int64_t iteration = r.i64();

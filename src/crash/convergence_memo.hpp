@@ -3,11 +3,15 @@
 // state at a checked iteration end equals a state the campaign has already
 // decided would replay that decision, so it stops there and copies the
 // outcome. The golden run seeds the table; every decided restart extends it
-// with the keys it passed, through its MemoProbe. Fork workers hold no
+// with the keys it passed, through its MemoProbe. A key a restart misses is
+// claimed at once, pending, so a concurrent restart that reaches it waits
+// for that outcome instead of computing it again. Fork workers hold no
 // table: they ask the parent's. Internal to ec_crash; the tests include it
 // to drive the table, the probe and the worker exchange directly.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -54,30 +58,38 @@ struct MemoHit {
   MemoSource source = MemoSource::Golden;
 };
 
+class MemoProbe;
+
 /// One campaign's table. Thread-safe: restart lanes look up and insert
 /// concurrently. Outcomes are interned, so an entry is an outcome index,
-/// its source and, under MemoSeams::compareBytes, its state bytes.
+/// its source and, under MemoSeams::compareBytes, its state bytes. An
+/// entry is decided, or pending: claimed by the probe of a restart that is
+/// computing it (MemoProbe::lookup). Only decided entries are found and
+/// counted.
 class MemoTable {
  public:
-  /// The entry for `key`. With `bytes` (MemoSeams::compareBytes), an entry
-  /// that kept its state bytes must hold exactly these, or the digest
-  /// collided: that throws std::logic_error.
+  /// The decided entry for `key`. With `bytes` (MemoSeams::compareBytes),
+  /// an entry that kept its state bytes must hold exactly these, or the
+  /// digest collided: that throws std::logic_error.
   [[nodiscard]] std::optional<MemoHit> find(const MemoKey& key,
                                             const std::string* bytes = nullptr) const;
 
-  /// Record that every key of `keys` decides `outcome`. A key already
-  /// present keeps its entry: by purity its outcome is the same.
-  /// `bytes` is parallel to `keys` or empty.
+  /// Record that every key of `keys` decides `outcome`, and wake the
+  /// restarts waiting on any of them. A decided key keeps its entry: by
+  /// purity its outcome is the same. `bytes` is parallel to `keys` or empty.
   void insert(const std::vector<MemoKey>& keys, const MemoOutcome& outcome,
               MemoSource source, const std::vector<std::string>& bytes = {});
 
   [[nodiscard]] std::size_t size() const;
 
  private:
+  friend class MemoProbe;
+
   struct Entry {
     std::uint32_t outcome = 0;
     MemoSource source = MemoSource::Golden;
     std::string bytes;
+    const MemoProbe* owner = nullptr;  ///< set while pending
   };
   struct KeyHash {
     std::size_t operator()(const MemoKey& key) const {
@@ -86,21 +98,45 @@ class MemoTable {
     }
   };
 
+  /// `owner`'s lookup: the decided entry for `key`; else, when `owner` is
+  /// set, wait (adding the time to `waited`) while another probe's claim
+  /// on it is pending, and claim it once it is free.
+  [[nodiscard]] std::optional<MemoHit> claim(const MemoKey& key, const std::string* bytes,
+                                             const MemoProbe* owner,
+                                             std::chrono::steady_clock::duration& waited);
+  /// Drop `owner`'s pending claims among `keys` and wake their waiters.
+  void release(const std::vector<MemoKey>& keys, const MemoProbe* owner);
+  [[nodiscard]] MemoHit hit(const MemoKey& key, const Entry& entry,
+                            const std::string* bytes) const;
+
   mutable std::mutex mutex_;
+  std::condition_variable settled_;  ///< a pending claim was decided or dropped
   std::vector<MemoOutcome> outcomes_;
   std::map<MemoOutcome, std::uint32_t> interned_;
   std::unordered_map<MemoKey, Entry, KeyHash> entries_;
+  std::size_t pending_ = 0;
 };
 
 /// One restart's view of the table, the same in both isolation modes: the
 /// restart asks it at each checked iteration end, in order, and it keeps
-/// the keys that missed (the trail) until the restart is decided. A probe
-/// discarded undecided (the attempt failed) inserts nothing.
+/// the keys that missed (the trail) until the restart is decided. Each miss
+/// is claimed in the table, pending, until then. A probe discarded
+/// undecided (the attempt failed) drops its claims and inserts nothing.
+///
+/// A lookup that lands on another probe's pending key waits until that
+/// owner decides (a trial hit with its outcome) or is discarded (the key is
+/// looked up again, and claimed if still free). That cannot deadlock: a
+/// probe waits only at its current iteration, on an owner already past it,
+/// so every chain of waits climbs in iteration and ends.
 class MemoProbe {
  public:
   /// For a restart that resumes at `firstIteration` under the iteration
-  /// cap `cap`. Reads MemoSeams::trialMatches once.
+  /// cap `cap`. Reads MemoSeams::trialMatches once; with it off, the probe
+  /// neither claims nor waits.
   MemoProbe(MemoTable& table, int firstIteration, int cap);
+  ~MemoProbe();
+  MemoProbe(const MemoProbe&) = delete;
+  MemoProbe& operator=(const MemoProbe&) = delete;
 
   /// The outcome the table holds for `key`, if any (under
   /// MemoSeams::trialMatches off, only a golden entry counts). A miss
@@ -115,6 +151,8 @@ class MemoProbe {
   void decide(const MemoOutcome& outcome);
 
   [[nodiscard]] const std::vector<MemoKey>& trail() const { return keys_; }
+  /// How long lookups waited on other probes' pending keys.
+  [[nodiscard]] std::chrono::steady_clock::duration waited() const { return waited_; }
 
  private:
   MemoTable& table_;
@@ -122,6 +160,8 @@ class MemoProbe {
   const bool trialMatches_;
   int next_;  ///< the least iteration the next key may carry
   bool hit_ = false;
+  bool decided_ = false;
+  std::chrono::steady_clock::duration waited_{};
   std::vector<MemoKey> keys_;
   std::vector<std::string> bytes_;
 };
@@ -134,11 +174,16 @@ class MemoProbe {
 
 /// The parent's side: receive frames from a restarting worker, answering
 /// each 'k' through `probe`, and return the first frame of any other tag.
-/// A 'k' that does not decode, or that the probe refuses, throws
-/// std::runtime_error (the caller's protocol death) and nothing is
-/// inserted: the caller discards the probe undecided.
+/// The exchange has one deadline, `limit` from the call (0 = none), which
+/// does not run while the probe (fresh for each attempt) waits on another
+/// restart's pending key: the worker is idle then. `receive` waits for one
+/// frame within what is left of it (0 = no deadline). A 'k' that does not
+/// decode, or that the probe refuses, throws std::runtime_error (the
+/// caller's protocol death) and nothing is inserted: the caller discards
+/// the probe undecided.
 [[nodiscard]] std::string answerMemoQueries(
-    MemoProbe& probe, const std::function<std::string()>& receive,
+    MemoProbe& probe, std::chrono::milliseconds limit,
+    const std::function<std::string(std::chrono::milliseconds)>& receive,
     const std::function<void(const std::string&)>& send);
 
 /// The check stride of a campaign, from the golden run's counts: the

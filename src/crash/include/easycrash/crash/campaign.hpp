@@ -140,10 +140,12 @@ struct CampaignConfig {
   /// Restart iteration cap as a multiple of the original iteration count
   /// (paper: verification fails after 2x the original iterations).
   int maxIterationFactor = 2;
-  /// Worker threads for the crash tests. Each test runs on its own simulated
+  /// Restart threads for the crash tests. Each test runs on its own simulated
   /// machine, so campaigns are embarrassingly parallel; results are
   /// identical to a single-threaded run (crash points are pre-drawn and
-  /// records land by index). 0 = use the hardware concurrency.
+  /// records land by index). The producer joins them once the sweep is
+  /// done. 0 = one lane per core: hardware concurrency - 1 threads (at
+  /// least 1), plus the producer.
   int threads = 1;
   /// App name stamped onto telemetry (trace common field + trial events).
   std::string appLabel;

@@ -5,13 +5,20 @@
 // the table's own contract, and one restart's probe of it, in-process and
 // over a fork worker's pipe. The campaign-level byte oracle is
 // SweepReferenceTest.*, whose reference restarts every trial to its end.
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <latch>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -285,6 +292,117 @@ TEST(MemoProbeTest, WithoutTrialMatchesOnlyGoldenEntriesHit) {
   EXPECT_EQ(table.find(key(2, 1))->outcome.note, "trial") << "the first outcome stands";
 }
 
+// ---- Pending keys: concurrent restarts share one trajectory -----------------
+
+using namespace std::chrono_literals;
+
+TEST(MemoProbeTest, AWaiterGetsTheOwnersOutcomeAsATrialHit) {
+  cr::MemoTable table;
+  cr::MemoProbe owner(table, 2, 10);
+  EXPECT_FALSE(owner.lookup(key(4, 40)).has_value());
+  EXPECT_FALSE(table.find(key(4, 40)).has_value()) << "a pending key is not found";
+  EXPECT_EQ(table.size(), 0u) << "nor counted";
+  cr::MemoProbe waiter(table, 3, 10);
+  EXPECT_FALSE(waiter.lookup(key(3, 30)).has_value());
+  auto hit = std::async(std::launch::async, [&waiter] { return waiter.lookup(key(4, 40)); });
+  EXPECT_EQ(hit.wait_for(50ms), std::future_status::timeout) << "the waiter waits";
+  owner.decide(outcome(cr::Response::S2, 9, "owner"));
+  const std::optional<cr::MemoHit> got = hit.get();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->source, cr::MemoSource::Trial);
+  EXPECT_EQ(got->outcome, outcome(cr::Response::S2, 9, "owner"));
+  EXPECT_EQ(waiter.trail(), std::vector<cr::MemoKey>{key(3, 30)});
+  waiter.decide(got->outcome);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(MemoProbeTest, ADiscardedOwnerReleasesItsWaiterWhichThenOwnsTheKey) {
+  cr::MemoTable table;
+  std::optional<cr::MemoProbe> owner;
+  owner.emplace(table, 2, 10);
+  EXPECT_FALSE(owner->lookup(key(4, 40)).has_value());
+  cr::MemoProbe waiter(table, 4, 10);
+  auto missed = std::async(std::launch::async, [&waiter] { return waiter.lookup(key(4, 40)); });
+  EXPECT_EQ(missed.wait_for(50ms), std::future_status::timeout) << "the waiter waits";
+  owner.reset();  // the owner's attempt failed
+  EXPECT_FALSE(missed.get().has_value()) << "the key is free again: a miss";
+  EXPECT_EQ(waiter.trail(), std::vector<cr::MemoKey>{key(4, 40)});
+  // The waiter now owns the key: a third restart waits on it in turn.
+  cr::MemoProbe third(table, 4, 10);
+  auto hit = std::async(std::launch::async, [&third] { return third.lookup(key(4, 40)); });
+  EXPECT_EQ(hit.wait_for(50ms), std::future_status::timeout) << "the third restart waits";
+  waiter.decide(outcome(cr::Response::S1, 10, "waiter"));
+  const std::optional<cr::MemoHit> got = hit.get();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->outcome.note, "waiter");
+}
+
+TEST(MemoProbeTest, WithoutTrialMatchesAProbeNeverWaits) {
+  cr::MemoTable table;
+  std::optional<cr::MemoProbe> owner;
+  owner.emplace(table, 2, 10);
+  EXPECT_FALSE(owner->lookup(key(4, 40)).has_value());
+  const cr::MemoSeams saved = cr::memoSeams();
+  cr::setMemoSeams({.trialMatches = false});
+  cr::MemoProbe probe(table, 4, 10);
+  cr::setMemoSeams(saved);
+  auto missed = std::async(std::launch::async, [&probe] { return probe.lookup(key(4, 40)); });
+  const bool answered = missed.wait_for(5s) == std::future_status::ready;
+  owner.reset();  // frees a lookup that waited after all
+  EXPECT_TRUE(answered) << "a probe without trial matches waited on a pending key";
+  EXPECT_FALSE(missed.get().has_value());
+  EXPECT_EQ(probe.waited().count(), 0);
+}
+
+TEST(MemoProbeTest, EightLanesOnOneTrajectoryComputeEachKeyOnce) {
+  // Eight restarts join one trajectory at staggered iterations and race
+  // along it: every key is computed (missed) by exactly one of them, one
+  // runs it out, and the others stop on a trial hit with its outcome.
+  constexpr int kLanes = 8;
+  constexpr int kLast = 63;
+  const cr::MemoOutcome end = outcome(cr::Response::S1, kLast, "end");
+  for (int round = 0; round < 20; ++round) {
+    const auto firstOf = [round](int lane) { return (lane * 5 + round) % 16; };
+    cr::MemoTable table;
+    std::array<std::atomic<int>, kLast + 1> computed{};
+    std::atomic<int> ranOut{0};
+    std::atomic<int> wrongHits{0};
+    std::latch start(kLanes);
+    std::vector<std::thread> lanes;
+    int least = kLast;
+    for (int lane = 0; lane < kLanes; ++lane) {
+      least = std::min(least, firstOf(lane));
+      lanes.emplace_back([&, first = firstOf(lane)] {
+        cr::MemoProbe probe(table, first, kLast);
+        start.arrive_and_wait();
+        std::optional<cr::MemoHit> hit;
+        for (int i = first; i <= kLast && !hit; ++i) {
+          hit = probe.lookup(key(i, 1000 + static_cast<std::uint64_t>(i)));
+          if (!hit) {
+            computed[static_cast<std::size_t>(i)].fetch_add(1);
+            std::this_thread::yield();
+          }
+        }
+        if (!hit) {
+          ranOut.fetch_add(1);
+        } else if (hit->source != cr::MemoSource::Trial || !(hit->outcome == end)) {
+          wrongHits.fetch_add(1);
+        }
+        probe.decide(end);
+      });
+    }
+    for (auto& lane : lanes) lane.join();
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (int i = 0; i <= kLast; ++i) {
+      EXPECT_EQ(computed[static_cast<std::size_t>(i)].load(), i < least ? 0 : 1)
+          << "key at iteration " << i;
+    }
+    EXPECT_EQ(ranOut.load(), 1);
+    EXPECT_EQ(wrongHits.load(), 0);
+    EXPECT_EQ(table.size(), static_cast<std::size_t>(kLast + 1 - least));
+  }
+}
+
 // ---- The 'k' exchange: a fork worker asks the parent's probe -----------------
 //
 // A fake worker in a real WorkerPool plays the restart's side; the test plays
@@ -294,16 +412,15 @@ TEST(MemoProbeTest, WithoutTrialMatchesOnlyGoldenEntriesHit) {
 
 namespace {
 
-using namespace std::chrono_literals;
-
 /// The parent's side of one restart request: answer the worker's queries
 /// through `probe` until it sends another frame.
-std::string answerWorker(cr::WorkerPool& pool, cr::MemoProbe& probe) {
+std::string answerWorker(cr::WorkerPool& pool, cr::MemoProbe& probe,
+                         std::chrono::milliseconds limit = 10s) {
   return cr::answerMemoQueries(
-      probe,
-      [&pool] {
-        cr::WorkerPool::Reply reply = pool.recv(0, 10s);
-        if (!reply.ok) throw std::runtime_error("worker died");
+      probe, limit,
+      [&pool](std::chrono::milliseconds within) {
+        cr::WorkerPool::Reply reply = pool.recv(0, within);
+        if (!reply.ok) throw std::runtime_error(reply.timedOut ? "timeout" : "worker died");
         return reply.frame;
       },
       [&pool](const std::string& answer) { (void)pool.send(0, answer); });
@@ -319,11 +436,12 @@ std::string queryFrame(std::int64_t iteration) {
 }
 
 /// "ask": a miss at 3, then the table's entry at 5, then a reply naming
-/// what came back. Any other request sends that request's bytes as a raw
-/// query after a miss at 3, and waits for an answer that never comes.
+/// what came back; "ask slowly" works 50 ms more before replying. Any other
+/// request sends that request's bytes as a raw query after a miss at 3, and
+/// waits for an answer that never comes.
 void fakeWorker(int, const std::string& request, const cr::WorkerPool::ChildChannel& ch) {
   const bool miss = !cr::askParentMemo(ch, key(3, 30)).has_value();
-  if (request != "ask") {
+  if (request != "ask" && request != "ask slowly") {
     ch.send(request);
     std::string answer;
     (void)ch.recv(answer);
@@ -333,6 +451,7 @@ void fakeWorker(int, const std::string& request, const cr::WorkerPool::ChildChan
   const auto hit = cr::askParentMemo(ch, key(5, 50));
   const bool trialHit = hit && hit->source == cr::MemoSource::Trial &&
                         hit->outcome == outcome(cr::Response::S2, 9, "trial");
+  if (request == "ask slowly") std::this_thread::sleep_for(50ms);
   ch.send(std::string("r") + (miss ? "M" : "?") + (trialHit ? "H" : "?"));
 }
 
@@ -348,6 +467,27 @@ TEST(MemoProbeTest, AForkWorkerAsksTheParentsProbeAtEachCheck) {
   EXPECT_EQ(probe.trail(), std::vector<cr::MemoKey>{key(3, 30)});
   probe.decide(outcome(cr::Response::S2, 9, "trial"));
   EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(MemoProbeTest, AForkLaneWaitingOnASlowOwnerStillDecidesWithoutATimeout) {
+  // The attempt's deadline is 300 ms, and another restart owns the key its
+  // worker reaches at 5 for 700 ms. The lane's wait is not the worker's
+  // time: the attempt still decides, with the owner's outcome.
+  cr::MemoTable table;
+  cr::MemoProbe owner(table, 5, 6);
+  ASSERT_FALSE(owner.lookup(key(5, 50)).has_value());
+  cr::WorkerPool pool(1, 4096, fakeWorker);
+  ASSERT_TRUE(pool.send(0, "ask slowly"));
+  auto decided = std::async(std::launch::async, [&owner] {
+    std::this_thread::sleep_for(700ms);
+    owner.decide(outcome(cr::Response::S2, 9, "trial"));
+  });
+  cr::MemoProbe probe(table, 3, 6);
+  std::string reply;
+  EXPECT_NO_THROW(reply = answerWorker(pool, probe, 300ms));
+  decided.get();
+  EXPECT_EQ(reply, "rMH");
+  EXPECT_GT(probe.waited().count(), 0);
 }
 
 TEST(MemoProbeTest, AMalformedOrOutOfRangeQueryLandsNothing) {

@@ -557,6 +557,41 @@ TEST(CampaignTelemetry, MemsimCountersDoNotDependOnRestartLengths) {
   EXPECT_EQ(memsimOnly(trialHits), memsimOnly(forked));
 }
 
+// Restarts that reach one memo key at once share its outcome instead of
+// each computing it (a claimed key is pending until its owner decides), so
+// every key is computed once and the memo counters are the same at any
+// lane count, in either isolation mode.
+TEST(CampaignTelemetry, MemoCountersDoNotDependOnLanes) {
+  for (const char* app : {"ft", "mg", "kmeans"}) {
+    crash::CampaignConfig config;
+    config.numTests = 200;
+    config.appLabel = app;
+    std::map<std::string, std::uint64_t> first;
+    for (const auto isolation : {crash::IsolationMode::InProcess, crash::IsolationMode::Fork}) {
+      for (const int threads : {1, 2, 4}) {
+        config.threads = threads;
+        config.resilience.isolation = isolation;
+        auto& reg = tel::MetricsRegistry::instance();
+        reg.reset();
+        (void)crash::CampaignRunner(apps::findBenchmark(app).factory, config).run();
+        std::map<std::string, std::uint64_t> counters;
+        for (const char* name : {"campaign.memo_checks", "campaign.memo_golden_hits",
+                                 "campaign.memo_trial_hits", "campaign.memo_iterations_skipped",
+                                 "campaign.restart_iterations"}) {
+          counters[name] = reg.counter(name).value();
+        }
+        SCOPED_TRACE(std::string(app) + " threads=" + std::to_string(threads) +
+                     (isolation == crash::IsolationMode::Fork ? " fork" : " none"));
+        if (first.empty()) {
+          ASSERT_GT(counters.at("campaign.memo_checks"), 0u) << "no memo check";
+          first = counters;
+        }
+        EXPECT_EQ(counters, first);
+      }
+    }
+  }
+}
+
 TEST(CampaignTelemetry, FullCampaignRecordsTrialsAndTraceEvents) {
   auto& reg = tel::MetricsRegistry::instance();
   reg.reset();

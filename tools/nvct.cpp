@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   cli.addInt("seed", 1, "campaign master seed");
   cli.addString("plan", "none", "persistence plan spec");
   cli.addString("mode", "nvm", "snapshot mode: nvm (NVCT) or coherent (verified)");
-  cli.addInt("threads", 1, "campaign worker threads (0 = hardware concurrency)");
+  cli.addInt("threads", 1, "campaign worker threads (0 = one lane per core)");
   cli.addInt("scale", 1,
              "problem-size multiplier for cg, mg and kmeans (grid edge / "
              "point count); other apps only accept 1");
